@@ -100,6 +100,13 @@ class Infeasible(PalinverseError):
     """A structural feasibility condition (inertia, rank, parity) fails."""
 
 
+def retry_summary(attempts, reasons):
+    """'20 attempts: SymmetryViolation 18, XiSingular 2' from a Counter
+    of failed draws keyed by reason, most frequent first."""
+    counts = ", ".join(f"{name} {n}" for name, n in reasons.most_common())
+    return f"{attempts} attempts: {counts}"
+
+
 class RetryExhausted(PalinverseError):
     """Random draws kept producing degenerate intermediates."""
 

@@ -11,6 +11,7 @@ Y Psi with Psi Omega Psi* = -Delta, and the remaining eigenvalues enter
 through any T2hat preserving the canonical form Omega.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,8 @@ import scipy.linalg
 from .errors import (Infeasible, NoNonsingularFound, NoSolution,
                      NonsingularityRetryExhausted, PairingNotClosed,
                      RemainingEigenvalueConflict, ResidualTooLarge,
-                     RetryExhausted, SingularW)
+                     RetryExhausted, SingularLeadingBlock, SingularW,
+                     SymmetryViolation, retry_summary)
 from .numerics import as_matrix, fnorm, linear_solve, sv_ratio
 from .paramspace import (SBasis, s_basis, sample_nonsingular, solution_space)
 from .spectral import coefficients_from_pair
@@ -465,6 +467,7 @@ def solve_iep_partial_result(problem):
     t1_eigs = np.linalg.eigvals(problem.T1)
     basis = s_basis(problem.T1, cls)
     master = np.random.default_rng(problem.seed)
+    reasons = Counter()
     last_error = None
     for attempt in range(problem.attempts):
         seeds = master.integers(0, 2 ** 63, size=3)
@@ -539,23 +542,20 @@ def solve_iep_partial_result(problem):
             TinvS = linear_solve(T, S)
             G = X @ TinvS @ cls.star_of(X)
             if sv_ratio(G) <= NONSINGULAR_RTOL:
-                last_error = NonsingularityRetryExhausted(
-                    "assembled leading block singular")
-                continue
+                raise SingularLeadingBlock("assembled leading block singular")
             sys = coefficients_from_pair(X, T, S, cls)
             resid = pair_residual(sys, (problem.X1, problem.T1))
             if resid > OUTPUT_RESIDUAL_TOL:
-                last_error = ResidualTooLarge(
-                    f"prescribed-pair residual {resid:.3e}")
-                continue
+                raise ResidualTooLarge(f"prescribed-pair residual {resid:.3e}")
             return IepSolution(sys, X, T, S, attempt + 1, resid)
         except (RemainingEigenvalueConflict, Infeasible):
             raise
-        except (RetryExhausted, NoNonsingularFound) as exc:
+        except (RetryExhausted, NoNonsingularFound, SingularLeadingBlock,
+                ResidualTooLarge, SymmetryViolation) as exc:
+            reasons[type(exc).__name__] += 1
             last_error = exc
-            continue
     raise NonsingularityRetryExhausted(
-        f"no regular completion in {problem.attempts} attempts "
+        f"no regular completion in {retry_summary(problem.attempts, reasons)} "
         f"(last failure: {last_error})")
 
 

@@ -9,6 +9,7 @@ rank correction driven by a rank factorization and a Sherman-Morrison-
 Woodbury style pivot Xi.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,8 +17,9 @@ import numpy as np
 from .errors import (DefectiveSpectrum, DimensionMismatch, Inconsistent,
                      Infeasible, MembershipCheckFailed,
                      NoNonsingularS1Tilde, ResidualTooLarge,
-                     SingularS1Precursor, SpectraOverlap, XiSingular,
-                     XiSingularRetryExhausted)
+                     SingularMatrix, SingularS1Precursor, SpectraOverlap,
+                     SymmetryViolation, XiSingular, XiSingularRetryExhausted,
+                     retry_summary)
 from .forward import eig_full
 from .iep import _congruence_onto, _group_values
 from .numerics import (as_matrix, fnorm, invert, linear_solve, rank_factorize,
@@ -271,6 +273,7 @@ def update_model_result(problem):
     fact = star_factorize(_snap_isotropy(problem.X1, S1, cls), cls)
     basis = s_basis(problem.T1_new, cls)
     master = np.random.default_rng(problem.seed)
+    reasons = Counter()
     last = None
     for attempt in range(problem.attempts):
         seeds = master.integers(0, 2 ** 63, size=2)
@@ -283,11 +286,12 @@ def update_model_result(problem):
                                    theta_mode)
             X1t = solve_right(fact.Y @ psi, fact_t.Y)
             return _finish(problem, S1, X1t, S1t, attempt + 1)
-        except (XiSingular, ResidualTooLarge, Inconsistent) as exc:
+        except (XiSingular, ResidualTooLarge, Inconsistent,
+                SymmetryViolation) as exc:
+            reasons[type(exc).__name__] += 1
             last = exc
-            continue
     raise XiSingularRetryExhausted(
-        f"no regular update found in {problem.attempts} attempts "
+        f"no regular update found in {retry_summary(problem.attempts, reasons)} "
         f"(last failure: {last})")
 
 
@@ -321,23 +325,23 @@ def update_model_prescribed(problem):
     candidates = [np.zeros(len(homogeneous))]
     candidates += [rng.standard_normal(len(homogeneous))
                    for _ in range(problem.attempts)]
+    reasons = Counter()
     last = None
-    found_nonsingular = False
     for attempt, coeff in enumerate(candidates):
         S1t = S_part.copy()
         for c, H in zip(coeff, homogeneous):
             S1t = S1t + c * H
         if sv_ratio(S1t) <= 1e-8:
+            reasons[SingularMatrix.__name__] += 1
             continue
-        found_nonsingular = True
         try:
             return _finish(problem, S1, problem.X1_new, S1t, attempt + 1).system
-        except (XiSingular, ResidualTooLarge) as exc:
+        except (XiSingular, ResidualTooLarge, SymmetryViolation) as exc:
+            reasons[type(exc).__name__] += 1
             last = exc
-            continue
-    if not found_nonsingular:
+    if reasons[SingularMatrix.__name__] == len(candidates):
         raise NoNonsingularS1Tilde(
             "every solution of the transfer constraint is singular")
     raise XiSingularRetryExhausted(
-        f"no regular update found in {len(candidates)} attempts "
+        f"no regular update found in {retry_summary(len(candidates), reasons)} "
         f"(last failure: {last})")

@@ -2,9 +2,12 @@
 
 The solution set is a real-linear subspace (conjugations in the star = H
 classes break complex linearity, so everything is handled over real
-coordinates uniformly).  Two constructions are provided: a generic
-vectorized null-space solve for arbitrary nonsingular T, and a structured
-block construction for T in palindromic Jordan canonical form, where each
+coordinates uniformly).  solution_space takes one of two routes: for a
+diagonal T the Stein equation holds entry by entry, so the space lives on
+the support {(i, j) : t_i t_j* = 1} and only the isotropy constraint
+X S X* = 0 needs a (small) null-space solve; any other nonsingular T goes
+through a vectorized Kronecker null-space solve.  A structured block
+construction covers T in palindromic Jordan canonical form, where each
 free block is the product of an upper-triangular Hankel parameter block and
 a constant lower-triangular scaled rotated Pascal matrix.
 """
@@ -76,25 +79,93 @@ def _constraint_rows(T, cls, X=None):
     rows.append(_realify_linear(np.eye(m * m) - np.kron(right, T)))
     if X is not None:
         X = as_matrix(X, "X")
-        if X.shape[1] != m:
-            raise DimensionMismatch(f"X has {X.shape[1]} columns, expected {m}")
         xr = X if cls.star == "T" else np.conj(X)
         rows.append(_realify_linear(np.kron(xr, X)))
     return np.vstack(rows)
 
 
+def _svd_null(A, floor):
+    """SVD of a real matrix with its rank decided against an absolute floor.
+
+    Returns (u, s, vt, rank); the rows vt[rank:] are an orthonormal basis
+    of the null space.  The factors are thin unless A is wide, where the
+    full V is needed to span the null space.
+    """
+    u, s, vt = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
+    return u, s, vt, int(np.count_nonzero(s > floor))
+
+
+def _stein_support(t, cls, tol):
+    """Unit real basis of {S : star(S) = -eps S, S = T S T*}, T = diag(t).
+
+    S = T S T* reads S_ij (1 - t_i t_j*) = 0, so S lives on the support
+    |t_i t_j* - 1| <= tol (relative to the largest |t_i t_j*|, as the rank
+    decision of the Kronecker solve is).  star(S) = -eps S ties S_ji to
+    S_ij: each support entry i < j carries one free complex value z, each
+    diagonal support entry the part of z with z = -eps z*.  Element k is
+    a[k] at (i[k], j[k]) plus b[k] at (j[k], i[k]); the elements have
+    disjoint supports or disjoint real/imaginary parts and unit norm, so
+    they are orthonormal as real vectors.
+    """
+    star = (lambda z: z) if cls.star == "T" else np.conj
+    P = t[:, None] * star(t)[None, :]
+    free = np.abs(P - 1.0) <= tol * max(1.0, float(np.abs(P).max()))
+    rows, cols = np.nonzero(np.triu(free))
+    upper = rows < cols
+    ri, ci, di = rows[upper], cols[upper], rows[~upper]
+    w = np.array([1.0, 1.0j]) / np.sqrt(2.0)
+    z = np.array([v for v in (1.0, 1.0j) if v + cls.epsilon * star(v) == 0])
+    I = np.concatenate([np.repeat(ri, 2), np.repeat(di, z.size)])
+    J = np.concatenate([np.repeat(ci, 2), np.repeat(di, z.size)])
+    a = np.concatenate([np.tile(w, ri.size), np.tile(z, di.size)])
+    b = np.concatenate([-cls.epsilon * star(np.tile(w, ri.size)),
+                        np.zeros(z.size * di.size)])
+    return I, J, a.astype(np.complex128), b.astype(np.complex128)
+
+
+def _diagonal_solution_space(t, cls, X, tol):
+    """solution_space for T = diag(t): the Stein-support elements, cut down
+    to the null space of S -> X S X* over their coefficients."""
+    m = t.shape[0]
+    I, J, a, b = _stein_support(t, cls, tol)
+    coeffs = np.eye(I.size)
+    if X is not None and I.size:
+        # Image X E_k X* of each element, as real columns of the map.
+        Y = X if cls.star == "T" else np.conj(X)
+        img = np.einsum("pk,qk->kpq", X[:, I] * a, Y[:, J]) \
+            + np.einsum("pk,qk->kpq", X[:, J] * b, Y[:, I])
+        img = img.reshape(I.size, -1)
+        A = np.vstack([img.real.T, img.imag.T])
+        _, _, vt, rank = _svd_null(A, tol * fnorm(X) ** 2)
+        coeffs = vt[rank:]
+    S = np.zeros((coeffs.shape[0], m, m), dtype=np.complex128)
+    np.add.at(S, (slice(None), I, J), coeffs * a)
+    np.add.at(S, (slice(None), J, I), coeffs * b)
+    return list(S)
+
+
 def solution_space(T, cls, X=None, tol=NULLSPACE_RTOL):
     """Real basis of {S : star(S) = -eps S, S = T S T*, (X S X* = 0)}.
 
-    Returns a list of m-by-m complex matrices, orthonormal as real vectors.
-    Each element is exactly (anti)symmetrized after the null-space solve.
+    Returns a list of m-by-m complex matrices, orthonormal as real vectors,
+    each exactly (anti)symmetric.  A diagonal T takes the Stein-support
+    route (an SVD with about 2m columns at most, O(n^4) for X n-by-m);
+    any other T the Kronecker solve (an SVD with 2m^2 columns, O(n^6)).
+    With X, rank decisions compare against tol ||X||_F^2, the largest
+    value X S X* can take on a unit S.
     """
     T = as_matrix(T, "T")
     m = T.shape[0]
     if m == 0:
         return []
+    if X is not None:
+        X = as_matrix(X, "X")
+        if X.shape[1] != m:
+            raise DimensionMismatch(f"X has {X.shape[1]} columns, expected {m}")
+    if not np.any(T - np.diag(np.diag(T))):
+        return _diagonal_solution_space(np.diag(T), cls, X, tol)
     A = _constraint_rows(T, cls, X)
-    _, s, vt = np.linalg.svd(A)
+    _, s, vt = np.linalg.svd(A, full_matrices=False)
     smax = s[0] if s.size else 0.0
     rank = int(np.count_nonzero(s > tol * smax)) if smax > 0 else 0
     basis = []
@@ -394,16 +465,16 @@ def constrained_family(basis, X, C, cls):
     cols = [_rvec(X @ B @ cls.star_of(X)) for B in basis.basis]
     A = np.column_stack(cols)
     b = _rvec(C)
-    coeff, _, _, sv = np.linalg.lstsq(A, b, rcond=None)
+    # ||X B X*|| <= ||X||_F^2 ||B||_F bounds every column of A.
+    scale = fnorm(X) ** 2 * max(fnorm(B) for B in basis.basis)
+    u, s, vt, rank = _svd_null(A, NULLSPACE_RTOL * scale)
+    coeff = vt[:rank].T @ ((u[:, :rank].T @ b) / s[:rank])
     resid = np.linalg.norm(A @ coeff - b)
     if resid > CONSISTENCY_RTOL * max(np.linalg.norm(b), 1e-300):
         raise Inconsistent(
             f"no S solves X S X* = C (residual {resid:.3e} vs ||C|| {fnorm(C):.3e})")
     S_part = basis.combine(coeff)
-    smax = sv[0] if sv.size else 0.0
-    _, s2, vt = np.linalg.svd(A)
-    rank = int(np.count_nonzero(s2 > NULLSPACE_RTOL * smax)) if smax > 0 else 0
-    homogeneous = [basis.combine(vt[i]) for i in range(rank, vt.shape[0])]
+    homogeneous = [basis.combine(v) for v in vt[rank:]]
     return S_part, homogeneous
 
 

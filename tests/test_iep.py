@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from helpers import random_complex
-from palinverse.errors import (Infeasible, NoSolution, PairingNotClosed,
-                               RemainingEigenvalueConflict)
+from palinverse.errors import (Infeasible, NoSolution,
+                               NonsingularityRetryExhausted, PairingNotClosed,
+                               RemainingEigenvalueConflict, SymmetryViolation)
 from palinverse.forward import eig_full
 from palinverse.iep import (IepProblem, solve_iep_full, solve_iep_partial,
                             solve_iep_partial_result, solve_psi)
@@ -223,3 +224,18 @@ def test_iep_user_remaining_with_unimodular_singles():
     e = eig_full(sol.system)
     for v in pair + singles:
         assert min(abs(e.values - v)) <= 1e-6
+
+
+def test_iep_partial_retry_exhaustion_counts_reasons(monkeypatch):
+    # A draw whose assembled A0 misses the symmetry gate is retried like a
+    # residual failure; exhaustion reports the count per reason.
+    from palinverse import iep
+
+    def always_asymmetric(*args):
+        raise SymmetryViolation("forced")
+
+    monkeypatch.setattr(iep, "coefficients_from_pair", always_asymmetric)
+    X1, T1 = iep_fixture(TP)
+    with pytest.raises(NonsingularityRetryExhausted,
+                       match=r"in 20 attempts: SymmetryViolation 20 \("):
+        solve_iep_partial_result(IepProblem(TP, X1, T1, seed=5))

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from helpers import random_complex, random_system, separated_spectrum
-from palinverse.errors import (Inconsistent, ResidualTooLarge, SpectraOverlap)
+from palinverse import mup
+from palinverse.errors import (Inconsistent, ResidualTooLarge, SpectraOverlap,
+                               SymmetryViolation, XiSingular,
+                               XiSingularRetryExhausted)
 from palinverse.forward import eig_full, residual_scale, select_pairs
 from palinverse.mup import (MupProblem, compute_S1, low_rank_update,
                             update_model, update_model_prescribed,
@@ -240,3 +243,37 @@ def test_update_parity_guard_transpose_anti():
         with pytest.raises(Infeasible, match="parity"):
             MupProblem(sys, X1, T1, np.diag([mu, 1 / mu]))
         done = True
+
+
+def _fixture_problem(code, **kwargs):
+    sys, replace, new = update_fixture(code)
+    X1, T1, _, _ = select_pairs(eig_full(sys), replace)
+    return MupProblem(sys, X1, T1, np.diag(new), seed=4, **kwargs)
+
+
+def test_update_retry_exhaustion_counts_reasons(monkeypatch):
+    # Every draw fails the output symmetry gate: the exhausted-retry error
+    # keeps its type but reports what actually failed, not a singular Xi.
+    def always_asymmetric(*args):
+        raise SymmetryViolation("forced")
+
+    monkeypatch.setattr(mup, "_finish", always_asymmetric)
+    with pytest.raises(XiSingularRetryExhausted,
+                       match=r"in 20 attempts: SymmetryViolation 20 \("):
+        update_model_result(_fixture_problem("ta"))
+
+
+def test_prescribed_retry_exhaustion_counts_mixed_reasons(monkeypatch):
+    failures = iter([XiSingular, SymmetryViolation, ResidualTooLarge,
+                     SymmetryViolation])
+
+    def fail_in_turn(*args):
+        raise next(failures)("forced")
+
+    free = update_model_result(_fixture_problem("hp"))
+    problem = _fixture_problem("hp", X1_new=free.X1_new, attempts=3)
+    monkeypatch.setattr(mup, "_finish", fail_in_turn)
+    with pytest.raises(XiSingularRetryExhausted) as info:
+        update_model_prescribed(problem)
+    assert "in 4 attempts: SymmetryViolation 2, XiSingular 1, " \
+        "ResidualTooLarge 1 (" in str(info.value)

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
-from helpers import random_complex
+from helpers import planted_direct_sum, random_complex, random_system
 from palinverse.errors import Inconsistent, NoNonsingularFound, PairingNotClosed
+from palinverse.forward import eig_full
 from palinverse.numerics import fnorm
-from palinverse.paramspace import (PJCF, SBasis, _rvec, jordan_block,
-                                   nilpotent_shift, pascal_matrix,
-                                   pascal_scaling, s_basis, s_basis_pjcf,
-                                   sample_nonsingular, solve_constrained_S,
-                                   constrained_family, solution_space)
-from palinverse.system import ALL_CLASSES, HP, TA, TP
+from palinverse.paramspace import (NULLSPACE_RTOL, PJCF, SBasis,
+                                   _constraint_rows, _rvec, _unrvec,
+                                   jordan_block, nilpotent_shift,
+                                   pascal_matrix, pascal_scaling, s_basis,
+                                   s_basis_pjcf, sample_nonsingular,
+                                   solve_constrained_S, constrained_family,
+                                   solution_space)
+from palinverse.system import ALL_CLASSES, HA, HP, TA, TP, SymmetryClass
 
 
 def test_pascal_matrix_small():
@@ -230,3 +233,89 @@ def test_pjcf_basis_jordan_singles():
             gb = s_basis(jcf_t.T_matrix(), cls)
         assert sb.dim == gb.dim == 2
         assert _span_gap(sb.basis, gb.basis) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# diagonal T: Stein-support route against the Kronecker reference
+# ---------------------------------------------------------------------------
+
+def _kronecker_reference(T, cls, X=None):
+    """Null space of the full Kronecker constraint matrix, by SVD.
+
+    X is normalized first: {S : X S X* = 0} does not depend on the scale of
+    X, while this solve decides rank against its largest singular value,
+    which mixes the X rows with the O(1) symmetry and Stein rows.
+    """
+    if X is not None:
+        X = X / fnorm(X)
+    A = _constraint_rows(T, cls, X)
+    _, s, vt = np.linalg.svd(A, full_matrices=False)
+    rank = int(np.count_nonzero(s > NULLSPACE_RTOL * s[0]))
+    return [_unrvec(v, T.shape[0], T.shape[0]) for v in vt[rank:]]
+
+
+def _assert_same_space(T, cls, X):
+    basis = solution_space(T, cls, X)
+    ref = _kronecker_reference(T, cls, X)
+    assert len(basis) == len(ref)
+    if ref:
+        assert _span_gap(basis, ref) <= 1e-8
+    for B in basis:
+        assert fnorm(B + cls.epsilon * cls.star_of(B)) == 0.0
+
+
+@pytest.mark.parametrize("m", [4, 6, 12, 24])
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_diagonal_space_matches_kronecker_on_eigendata(cls, m):
+    e = eig_full(random_system(cls, m // 2, seed=60 + m))
+    T, X = np.diag(e.values), e.vectors
+    scales = [1.0] if m == 24 else [1.0, 1e6, 1e-6]
+    _assert_same_space(T, cls, None)
+    for scale in scales:
+        _assert_same_space(T, cls, scale * X)
+
+
+def _special_case(name):
+    lam, mu = 0.4 + 0.2j, 1.7 - 0.5j
+    rng = np.random.default_rng(12)
+    if name == "ta-plus-minus-one":
+        return TA, np.diag([1.0, -1.0, lam, 1 / lam, mu, 1 / mu]), \
+            random_complex(rng, 3, 6)
+    if name in ("hp-unimodular", "ha-unimodular"):
+        cls = HP if name.startswith("hp") else HA
+        t = [np.exp(0.7j), np.exp(-2.1j), lam, 1 / np.conj(lam)]
+        return cls, np.diag(t), random_complex(rng, 2, 4)
+    if name.startswith("repeated-"):
+        cls = SymmetryClass.from_code(name.split("-")[1])
+        p = 1 / cls.star_scalar(lam)
+        return cls, np.diag([lam, lam, p, p]), random_complex(rng, 2, 4)
+    if name == "tp-isotropic-rank-one":
+        # X = u v^T: X S X^T = u (v^T S v) u^T vanishes for skew S.
+        T = _pair_diag(TP, lam, mu, 0.3 - 0.9j)
+        return TP, T, np.outer(random_complex(rng, 3), random_complex(rng, 6))
+    if name == "tp-isotropic-planted":
+        X, J = planted_direct_sum(TP, [1, 1], seed=43)
+        return TP, J, X
+    raise ValueError(name)
+
+
+@pytest.mark.parametrize("name", [
+    "ta-plus-minus-one", "hp-unimodular", "ha-unimodular", "repeated-tp",
+    "repeated-ta", "repeated-hp", "repeated-ha", "tp-isotropic-rank-one",
+    "tp-isotropic-planted"])
+def test_diagonal_space_matches_kronecker_special(name):
+    cls, T, X = _special_case(name)
+    for scale in (1.0, 1e6, 1e-6):
+        _assert_same_space(T, cls, scale * X)
+    _assert_same_space(T, cls, None)
+
+
+def test_isotropic_x_keeps_whole_space():
+    # X S X* vanishes for every S, so the map is pure roundoff: the rank
+    # decision must not call any of it nonzero.
+    cls, T, X = _special_case("tp-isotropic-rank-one")
+    b = s_basis(T, cls)
+    assert len(solution_space(T, cls, 1e-6 * X)) == b.dim == 6
+    S, hom = constrained_family(b, 1e-6 * X, np.zeros((3, 3)), cls)
+    assert len(hom) == b.dim
+    assert fnorm(S) == 0.0
