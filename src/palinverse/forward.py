@@ -8,13 +8,14 @@ are out of scope.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (PairingFailure, PairingNotClosed, SpectraOverlap,
                      TargetNotFound)
-from .numerics import dense_eig, fnorm, linear_solve
-from .system import SymmetryClass, eval_Q
+from .numerics import dense_eig, linear_solve
+from .system import SymmetryClass
 
 PAIRING_TOL = 1e-6
 
@@ -57,13 +58,18 @@ class EigenPairSet:
     def n(self):
         return self.vectors.shape[0]
 
+    @cached_property
+    def partners(self):
+        """partners[i] is the index paired with i, or -1 when i is unmatched."""
+        partners = np.full(len(self.values), -1)
+        pairs = np.array(self.pairing, dtype=int).reshape(-1, 2)
+        partners[pairs[:, 0]] = pairs[:, 1]
+        partners[pairs[:, 1]] = pairs[:, 0]
+        return partners
+
     def partner_index(self, i):
-        for a, b in self.pairing:
-            if a == i:
-                return b
-            if b == i:
-                return a
-        return None
+        j = int(self.partners[i])
+        return None if j < 0 else j
 
 
 def _greedy_pairing(values, cls, tol):
@@ -72,28 +78,28 @@ def _greedy_pairing(values, cls, tol):
     Smallest modulus first; each unmatched value takes the unmatched
     candidate minimizing |lam lam'* - 1| (itself included, which accepts
     unimodular self-pairs).  Ties break by index order.
+
+    Moduli and defects are taken with hypot on real and imaginary parts,
+    which rounds exactly like the scalar abs(complex) (numpy's complex abs
+    may not), so the order and the ties are those of a scalar loop.
     """
-    m = len(values)
-    order = sorted(range(m), key=lambda i: (abs(values[i]), i))
-    matched = [False] * m
+    re, im = values.real, values.imag
+    im_star = -im if cls.star == "H" else im
+    outer = np.multiply.outer
+    defect = np.hypot(outer(re, re) - outer(im, im_star) - 1.0,
+                      outer(re, im_star) + outer(im, re))
+    free = np.ones(len(values), dtype=bool)
     pairs = []
     unmatched = []
-    for i in order:
-        if matched[i]:
+    for i in np.argsort(np.hypot(re, im), kind="stable").tolist():
+        if not free[i]:
             continue
-        best_j, best_d = None, np.inf
-        for j in range(m):
-            if matched[j] and j != i:
-                continue
-            d = cls.pair_defect(values[i], values[j])
-            if best_j is None or d < best_d:
-                best_j, best_d = j, d
-        if best_d <= tol:
-            matched[i] = True
-            matched[best_j] = True
-            pairs.append((min(i, best_j), max(i, best_j)))
+        j = int(np.argmin(np.where(free, defect[i], np.inf)))
+        free[i] = False
+        if defect[i, j] <= tol:
+            free[j] = False
+            pairs.append((min(i, j), max(i, j)))
         else:
-            matched[i] = True
             unmatched.append(i)
     return pairs, unmatched
 
@@ -110,30 +116,25 @@ def eig_full(sys, pairing_tol=PAIRING_TOL, strict=False):
     n = sys.n
     M0, M1 = linearize(sys)
     values, Z = dense_eig(-linear_solve(M1, M0))
-    vectors = np.zeros((n, 2 * n), dtype=np.complex128)
-    residuals = np.zeros(2 * n)
-    for i, lam in enumerate(values):
-        top, bottom = Z[:n, i], Z[n:, i]
-        x = top if abs(lam) >= 1.0 else bottom
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
-            x = top if np.linalg.norm(top) > 0 else bottom
-            nx = np.linalg.norm(x)
-        x = x / nx
-        vectors[:, i] = x
-        residuals[i] = float(np.linalg.norm(eval_Q(sys, lam) @ x))
+    top, bottom = Z[:n], Z[n:]
+    # hypot, as in _greedy_pairing: unimodular values sit on this boundary.
+    vectors = np.where(np.hypot(values.real, values.imag) >= 1.0, top, bottom)
+    norms = np.linalg.norm(vectors, axis=0)
+    for i in np.flatnonzero(norms == 0.0):
+        vectors[:, i] = top[:, i] if np.linalg.norm(top[:, i]) > 0 else bottom[:, i]
+        norms[i] = np.linalg.norm(vectors[:, i])
+    vectors = vectors / norms
+    # Q(lam_i) x_i for all i at once: Lambda acts as a column scaling.
+    A1 = sys.A1
+    R = (sys.cls.star_of(A1) @ vectors) * values**2 + (sys.A0 @ vectors) * values \
+        + sys.cls.epsilon * (A1 @ vectors)
+    residuals = np.linalg.norm(R, axis=0)
     pairs, unmatched = _greedy_pairing(values, sys.cls, pairing_tol)
     if unmatched and strict:
         bad = ", ".join(f"{values[i]:.6g}" for i in unmatched)
         raise PairingFailure(f"no reciprocal partner within {pairing_tol:g} for: {bad}")
     return EigenPairSet(sys.cls, values, vectors, pairs, residuals,
                         pairing_tol, unmatched)
-
-
-def residual_scale(sys, lam):
-    """Natural residual scale ||A1||(1 + |lam|^2) + ||A0|| |lam|."""
-    a = abs(lam)
-    return fnorm(sys.A1) * (1.0 + a * a) + fnorm(sys.A0) * a
 
 
 def select_pairs(eigs, targets, tol=1e-3, overlap_tol=1e-8):
@@ -145,38 +146,44 @@ def select_pairs(eigs, targets, tol=1e-3, overlap_tol=1e-8):
     not overlap.  Returns (X1, T1, X2, T2) with diagonal T factors.
     """
     values = eigs.values
-    m = len(values)
-    selected = []
-    for t in targets:
-        t = complex(t)
-        dists = np.abs(values - t)
-        j = int(np.argmin(dists))
-        if dists[j] > tol * max(1.0, abs(t)):
-            raise TargetNotFound(
-                f"target not found: {t:.6g} (closest eigenvalue {values[j]:.6g})")
-        if j in selected:
-            raise TargetNotFound(
-                f"targets are ambiguous: eigenvalue {values[j]:.6g} matched twice")
-        selected.append(j)
-    sel = set(selected)
-    for i in selected:
-        j = eigs.partner_index(i)
-        if j is None:
+    targets = np.fromiter(targets, dtype=np.complex128)
+    dists = np.abs(values[None, :] - targets[:, None])
+    selected = np.argmin(dists, axis=1)
+    missing = dists.min(axis=1) > tol * np.maximum(1.0, np.abs(targets))
+    repeated = np.ones(len(targets), dtype=bool)
+    repeated[np.unique(selected, return_index=True)[1]] = False
+    bad = np.flatnonzero(missing | repeated)
+    if bad.size:
+        a = bad[0]
+        j = selected[a]
+        if missing[a]:
+            raise TargetNotFound(f"target not found: {complex(targets[a]):.6g} "
+                                 f"(closest eigenvalue {values[j]:.6g})")
+        raise TargetNotFound(
+            f"targets are ambiguous: eigenvalue {values[j]:.6g} matched twice")
+    in_sel = np.zeros(len(values), dtype=bool)
+    in_sel[selected] = True
+    partner = eigs.partners[selected]
+    unclosed = np.flatnonzero((partner < 0) | ~in_sel[partner])
+    if unclosed.size:
+        i, j = selected[unclosed[0]], partner[unclosed[0]]
+        if j < 0:
             raise PairingNotClosed(
                 f"pairing not closed: eigenvalue {values[i]:.6g} has no partner")
-        if j not in sel:
-            raise PairingNotClosed(
-                f"pairing not closed: eigenvalue {values[i]:.6g} selected "
-                f"without its partner {values[j]:.6g}")
-    rest = [i for i in range(m) if i not in sel]
-    for i in selected:
-        for j in rest:
-            if abs(values[i] - values[j]) <= overlap_tol * max(1.0, abs(values[i])):
-                raise SpectraOverlap(
-                    f"selected eigenvalue {values[i]:.6g} reappears in the "
-                    "remaining spectrum")
+        raise PairingNotClosed(
+            f"pairing not closed: eigenvalue {values[i]:.6g} selected "
+            f"without its partner {values[j]:.6g}")
+    rest = np.flatnonzero(~in_sel)
+    chosen = values[selected]
+    overlap = np.abs(chosen[:, None] - values[None, rest]) <= \
+        overlap_tol * np.maximum(1.0, np.abs(chosen))[:, None]
+    hit = np.flatnonzero(overlap.any(axis=1))
+    if hit.size:
+        raise SpectraOverlap(
+            f"selected eigenvalue {chosen[hit[0]]:.6g} reappears in the "
+            "remaining spectrum")
     X1 = eigs.vectors[:, selected]
-    T1 = np.diag(values[selected])
+    T1 = np.diag(chosen)
     X2 = eigs.vectors[:, rest]
     T2 = np.diag(values[rest])
     return X1, T1, X2, T2

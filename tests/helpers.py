@@ -4,6 +4,7 @@ import numpy as np
 import scipy.linalg
 
 from palinverse.forward import eig_full
+from palinverse.numerics import fnorm
 from palinverse.system import PalindromicSystem
 
 
@@ -105,3 +106,44 @@ def planted_direct_sum(cls, sizes, seed, cond_limit=1e5, max_tries=200):
                 return scipy.linalg.block_diag(*Xs), scipy.linalg.block_diag(*Js)
         rng_seed += 7919
     raise RuntimeError(f"no disjoint {cls.code} direct sum of sizes {sizes}")
+
+
+def residual_scale(sys, lam):
+    """Natural residual scale ||A1||(1 + |lam|^2) + ||A0|| |lam|."""
+    a = abs(lam)
+    return fnorm(sys.A1) * (1.0 + a * a) + fnorm(sys.A0) * a
+
+
+def greedy_pairing_loop(values, cls, tol):
+    """Match eigenvalues into (lam, 1/lam*) pairs.
+
+    Smallest modulus first; each unmatched value takes the unmatched
+    candidate minimizing |lam lam'* - 1| (itself included, which accepts
+    unimodular self-pairs).  Ties break by index order.
+
+    Scalar reference for forward._greedy_pairing, which must return the
+    same pairs and unmatched indices.
+    """
+    m = len(values)
+    order = sorted(range(m), key=lambda i: (abs(values[i]), i))
+    matched = [False] * m
+    pairs = []
+    unmatched = []
+    for i in order:
+        if matched[i]:
+            continue
+        best_j, best_d = None, np.inf
+        for j in range(m):
+            if matched[j] and j != i:
+                continue
+            d = cls.pair_defect(values[i], values[j])
+            if best_j is None or d < best_d:
+                best_j, best_d = j, d
+        if best_d <= tol:
+            matched[i] = True
+            matched[best_j] = True
+            pairs.append((min(i, best_j), max(i, best_j)))
+        else:
+            matched[i] = True
+            unmatched.append(i)
+    return pairs, unmatched

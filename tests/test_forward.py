@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import max_eig_condition, random_system
+from helpers import max_eig_condition, random_system, residual_scale
 from palinverse.errors import (PairingFailure, PairingNotClosed,
                                SpectraOverlap, TargetNotFound)
-from palinverse.forward import eig_full, linearize, residual_scale, select_pairs
+from palinverse.forward import eig_full, linearize, select_pairs
 from palinverse.numerics import dense_eig, linear_solve
 from palinverse.system import ALL_CLASSES, TA, TP, PalindromicSystem
 from reference_problems import update_fixture

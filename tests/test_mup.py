@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from helpers import random_complex, random_system, separated_spectrum
+from helpers import random_complex, random_system, residual_scale, separated_spectrum
 from palinverse import mup
 from palinverse.errors import (Inconsistent, ResidualTooLarge, SpectraOverlap,
                                SymmetryViolation, XiSingular,
                                XiSingularRetryExhausted)
-from palinverse.forward import eig_full, residual_scale, select_pairs
+from palinverse.forward import eig_full, select_pairs
 from palinverse.mup import (MupProblem, compute_S1, low_rank_update,
                             update_model, update_model_prescribed,
                             update_model_result)
