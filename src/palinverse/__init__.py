@@ -14,8 +14,7 @@ from .numerics import dense_eig, linear_solve, rank_factorize
 from .structfact import (DeltaPattern, StarFactorization, build_delta,
                          inertia, star_factorize)
 from .paramspace import (PJCF, SBasis, pascal_matrix, pascal_scaling,
-                         s_basis, s_basis_pjcf, sample_nonsingular,
-                         solve_constrained_S)
+                         s_basis, s_basis_pjcf, sample_nonsingular)
 from .spectral import coefficients_from_pair, parameter_from_pair
 from .forward import EigenPairSet, eig_full, linearize, select_pairs
 from .iep import IepProblem, solve_iep_full, solve_iep_partial, solve_psi
@@ -37,7 +36,7 @@ __all__ = [
     "pair_residual", "palindromic_identity_check", "parameter_from_pair",
     "pascal_matrix", "pascal_scaling", "rank_factorize", "s_basis",
     "s_basis_pjcf", "s_space_dimension", "sample_nonsingular", "save_pair",
-    "save_system", "select_pairs", "solve_constrained_S", "solve_iep_full",
+    "save_system", "select_pairs", "solve_iep_full",
     "solve_iep_partial", "solve_psi", "star_factorize", "update_model",
     "update_model_prescribed", "zeta_partition",
 ]

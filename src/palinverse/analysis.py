@@ -15,16 +15,16 @@ import numpy as np
 from .errors import (GeomMultViolation, NotJBDiagonalizable, SingularInput,
                      StructureViolation)
 from .numerics import as_matrix, dense_eig, fnorm, invert, sv_ratio
-from .paramspace import solution_space
+from .paramspace import _jordan_blocks, solution_space
 from .spectral import coefficients_from_pair
 
 ZETA_CLUSTER_RTOL = 1e-7
 OFFBLOCK_RTOL = 1e-8
 
 
-def s_space_dimension(X, T, cls, tol=1e-10):
+def s_space_dimension(X, T, cls):
     """Real dimension of {S : star(S) = -eps S, S = T S T*, X S X* = 0}."""
-    return len(solution_space(T, cls, X, tol=tol))
+    return len(solution_space(T, cls, X))
 
 
 @dataclass
@@ -119,39 +119,6 @@ def zeta_partition(S, S_tilde, cls, tol=ZETA_CLUSTER_RTOL):
     return ZetaPartition(parts, pair_classes, values)
 
 
-def _pjcf_blocks(J, tol=1e-8):
-    """Split a PJCF matrix into its Jordan blocks; returns (start, size,
-    eigenvalue) triples and raises GeomMultViolation when a distinct
-    eigenvalue owns more than one block."""
-    J = as_matrix(J, "J")
-    m = J.shape[0]
-    blocks = []
-    start = 0
-    for i in range(m):
-        last = (i == m - 1) or abs(J[i, i + 1] - 1.0) > 1e-12
-        if last:
-            blocks.append((start, i - start + 1, J[start, start]))
-            start = i + 1
-    off = J - sum_blocks(J, blocks)
-    if fnorm(off) > 1e-10 * max(fnorm(J), 1e-300):
-        raise GeomMultViolation("J is not in Jordan canonical form")
-    for a in range(len(blocks)):
-        for b in range(a + 1, len(blocks)):
-            if abs(blocks[a][2] - blocks[b][2]) <= tol * max(1.0, abs(blocks[a][2])):
-                raise GeomMultViolation(
-                    f"eigenvalue {blocks[a][2]:.6g} has geometric "
-                    "multiplicity greater than one")
-    return blocks
-
-
-def sum_blocks(J, blocks):
-    out = np.zeros_like(J)
-    for start, size, _ in blocks:
-        out[start:start + size, start:start + size] = \
-            J[start:start + size, start:start + size]
-    return out
-
-
 def _offblock_mass(M, sizes):
     """Relative Frobenius mass outside the given diagonal block layout."""
     mask = np.ones_like(M, dtype=bool)
@@ -175,7 +142,17 @@ def joint_block_diagonalize(X, J, S, S_tilde, S_hat, cls, tol=ZETA_CLUSTER_RTOL)
     """
     X = as_matrix(X, "X")
     J = as_matrix(J, "J")
-    jordan = _pjcf_blocks(J)
+    jordan = _jordan_blocks(J, tol=1e-10)
+    if jordan is None:
+        raise GeomMultViolation("J is not in Jordan canonical form")
+    starts, sizes, values = jordan
+    close = np.abs(values[:, None] - values[None, :]) <= \
+        1e-8 * np.maximum(1.0, np.abs(values))[:, None]
+    shared = np.argwhere(np.triu(close, 1))
+    if shared.size:
+        raise GeomMultViolation(
+            f"eigenvalue {values[shared[0, 0]]:.6g} has geometric "
+            "multiplicity greater than one")
     zeta = zeta_partition(S, S_tilde, cls, tol)
     sys_S = coefficients_from_pair(X, J, S, cls)
     sys_St = coefficients_from_pair(X, J, S_tilde, cls)
@@ -214,7 +191,7 @@ def joint_block_diagonalize(X, J, S, S_tilde, S_hat, cls, tol=ZETA_CLUSTER_RTOL)
     # the block-diagonal action of S_tilde S^{-1}.
     ratio = S_tilde @ invert(S)
     pi_groups = [[] for _ in range(zeta.cardinality)]
-    for start, size, lam in jordan:
+    for start, size, lam in zip(starts, sizes, values):
         idx = list(range(start, start + size))
         sub = ratio[np.ix_(idx, idx)]
         mu_here = np.mean(np.diag(sub)) if size == 1 else np.mean(np.linalg.eigvals(sub))

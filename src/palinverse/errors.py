@@ -88,7 +88,8 @@ class SpectraOverlap(PalinverseError):
 
 
 class DefectiveSpectrum(PalinverseError):
-    """Selected eigenvalues cluster too tightly to be treated as semi-simple."""
+    """Eigenvalues cluster too tightly to be treated as semi-simple (a
+    selection to update, or a T not in Jordan form)."""
 
 
 # iep

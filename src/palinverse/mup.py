@@ -21,22 +21,21 @@ from .errors import (DefectiveSpectrum, DimensionMismatch, Inconsistent,
                      SymmetryViolation, XiSingular, XiSingularRetryExhausted,
                      retry_summary)
 from .forward import eig_full
-from .iep import _congruence_onto, _group_values
+from .iep import (DISJOINT_RTOL, OUTPUT_RESIDUAL_TOL, _congruence_onto,
+                  _group_values)
 from .numerics import (as_matrix, fnorm, invert, linear_solve, rank_factorize,
                        solve_right, sv_ratio)
 from .paramspace import constrained_family, s_basis, sample_nonsingular
+from .spectral import PAIR_RESIDUAL_GATE
 from .structfact import star_factorize
 from .system import PalindromicSystem, pair_residual
 
-PAIR_RESIDUAL_GATE = 1e-8
 # Output symmetry gate: roundoff in the bordered update is amplified by the
 # squared moduli of the replaced eigenvalues, so the constructor's default
 # 1e-12 gate is too tight for legitimate updates; 1e-10 matches the
 # documented output quality bound.
 OUTPUT_SYMMETRY_RTOL = 1e-10
 S1_MEMBERSHIP_RTOL = 1e-9
-OUTPUT_RESIDUAL_TOL = 1e-9
-DISJOINT_RTOL = 1e-8
 XI_SINGULAR_RTOL = 1e-12
 
 

@@ -2,14 +2,13 @@
 
 The solution set is a real-linear subspace (conjugations in the star = H
 classes break complex linearity, so everything is handled over real
-coordinates uniformly).  solution_space takes one of two routes: for a
-diagonal T the Stein equation holds entry by entry, so the space lives on
-the support {(i, j) : t_i t_j* = 1} and only the isotropy constraint
-X S X* = 0 needs a (small) null-space solve; any other nonsingular T goes
-through a vectorized Kronecker null-space solve.  A structured block
-construction covers T in palindromic Jordan canonical form, where each
-free block is the product of an upper-triangular Hankel parameter block and
-a constant lower-triangular scaled rotated Pascal matrix.
+coordinates uniformly).  solution_space builds it from the Jordan blocks
+of T: the block of S joining Jordan blocks a and b is nonzero only when
+lam_a lam_b* = 1, and there it is an upper-left Hankel parameter block
+times a constant lower-triangular scaled rotated Pascal matrix.  A
+diagonal T is the case of all 1-by-1 blocks, whose space lives on the
+Stein support {(i, j) : t_i t_j* = 1}.  Any other T goes through its
+eigendecomposition, so a defective T must be given in Jordan form.
 """
 
 from dataclasses import dataclass, field
@@ -17,9 +16,9 @@ from math import comb
 
 import numpy as np
 
-from .errors import (DimensionMismatch, Inconsistent, NoNonsingularFound,
-                     PairingNotClosed, SingularMatrix)
-from .numerics import as_matrix, fnorm, sv_ratio
+from .errors import (DefectiveSpectrum, DimensionMismatch, Inconsistent,
+                     NoNonsingularFound, PairingNotClosed, SingularMatrix)
+from .numerics import as_matrix, dense_eig, fnorm, sv_ratio
 from .system import SymmetryClass
 
 NULLSPACE_RTOL = 1e-10
@@ -38,52 +37,6 @@ def _rvec(M):
     return np.concatenate([v.real, v.imag])
 
 
-def _unrvec(x, rows, cols):
-    half = rows * cols
-    v = x[:half] + 1j * x[half:]
-    return v.reshape((rows, cols), order="F")
-
-
-def _realify_linear(A):
-    """Real 2m-by-2k block matrix of the complex-linear map x -> A x."""
-    return np.block([[A.real, -A.imag], [A.imag, A.real]])
-
-
-def _commutation(m):
-    """Permutation K with K vec(S) = vec(S^T) for m-by-m S."""
-    K = np.zeros((m * m, m * m))
-    for i in range(m):
-        for j in range(m):
-            K[j * m + i, i * m + j] = 1.0
-    return K
-
-
-def _constraint_rows(T, cls, X=None):
-    """Stacked real matrix of the defining constraints acting on rvec(S)."""
-    T = as_matrix(T, "T")
-    m = T.shape[0]
-    eps = cls.epsilon
-    K = _commutation(m)
-    rows = []
-    if cls.star == "T":
-        # S + eps S^T = 0 is complex-linear.
-        rows.append(_realify_linear(np.eye(m * m) + eps * K))
-    else:
-        # S + eps conj(S)^T = 0 decouples into real and imaginary parts.
-        Z = np.zeros((m * m, m * m))
-        rows.append(np.block([[np.eye(m * m) + eps * K, Z],
-                              [Z, np.eye(m * m) - eps * K]]))
-    # S - T S T* = 0 is complex-linear for both stars:
-    # vec(T S T^T) = (T kron T) vec(S); vec(T S T^H) = (conj(T) kron T) vec(S).
-    right = T if cls.star == "T" else np.conj(T)
-    rows.append(_realify_linear(np.eye(m * m) - np.kron(right, T)))
-    if X is not None:
-        X = as_matrix(X, "X")
-        xr = X if cls.star == "T" else np.conj(X)
-        rows.append(_realify_linear(np.kron(xr, X)))
-    return np.vstack(rows)
-
-
 def _svd_null(A, floor):
     """SVD of a real matrix with its rank decided against an absolute floor.
 
@@ -95,64 +48,145 @@ def _svd_null(A, floor):
     return u, s, vt, int(np.count_nonzero(s > floor))
 
 
-def _stein_support(t, cls, tol):
-    """Unit real basis of {S : star(S) = -eps S, S = T S T*}, T = diag(t).
+# ---------------------------------------------------------------------------
+# the parameter space, block by block over the Jordan form of T
+# ---------------------------------------------------------------------------
 
-    S = T S T* reads S_ij (1 - t_i t_j*) = 0, so S lives on the support
-    |t_i t_j* - 1| <= tol (relative to the largest |t_i t_j*|, as the rank
-    decision of the Kronecker solve is).  star(S) = -eps S ties S_ji to
-    S_ij: each support entry i < j carries one free complex value z, each
-    diagonal support entry the part of z with z = -eps z*.  Element k is
-    a[k] at (i[k], j[k]) plus b[k] at (j[k], i[k]); the elements have
-    disjoint supports or disjoint real/imaginary parts and unit norm, so
-    they are orthonormal as real vectors.
+def _jordan_blocks(T, tol=0.0):
+    """(starts, sizes, values) of the Jordan blocks of T, or None.
+
+    A superdiagonal entry within 1e-12 of one joins two rows into a
+    block, whose eigenvalue is its first diagonal entry.  T is in Jordan
+    form when it differs from the Jordan matrix read this way by at most
+    tol ||T||_F (by default: not at all).  A diagonal T is all 1-by-1
+    blocks; it is the common case, so it is recognized first.
     """
+    m = T.shape[0]
+    if not np.any(T - np.diag(np.diag(T))):
+        return np.arange(m), np.ones(m, dtype=int), np.diag(T)
+    joins = np.abs(np.diag(T, 1) - 1.0) <= 1e-12
+    starts = np.flatnonzero(np.concatenate([[True], ~joins]))
+    sizes = np.diff(starts, append=m)
+    values = np.diag(T)[starts]
+    J = np.diag(np.repeat(values, sizes)) + np.diag(joins, 1)
+    if fnorm(T - J) > tol * fnorm(T):
+        return None
+    return starts, sizes, values
+
+
+def _symmetric_family(lam, size, cls):
+    """Unit elements B of the Hankel-Pascal family of one Jordan block
+    with lam lam* = 1 that satisfy star(B) = -eps B, from the null space
+    of that real-linear constraint over the family's coefficients."""
+    gens = [s * F for F in _block_family(lam, size, size) for s in (1.0, 1.0j)]
+    A = np.column_stack([_rvec(G + cls.epsilon * cls.star_of(G)) for G in gens])
+    # Every column has norm at most 2.
+    _, _, vt, rank = _svd_null(A, 2.0 * NULLSPACE_RTOL)
+    out = []
+    for coeff in vt[rank:]:
+        B = sum(c * G for c, G in zip(coeff, gens))
+        B = (B - cls.epsilon * cls.star_of(B)) / 2.0
+        out.append(B / fnorm(B))
+    return out
+
+
+def _stein_support(starts, sizes, values, cls):
+    """Structural real basis of {S : star(S) = -eps S, S = T S T*} for T
+    in Jordan form, as sparse entry arrays (K, I, J, a, b).
+
+    Entry e puts a[e] at (I[e], J[e]) and b[e] at (J[e], I[e]) of element
+    K[e]; K is nondecreasing.  The block of S joining Jordan blocks p and
+    q is free only when |lam_p lam_q* - 1| <= NULLSPACE_RTOL (relative to
+    the largest |lam_p lam_q*|), and star(S) = -eps S mirrors block
+    (p, q) into (q, p).  Between 1-by-1 blocks (all of them for a
+    diagonal T) a pair p < q carries one free complex value z, as two
+    real elements, and a block p = q the part of z with z = -eps z*;
+    these elements have unit norm and disjoint supports or disjoint
+    real/imaginary parts, so they are orthonormal as real vectors.
+    Larger blocks carry the Hankel-Pascal family of _block_family, cut
+    down to its (anti)symmetric part when p = q.
+    """
+    eps = cls.epsilon
     star = (lambda z: z) if cls.star == "T" else np.conj
-    P = t[:, None] * star(t)[None, :]
-    free = np.abs(P - 1.0) <= tol * max(1.0, float(np.abs(P).max()))
-    rows, cols = np.nonzero(np.triu(free))
+    P = values[:, None] * star(values)[None, :]
+    free = np.abs(P - 1.0) <= NULLSPACE_RTOL * max(1.0, float(np.abs(P).max()))
+    bp, bq = np.nonzero(np.triu(free))
+    single = sizes == 1
+    unit = single[bp] & single[bq]
+    rows, cols = starts[bp[unit]], starts[bq[unit]]
     upper = rows < cols
     ri, ci, di = rows[upper], cols[upper], rows[~upper]
     w = np.array([1.0, 1.0j]) / np.sqrt(2.0)
-    z = np.array([v for v in (1.0, 1.0j) if v + cls.epsilon * star(v) == 0])
-    I = np.concatenate([np.repeat(ri, 2), np.repeat(di, z.size)])
-    J = np.concatenate([np.repeat(ci, 2), np.repeat(di, z.size)])
-    a = np.concatenate([np.tile(w, ri.size), np.tile(z, di.size)])
-    b = np.concatenate([-cls.epsilon * star(np.tile(w, ri.size)),
-                        np.zeros(z.size * di.size)])
-    return I, J, a.astype(np.complex128), b.astype(np.complex128)
+    z = np.array([v for v in (1.0, 1.0j) if v + eps * star(v) == 0])
+    I = [np.repeat(ri, 2), np.repeat(di, z.size)]
+    J = [np.repeat(ci, 2), np.repeat(di, z.size)]
+    a = [np.tile(w, ri.size), np.tile(z, di.size)]
+    b = [-eps * star(np.tile(w, ri.size)), np.zeros(z.size * di.size)]
+    n_el = 2 * ri.size + z.size * di.size
+    K = [np.arange(n_el)]
+    for p, q in zip(bp[~unit], bq[~unit]):
+        if p == q:
+            elements = _symmetric_family(values[p], sizes[p], cls)
+        else:
+            elements = [s * F for F in
+                        _block_family(values[p], sizes[p], sizes[q])
+                        for s in w]
+        for B in elements:
+            r, c = np.nonzero(B)
+            I.append(starts[p] + r)
+            J.append(starts[q] + c)
+            a.append(B[r, c])
+            b.append(np.zeros(r.size) if p == q else -eps * star(B[r, c]))
+            K.append(np.full(r.size, n_el))
+            n_el += 1
+    return (np.concatenate(K), np.concatenate(I), np.concatenate(J),
+            np.concatenate(a).astype(np.complex128),
+            np.concatenate(b).astype(np.complex128))
 
 
-def _diagonal_solution_space(t, cls, X, tol):
-    """solution_space for T = diag(t): the Stein-support elements, cut down
-    to the null space of S -> X S X* over their coefficients."""
-    m = t.shape[0]
-    I, J, a, b = _stein_support(t, cls, tol)
-    coeffs = np.eye(I.size)
-    if X is not None and I.size:
+def _jordan_space(starts, sizes, values, cls, X):
+    """solution_space for T in Jordan form: the structural elements of
+    _stein_support, cut down to the null space of S -> X S X* over their
+    coefficients.  Returns the elements stacked in one array."""
+    m = int(sizes.sum())
+    K, I, J, a, b = _stein_support(starts, sizes, values, cls)
+    n_el = int(K[-1]) + 1 if K.size else 0
+    coeffs = np.eye(n_el)
+    if X is not None and n_el:
         # Image X E_k X* of each element, as real columns of the map.
         Y = X if cls.star == "T" else np.conj(X)
         img = np.einsum("pk,qk->kpq", X[:, I] * a, Y[:, J]) \
             + np.einsum("pk,qk->kpq", X[:, J] * b, Y[:, I])
-        img = img.reshape(I.size, -1)
+        if K.size > n_el:
+            # Elements of larger Jordan blocks have several entries.
+            img = np.add.reduceat(img, np.searchsorted(K, np.arange(n_el)))
+        img = img.reshape(n_el, -1)
         A = np.vstack([img.real.T, img.imag.T])
-        _, _, vt, rank = _svd_null(A, tol * fnorm(X) ** 2)
+        _, _, vt, rank = _svd_null(A, NULLSPACE_RTOL * fnorm(X) ** 2)
         coeffs = vt[rank:]
     S = np.zeros((coeffs.shape[0], m, m), dtype=np.complex128)
-    np.add.at(S, (slice(None), I, J), coeffs * a)
-    np.add.at(S, (slice(None), J, I), coeffs * b)
-    return list(S)
+    np.add.at(S, (slice(None), I, J), coeffs[:, K] * a)
+    np.add.at(S, (slice(None), J, I), coeffs[:, K] * b)
+    return S
 
 
-def solution_space(T, cls, X=None, tol=NULLSPACE_RTOL):
+def solution_space(T, cls, X=None):
     """Real basis of {S : star(S) = -eps S, S = T S T*, (X S X* = 0)}.
 
-    Returns a list of m-by-m complex matrices, orthonormal as real vectors,
-    each exactly (anti)symmetric.  A diagonal T takes the Stein-support
-    route (an SVD with about 2m columns at most, O(n^4) for X n-by-m);
-    any other T the Kronecker solve (an SVD with 2m^2 columns, O(n^6)).
-    With X, rank decisions compare against tol ||X||_F^2, the largest
-    value X S X* can take on a unit S.
+    Returns a list of m-by-m complex matrices, each exactly
+    (anti)symmetric.  T in Jordan form, a diagonal T included, is solved
+    block by block (_stein_support): one real unknown per structural
+    element, about 2m of them when the eigenvalues are distinct, and
+    X S X* = 0 is a thin SVD over those (O(n^4) for X n-by-m).  Any other
+    T goes through its eigendecomposition T = V D V^-1: the space of
+    (X V, D) is mapped back as V S V* and projected onto the exact
+    structure (B - eps B*) / 2.  DefectiveSpectrum is raised when
+    sv_ratio(V) <= u / NULLSPACE_RTOL (about 2.2e-6): a defective T must be
+    given in Jordan form.  The elements are orthonormal as real vectors
+    for a diagonal T and of unit norm for larger Jordan blocks without X;
+    mapped back through V they are neither.  With X, rank decisions
+    compare against NULLSPACE_RTOL ||X||_F^2, the largest value X S X*
+    can take on a unit S.
     """
     T = as_matrix(T, "T")
     m = T.shape[0]
@@ -162,18 +196,23 @@ def solution_space(T, cls, X=None, tol=NULLSPACE_RTOL):
         X = as_matrix(X, "X")
         if X.shape[1] != m:
             raise DimensionMismatch(f"X has {X.shape[1]} columns, expected {m}")
-    if not np.any(T - np.diag(np.diag(T))):
-        return _diagonal_solution_space(np.diag(T), cls, X, tol)
-    A = _constraint_rows(T, cls, X)
-    _, s, vt = np.linalg.svd(A, full_matrices=False)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.count_nonzero(s > tol * smax)) if smax > 0 else 0
-    basis = []
-    for i in range(rank, vt.shape[0]):
-        B = _unrvec(vt[i], m, m)
-        B = (B - cls.epsilon * cls.star_of(B)) / 2.0
-        basis.append(B)
-    return basis
+    blocks = _jordan_blocks(T)
+    if blocks is not None:
+        return list(_jordan_space(*blocks, cls, X))
+    w, V = dense_eig(T)
+    # Roundoff moves the eigenvalues by up to about u ||T|| / sv_ratio(V);
+    # past NULLSPACE_RTOL the Stein support can no longer be read off them.
+    # (A defective T gives sv_ratio(V) ~ sqrt(u) ~ 1e-8 for 2-by-2 blocks.)
+    ratio = sv_ratio(V)
+    if ratio <= np.finfo(float).eps / NULLSPACE_RTOL:
+        raise DefectiveSpectrum(
+            f"T is defective or nearly so (eigenvector sigma ratio "
+            f"{ratio:.3e}); give a defective T in Jordan form")
+    S = _jordan_space(np.arange(m), np.ones(m, dtype=int), w, cls,
+                      None if X is None else X @ V)
+    S = V @ S @ cls.star_of(V)
+    St = np.swapaxes(S, 1, 2)
+    return list((S - cls.epsilon * (St if cls.star == "T" else St.conj())) / 2.0)
 
 
 @dataclass
@@ -207,12 +246,12 @@ class SBasis:
         return S
 
 
-def s_basis(T, cls, tol=NULLSPACE_RTOL):
+def s_basis(T, cls):
     """Real basis of the space {S : star(S) = -eps S, S = T S T*}."""
     T = as_matrix(T, "T")
     if T.size and sv_ratio(T) <= 1e-12:
         raise SingularMatrix("T must be nonsingular")
-    return SBasis(T, cls, solution_space(T, cls, tol=tol))
+    return SBasis(T, cls, solution_space(T, cls))
 
 
 # ---------------------------------------------------------------------------
@@ -267,27 +306,18 @@ def _hankel_param(p, q, d):
     return H
 
 
-def _block_family(lam, mults_row, mults_col):
-    """Basis of {S : (lam I + N_row) S ((1/lam*) I + N_col)* = S}.
+def _block_family(lam, p, q):
+    """Unit basis of {E : (lam I + N_p) E ((1/lam*) I + N_q)* = E}.
 
-    Blockwise the solutions are H P with H an upper-left Hankel parameter
-    block and P the Pascal scaling of the column Jordan block; the family
-    is complex-linear of dimension sum_{j,k} min(n_j, n_k).
+    The solutions are H P with H an upper-left Hankel parameter block and
+    P the Pascal scaling of the column Jordan block; the family is
+    complex-linear of dimension min(p, q).
     """
-    rows = int(sum(mults_row))
-    cols = int(sum(mults_col))
+    P = pascal_scaling(q, lam)
     out = []
-    roff = 0
-    for p in mults_row:
-        coff = 0
-        for q in mults_col:
-            P = pascal_scaling(q, lam)
-            for d in range(min(p, q)):
-                M = np.zeros((rows, cols), dtype=np.complex128)
-                M[roff:roff + p, coff:coff + q] = _hankel_param(p, q, d) @ P
-                out.append(M)
-            coff += q
-        roff += p
+    for d in range(min(p, q)):
+        E = _hankel_param(p, q, d) @ P
+        out.append(E / fnorm(E))
     return out
 
 
@@ -364,60 +394,25 @@ class PJCF:
         return out
 
 
-def s_basis_pjcf(jcf, cls, tol=NULLSPACE_RTOL):
-    """Structured real basis of S_T for T in PJCF.
+def s_basis_pjcf(jcf, cls):
+    """Structured real basis of S_T for T in PJCF, from solution_space.
 
     Paired eigenvalue groups contribute free off-diagonal blocks
     [[0, S_i], [-eps S_i*, 0]] with S_i ranging over the Hankel-Pascal
     family; singleton groups keep only the members of that family that are
-    eps-(anti)symmetric, solved in the small Hankel parameter space.
-    Structurally zero singleton blocks are recorded in zero_singletons.
+    eps-(anti)symmetric.  Singletons whose diagonal block no basis element
+    touches are structurally zero and recorded in zero_singletons.
     """
     if jcf.star != cls.star:
         raise ValueError("PJCF star does not match the symmetry class")
-    total = jcf.total
+    T = jcf.T_matrix()
+    basis = solution_space(T, cls)
     offs = jcf.group_offsets()
-    basis = []
-    zero_singletons = []
-    for i in range(jcf.n_pairs):
-        lam = complex(jcf.values[2 * i])
-        r0, r1 = offs[2 * i], offs[2 * i + 1]
-        c0, c1 = offs[2 * i + 1], offs[2 * i + 2]
-        for blk in _block_family(lam, jcf.mults[2 * i], jcf.mults[2 * i + 1]):
-            for scale in (1.0, 1.0j):
-                M = np.zeros((total, total), dtype=np.complex128)
-                M[r0:r1, c0:c1] = scale * blk
-                M[c0:c1, r0:r1] = -cls.epsilon * cls.star_of(scale * blk)
-                basis.append(M)
-    for i in range(2 * jcf.n_pairs, jcf.t):
-        lam = complex(jcf.values[i])
-        r0, r1 = offs[i], offs[i + 1]
-        family = _block_family(lam, jcf.mults[i], jcf.mults[i])
-        # Real-linear symmetry constraint on the complex Hankel coefficients.
-        cols = []
-        for blk in family:
-            for scale in (1.0, 1.0j):
-                cols.append(_rvec(scale * blk + cls.epsilon * cls.star_of(scale * blk)))
-        A = np.column_stack(cols) if cols else np.zeros((2, 0))
-        _, s, vt = np.linalg.svd(A) if A.size else (None, np.zeros(0), np.zeros((0, 0)))
-        smax = s[0] if s.size else 0.0
-        rank = int(np.count_nonzero(s > tol * smax)) if smax > 0 else 0
-        kept = 0
-        for irow in range(rank, vt.shape[0]):
-            coeff = vt[irow]
-            blk = np.zeros((r1 - r0, r1 - r0), dtype=np.complex128)
-            for k, base in enumerate(family):
-                blk += (coeff[2 * k] + 1j * coeff[2 * k + 1]) * base
-            blk = (blk - cls.epsilon * cls.star_of(blk)) / 2.0
-            if fnorm(blk) < 1e-12:
-                continue
-            M = np.zeros((total, total), dtype=np.complex128)
-            M[r0:r1, r0:r1] = blk
-            basis.append(M)
-            kept += 1
-        if kept == 0:
-            zero_singletons.append(lam)
-    return SBasis(jcf.T_matrix(), cls, basis, zero_singletons)
+    zero_singletons = [
+        complex(jcf.values[i]) for i in range(2 * jcf.n_pairs, jcf.t)
+        if not any(np.any(B[offs[i]:offs[i + 1], offs[i]:offs[i + 1]])
+                   for B in basis)]
+    return SBasis(T, cls, basis, zero_singletons)
 
 
 # ---------------------------------------------------------------------------
@@ -477,13 +472,3 @@ def constrained_family(basis, X, C, cls):
     homogeneous = [basis.combine(v) for v in vt[rank:]]
     return S_part, homogeneous
 
-
-def solve_constrained_S(basis, X, C, cls):
-    """Least-squares solution S in span(basis) of X S X* = C.
-
-    Returns the minimum-coefficient-norm particular solution; use
-    constrained_family for the full affine set (particular plus null
-    directions) when a nonsingular member must be searched for.
-    """
-    S_part, _ = constrained_family(basis, X, C, cls)
-    return S_part

@@ -4,7 +4,8 @@ import numpy as np
 import scipy.linalg
 
 from palinverse.forward import eig_full
-from palinverse.numerics import fnorm
+from palinverse.numerics import as_matrix, fnorm
+from palinverse.paramspace import NULLSPACE_RTOL
 from palinverse.system import PalindromicSystem
 
 
@@ -147,3 +148,71 @@ def greedy_pairing_loop(values, cls, tol):
             matched[i] = True
             unmatched.append(i)
     return pairs, unmatched
+
+
+# ---------------------------------------------------------------------------
+# Kronecker reference for paramspace.solution_space
+# ---------------------------------------------------------------------------
+
+def _unrvec(x, rows, cols):
+    """Inverse of paramspace._rvec: complex matrix from [Re; Im] stacking."""
+    half = rows * cols
+    v = x[:half] + 1j * x[half:]
+    return v.reshape((rows, cols), order="F")
+
+
+def _realify_linear(A):
+    """Real 2m-by-2k block matrix of the complex-linear map x -> A x."""
+    return np.block([[A.real, -A.imag], [A.imag, A.real]])
+
+
+def _commutation(m):
+    """Permutation K with K vec(S) = vec(S^T) for m-by-m S."""
+    K = np.zeros((m * m, m * m))
+    for i in range(m):
+        for j in range(m):
+            K[j * m + i, i * m + j] = 1.0
+    return K
+
+
+def _constraint_rows(T, cls, X=None):
+    """Stacked real matrix of the defining constraints acting on rvec(S)."""
+    T = as_matrix(T, "T")
+    m = T.shape[0]
+    eps = cls.epsilon
+    K = _commutation(m)
+    rows = []
+    if cls.star == "T":
+        # S + eps S^T = 0 is complex-linear.
+        rows.append(_realify_linear(np.eye(m * m) + eps * K))
+    else:
+        # S + eps conj(S)^T = 0 decouples into real and imaginary parts.
+        Z = np.zeros((m * m, m * m))
+        rows.append(np.block([[np.eye(m * m) + eps * K, Z],
+                              [Z, np.eye(m * m) - eps * K]]))
+    # S - T S T* = 0 is complex-linear for both stars:
+    # vec(T S T^T) = (T kron T) vec(S); vec(T S T^H) = (conj(T) kron T) vec(S).
+    right = T if cls.star == "T" else np.conj(T)
+    rows.append(_realify_linear(np.eye(m * m) - np.kron(right, T)))
+    if X is not None:
+        X = as_matrix(X, "X")
+        xr = X if cls.star == "T" else np.conj(X)
+        rows.append(_realify_linear(np.kron(xr, X)))
+    return np.vstack(rows)
+
+
+def kronecker_space(T, cls, X=None):
+    """Reference basis of {S : star(S) = -eps S, S = T S T*, X S X* = 0}
+    for any T: the null space of all three constraints stacked as one real
+    (4m^2 + 2n^2)-by-2m^2 Kronecker matrix, by SVD (O(m^6) time).
+
+    X is normalized first: {S : X S X* = 0} does not depend on the scale of
+    X, while this solve decides rank against its largest singular value,
+    which mixes the X rows with the O(1) symmetry and Stein rows.
+    """
+    if X is not None:
+        X = X / fnorm(X)
+    A = _constraint_rows(T, cls, X)
+    _, s, vt = np.linalg.svd(A, full_matrices=False)
+    rank = int(np.count_nonzero(s > NULLSPACE_RTOL * s[0]))
+    return [_unrvec(v, T.shape[0], T.shape[0]) for v in vt[rank:]]

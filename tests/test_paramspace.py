@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from helpers import planted_direct_sum, random_complex, random_system
-from palinverse.errors import Inconsistent, NoNonsingularFound, PairingNotClosed
+from helpers import (kronecker_space, planted_direct_sum, random_complex,
+                     random_system)
+from palinverse.errors import (DefectiveSpectrum, Inconsistent,
+                               NoNonsingularFound, PairingNotClosed)
 from palinverse.forward import eig_full
+from palinverse.iep import solve_iep_full
 from palinverse.numerics import fnorm
-from palinverse.paramspace import (NULLSPACE_RTOL, PJCF, SBasis,
-                                   _constraint_rows, _rvec, _unrvec,
-                                   jordan_block, nilpotent_shift,
-                                   pascal_matrix, pascal_scaling, s_basis,
-                                   s_basis_pjcf, sample_nonsingular,
-                                   solve_constrained_S, constrained_family,
+from palinverse.paramspace import (PJCF, SBasis, _rvec, jordan_block,
+                                   nilpotent_shift, pascal_matrix,
+                                   pascal_scaling, s_basis, s_basis_pjcf,
+                                   sample_nonsingular, constrained_family,
                                    solution_space)
-from palinverse.system import ALL_CLASSES, HA, HP, TA, TP, SymmetryClass
+from palinverse.system import (ALL_CLASSES, HA, HP, TA, TP, SymmetryClass,
+                               pair_residual)
 
 
 def test_pascal_matrix_small():
@@ -93,9 +96,9 @@ def test_pjcf_basis_agrees_with_generic_simple(cls):
                [lam1, 1 / cls.star_scalar(lam1), lam2, 1 / cls.star_scalar(lam2)],
                [[1], [1], [1], [1]], n_pairs=2)
     sb = s_basis_pjcf(jcf, cls)
-    gb = s_basis(jcf.T_matrix(), cls)
-    assert sb.dim == gb.dim
-    assert _span_gap(sb.basis, gb.basis) <= 1e-8
+    gb = kronecker_space(jcf.T_matrix(), cls)
+    assert sb.dim == len(gb)
+    assert _span_gap(sb.basis, gb) <= 1e-8
 
 
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
@@ -103,9 +106,9 @@ def test_pjcf_basis_agrees_with_generic_jordan(cls):
     lam = 0.5 + 0.3j
     jcf = PJCF(cls.star, [lam, 1 / cls.star_scalar(lam)], [[2], [2]], n_pairs=1)
     sb = s_basis_pjcf(jcf, cls)
-    gb = s_basis(jcf.T_matrix(), cls)
-    assert sb.dim == gb.dim == 4
-    assert _span_gap(sb.basis, gb.basis) <= 1e-8
+    gb = kronecker_space(jcf.T_matrix(), cls)
+    assert sb.dim == len(gb) == 4
+    assert _span_gap(sb.basis, gb) <= 1e-8
 
 
 def test_pjcf_jordan_pair_is_pascal_hankel():
@@ -170,7 +173,7 @@ def test_solve_constrained_plant_and_recover(cls):
     X = random_complex(rng, 3, 4)
     S0 = b.combine(rng.standard_normal(b.dim))
     C = X @ S0 @ cls.star_of(X)
-    S = solve_constrained_S(b, X, C, cls)
+    S = constrained_family(b, X, C, cls)[0]
     assert fnorm(X @ S @ cls.star_of(X) - C) <= 1e-10 * max(fnorm(C), 1e-300)
 
 
@@ -185,11 +188,11 @@ def test_solve_constrained_homogeneous_and_inconsistent():
     bad = np.array([[1.0, 0.0], [0.0, 2.0]])  # symmetric, but C must be too
     C_bad = np.array([[0.0, 1.0], [-1.0, 0.0]])  # skew: wrong type for TA
     with pytest.raises(Inconsistent):
-        solve_constrained_S(b, X, C_bad, TA)
+        constrained_family(b, X, C_bad, TA)[0]
     # Structurally unreachable symmetric right side:
     X1 = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(Inconsistent):
-        solve_constrained_S(b, X1, bad, TA)
+        constrained_family(b, X1, bad, TA)[0]
 
 
 def test_solution_space_with_isotropy_constraint():
@@ -215,10 +218,10 @@ def test_pjcf_basis_geometric_multiplicity_two(cls):
     jcf = PJCF(cls.star, [lam, 1 / cls.star_scalar(lam)], [[2, 1], [2, 1]],
                n_pairs=1)
     sb = s_basis_pjcf(jcf, cls)
-    gb = s_basis(jcf.T_matrix(), cls)
+    gb = kronecker_space(jcf.T_matrix(), cls)
     # min-size sums over the 2x2 sub-block grid: 2+1+1+1 parameters.
-    assert sb.dim == gb.dim == 10
-    assert _span_gap(sb.basis, gb.basis) <= 1e-8
+    assert sb.dim == len(gb) == 10
+    assert _span_gap(sb.basis, gb) <= 1e-8
 
 
 def test_pjcf_basis_jordan_singles():
@@ -226,37 +229,22 @@ def test_pjcf_basis_jordan_singles():
     for cls in (HP, TA):
         if cls.star == "H":
             sb = s_basis_pjcf(jcf_h, cls)
-            gb = s_basis(jcf_h.T_matrix(), cls)
+            gb = kronecker_space(jcf_h.T_matrix(), cls)
         else:
             jcf_t = PJCF("T", [1.0], [[2]], n_pairs=0)
             sb = s_basis_pjcf(jcf_t, cls)
-            gb = s_basis(jcf_t.T_matrix(), cls)
-        assert sb.dim == gb.dim == 2
-        assert _span_gap(sb.basis, gb.basis) <= 1e-8
+            gb = kronecker_space(jcf_t.T_matrix(), cls)
+        assert sb.dim == len(gb) == 2
+        assert _span_gap(sb.basis, gb) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
 # diagonal T: Stein-support route against the Kronecker reference
 # ---------------------------------------------------------------------------
 
-def _kronecker_reference(T, cls, X=None):
-    """Null space of the full Kronecker constraint matrix, by SVD.
-
-    X is normalized first: {S : X S X* = 0} does not depend on the scale of
-    X, while this solve decides rank against its largest singular value,
-    which mixes the X rows with the O(1) symmetry and Stein rows.
-    """
-    if X is not None:
-        X = X / fnorm(X)
-    A = _constraint_rows(T, cls, X)
-    _, s, vt = np.linalg.svd(A, full_matrices=False)
-    rank = int(np.count_nonzero(s > NULLSPACE_RTOL * s[0]))
-    return [_unrvec(v, T.shape[0], T.shape[0]) for v in vt[rank:]]
-
-
 def _assert_same_space(T, cls, X):
     basis = solution_space(T, cls, X)
-    ref = _kronecker_reference(T, cls, X)
+    ref = kronecker_space(T, cls, X)
     assert len(basis) == len(ref)
     if ref:
         assert _span_gap(basis, ref) <= 1e-8
@@ -319,3 +307,121 @@ def test_isotropic_x_keeps_whole_space():
     S, hom = constrained_family(b, 1e-6 * X, np.zeros((3, 3)), cls)
     assert len(hom) == b.dim
     assert fnorm(S) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Jordan and dense T against the Kronecker reference
+# ---------------------------------------------------------------------------
+
+def _jordan_case(cls):
+    """A PJCF with a Jordan pair group of blocks [2, 1] and two singleton
+    Jordan blocks of sizes 2 and 3: at +1 and -1 (star = T) or on the
+    unit circle (star = H)."""
+    lam = 0.45 + 0.2j
+    singles = [1.0, -1.0] if cls.star == "T" else [np.exp(0.6j), np.exp(-2.1j)]
+    return PJCF(cls.star, [lam, 1 / cls.star_scalar(lam)] + singles,
+                [[2, 1], [2, 1], [2], [3]], n_pairs=1)
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_jordan_space_matches_kronecker(cls):
+    T = _jordan_case(cls).T_matrix()
+    _assert_same_space(T, cls, None)
+    X = random_complex(np.random.default_rng(70), 2, T.shape[0])
+    for scale in (1.0, 1e6, 1e-6):
+        _assert_same_space(T, cls, scale * X)
+    _assert_same_space(T, cls, random_complex(np.random.default_rng(71), 3,
+                                              T.shape[0]))
+
+
+@pytest.mark.parametrize("mults", [[2], [3], [2, 1]], ids=str)
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_jordan_singleton_matches_kronecker(cls, mults):
+    # Jordan blocks at one self-paired eigenvalue, alone and with X.
+    lam = 1.0 if cls.star == "T" else np.exp(0.6j)
+    T = PJCF(cls.star, [lam], [mults], n_pairs=0).T_matrix()
+    _assert_same_space(T, cls, None)
+    X = random_complex(np.random.default_rng(72), 1, T.shape[0])
+    _assert_same_space(T, cls, X)
+
+
+def _similar(T, seed):
+    W = random_complex(np.random.default_rng(seed), *T.shape)
+    return np.linalg.solve(W, T @ W), W
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_dense_space_matches_kronecker_on_eigendata(cls):
+    # (X W, W^-1 D W) is a standard pair of the same system as (X, D).
+    e = eig_full(random_system(cls, 3, seed=73))
+    T, W = _similar(np.diag(e.values), seed=74)
+    X = e.vectors @ W
+    _assert_same_space(T, cls, X)
+    _assert_same_space(T, cls, None)
+    _assert_same_space(T, cls, random_complex(np.random.default_rng(75), 2, 6))
+    assert len(solution_space(T, cls, X)) == \
+        len(solution_space(np.diag(e.values), cls, e.vectors))
+    sys = solve_iep_full(X, T, cls, seed=1)
+    assert pair_residual(sys, (X, T)) <= 1e-9
+
+
+@pytest.mark.parametrize("name", [
+    "ta-plus-minus-one", "hp-unimodular", "ha-unimodular", "repeated-tp",
+    "repeated-ta", "repeated-hp", "repeated-ha"])
+def test_dense_space_matches_kronecker_special(name):
+    cls, D, X = _special_case(name)
+    T, W = _similar(D, seed=76)
+    _assert_same_space(T, cls, X @ W)
+    _assert_same_space(T, cls, None)
+
+
+def test_upper_bidiagonal_t_is_not_read_as_jordan():
+    # A unit superdiagonal over unequal eigenvalues is diagonalizable.
+    T = np.array([[2.0, 1.0], [0.0, 0.5]])
+    _assert_same_space(T, TP, None)
+    assert len(solution_space(T, TP)) == 2
+
+
+def _real_pair(sys):
+    """Real standard pair (X, T) of a real system: x = u + iv at
+    lam = a + ib (b > 0) gives columns [u, v] and the rotation block
+    [[a, b], [-b, a]]; a real lam keeps a real eigenvector and a 1-by-1
+    block."""
+    e = eig_full(sys)
+    cols, blocks = [], []
+    for lam, x in zip(e.values, e.vectors.T):
+        if abs(lam.imag) <= 1e-12 * abs(lam):
+            k = np.argmax(np.abs(x))
+            cols.append((x * np.conj(x[k]) / abs(x[k])).real)
+            blocks.append([[lam.real]])
+        elif lam.imag > 0:
+            cols += [x.real, x.imag]
+            blocks.append([[lam.real, lam.imag], [-lam.imag, lam.real]])
+    return np.column_stack(cols), scipy.linalg.block_diag(*blocks)
+
+
+def test_real_rotation_block_pair():
+    sys = random_system(TP, 3, seed=77, real=True)
+    X, T = _real_pair(sys)
+    assert X.shape == (3, 6) and np.count_nonzero(np.diag(T, -1)) == 2
+    assert pair_residual(sys, (X, T)) <= 1e-10
+    _assert_same_space(T, TP, X)
+    _assert_same_space(T, TP, None)
+    assert len(solution_space(T, TP, X)) == 2
+    built = solve_iep_full(X, T, TP, seed=2)
+    assert pair_residual(built, (X, T)) <= 1e-9
+
+
+@pytest.mark.parametrize("size", [2, 3])
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_similar_jordan_block_is_rejected(cls, size):
+    lam = 0.5 + 0.3j
+    J = PJCF(cls.star, [lam, 1 / cls.star_scalar(lam)], [[size], [size]],
+             n_pairs=1).T_matrix()
+    for seed in range(20):
+        T, W = _similar(J, seed)
+        with pytest.raises(DefectiveSpectrum):
+            solution_space(T, cls)
+    X = random_complex(np.random.default_rng(78), size, 2 * size)
+    with pytest.raises(DefectiveSpectrum):
+        solve_iep_full(X @ W, T, cls)
