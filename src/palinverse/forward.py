@@ -32,6 +32,18 @@ def linearize(sys):
     return M0, M1
 
 
+def companion(sys):
+    """-M1^{-1} M0, the standard form of the companion pencil; A1 nonsingular
+    rules out infinite eigenvalues, so its 2n eigenvalues are those of Q."""
+    M0, M1 = linearize(sys)
+    return -linear_solve(M1, M0)
+
+
+def eigenvalues(sys):
+    """The 2n eigenvalues of Q alone: no eigenvectors, residuals or pairing."""
+    return dense_eig(companion(sys), vectors=False)
+
+
 @dataclass
 class EigenPairSet:
     """All 2n eigenpairs of a system plus reciprocal pairing bookkeeping.
@@ -107,15 +119,14 @@ def _greedy_pairing(values, cls, tol):
 def eig_full(sys, pairing_tol=PAIRING_TOL, strict=False):
     """All 2n finite eigenpairs of Q with reciprocal pairing.
 
-    Solves the standard eigenproblem of -M1^{-1} M0 (A1 nonsingular rules
-    out infinite eigenvalues), normalizes eigenvectors from the better
-    scaled companion block, and pairs the spectrum greedily.  With
-    strict=True an incomplete pairing raises PairingFailure; otherwise the
-    result is returned with the failures recorded.
+    Solves the standard eigenproblem of the companion matrix, normalizes
+    eigenvectors from the better scaled companion block, and pairs the
+    spectrum greedily.  With strict=True an incomplete pairing raises
+    PairingFailure; otherwise the result is returned with the failures
+    recorded.
     """
     n = sys.n
-    M0, M1 = linearize(sys)
-    values, Z = dense_eig(-linear_solve(M1, M0))
+    values, Z = dense_eig(companion(sys))
     top, bottom = Z[:n], Z[n:]
     # hypot, as in _greedy_pairing: unimodular values sit on this boundary.
     vectors = np.where(np.hypot(values.real, values.imag) >= 1.0, top, bottom)

@@ -20,7 +20,7 @@ from .errors import (DefectiveSpectrum, DimensionMismatch, Inconsistent,
                      SingularMatrix, SingularS1Precursor, SpectraOverlap,
                      SymmetryViolation, XiSingular, XiSingularRetryExhausted,
                      retry_summary)
-from .forward import eig_full
+from .forward import eigenvalues
 from .iep import (DISJOINT_RTOL, OUTPUT_RESIDUAL_TOL, _congruence_onto,
                   _group_values)
 from .numerics import (as_matrix, fnorm, invert, linear_solve, rank_factorize,
@@ -140,9 +140,8 @@ class MupProblem:
                 raise SpectraOverlap(
                     f"replacement eigenvalue {v:.6g} collides with a "
                     "replaced one")
-        spectrum = eig_full(self.sys)
-        kept = self._kept_indices(spectrum, old)
-        kept_vals = spectrum.values[kept]
+        values = eigenvalues(self.sys)
+        kept_vals = values[self._kept_indices(values, old)]
         for v in np.concatenate([old, new]):
             if kept_vals.size and min(abs(v - kept_vals)) <= \
                     DISJOINT_RTOL * max(1.0, abs(v)):
@@ -163,13 +162,11 @@ class MupProblem:
                         f"parity: the updated spectrum carries eigenvalue "
                         f"{point:+.0f} with multiplicity {m}, impossible for "
                         "this class and order")
-        self._spectrum = spectrum
-        self._kept = kept
 
-    def _kept_indices(self, spectrum, old):
+    def _kept_indices(self, values, old):
         used = set()
         for v in old:
-            dist = np.abs(spectrum.values - v)
+            dist = np.abs(values - v)
             for j in np.argsort(dist):
                 if j not in used:
                     if dist[j] > 1e-6 * max(1.0, abs(v)):
@@ -178,7 +175,7 @@ class MupProblem:
                             "system spectrum")
                     used.add(int(j))
                     break
-        return [i for i in range(len(spectrum.values)) if i not in used]
+        return [i for i in range(len(values)) if i not in used]
 
     @property
     def k(self):
@@ -224,9 +221,10 @@ def low_rank_update(sys, X1, T1, S1, X1_new, T1_new, S1_new):
     T2_old = T1 @ T1
     Upsilon = X1_new @ linear_solve(T2_new, S1_new) @ star(X1_new) \
         - X1 @ linear_solve(T2_old, S1) @ star(X1)
-    XiInvZ2A1 = invert(Xi) @ star(Z2) @ sys.A1
+    XiInv = invert(Xi)
+    XiInvZ2A1 = XiInv @ star(Z2) @ sys.A1
     A1_new = sys.A1 - eps * sys.A1 @ Z1 @ XiInvZ2A1
-    E = np.eye(sys.n, dtype=np.complex128) - eps * sys.A1 @ Z1 @ invert(Xi) @ star(Z2)
+    E = np.eye(sys.n, dtype=np.complex128) - eps * sys.A1 @ Z1 @ XiInv @ star(Z2)
     F = np.eye(sys.n, dtype=np.complex128) - eps * Z1 @ XiInvZ2A1
     core = sys.A0 - sys.A1 @ Upsilon @ sys.A1
     A0_new = E @ core @ F
@@ -239,15 +237,14 @@ def _finish(problem, S1, X1t, S1t, attempt):
         problem.sys, problem.X1, problem.T1, S1, X1t, problem.T1_new, S1t)
     cls = problem.sys.cls
     resid_new = pair_residual(new_sys, (X1t, problem.T1_new))
-    eq_resid = fnorm(X1t @ S1t @ cls.star_of(X1t)
-                     - problem.X1 @ S1 @ cls.star_of(problem.X1))
+    target = problem.X1 @ S1 @ cls.star_of(problem.X1)
+    eq_resid = fnorm(X1t @ S1t @ cls.star_of(X1t) - target)
     # Mixed bound: relative to the transfer target, with a roundoff floor
     # in the natural scale of the products (the target is exactly zero when
     # every eigenpair is replaced).
     floor = 1e-13 * (fnorm(problem.X1) ** 2 * fnorm(S1)
                      + fnorm(X1t) ** 2 * fnorm(S1t))
-    eq_scale = fnorm(problem.X1 @ S1 @ cls.star_of(problem.X1))
-    if resid_new > OUTPUT_RESIDUAL_TOL or eq_resid > 1e-9 * eq_scale + floor:
+    if resid_new > OUTPUT_RESIDUAL_TOL or eq_resid > 1e-9 * fnorm(target) + floor:
         raise ResidualTooLarge(
             f"update verification failed (pair residual {resid_new:.3e}, "
             f"transfer residual {eq_resid:.3e})")

@@ -114,12 +114,18 @@ def rank_factorize(M, tol=None, star="H"):
     return Z1, Z2, ell
 
 
-def dense_eig(A):
-    """All eigenvalues and unit right eigenvectors of a dense square matrix."""
+def dense_eig(A, vectors=True):
+    """All eigenvalues and unit right eigenvectors of a dense square matrix.
+
+    With vectors=False only the eigenvalues are computed and returned, which
+    skips the Schur vectors and the eigenvector back-substitution.
+    """
     A = as_matrix(A, "A")
     if A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"A must be square, got {A.shape}")
     try:
+        if not vectors:
+            return np.linalg.eigvals(A)
         w, v = np.linalg.eig(A)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"dense eigensolver failed: {exc}") from exc

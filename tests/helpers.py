@@ -51,12 +51,9 @@ def random_system(cls, n, seed, real=False, cond_limit=1e6, max_tries=200):
 
 def max_eig_condition(sys):
     """Largest eigenvalue condition number of the companion eigenproblem."""
-    from palinverse.forward import linearize
-    from palinverse.numerics import linear_solve
+    from palinverse.forward import companion
 
-    M0, M1 = linearize(sys)
-    A = -linear_solve(M1, M0)
-    w, vl, vr = scipy.linalg.eig(A, left=True, right=True)
+    w, vl, vr = scipy.linalg.eig(companion(sys), left=True, right=True)
     conds = []
     for i in range(len(w)):
         denom = abs(np.vdot(vl[:, i], vr[:, i]))

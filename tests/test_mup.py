@@ -173,13 +173,20 @@ def test_prescribed_family_member_solvable():
 
 
 def test_problem_validation_overlap():
-    sys, replace, _ = update_fixture("ta")
+    sys, replace, new = update_fixture("ta")
     e = eig_full(sys)
     X1, T1, _, T2 = select_pairs(e, replace)
-    with pytest.raises(SpectraOverlap):
+    with pytest.raises(SpectraOverlap, match="collides with the kept spectrum"):
         MupProblem(sys, X1, T1, np.diag([np.diag(T2)[0], 1 / np.diag(T2)[0]]))
-    with pytest.raises(SpectraOverlap):
+    with pytest.raises(SpectraOverlap, match="collides with a replaced one"):
         MupProblem(sys, X1, T1, T1.copy())
+    # A zero X1 passes the residual gate (zero denominator), so the
+    # off-spectrum T1 is caught by the spectrum lookup.
+    mu = 0.37 + 0.11j
+    with pytest.raises(SpectraOverlap,
+                       match="not found in the system spectrum"):
+        MupProblem(sys, np.zeros((sys.n, 2)), np.diag([mu, 1 / mu]),
+                   np.diag(new))
 
 
 def test_problem_validation_residual_gate():
@@ -277,3 +284,54 @@ def test_prescribed_retry_exhaustion_counts_mixed_reasons(monkeypatch):
         update_model_prescribed(problem)
     assert "in 4 attempts: SymmetryViolation 2, XiSingular 1, " \
         "ResidualTooLarge 1 (" in str(info.value)
+
+
+def _spillover_case(code, k):
+    """A conditioning-filtered order-8 system with k/2 off-circle reciprocal
+    pairs selected for replacement by pairs of modulus in [0.3, 0.6]."""
+    from palinverse.system import SymmetryClass
+
+    cls = SymmetryClass.from_code(code)
+    seed = 600
+    while True:
+        seed += 1
+        sys = random_system(cls, 8, seed=seed)
+        e = eig_full(sys)
+        pairs = [p for p in e.pairing if p[0] != p[1]]
+        if e.pairing_complete and separated_spectrum(e) and len(pairs) >= k // 2:
+            break
+    targets = [e.values[i] for p in pairs[:k // 2] for i in p]
+    X1, T1, _, _ = select_pairs(e, targets)
+    new = []
+    for m in range(k // 2):
+        mu = (0.3 + 0.1 * m) * np.exp(1j * (0.7 + m))
+        new += [mu, 1 / cls.star_scalar(mu)]
+    return sys, X1, T1, np.diag(new), seed
+
+
+def _update_outputs(sys, X1, T1, T1_new, seed):
+    res = update_model_result(MupProblem(sys, X1, T1, T1_new, seed=seed))
+    ns = update_model_prescribed(
+        MupProblem(sys, X1, T1, T1_new, X1_new=res.X1_new, seed=seed + 1))
+    return [a.tobytes() for a in (res.system.A1, res.system.A0, res.X1_new,
+                                  ns.A1, ns.A0)]
+
+
+@pytest.mark.parametrize("k", [2, 8])
+@pytest.mark.parametrize("code", ["tp", "ta", "hp", "ha"])
+def test_problem_checks_eigenvalues_only(code, k, monkeypatch):
+    # The overlap and parity checks need the kept eigenvalues, never their
+    # eigenvectors; reading them from the full eig_full solve instead
+    # changes no output bit.
+    case = _spillover_case(code, k)
+    sys, X1, T1, T1_new, _ = case
+
+    def no_vectors(*args, **kwargs):
+        raise AssertionError("MupProblem computed eigenvectors")
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "eig", no_vectors)
+        MupProblem(sys, X1, T1, T1_new)
+    values_only = _update_outputs(*case)
+    monkeypatch.setattr(mup, "eigenvalues", lambda s: eig_full(s).values)
+    assert _update_outputs(*case) == values_only
