@@ -292,14 +292,14 @@ def _spillover_case(code, k):
     from palinverse.system import SymmetryClass
 
     cls = SymmetryClass.from_code(code)
-    seed = 600
-    while True:
-        seed += 1
+    for seed in range(601, 700):
         sys = random_system(cls, 8, seed=seed)
         e = eig_full(sys)
         pairs = [p for p in e.pairing if p[0] != p[1]]
         if e.pairing_complete and separated_spectrum(e) and len(pairs) >= k // 2:
             break
+    else:
+        raise RuntimeError(f"no separated {code} system found")
     targets = [e.values[i] for p in pairs[:k // 2] for i in p]
     X1, T1, _, _ = select_pairs(e, targets)
     new = []
