@@ -15,14 +15,13 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (Infeasible, NoNonsingularFound, NoSolution,
                      NonsingularityRetryExhausted, PairingNotClosed,
                      RemainingEigenvalueConflict, ResidualTooLarge,
                      RetryExhausted, SingularLeadingBlock, SingularW,
                      SymmetryViolation, retry_summary)
-from .numerics import as_matrix, fnorm, linear_solve, sv_ratio
+from .numerics import as_matrix, block_diag, fnorm, linear_solve, sv_ratio
 from .paramspace import (SBasis, s_basis, sample_nonsingular, solution_space)
 from .spectral import coefficients_from_pair
 from .structfact import build_delta, inertia, star_factorize
@@ -286,10 +285,23 @@ def _default_remaining(cls, count, n_pos, n_neg, order, t1_values, rng,
     inertia with unimodular singletons, transpose-anti adds the +-1
     singletons its determinant parity forces.
     """
-    avoid = [complex(a) for a in t1_values]
+    # Values to stay clear of, T1's first and then each accepted draw, with
+    # their exclusion radii; moduli by hypot, as abs() of a Python complex.
+    used = len(t1_values)
+    avoid = np.zeros(used + count, dtype=np.complex128)
+    avoid[:used] = t1_values
+    reach = 10 * tol * np.maximum(1.0, np.hypot(avoid.real, avoid.imag))
+
+    def keep(*zs):
+        nonlocal used
+        for z in zs:
+            avoid[used] = z
+            reach[used] = 10 * tol * max(1.0, np.hypot(z.real, z.imag))
+            used += 1
 
     def clear(z):
-        return all(abs(z - a) > 10 * tol * max(1.0, abs(a)) for a in avoid)
+        d = z - avoid[:used]
+        return bool((np.hypot(d.real, d.imag) > reach[:used]).all())
 
     def draw_pair():
         for _ in range(100):
@@ -297,7 +309,7 @@ def _default_remaining(cls, count, n_pos, n_neg, order, t1_values, rng,
             mu = radius * np.exp(2j * np.pi * rng.uniform())
             nu = 1.0 / cls.star_scalar(mu)
             if clear(mu) and clear(nu):
-                avoid.extend([mu, nu])
+                keep(mu, nu)
                 return mu, nu
         raise RetryExhausted("could not draw a clear reciprocal pair")
 
@@ -305,7 +317,7 @@ def _default_remaining(cls, count, n_pos, n_neg, order, t1_values, rng,
         for _ in range(100):
             mu = np.exp(2j * np.pi * rng.uniform())
             if clear(mu):
-                avoid.append(mu)
+                keep(mu)
                 return mu
         raise RetryExhausted("could not draw a clear unimodular value")
 
@@ -353,47 +365,60 @@ def _assign_hermitian_signs(cls, n_singles, n_pairs, n_pos, n_neg):
     return [1] * a + [-1] * b
 
 
-def _canonical_model(cls, pairs, singles, signs):
-    """(Lambda_hat, Omega0): diagonal model spectrum and a matching
-    nonsingular parameter matrix in canonical block form."""
-    values = []
-    blocks = []
-    for mu, nu in pairs:
-        values.extend([mu, nu])
-        s = 1.0
-        blk = np.array([[0.0, s], [-cls.epsilon * cls.star_scalar(s), 0.0]],
-                       dtype=np.complex128)
-        blocks.append(blk)
-    for mu, sign in zip(singles, signs):
-        values.append(mu)
-        if cls.star == "H":
-            # sign = +1 must contribute positive inertia to sqrt(-eps) Omega0.
-            s = -1.0j * sign if cls.epsilon == 1 else 1.0 * sign
-        else:
-            s = 1.0
-        blocks.append(np.array([[s]], dtype=np.complex128))
-    lam = np.diag(np.array(values, dtype=np.complex128))
-    omega0 = scipy.linalg.block_diag(*blocks) if blocks else np.zeros((0, 0))
-    return lam, np.asarray(omega0, dtype=np.complex128)
+# Per class (star, eps): a unitary 2x2 factor y of a reciprocal-pair block,
+# y delta y* = [[0, 1], [-eps, 0]], and for star = H the diagonal of the
+# canonical delta.  For star = T delta is [[0, 1], [-1, 0]] (eps = +1) or
+# the identity (eps = -1).
+_SQRT_HALF = np.sqrt(0.5)
+_PAIR_FACTOR = {
+    ("H", 1): (_SQRT_HALF * np.array([[1, 1], [1j, -1j]]), (1j, -1j)),
+    ("H", -1): (_SQRT_HALF * np.array([[1, 1], [1, -1]]), (1.0, -1.0)),
+    ("T", 1): (np.eye(2, dtype=np.complex128), None),
+    ("T", -1): (_SQRT_HALF * np.array([[1, 1j], [1, -1j]]), None),
+}
 
 
 def _build_t2hat(cls, pairs, singles, signs, omega):
     """T2hat with T2hat Omega T2hat* = Omega and the given spectrum.
 
-    Builds the diagonal model (Lambda_hat, Omega0), star-factorizes
-    Omega0 = Y0 Delta0 Y0* (Delta0 equals Omega because ranks and inertias
-    match), and conjugates: T2hat = Y0^{-1} Lambda_hat Y0.
+    In block form a reciprocal pair (mu, nu) is y^{-1} diag(mu, nu) y with
+    the class factor y of _PAIR_FACTOR, and a unimodular singleton is its
+    own 1x1 block, carrying +-i (HP) or +-1 (HA, TA) by its inertia sign.
+    A permutation then sorts the slots into build_delta order: the +i (HP)
+    or +1 (HA) slots first; for TP the first slots of the pairs, then the
+    second slots.
     """
-    lam, omega0 = _canonical_model(cls, pairs, singles, signs)
-    if omega0.shape != omega.shape:
+    npair = len(pairs)
+    r = 2 * npair + len(singles)
+    if omega.shape != (r, r):
         raise Infeasible("remaining eigenvalue count does not match Omega")
-    if omega0.size == 0:
-        return omega0
-    fact = star_factorize(omega0, cls)
-    if fnorm(fact.pattern.matrix() - omega) > 1e-8 * max(fnorm(omega), 1e-300):
+    y, slots = _PAIR_FACTOR[(cls.star, cls.epsilon)]
+    lam = np.array(pairs, dtype=np.complex128).reshape(npair, 1, 2)
+    t2 = np.zeros((r, r), dtype=np.complex128)
+    rows = np.arange(2 * npair).reshape(npair, 2, 1)
+    t2[rows, rows.transpose(0, 2, 1)] = (y.conj().T * lam) @ y
+    single = np.arange(2 * npair, r)
+    t2[single, single] = singles
+    if cls.star == "H":
+        # sign = +1 must contribute positive inertia to sqrt(-eps) Omega.
+        unit = -1j if cls.epsilon == 1 else 1.0
+        values = np.concatenate([np.tile(slots, npair),
+                                 unit * np.asarray(signs, dtype=float)])
+        # +i (HP) and +1 (HA) lead, -i and -1 follow.
+        order = np.argsort(values.real + values.imag < 0, kind="stable")
+        delta = np.diag(values[order])
+    elif cls.epsilon == -1:
+        order = np.arange(r)
+        delta = np.eye(r)
+    elif not singles:
+        order = np.arange(r).reshape(npair, 2).T.ravel()
+        delta = build_delta(cls, 0, 0, r, r)
+    else:
+        delta = None  # a skew form has no 1x1 blocks
+    if delta is None or fnorm(delta - omega) > 1e-8 * max(fnorm(omega), 1e-300):
         raise Infeasible(
             "canonical factor of the model parameter block does not match Omega")
-    return linear_solve(fact.Y, lam @ fact.Y)
+    return t2[np.ix_(order, order)]
 
 
 @dataclass
@@ -537,12 +562,9 @@ def solve_iep_partial_result(problem):
                             theta_mode)
             X2 = fact.Y @ psi
             X = np.hstack([problem.X1, X2])
-            T = scipy.linalg.block_diag(problem.T1, t2hat)
-            S = scipy.linalg.block_diag(S1, omega)
-            TinvS = linear_solve(T, S)
-            G = X @ TinvS @ cls.star_of(X)
-            if sv_ratio(G) <= NONSINGULAR_RTOL:
-                raise SingularLeadingBlock("assembled leading block singular")
+            T = block_diag(problem.T1, t2hat)
+            S = block_diag(S1, omega)
+            # Raises SingularLeadingBlock when X T^-1 S X* is singular.
             sys = coefficients_from_pair(X, T, S, cls)
             resid = pair_residual(sys, (problem.X1, problem.T1))
             if resid > OUTPUT_RESIDUAL_TOL:

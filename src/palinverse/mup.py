@@ -22,7 +22,7 @@ from .errors import (DefectiveSpectrum, DimensionMismatch, Inconsistent,
                      retry_summary)
 from .forward import eigenvalues
 from .iep import (DISJOINT_RTOL, OUTPUT_RESIDUAL_TOL, _congruence_onto,
-                  _group_values)
+                  _group_values, _unit_multiplicity)
 from .numerics import (as_matrix, fnorm, invert, linear_solve, rank_factorize,
                        solve_right, sv_ratio)
 from .paramspace import constrained_family, s_basis, sample_nonsingular
@@ -155,8 +155,7 @@ class MupProblem:
             updated = np.concatenate([new, kept_vals])
             want = 0 if cls.epsilon == 1 else self.sys.n % 2
             for point in (1.0, -1.0):
-                m = int(sum(1 for v in updated
-                            if abs(v - point) <= DISJOINT_RTOL))
+                m = _unit_multiplicity(updated, point)
                 if m % 2 != want:
                     raise Infeasible(
                         f"parity: the updated spectrum carries eigenvalue "

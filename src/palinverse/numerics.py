@@ -52,6 +52,19 @@ def sv_ratio(a):
     return float(s[-1] / s[0])
 
 
+def block_diag(*blocks):
+    """Complex block-diagonal matrix of 2-D blocks (empty blocks allowed)."""
+    rows = sum(b.shape[0] for b in blocks)
+    cols = sum(b.shape[1] for b in blocks)
+    out = np.zeros((rows, cols), dtype=np.complex128)
+    i = j = 0
+    for b in blocks:
+        out[i:i + b.shape[0], j:j + b.shape[1]] = b
+        i += b.shape[0]
+        j += b.shape[1]
+    return out
+
+
 def linear_solve(A, B):
     """Solve A X = B by partially pivoted LU.
 

@@ -21,7 +21,7 @@ import scipy.linalg
 
 from .errors import (BadIndices, FactorizationFailure, NotHermitian,
                      SymmetryViolation)
-from .numerics import RANK_RTOL, as_matrix, fnorm, two_norm
+from .numerics import RANK_RTOL, as_matrix, fnorm
 from .system import SymmetryClass
 
 SYMMETRY_RTOL = 1e-10
@@ -149,42 +149,41 @@ def _cluster_descending(values, tol):
     return groups
 
 
-def _takagi(B, rank_tol):
+def _takagi(u, s, vh, rank_tol):
     """Takagi factorization B = Z diag(s) Z^T of complex symmetric B.
 
-    Returns (s, Z, t) with s descending, Z unitary, t the numerical rank.
-    Degenerate singular-value clusters are handled by a blockwise matrix
-    square root, re-symmetrized within each cluster.
+    Takes the SVD B = u diag(s) vh and returns (Z, t) with Z unitary and t
+    the numerical rank.  A simple singular value rescales its column by a
+    scalar square root; a degenerate cluster takes a blockwise matrix
+    square root, re-symmetrized within the cluster.
     """
-    n = B.shape[0]
-    u, s, vh = np.linalg.svd(B)
     smax = s[0] if s.size else 0.0
     t = int(np.count_nonzero(s > rank_tol))
-    w = vh.conj().T
-    blocks = []
+    # Diagonal of u^T vh^H over the active columns.
+    m = np.einsum("ki,ik->i", u[:, :t], vh[:t].conj())
+    Z = u.copy()
+    Z[:, :t] *= np.conj(np.sqrt(m))
     for group in _cluster_descending(s[:t], CLUSTER_RTOL * max(smax, 1e-300)):
+        if len(group) < 2:
+            continue
         idx = np.asarray(group)
-        M = u[:, idx].T @ w[:, idx]
+        M = u[:, idx].T @ vh[idx].conj().T
         M = (M + M.T) / 2.0
-        blocks.append(scipy.linalg.sqrtm(M))
-    if t < n:
-        blocks.append(np.eye(n - t))
-    Q = scipy.linalg.block_diag(*blocks) if blocks else np.zeros((0, 0))
-    Z = u @ np.conj(Q)
-    return s, Z, t
+        Z[:, idx] = u[:, idx] @ np.conj(scipy.linalg.sqrtm(M))
+    return Z, t
 
 
-def _youla_pairs(B, rank_tol):
+def _youla_pairs(B, zleft, s, rank_tol):
     """Youla reduction of complex skew-symmetric B.
 
-    Returns (gammas, U, V, kernel) with B = sum_i gamma_i (u_i v_i^T -
+    Takes the left singular vectors zleft and singular values s of B and
+    returns (gammas, U, V, kernel) with B = sum_i gamma_i (u_i v_i^T -
     v_i u_i^T), gammas descending positive, and [U V kernel] unitary.
     The left singular vectors of B (eigenvectors of B B^H) span the
     active subspace; the antilinear map x -> B conj(x) pairs each basis
     vector with an orthogonal partner carrying the same singular value.
     """
     n = B.shape[0]
-    zleft, s, _ = np.linalg.svd(B)
     smax = s[0] if s.size else 0.0
     t = int(np.count_nonzero(s > rank_tol))
     if t % 2 != 0:
@@ -258,43 +257,51 @@ def star_factorize(B, cls, rank_tol=None, thin=False):
         raise SymmetryViolation(
             f"star(B) != -eps B: defect {defect:.3e} vs ||B|| {nrm:.3e}")
     Bp = (B - cls.epsilon * cls.star_of(B)) / 2.0
-    if rank_tol is None:
-        rank_tol = RANK_RTOL * two_norm(Bp)
-
+    # One decomposition per class; the default rank threshold is read off
+    # its spectrum (||Bp||_2 is the largest |eigenvalue| or singular value).
     if cls.star == "H":
         H = 1j * Bp if cls.epsilon == 1 else Bp
         H = (H + H.conj().T) / 2.0
         w, Z = np.linalg.eigh(H)
-        pos = [i for i in range(n) if w[i] > rank_tol]
-        neg = [i for i in range(n) if w[i] < -rank_tol]
-        zer = [i for i in range(n) if i not in pos and i not in neg]
-        pos.sort(key=lambda i: -w[i])
-        neg.sort(key=lambda i: w[i])
+        if rank_tol is None:
+            rank_tol = RANK_RTOL * (np.abs(w).max() if n else 0.0)
+        # eigh sorts ascending: negatives lead most negative first, positives
+        # are reordered largest first.
+        neg = np.flatnonzero(w < -rank_tol)
+        pos = np.flatnonzero(w > rank_tol)
+        pos = pos[np.argsort(-w[pos], kind="stable")]
+        zer = np.flatnonzero(np.abs(w) <= rank_tol)
         p, q = len(pos), len(neg)
         # eps=+1: Delta = diag(i I_q, -i I_p, 0) -> negative eigenvalues lead.
-        order = (neg + pos + zer) if cls.epsilon == 1 else (pos + neg + zer)
+        order = np.concatenate((neg, pos, zer) if cls.epsilon == 1
+                               else (pos, neg, zer))
         scale = np.ones(n)
         scale[:p + q] = np.sqrt(np.abs(w[order][:p + q]))
         Y = Z[:, order] * scale
         pattern = DeltaPattern(cls, n, p=p, q=q)
-    elif cls.epsilon == -1:
-        s, Z, t = _takagi(Bp, rank_tol)
-        scale = np.ones(n)
-        scale[:t] = np.sqrt(s[:t])
-        Y = Z * scale
-        pattern = DeltaPattern(cls, n, t=t)
     else:
-        # Guard on the raw input: a genuinely skew-symmetric matrix has even
-        # rank, so an odd numerical rank flags an inconsistent rank decision.
-        s_raw = np.linalg.svd(B, compute_uv=False) if B.size else np.zeros(0)
-        if int(np.count_nonzero(s_raw > rank_tol)) % 2 != 0:
-            raise FactorizationFailure(
-                "input has odd numerical rank; skew-symmetric matrices have "
-                "even rank")
-        gammas, U, V, kernel = _youla_pairs(Bp, rank_tol)
-        sq = np.sqrt(gammas)
-        Y = np.hstack([U * sq, V * sq, kernel])
-        pattern = DeltaPattern(cls, n, t=2 * len(gammas))
+        u, s, vh = np.linalg.svd(Bp)
+        if rank_tol is None:
+            rank_tol = RANK_RTOL * (s[0] if n else 0.0)
+        if cls.epsilon == -1:
+            Z, t = _takagi(u, s, vh, rank_tol)
+            scale = np.ones(n)
+            scale[:t] = np.sqrt(s[:t])
+            Y = Z * scale
+            pattern = DeltaPattern(cls, n, t=t)
+        else:
+            # Guard on the raw input: a genuinely skew-symmetric matrix has
+            # even rank, so an odd numerical rank flags an inconsistent rank
+            # decision.
+            s_raw = np.linalg.svd(B, compute_uv=False)
+            if int(np.count_nonzero(s_raw > rank_tol)) % 2 != 0:
+                raise FactorizationFailure(
+                    "input has odd numerical rank; skew-symmetric matrices "
+                    "have even rank")
+            gammas, U, V, kernel = _youla_pairs(Bp, u, s, rank_tol)
+            sq = np.sqrt(gammas)
+            Y = np.hstack([U * sq, V * sq, kernel])
+            pattern = DeltaPattern(cls, n, t=2 * len(gammas))
 
     fact = StarFactorization(Y, pattern, cls)
     err = fnorm(fact.reconstruct() - Bp)

@@ -239,3 +239,102 @@ def test_iep_partial_retry_exhaustion_counts_reasons(monkeypatch):
     with pytest.raises(NonsingularityRetryExhausted,
                        match=r"in 20 attempts: SymmetryViolation 20 \("):
         solve_iep_partial_result(IepProblem(TP, X1, T1, seed=5))
+
+
+def _t2hat_case(cls, n_pairs, signs):
+    """Remaining values and the Omega they must carry: reciprocal pairs
+    off the circle, unimodular singletons (+-1 for TA) with the signs."""
+    mus = (0.3 + 0.1 * np.arange(n_pairs)) * np.exp(1j * (0.5 + 1.3 * np.arange(n_pairs)))
+    pairs = [(mu, 1 / cls.star_scalar(mu)) for mu in mus]
+    if cls.star == "H":
+        singles = [np.exp(1j * (0.2 + 0.9 * i)) for i in range(len(signs))]
+        p = n_pairs + signs.count(1)
+        omega = build_delta(cls, p=p, q=2 * n_pairs + len(signs) - p, t=0,
+                            size=2 * n_pairs + len(signs))
+    else:
+        singles = [1.0, -1.0][:len(signs)]
+        r = 2 * n_pairs + len(signs)
+        omega = build_delta(cls, p=0, q=0, t=r, size=r)
+    return pairs, singles, omega
+
+
+T2HAT_CASES = (
+    [(cls, 2, []) for cls in ALL_CLASSES]                      # pairs only
+    + [(HP, 0, [1, 1, -1]), (HA, 0, [-1, 1, -1]), (TA, 0, [1, 1])]
+    + [(HP, 2, [-1, -1]), (HA, 1, [1]), (TA, 2, [1, 1])]       # mixed
+    + [(cls, 0, []) for cls in ALL_CLASSES]                    # r = 0
+    + [(HP, 0, [1]), (HA, 0, [-1]), (TA, 0, [1])])             # r = 1
+
+
+@pytest.mark.parametrize("cls,n_pairs,signs", T2HAT_CASES,
+                         ids=[f"{c.code}-{p}p-{len(s)}s" for c, p, s in T2HAT_CASES])
+def test_build_t2hat_closed_form(cls, n_pairs, signs):
+    from palinverse.iep import _build_t2hat
+
+    pairs, singles, omega = _t2hat_case(cls, n_pairs, signs)
+    T = _build_t2hat(cls, pairs, singles, signs, omega)
+    r = omega.shape[0]
+    assert T.shape == (r, r)
+    defect = fnorm(T @ omega @ cls.star_of(T) - omega)
+    assert defect <= 1e-13 * max(fnorm(omega), 1e-300)
+    eigs = list(np.linalg.eigvals(T))
+    for v in [z for pair in pairs for z in pair] + list(singles):
+        j = int(np.argmin([abs(e - v) for e in eigs]))
+        assert abs(eigs.pop(j) - v) <= 1e-12 * max(1.0, abs(v))
+    assert not eigs
+
+    with pytest.raises(Infeasible, match="remaining eigenvalue count"):
+        _build_t2hat(cls, pairs, singles, signs,
+                     np.zeros((r + 1, r + 1), dtype=complex))
+    if r == 0:
+        return
+    if cls.star == "H":
+        # Flipped inertia: the singletons carry the other signs.
+        bad = (pairs, singles, [-s for s in signs], omega)
+        if not signs:
+            bad = (pairs[1:], [1.0, 1.0], [1, 1], omega)
+    elif cls.epsilon == 1:
+        bad = (pairs[1:], [1.0, -1.0], [1, 1], omega)  # TP has no 1x1 blocks
+    else:
+        bad = (pairs, singles, signs, build_delta(cls, 0, 0, r - 1, r))
+    with pytest.raises(Infeasible, match="canonical factor of the model"):
+        _build_t2hat(cls, *bad)
+
+
+def _prescribed_pairs(cls, n, k, seed):
+    from helpers import random_system
+
+    e = eig_full(random_system(cls, n, seed))
+    idx = [i for a, b in e.pairing if a != b for i in (a, b)][:k]
+    assert len(idx) == k
+    return e.vectors[:, idx], np.diag(e.values[idx])
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+@pytest.mark.parametrize("k", [2, 12])
+def test_iep_partial_seeded_runs_repeat(cls, k):
+    # n >= k: the construction needs rank(X1 S1 X1*) <= 2n - k.
+    X1, T1 = _prescribed_pairs(cls, 12, k, seed=80 + k)
+    a = solve_iep_partial_result(IepProblem(cls, X1, T1, seed=17))
+    b = solve_iep_partial_result(IepProblem(cls, X1, T1, seed=17))
+    assert a.system.A1.tobytes() == b.system.A1.tobytes()
+    assert a.system.A0.tobytes() == b.system.A0.tobytes()
+    assert a.attempts == b.attempts
+
+
+def test_iep_partial_counts_singular_leading_block(monkeypatch):
+    # The leading-block check lives in coefficients_from_pair; a singular
+    # X T^-1 S X* must still be retried and counted under its own reason.
+    from palinverse import spectral
+
+    sv_ratio = spectral.sv_ratio
+    X1, T1 = iep_fixture(HA)
+    n = X1.shape[0]
+
+    def singular_leading_block(a):
+        return 0.0 if a.shape == (n, n) else sv_ratio(a)
+
+    monkeypatch.setattr(spectral, "sv_ratio", singular_leading_block)
+    with pytest.raises(NonsingularityRetryExhausted,
+                       match=r"in 20 attempts: SingularLeadingBlock 20 \("):
+        solve_iep_partial_result(IepProblem(HA, X1, T1, seed=5))

@@ -131,3 +131,48 @@ def test_delta_roundtrip_near_unitary_Y():
         sv = np.linalg.svd(f.Y, compute_uv=False)
         assert sv.max() <= 1 + 1e-10 and sv.min() >= 1 - 1e-10
         assert fnorm(f.reconstruct() - D) <= 1e-10 * max(fnorm(D), 1.0)
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_star_factorize_one_decomposition(cls, monkeypatch):
+    # The rank threshold comes from the factorization's own spectrum: TP
+    # runs one full SVD plus the values-only parity guard, TA one SVD, the
+    # Hermitian classes one eigh and no SVD.
+    calls = []
+    svd, eigh = np.linalg.svd, np.linalg.eigh
+
+    def counted_svd(a, *args, **kwargs):
+        calls.append(("svd", kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
+
+    def counted_eigh(a, *args, **kwargs):
+        calls.append(("eigh", True))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    B = random_structured(np.random.default_rng(9), cls, 6)
+    f = star_factorize(B, cls)
+    assert fnorm(f.reconstruct() - B) <= 1e-10 * fnorm(B)
+    expected = {"tp": [("svd", True), ("svd", False)], "ta": [("svd", True)],
+                "hp": [("eigh", True)], "ha": [("eigh", True)]}[cls.code]
+    assert calls == expected
+
+
+def test_takagi_mixed_clusters():
+    # Simple singular values take a scalar square root, the two degenerate
+    # clusters a blockwise one; the kernel column passes through.
+    from palinverse.structfact import _takagi
+
+    rng = np.random.default_rng(12)
+    U = random_unitary(rng, 6)
+    sigma = np.array([3.0, 3.0, 2.0, 1.0, 1.0, 0.0])
+    B = U @ np.diag(sigma) @ U.T
+    u, s, vh = np.linalg.svd(B)
+    Z, t = _takagi(u, s, vh, 1e-10 * s[0])
+    assert t == 5
+    assert fnorm(Z.conj().T @ Z - np.eye(6)) <= 1e-12
+    assert fnorm(Z @ np.diag(s) @ Z.T - B) <= 1e-10 * fnorm(B)
+    f = star_factorize(B, TA)
+    assert f.rank == 5
+    assert fnorm(f.reconstruct() - B) <= 1e-10 * fnorm(B)
