@@ -108,6 +108,12 @@ def retry_summary(attempts, reasons):
     return f"{attempts} attempts: {counts}"
 
 
+class UnsupportedRegime(PalinverseError):
+    """A solution may exist, but the construction cannot reach it: a partial
+    problem with k > n needs rank(X1 S1 X1*) <= 2n - k, which a freely
+    drawn S1 misses."""
+
+
 class RetryExhausted(PalinverseError):
     """Random draws kept producing degenerate intermediates."""
 

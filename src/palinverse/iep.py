@@ -12,7 +12,7 @@ through any T2hat preserving the canonical form Omega.
 """
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .errors import (Infeasible, NoNonsingularFound, NoSolution,
                      NonsingularityRetryExhausted, PairingNotClosed,
                      RemainingEigenvalueConflict, ResidualTooLarge,
                      RetryExhausted, SingularLeadingBlock, SingularW,
-                     SymmetryViolation, retry_summary)
+                     SymmetryViolation, UnsupportedRegime, retry_summary)
 from .numerics import as_matrix, block_diag, fnorm, linear_solve, sv_ratio
 from .paramspace import (SBasis, s_basis, sample_nonsingular, solution_space)
 from .spectral import coefficients_from_pair
@@ -66,58 +66,36 @@ def _random_complex(rng, rows, cols):
             + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
 
 
-def _square_frame(rng, size, star, theta_mode):
-    """Full unitary (star = H) or real orthogonal (star = T) square frame.
+def _isometry(form, cls, rng):
+    """A random W with W form W* = form.
 
-    The leading columns act as the theta isometry of the construction and
-    the trailing columns as its orthogonal completion, used to park the
-    form-isotropic rows that keep the assembled eigenvector matrix full
-    rank.  Identity by default; a random frame on genericity retries.
+    form is a nonsingular canonical pattern, so it is unitary and
+    star(form) = -eps form.  K = M form^{-1} with M = eps star(M) then lies
+    in the Lie algebra of the form (K form + form star(K) = 0), and its
+    Cayley transform W = (I - K)^{-1} (I + K) is an isometry; scaling to
+    ||K||_F = 1/2 keeps I - K well conditioned (cond <= 3).
     """
-    if size == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
-    if theta_mode == "identity":
-        return np.eye(size, dtype=np.complex128)
-    if star == "H":
-        q, _ = np.linalg.qr(_random_complex(rng, size, size))
-    else:
-        q, _ = np.linalg.qr(rng.standard_normal((size, size)))
-    return q.astype(np.complex128)
+    r = form.shape[0]
+    A = _random_complex(rng, r, r)
+    K = (A + cls.epsilon * cls.star_of(A)) @ form.conj().T
+    size = fnorm(K)
+    if size > 0.0:  # K vanishes only for a 1x1 skew-symmetric M
+        K *= 0.5 / size
+    eye = np.eye(r, dtype=np.complex128)
+    return linear_solve(eye - K, eye + K)
 
 
-def _hermitian_pattern_values(M):
-    """Diagonal of a star = H canonical (+-i / +-1 / 0) pattern, snapped."""
-    d = np.diag(M)
-    out = []
-    for z in d:
-        cands = [0.0, 1.0, -1.0, 1.0j, -1.0j]
-        out.append(min(cands, key=lambda c: abs(z - c)))
-    return np.array(out, dtype=np.complex128)
-
-
-def _skew_pattern(M, tol=1e-8):
-    """(t, sigma) of an aggregated block sigma * [[0, I], [-I, 0]] + 0."""
-    n = M.shape[0]
-    t = int(np.count_nonzero(np.abs(M).sum(axis=1) > tol))
-    if t == 0:
-        return 0, 1.0
-    if t % 2 != 0:
-        raise Infeasible("skew pattern has odd rank")
-    sigma = 1.0 if M[0, t // 2].real > 0 else -1.0
-    return t, sigma
-
-
-def _congruence_onto(target, form, cls, rng, theta_mode):
-    """Psi with Psi form Psi* = target, both canonical-type patterns.
+def _congruence_onto(target, form, cls, rng=None):
+    """Psi with Psi form Psi* = target, both exact canonical patterns.
 
     form must be nonsingular canonical; target may be rank deficient with
-    trailing zeros.  Mirrors the constructive recipe: draw a random B,
-    normalize it so B form B* is canonical, and pick rows of that canonical
-    source through theta blocks.  Rows of Psi facing the zero block of the
-    target are filled with form-isotropic combinations of the leftover
-    source directions (instead of zeros) so the assembled eigenvector
-    matrix can reach full row rank; the leftover budget covers all zero
-    rows exactly when the target rank equals its maximum.
+    trailing zeros and may carry the opposite sign.  A selection matrix C
+    maps the target's nonzero slots onto form slots of the same value;
+    rows of C facing the zero block of the target are filled with
+    form-isotropic combinations of the leftover form slots (instead of
+    zeros) so the assembled eigenvector matrix can reach full row rank.
+    With rng given, Psi = C W for a random isometry W of the form;
+    otherwise Psi = C.
     """
     n = target.shape[0]
     r = form.shape[0]
@@ -125,80 +103,49 @@ def _congruence_onto(target, form, cls, rng, theta_mode):
         if fnorm(target) > 1e-12:
             raise Infeasible("empty form cannot produce a nonzero target")
         return np.zeros((n, 0), dtype=np.complex128)
-    rows_b = max(n, r)
-    for _ in range(10):
-        B = _random_complex(rng, rows_b, r)
-        G = B @ form @ cls.star_of(B)
-        try:
-            fact = star_factorize(G, cls)
-        except Exception:
-            continue
-        if fact.rank == r:
-            break
-    else:
-        raise RetryExhausted("random normalizer kept losing rank")
-    B = linear_solve(fact.Y, B)
-    source = fact.pattern.matrix()
-
-    C = np.zeros((n, rows_b), dtype=np.complex128)
+    C = np.zeros((n, r), dtype=np.complex128)
     if cls.star == "H":
-        svals = _hermitian_pattern_values(source)
-        tvals = _hermitian_pattern_values(target)
-        plus, minus = (1.0j, -1.0j) if cls.epsilon == 1 else (1.0, -1.0)
-        spare = {}
-        t_t = 0
-        for value in (plus, minus):
-            tgt_idx = np.flatnonzero(tvals == value)
-            src_idx = np.flatnonzero(svals == value)
-            t_t += len(tgt_idx)
-            if len(src_idx) < len(tgt_idx):
+        tvals, fvals = np.diag(target), np.diag(form)
+        spare = []
+        for value in ((1.0j, -1.0j) if cls.epsilon == 1 else (1.0, -1.0)):
+            tgt = np.flatnonzero(tvals == value)
+            src = np.flatnonzero(fvals == value)
+            if len(src) < len(tgt):
                 raise Infeasible(
-                    f"inertia shortfall: target needs {len(tgt_idx)} entries of "
-                    f"{value}, source offers {len(src_idx)}")
-            frame = _square_frame(rng, len(src_idx), cls.star, theta_mode)
-            theta = frame[:, :len(tgt_idx)]
-            if len(tgt_idx):
-                C[np.ix_(tgt_idx, src_idx)] = cls.star_of(theta)
-            spare[value] = (src_idx, frame[:, len(tgt_idx):])
-        extras = min(spare[plus][1].shape[1], spare[minus][1].shape[1], n - t_t)
-        for z in range(extras):
-            # One +, one - leftover direction: the form values cancel.
-            C[t_t + z, spare[plus][0]] = cls.star_of(spare[plus][1][:, z])
-            C[t_t + z, spare[minus][0]] = cls.star_of(spare[minus][1][:, z])
+                    f"inertia shortfall: target needs {len(tgt)} entries of "
+                    f"{value}, source offers {len(src)}")
+            C[tgt, src[:len(tgt)]] = 1.0
+            spare.append(src[len(tgt):])
+        # One + and one - leftover slot per zero row: the form values cancel.
+        zero = np.flatnonzero(tvals == 0)
+        m = min(len(spare[0]), len(spare[1]), len(zero))
+        C[zero[:m], spare[0][:m]] = 1.0
+        C[zero[:m], spare[1][:m]] = 1.0
     elif cls.epsilon == 1:
-        t_t, sig_t = _skew_pattern(target)
-        t_s, sig_s = _skew_pattern(source)
-        if t_t > t_s:
-            raise Infeasible(f"target rank {t_t} exceeds source rank {t_s}")
-        ht, hs = t_t // 2, t_s // 2
-        frame = _square_frame(rng, hs, cls.star, theta_mode)
-        th = frame[:, :ht].T
-        if sig_t == sig_s:
-            C[:ht, :hs] = th
-            C[ht:t_t, hs:2 * hs] = th
-        else:
-            C[:ht, hs:2 * hs] = th
-            C[ht:t_t, :hs] = th
+        ht, hs = np.count_nonzero(target.any(axis=1)) // 2, r // 2
+        if ht > hs:
+            raise Infeasible(f"target rank {2 * ht} exceeds source rank {r}")
+        j = np.arange(ht)
+        # target = sigma [[0, I], [-I, 0]]: swap the pair slots when the
+        # sign differs from the form's.
+        swap = ht > 0 and target[0, ht] != form[0, hs]
+        C[j, j + hs if swap else j] = 1.0
+        C[j + ht, j if swap else j + hs] = 1.0
         # A single slot of a fresh symplectic pair is isotropic.
-        extras = min(hs - ht, n - t_t)
-        for z in range(extras):
-            C[t_t + z, :hs] = frame[:, ht + z].T
+        z = np.arange(min(hs - ht, n - 2 * ht))
+        C[2 * ht + z, ht + z] = 1.0
     else:
-        diag_t = np.real(np.diag(target))
-        diag_s = np.real(np.diag(source))
-        t_t = int(np.count_nonzero(np.abs(diag_t) > 1e-8))
-        t_s = int(np.count_nonzero(np.abs(diag_s) > 1e-8))
-        if t_t > t_s:
-            raise Infeasible(f"target rank {t_t} exceeds source rank {t_s}")
-        sig_t = 1.0 if t_t == 0 or diag_t[0] > 0 else -1.0
-        frame = _square_frame(rng, t_s, cls.star, theta_mode)
-        theta = frame[:, :t_t]
-        C[:t_t, :t_s] = theta.T if sig_t > 0 else 1j * theta.T
-        # Pairs of leftover directions combine into isotropic rows: 1^2 + i^2 = 0.
-        extras = min((t_s - t_t) // 2, n - t_t)
-        for z in range(extras):
-            C[t_t + z, :t_s] = frame[:, t_t + 2 * z].T + 1j * frame[:, t_t + 2 * z + 1].T
-    psi = C @ B
+        tt = np.count_nonzero(np.diag(target))
+        if tt > r:
+            raise Infeasible(f"target rank {tt} exceeds source rank {r}")
+        j = np.arange(tt)
+        # target = sigma I: c^2 form = target picks c = 1 or i.
+        C[j, j] = 1.0 if tt == 0 or target[0, 0] == form[0, 0] else 1.0j
+        # Pairs of leftover slots combine into isotropic rows: 1^2 + i^2 = 0.
+        z = np.arange(min((r - tt) // 2, n - tt))
+        C[tt + z, tt + 2 * z] = 1.0
+        C[tt + z, tt + 2 * z + 1] = 1.0j
+    psi = C if rng is None else C @ _isometry(form, cls, rng)
     err = fnorm(psi @ form @ cls.star_of(psi) - target)
     floor = 1e-12 * max(1.0, fnorm(psi) ** 2 * fnorm(form))
     if err > 1e-10 * fnorm(target) + floor:
@@ -212,12 +159,14 @@ def solve_psi(delta, omega, cls, seed=0, theta_mode="identity"):
     Delta is an n-by-n canonical factor (possibly rank deficient, zeros
     trailing); Omega is a nonsingular canonical factor of the complementary
     size.  For star = H the inertias must satisfy the usual feasibility
-    inequalities, otherwise Infeasible is raised.
+    inequalities, otherwise Infeasible is raised.  theta_mode "identity"
+    returns the canonical selection; any other mode composes it with a
+    random isometry of Omega drawn from seed.
     """
     delta = as_matrix(delta, "Delta")
     omega = as_matrix(omega, "Omega")
-    rng = np.random.default_rng(seed)
-    return _congruence_onto(-delta, omega, cls, rng, theta_mode)
+    rng = None if theta_mode == "identity" else np.random.default_rng(seed)
+    return _congruence_onto(-delta, omega, cls, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -290,34 +239,55 @@ def _default_remaining(cls, count, n_pos, n_neg, order, t1_values, rng,
     used = len(t1_values)
     avoid = np.zeros(used + count, dtype=np.complex128)
     avoid[:used] = t1_values
-    reach = 10 * tol * np.maximum(1.0, np.hypot(avoid.real, avoid.imag))
 
-    def keep(*zs):
+    def reach_of(z):
+        return 10 * tol * np.maximum(1.0, np.hypot(z.real, z.imag))
+
+    reach = reach_of(avoid)
+
+    def keep(zs):
         nonlocal used
-        for z in zs:
-            avoid[used] = z
-            reach[used] = 10 * tol * max(1.0, np.hypot(z.real, z.imag))
-            used += 1
+        zs = np.asarray(zs)
+        avoid[used:used + len(zs)] = zs
+        reach[used:used + len(zs)] = reach_of(zs)
+        used += len(zs)
 
     def clear(z):
         d = z - avoid[:used]
         return bool((np.hypot(d.real, d.imag) > reach[:used]).all())
 
+    def partner(mu):
+        return 1.0 / (np.conj(mu) if cls.star == "H" else mu)
+
     def draw_pair():
         for _ in range(100):
             radius = rng.uniform(0.3, 0.7)
             mu = radius * np.exp(2j * np.pi * rng.uniform())
-            nu = 1.0 / cls.star_scalar(mu)
+            nu = partner(mu)
             if clear(mu) and clear(nu):
-                keep(mu, nu)
+                keep([mu, nu])
                 return mu, nu
         raise RetryExhausted("could not draw a clear reciprocal pair")
+
+    def draw_pairs(m):
+        # One batch under the same predicate as draw_pair: every value clear
+        # of T1 and of the pairs before it; one pair at a time on a clash.
+        mu = rng.uniform(0.3, 0.7, m) * np.exp(2j * np.pi * rng.uniform(size=m))
+        z = np.column_stack([mu, partner(mu)]).ravel()
+        d = z[:, None] - np.concatenate([avoid[:used], z])
+        far = np.hypot(d.real, d.imag) > np.concatenate([reach[:used], reach_of(z)])
+        slot = np.arange(2 * m) // 2
+        far[:, used:] |= slot[:, None] <= slot
+        if not far.all():
+            return [draw_pair() for _ in range(m)]
+        keep(z)
+        return list(zip(z[0::2], z[1::2]))
 
     def draw_unimodular():
         for _ in range(100):
             mu = np.exp(2j * np.pi * rng.uniform())
             if clear(mu):
-                keep(mu)
+                keep([mu])
                 return mu
         raise RetryExhausted("could not draw a clear unimodular value")
 
@@ -327,8 +297,7 @@ def _default_remaining(cls, count, n_pos, n_neg, order, t1_values, rng,
         if 2 * n_pair + abs(n_pos - n_neg) != count:
             raise Infeasible(
                 f"inertia targets ({n_pos}, {n_neg}) inconsistent with count {count}")
-        for _ in range(n_pair):
-            pairs.append(draw_pair())
+        pairs = draw_pairs(n_pair)
         extra_sign = 1 if n_pos > n_neg else -1
         for _ in range(abs(n_pos - n_neg)):
             singles.append(draw_unimodular())
@@ -336,8 +305,7 @@ def _default_remaining(cls, count, n_pos, n_neg, order, t1_values, rng,
     elif cls.epsilon == 1:
         if count % 2 != 0:
             raise Infeasible("parity: transpose-palindromic remainder must be even")
-        for _ in range(count // 2):
-            pairs.append(draw_pair())
+        pairs = draw_pairs(count // 2)
     else:
         need_plus, need_minus = _ta_singleton_parity(order, t1_values)
         for point, needed in ((1.0, need_plus), (-1.0, need_minus)):
@@ -349,8 +317,7 @@ def _default_remaining(cls, count, n_pos, n_neg, order, t1_values, rng,
             raise Infeasible(
                 f"parity: remaining count {count} cannot host the forced "
                 f"+-1 singletons")
-        for _ in range(n_pair):
-            pairs.append(draw_pair())
+        pairs = draw_pairs(n_pair)
     return pairs, singles, signs
 
 
@@ -437,6 +404,7 @@ class IepProblem:
     remaining_eigenvalues: list = None
     attempts: int = 20
     sample_attempts: int = 50
+    t1_values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.X1 = as_matrix(self.X1, "X1")
@@ -450,8 +418,8 @@ class IepProblem:
         stacked = np.vstack([self.X1, -X1T1inv])
         if sv_ratio(stacked) <= 1e-10:
             raise SingularW("[X1; -X1 T1^{-1}] must have full column rank")
-        w = np.linalg.eigvals(self.T1)
-        _group_values(w, self.cls)  # raises PairingNotClosed if not closed
+        self.t1_values = np.linalg.eigvals(self.T1)
+        _group_values(self.t1_values, self.cls)  # raises PairingNotClosed
 
     @property
     def n(self):
@@ -473,6 +441,11 @@ class IepSolution:
     attempts: int
     residual: float
 
+    @property
+    def a0_defect(self):
+        """Relative symmetry defect removed from the assembled A0."""
+        return self.system.a0_defect
+
 
 def solve_iep_partial_result(problem):
     """Run the partial-eigendata construction, returning full diagnostics."""
@@ -489,14 +462,13 @@ def solve_iep_partial_result(problem):
         raise Infeasible(
             f"infeasible: parity requires an even number of remaining "
             f"eigenvalues for this class, got {r}")
-    t1_eigs = np.linalg.eigvals(problem.T1)
+    t1_eigs = problem.t1_values
     basis = s_basis(problem.T1, cls)
     master = np.random.default_rng(problem.seed)
     reasons = Counter()
     last_error = None
     for attempt in range(problem.attempts):
         seeds = master.integers(0, 2 ** 63, size=3)
-        theta_mode = "identity" if attempt == 0 else "random"
         try:
             S1 = sample_nonsingular(basis, int(seeds[0]), problem.sample_attempts)
         except NoNonsingularFound as exc:
@@ -558,8 +530,14 @@ def solve_iep_partial_result(problem):
                     cls, r, n_pos, n_neg, n, t1_eigs,
                     np.random.default_rng(int(seeds[1])))
             t2hat = _build_t2hat(cls, pairs, singles, signs, omega)
-            psi = solve_psi(fact.pattern.matrix(), omega, cls, int(seeds[2]),
-                            theta_mode)
+            try:
+                psi = _congruence_onto(-fact.pattern.matrix(), omega, cls,
+                                       np.random.default_rng(int(seeds[2])))
+            except Infeasible as exc:
+                raise UnsupportedRegime(
+                    f"{exc}: completion needs rank(X1 S1 X1*) <= 2n - k = {r} "
+                    "with compatible inertia, a determinantal condition that "
+                    f"the freely drawn S1 misses (k = {k} > n = {n})") from exc
             X2 = fact.Y @ psi
             X = np.hstack([problem.X1, X2])
             T = block_diag(problem.T1, t2hat)

@@ -28,13 +28,8 @@ from .numerics import (as_matrix, fnorm, invert, linear_solve, rank_factorize,
 from .paramspace import constrained_family, s_basis, sample_nonsingular
 from .spectral import PAIR_RESIDUAL_GATE
 from .structfact import star_factorize
-from .system import PalindromicSystem, pair_residual
+from .system import PalindromicSystem, assembled_system, pair_residual
 
-# Output symmetry gate: roundoff in the bordered update is amplified by the
-# squared moduli of the replaced eigenvalues, so the constructor's default
-# 1e-12 gate is too tight for legitimate updates; 1e-10 matches the
-# documented output quality bound.
-OUTPUT_SYMMETRY_RTOL = 1e-10
 S1_MEMBERSHIP_RTOL = 1e-9
 XI_SINGULAR_RTOL = 1e-12
 
@@ -194,6 +189,11 @@ class MupResult:
     rank: int
     attempts: int
 
+    @property
+    def a0_defect(self):
+        """Relative symmetry defect removed from the assembled A0."""
+        return self.system.a0_defect
+
 
 def low_rank_update(sys, X1, T1, S1, X1_new, T1_new, S1_new):
     """Coefficient update from old and new selected spectral data.
@@ -226,9 +226,7 @@ def low_rank_update(sys, X1, T1, S1, X1_new, T1_new, S1_new):
     E = np.eye(sys.n, dtype=np.complex128) - eps * sys.A1 @ Z1 @ XiInv @ star(Z2)
     F = np.eye(sys.n, dtype=np.complex128) - eps * Z1 @ XiInvZ2A1
     core = sys.A0 - sys.A1 @ Upsilon @ sys.A1
-    A0_new = E @ core @ F
-    return PalindromicSystem(cls, A1_new, A0_new,
-                             symmetry_rtol=OUTPUT_SYMMETRY_RTOL), Z1, Z2, ell
+    return assembled_system(cls, A1_new, E @ core @ F), Z1, Z2, ell
 
 
 def _finish(problem, S1, X1t, S1t, attempt):
@@ -272,13 +270,11 @@ def update_model_result(problem):
     last = None
     for attempt in range(problem.attempts):
         seeds = master.integers(0, 2 ** 63, size=2)
-        theta_mode = "identity" if attempt == 0 else "random"
         S1t = sample_nonsingular(basis, int(seeds[0]), problem.sample_attempts)
         try:
             fact_t = star_factorize(S1t, cls)
             psi = _congruence_onto(fact.pattern.matrix(), fact_t.pattern.matrix(),
-                                   cls, np.random.default_rng(int(seeds[1])),
-                                   theta_mode)
+                                   cls, np.random.default_rng(int(seeds[1])))
             X1t = solve_right(fact.Y @ psi, fact_t.Y)
             return _finish(problem, S1, X1t, S1t, attempt + 1)
         except (XiSingular, ResidualTooLarge, Inconsistent,

@@ -10,7 +10,7 @@ import numpy as np
 from .errors import (DimensionMismatch, MembershipCheckFailed, ResidualTooLarge,
                      SingularLeadingBlock, SingularMatrix)
 from .numerics import as_matrix, fnorm, invert, linear_solve, sv_ratio
-from .system import PalindromicSystem, StandardPair, pair_residual
+from .system import StandardPair, assembled_system, pair_residual
 
 PAIR_RESIDUAL_GATE = 1e-8
 MEMBERSHIP_RTOL = 1e-10
@@ -79,7 +79,8 @@ def coefficients_from_pair(X, T, S, cls):
     """Rebuild the palindromic system whose standard pair is (X, T).
 
     S must be a nonsingular member of the parameter space of (X, T); the
-    membership identities are checked before the coefficients are formed.
+    membership identities are checked before the coefficients are formed,
+    and A0 is taken as its structured part (see assembled_system).
     """
     X = as_matrix(X, "X")
     T = as_matrix(T, "T")
@@ -97,5 +98,4 @@ def coefficients_from_pair(X, T, S, cls):
             "X T^{-1} S X* is numerically singular; no regular solution")
     A1 = cls.epsilon * invert(G)
     T2invS = linear_solve(T, TinvS)
-    A0 = -A1 @ X @ T2invS @ star(X) @ A1
-    return PalindromicSystem(cls, A1, A0)
+    return assembled_system(cls, A1, -A1 @ X @ T2invS @ star(X) @ A1)

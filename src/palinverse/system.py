@@ -89,17 +89,17 @@ class PalindromicSystem:
     """A regular palindromic quadratic system of a given symmetry class.
 
     Validates on construction: A1 square and nonsingular, A0 of matching
-    size with star(A0) = eps * A0 within symmetry_rtol (relative; defects
-    are rejected, never projected away).  Low-rank update paths construct
-    with a looser gate because their roundoff is amplified by the moduli of
-    the replaced eigenvalues.  Real input is stored as complex; nothing
-    ever assumes real storage.
+    size with star(A0) = eps * A0 within A0_SYMMETRY_RTOL (relative;
+    defects are rejected, never projected away).  Systems assembled from
+    spectral data come from assembled_system, which records in a0_defect
+    the defect it projected away.  Real input is stored as complex;
+    nothing ever assumes real storage.
     """
 
     cls: SymmetryClass
     A1: np.ndarray
     A0: np.ndarray
-    symmetry_rtol: float = A0_SYMMETRY_RTOL
+    a0_defect: float = field(default=0.0, init=False, repr=False)
 
     def __post_init__(self):
         self.A1 = as_matrix(self.A1, "A1")
@@ -114,10 +114,10 @@ class PalindromicSystem:
         # Scale against the whole system so a zero A0 (defect pure roundoff)
         # is not rejected by a vacuous relative bound.
         scale = max(fnorm(self.A0), fnorm(self.A1), 1e-300)
-        if defect > self.symmetry_rtol * scale:
+        if defect > A0_SYMMETRY_RTOL * scale:
             raise SymmetryViolation(
                 f"A0 symmetry violation: ||A0* - eps A0|| = {defect:.3e} "
-                f"exceeds {self.symmetry_rtol:.0e} * max(||A0||, ||A1||)")
+                f"exceeds {A0_SYMMETRY_RTOL:.0e} * max(||A0||, ||A1||)")
         ratio = sv_ratio(self.A1)
         if ratio <= A1_SINGULAR_RTOL:
             raise SingularMatrix(
@@ -134,6 +134,22 @@ class PalindromicSystem:
     def symmetry_defect(self):
         """Frobenius norm of star(A0) - eps * A0."""
         return fnorm(self.cls.star_of(self.A0) - self.cls.epsilon * self.A0)
+
+
+def assembled_system(cls, A1, A0):
+    """System from assembled coefficients, A0 taken as its structured part.
+
+    Assembly formulas give star(A0) = eps A0 only in exact arithmetic, with
+    a roundoff defect that grows with their conditioning.  The structured
+    part (A0 + eps A0*)/2 satisfies it exactly; the relative defect
+    ||A0* - eps A0|| / max(||A0||, ||A1||) it removes is kept as a0_defect.
+    """
+    A0_star = cls.star_of(A0)
+    defect = fnorm(A0_star - cls.epsilon * A0) \
+        / max(fnorm(A0), fnorm(A1), 1e-300)
+    sys = PalindromicSystem(cls, A1, (A0 + cls.epsilon * A0_star) / 2.0)
+    sys.a0_defect = defect
+    return sys
 
 
 @dataclass

@@ -1,10 +1,14 @@
+import inspect
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import random_complex
 from palinverse.errors import (Infeasible, NoSolution,
                                NonsingularityRetryExhausted, PairingNotClosed,
-                               RemainingEigenvalueConflict, SymmetryViolation)
+                               RemainingEigenvalueConflict, SymmetryViolation,
+                               UnsupportedRegime)
 from palinverse.forward import eig_full
 from palinverse.iep import (IepProblem, solve_iep_full, solve_iep_partial,
                             solve_iep_partial_result, solve_psi)
@@ -338,3 +342,164 @@ def test_iep_partial_counts_singular_leading_block(monkeypatch):
     with pytest.raises(NonsingularityRetryExhausted,
                        match=r"in 20 attempts: SingularLeadingBlock 20 \("):
         solve_iep_partial_result(IepProblem(HA, X1, T1, seed=5))
+
+
+def _canonical(cls, plus, minus, size):
+    """A canonical pattern of the given size with `plus` entries +i (HP) or
+    +1 (HA) and `minus` entries of the opposite value; for star = T, rank
+    plus + minus (TP: a skew block, TA: an identity block)."""
+    if cls.star == "T":
+        return build_delta(cls, 0, 0, plus + minus, size)
+    if cls.epsilon == 1:
+        return build_delta(cls, p=minus, q=plus, t=0, size=size)
+    return build_delta(cls, p=plus, q=minus, t=0, size=size)
+
+
+# (n, r): target order against form order, r < n, r = n and r > n.
+CONGRUENCE_SIZES = [(6, 3), (5, 5), (3, 8)]
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+@pytest.mark.parametrize("n,r", CONGRUENCE_SIZES,
+                         ids=[f"n{n}-r{r}" for n, r in CONGRUENCE_SIZES])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_congruence_onto_property(cls, n, r, data):
+    from palinverse.iep import _congruence_onto, _isometry
+
+    if cls.star == "T" and cls.epsilon == 1:
+        r -= r % 2  # a nonsingular skew form has even order
+    # Form inertia (H) and target ranks, inertias and sign: the target may
+    # carry the opposite sign, as -Delta does in a partial solve.
+    f_plus = data.draw(st.integers(0, r)) if cls.star == "H" else r
+    form = _canonical(cls, f_plus, r - f_plus, r)
+    t_plus = data.draw(st.integers(0, n))
+    t_minus = data.draw(st.integers(0, n - t_plus)) if cls.star == "H" else 0
+    if cls.star == "T" and cls.epsilon == 1:
+        t_plus -= t_plus % 2
+    sign = data.draw(st.sampled_from([1, -1]))
+    target = _canonical(cls, t_plus, t_minus, n) if sign == 1 \
+        else -_canonical(cls, t_minus, t_plus, n)
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+
+    if cls.star == "H":
+        feasible = t_plus <= f_plus and t_minus <= r - f_plus
+    else:
+        feasible = t_plus <= r
+    if not feasible:
+        with pytest.raises(Infeasible):
+            _congruence_onto(target, form, cls, np.random.default_rng(seed))
+        return
+    W = _isometry(form, cls, np.random.default_rng(seed))
+    assert fnorm(W @ form @ cls.star_of(W) - form) <= 1e-12 * fnorm(form)
+    C = _congruence_onto(target, form, cls)
+    psi = _congruence_onto(target, form, cls, np.random.default_rng(seed))
+    assert np.array_equal(psi, C @ W)
+    scale = max(fnorm(target), fnorm(psi) ** 2 * fnorm(form))
+    assert fnorm(psi @ form @ cls.star_of(psi) - target) <= 1e-12 * scale
+    # The selection maps each nonzero target slot to one form slot and
+    # fills zero rows with isotropic combinations while slots remain.
+    rank = np.linalg.matrix_rank(C)
+    spare = r - t_plus - t_minus
+    if cls.star == "H":
+        spare = min(f_plus - t_plus, r - f_plus - t_minus)
+    elif cls.epsilon == -1:
+        spare //= 2
+    else:
+        spare = (r - t_plus) // 2
+    assert rank == t_plus + t_minus + min(spare, n - t_plus - t_minus)
+
+
+def test_solve_psi_signature_and_modes():
+    assert list(inspect.signature(solve_psi).parameters) == [
+        "delta", "omega", "cls", "seed", "theta_mode"]
+    delta = build_delta(HA, p=1, q=1, t=0, size=3)
+    omega = build_delta(HA, p=2, q=3, t=0, size=5)
+    canonical = solve_psi(delta, omega, HA, seed=4)
+    assert np.array_equal(canonical, solve_psi(delta, omega, HA, seed=9))
+    drawn = solve_psi(delta, omega, HA, seed=4, theta_mode="random")
+    assert not np.array_equal(drawn, canonical)
+    assert np.array_equal(drawn, solve_psi(delta, omega, HA, seed=4,
+                                           theta_mode="random"))
+    assert fnorm(drawn @ omega @ drawn.conj().T + delta) <= 1e-12 * fnorm(delta)
+
+
+def _pairs_of_some_system(cls, n, k):
+    """k eigenpairs (k/2 off-circle reciprocal pairs) of the first
+    random_system of order n, from seed 0 up, that has that many."""
+    for seed in range(50):
+        e = eig_full(__import__("helpers").random_system(cls, n, seed))
+        idx = [i for a, b in e.pairing if a != b for i in (a, b)][:k]
+        if len(idx) == k:
+            return e.vectors[:, idx], np.diag(e.values[idx])
+    raise RuntimeError(f"no order-{n} {cls.code} system with {k // 2} pairs")
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+@pytest.mark.parametrize("n,k", [(4, 6), (6, 8), (6, 10)])
+def test_iep_partial_more_pairs_than_order_is_unsupported(cls, n, k):
+    # k = n + 2 and k = 2n - 2: a solution exists (the pairs come from a
+    # real system), but a freely drawn S1 gives rank(X1 S1 X1*) = n > 2n - k.
+    # The error says so and does not claim infeasibility.
+    assert not issubclass(UnsupportedRegime, Infeasible)
+    X1, T1 = _pairs_of_some_system(cls, n, k)
+    with pytest.raises(UnsupportedRegime,
+                       match=rf"rank\(X1 S1 X1\*\) <= 2n - k = {2 * n - k} "):
+        solve_iep_partial_result(IepProblem(cls, X1, T1, seed=3))
+
+
+def test_iep_partial_reads_t1_eigenvalues_once(monkeypatch):
+    X1, T1 = iep_fixture(HP)
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    problem = IepProblem(HP, X1, T1, seed=5)
+    solve_iep_partial_result(problem)
+    assert calls == [T1.shape]
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+@pytest.mark.parametrize("tol", [1e-8, 2e-2])
+def test_default_remaining_keeps_values_clear(cls, tol):
+    # The batched draw obeys the one-at-a-time predicate: every value lies
+    # outside 10 tol max(1, |a|) of T1's values and of the earlier pairs'.
+    # The wide tolerance makes batches clash, so the fallback runs too.
+    from palinverse.iep import _default_remaining
+
+    t1 = np.array([0.5 * np.exp(0.4j), 1 / cls.star_scalar(0.5 * np.exp(0.4j))])
+    n_pos = n_neg = 7 if cls.star == "H" else 0
+    pairs, singles, _ = _default_remaining(cls, 14, n_pos, n_neg, 8, t1,
+                                           np.random.default_rng(3), tol)
+    assert len(pairs) == 7 and not singles
+    _assert_clear(cls, t1, pairs, tol)
+    if tol == 1e-8:  # no clash: one batch of moduli, then one of angles
+        rng = np.random.default_rng(3)
+        mus = rng.uniform(0.3, 0.7, 7) * np.exp(2j * np.pi * rng.uniform(size=7))
+        assert np.array_equal([mu for mu, _ in pairs], mus)
+
+
+def _assert_clear(cls, t1, pairs, tol):
+    accepted = list(t1)
+    for mu, nu in pairs:
+        assert cls.pair_defect(mu, nu) <= 1e-12
+        for z in (mu, nu):
+            assert all(abs(z - a) > 10 * tol * max(1.0, abs(a)) for a in accepted)
+        accepted += [mu, nu]
+
+
+def test_default_remaining_clears_prescribed_values():
+    # One pair against eight prescribed pairs in the same annulus: draws
+    # that land within reach of T1 are redrawn.
+    from palinverse.iep import _default_remaining
+
+    mus = (0.3 + 0.05 * np.arange(8)) * np.exp(0.8j * np.arange(8))
+    t1 = np.concatenate([mus, 1 / mus])
+    for seed in range(20):
+        pairs, _, _ = _default_remaining(TP, 2, 0, 0, 9, t1,
+                                         np.random.default_rng(seed), 1e-2)
+        _assert_clear(TP, t1, pairs, 1e-2)

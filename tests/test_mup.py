@@ -335,3 +335,18 @@ def test_problem_checks_eigenvalues_only(code, k, monkeypatch):
     values_only = _update_outputs(*case)
     monkeypatch.setattr(mup, "eigenvalues", lambda s: eig_full(s).values)
     assert _update_outputs(*case) == values_only
+
+
+@pytest.mark.parametrize("k", [2, 8])
+@pytest.mark.parametrize("code", ["tp", "ta", "hp", "ha"])
+def test_free_update_seeded_runs_repeat(code, k):
+    sys, X1, T1, T1_new, seed = _spillover_case(code, k)
+    a, b = (update_model_result(MupProblem(sys, X1, T1, T1_new, seed=seed))
+            for _ in range(2))
+    for name in ("A1", "A0"):
+        assert getattr(a.system, name).tobytes() == getattr(b.system, name).tobytes()
+    assert a.X1_new.tobytes() == b.X1_new.tobytes()
+    assert a.attempts == b.attempts
+    # The assembled A0 is structured exactly; the defect it shed is kept.
+    assert a.system.symmetry_defect() == 0.0
+    assert a.a0_defect == b.a0_defect == a.system.a0_defect > 0.0

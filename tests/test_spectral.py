@@ -143,3 +143,20 @@ def test_parameter_block_sparsity_in_pjcf_order():
     for i in range(0, 6, 2):
         mask[i, i + 1] = mask[i + 1, i] = False
     assert np.linalg.norm(S[mask]) <= 1e-9 * fnorm(S)
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_full_solve_order_32_passes_symmetry_gate(cls):
+    # The assembled A0 = -A1 X T^-2 S X* A1 is star-symmetric only up to a
+    # roundoff defect that grows with the order; its structured part passes
+    # the 1e-12 gate with the prescribed pairs kept to roundoff.
+    from palinverse.iep import solve_iep_full
+    from palinverse.system import pair_residual
+
+    for seed in range(4):
+        e = eig_full(random_system(cls, 32, seed))
+        pair = (e.vectors, np.diag(e.values))
+        sys = solve_iep_full(*pair, cls, seed=0)
+        assert sys.symmetry_defect() == 0.0
+        assert sys.a0_defect > 0.0
+        assert pair_residual(sys, pair) <= 1e-12

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from helpers import random_complex, random_system
+from helpers import random_complex, random_structured, random_system
 from palinverse.errors import (SingularMatrix, SingularW, SymmetryViolation,
                                ZeroLambda)
 from palinverse.numerics import fnorm
 from palinverse.system import (ALL_CLASSES, HA, HP, TA, TP, PalindromicSystem,
-                               StandardPair, SymmetryClass, eval_Q,
-                               palindromic_identity_check, pair_residual)
+                               StandardPair, SymmetryClass, assembled_system,
+                               eval_Q, palindromic_identity_check,
+                               pair_residual)
 from reference_problems import update_fixture
 
 
@@ -134,3 +135,23 @@ def test_standard_pair_W():
     pair = StandardPair(np.array([[1.0, 1.0]]), np.diag([1.0, -1.0]))
     assert np.allclose(pair.W, [[1.0, 1.0], [-1.0, 1.0]])
     assert pair.is_full
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_assembled_system_takes_structured_part(cls):
+    # A0 = structured + delta * anti-structured: the helper keeps the
+    # structured part and records the relative defect it removed.
+    rng = np.random.default_rng(21)
+    A1 = random_complex(rng, 5, 5)
+    M = random_complex(rng, 5, 5)
+    A0s = M + cls.epsilon * cls.star_of(M)
+    B = random_structured(rng, cls, 5)
+    A0 = A0s + 1e-7 * B
+    sys = assembled_system(cls, A1, A0)
+    assert sys.symmetry_defect() == 0.0
+    assert fnorm(sys.A0 - A0s) <= 1e-15 * fnorm(A0s)
+    want = 2e-7 * fnorm(B) / max(fnorm(A0), fnorm(A1))
+    assert abs(sys.a0_defect - want) <= 1e-6 * want
+    assert PalindromicSystem(cls, A1, A0s).a0_defect == 0.0
+    with pytest.raises(SymmetryViolation):
+        PalindromicSystem(cls, A1, A0)
