@@ -65,10 +65,11 @@ def parameter_from_pair(sys, pair):
     L, J = structure_blocks(sys)
     star = sys.cls.star_of
     Sinv = star(W) @ L @ J @ star(L) @ W
-    try:
-        S = invert(Sinv)
-    except SingularMatrix as exc:
-        raise SingularMatrix(f"W* L J L* W is singular: {exc}") from exc
+    ratio = sv_ratio(Sinv)
+    if ratio <= LEADING_SINGULAR_RTOL:
+        raise SingularMatrix(
+            f"W* L J L* W is singular (sigma_min/sigma_max = {ratio:.3e})")
+    S = invert(Sinv)
     # Exact by theory; strip the round-off asymmetry.
     S = (S - sys.cls.epsilon * star(S)) / 2.0
     check_membership(S, pair.X, pair.T, sys.cls)

@@ -17,7 +17,6 @@ eigendecomposition of B B^H.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (BadIndices, FactorizationFailure, NotHermitian,
                      SymmetryViolation)
@@ -149,6 +148,27 @@ def _cluster_descending(values, tol):
     return groups
 
 
+def _symmetric_unitary_sqrt(M):
+    """A symmetric unitary R with R R = M, for symmetric unitary M.
+
+    Rotates M by a phase e^{-i alpha} that moves the point -1 into the
+    widest gap of its spectrum, so N = e^{-i alpha} M has no eigenvalue
+    near -1, and takes the polar factor of I + N:
+    R = e^{i alpha/2} (I + N) H^{-1/2} with H = (I + N)* (I + N) =
+    2 (I + Re N).  N commutes with the real symmetric H, which makes R
+    symmetric and unitary, and R R = e^{i alpha} (I + N)^2 H^{-1} = M.
+    Repeated eigenvalues and eigenvalues at -1 need no special case.
+    """
+    theta = np.sort(np.angle(np.linalg.eigvals(M)))
+    gaps = np.diff(np.append(theta, theta[0] + 2.0 * np.pi))
+    widest = int(np.argmax(gaps))
+    alpha = theta[widest] + gaps[widest] / 2.0 - np.pi
+    N = np.exp(-1j * alpha) * M
+    eye = np.eye(M.shape[0])
+    h, P = np.linalg.eigh(2.0 * (eye + N.real))
+    return np.exp(0.5j * alpha) * ((eye + N) @ (P / np.sqrt(h)) @ P.T)
+
+
 def _takagi(u, s, vh, rank_tol):
     """Takagi factorization B = Z diag(s) Z^T of complex symmetric B.
 
@@ -169,7 +189,7 @@ def _takagi(u, s, vh, rank_tol):
         idx = np.asarray(group)
         M = u[:, idx].T @ vh[idx].conj().T
         M = (M + M.T) / 2.0
-        Z[:, idx] = u[:, idx] @ np.conj(scipy.linalg.sqrtm(M))
+        Z[:, idx] = u[:, idx] @ np.conj(_symmetric_unitary_sqrt(M))
     return Z, t
 
 

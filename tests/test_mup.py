@@ -11,8 +11,9 @@ from palinverse.mup import (MupProblem, compute_S1, low_rank_update,
                             update_model, update_model_prescribed,
                             update_model_result)
 from palinverse.numerics import fnorm, invert
-from palinverse.spectral import parameter_from_pair
-from palinverse.system import TA, PalindromicSystem, StandardPair, eval_Q, pair_residual
+from palinverse.spectral import PAIR_RESIDUAL_GATE, parameter_from_pair
+from palinverse.system import (HP, TA, TP, PalindromicSystem, StandardPair, eval_Q,
+                               pair_residual)
 from reference_problems import update_fixture
 
 
@@ -350,3 +351,21 @@ def test_free_update_seeded_runs_repeat(code, k):
     # The assembled A0 is structured exactly; the defect it shed is kept.
     assert a.system.symmetry_defect() == 0.0
     assert a.a0_defect == b.a0_defect == a.system.a0_defect > 0.0
+
+
+@pytest.mark.parametrize("modulus", [3000.0, 1 / 3000.0])
+@pytest.mark.parametrize("cls", [TP, HP], ids=lambda c: c.code)
+def test_free_update_to_large_modulus(cls, modulus):
+    # The new T1 and its square are diagonal with condition modulus^4
+    # (8e13); they are divided exactly, never refused as singular.
+    sys = random_system(cls, 8, 3)
+    e = eig_full(sys)
+    i = next(i for i in np.argsort(-np.abs(e.values))
+             if abs(abs(e.values[i]) - 1.0) > 0.05)
+    X1, T1, X2, T2 = select_pairs(e, [e.values[i], e.values[e.partner_index(i)]])
+    mu = modulus * np.exp(0.7j)
+    T1_new = np.diag([mu, 1 / cls.star_scalar(mu)])
+    res = update_model_result(MupProblem(sys, X1, T1, T1_new, seed=0))
+    assert pair_residual(res.system, (res.X1_new, T1_new)) <= 1e-9
+    # The kept pairs stay invariant pairs a further update accepts.
+    assert pair_residual(res.system, (X2, T2)) <= PAIR_RESIDUAL_GATE

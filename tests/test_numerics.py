@@ -47,6 +47,15 @@ def test_linear_solve_singular():
         linear_solve(A, np.eye(2))
 
 
+def test_linear_solve_exact_diagonal_any_condition():
+    # Conditioning is gated by the callers; a diagonal system with
+    # condition 1e14 is solved exactly, not refused.
+    d = np.array([1e-7, 1e7])
+    B = random_complex(np.random.default_rng(4), 2, 3)
+    np.testing.assert_allclose(linear_solve(np.diag(d), B), B / d[:, None],
+                               rtol=1e-15, atol=0)
+
+
 def test_linear_solve_shape_checks():
     with pytest.raises(DimensionMismatch):
         linear_solve(np.ones((2, 3)), np.ones((2, 2)))

@@ -3,7 +3,7 @@ import pytest
 
 from helpers import random_complex, random_system
 from palinverse.errors import (MembershipCheckFailed, ResidualTooLarge,
-                               SingularLeadingBlock)
+                               SingularLeadingBlock, SingularMatrix)
 from palinverse.forward import eig_full
 from palinverse.numerics import fnorm, invert
 from palinverse.spectral import (coefficients_from_pair, parameter_from_pair,
@@ -103,6 +103,22 @@ def test_parameter_rejects_bad_pair():
     T = np.diag(random_complex(rng, 6) + 2.0)
     with pytest.raises(ResidualTooLarge):
         parameter_from_pair(sys, StandardPair(X, T))
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_parameter_rejects_ill_conditioned_pair(cls):
+    # Shrinking the eigenvectors of one reciprocal pair by 1e-7 leaves
+    # W = [X; -X T^{-1}] inside its own gate (cond ~1e7) but makes
+    # W* L J L* W (cond ~1e14) numerically singular, since S couples the
+    # two partners; the sv_ratio gate refuses it before the inversion.
+    sys = random_system(cls, 3, seed=210)
+    e = eig_full(sys)
+    scale = np.ones(6)
+    scale[[0, e.partner_index(0)]] = 1e-7
+    pair = StandardPair(e.vectors * scale, np.diag(e.values))
+    assert 1e5 < np.linalg.cond(pair.W) < 1e9
+    with pytest.raises(SingularMatrix, match=r"W\* L J L\* W is singular"):
+        parameter_from_pair(sys, pair)
 
 
 def test_coefficients_reject_non_member():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import random_complex, random_structured, random_unitary
 from palinverse.errors import (BadIndices, FactorizationFailure, NotHermitian,
@@ -176,3 +177,45 @@ def test_takagi_mixed_clusters():
     f = star_factorize(B, TA)
     assert f.rank == 5
     assert fnorm(f.reconstruct() - B) <= 1e-10 * fnorm(B)
+
+
+# Angles of the eigenvalues of a symmetric unitary M: -1 (angle pi) and
+# repeated values come from the sampled set, the rest from a float range.
+_ANGLES = st.one_of(st.sampled_from([np.pi, -np.pi / 2, 0.0, 1.0]),
+                    st.floats(-np.pi, np.pi))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(angles=st.lists(_ANGLES, min_size=2, max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(angles=[np.pi, np.pi, np.pi, np.pi], seed=0)
+@example(angles=[np.pi, 0.3, np.pi, 0.3], seed=1)
+@example(angles=[np.pi / 2, -np.pi / 2], seed=2)
+def test_symmetric_unitary_sqrt_property(angles, seed):
+    from palinverse.structfact import _symmetric_unitary_sqrt
+
+    m = len(angles)
+    O, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, m)))
+    M = O @ np.diag(np.exp(1j * np.array(angles))) @ O.T
+    R = _symmetric_unitary_sqrt(M)
+    assert fnorm(R - R.T) <= 1e-12
+    assert fnorm(R.conj().T @ R - np.eye(m)) <= 1e-12
+    assert fnorm(R @ R - M) <= 1e-12
+
+
+@pytest.mark.parametrize("sigma", [[2.0, 2.0, 1.0], [3.0, 3.0, 3.0, 1.0, 0.0],
+                                   [3.0] * 4 + [2.0] * 2 + [1.0] * 3,
+                                   [1.0] * 4 + [0.0] * 2])
+@pytest.mark.parametrize("seed", range(4))
+def test_takagi_degenerate_clusters(sigma, seed):
+    from palinverse.structfact import _takagi
+
+    rng = np.random.default_rng(30 + seed)
+    n = len(sigma)
+    U = random_unitary(rng, n)
+    B = U @ np.diag(sigma) @ U.T
+    u, s, vh = np.linalg.svd(B)
+    Z, t = _takagi(u, s, vh, 1e-10 * s[0])
+    assert t == np.count_nonzero(sigma)
+    assert fnorm(Z.conj().T @ Z - np.eye(n)) <= 1e-10
+    assert fnorm(Z @ np.diag(s) @ Z.T - B) <= 1e-10 * fnorm(B)

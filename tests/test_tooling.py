@@ -1,9 +1,18 @@
-"""The benchmark's tracer wraps package functions by name; a rename must
-fail here, not only in a traced benchmark run."""
+"""Tooling checks.  The benchmark's tracer wraps package functions by name;
+a rename must fail here, not only in a traced benchmark run.  The CLI must
+run on numpy alone, without importing scipy."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+from palinverse.fileio import save_pair, save_system
+from palinverse.system import TP
+from reference_problems import iep_fixture, update_fixture
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -25,3 +34,39 @@ def test_tracing_targets_resolve():
         assert "__post_init__" in vars(cls), name
     for module in tracing.MODULES:
         importlib.import_module(f"palinverse.{module}")
+
+
+# Runs the three subcommands in one fresh interpreter, then lists every
+# scipy module it has loaded.
+_NO_SCIPY_CODE = """
+import json, sys
+import palinverse
+from palinverse.cli import main
+codes = [main(args) for args in json.loads(sys.argv[1])]
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"codes": codes, "scipy": loaded}))
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    pairfile, sysfile = tmp_path / "pair.json", tmp_path / "sys.json"
+    save_pair(*iep_fixture(TP), pairfile)
+    usys, replace, new = update_fixture("tp")
+    save_system(usys, sysfile)
+    values = [",".join(f"{complex(v).real}{complex(v).imag:+}i" for v in vs)
+              for vs in (replace, new)]
+    runs = [["solve", "--class", "tp", "--pairs", str(pairfile), "--seed", "1",
+             "--out", str(tmp_path / "solved.json")],
+            ["update", "--system", str(sysfile), f"--replace={values[0]}",
+             f"--with={values[1]}", "--seed", "1",
+             "--out", str(tmp_path / "updated.json")],
+            ["eig", "--system", str(sysfile), "--json"]]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_CODE, json.dumps(runs)],
+                          env=env, cwd=tmp_path, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result == {"codes": [0, 0, 0], "scipy": []}
