@@ -17,9 +17,8 @@ from .paramspace import (PJCF, SBasis, pascal_matrix, pascal_scaling,
                          s_basis, s_basis_pjcf, sample_nonsingular)
 from .spectral import coefficients_from_pair, parameter_from_pair
 from .forward import EigenPairSet, eig_full, linearize, select_pairs
-from .iep import IepProblem, solve_iep_full, solve_iep_partial, solve_psi
-from .mup import (MupProblem, compute_S1, update_model,
-                  update_model_prescribed)
+from .iep import IepProblem, solve_iep_full, solve_iep_partial_result, solve_psi
+from .mup import MupProblem, compute_S1, update_model_result
 from .analysis import (ZetaPartition, joint_block_diagonalize,
                        s_space_dimension, zeta_partition)
 from .fileio import load_pair, load_system, save_pair, save_system
@@ -37,6 +36,6 @@ __all__ = [
     "pascal_matrix", "pascal_scaling", "rank_factorize", "s_basis",
     "s_basis_pjcf", "s_space_dimension", "sample_nonsingular", "save_pair",
     "save_system", "select_pairs", "solve_iep_full",
-    "solve_iep_partial", "solve_psi", "star_factorize", "update_model",
-    "update_model_prescribed", "zeta_partition",
+    "solve_iep_partial_result", "solve_psi", "star_factorize",
+    "update_model_result", "zeta_partition",
 ]

@@ -20,7 +20,7 @@ from .fileio import (FileFormatError, load_pair, load_system, load_values,
                      save_system)
 from .forward import eig_full, select_pairs
 from .iep import IepProblem, solve_iep_partial_result
-from .mup import MupProblem, update_model_prescribed, update_model_result
+from .mup import MupProblem, update_model_result
 from .numerics import fnorm, two_norm
 from .system import SymmetryClass, pair_defect_matrix, pair_residual
 
@@ -107,16 +107,10 @@ def cmd_update(args):
     eigs = eig_full(sys)
     X1, T1, X2, T2 = select_pairs(eigs, targets, tol=args.match_tol)
     T1_new = np.diag(np.array(new_values, dtype=np.complex128))
-    seed = _default_seed(args)
-    if args.vectors:
-        X1_new, _ = load_pair(args.vectors)
-        problem = MupProblem(sys, X1, T1, T1_new, X1_new=X1_new, seed=seed)
-        new_sys = update_model_prescribed(problem)
-        x1n = X1_new
-    else:
-        problem = MupProblem(sys, X1, T1, T1_new, seed=seed)
-        res = update_model_result(problem)
-        new_sys, x1n = res.system, res.X1_new
+    X1_new = load_pair(args.vectors)[0] if args.vectors else None
+    res = update_model_result(MupProblem(sys, X1, T1, T1_new, X1_new=X1_new,
+                                         seed=_default_seed(args)))
+    new_sys, x1n = res.system, res.X1_new
     if args.out:
         save_system(new_sys, args.out)
     abs_def, rel_def = _defect_norms(new_sys)

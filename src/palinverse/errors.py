@@ -4,6 +4,8 @@ Every domain failure derives from PalinverseError so callers (and the CLI)
 can distinguish "the problem has no solution / bad input" from genuine bugs.
 """
 
+from collections import Counter
+
 
 class PalinverseError(Exception):
     """Base class for all domain errors raised by this package."""
@@ -71,10 +73,6 @@ class MembershipCheckFailed(PalinverseError):
 
 
 # forward
-class PairingFailure(PalinverseError):
-    """An eigenvalue could not be matched with a reciprocal partner."""
-
-
 class TargetNotFound(PalinverseError):
     """A requested eigenvalue does not match any computed eigenvalue."""
 
@@ -101,11 +99,28 @@ class Infeasible(PalinverseError):
     """A structural feasibility condition (inertia, rank, parity) fails."""
 
 
-def retry_summary(attempts, reasons):
-    """'20 attempts: SymmetryViolation 18, XiSingular 2' from a Counter
-    of failed draws keyed by reason, most frequent first."""
+def retry(attempts, draw, retryable, exhausted, what):
+    """Call draw(attempt) for attempt = 1, 2, ... until one draw returns.
+
+    A draw that raises one of the retryable types counts as failed, keyed
+    by its type name.  When all attempts fail, raises exhausted with the
+    message '<what> in 20 attempts: SymmetryViolation 18, XiSingular 2
+    (last failure: ...)', reasons most frequent first, and keeps the
+    Counter of reasons as its .reasons.
+    """
+    reasons = Counter()
+    last = None
+    for attempt in range(1, attempts + 1):
+        try:
+            return draw(attempt)
+        except retryable as exc:
+            reasons[type(exc).__name__] += 1
+            last = exc
     counts = ", ".join(f"{name} {n}" for name, n in reasons.most_common())
-    return f"{attempts} attempts: {counts}"
+    error = exhausted(f"{what} in {attempts} attempts: {counts} "
+                      f"(last failure: {last})")
+    error.reasons = reasons
+    raise error
 
 
 class UnsupportedRegime(PalinverseError):

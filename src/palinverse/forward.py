@@ -12,12 +12,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (PairingFailure, PairingNotClosed, SpectraOverlap,
-                     TargetNotFound)
+from .errors import PairingNotClosed, SpectraOverlap, TargetNotFound
 from .numerics import dense_eig, linear_solve
 from .system import SymmetryClass
 
 PAIRING_TOL = 1e-6
+# Relative distance under which a selected eigenvalue counts as repeated in
+# the remaining spectrum.
+OVERLAP_RTOL = 1e-8
 
 
 def linearize(sys):
@@ -116,14 +118,13 @@ def _greedy_pairing(values, cls, tol):
     return pairs, unmatched
 
 
-def eig_full(sys, pairing_tol=PAIRING_TOL, strict=False):
+def eig_full(sys, pairing_tol=PAIRING_TOL):
     """All 2n finite eigenpairs of Q with reciprocal pairing.
 
     Solves the standard eigenproblem of the companion matrix, normalizes
     eigenvectors from the better scaled companion block, and pairs the
-    spectrum greedily.  With strict=True an incomplete pairing raises
-    PairingFailure; otherwise the result is returned with the failures
-    recorded.
+    spectrum greedily.  An incomplete pairing is recorded in the result,
+    not raised.
     """
     n = sys.n
     values, Z = dense_eig(companion(sys))
@@ -141,14 +142,11 @@ def eig_full(sys, pairing_tol=PAIRING_TOL, strict=False):
         + sys.cls.epsilon * (A1 @ vectors)
     residuals = np.linalg.norm(R, axis=0)
     pairs, unmatched = _greedy_pairing(values, sys.cls, pairing_tol)
-    if unmatched and strict:
-        bad = ", ".join(f"{values[i]:.6g}" for i in unmatched)
-        raise PairingFailure(f"no reciprocal partner within {pairing_tol:g} for: {bad}")
     return EigenPairSet(sys.cls, values, vectors, pairs, residuals,
                         pairing_tol, unmatched)
 
 
-def select_pairs(eigs, targets, tol=1e-3, overlap_tol=1e-8):
+def select_pairs(eigs, targets, tol=1e-3):
     """Split an EigenPairSet into selected and remaining invariant pairs.
 
     Each target must match exactly one computed eigenvalue within tol
@@ -187,7 +185,7 @@ def select_pairs(eigs, targets, tol=1e-3, overlap_tol=1e-8):
     rest = np.flatnonzero(~in_sel)
     chosen = values[selected]
     overlap = np.abs(chosen[:, None] - values[None, rest]) <= \
-        overlap_tol * np.maximum(1.0, np.abs(chosen))[:, None]
+        OVERLAP_RTOL * np.maximum(1.0, np.abs(chosen))[:, None]
     hit = np.flatnonzero(overlap.any(axis=1))
     if hit.size:
         raise SpectraOverlap(

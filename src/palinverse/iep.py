@@ -2,16 +2,18 @@
 
 solve_iep_full covers the complete-eigendata case: a regular solution
 exists exactly when the parameter space of (X, T) contains a nonsingular
-element, which is searched by seeded sampling.  solve_iep_partial covers
-1 <= k < 2n prescribed pairs under the standing assumptions that the
+element, which is searched by seeded sampling.  solve_iep_partial_result
+covers 1 <= k < 2n prescribed pairs under the standing assumptions that the
 prescribed T1 is similar to T1^{-*} and the remaining spectrum stays
 disjoint: a parameter block S1 for the prescribed part is sampled, the
 deficit X1 S1 X1* = Y Delta Y* is cancelled by extra eigenvector columns
 Y Psi with Psi Omega Psi* = -Delta, and the remaining eigenvalues enter
-through any T2hat preserving the canonical form Omega.
+through any T2hat preserving the canonical form Omega.  Each attempt
+draws S1, the default remaining eigenvalues and the isometry of Omega from
+one seeded master RNG, and errors.retry draws again when the output misses
+a gate.
 """
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +22,8 @@ from .errors import (Infeasible, NoNonsingularFound, NoSolution,
                      NonsingularityRetryExhausted, PairingNotClosed,
                      RemainingEigenvalueConflict, ResidualTooLarge,
                      RetryExhausted, SingularLeadingBlock, SingularW,
-                     SymmetryViolation, UnsupportedRegime, retry_summary)
+                     SymmetryViolation, UnsupportedRegime, retry)
+from .forward import _greedy_pairing
 from .numerics import as_matrix, block_diag, fnorm, linear_solve, sv_ratio
 from .paramspace import (SBasis, s_basis, sample_nonsingular, solution_space)
 from .spectral import coefficients_from_pair
@@ -32,7 +35,7 @@ DISJOINT_RTOL = 1e-8
 NONSINGULAR_RTOL = 1e-12
 
 
-def solve_iep_full(X, T, cls, seed=0, attempts=50):
+def solve_iep_full(X, T, cls, seed=0):
     """Construct a regular system with the full prescribed pair (X, T).
 
     Samples a nonsingular S subject to star(S) = -eps S, S = T S T* and
@@ -46,7 +49,7 @@ def solve_iep_full(X, T, cls, seed=0, attempts=50):
         raise SingularW("solve_iep_full needs X n-by-2n and T 2n-by-2n")
     basis = SBasis(T, cls, solution_space(T, cls, X))
     try:
-        S = sample_nonsingular(basis, seed, attempts)
+        S = sample_nonsingular(basis, seed)
     except NoNonsingularFound as exc:
         raise NoSolution(f"no nonsingular parameter matrix exists: {exc}") from exc
     sys = coefficients_from_pair(X, T, S, cls)
@@ -173,29 +176,23 @@ def solve_psi(delta, omega, cls, seed=0, theta_mode="identity"):
 # remaining-spectrum machinery
 # ---------------------------------------------------------------------------
 
-def _group_values(values, cls, tol=DISJOINT_RTOL):
+def _group_values(values, cls):
     """Split a pairing-closed value list into reciprocal pairs and
-    unimodular singletons; raise when some value has no partner."""
+    unimodular singletons, each in list order (a pair at the place of its
+    first value); raise when some value has no partner."""
     values = [complex(v) for v in values]
-    used = [False] * len(values)
+    matched, unmatched = _greedy_pairing(
+        np.array(values, dtype=np.complex128), cls, DISJOINT_RTOL)
+    if unmatched:
+        raise PairingNotClosed(
+            f"value {values[min(unmatched)]:.6g} has no reciprocal partner "
+            "in the list")
     pairs, singles = [], []
-    for i, v in enumerate(values):
-        if used[i]:
-            continue
-        used[i] = True
-        if cls.pair_defect(v, v) <= tol:
-            singles.append(v)
-            continue
-        partner = None
-        for j in range(i + 1, len(values)):
-            if not used[j] and cls.pair_defect(v, values[j]) <= tol:
-                partner = j
-                break
-        if partner is None:
-            raise PairingNotClosed(
-                f"value {v:.6g} has no reciprocal partner in the list")
-        used[partner] = True
-        pairs.append((v, values[partner]))
+    for i, j in sorted(matched):
+        if i == j:
+            singles.append(values[i])
+        else:
+            pairs.append((values[i], values[j]))
     return pairs, singles
 
 
@@ -403,7 +400,6 @@ class IepProblem:
     seed: int = 0
     remaining_eigenvalues: list = None
     attempts: int = 20
-    sample_attempts: int = 50
     t1_values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -447,118 +443,114 @@ class IepSolution:
         return self.system.a0_defect
 
 
+def _remaining_spectrum(problem, r):
+    """Pairs and singletons of the user-supplied remaining eigenvalues,
+    checked against the prescribed spectrum and the class rules."""
+    cls, t1_eigs = problem.cls, problem.t1_values
+    vals = [complex(v) for v in problem.remaining_eigenvalues]
+    if len(vals) != r:
+        raise RemainingEigenvalueConflict(
+            f"expected {r} remaining eigenvalues, got {len(vals)}")
+    for v in vals:
+        if min(abs(v - t1_eigs)) <= DISJOINT_RTOL * max(1.0, abs(v)):
+            raise RemainingEigenvalueConflict(
+                f"remaining eigenvalue {v:.6g} collides with the "
+                "prescribed spectrum")
+    try:
+        pairs, singles = _group_values(vals, cls)
+    except PairingNotClosed as exc:
+        raise RemainingEigenvalueConflict(str(exc)) from exc
+    if cls.star == "T" and singles and cls.epsilon == 1:
+        raise Infeasible(
+            "simple unimodular eigenvalues are structurally "
+            "impossible for this class")
+    if cls.star == "T" and cls.epsilon == -1:
+        for point in (1.0, -1.0):
+            total = _unit_multiplicity(t1_eigs, point) \
+                + _unit_multiplicity(vals, point)
+            if (problem.n - total) % 2 != 0:
+                raise Infeasible(
+                    f"parity: eigenvalue {point:+.0f} must occur "
+                    f"with multiplicity congruent to n mod 2")
+    return pairs, singles
+
+
 def solve_iep_partial_result(problem):
     """Run the partial-eigendata construction, returning full diagnostics."""
     cls = problem.cls
     n, k = problem.n, problem.k
     r = 2 * n - k
     if r == 0:
-        sys = solve_iep_full(problem.X1, problem.T1, cls, problem.seed,
-                             problem.sample_attempts)
-        S = None
-        return IepSolution(sys, problem.X1, problem.T1, S, 1,
+        sys = solve_iep_full(problem.X1, problem.T1, cls, problem.seed)
+        return IepSolution(sys, problem.X1, problem.T1, None, 1,
                            pair_residual(sys, (problem.X1, problem.T1)))
     if cls.star == "T" and cls.epsilon == 1 and r % 2 != 0:
         raise Infeasible(
             f"infeasible: parity requires an even number of remaining "
             f"eigenvalues for this class, got {r}")
+    given = None if problem.remaining_eigenvalues is None \
+        else _remaining_spectrum(problem, r)
     t1_eigs = problem.t1_values
     basis = s_basis(problem.T1, cls)
     master = np.random.default_rng(problem.seed)
-    reasons = Counter()
-    last_error = None
-    for attempt in range(problem.attempts):
+
+    def draw(attempt):
         seeds = master.integers(0, 2 ** 63, size=3)
         try:
-            S1 = sample_nonsingular(basis, int(seeds[0]), problem.sample_attempts)
+            S1 = sample_nonsingular(basis, int(seeds[0]))
         except NoNonsingularFound as exc:
             raise NoSolution(
                 f"no nonsingular parameter block for the prescribed pairs: {exc}"
             ) from exc
+        if cls.star == "H":
+            herm = 1j * S1 if cls.epsilon == 1 else S1
+            p, q, _ = inertia(herm)
+            if p + q != k:
+                raise Infeasible("sampled parameter block is numerically singular")
+            if n - p < 0 or n - q < 0:
+                raise Infeasible(
+                    f"inertia ({p}, {q}) of the prescribed block exceeds the "
+                    "order; no completion exists")
+            omega = build_delta(cls, p=n - p, q=n - q, t=0, size=r)
+            n_pos, n_neg = n - p, n - q
+        else:
+            omega = build_delta(cls, p=0, q=0, t=r, size=r)
+            n_pos = n_neg = 0
+        iso = problem.X1 @ S1 @ cls.star_of(problem.X1)
+        if fnorm(iso) <= 1e-12 * fnorm(problem.X1) ** 2 * fnorm(S1):
+            iso = np.zeros_like(iso)
+        fact = star_factorize(iso, cls)
+        if given is None:
+            pairs, singles, signs = _default_remaining(
+                cls, r, n_pos, n_neg, n, t1_eigs,
+                np.random.default_rng(int(seeds[1])))
+        else:
+            pairs, singles = given
+            # The singleton signs depend on the inertia of the drawn S1.
+            signs = _assign_hermitian_signs(cls, len(singles), len(pairs),
+                                            n_pos, n_neg) \
+                if cls.star == "H" else [1] * len(singles)
+        t2hat = _build_t2hat(cls, pairs, singles, signs, omega)
         try:
-            if cls.star == "H":
-                herm = 1j * S1 if cls.epsilon == 1 else S1
-                p, q, _ = inertia(herm)
-                if p + q != k:
-                    raise Infeasible("sampled parameter block is numerically singular")
-                if n - p < 0 or n - q < 0:
-                    raise Infeasible(
-                        f"inertia ({p}, {q}) of the prescribed block exceeds the "
-                        "order; no completion exists")
-                omega = build_delta(cls, p=n - p, q=n - q, t=0, size=r)
-                n_pos, n_neg = n - p, n - q
-            else:
-                omega = build_delta(cls, p=0, q=0, t=r, size=r)
-                n_pos = n_neg = 0
-            iso = problem.X1 @ S1 @ cls.star_of(problem.X1)
-            if fnorm(iso) <= 1e-12 * fnorm(problem.X1) ** 2 * fnorm(S1):
-                iso = np.zeros_like(iso)
-            fact = star_factorize(iso, cls)
-            if problem.remaining_eigenvalues is not None:
-                vals = [complex(v) for v in problem.remaining_eigenvalues]
-                if len(vals) != r:
-                    raise RemainingEigenvalueConflict(
-                        f"expected {r} remaining eigenvalues, got {len(vals)}")
-                for v in vals:
-                    if min(abs(v - t1_eigs)) <= DISJOINT_RTOL * max(1.0, abs(v)):
-                        raise RemainingEigenvalueConflict(
-                            f"remaining eigenvalue {v:.6g} collides with the "
-                            "prescribed spectrum")
-                try:
-                    pairs, singles = _group_values(vals, cls)
-                except PairingNotClosed as exc:
-                    raise RemainingEigenvalueConflict(str(exc)) from exc
-                if cls.star == "T" and singles and cls.epsilon == 1:
-                    raise Infeasible(
-                        "simple unimodular eigenvalues are structurally "
-                        "impossible for this class")
-                if cls.star == "T" and cls.epsilon == -1:
-                    for point in (1.0, -1.0):
-                        total = _unit_multiplicity(t1_eigs, point) \
-                            + _unit_multiplicity(vals, point)
-                        if (n - total) % 2 != 0:
-                            raise Infeasible(
-                                f"parity: eigenvalue {point:+.0f} must occur "
-                                f"with multiplicity congruent to n mod 2")
-                if cls.star == "H":
-                    signs = _assign_hermitian_signs(cls, len(singles), len(pairs),
-                                                    n_pos, n_neg)
-                else:
-                    signs = [1] * len(singles)
-            else:
-                pairs, singles, signs = _default_remaining(
-                    cls, r, n_pos, n_neg, n, t1_eigs,
-                    np.random.default_rng(int(seeds[1])))
-            t2hat = _build_t2hat(cls, pairs, singles, signs, omega)
-            try:
-                psi = _congruence_onto(-fact.pattern.matrix(), omega, cls,
-                                       np.random.default_rng(int(seeds[2])))
-            except Infeasible as exc:
-                raise UnsupportedRegime(
-                    f"{exc}: completion needs rank(X1 S1 X1*) <= 2n - k = {r} "
-                    "with compatible inertia, a determinantal condition that "
-                    f"the freely drawn S1 misses (k = {k} > n = {n})") from exc
-            X2 = fact.Y @ psi
-            X = np.hstack([problem.X1, X2])
-            T = block_diag(problem.T1, t2hat)
-            S = block_diag(S1, omega)
-            # Raises SingularLeadingBlock when X T^-1 S X* is singular.
-            sys = coefficients_from_pair(X, T, S, cls)
-            resid = pair_residual(sys, (problem.X1, problem.T1))
-            if resid > OUTPUT_RESIDUAL_TOL:
-                raise ResidualTooLarge(f"prescribed-pair residual {resid:.3e}")
-            return IepSolution(sys, X, T, S, attempt + 1, resid)
-        except (RemainingEigenvalueConflict, Infeasible):
-            raise
-        except (RetryExhausted, NoNonsingularFound, SingularLeadingBlock,
-                ResidualTooLarge, SymmetryViolation) as exc:
-            reasons[type(exc).__name__] += 1
-            last_error = exc
-    raise NonsingularityRetryExhausted(
-        f"no regular completion in {retry_summary(problem.attempts, reasons)} "
-        f"(last failure: {last_error})")
+            psi = _congruence_onto(-fact.pattern.matrix(), omega, cls,
+                                   np.random.default_rng(int(seeds[2])))
+        except Infeasible as exc:
+            raise UnsupportedRegime(
+                f"{exc}: completion needs rank(X1 S1 X1*) <= 2n - k = {r} "
+                "with compatible inertia, a determinantal condition that "
+                f"the freely drawn S1 misses (k = {k} > n = {n})") from exc
+        X2 = fact.Y @ psi
+        X = np.hstack([problem.X1, X2])
+        T = block_diag(problem.T1, t2hat)
+        S = block_diag(S1, omega)
+        # Raises SingularLeadingBlock when X T^-1 S X* is singular.
+        sys = coefficients_from_pair(X, T, S, cls)
+        resid = pair_residual(sys, (problem.X1, problem.T1))
+        if resid > OUTPUT_RESIDUAL_TOL:
+            raise ResidualTooLarge(f"prescribed-pair residual {resid:.3e}")
+        return IepSolution(sys, X, T, S, attempt, resid)
 
-
-def solve_iep_partial(problem):
-    """Construct a system carrying the prescribed partial eigenstructure."""
-    return solve_iep_partial_result(problem).system
+    return retry(problem.attempts, draw,
+                 (RetryExhausted, SingularLeadingBlock, ResidualTooLarge,
+                  SymmetryViolation),
+                 NonsingularityRetryExhausted, "no regular completion")

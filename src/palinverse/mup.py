@@ -6,20 +6,21 @@ parameter block S1 of the selected pairs is computed directly from the
 coefficients, replacement data (X1_new, S1_new) is built so that
 X1_new S1_new X1_new* = X1 S1 X1*, and the coefficient change is a low
 rank correction driven by a rank factorization and a Sherman-Morrison-
-Woodbury style pivot Xi.
+Woodbury style pivot Xi.  update_model_result is the one entry point: it
+takes the replacement eigenvectors as given when MupProblem.X1_new is set
+and constructs them otherwise, and errors.retry draws again when the
+output misses a gate.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DefectiveSpectrum, DimensionMismatch, Inconsistent,
-                     Infeasible, MembershipCheckFailed,
-                     NoNonsingularS1Tilde, ResidualTooLarge,
-                     SingularMatrix, SingularS1Precursor, SpectraOverlap,
-                     SymmetryViolation, XiSingular, XiSingularRetryExhausted,
-                     retry_summary)
+from .errors import (DefectiveSpectrum, DimensionMismatch, Infeasible,
+                     MembershipCheckFailed, NoNonsingularS1Tilde,
+                     ResidualTooLarge, SingularMatrix, SingularS1Precursor,
+                     SpectraOverlap, SymmetryViolation, XiSingular,
+                     XiSingularRetryExhausted, retry)
 from .forward import eigenvalues
 from .iep import (DISJOINT_RTOL, OUTPUT_RESIDUAL_TOL, _congruence_onto,
                   _group_values, _unit_multiplicity)
@@ -99,7 +100,6 @@ class MupProblem:
     X1_new: np.ndarray = None
     seed: int = 0
     attempts: int = 20
-    sample_attempts: int = 50
 
     def __post_init__(self):
         self.X1 = as_matrix(self.X1, "X1")
@@ -249,90 +249,68 @@ def _finish(problem, S1, X1t, S1t, attempt):
 
 
 def update_model_result(problem):
-    """Free-eigenvector update with full diagnostics.
+    """Replace the selected eigenvalues, returning full diagnostics.
 
-    Follows the constructive recipe: factorize X1 S1 X1* = Y Delta Y*,
-    sample a nonsingular S1_new for the replacement eigenvalues, factorize
-    it as Ytil Delta_til Ytil*, solve Psi Delta_til Psi* = Delta, and set
-    X1_new = Y Psi Ytil^{-1}, which transfers the isotropy constraint to
-    the new pair by construction.  Retries with fresh draws when the
-    low-rank pivot is singular.
-    """
-    if problem.X1_new is not None:
-        raise DimensionMismatch(
-            "X1_new is prescribed; use update_model_prescribed")
-    cls = problem.sys.cls
-    S1 = compute_S1(problem.sys, problem.X1, problem.T1)
-    fact = star_factorize(_snap_isotropy(problem.X1, S1, cls), cls)
-    basis = s_basis(problem.T1_new, cls)
-    master = np.random.default_rng(problem.seed)
-    reasons = Counter()
-    last = None
-    for attempt in range(problem.attempts):
-        seeds = master.integers(0, 2 ** 63, size=2)
-        S1t = sample_nonsingular(basis, int(seeds[0]), problem.sample_attempts)
-        try:
-            fact_t = star_factorize(S1t, cls)
-            psi = _congruence_onto(fact.pattern.matrix(), fact_t.pattern.matrix(),
-                                   cls, np.random.default_rng(int(seeds[1])))
-            X1t = solve_right(fact.Y @ psi, fact_t.Y)
-            return _finish(problem, S1, X1t, S1t, attempt + 1)
-        except (XiSingular, ResidualTooLarge, Inconsistent,
-                SymmetryViolation) as exc:
-            reasons[type(exc).__name__] += 1
-            last = exc
-    raise XiSingularRetryExhausted(
-        f"no regular update found in {retry_summary(problem.attempts, reasons)} "
-        f"(last failure: {last})")
+    Free eigenvectors (X1_new unset) follow the constructive recipe:
+    factorize X1 S1 X1* = Y Delta Y*, sample a nonsingular S1_new for the
+    replacement eigenvalues, factorize it as Ytil Delta_til Ytil*, solve
+    Psi Delta_til Psi* = Delta, and set X1_new = Y Psi Ytil^{-1}, which
+    transfers the isotropy constraint to the new pair by construction.
 
-
-def update_model(problem):
-    """Replace the selected eigenvalues, eigenvectors free.
-
-    Returns (updated_system, X1_new) where X1_new holds the eigenvectors
-    the construction chose for the replacement eigenvalues.
-    """
-    res = update_model_result(problem)
-    return res.system, res.X1_new
-
-
-def update_model_prescribed(problem):
-    """Replace the selected eigenvalues with prescribed eigenvectors.
-
-    Solves the transfer constraint X1_new S X1_new* = X1 S1 X1* for a
-    nonsingular S in the parameter space of T1_new (particular solution
-    plus seeded draws along the homogeneous directions), then applies the
-    same low-rank update.  Raises Inconsistent when no S solves the
+    Prescribed eigenvectors (X1_new set) solve the transfer constraint
+    X1_new S X1_new* = X1 S1 X1* for a nonsingular S in the parameter space
+    of T1_new: the particular solution first, then seeded draws along the
+    homogeneous directions.  Raises Inconsistent when no S solves the
     constraint and NoNonsingularS1Tilde when no solution is nonsingular.
+
+    Both then apply the low-rank update, drawing again when its pivot is
+    singular or its output misses a gate.
     """
-    if problem.X1_new is None:
-        raise DimensionMismatch("update_model_prescribed needs X1_new")
     cls = problem.sys.cls
     S1 = compute_S1(problem.sys, problem.X1, problem.T1)
     C = _snap_isotropy(problem.X1, S1, cls)
     basis = s_basis(problem.T1_new, cls)
-    S_part, homogeneous = constrained_family(basis, problem.X1_new, C, cls)
-    rng = np.random.default_rng(problem.seed)
-    candidates = [np.zeros(len(homogeneous))]
-    candidates += [rng.standard_normal(len(homogeneous))
-                   for _ in range(problem.attempts)]
-    reasons = Counter()
-    last = None
-    for attempt, coeff in enumerate(candidates):
-        S1t = S_part.copy()
-        for c, H in zip(coeff, homogeneous):
-            S1t = S1t + c * H
-        if sv_ratio(S1t) <= 1e-8:
-            reasons[SingularMatrix.__name__] += 1
-            continue
-        try:
-            return _finish(problem, S1, problem.X1_new, S1t, attempt + 1).system
-        except (XiSingular, ResidualTooLarge, SymmetryViolation) as exc:
-            reasons[type(exc).__name__] += 1
-            last = exc
-    if reasons[SingularMatrix.__name__] == len(candidates):
-        raise NoNonsingularS1Tilde(
-            "every solution of the transfer constraint is singular")
-    raise XiSingularRetryExhausted(
-        f"no regular update found in {retry_summary(len(candidates), reasons)} "
-        f"(last failure: {last})")
+    retryable = (XiSingular, ResidualTooLarge, SymmetryViolation)
+    if problem.X1_new is None:
+        fact = star_factorize(C, cls)
+        master = np.random.default_rng(problem.seed)
+
+        def draw(attempt):
+            seeds = master.integers(0, 2 ** 63, size=2)
+            S1t = sample_nonsingular(basis, int(seeds[0]))
+            fact_t = star_factorize(S1t, cls)
+            psi = _congruence_onto(fact.pattern.matrix(), fact_t.pattern.matrix(),
+                                   cls, np.random.default_rng(int(seeds[1])))
+            X1t = solve_right(fact.Y @ psi, fact_t.Y)
+            return _finish(problem, S1, X1t, S1t, attempt)
+
+        attempts = problem.attempts
+    else:
+        S_part, homogeneous = constrained_family(basis, problem.X1_new, C, cls)
+        rng = np.random.default_rng(problem.seed)
+
+        def draw(attempt):
+            coeff = np.zeros(len(homogeneous)) if attempt == 1 \
+                else rng.standard_normal(len(homogeneous))
+            S1t = S_part.copy()
+            for c, H in zip(coeff, homogeneous):
+                S1t = S1t + c * H
+            if sv_ratio(S1t) <= 1e-8:
+                raise SingularMatrix("candidate S1_new is singular")
+            return _finish(problem, S1, problem.X1_new, S1t, attempt)
+
+        attempts = problem.attempts + 1
+        retryable += (SingularMatrix,)
+    try:
+        return retry(attempts, draw, retryable, XiSingularRetryExhausted,
+                     "no regular update found")
+    except XiSingularRetryExhausted as exc:
+        if set(exc.reasons) == {SingularMatrix.__name__}:
+            raise NoNonsingularS1Tilde(
+                "every solution of the transfer constraint is singular") from exc
+        raise
+
+
+def update_model_prescribed(problem):
+    """The updated system alone: update_model_result(problem).system."""
+    return update_model_result(problem).system

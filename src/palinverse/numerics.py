@@ -115,13 +115,13 @@ def solve_right(B, A):
     return linear_solve(as_matrix(A, "A").T, as_matrix(B, "B").T).T
 
 
-def rank_factorize(M, tol=None, star="H"):
+def rank_factorize(M, star="H"):
     """Full-rank factorization M = Z1 Z2*.
 
     Computed from the SVD M = U S V^H: Z1 = U_l S_l and Z2 = V_l for
     star == "H", Z2 = conj(V_l) for star == "T", so that Z1 @ star(Z2)
     reproduces M either way.  The rank is the number of singular values
-    above ``tol`` (default RANK_RTOL * sigma_max).
+    above RANK_RTOL * sigma_max.
 
     Returns (Z1, Z2, rank); rank 0 yields empty factors.
     """
@@ -131,9 +131,7 @@ def rank_factorize(M, tol=None, star="H"):
                 np.zeros((M.shape[1], 0), dtype=np.complex128), 0)
     u, s, vh = np.linalg.svd(M)
     smax = s[0] if s.size else 0.0
-    if tol is None:
-        tol = RANK_RTOL * smax
-    ell = int(np.count_nonzero(s > tol))
+    ell = int(np.count_nonzero(s > RANK_RTOL * smax))
     Z1 = u[:, :ell] * s[:ell]
     V = vh[:ell].conj().T
     Z2 = V.conj() if star == "T" else V

@@ -25,6 +25,7 @@ NULLSPACE_RTOL = 1e-10
 NONSINGULAR_RTOL = 1e-8
 PAIRING_RTOL = 1e-8
 CONSISTENCY_RTOL = 1e-8
+SAMPLE_ATTEMPTS = 50
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +420,9 @@ def s_basis_pjcf(jcf, cls):
 # sampling and constrained solves
 # ---------------------------------------------------------------------------
 
-def sample_nonsingular(basis, seed, attempts=50):
+def sample_nonsingular(basis, seed):
     """Draw S = sum_i c_i B_i with seeded normal coefficients until
-    sigma_min(S) > 1e-8 sigma_max(S).
+    sigma_min(S) > 1e-8 sigma_max(S), at most SAMPLE_ATTEMPTS times.
 
     Raises NoNonsingularFound when every draw fails, which signals that the
     space may contain no nonsingular element at all.
@@ -430,14 +431,14 @@ def sample_nonsingular(basis, seed, attempts=50):
         raise NoNonsingularFound("parameter space is trivial")
     rng = np.random.default_rng(seed)
     best = 0.0
-    for _ in range(attempts):
+    for _ in range(SAMPLE_ATTEMPTS):
         S = basis.combine(rng.standard_normal(basis.dim))
         ratio = sv_ratio(S)
         if ratio > NONSINGULAR_RTOL:
             return S
         best = max(best, ratio)
     raise NoNonsingularFound(
-        f"no nonsingular element found in {attempts} draws "
+        f"no nonsingular element found in {SAMPLE_ATTEMPTS} draws "
         f"(best sigma ratio {best:.3e})")
 
 

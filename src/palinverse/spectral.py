@@ -27,7 +27,7 @@ def structure_blocks(sys):
     return L, J
 
 
-def check_membership(S, X, T, cls, rtol=MEMBERSHIP_RTOL):
+def check_membership(S, X, T, cls):
     """Verify S is in the parameter space of (X, T); raise on failure."""
     nS = max(fnorm(S), 1e-300)
     nT = max(fnorm(T), 1e-300)
@@ -35,11 +35,11 @@ def check_membership(S, X, T, cls, rtol=MEMBERSHIP_RTOL):
     sym = fnorm(cls.star_of(S) + cls.epsilon * S)
     com = fnorm(S - T @ S @ cls.star_of(T))
     iso = fnorm(X @ S @ cls.star_of(X))
-    if sym > rtol * nS:
+    if sym > MEMBERSHIP_RTOL * nS:
         raise MembershipCheckFailed(f"star(S) != -eps S (defect {sym:.3e})")
-    if com > rtol * nS * nT * nT:
+    if com > MEMBERSHIP_RTOL * nS * nT * nT:
         raise MembershipCheckFailed(f"S != T S T* (defect {com:.3e})")
-    if iso > rtol * nX * nX * nS:
+    if iso > MEMBERSHIP_RTOL * nX * nX * nS:
         raise MembershipCheckFailed(f"X S X* != 0 (defect {iso:.3e})")
 
 

@@ -29,10 +29,10 @@ RECONSTRUCT_RTOL = 1e-10
 CLUSTER_RTOL = 1e-8
 
 
-def inertia(H, tol=None):
+def inertia(H):
     """Counts (p, q, z) of eigenvalues of Hermitian H above/below/near zero.
 
-    The zero band is |eig| <= tol, default 1e-10 * ||H||_2.
+    The zero band is |eig| <= 1e-10 * ||H||_2.
     """
     H = as_matrix(H, "H")
     nrm = fnorm(H)
@@ -41,8 +41,7 @@ def inertia(H, tol=None):
     if H.shape[0] == 0:
         return 0, 0, 0
     w = np.linalg.eigvalsh((H + H.conj().T) / 2.0)
-    if tol is None:
-        tol = 1e-10 * (np.max(np.abs(w)) if w.size else 0.0)
+    tol = 1e-10 * (np.max(np.abs(w)) if w.size else 0.0)
     p = int(np.count_nonzero(w > tol))
     q = int(np.count_nonzero(w < -tol))
     return p, q, H.shape[0] - p - q
@@ -99,16 +98,10 @@ class DeltaPattern:
     def matrix(self):
         return build_delta(self.cls, self.p, self.q, self.t, self.size)
 
-    def diag_values(self):
-        """Exact diagonal entries (star = H patterns only)."""
-        if self.cls.star != "H":
-            raise ValueError("diag_values only applies to star = H patterns")
-        return np.diag(self.matrix()).copy()
-
 
 @dataclass
 class StarFactorization:
-    """B = Y Delta Y* with Y square nonsingular (or thin n-by-rank)."""
+    """B = Y Delta Y* with Y square nonsingular."""
 
     Y: np.ndarray
     pattern: DeltaPattern
@@ -116,11 +109,7 @@ class StarFactorization:
 
     @property
     def delta(self):
-        if self.Y.shape[1] == self.pattern.size:
-            return self.pattern.matrix()
-        r = self.pattern.rank
-        full = self.pattern.matrix()
-        return full[:r, :r]
+        return self.pattern.matrix()
 
     @property
     def rank(self):
@@ -259,13 +248,12 @@ def _youla_pairs(B, zleft, s, rank_tol):
     return np.asarray(gammas), U, V, kernel
 
 
-def star_factorize(B, cls, rank_tol=None, thin=False):
+def star_factorize(B, cls, rank_tol=None):
     """Canonical congruence factorization B = Y Delta Y*.
 
     Requires star(B) = -eps B within 1e-10 relative; the input is projected
     onto that structure before factorizing.  Y is square nonsingular with
-    the zero block of Delta trailing; pass thin=True to keep only the
-    leading rank columns.
+    the zero block of Delta trailing.
     """
     B = as_matrix(B, "B")
     n = B.shape[0]
@@ -328,6 +316,4 @@ def star_factorize(B, cls, rank_tol=None, thin=False):
     if err > RECONSTRUCT_RTOL * max(nrm, 1e-300) and err > 1e-13:
         raise FactorizationFailure(
             f"reconstruction residual {err:.3e} exceeds tolerance for ||B|| = {nrm:.3e}")
-    if thin:
-        fact = StarFactorization(Y[:, :pattern.rank], pattern, cls)
     return fact

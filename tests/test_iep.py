@@ -10,7 +10,7 @@ from palinverse.errors import (Infeasible, NoSolution,
                                RemainingEigenvalueConflict, SymmetryViolation,
                                UnsupportedRegime)
 from palinverse.forward import eig_full
-from palinverse.iep import (IepProblem, solve_iep_full, solve_iep_partial,
+from palinverse.iep import (IepProblem, solve_iep_full,
                             solve_iep_partial_result, solve_psi)
 from palinverse.numerics import fnorm
 from palinverse.structfact import build_delta
@@ -102,8 +102,8 @@ def test_iep_partial_reduces_to_full_at_k_equals_2n():
 def test_iep_partial_determinism():
     cls = HP
     X1, T1 = iep_fixture(cls)
-    s1 = solve_iep_partial(IepProblem(cls, X1, T1, seed=31))
-    s2 = solve_iep_partial(IepProblem(cls, X1, T1, seed=31))
+    s1 = solve_iep_partial_result(IepProblem(cls, X1, T1, seed=31)).system
+    s2 = solve_iep_partial_result(IepProblem(cls, X1, T1, seed=31)).system
     assert np.array_equal(s1.A1, s2.A1)
     assert np.array_equal(s1.A0, s2.A0)
 
@@ -210,7 +210,7 @@ def test_iep_output_satisfies_reversal_identity():
     from palinverse.system import eval_Q, palindromic_identity_check
 
     X1, T1 = iep_fixture(TP)
-    sys = solve_iep_partial(IepProblem(TP, X1, T1, seed=5))
+    sys = solve_iep_partial_result(IepProblem(TP, X1, T1, seed=5)).system
     lam = 2.0 + 1.0j
     val = palindromic_identity_check(sys, lam)
     assert val <= 1e-10 * fnorm(eval_Q(sys, lam))
@@ -243,6 +243,61 @@ def test_iep_partial_retry_exhaustion_counts_reasons(monkeypatch):
     with pytest.raises(NonsingularityRetryExhausted,
                        match=r"in 20 attempts: SymmetryViolation 20 \("):
         solve_iep_partial_result(IepProblem(TP, X1, T1, seed=5))
+
+
+def test_iep_remaining_checked_once(monkeypatch):
+    # User-supplied remaining eigenvalues are checked before the first
+    # draw, not once per draw.
+    from palinverse import iep
+
+    def always_asymmetric(*args):
+        raise SymmetryViolation("forced")
+
+    rng = np.random.default_rng(11)
+    mu = 0.4 * np.exp(0.7j)
+    want = [0.2 + 0.1j, 1 / np.conj(0.2 + 0.1j), 0.6 - 0.3j, 1 / np.conj(0.6 - 0.3j)]
+    problem = IepProblem(HP, random_complex(rng, 3, 2),
+                         np.diag([mu, 1 / np.conj(mu)]), seed=1,
+                         remaining_eigenvalues=want)
+    calls = []
+    group_values = iep._group_values
+    monkeypatch.setattr(iep, "_group_values",
+                        lambda *args: calls.append(args) or group_values(*args))
+    monkeypatch.setattr(iep, "coefficients_from_pair", always_asymmetric)
+    with pytest.raises(NonsingularityRetryExhausted):
+        solve_iep_partial_result(problem)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_group_values_keeps_list_order(cls):
+    # Pairs come back at the place of their first value and singletons in
+    # list order, as a first-fit scan of the list finds them; T2hat and the
+    # singleton signs are assembled in this order.
+    from palinverse.iep import _group_values
+
+    rng = np.random.default_rng(8)
+    mus = 0.5 * np.exp(2j * np.pi * rng.uniform(size=3))
+    units = np.exp(2j * np.pi * rng.uniform(size=2)) if cls.star == "H" \
+        else np.array([1.0, -1.0])
+    values = [complex(v) for v in
+              (*mus, *(1 / cls.star_scalar(m) for m in mus), *units)]
+    for _ in range(5):
+        rng.shuffle(values)
+        pairs, singles, used = [], [], set()
+        for i, v in enumerate(values):
+            if i in used:
+                continue
+            if cls.pair_defect(v, v) <= 1e-8:
+                singles.append(v)
+                continue
+            j = next(j for j in range(i + 1, len(values))
+                     if j not in used and cls.pair_defect(v, values[j]) <= 1e-8)
+            used.add(j)
+            pairs.append((v, values[j]))
+        assert _group_values(values, cls) == (pairs, singles)
+    with pytest.raises(PairingNotClosed, match="has no reciprocal partner"):
+        _group_values(values[1:], cls)
 
 
 def _t2hat_case(cls, n_pairs, signs):

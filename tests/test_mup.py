@@ -1,15 +1,17 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from helpers import random_complex, random_system, residual_scale, separated_spectrum
 from palinverse import mup
-from palinverse.errors import (Inconsistent, ResidualTooLarge, SpectraOverlap,
+from palinverse.errors import (Inconsistent, NoNonsingularS1Tilde,
+                               ResidualTooLarge, SpectraOverlap,
                                SymmetryViolation, XiSingular,
                                XiSingularRetryExhausted)
 from palinverse.forward import eig_full, select_pairs
-from palinverse.mup import (MupProblem, compute_S1, low_rank_update,
-                            update_model, update_model_prescribed,
-                            update_model_result)
+from palinverse.mup import (MupProblem, MupResult, compute_S1, low_rank_update,
+                            update_model_prescribed, update_model_result)
 from palinverse.numerics import fnorm, invert
 from palinverse.spectral import PAIR_RESIDUAL_GATE, parameter_from_pair
 from palinverse.system import (HP, TA, TP, PalindromicSystem, StandardPair, eval_Q,
@@ -116,7 +118,8 @@ def test_update_model_wrapper():
     sys, replace, new = update_fixture("ta")
     e = eig_full(sys)
     X1, T1, _, _ = select_pairs(e, replace)
-    ns, x1n = update_model(MupProblem(sys, X1, T1, np.diag(new), seed=4))
+    res = update_model_result(MupProblem(sys, X1, T1, np.diag(new), seed=4))
+    ns, x1n = res.system, res.X1_new
     assert x1n.shape == X1.shape
     assert pair_residual(ns, (x1n, np.diag(new))) <= 1e-9
 
@@ -125,10 +128,10 @@ def test_update_determinism():
     sys, replace, new = update_fixture("hp")
     e = eig_full(sys)
     X1, T1, _, _ = select_pairs(e, replace)
-    a = update_model(MupProblem(sys, X1, T1, np.diag(new), seed=11))
-    b = update_model(MupProblem(sys, X1, T1, np.diag(new), seed=11))
-    assert np.array_equal(a[0].A1, b[0].A1)
-    assert np.array_equal(a[1], b[1])
+    a = update_model_result(MupProblem(sys, X1, T1, np.diag(new), seed=11))
+    b = update_model_result(MupProblem(sys, X1, T1, np.diag(new), seed=11))
+    assert np.array_equal(a.system.A1, b.system.A1)
+    assert np.array_equal(a.X1_new, b.X1_new)
 
 
 def test_prescribed_matches_free_mode():
@@ -267,8 +270,9 @@ def test_update_retry_exhaustion_counts_reasons(monkeypatch):
 
     monkeypatch.setattr(mup, "_finish", always_asymmetric)
     with pytest.raises(XiSingularRetryExhausted,
-                       match=r"in 20 attempts: SymmetryViolation 20 \("):
+                       match=r"in 20 attempts: SymmetryViolation 20 \(") as info:
         update_model_result(_fixture_problem("ta"))
+    assert info.value.reasons == Counter(SymmetryViolation=20)
 
 
 def test_prescribed_retry_exhaustion_counts_mixed_reasons(monkeypatch):
@@ -285,6 +289,36 @@ def test_prescribed_retry_exhaustion_counts_mixed_reasons(monkeypatch):
         update_model_prescribed(problem)
     assert "in 4 attempts: SymmetryViolation 2, XiSingular 1, " \
         "ResidualTooLarge 1 (" in str(info.value)
+    assert info.value.reasons == Counter(
+        SymmetryViolation=2, XiSingular=1, ResidualTooLarge=1)
+
+
+def test_prescribed_update_returns_result():
+    free = update_model_result(_fixture_problem("hp"))
+    problem = _fixture_problem("hp", X1_new=free.X1_new)
+    res = update_model_result(problem)
+    assert isinstance(res, MupResult)
+    assert res.attempts >= 1
+    system = update_model_prescribed(problem)
+    assert res.system.A1.tobytes() == system.A1.tobytes()
+    assert res.system.A0.tobytes() == system.A0.tobytes()
+    assert np.array_equal(res.X1_new, problem.X1_new)
+    star = problem.sys.cls.star_of
+    target = problem.X1 @ res.S1 @ star(problem.X1)
+    assert fnorm(res.X1_new @ res.S1_new @ star(res.X1_new) - target) <= \
+        1e-9 * fnorm(target)
+
+
+def test_prescribed_all_candidates_singular(monkeypatch):
+    # A transfer constraint whose only solution is S = 0: every candidate,
+    # the particular solution and the draws alike, is singular.
+    problem = _fixture_problem("ta")
+    problem = _fixture_problem("ta", X1_new=problem.X1)
+    monkeypatch.setattr(mup, "constrained_family",
+                        lambda basis, X, C, cls: (np.zeros_like(C), []))
+    with pytest.raises(NoNonsingularS1Tilde) as info:
+        update_model_result(problem)
+    assert info.value.__cause__.reasons == Counter(SingularMatrix=21)
 
 
 def _spillover_case(code, k):

@@ -86,9 +86,6 @@ def test_star_factorize_rank_deficient(cls):
     f = star_factorize(B, cls)
     assert f.rank == r
     assert fnorm(f.reconstruct() - B) <= 1e-10 * fnorm(B)
-    thin = star_factorize(B, cls, thin=True)
-    assert thin.Y.shape == (n, r)
-    assert fnorm(thin.reconstruct() - B) <= 1e-10 * fnorm(B)
 
 
 def test_star_factorize_inertia_matches_oracle():
