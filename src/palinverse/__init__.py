@@ -16,7 +16,7 @@ from .structfact import (DeltaPattern, StarFactorization, build_delta,
 from .paramspace import (PJCF, SBasis, pascal_matrix, pascal_scaling,
                          s_basis, s_basis_pjcf, sample_nonsingular)
 from .spectral import coefficients_from_pair, parameter_from_pair
-from .forward import EigenPairSet, eig_full, linearize, select_pairs
+from .forward import EigenPairSet, eig_full, select_pairs
 from .iep import IepProblem, solve_iep_full, solve_iep_partial_result, solve_psi
 from .mup import MupProblem, compute_S1, update_model_result
 from .analysis import (ZetaPartition, joint_block_diagonalize,
@@ -31,7 +31,7 @@ __all__ = [
     "StandardPair", "StarFactorization", "SymmetryClass", "TA", "TP",
     "ZetaPartition", "build_delta", "coefficients_from_pair", "compute_S1",
     "dense_eig", "eig_full", "eval_Q", "inertia", "joint_block_diagonalize",
-    "linear_solve", "linearize", "load_pair", "load_system",
+    "linear_solve", "load_pair", "load_system",
     "pair_residual", "palindromic_identity_check", "parameter_from_pair",
     "pascal_matrix", "pascal_scaling", "rank_factorize", "s_basis",
     "s_basis_pjcf", "s_space_dimension", "sample_nonsingular", "save_pair",

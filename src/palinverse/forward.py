@@ -1,10 +1,12 @@
 """Forward eigensolver for palindromic quadratics, with reciprocal pairing.
 
-The quadratic is linearized into the companion pencil lambda M1 + M0 with
-M1 = [[A1*, 0], [0, I]] and M0 = [[A0, eps A1], [-I, 0]].  This companion
-form is deliberately unstructured; at desk scale its accuracy supports the
-1e-6 pairing tolerance used throughout, and structure-preserving solvers
-are out of scope.
+The quadratic is linearized by its companion matrix
+C = [[-Y0, -Y1], [I, 0]] with A1* [Y0, Y1] = [A0, eps A1], the standard form
+of the pencil lambda [[A1*, 0], [0, I]] + [[A0, eps A1], [-I, 0]].  The pencil
+is never formed: C costs one order-n LU solve with 2n right-hand sides.
+This companion form is deliberately unstructured; at desk scale its
+accuracy supports the 1e-6 pairing tolerance used throughout, and
+structure-preserving solvers are out of scope.
 """
 
 from dataclasses import dataclass, field
@@ -22,23 +24,17 @@ PAIRING_TOL = 1e-6
 OVERLAP_RTOL = 1e-8
 
 
-def linearize(sys):
-    """Companion pencil (M0, M1) of Q; lambda M1 + M0 is singular exactly
-    at the eigenvalues of Q, and the top n-block of a pencil eigenvector is
-    an eigenvector of Q."""
-    n = sys.n
-    eye = np.eye(n, dtype=np.complex128)
-    zero = np.zeros((n, n), dtype=np.complex128)
-    M1 = np.block([[sys.cls.star_of(sys.A1), zero], [zero, eye]])
-    M0 = np.block([[sys.A0, sys.cls.epsilon * sys.A1], [-eye, zero]])
-    return M0, M1
-
-
 def companion(sys):
-    """-M1^{-1} M0, the standard form of the companion pencil; A1 nonsingular
-    rules out infinite eigenvalues, so its 2n eigenvalues are those of Q."""
-    M0, M1 = linearize(sys)
-    return -linear_solve(M1, M0)
+    """Companion matrix of Q; A1 nonsingular rules out infinite eigenvalues,
+    so its 2n eigenvalues are those of Q.  Its eigenvectors are (lam x; x)
+    with Q(lam) x = 0, so either n-block is an eigenvector of Q."""
+    n = sys.n
+    eps, A1 = sys.cls.epsilon, sys.A1
+    C = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    Y = linear_solve(sys.cls.star_of(A1), np.hstack([sys.A0, eps * A1]))
+    np.negative(Y, out=C[:n])
+    C[n:, :n] = np.eye(n)
+    return C
 
 
 def eigenvalues(sys):

@@ -88,6 +88,20 @@ def _isometry(form, cls, rng):
     return linear_solve(eye - K, eye + K)
 
 
+def _snap_isotropy(X1, S1, cls):
+    """X1 S1 X1*, snapped to exact zero at roundoff level.
+
+    When every eigenpair is selected this product is the isotropy identity
+    of the full parameter matrix, so it vanishes identically and only
+    roundoff survives; downstream canonical factorization needs the exact
+    zero to classify it."""
+    G = X1 @ S1 @ cls.star_of(X1)
+    scale = fnorm(X1) ** 2 * fnorm(S1)
+    if fnorm(G) <= 1e-12 * scale:
+        return np.zeros_like(G)
+    return G
+
+
 def _congruence_onto(target, form, cls, rng=None):
     """Psi with Psi form Psi* = target, both exact canonical patterns.
 
@@ -516,10 +530,7 @@ def solve_iep_partial_result(problem):
         else:
             omega = build_delta(cls, p=0, q=0, t=r, size=r)
             n_pos = n_neg = 0
-        iso = problem.X1 @ S1 @ cls.star_of(problem.X1)
-        if fnorm(iso) <= 1e-12 * fnorm(problem.X1) ** 2 * fnorm(S1):
-            iso = np.zeros_like(iso)
-        fact = star_factorize(iso, cls)
+        fact = star_factorize(_snap_isotropy(problem.X1, S1, cls), cls)
         if given is None:
             pairs, singles, signs = _default_remaining(
                 cls, r, n_pos, n_neg, n, t1_eigs,

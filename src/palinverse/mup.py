@@ -23,7 +23,7 @@ from .errors import (DefectiveSpectrum, DimensionMismatch, Infeasible,
                      XiSingularRetryExhausted, retry)
 from .forward import eigenvalues
 from .iep import (DISJOINT_RTOL, OUTPUT_RESIDUAL_TOL, _congruence_onto,
-                  _group_values, _unit_multiplicity)
+                  _group_values, _snap_isotropy, _unit_multiplicity)
 from .numerics import (as_matrix, fnorm, invert, linear_solve, rank_factorize,
                        solve_right, sv_ratio)
 from .paramspace import constrained_family, s_basis, sample_nonsingular
@@ -33,20 +33,6 @@ from .system import PalindromicSystem, assembled_system, pair_residual
 
 S1_MEMBERSHIP_RTOL = 1e-9
 XI_SINGULAR_RTOL = 1e-12
-
-
-def _snap_isotropy(X1, S1, cls):
-    """X1 S1 X1*, snapped to exact zero at roundoff level.
-
-    When every eigenpair is selected this product is the isotropy identity
-    of the full parameter matrix, so it vanishes identically and only
-    roundoff survives; downstream canonical factorization needs the exact
-    zero to classify it."""
-    G = X1 @ S1 @ cls.star_of(X1)
-    scale = fnorm(X1) ** 2 * fnorm(S1)
-    if fnorm(G) <= 1e-12 * scale:
-        return np.zeros_like(G)
-    return G
 
 
 def compute_S1(sys, X1, T1):

@@ -12,7 +12,8 @@ call of linear_solve, invert and solve_right is guarded before the call by
 a scale-invariant gate (sv_ratio, sigma_min / sigma_max) or by a
 construction that bounds the condition number:
 
-- forward.companion: A1, gated by PalindromicSystem (sv_ratio > 1e-12).
+- forward.companion: A1*, of order n; PalindromicSystem gates A1
+  (sv_ratio > 1e-12), whose singular values A1* shares.
 - iep._isometry: I - K with ||K||_F = 1/2, so sigma(I - K) lies in
   [1/2, 3/2].
 - IepProblem: T1, sv_ratio-gated just before the solve.

@@ -4,7 +4,7 @@ import numpy as np
 import scipy.linalg
 
 from palinverse.forward import eig_full
-from palinverse.numerics import as_matrix, fnorm
+from palinverse.numerics import as_matrix, fnorm, linear_solve
 from palinverse.paramspace import NULLSPACE_RTOL
 from palinverse.system import PalindromicSystem
 
@@ -49,11 +49,28 @@ def random_system(cls, n, seed, real=False, cond_limit=1e6, max_tries=200):
     raise RuntimeError(f"no well conditioned {cls.code} system of order {n} found")
 
 
+def linearize(sys):
+    """Companion pencil (M0, M1) of Q; lambda M1 + M0 is singular exactly
+    at the eigenvalues of Q, and the top n-block of a pencil eigenvector is
+    an eigenvector of Q."""
+    n = sys.n
+    eye = np.eye(n, dtype=np.complex128)
+    zero = np.zeros((n, n), dtype=np.complex128)
+    M1 = np.block([[sys.cls.star_of(sys.A1), zero], [zero, eye]])
+    M0 = np.block([[sys.A0, sys.cls.epsilon * sys.A1], [-eye, zero]])
+    return M0, M1
+
+
+def companion_reference(sys):
+    """-M1^{-1} M0 by a 2n-by-2n solve: the reference for
+    forward.companion, which takes the same matrix from an order-n solve."""
+    M0, M1 = linearize(sys)
+    return -linear_solve(M1, M0)
+
+
 def max_eig_condition(sys):
     """Largest eigenvalue condition number of the companion eigenproblem."""
-    from palinverse.forward import companion
-
-    w, vl, vr = scipy.linalg.eig(companion(sys), left=True, right=True)
+    w, vl, vr = scipy.linalg.eig(companion_reference(sys), left=True, right=True)
     conds = []
     for i in range(len(w)):
         denom = abs(np.vdot(vl[:, i], vr[:, i]))

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from helpers import max_eig_condition, random_system, residual_scale
+from helpers import (companion_reference, linearize, max_eig_condition,
+                     random_system, residual_scale)
+from palinverse import forward
 from palinverse.errors import PairingNotClosed, SpectraOverlap, TargetNotFound
-from palinverse.forward import eig_full, linearize, select_pairs
+from palinverse.forward import eig_full, select_pairs
 from palinverse.numerics import dense_eig, linear_solve
-from palinverse.system import ALL_CLASSES, TA, TP, PalindromicSystem
+from palinverse.system import ALL_CLASSES, HP, TA, TP, PalindromicSystem
 from reference_problems import update_fixture
 
 
@@ -23,6 +25,31 @@ def test_linearize_fixture_eigenvalue():
     assert len(w) == 6
     assert min(abs(w - replace[0])) < 2e-3 * abs(replace[0])
     assert min(abs(w - replace[1])) < 2e-3
+
+
+@pytest.mark.parametrize("n", [1, 5, 48, 128])
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_companion_matches_pencil_solve(cls, n):
+    sys = random_system(cls, n, seed=70 + n)
+    C, C_ref = forward.companion(sys), companion_reference(sys)
+    assert np.linalg.norm(C - C_ref) <= 1e-12 * np.linalg.norm(C_ref)
+    bottom = np.hstack([np.eye(n), np.zeros((n, n))])
+    assert np.array_equal(C[n:], bottom)
+
+
+@pytest.mark.parametrize("solve", [eig_full, forward.eigenvalues],
+                         ids=["eig_full", "eigenvalues"])
+def test_one_order_n_solve_per_eigensolve(monkeypatch, solve):
+    sys = random_system(HP, 6, seed=4)
+    shapes = []
+
+    def recording_solve(A, B):
+        shapes.append((np.shape(A), np.shape(B)))
+        return linear_solve(A, B)
+
+    monkeypatch.setattr(forward, "linear_solve", recording_solve)
+    solve(sys)
+    assert shapes == [((6, 6), (6, 12))]
 
 
 def test_pencil_spectrum_matches_quartic_roots():
