@@ -8,13 +8,12 @@ verification, across all four transpose / conjugate-transpose
 
 from .errors import PalinverseError
 from .system import (ALL_CLASSES, HA, HP, TA, TP, PalindromicSystem,
-                     StandardPair, SymmetryClass, eval_Q,
-                     palindromic_identity_check, pair_residual)
+                     StandardPair, SymmetryClass, eval_Q, pair_residual)
 from .numerics import dense_eig, linear_solve, rank_factorize
 from .structfact import (DeltaPattern, StarFactorization, build_delta,
                          inertia, star_factorize)
-from .paramspace import (PJCF, SBasis, pascal_matrix, pascal_scaling,
-                         s_basis, s_basis_pjcf, sample_nonsingular)
+from .paramspace import (SBasis, pascal_matrix, pascal_scaling, s_basis,
+                         sample_nonsingular)
 from .spectral import coefficients_from_pair, parameter_from_pair
 from .forward import EigenPairSet, eig_full, select_pairs
 from .iep import IepProblem, solve_iep_full, solve_iep_partial_result, solve_psi
@@ -27,14 +26,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALL_CLASSES", "DeltaPattern", "EigenPairSet", "HA", "HP", "IepProblem",
-    "MupProblem", "PJCF", "PalindromicSystem", "PalinverseError", "SBasis",
+    "MupProblem", "PalindromicSystem", "PalinverseError", "SBasis",
     "StandardPair", "StarFactorization", "SymmetryClass", "TA", "TP",
     "ZetaPartition", "build_delta", "coefficients_from_pair", "compute_S1",
     "dense_eig", "eig_full", "eval_Q", "inertia", "joint_block_diagonalize",
-    "linear_solve", "load_pair", "load_system",
-    "pair_residual", "palindromic_identity_check", "parameter_from_pair",
-    "pascal_matrix", "pascal_scaling", "rank_factorize", "s_basis",
-    "s_basis_pjcf", "s_space_dimension", "sample_nonsingular", "save_pair",
+    "linear_solve", "load_pair", "load_system", "pair_residual",
+    "parameter_from_pair", "pascal_matrix", "pascal_scaling", "rank_factorize",
+    "s_basis", "s_space_dimension", "sample_nonsingular", "save_pair",
     "save_system", "select_pairs", "solve_iep_full",
     "solve_iep_partial_result", "solve_psi", "star_factorize",
     "update_model_result", "zeta_partition",

@@ -137,12 +137,8 @@ def cmd_eig(args):
         print(json.dumps(doc, indent=2))
         return 0
     print(f"class: {sys.cls.code}  n: {sys.n}")
-    partner = {}
-    for a, b in eigs.pairing:
-        partner[a] = b
-        partner[b] = a
     for i, v in enumerate(eigs.values):
-        mate = partner.get(i)
+        mate = eigs.partner_index(i)
         if mate == i:
             note = "self-paired (|lambda| = 1)"
         elif mate is None:

@@ -25,10 +25,6 @@ class DimensionMismatch(PalinverseError):
 
 
 # system
-class ZeroLambda(PalinverseError):
-    """The palindromic identity is undefined at lambda = 0."""
-
-
 class SymmetryViolation(PalinverseError):
     """A matrix does not carry the (anti)symmetry its role requires."""
 

@@ -118,10 +118,6 @@ def load_pair(path):
     return X, T
 
 
-def save_values(values, path):
-    _dump([_complex_to_pair(v) for v in values], path)
-
-
 def load_values(path):
     doc = _load(path)
     if isinstance(doc, dict):

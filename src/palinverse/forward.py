@@ -19,9 +19,10 @@ from .numerics import dense_eig, linear_solve
 from .system import SymmetryClass
 
 PAIRING_TOL = 1e-6
-# Relative distance under which a selected eigenvalue counts as repeated in
-# the remaining spectrum.
-OVERLAP_RTOL = 1e-8
+# Relative distance under which two eigenvalues coincide: a selected value
+# repeated in the remaining spectrum, a prescribed or replacement value
+# colliding with another, or a value list's reciprocal pairing.
+COINCIDE_RTOL = 1e-8
 
 
 def companion(sys):
@@ -181,7 +182,7 @@ def select_pairs(eigs, targets, tol=1e-3):
     rest = np.flatnonzero(~in_sel)
     chosen = values[selected]
     overlap = np.abs(chosen[:, None] - values[None, rest]) <= \
-        OVERLAP_RTOL * np.maximum(1.0, np.abs(chosen))[:, None]
+        COINCIDE_RTOL * np.maximum(1.0, np.abs(chosen))[:, None]
     hit = np.flatnonzero(overlap.any(axis=1))
     if hit.size:
         raise SpectraOverlap(

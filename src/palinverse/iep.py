@@ -23,7 +23,7 @@ from .errors import (Infeasible, NoNonsingularFound, NoSolution,
                      RemainingEigenvalueConflict, ResidualTooLarge,
                      RetryExhausted, SingularLeadingBlock, SingularW,
                      SymmetryViolation, UnsupportedRegime, retry)
-from .forward import _greedy_pairing
+from .forward import COINCIDE_RTOL, _greedy_pairing
 from .numerics import as_matrix, block_diag, fnorm, linear_solve, sv_ratio
 from .paramspace import (SBasis, s_basis, sample_nonsingular, solution_space)
 from .spectral import coefficients_from_pair
@@ -31,8 +31,7 @@ from .structfact import build_delta, inertia, star_factorize
 from .system import pair_residual
 
 OUTPUT_RESIDUAL_TOL = 1e-9
-DISJOINT_RTOL = 1e-8
-NONSINGULAR_RTOL = 1e-12
+T1_SINGULAR_RTOL = 1e-12
 
 
 def solve_iep_full(X, T, cls, seed=0):
@@ -196,7 +195,7 @@ def _group_values(values, cls):
     first value); raise when some value has no partner."""
     values = [complex(v) for v in values]
     matched, unmatched = _greedy_pairing(
-        np.array(values, dtype=np.complex128), cls, DISJOINT_RTOL)
+        np.array(values, dtype=np.complex128), cls, COINCIDE_RTOL)
     if unmatched:
         raise PairingNotClosed(
             f"value {values[min(unmatched)]:.6g} has no reciprocal partner "
@@ -210,8 +209,9 @@ def _group_values(values, cls):
     return pairs, singles
 
 
-def _unit_multiplicity(values, point, tol=DISJOINT_RTOL):
-    return int(sum(1 for v in values if abs(complex(v) - point) <= tol))
+def _unit_multiplicity(values, point):
+    return int(sum(1 for v in values
+                   if abs(complex(v) - point) <= COINCIDE_RTOL))
 
 
 def _ta_singleton_parity(order, t1_values):
@@ -236,8 +236,7 @@ def _ta_singleton_parity(order, t1_values):
     return need[0], need[1]
 
 
-def _default_remaining(cls, count, n_pos, n_neg, order, t1_values, rng,
-                       tol=DISJOINT_RTOL):
+def _default_remaining(cls, count, n_pos, n_neg, order, t1_values, rng):
     """Seeded default for the unprescribed eigenvalues.
 
     Off-circle reciprocal pairs with modulus in [0.3, 0.7] wherever the
@@ -252,7 +251,7 @@ def _default_remaining(cls, count, n_pos, n_neg, order, t1_values, rng,
     avoid[:used] = t1_values
 
     def reach_of(z):
-        return 10 * tol * np.maximum(1.0, np.hypot(z.real, z.imag))
+        return 10 * COINCIDE_RTOL * np.maximum(1.0, np.hypot(z.real, z.imag))
 
     reach = reach_of(avoid)
 
@@ -422,7 +421,7 @@ class IepProblem:
         k = self.T1.shape[0]
         if self.T1.shape != (k, k) or self.X1.shape[1] != k:
             raise SingularW("X1 and T1 dimensions do not conform")
-        if sv_ratio(self.T1) <= NONSINGULAR_RTOL:
+        if sv_ratio(self.T1) <= T1_SINGULAR_RTOL:
             raise SingularW("T1 must be nonsingular")
         X1T1inv = linear_solve(self.T1.T, self.X1.T).T
         stacked = np.vstack([self.X1, -X1T1inv])
@@ -466,7 +465,7 @@ def _remaining_spectrum(problem, r):
         raise RemainingEigenvalueConflict(
             f"expected {r} remaining eigenvalues, got {len(vals)}")
     for v in vals:
-        if min(abs(v - t1_eigs)) <= DISJOINT_RTOL * max(1.0, abs(v)):
+        if min(abs(v - t1_eigs)) <= COINCIDE_RTOL * max(1.0, abs(v)):
             raise RemainingEigenvalueConflict(
                 f"remaining eigenvalue {v:.6g} collides with the "
                 "prescribed spectrum")

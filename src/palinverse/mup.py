@@ -21,12 +21,13 @@ from .errors import (DefectiveSpectrum, DimensionMismatch, Infeasible,
                      ResidualTooLarge, SingularMatrix, SingularS1Precursor,
                      SpectraOverlap, SymmetryViolation, XiSingular,
                      XiSingularRetryExhausted, retry)
-from .forward import eigenvalues
-from .iep import (DISJOINT_RTOL, OUTPUT_RESIDUAL_TOL, _congruence_onto,
-                  _group_values, _snap_isotropy, _unit_multiplicity)
+from .forward import COINCIDE_RTOL, eigenvalues
+from .iep import (OUTPUT_RESIDUAL_TOL, _congruence_onto, _group_values,
+                  _snap_isotropy, _unit_multiplicity)
 from .numerics import (as_matrix, fnorm, invert, linear_solve, rank_factorize,
                        solve_right, sv_ratio)
-from .paramspace import constrained_family, s_basis, sample_nonsingular
+from .paramspace import (NONSINGULAR_RTOL, constrained_family, s_basis,
+                         sample_nonsingular)
 from .spectral import PAIR_RESIDUAL_GATE
 from .structfact import star_factorize
 from .system import PalindromicSystem, assembled_system, pair_residual
@@ -112,12 +113,12 @@ class MupProblem:
         _group_values(new, cls)
         for i in range(k):
             for j in range(i + 1, k):
-                if abs(old[i] - old[j]) <= DISJOINT_RTOL * max(1.0, abs(old[i])):
+                if abs(old[i] - old[j]) <= COINCIDE_RTOL * max(1.0, abs(old[i])):
                     raise DefectiveSpectrum(
                         f"selected eigenvalues {old[i]:.6g} and {old[j]:.6g} "
                         "cluster; semi-simple selection required")
         for v in new:
-            if min(abs(v - old)) <= DISJOINT_RTOL * max(1.0, abs(v)):
+            if min(abs(v - old)) <= COINCIDE_RTOL * max(1.0, abs(v)):
                 raise SpectraOverlap(
                     f"replacement eigenvalue {v:.6g} collides with a "
                     "replaced one")
@@ -125,7 +126,7 @@ class MupProblem:
         kept_vals = values[self._kept_indices(values, old)]
         for v in np.concatenate([old, new]):
             if kept_vals.size and min(abs(v - kept_vals)) <= \
-                    DISJOINT_RTOL * max(1.0, abs(v)):
+                    COINCIDE_RTOL * max(1.0, abs(v)):
                 raise SpectraOverlap(
                     f"eigenvalue {v:.6g} collides with the kept spectrum")
         if cls.star == "T":
@@ -281,7 +282,7 @@ def update_model_result(problem):
             S1t = S_part.copy()
             for c, H in zip(coeff, homogeneous):
                 S1t = S1t + c * H
-            if sv_ratio(S1t) <= 1e-8:
+            if sv_ratio(S1t) <= NONSINGULAR_RTOL:
                 raise SingularMatrix("candidate S1_new is singular")
             return _finish(problem, S1, problem.X1_new, S1t, attempt)
 

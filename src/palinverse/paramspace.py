@@ -17,13 +17,12 @@ from math import comb
 import numpy as np
 
 from .errors import (DefectiveSpectrum, DimensionMismatch, Inconsistent,
-                     NoNonsingularFound, PairingNotClosed, SingularMatrix)
+                     NoNonsingularFound, SingularMatrix)
 from .numerics import as_matrix, dense_eig, fnorm, sv_ratio
 from .system import SymmetryClass
 
 NULLSPACE_RTOL = 1e-10
 NONSINGULAR_RTOL = 1e-8
-PAIRING_RTOL = 1e-8
 CONSISTENCY_RTOL = 1e-8
 SAMPLE_ATTEMPTS = 50
 
@@ -222,15 +221,12 @@ class SBasis:
 
     dim counts real degrees of freedom.  For star = T the space is also
     complex-linear, so the real dimension is twice the complex one; the
-    basis is a real basis either way.  zero_singletons lists eigenvalues of
-    T whose diagonal parameter block is structurally zero (these force
-    every member of the space to be singular).
+    basis is a real basis either way.
     """
 
     T: np.ndarray
     cls: SymmetryClass
     basis: list = field(default_factory=list)
-    zero_singletons: list = field(default_factory=list)
 
     @property
     def dim(self):
@@ -256,7 +252,7 @@ def s_basis(T, cls):
 
 
 # ---------------------------------------------------------------------------
-# Pascal machinery and the PJCF-structured construction
+# Pascal machinery of the Jordan-block families
 # ---------------------------------------------------------------------------
 
 def pascal_matrix(m):
@@ -285,18 +281,6 @@ def pascal_scaling(m, lam):
     return (left[:, None] * pascal_matrix(m)) * right[None, :]
 
 
-def nilpotent_shift(m):
-    """m-by-m nilpotent with ones on the superdiagonal."""
-    N = np.zeros((m, m), dtype=np.complex128)
-    for i in range(m - 1):
-        N[i, i + 1] = 1.0
-    return N
-
-
-def jordan_block(lam, m):
-    return complex(lam) * np.eye(m, dtype=np.complex128) + nilpotent_shift(m)
-
-
 def _hankel_param(p, q, d):
     """Upper-left Hankel basis matrix: ones on the d-th anti-diagonal."""
     H = np.zeros((p, q), dtype=np.complex128)
@@ -320,100 +304,6 @@ def _block_family(lam, p, q):
         E = _hankel_param(p, q, d) @ P
         out.append(E / fnorm(E))
     return out
-
-
-@dataclass
-class PJCF:
-    """Palindromic Jordan canonical form metadata.
-
-    values lists the distinct eigenvalues with reciprocal pairs adjacent
-    (indices 2i, 2i+1 for i < n_pairs) and unimodular / plus-minus-one
-    singletons trailing.  mults[i] holds the partial multiplicities of
-    values[i], descending.
-    """
-
-    star: str
-    values: list
-    mults: list
-    n_pairs: int
-
-    def __post_init__(self):
-        if self.star not in ("T", "H"):
-            raise ValueError("star must be 'T' or 'H'")
-        if len(self.values) != len(self.mults):
-            raise ValueError("values and mults must have equal length")
-        star_scalar = (lambda z: z) if self.star == "T" else np.conj
-        for i in range(self.n_pairs):
-            a, b = self.values[2 * i], self.values[2 * i + 1]
-            if abs(complex(a) * star_scalar(b) - 1.0) > PAIRING_RTOL * max(1.0, abs(a * b)):
-                raise PairingNotClosed(
-                    f"values {a} and {b} are not a reciprocal pair")
-            if list(self.mults[2 * i]) != list(self.mults[2 * i + 1]):
-                raise PairingNotClosed(
-                    "paired eigenvalues must share partial multiplicities")
-        for i in range(2 * self.n_pairs, len(self.values)):
-            lam = complex(self.values[i])
-            if abs(lam * star_scalar(lam) - 1.0) > PAIRING_RTOL:
-                raise PairingNotClosed(
-                    f"unpaired eigenvalue {lam} must satisfy lam * lam_star = 1")
-        for ms in self.mults:
-            if list(ms) != sorted(ms, reverse=True) or any(m < 1 for m in ms):
-                raise ValueError("partial multiplicities must be positive, descending")
-        vals = [complex(v) for v in self.values]
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                if abs(vals[i] - vals[j]) <= 1e-8 * max(1.0, abs(vals[i])):
-                    raise ValueError("eigenvalues of a PJCF must be distinct")
-
-    @property
-    def t(self):
-        return len(self.values)
-
-    @property
-    def total(self):
-        return int(sum(sum(ms) for ms in self.mults))
-
-    def group_sizes(self):
-        return [int(sum(ms)) for ms in self.mults]
-
-    def group_offsets(self):
-        sizes = self.group_sizes()
-        offs = np.concatenate([[0], np.cumsum(sizes)]).astype(int)
-        return offs
-
-    def T_matrix(self):
-        blocks = []
-        for lam, ms in zip(self.values, self.mults):
-            for m in ms:
-                blocks.append(jordan_block(lam, int(m)))
-        out = np.zeros((self.total, self.total), dtype=np.complex128)
-        off = 0
-        for b in blocks:
-            k = b.shape[0]
-            out[off:off + k, off:off + k] = b
-            off += k
-        return out
-
-
-def s_basis_pjcf(jcf, cls):
-    """Structured real basis of S_T for T in PJCF, from solution_space.
-
-    Paired eigenvalue groups contribute free off-diagonal blocks
-    [[0, S_i], [-eps S_i*, 0]] with S_i ranging over the Hankel-Pascal
-    family; singleton groups keep only the members of that family that are
-    eps-(anti)symmetric.  Singletons whose diagonal block no basis element
-    touches are structurally zero and recorded in zero_singletons.
-    """
-    if jcf.star != cls.star:
-        raise ValueError("PJCF star does not match the symmetry class")
-    T = jcf.T_matrix()
-    basis = solution_space(T, cls)
-    offs = jcf.group_offsets()
-    zero_singletons = [
-        complex(jcf.values[i]) for i in range(2 * jcf.n_pairs, jcf.t)
-        if not any(np.any(B[offs[i]:offs[i + 1], offs[i]:offs[i + 1]])
-                   for B in basis)]
-    return SBasis(T, cls, basis, zero_singletons)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DimensionMismatch, SingularMatrix, SingularW,
-                     SymmetryViolation, ZeroLambda)
+                     SymmetryViolation)
 from .numerics import as_matrix, fnorm, solve_right, sv_ratio
 
 A0_SYMMETRY_RTOL = 1e-12
@@ -52,14 +52,6 @@ class SymmetryClass:
 
     def star_scalar(self, z):
         return complex(z) if self.star == "T" else complex(np.conj(z))
-
-    def partner(self, lam):
-        """Reciprocal partner 1 / lam* of an eigenvalue."""
-        return 1.0 / self.star_scalar(lam)
-
-    def pair_defect(self, a, b):
-        """|a * b_star - 1|; zero exactly when (a, b) is a reciprocal pair."""
-        return abs(complex(a) * self.star_scalar(b) - 1.0)
 
     @property
     def code(self):
@@ -207,20 +199,6 @@ def eval_Q(sys, lam):
     lam = complex(lam)
     return (lam * lam) * sys.cls.star_of(sys.A1) + lam * sys.A0 \
         + sys.cls.epsilon * sys.A1
-
-
-def palindromic_identity_check(sys, lam):
-    """|| Q(lambda) - eps lambda^2 star(Q(1/lam*)) ||_F.
-
-    Small (<= 1e-10 relative) for every structurally valid system; the
-    identity encodes the reversal symmetry that forces reciprocal pairing.
-    """
-    lam = complex(lam)
-    if lam == 0:
-        raise ZeroLambda("the palindromic identity is undefined at lambda = 0")
-    mirrored = eval_Q(sys, 1.0 / sys.cls.star_scalar(lam))
-    lhs = eval_Q(sys, lam)
-    return fnorm(lhs - sys.cls.epsilon * lam * lam * sys.cls.star_of(mirrored))
 
 
 def pair_defect_matrix(sys, X, T):

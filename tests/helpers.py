@@ -6,7 +6,7 @@ import scipy.linalg
 from palinverse.forward import eig_full
 from palinverse.numerics import as_matrix, fnorm, linear_solve
 from palinverse.paramspace import NULLSPACE_RTOL
-from palinverse.system import PalindromicSystem
+from palinverse.system import PalindromicSystem, eval_Q
 
 
 def random_complex(rng, *shape):
@@ -129,6 +129,29 @@ def residual_scale(sys, lam):
     return fnorm(sys.A1) * (1.0 + a * a) + fnorm(sys.A0) * a
 
 
+def jordan_matrix(values, sizes):
+    """Block-diagonal Jordan matrix: block i has order sizes[i], values[i]
+    on its diagonal and ones on its superdiagonal."""
+    diag = np.repeat(np.asarray(values, dtype=np.complex128), sizes)
+    sup = np.ones(diag.size - 1)
+    sup[np.cumsum(sizes)[:-1] - 1] = 0.0
+    return np.diag(diag) + np.diag(sup, 1)
+
+
+def pair_defect(cls, a, b):
+    """|a b* - 1|; zero exactly when (a, b) is a reciprocal pair."""
+    return abs(complex(a) * cls.star_scalar(b) - 1.0)
+
+
+def reversal_defect(sys, lam):
+    """||Q(lam) - eps lam^2 star(Q(1/lam*))||_F: the reversal identity that
+    forces reciprocal pairing, roundoff-small for every valid system."""
+    lam = complex(lam)
+    mirrored = eval_Q(sys, 1.0 / sys.cls.star_scalar(lam))
+    return fnorm(eval_Q(sys, lam)
+                 - sys.cls.epsilon * lam * lam * sys.cls.star_of(mirrored))
+
+
 def greedy_pairing_loop(values, cls, tol):
     """Match eigenvalues into (lam, 1/lam*) pairs.
 
@@ -151,7 +174,7 @@ def greedy_pairing_loop(values, cls, tol):
         for j in range(m):
             if matched[j] and j != i:
                 continue
-            d = cls.pair_defect(values[i], values[j])
+            d = pair_defect(cls, values[i], values[j])
             if best_j is None or d < best_d:
                 best_j, best_d = j, d
         if best_d <= tol:

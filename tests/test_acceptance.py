@@ -9,9 +9,9 @@ import time
 import numpy as np
 import pytest
 
-from helpers import (kronecker_space, max_eig_condition, planted_direct_sum,
-                     random_complex, random_structured, random_system,
-                     separated_spectrum)
+from helpers import (jordan_matrix, kronecker_space, max_eig_condition,
+                     pair_defect, planted_direct_sum, random_complex,
+                     random_structured, random_system, separated_spectrum)
 from palinverse.analysis import (_offblock_mass, joint_block_diagonalize,
                                  s_space_dimension, zeta_partition)
 from palinverse.cli import main
@@ -21,8 +21,7 @@ from palinverse.forward import eig_full, select_pairs
 from palinverse.iep import solve_iep_full
 from palinverse.mup import MupProblem, update_model_result
 from palinverse.numerics import fnorm, invert
-from palinverse.paramspace import (PJCF, SBasis, _rvec, nilpotent_shift,
-                                   pascal_scaling, s_basis_pjcf,
+from palinverse.paramspace import (SBasis, _rvec, pascal_scaling, s_basis,
                                    sample_nonsingular, solution_space)
 from palinverse.spectral import (coefficients_from_pair, parameter_from_pair)
 from palinverse.structfact import build_delta, inertia, star_factorize
@@ -183,7 +182,7 @@ def test_criterion_5_parameter_space_structure():
     # Pascal similarity identity.
     for lam in (0.3 + 0.4j, 2 - 1j, -1.0):
         for m in range(1, 7):
-            N = nilpotent_shift(m)
+            N = np.eye(m, k=1)
             P = pascal_scaling(m, lam)
             lhs = np.linalg.inv((1.0 / lam) * np.eye(m) + N.T)
             rhs = np.linalg.inv(P) @ (lam * np.eye(m) + N.T) @ P
@@ -192,12 +191,10 @@ def test_criterion_5_parameter_space_structure():
     # reference.
     for cls in ALL_CLASSES:
         lam1, lam2 = 0.4 + 0.2j, 1.7 - 0.5j
-        jcf = PJCF(cls.star,
-                   [lam1, 1 / cls.star_scalar(lam1),
-                    lam2, 1 / cls.star_scalar(lam2)],
-                   [[2], [2], [1], [1]], n_pairs=2)
-        sb = s_basis_pjcf(jcf, cls)
-        gb = kronecker_space(jcf.T_matrix(), cls)
+        T = jordan_matrix([lam1, 1 / cls.star_scalar(lam1),
+                           lam2, 1 / cls.star_scalar(lam2)], [2, 2, 1, 1])
+        sb = s_basis(T, cls)
+        gb = kronecker_space(T, cls)
         assert sb.dim == len(gb)
         A = np.column_stack([_rvec(B) / np.linalg.norm(_rvec(B))
                              for B in sb.basis])
@@ -209,14 +206,19 @@ def test_criterion_5_parameter_space_structure():
                   np.linalg.norm(A - qg @ (qg.T @ A)))
         assert gap <= 1e-8, f"{cls.code}: span gap {gap:.3e}"
     # Falsification: a simple +1 eigenvalue kills every regular
-    # transpose-palindromic candidate.
-    jcf = PJCF("T", [2.0, 0.5, 1.0, -1.0], [[1], [1], [1], [1]], n_pairs=1)
-    sb = s_basis_pjcf(jcf, TP)
-    assert 1.0 in {z.real for z in sb.zero_singletons if abs(z.imag) < 1e-12}
+    # transpose-palindromic candidate.  Its diagonal slot (and that of -1)
+    # is structurally zero in every TP element, but free for TA.
+    T = np.diag([2.0, 0.5, 1.0, -1.0])
+    sb = s_basis(T, TP)
+    assert sb.dim == 2
+    assert not any(np.any(B[[2, 3], [2, 3]]) for B in sb.basis)
+    sb_ta = s_basis(T, TA)
+    assert sb_ta.dim == 6
+    assert any(np.any(B[[2, 3], [2, 3]]) for B in sb_ta.basis)
     rng = np.random.default_rng(5)
     X = random_complex(rng, 2, 4)
     with pytest.raises(NoSolution):
-        solve_iep_full(X, jcf.T_matrix(), TP, seed=0)
+        solve_iep_full(X, T, TP, seed=0)
     print("\nPASS criterion 5: Pascal identity <= 1e-10, structured/generic "
           "span agreement <= 1e-8, simple unimodular eigenvalue rejected")
 
@@ -303,7 +305,7 @@ def test_criterion_8_spectral_symmetry(random_suite):
             e = eig_full(sys)
             assert e.pairing_complete, f"{cls.code} n={sys.n}: pairing failed"
             for a, b in e.pairing:
-                d = cls.pair_defect(e.values[a], e.values[b])
+                d = pair_defect(cls, e.values[a], e.values[b])
                 assert d <= 1e-6, f"{cls.code}: pair defect {d:.3e}"
             checked += 1
     # Real transpose-class systems also close under conjugation.

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from helpers import planted_direct_sum, random_system
+from helpers import jordan_matrix, planted_direct_sum, random_system
 from palinverse.analysis import (_offblock_mass, joint_block_diagonalize,
                                  s_space_dimension, zeta_partition)
 from palinverse.errors import (GeomMultViolation, SingularInput,
                                StructureViolation)
 from palinverse.forward import eig_full
-from palinverse.paramspace import (PJCF, SBasis, s_basis_pjcf,
-                                   sample_nonsingular, solution_space)
+from palinverse.paramspace import (SBasis, s_basis, sample_nonsingular,
+                                   solution_space)
 from palinverse.spectral import coefficients_from_pair
 from palinverse.system import ALL_CLASSES, HA, HP, TA, TP
 
@@ -130,9 +130,8 @@ def test_ratio_blocks_are_lower_triangular_toeplitz():
     # Jordan pair blocks: S_tilde_i^{-1} S_i is lower-triangular Toeplitz.
     for cls in (TP, HA):
         lam = 0.5 + 0.3j
-        jcf = PJCF(cls.star, [lam, 1 / cls.star_scalar(lam)], [[2], [2]],
-                   n_pairs=1)
-        sb = s_basis_pjcf(jcf, cls)
+        sb = s_basis(jordan_matrix([lam, 1 / cls.star_scalar(lam)], [2, 2]),
+                     cls)
         rng = np.random.default_rng(9)
         S = sb.combine(rng.standard_normal(sb.dim))
         S2 = sb.combine(rng.standard_normal(sb.dim))

@@ -4,13 +4,21 @@ import re
 import numpy as np
 import pytest
 
+from helpers import random_system
+from palinverse import cli
 from palinverse.cli import main, parse_complex, parse_complex_list
 from palinverse.fileio import (load_pair, load_system, load_values, save_pair,
-                               save_system, save_values)
+                               save_system)
 from palinverse.forward import eig_full
 from palinverse.numerics import fnorm
 from palinverse.system import pair_residual
 from reference_problems import iep_fixture, update_fixture
+
+
+def _write_values(values, path):
+    """A values file: a JSON list of [re, im] pairs."""
+    path.write_text(json.dumps([[complex(v).real, complex(v).imag]
+                                for v in values]))
 
 
 def test_parse_complex_forms():
@@ -45,7 +53,7 @@ def test_pair_and_values_roundtrip(tmp_path):
     X2, T2 = load_pair(ppath)
     assert np.array_equal(X1, X2) and np.array_equal(T1, T2)
     vpath = tmp_path / "vals.json"
-    save_values([1 + 2j, 3.0], vpath)
+    _write_values([1 + 2j, 3.0], vpath)
     assert load_values(vpath) == [1 + 2j, 3 + 0j]
 
 
@@ -115,7 +123,7 @@ def test_cmd_solve_parity_infeasible(tmp_path, capsys):
     pairfile = tmp_path / "pair.json"
     save_pair(X1, np.diag([mu, 1 / mu]), pairfile)
     valfile = tmp_path / "vals.json"
-    save_values([2.0, 0.5, 1.0, -1.0], valfile)
+    _write_values([2.0, 0.5, 1.0, -1.0], valfile)
     code = main(["solve", "--class", "tp", "--pairs", str(pairfile),
                  "--remaining", str(valfile)])
     captured = capsys.readouterr()
@@ -199,6 +207,39 @@ def test_cmd_eig_scalar_system(tmp_path, capsys):
     assert main(["eig", "--system", str(sysfile)]) == 0
     out = capsys.readouterr().out
     assert "+1" in out and "-1" in out
+
+
+def _pairing_notes(eigs):
+    """The note cmd_eig prints after each eigenvalue, from eigs.pairing."""
+    mate = {}
+    for a, b in eigs.pairing:
+        mate[a], mate[b] = b, a
+    return ["UNPAIRED" if i not in mate
+            else "self-paired (|lambda| = 1)" if mate[i] == i
+            else f"paired with #{mate[i]}" for i in range(len(eigs.values))]
+
+
+def test_cmd_eig_pairing_notes(tmp_path, capsys, monkeypatch):
+    # Odd-order TA systems carry self-paired +1 and -1 beside a reciprocal
+    # pair; a 1e-18 pairing tolerance leaves values unmatched.
+    from palinverse.system import TA
+
+    sysfile = tmp_path / "sys.json"
+    save_system(random_system(TA, 3, seed=1), sysfile)
+    sys = load_system(sysfile)
+    for tol, complete in ((1e-6, True), (1e-18, False)):
+        monkeypatch.setattr(cli, "eig_full",
+                            lambda s, tol=tol: eig_full(s, pairing_tol=tol))
+        assert main(["eig", "--system", str(sysfile)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        expected = _pairing_notes(eig_full(sys, pairing_tol=tol))
+        assert [line.split("  ")[-1] for line in lines[1:7]] == expected
+        assert lines[7:] == ([] if complete else ["warning: pairing incomplete"])
+        if complete:
+            assert expected.count("self-paired (|lambda| = 1)") == 2
+            assert sum(n.startswith("paired with #") for n in expected) == 4
+        else:
+            assert "UNPAIRED" in expected
 
 
 def test_cmd_eig_symmetry_violation(tmp_path, capsys):

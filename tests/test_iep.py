@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_complex
+from helpers import pair_defect, random_complex
 from palinverse.errors import (Infeasible, NoSolution,
                                NonsingularityRetryExhausted, PairingNotClosed,
                                RemainingEigenvalueConflict, SymmetryViolation,
@@ -207,12 +207,13 @@ def test_iep_odd_k_tp_parity_error():
 
 
 def test_iep_output_satisfies_reversal_identity():
-    from palinverse.system import eval_Q, palindromic_identity_check
+    from helpers import reversal_defect
+    from palinverse.system import eval_Q
 
     X1, T1 = iep_fixture(TP)
     sys = solve_iep_partial_result(IepProblem(TP, X1, T1, seed=5)).system
     lam = 2.0 + 1.0j
-    val = palindromic_identity_check(sys, lam)
+    val = reversal_defect(sys, lam)
     assert val <= 1e-10 * fnorm(eval_Q(sys, lam))
 
 
@@ -288,11 +289,11 @@ def test_group_values_keeps_list_order(cls):
         for i, v in enumerate(values):
             if i in used:
                 continue
-            if cls.pair_defect(v, v) <= 1e-8:
+            if pair_defect(cls, v, v) <= 1e-8:
                 singles.append(v)
                 continue
             j = next(j for j in range(i + 1, len(values))
-                     if j not in used and cls.pair_defect(v, values[j]) <= 1e-8)
+                     if j not in used and pair_defect(cls, v, values[j]) <= 1e-8)
             used.add(j)
             pairs.append((v, values[j]))
         assert _group_values(values, cls) == (pairs, singles)
@@ -520,16 +521,17 @@ def test_iep_partial_reads_t1_eigenvalues_once(monkeypatch):
 
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
 @pytest.mark.parametrize("tol", [1e-8, 2e-2])
-def test_default_remaining_keeps_values_clear(cls, tol):
+def test_default_remaining_keeps_values_clear(cls, tol, monkeypatch):
     # The batched draw obeys the one-at-a-time predicate: every value lies
     # outside 10 tol max(1, |a|) of T1's values and of the earlier pairs'.
     # The wide tolerance makes batches clash, so the fallback runs too.
-    from palinverse.iep import _default_remaining
+    from palinverse import iep
 
+    monkeypatch.setattr(iep, "COINCIDE_RTOL", tol)
     t1 = np.array([0.5 * np.exp(0.4j), 1 / cls.star_scalar(0.5 * np.exp(0.4j))])
     n_pos = n_neg = 7 if cls.star == "H" else 0
-    pairs, singles, _ = _default_remaining(cls, 14, n_pos, n_neg, 8, t1,
-                                           np.random.default_rng(3), tol)
+    pairs, singles, _ = iep._default_remaining(cls, 14, n_pos, n_neg, 8, t1,
+                                               np.random.default_rng(3))
     assert len(pairs) == 7 and not singles
     _assert_clear(cls, t1, pairs, tol)
     if tol == 1e-8:  # no clash: one batch of moduli, then one of angles
@@ -541,20 +543,21 @@ def test_default_remaining_keeps_values_clear(cls, tol):
 def _assert_clear(cls, t1, pairs, tol):
     accepted = list(t1)
     for mu, nu in pairs:
-        assert cls.pair_defect(mu, nu) <= 1e-12
+        assert pair_defect(cls, mu, nu) <= 1e-12
         for z in (mu, nu):
             assert all(abs(z - a) > 10 * tol * max(1.0, abs(a)) for a in accepted)
         accepted += [mu, nu]
 
 
-def test_default_remaining_clears_prescribed_values():
+def test_default_remaining_clears_prescribed_values(monkeypatch):
     # One pair against eight prescribed pairs in the same annulus: draws
     # that land within reach of T1 are redrawn.
-    from palinverse.iep import _default_remaining
+    from palinverse import iep
 
+    monkeypatch.setattr(iep, "COINCIDE_RTOL", 1e-2)
     mus = (0.3 + 0.05 * np.arange(8)) * np.exp(0.8j * np.arange(8))
     t1 = np.concatenate([mus, 1 / mus])
     for seed in range(20):
-        pairs, _, _ = _default_remaining(TP, 2, 0, 0, 9, t1,
-                                         np.random.default_rng(seed), 1e-2)
+        pairs, _, _ = iep._default_remaining(TP, 2, 0, 0, 9, t1,
+                                             np.random.default_rng(seed))
         _assert_clear(TP, t1, pairs, 1e-2)

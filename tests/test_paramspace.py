@@ -2,16 +2,15 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import (kronecker_space, planted_direct_sum, random_complex,
-                     random_system)
+from helpers import (jordan_matrix, kronecker_space, planted_direct_sum,
+                     random_complex, random_system)
 from palinverse.errors import (DefectiveSpectrum, Inconsistent,
-                               NoNonsingularFound, PairingNotClosed)
+                               NoNonsingularFound)
 from palinverse.forward import eig_full
 from palinverse.iep import solve_iep_full
 from palinverse.numerics import fnorm
-from palinverse.paramspace import (PJCF, SBasis, _rvec, jordan_block,
-                                   nilpotent_shift, pascal_matrix,
-                                   pascal_scaling, s_basis, s_basis_pjcf,
+from palinverse.paramspace import (SBasis, _rvec, pascal_matrix,
+                                   pascal_scaling, s_basis,
                                    sample_nonsingular, constrained_family,
                                    solution_space)
 from palinverse.system import (ALL_CLASSES, HA, HP, TA, TP, SymmetryClass,
@@ -28,7 +27,7 @@ def test_pascal_matrix_small():
 @pytest.mark.parametrize("lam", [0.3 + 0.4j, 2 - 1j, -1.0])
 @pytest.mark.parametrize("m", range(1, 7))
 def test_pascal_similarity_identity(lam, m):
-    N = nilpotent_shift(m)
+    N = np.eye(m, k=1)
     P = pascal_scaling(m, lam)
     lhs = np.linalg.inv((1.0 / lam) * np.eye(m) + N.T)
     rhs = np.linalg.inv(P) @ (lam * np.eye(m) + N.T) @ P
@@ -92,11 +91,10 @@ def _span_gap(basis_a, basis_b):
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
 def test_pjcf_basis_agrees_with_generic_simple(cls):
     lam1, lam2 = 0.4 + 0.2j, 1.7 - 0.5j
-    jcf = PJCF(cls.star,
-               [lam1, 1 / cls.star_scalar(lam1), lam2, 1 / cls.star_scalar(lam2)],
-               [[1], [1], [1], [1]], n_pairs=2)
-    sb = s_basis_pjcf(jcf, cls)
-    gb = kronecker_space(jcf.T_matrix(), cls)
+    T = jordan_matrix([lam1, 1 / cls.star_scalar(lam1),
+                       lam2, 1 / cls.star_scalar(lam2)], [1, 1, 1, 1])
+    sb = s_basis(T, cls)
+    gb = kronecker_space(T, cls)
     assert sb.dim == len(gb)
     assert _span_gap(sb.basis, gb) <= 1e-8
 
@@ -104,17 +102,16 @@ def test_pjcf_basis_agrees_with_generic_simple(cls):
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
 def test_pjcf_basis_agrees_with_generic_jordan(cls):
     lam = 0.5 + 0.3j
-    jcf = PJCF(cls.star, [lam, 1 / cls.star_scalar(lam)], [[2], [2]], n_pairs=1)
-    sb = s_basis_pjcf(jcf, cls)
-    gb = kronecker_space(jcf.T_matrix(), cls)
+    T = jordan_matrix([lam, 1 / cls.star_scalar(lam)], [2, 2])
+    sb = s_basis(T, cls)
+    gb = kronecker_space(T, cls)
     assert sb.dim == len(gb) == 4
     assert _span_gap(sb.basis, gb) <= 1e-8
 
 
 def test_pjcf_jordan_pair_is_pascal_hankel():
     lam = 0.5 + 0.3j
-    jcf = PJCF("T", [lam, 1 / lam], [[2], [2]], n_pairs=1)
-    sb = s_basis_pjcf(jcf, TP)
+    sb = s_basis(jordan_matrix([lam, 1 / lam], [2, 2]), TP)
     P = pascal_scaling(2, lam)
     for B in sb.basis:
         H = B[:2, 2:] @ np.linalg.inv(P)
@@ -125,22 +122,17 @@ def test_pjcf_jordan_pair_is_pascal_hankel():
 
 
 def test_pjcf_flags_forced_zero_singletons():
-    jcf = PJCF("T", [2.0, 0.5, 1.0, -1.0], [[1], [1], [1], [1]], n_pairs=1)
-    sb = s_basis_pjcf(jcf, TP)
-    assert sorted(z.real for z in sb.zero_singletons) == [-1.0, 1.0]
+    # The +1 and -1 singletons sit at diagonal slots 2 and 3.  Their
+    # parameter blocks are structurally zero for TP (every element vanishes
+    # there) and free for TA (some element does not).
+    T = np.diag([2.0, 0.5, 1.0, -1.0])
+    sb = s_basis(T, TP)
+    assert not any(np.any(B[[2, 3], [2, 3]]) for B in sb.basis)
     assert sb.dim == 2
-    sb_ta = s_basis_pjcf(jcf, TA)
-    assert sb_ta.zero_singletons == []
+    sb_ta = s_basis(T, TA)
+    for slot in (2, 3):
+        assert any(B[slot, slot] != 0 for B in sb_ta.basis)
     assert sb_ta.dim == 6
-
-
-def test_pjcf_validation():
-    with pytest.raises(PairingNotClosed):
-        PJCF("T", [2.0, 0.4], [[1], [1]], n_pairs=1)
-    with pytest.raises(PairingNotClosed):
-        PJCF("H", [0.3 + 0.1j], [[1]], n_pairs=0)
-    with pytest.raises(ValueError):
-        PJCF("T", [2.0, 0.5], [[1, 2], [1, 2]], n_pairs=1)
 
 
 def test_sample_nonsingular_scalar_family():
@@ -205,35 +197,24 @@ def test_solution_space_with_isotropy_constraint():
         assert abs(B[0, 0] + B[1, 1]) < 1e-10
 
 
-def test_jordan_block_layout():
-    J = jordan_block(2.0 + 1.0j, 3)
-    assert J[0, 1] == 1.0 and J[1, 2] == 1.0 and J[0, 2] == 0.0
-    assert np.allclose(np.diag(J), 2.0 + 1.0j)
-
-
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
 def test_pjcf_basis_geometric_multiplicity_two(cls):
     # Two Jordan blocks per eigenvalue: rectangular Hankel sub-blocks.
     lam = 0.45 + 0.2j
-    jcf = PJCF(cls.star, [lam, 1 / cls.star_scalar(lam)], [[2, 1], [2, 1]],
-               n_pairs=1)
-    sb = s_basis_pjcf(jcf, cls)
-    gb = kronecker_space(jcf.T_matrix(), cls)
+    p = 1 / cls.star_scalar(lam)
+    T = jordan_matrix([lam, lam, p, p], [2, 1, 2, 1])
+    sb = s_basis(T, cls)
+    gb = kronecker_space(T, cls)
     # min-size sums over the 2x2 sub-block grid: 2+1+1+1 parameters.
     assert sb.dim == len(gb) == 10
     assert _span_gap(sb.basis, gb) <= 1e-8
 
 
 def test_pjcf_basis_jordan_singles():
-    jcf_h = PJCF("H", [np.exp(0.6j)], [[2]], n_pairs=0)
     for cls in (HP, TA):
-        if cls.star == "H":
-            sb = s_basis_pjcf(jcf_h, cls)
-            gb = kronecker_space(jcf_h.T_matrix(), cls)
-        else:
-            jcf_t = PJCF("T", [1.0], [[2]], n_pairs=0)
-            sb = s_basis_pjcf(jcf_t, cls)
-            gb = kronecker_space(jcf_t.T_matrix(), cls)
+        T = jordan_matrix([np.exp(0.6j) if cls.star == "H" else 1.0], [2])
+        sb = s_basis(T, cls)
+        gb = kronecker_space(T, cls)
         assert sb.dim == len(gb) == 2
         assert _span_gap(sb.basis, gb) <= 1e-8
 
@@ -314,18 +295,18 @@ def test_isotropic_x_keeps_whole_space():
 # ---------------------------------------------------------------------------
 
 def _jordan_case(cls):
-    """A PJCF with a Jordan pair group of blocks [2, 1] and two singleton
-    Jordan blocks of sizes 2 and 3: at +1 and -1 (star = T) or on the
-    unit circle (star = H)."""
+    """A Jordan matrix with blocks [2, 1] at each value of a reciprocal
+    pair and two self-paired blocks of sizes 2 and 3: at +1 and -1
+    (star = T) or on the unit circle (star = H)."""
     lam = 0.45 + 0.2j
+    p = 1 / cls.star_scalar(lam)
     singles = [1.0, -1.0] if cls.star == "T" else [np.exp(0.6j), np.exp(-2.1j)]
-    return PJCF(cls.star, [lam, 1 / cls.star_scalar(lam)] + singles,
-                [[2, 1], [2, 1], [2], [3]], n_pairs=1)
+    return jordan_matrix([lam, lam, p, p] + singles, [2, 1, 2, 1, 2, 3])
 
 
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
 def test_jordan_space_matches_kronecker(cls):
-    T = _jordan_case(cls).T_matrix()
+    T = _jordan_case(cls)
     _assert_same_space(T, cls, None)
     X = random_complex(np.random.default_rng(70), 2, T.shape[0])
     for scale in (1.0, 1e6, 1e-6):
@@ -339,7 +320,7 @@ def test_jordan_space_matches_kronecker(cls):
 def test_jordan_singleton_matches_kronecker(cls, mults):
     # Jordan blocks at one self-paired eigenvalue, alone and with X.
     lam = 1.0 if cls.star == "T" else np.exp(0.6j)
-    T = PJCF(cls.star, [lam], [mults], n_pairs=0).T_matrix()
+    T = jordan_matrix([lam] * len(mults), mults)
     _assert_same_space(T, cls, None)
     X = random_complex(np.random.default_rng(72), 1, T.shape[0])
     _assert_same_space(T, cls, X)
@@ -416,8 +397,7 @@ def test_real_rotation_block_pair():
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
 def test_similar_jordan_block_is_rejected(cls, size):
     lam = 0.5 + 0.3j
-    J = PJCF(cls.star, [lam, 1 / cls.star_scalar(lam)], [[size], [size]],
-             n_pairs=1).T_matrix()
+    J = jordan_matrix([lam, 1 / cls.star_scalar(lam)], [size, size])
     for seed in range(20):
         T, W = _similar(J, seed)
         with pytest.raises(DefectiveSpectrum):

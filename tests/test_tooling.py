@@ -1,6 +1,7 @@
 """Tooling checks.  The benchmark's tracer wraps package functions by name;
-a rename must fail here, not only in a traced benchmark run.  The CLI must
-run on numpy alone, without importing scipy."""
+a rename must fail here, not only in a traced benchmark run.  The public
+names in palinverse.__all__ must resolve.  The CLI must run on numpy alone,
+without importing scipy."""
 
 import importlib
 import importlib.util
@@ -10,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import palinverse
 from palinverse.fileio import save_pair, save_system
 from palinverse.system import TP
 from reference_problems import iep_fixture, update_fixture
@@ -34,6 +36,16 @@ def test_tracing_targets_resolve():
         assert "__post_init__" in vars(cls), name
     for module in tracing.MODULES:
         importlib.import_module(f"palinverse.{module}")
+
+
+def test_public_names_resolve():
+    names = palinverse.__all__
+    assert len(set(names)) == len(names)
+    assert all(hasattr(palinverse, name) for name in names)
+    namespace = {}
+    exec("from palinverse import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(names)
 
 
 # Runs the three subcommands in one fresh interpreter, then lists every
