@@ -7,6 +7,17 @@ is never formed: C costs one order-n LU solve with 2n right-hand sides.
 This companion form is deliberately unstructured; at desk scale its
 accuracy supports the 1e-6 pairing tolerance used throughout, and
 structure-preserving solvers are out of scope.
+
+Each system keeps the 2n eigenvalues of its last eigensolve, so a
+spectrum is solved at most once per system.  eig_full and eigenvalues
+record a read-only copy of the values they compute on the system; the
+most recent solve overwrites the record (eig_full's values, computed with
+eigenvectors, differ from eigenvalues' at roundoff).  eigenvalues returns
+the record only while sys.A1 and sys.A0 are the very arrays it was computed
+from and neither is writeable, so a reassigned coefficient, or a
+deepcopied or unpickled system (whose arrays are writeable again), is
+solved afresh.  An array made writeable, written and made read-only again
+is not detected.  eig_full always runs its own eigensolve.
 """
 
 from dataclasses import dataclass, field
@@ -38,9 +49,25 @@ def companion(sys):
     return C
 
 
+def _record(sys, values):
+    kept = values.copy()
+    kept.flags.writeable = False
+    sys._eigenvalues = (sys.A1, sys.A0, kept)
+    return kept
+
+
 def eigenvalues(sys):
-    """The 2n eigenvalues of Q alone: no eigenvectors, residuals or pairing."""
-    return dense_eig(companion(sys), vectors=False)
+    """The 2n eigenvalues of Q alone: no eigenvectors, residuals or pairing.
+
+    Returns the read-only values recorded by the last eigensolve of sys
+    when they are still valid (see the module docstring) and solves for
+    them otherwise.
+    """
+    memo = sys._eigenvalues
+    if memo is not None and memo[0] is sys.A1 and memo[1] is sys.A0 \
+            and not (sys.A1.flags.writeable or sys.A0.flags.writeable):
+        return memo[2]
+    return _record(sys, dense_eig(companion(sys), vectors=False))
 
 
 @dataclass
@@ -121,10 +148,11 @@ def eig_full(sys, pairing_tol=PAIRING_TOL):
     Solves the standard eigenproblem of the companion matrix, normalizes
     eigenvectors from the better scaled companion block, and pairs the
     spectrum greedily.  An incomplete pairing is recorded in the result,
-    not raised.
+    not raised.  The eigenvalues are also recorded on sys, for eigenvalues.
     """
     n = sys.n
     values, Z = dense_eig(companion(sys))
+    _record(sys, values)
     top, bottom = Z[:n], Z[n:]
     # hypot, as in _greedy_pairing: unimodular values sit on this boundary.
     vectors = np.where(np.hypot(values.real, values.imag) >= 1.0, top, bottom)

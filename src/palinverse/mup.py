@@ -34,6 +34,10 @@ from .system import PalindromicSystem, assembled_system, pair_residual
 
 S1_MEMBERSHIP_RTOL = 1e-9
 XI_SINGULAR_RTOL = 1e-12
+# Relative distance within which a selected eigenvalue must be found in the
+# system's spectrum.  It also absorbs the roundoff between values computed
+# with eigenvectors (eig_full, usually the source of T1) and without them.
+SELECTED_MATCH_RTOL = 1e-6
 
 
 def compute_S1(sys, X1, T1):
@@ -150,7 +154,7 @@ class MupProblem:
             dist = np.abs(values - v)
             for j in np.argsort(dist):
                 if j not in used:
-                    if dist[j] > 1e-6 * max(1.0, abs(v)):
+                    if dist[j] > SELECTED_MATCH_RTOL * max(1.0, abs(v)):
                         raise SpectraOverlap(
                             f"selected eigenvalue {v:.6g} not found in the "
                             "system spectrum")

@@ -86,12 +86,19 @@ class PalindromicSystem:
     spectral data come from assembled_system, which records in a0_defect
     the defect it projected away.  Real input is stored as complex;
     nothing ever assumes real storage.
+
+    A1 and A0 are private copies of the input and read-only after
+    validation: an in-place write raises ValueError.  A different system
+    is built as a new PalindromicSystem.
     """
 
     cls: SymmetryClass
     A1: np.ndarray
     A0: np.ndarray
     a0_defect: float = field(default=0.0, init=False, repr=False)
+    # (A1, A0, values) of the last eigensolve; see forward.eigenvalues.
+    _eigenvalues: tuple = field(default=None, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self):
         self.A1 = as_matrix(self.A1, "A1")
@@ -118,6 +125,8 @@ class PalindromicSystem:
             warnings.warn(
                 f"A1 is nearly singular (sigma_min/sigma_max = {ratio:.3e}); "
                 "results may be inaccurate", stacklevel=2)
+        self.A1.flags.writeable = False
+        self.A0.flags.writeable = False
 
     @property
     def n(self):

@@ -3,10 +3,24 @@
 import numpy as np
 import scipy.linalg
 
+from palinverse import forward
 from palinverse.forward import eig_full
 from palinverse.numerics import as_matrix, fnorm, linear_solve
 from palinverse.paramspace import NULLSPACE_RTOL
 from palinverse.system import PalindromicSystem, eval_Q
+
+
+def count_eigensolves(monkeypatch):
+    """Record the vectors flag of every forward.dense_eig call."""
+    calls = []
+    dense_eig = forward.dense_eig
+
+    def counting_eig(A, vectors=True):
+        calls.append(vectors)
+        return dense_eig(A, vectors=vectors)
+
+    monkeypatch.setattr(forward, "dense_eig", counting_eig)
+    return calls
 
 
 def random_complex(rng, *shape):

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import random_system
+from helpers import count_eigensolves, random_system
 from palinverse import cli
 from palinverse.cli import main, parse_complex, parse_complex_list
 from palinverse.fileio import (load_pair, load_system, load_values, save_pair,
@@ -154,6 +154,20 @@ def test_cmd_update_fixtures(tmp_path, capsys, code_name):
     e = eig_full(updated)
     for v in new:
         assert min(abs(e.values - v)) <= 1e-6
+
+
+def test_cmd_update_solves_the_spectrum_once(tmp_path, capsys, monkeypatch):
+    # The update's checks read the eigenvalues eig_full recorded.
+    sys, replace, new = update_fixture("tp")
+    sysfile = tmp_path / "sys.json"
+    save_system(sys, sysfile)
+    calls = count_eigensolves(monkeypatch)
+    rep = ",".join(f"{complex(v).real}{complex(v).imag:+}i" for v in replace)
+    wit = ",".join(f"{complex(v).real}{complex(v).imag:+}i" for v in new)
+    code = main(["update", "--system", str(sysfile), f"--replace={rep}",
+                 f"--with={wit}", "--seed", "4"])
+    assert code == 0, capsys.readouterr().err
+    assert calls == [True]
 
 
 def test_cmd_update_target_not_found(tmp_path, capsys):

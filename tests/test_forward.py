@@ -1,11 +1,16 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
-from helpers import (companion_reference, linearize, max_eig_condition,
-                     pair_defect, random_system, residual_scale)
+from helpers import (companion_reference, count_eigensolves, linearize,
+                     max_eig_condition, pair_defect, random_system,
+                     residual_scale)
 from palinverse import forward
 from palinverse.errors import PairingNotClosed, SpectraOverlap, TargetNotFound
-from palinverse.forward import eig_full, select_pairs
+from palinverse.forward import eig_full, eigenvalues, select_pairs
+from palinverse.mup import MupProblem
 from palinverse.numerics import dense_eig, linear_solve
 from palinverse.system import ALL_CLASSES, HP, TA, TP, PalindromicSystem
 from reference_problems import update_fixture
@@ -174,3 +179,73 @@ def test_eig_full_strict_pairing_failure():
     e = eig_full(sys, pairing_tol=1e-18)
     assert not e.pairing_complete
     assert e.unmatched
+
+
+def _values_only(sys):
+    return dense_eig(forward.companion(sys), vectors=False)
+
+
+def test_recorded_spectrum_skips_the_eigensolve(monkeypatch):
+    sys, replace, new = update_fixture("hp")
+    calls = count_eigensolves(monkeypatch)
+    e = eig_full(sys)
+    assert calls == [True]
+    assert np.array_equal(eigenvalues(sys), e.values)
+    X1, T1, _, _ = select_pairs(e, replace)
+    MupProblem(sys, X1, T1, np.diag(new))
+    assert calls == [True]
+    # eig_full runs its own eigensolve every time.
+    eig_full(sys)
+    assert calls == [True, True]
+
+
+def test_values_only_solve_is_recorded(monkeypatch):
+    sys = random_system(TP, 6, seed=5)
+    calls = count_eigensolves(monkeypatch)
+    first = eigenvalues(sys)
+    assert np.array_equal(eigenvalues(sys), first)
+    assert calls == [False]
+    with pytest.raises(ValueError):
+        first[0] = 0.0
+
+
+def test_reassigned_coefficient_is_solved_afresh(monkeypatch):
+    sys = random_system(TP, 6, seed=5)
+    other = random_system(TP, 6, seed=6)
+    eig_full(sys)
+    calls = count_eigensolves(monkeypatch)
+    # Another system's A0 is read-only too: only its identity tells it apart.
+    sys.A0 = other.A0
+    assert np.array_equal(eigenvalues(sys), _values_only(sys))
+    sys.A0 = np.array(other.A0)
+    assert np.array_equal(eigenvalues(sys), _values_only(sys))
+    assert calls == [False, False]
+
+
+@pytest.mark.parametrize("name", ["A1", "A0"])
+def test_coefficients_are_read_only(name):
+    sys = random_system(HP, 4, seed=2)
+    with pytest.raises(ValueError):
+        getattr(sys, name)[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("clone", [copy.deepcopy,
+                                   lambda s: pickle.loads(pickle.dumps(s))],
+                         ids=["deepcopy", "pickle"])
+@pytest.mark.parametrize("name", ["A1", "A0"])
+def test_copied_system_written_in_place_is_solved_afresh(clone, name):
+    sys = random_system(HP, 6, seed=3)
+    stale = eig_full(sys).values
+    twin = clone(sys)
+    getattr(twin, name)[0, 0] += 0.5
+    fresh = eigenvalues(twin)
+    assert np.array_equal(fresh, _values_only(twin))
+    assert not np.allclose(np.sort_complex(fresh), np.sort_complex(stale))
+
+
+def test_mutating_returned_values_leaves_record_intact():
+    sys = random_system(HP, 6, seed=3)
+    e = eig_full(sys)
+    recorded = e.values.copy()
+    e.values[:] = 0.0
+    assert np.array_equal(eigenvalues(sys), recorded)

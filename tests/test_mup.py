@@ -403,3 +403,47 @@ def test_free_update_to_large_modulus(cls, modulus):
     assert pair_residual(res.system, (res.X1_new, T1_new)) <= 1e-9
     # The kept pairs stay invariant pairs a further update accepts.
     assert pair_residual(res.system, (X2, T2)) <= PAIR_RESIDUAL_GATE
+
+
+def _fixture_update_case(code):
+    sys, replace, new = update_fixture(code)
+    X1, T1, _, _ = select_pairs(eig_full(sys), replace)
+    return sys, X1, T1, np.diag(new)
+
+
+def _random_update_case(code, k=8):
+    """Order 48, as in the update benchmark: k/2 off-circle reciprocal
+    pairs replaced by pairs of modulus in [0.3, 0.6]."""
+    from palinverse.system import SymmetryClass
+
+    cls = SymmetryClass.from_code(code)
+    sys = random_system(cls, 48, seed=48)
+    e = eig_full(sys)
+    pairs = [p for p in e.pairing
+             if p[0] != p[1] and abs(abs(e.values[p[0]]) - 1.0) > 0.05]
+    X1, T1, _, _ = select_pairs(e, [e.values[i] for p in pairs[:k // 2] for i in p])
+    new = []
+    for m in range(k // 2):
+        mu = (0.3 + 0.1 * m) * np.exp(1j * (0.7 + m))
+        new += [mu, 1 / cls.star_scalar(mu)]
+    return sys, X1, T1, np.diag(new)
+
+
+@pytest.mark.parametrize("make_case", [_fixture_update_case, _random_update_case],
+                         ids=["fixture", "order48"])
+@pytest.mark.parametrize("code", ["tp", "ta", "hp", "ha"])
+def test_update_outputs_do_not_depend_on_recorded_spectrum(make_case, code):
+    # sys carries eig_full's eigenvalues; an equal system built afresh
+    # solves for its values alone.  The two differ at roundoff, and they
+    # only feed the problem's gates, so every output bit agrees.
+    sys, X1, T1, T1_new = make_case(code)
+    fresh = PalindromicSystem(sys.cls, sys.A1, sys.A0)
+
+    def outputs(s):
+        free = update_model_result(MupProblem(s, X1, T1, T1_new, seed=3))
+        prescribed = update_model_result(
+            MupProblem(s, X1, T1, T1_new, X1_new=free.X1_new, seed=4))
+        return [(r.system.A1.tobytes(), r.system.A0.tobytes(),
+                 r.X1_new.tobytes(), r.attempts) for r in (free, prescribed)]
+
+    assert outputs(fresh) == outputs(sys)

@@ -38,6 +38,14 @@ def test_tracing_targets_resolve():
         importlib.import_module(f"palinverse.{module}")
 
 
+def test_forward_binds_the_traced_eigensolver():
+    # The tracer replaces numerics.dense_eig wherever a module binds that
+    # very object; forward must call it through its own binding.
+    from palinverse import forward, numerics
+
+    assert forward.dense_eig is numerics.dense_eig
+
+
 def test_public_names_resolve():
     names = palinverse.__all__
     assert len(set(names)) == len(names)
