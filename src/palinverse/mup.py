@@ -6,10 +6,12 @@ parameter block S1 of the selected pairs is computed directly from the
 coefficients, replacement data (X1_new, S1_new) is built so that
 X1_new S1_new X1_new* = X1 S1 X1*, and the coefficient change is a low
 rank correction driven by a rank factorization and a Sherman-Morrison-
-Woodbury style pivot Xi.  update_model_result is the one entry point: it
-takes the replacement eigenvectors as given when MupProblem.X1_new is set
-and constructs them otherwise, and errors.retry draws again when the
-output misses a gate.
+Woodbury style pivot Xi.  Each product W M W* with W thin (X1, X1_new or
+both) is decomposed in the coordinates of range(W)
+(numerics.range_coordinates), at order at most 2k.  update_model_result
+is the one entry point: it takes the replacement eigenvectors as given
+when MupProblem.X1_new is set and constructs them otherwise, and
+errors.retry draws again when the output misses a gate.
 """
 
 from dataclasses import dataclass
@@ -24,8 +26,8 @@ from .errors import (DefectiveSpectrum, DimensionMismatch, Infeasible,
 from .forward import COINCIDE_RTOL, eigenvalues
 from .iep import (OUTPUT_RESIDUAL_TOL, _congruence_onto, _group_values,
                   _snap_isotropy, _unit_multiplicity)
-from .numerics import (as_matrix, fnorm, invert, linear_solve, rank_factorize,
-                       solve_right, sv_ratio)
+from .numerics import (as_matrix, fnorm, invert, linear_solve, range_coordinates,
+                       rank_factorize, solve_right, sv_ratio)
 from .paramspace import (NONSINGULAR_RTOL, constrained_family, s_basis,
                          sample_nonsingular)
 from .spectral import PAIR_RESIDUAL_GATE
@@ -191,16 +193,20 @@ def low_rank_update(sys, X1, T1, S1, X1_new, T1_new, S1_new):
 
     Factorizes the change of X T^{-1} S X* as Z1 Z2*, forms the pivot
     Xi = I + eps Z2* A1 Z1 and applies the bordered update to (A1, A0).
-    A zero-rank change short-circuits to exact copies.  Returns
-    (system, Z1, Z2, rank); raises XiSingular when Xi is singular
+    The change is factorized as its order-min(n, 2k) core in the
+    coordinates Q of range([X1_new, X1]), lifted as Z1 = Q Z1c,
+    Z2 = Q Z2c.  A zero-rank change short-circuits to exact copies.
+    Returns (system, Z1, Z2, rank); raises XiSingular when Xi is singular
     (callers retry with a fresh parameter draw).
     """
     cls = sys.cls
     star = cls.star_of
     eps = cls.epsilon
-    D1 = X1_new @ linear_solve(T1_new, S1_new) @ star(X1_new) \
-        - X1 @ linear_solve(T1, S1) @ star(X1)
-    Z1, Z2, ell = rank_factorize(D1, star=cls.star)
+    Q, (P_new, P_old) = range_coordinates(X1_new, X1)
+    D1_core = P_new @ linear_solve(T1_new, S1_new) @ star(P_new) \
+        - P_old @ linear_solve(T1, S1) @ star(P_old)
+    Z1, Z2, ell = rank_factorize(D1_core, star=cls.star)
+    Z1, Z2 = Q @ Z1, Q @ Z2
     if ell == 0:
         return PalindromicSystem(cls, sys.A1.copy(), sys.A0.copy()), Z1, Z2, 0
 
@@ -247,6 +253,8 @@ def update_model_result(problem):
     replacement eigenvalues, factorize it as Ytil Delta_til Ytil*, solve
     Psi Delta_til Psi* = Delta, and set X1_new = Y Psi Ytil^{-1}, which
     transfers the isotropy constraint to the new pair by construction.
+    Y = Q Yc is n-by-min(n, k), from the core P S1 P* = Yc Delta Yc* in
+    the coordinates Q of range(X1), P = Q^H X1.
 
     Prescribed eigenvectors (X1_new set) solve the transfer constraint
     X1_new S X1_new* = X1 S1 X1* for a nonsingular S in the parameter space
@@ -259,11 +267,12 @@ def update_model_result(problem):
     """
     cls = problem.sys.cls
     S1 = compute_S1(problem.sys, problem.X1, problem.T1)
-    C = _snap_isotropy(problem.X1, S1, cls)
     basis = s_basis(problem.T1_new, cls)
     retryable = (XiSingular, ResidualTooLarge, SymmetryViolation)
     if problem.X1_new is None:
-        fact = star_factorize(C, cls)
+        Q, (P,) = range_coordinates(problem.X1)
+        fact = star_factorize(_snap_isotropy(P, S1, cls), cls)
+        Y = Q @ fact.Y
         master = np.random.default_rng(problem.seed)
 
         def draw(attempt):
@@ -272,11 +281,12 @@ def update_model_result(problem):
             fact_t = star_factorize(S1t, cls)
             psi = _congruence_onto(fact.pattern.matrix(), fact_t.pattern.matrix(),
                                    cls, np.random.default_rng(int(seeds[1])))
-            X1t = solve_right(fact.Y @ psi, fact_t.Y)
+            X1t = solve_right(Y @ psi, fact_t.Y)
             return _finish(problem, S1, X1t, S1t, attempt)
 
         attempts = problem.attempts
     else:
+        C = _snap_isotropy(problem.X1, S1, cls)
         S_part, homogeneous = constrained_family(basis, problem.X1_new, C, cls)
         rng = np.random.default_rng(problem.seed)
 

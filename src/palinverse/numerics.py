@@ -2,8 +2,8 @@
 
 All data are plain numpy arrays with complex128 entries.  The routines here
 wrap numpy's LAPACK bindings behind the small contracts the rest of the
-package relies on: pivoted LU solves, SVD-based rank decisions, and a dense
-nonsymmetric eigensolver.
+package relies on: pivoted LU solves, SVD-based rank decisions, thin-QR
+range coordinates, and a dense nonsymmetric eigensolver.
 
 Singularity policy.  linear_solve raises SingularMatrix only when LAPACK
 meets an exactly zero pivot; it does not judge conditioning, so an exactly
@@ -137,6 +137,21 @@ def rank_factorize(M, star="H"):
     V = vh[:ell].conj().T
     Z2 = V.conj() if star == "T" else V
     return Z1, Z2, ell
+
+
+def range_coordinates(*blocks):
+    """Orthonormal basis Q of the joint column range of the blocks, and
+    each block B_i in its coordinates Q^H B_i.
+
+    Q comes from one thin Householder QR and is n-by-min(n, columns).
+    W M star(W) = Q (P M star(P)) star(Q) with P = Q^H W for either star,
+    and the small core keeps the singular values of the product, so rank
+    decisions on it keep their meaning.  Each block is projected in its
+    own product: equal blocks get bit-equal coordinates.
+    """
+    Q = np.linalg.qr(np.hstack(blocks))[0]
+    QH = Q.conj().T
+    return Q, [QH @ B for B in blocks]
 
 
 def dense_eig(A, vectors=True):

@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import (DefectiveSpectrum, DimensionMismatch, Inconsistent,
                      NoNonsingularFound, SingularMatrix)
-from .numerics import as_matrix, dense_eig, fnorm, sv_ratio
+from .numerics import (as_matrix, dense_eig, fnorm, range_coordinates,
+                       sv_ratio)
 from .system import SymmetryClass
 
 NULLSPACE_RTOL = 1e-10
@@ -336,30 +337,39 @@ def constrained_family(basis, X, C, cls):
     """Affine solution set of X S X* = C over span(basis).
 
     Returns (S_particular, homogeneous) where homogeneous is a list of
-    matrices spanning the null directions.  Raises Inconsistent when the
-    least-squares residual exceeds 1e-8 ||C||.
+    matrices spanning the null directions.  It is solved in the
+    coordinates Q of range(X) as P S P* = Q^H C star(Q^H), P = Q^H X: one
+    thin SVD of a real 2 min(n, m)^2-row matrix with the singular values
+    of the map S -> X S X*.  Raises Inconsistent when the least-squares
+    residual, the part of C outside range(Q) included, exceeds 1e-8 ||C||.
     """
     X = as_matrix(X, "X")
     C = as_matrix(C, "C")
-    defect = fnorm(cls.star_of(C) + cls.epsilon * C)
+    star = cls.star_of
+    defect = fnorm(star(C) + cls.epsilon * C)
     if defect > 1e-8 * max(fnorm(C), 1e-300):
         raise Inconsistent("right-hand side C must satisfy star(C) = -eps C")
     if basis.dim == 0:
         if fnorm(C) <= 1e-12:
-            return np.zeros_like(C), []
+            m = basis.T.shape[0]
+            return np.zeros((m, m), dtype=np.complex128), []
         raise Inconsistent("parameter space is trivial but C != 0")
-    cols = [_rvec(X @ B @ cls.star_of(X)) for B in basis.basis]
-    A = np.column_stack(cols)
-    b = _rvec(C)
+    Q, (P,) = range_coordinates(X)
+    QH = Q.conj().T
+    C_core = QH @ C @ star(QH)
+    A = np.column_stack([_rvec(P @ B @ star(P)) for B in basis.basis])
+    b = _rvec(C_core)
     # ||X B X*|| <= ||X||_F^2 ||B||_F bounds every column of A.
     scale = fnorm(X) ** 2 * max(fnorm(B) for B in basis.basis)
     u, s, vt, rank = _svd_null(A, NULLSPACE_RTOL * scale)
     coeff = vt[:rank].T @ ((u[:, :rank].T @ b) / s[:rank])
-    resid = np.linalg.norm(A @ coeff - b)
-    if resid > CONSISTENCY_RTOL * max(np.linalg.norm(b), 1e-300):
+    # The two parts of the residual are orthogonal: inside range(Q) and
+    # the part of C that no X S X* can reach.
+    resid = np.hypot(np.linalg.norm(A @ coeff - b),
+                     fnorm(C - Q @ C_core @ star(Q)))
+    if resid > CONSISTENCY_RTOL * max(fnorm(C), 1e-300):
         raise Inconsistent(
             f"no S solves X S X* = C (residual {resid:.3e} vs ||C|| {fnorm(C):.3e})")
     S_part = basis.combine(coeff)
     homogeneous = [basis.combine(v) for v in vt[rank:]]
     return S_part, homogeneous
-

@@ -5,8 +5,8 @@ import scipy.linalg
 
 from palinverse import forward
 from palinverse.forward import eig_full
-from palinverse.numerics import as_matrix, fnorm, linear_solve
-from palinverse.paramspace import NULLSPACE_RTOL
+from palinverse.numerics import RANK_RTOL, as_matrix, fnorm, linear_solve
+from palinverse.paramspace import NULLSPACE_RTOL, _rvec
 from palinverse.system import PalindromicSystem, eval_Q
 
 
@@ -267,3 +267,39 @@ def kronecker_space(T, cls, X=None):
     _, s, vt = np.linalg.svd(A, full_matrices=False)
     rank = int(np.count_nonzero(s > NULLSPACE_RTOL * s[0]))
     return [_unrvec(v, T.shape[0], T.shape[0]) for v in vt[rank:]]
+
+
+# ---------------------------------------------------------------------------
+# Order-n references for the update's range-coordinate cores
+# ---------------------------------------------------------------------------
+
+def dense_update_change(cls, X1, T1, S1, X1_new, T1_new, S1_new):
+    """D1 = X1_new T1_new^-1 S1_new X1_new* - X1 T1^-1 S1 X1*, formed as an
+    n-by-n matrix, and its rank by SVD against RANK_RTOL.
+
+    Reference for mup.low_rank_update, which factorizes D1 in the
+    coordinates of range([X1_new, X1]).
+    """
+    star = cls.star_of
+    D1 = X1_new @ linear_solve(T1_new, S1_new) @ star(X1_new) \
+        - X1 @ linear_solve(T1, S1) @ star(X1)
+    s = np.linalg.svd(D1, compute_uv=False)
+    return D1, int(np.count_nonzero(s > RANK_RTOL * s[0]))
+
+
+def dense_constrained_family(basis, X, C, cls):
+    """Least-squares solve of X S X* = C over span(basis) on the whole
+    2n^2-row real map S -> X S X*, with the rank decided as in
+    paramspace.constrained_family.
+
+    Reference for constrained_family, which solves in the coordinates of
+    range(X).  Returns (coeff, null, resid): the minimum-norm coefficient
+    vector, the null directions as rows, and the residual norm.
+    """
+    A = np.column_stack([_rvec(X @ B @ cls.star_of(X)) for B in basis.basis])
+    b = _rvec(C)
+    scale = fnorm(X) ** 2 * max(fnorm(B) for B in basis.basis)
+    u, s, vt = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
+    rank = int(np.count_nonzero(s > NULLSPACE_RTOL * scale))
+    coeff = vt[:rank].T @ ((u[:, :rank].T @ b) / s[:rank])
+    return coeff, vt[rank:], float(np.linalg.norm(A @ coeff - b))

@@ -3,7 +3,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import random_complex, random_system, residual_scale, separated_spectrum
+from helpers import (count_eigensolves, dense_update_change, random_complex,
+                     random_system, residual_scale, separated_spectrum)
 from palinverse import mup
 from palinverse.errors import (Inconsistent, NoNonsingularS1Tilde,
                                ResidualTooLarge, SpectraOverlap,
@@ -344,32 +345,22 @@ def _spillover_case(code, k):
     return sys, X1, T1, np.diag(new), seed
 
 
-def _update_outputs(sys, X1, T1, T1_new, seed):
-    res = update_model_result(MupProblem(sys, X1, T1, T1_new, seed=seed))
-    ns = update_model_prescribed(
-        MupProblem(sys, X1, T1, T1_new, X1_new=res.X1_new, seed=seed + 1))
-    return [a.tobytes() for a in (res.system.A1, res.system.A0, res.X1_new,
-                                  ns.A1, ns.A0)]
-
-
 @pytest.mark.parametrize("k", [2, 8])
 @pytest.mark.parametrize("code", ["tp", "ta", "hp", "ha"])
 def test_problem_checks_eigenvalues_only(code, k, monkeypatch):
     # The overlap and parity checks need the kept eigenvalues, never their
-    # eigenvectors; reading them from the full eig_full solve instead
-    # changes no output bit.
-    case = _spillover_case(code, k)
-    sys, X1, T1, T1_new, _ = case
+    # eigenvectors.  The case's system carries eig_full's spectrum, so the
+    # checks run on an equal system built afresh, which must solve.
+    sys, X1, T1, T1_new, _ = _spillover_case(code, k)
+    fresh = PalindromicSystem(sys.cls, sys.A1, sys.A0)
 
     def no_vectors(*args, **kwargs):
         raise AssertionError("MupProblem computed eigenvectors")
 
-    with monkeypatch.context() as m:
-        m.setattr(np.linalg, "eig", no_vectors)
-        MupProblem(sys, X1, T1, T1_new)
-    values_only = _update_outputs(*case)
-    monkeypatch.setattr(mup, "eigenvalues", lambda s: eig_full(s).values)
-    assert _update_outputs(*case) == values_only
+    monkeypatch.setattr(np.linalg, "eig", no_vectors)
+    eigensolves = count_eigensolves(monkeypatch)
+    MupProblem(fresh, X1, T1, T1_new)
+    assert eigensolves == [False]
 
 
 @pytest.mark.parametrize("k", [2, 8])
@@ -447,3 +438,50 @@ def test_update_outputs_do_not_depend_on_recorded_spectrum(make_case, code):
                  r.X1_new.tobytes(), r.attempts) for r in (free, prescribed)]
 
     assert outputs(fresh) == outputs(sys)
+
+
+@pytest.mark.parametrize("k", [2, 8, 10], ids=["2k<n", "2k>n", "k>n"])
+@pytest.mark.parametrize("code", ["tp", "ta", "hp", "ha"])
+def test_low_rank_factors_match_order_n_change(code, k):
+    # The update factorizes D1 in the coordinates of range([X1_new, X1]);
+    # the n-by-n D1 (n = 8) is the reference for its factors and rank.
+    sys, X1, T1, T1_new, seed = _spillover_case(code, k)
+    free = update_model_result(MupProblem(sys, X1, T1, T1_new, seed=seed))
+    prescribed = update_model_result(
+        MupProblem(sys, X1, T1, T1_new, X1_new=free.X1_new, seed=seed + 1))
+    for res in (free, prescribed):
+        D1, rank = dense_update_change(sys.cls, X1, T1, res.S1, res.X1_new,
+                                       T1_new, res.S1_new)
+        assert res.rank == rank
+        assert res.Z1.shape == res.Z2.shape == (sys.n, rank)
+        assert fnorm(res.Z1 @ sys.cls.star_of(res.Z2) - D1) <= 1e-10 * fnorm(D1)
+
+
+@pytest.mark.parametrize("k", [2, 8])
+@pytest.mark.parametrize("code", ["tp", "ta", "hp", "ha"])
+def test_update_decomposes_nothing_of_order_n_but_the_new_a1(code, k, monkeypatch):
+    # Every rank-2k product is decomposed in range coordinates, so past
+    # the problem's checks an update at n = 48 runs no SVD or Hermitian
+    # eigensolve of order above 2k, except the sigma-ratio gate of the
+    # new A1 in PalindromicSystem.  The transfer constraint is a real
+    # system of 2 k^2 rows (not 2 n^2) over at most 2k unknowns.
+    sys, X1, T1, T1_new = _random_update_case(code, k)
+    free_problem = MupProblem(sys, X1, T1, T1_new, seed=3)
+    inputs = []
+    for name in ("svd", "eigh"):
+        def recording(a, *args, _decompose=getattr(np.linalg, name), **kwargs):
+            inputs.append(np.array(a))
+            return _decompose(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recording)
+
+    free = update_model_result(free_problem)
+    large = [a for a in inputs if max(a.shape) > 2 * k]
+    assert len(large) == 1 and np.array_equal(large[0], free.system.A1)
+
+    prescribed_problem = MupProblem(sys, X1, T1, T1_new, X1_new=free.X1_new, seed=4)
+    inputs.clear()
+    prescribed = update_model_result(prescribed_problem)
+    transfer, gate = [a for a in inputs if max(a.shape) > 2 * k]
+    assert transfer.dtype == np.float64
+    assert transfer.shape[0] == 2 * k * k and transfer.shape[1] <= 2 * k
+    assert np.array_equal(gate, prescribed.system.A1)

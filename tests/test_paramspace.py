@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import (jordan_matrix, kronecker_space, planted_direct_sum,
-                     random_complex, random_system)
+from helpers import (dense_constrained_family, jordan_matrix, kronecker_space,
+                     planted_direct_sum, random_complex, random_structured,
+                     random_system)
 from palinverse.errors import (DefectiveSpectrum, Inconsistent,
                                NoNonsingularFound)
 from palinverse.forward import eig_full
@@ -185,6 +186,66 @@ def test_solve_constrained_homogeneous_and_inconsistent():
     X1 = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(Inconsistent):
         constrained_family(b, X1, bad, TA)[0]
+
+
+def _span_defect(A, B):
+    """Relative part of the columns of B outside the column span of A."""
+    if B.shape[1] == 0:
+        return 0.0
+    fit = np.linalg.lstsq(A, B, rcond=None)[0]
+    return fnorm(B - A @ fit) / fnorm(B)
+
+
+# X is n-by-m with m = 4: full column rank with m <= n, rank deficient,
+# and m > n, where range(X) is the whole space.
+@pytest.mark.parametrize("n, rank", [(6, 4), (6, 2), (3, 3), (2, 2)],
+                         ids=["m<=n", "m<=n-deficient", "m>n", "m=2n"])
+@pytest.mark.parametrize("T", ["pairs", "unimodular"])
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_constrained_family_matches_order_n_solve(cls, T, n, rank):
+    rng = np.random.default_rng(31)
+    T = _pair_diag(cls, 0.4 + 0.2j, 1.7 - 0.5j) if T == "pairs" else np.eye(4)
+    b = s_basis(T, cls)
+    X = random_complex(rng, n, rank) @ random_complex(rng, rank, 4)
+    C = X @ b.combine(rng.standard_normal(b.dim)) @ cls.star_of(X)
+    S, hom = constrained_family(b, X, C, cls)
+    coeff, null, resid = dense_constrained_family(b, X, C, cls)
+    assert resid <= 1e-10 * fnorm(C)
+    assert fnorm(S - b.combine(coeff)) <= 1e-8 * fnorm(S)
+    # Same null-space dimension and span.
+    assert len(hom) == len(null)
+    H = np.column_stack([_rvec(h) for h in hom]) if hom else np.zeros((1, 0))
+    R = np.column_stack([_rvec(b.combine(v)) for v in null]) if len(null) \
+        else np.zeros((1, 0))
+    assert _span_defect(H, R) <= 1e-8 and _span_defect(R, H) <= 1e-8
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_constrained_family_counts_c_outside_range_of_x(cls):
+    # The in-range part of C is consistent; a part outside range(X), which
+    # no X S X* can produce, must still count in the residual.
+    rng = np.random.default_rng(32)
+    b = s_basis(_pair_diag(cls, 0.4 + 0.2j), cls)
+    X = random_complex(rng, 6, 2)
+    inside = X @ b.combine(rng.standard_normal(b.dim)) @ cls.star_of(X)
+    N = np.linalg.qr(X, mode="complete")[0][:, 2:]
+    outside = N @ random_structured(rng, cls, 4) @ cls.star_of(N)
+    outside *= fnorm(inside) / fnorm(outside)
+    S = constrained_family(b, X, inside, cls)[0]
+    assert fnorm(X @ S @ cls.star_of(X) - inside) <= 1e-10 * fnorm(inside)
+    with pytest.raises(Inconsistent):
+        constrained_family(b, X, inside + 1e-6 * outside, cls)
+    # Below the 1e-8 consistency bound the outside part is tolerated.
+    constrained_family(b, X, inside + 1e-10 * outside, cls)
+
+
+def test_constrained_family_trivial_space_returns_m_by_m():
+    b = s_basis(np.diag([1.0, -1.0]), TP)
+    assert b.dim == 0
+    X = random_complex(np.random.default_rng(33), 4, 2)
+    S, hom = constrained_family(b, X, np.zeros((4, 4)), TP)
+    assert S.shape == (2, 2) and not S.any()
+    assert hom == []
 
 
 def test_solution_space_with_isotropy_constraint():
