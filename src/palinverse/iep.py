@@ -456,14 +456,11 @@ class IepSolution:
         return self.system.a0_defect
 
 
-def _remaining_spectrum(problem, r):
+def _remaining_spectrum(problem):
     """Pairs and singletons of the user-supplied remaining eigenvalues,
     checked against the prescribed spectrum and the class rules."""
     cls, t1_eigs = problem.cls, problem.t1_values
     vals = [complex(v) for v in problem.remaining_eigenvalues]
-    if len(vals) != r:
-        raise RemainingEigenvalueConflict(
-            f"expected {r} remaining eigenvalues, got {len(vals)}")
     for v in vals:
         if min(abs(v - t1_eigs)) <= COINCIDE_RTOL * max(1.0, abs(v)):
             raise RemainingEigenvalueConflict(
@@ -493,16 +490,20 @@ def solve_iep_partial_result(problem):
     cls = problem.cls
     n, k = problem.n, problem.k
     r = 2 * n - k
-    if r == 0:
-        sys = solve_iep_full(problem.X1, problem.T1, cls, problem.seed)
-        return IepSolution(sys, problem.X1, problem.T1, None, 1,
-                           pair_residual(sys, (problem.X1, problem.T1)))
     if cls.star == "T" and cls.epsilon == 1 and r % 2 != 0:
         raise Infeasible(
             f"infeasible: parity requires an even number of remaining "
             f"eigenvalues for this class, got {r}")
-    given = None if problem.remaining_eigenvalues is None \
-        else _remaining_spectrum(problem, r)
+    given = problem.remaining_eigenvalues
+    if given is not None and len(given) != r:
+        raise RemainingEigenvalueConflict(
+            f"expected {r} remaining eigenvalues, got {len(given)}")
+    if r == 0:
+        sys = solve_iep_full(problem.X1, problem.T1, cls, problem.seed)
+        return IepSolution(sys, problem.X1, problem.T1, None, 1,
+                           pair_residual(sys, (problem.X1, problem.T1)))
+    if given is not None:
+        given = _remaining_spectrum(problem)
     t1_eigs = problem.t1_values
     basis = s_basis(problem.T1, cls)
     master = np.random.default_rng(problem.seed)

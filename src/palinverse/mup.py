@@ -3,11 +3,11 @@
 Selected eigenvalues are replaced while every remaining eigenpair is kept
 exactly invariant.  The update never touches the kept eigenvectors: the
 parameter block S1 of the selected pairs is computed directly from the
-coefficients, replacement data (X1_new, S1_new) is built so that
-X1_new S1_new X1_new* = X1 S1 X1*, and the coefficient change is a low
-rank correction driven by a rank factorization and a Sherman-Morrison-
-Woodbury style pivot Xi.  Each product W M W* with W thin (X1, X1_new or
-both) is decomposed in the coordinates of range(W)
+coefficients (spectral.compute_S1), replacement data (X1_new, S1_new) is
+built so that X1_new S1_new X1_new* = X1 S1 X1*, and the coefficient
+change is a low rank correction driven by a rank factorization and a
+Sherman-Morrison-Woodbury style pivot Xi.  Each product W M W* with W
+thin (X1, X1_new or both) is decomposed in the coordinates of range(W)
 (numerics.range_coordinates), at order at most 2k.  update_model_result
 is the one entry point: it takes the replacement eigenvectors as given
 when MupProblem.X1_new is set and constructs them otherwise, and
@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DefectiveSpectrum, DimensionMismatch, Infeasible,
-                     MembershipCheckFailed, NoNonsingularS1Tilde,
-                     ResidualTooLarge, SingularMatrix, SingularS1Precursor,
+                     NoNonsingularS1Tilde, ResidualTooLarge, SingularMatrix,
                      SpectraOverlap, SymmetryViolation, XiSingular,
                      XiSingularRetryExhausted, retry)
 from .forward import COINCIDE_RTOL, eigenvalues
@@ -30,40 +29,15 @@ from .numerics import (as_matrix, fnorm, invert, linear_solve, range_coordinates
                        rank_factorize, solve_right, sv_ratio)
 from .paramspace import (NONSINGULAR_RTOL, constrained_family, s_basis,
                          sample_nonsingular)
-from .spectral import PAIR_RESIDUAL_GATE
+from .spectral import PAIR_RESIDUAL_GATE, compute_S1
 from .structfact import star_factorize
 from .system import PalindromicSystem, assembled_system, pair_residual
 
-S1_MEMBERSHIP_RTOL = 1e-9
 XI_SINGULAR_RTOL = 1e-12
 # Relative distance within which a selected eigenvalue must be found in the
 # system's spectrum.  It also absorbs the roundoff between values computed
 # with eigenvectors (eig_full, usually the source of T1) and without them.
 SELECTED_MATCH_RTOL = 1e-6
-
-
-def compute_S1(sys, X1, T1):
-    """Parameter block of the selected invariant pair, straight from the
-    coefficients: S1 = (eps X1* A1 X1 T1^{-1} - T1^{-*} X1* A1* X1)^{-1}."""
-    X1 = as_matrix(X1, "X1")
-    T1 = as_matrix(T1, "T1")
-    cls = sys.cls
-    star = cls.star_of
-    lead = cls.epsilon * solve_right(star(X1) @ sys.A1 @ X1, T1)
-    trail = linear_solve(star(T1), star(X1) @ star(sys.A1) @ X1)
-    G = lead - trail
-    if sv_ratio(G) <= XI_SINGULAR_RTOL:
-        raise SingularS1Precursor(
-            "eps X1* A1 X1 T1^{-1} - T1^{-*} X1* A1* X1 is singular")
-    S1 = invert(G)
-    S1 = (S1 - cls.epsilon * star(S1)) / 2.0
-    nS, nT = max(fnorm(S1), 1e-300), max(fnorm(T1), 1e-300)
-    com = fnorm(S1 - T1 @ S1 @ star(T1))
-    if com > S1_MEMBERSHIP_RTOL * nS * nT * nT:
-        raise MembershipCheckFailed(
-            f"computed S1 violates S1 = T1 S1 T1* (defect {com:.3e}); "
-            "the selected eigendata is inconsistent with the system")
-    return S1
 
 
 def _check_diagonal(T, name):

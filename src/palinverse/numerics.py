@@ -17,15 +17,16 @@ construction that bounds the condition number:
 - iep._isometry: I - K with ||K||_F = 1/2, so sigma(I - K) lies in
   [1/2, 3/2].
 - IepProblem: T1, sv_ratio-gated just before the solve.
-- spectral.parameter_from_pair: W* L J L* W, sv_ratio-gated.
+- spectral.parameter_from_pair: T and W = [X; -X T^{-1}], then
+  eps X* A1 X T^{-1} - T^{-*} X* A1* X, all sv_ratio-gated.
+- spectral.compute_S1: that matrix, sv_ratio-gated; T1 as in mup.
 - spectral.coefficients_from_pair: G, sv_ratio-gated; T, because
   S = T S T* with S sv_ratio-gated forces |det T| = 1.
 - mup: the diagonal T1, T1_new and their squares, whose entries are
   nonzero (eigenvalues of a system with nonsingular A1, and a
-  pairing-closed replacement) and are divided exactly; G and Xi, both
-  sv_ratio-gated; the star factor of S1_new, which passed
-  sample_nonsingular (sv_ratio > 1e-8).
-- StandardPair.W: T, sv_ratio-gated.
+  pairing-closed replacement) and are divided exactly; Xi, sv_ratio-gated;
+  the star factor of S1_new, which passed sample_nonsingular
+  (sv_ratio > 1e-8).
 - analysis: zeta_partition sv_ratio-gates S, and A1 is gated by
   PalindromicSystem.
 """

@@ -1,30 +1,25 @@
 """Spectral decomposition of a palindromic system, both directions.
 
-From a system and a full standard pair the parameter matrix is
-S = (W* L J_eps L* W)^{-1}; from (X, T, S) the coefficients are recovered
-as A1 = eps (X T^{-1} S X*)^{-1} and A0 = -A1 X T^{-2} S X* A1.
+The parameter matrix of an invariant pair (X, T) is S = (W* L J_eps L* W)^{-1}
+with W = [X; -X T^{-1}], formed multiplied out as
+(eps X* A1 X T^{-1} - T^{-*} X* A1* X)^{-1}: parameter_from_pair for a full
+pair, compute_S1 for the selected pair of an update.  From (X, T, S) the
+coefficients are recovered as A1 = eps (X T^{-1} S X*)^{-1} and
+A0 = -A1 X T^{-2} S X* A1.
 """
 
 import numpy as np
 
 from .errors import (DimensionMismatch, MembershipCheckFailed, ResidualTooLarge,
-                     SingularLeadingBlock, SingularMatrix)
-from .numerics import as_matrix, fnorm, invert, linear_solve, sv_ratio
-from .system import StandardPair, assembled_system, pair_residual
+                     SingularLeadingBlock, SingularMatrix, SingularS1Precursor,
+                     SingularW)
+from .numerics import as_matrix, fnorm, invert, linear_solve, solve_right, sv_ratio
+from .system import assembled_system, pair_residual
 
 PAIR_RESIDUAL_GATE = 1e-8
 MEMBERSHIP_RTOL = 1e-10
 LEADING_SINGULAR_RTOL = 1e-12
-
-
-def structure_blocks(sys):
-    """The constant matrices L and J_eps of the decomposition."""
-    n = sys.n
-    eye = np.eye(n, dtype=np.complex128)
-    zero = np.zeros((n, n), dtype=np.complex128)
-    L = np.block([[zero, eye], [sys.cls.star_of(sys.A1), zero]])
-    J = np.block([[zero, eye], [-sys.cls.epsilon * eye, zero]])
-    return L, J
+S1_MEMBERSHIP_RTOL = 1e-9
 
 
 def check_membership(S, X, T, cls):
@@ -43,37 +38,77 @@ def check_membership(S, X, T, cls):
         raise MembershipCheckFailed(f"X S X* != 0 (defect {iso:.3e})")
 
 
-def parameter_from_pair(sys, pair):
-    """Parameter matrix S of a system given a full standard pair.
+def _inverse_parameter(sys, X, T):
+    """eps X* A1 X T^{-1} - T^{-*} X* A1* X: W* L J_eps L* W multiplied out,
+    with W = [X; -X T^{-1}] and L J_eps L* = [[0, -eps A1], [A1*, 0]], the
+    inverse parameter matrix of an invariant pair, full or partial."""
+    star = sys.cls.star_of
+    lead = sys.cls.epsilon * solve_right(star(X) @ sys.A1 @ X, T)
+    trail = linear_solve(star(T), star(X) @ star(sys.A1) @ X)
+    return lead - trail
 
-    Gates the input on the pair residual, then evaluates
-    (W* L J_eps L* W)^{-1} and verifies the membership identities the
-    decomposition guarantees, failing loudly instead of trusting a
-    numerically inconsistent pair.
+
+def parameter_from_pair(sys, pair):
+    """Parameter matrix S of a system given a full standard pair (X, T).
+
+    Gates T and W = [X; -X T^{-1}] on their singular-value ratios and the
+    pair on its residual, then evaluates (W* L J_eps L* W)^{-1} and
+    verifies the membership identities the decomposition guarantees,
+    failing loudly instead of trusting a numerically inconsistent pair.
     """
-    if not isinstance(pair, StandardPair):
-        pair = StandardPair(*pair)
-    if not pair.is_full:
+    X, T = pair
+    X = as_matrix(X, "X")
+    T = as_matrix(T, "T")
+    m = T.shape[0]
+    if T.shape != (m, m):
+        raise DimensionMismatch(f"T must be square, got {T.shape}")
+    if X.shape[1] != m:
+        raise DimensionMismatch(
+            f"X has {X.shape[1]} columns but T is {m}-by-{m}")
+    if sv_ratio(T) <= LEADING_SINGULAR_RTOL:
+        raise SingularMatrix("T is numerically singular")
+    if m != 2 * X.shape[0]:
         raise DimensionMismatch("parameter_from_pair needs a full pair (m = 2n)")
-    if pair.n != sys.n:
+    if sv_ratio(np.vstack([X, -solve_right(X, T)])) <= LEADING_SINGULAR_RTOL:
+        raise SingularW(
+            "[X; -X T^{-1}] is numerically singular; not a standard pair")
+    if X.shape[0] != sys.n:
         raise DimensionMismatch("pair and system orders differ")
-    resid = pair_residual(sys, pair)
+    resid = pair_residual(sys, (X, T))
     if resid > PAIR_RESIDUAL_GATE:
         raise ResidualTooLarge(
             f"pair residual {resid:.3e} exceeds gate {PAIR_RESIDUAL_GATE:.0e}")
-    W = pair.W
-    L, J = structure_blocks(sys)
-    star = sys.cls.star_of
-    Sinv = star(W) @ L @ J @ star(L) @ W
+    Sinv = _inverse_parameter(sys, X, T)
     ratio = sv_ratio(Sinv)
     if ratio <= LEADING_SINGULAR_RTOL:
         raise SingularMatrix(
             f"W* L J L* W is singular (sigma_min/sigma_max = {ratio:.3e})")
     S = invert(Sinv)
     # Exact by theory; strip the round-off asymmetry.
-    S = (S - sys.cls.epsilon * star(S)) / 2.0
-    check_membership(S, pair.X, pair.T, sys.cls)
+    S = (S - sys.cls.epsilon * sys.cls.star_of(S)) / 2.0
+    check_membership(S, X, T, sys.cls)
     return S
+
+
+def compute_S1(sys, X1, T1):
+    """Parameter block of the selected invariant pair, straight from the
+    coefficients: S1 = (eps X1* A1 X1 T1^{-1} - T1^{-*} X1* A1* X1)^{-1}."""
+    X1 = as_matrix(X1, "X1")
+    T1 = as_matrix(T1, "T1")
+    star = sys.cls.star_of
+    G = _inverse_parameter(sys, X1, T1)
+    if sv_ratio(G) <= LEADING_SINGULAR_RTOL:
+        raise SingularS1Precursor(
+            "eps X1* A1 X1 T1^{-1} - T1^{-*} X1* A1* X1 is singular")
+    S1 = invert(G)
+    S1 = (S1 - sys.cls.epsilon * star(S1)) / 2.0
+    nS, nT = max(fnorm(S1), 1e-300), max(fnorm(T1), 1e-300)
+    com = fnorm(S1 - T1 @ S1 @ star(T1))
+    if com > S1_MEMBERSHIP_RTOL * nS * nT * nT:
+        raise MembershipCheckFailed(
+            f"computed S1 violates S1 = T1 S1 T1* (defect {com:.3e}); "
+            "the selected eigendata is inconsistent with the system")
+    return S1
 
 
 def coefficients_from_pair(X, T, S, cls):

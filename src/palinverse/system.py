@@ -10,14 +10,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DimensionMismatch, SingularMatrix, SingularW,
-                     SymmetryViolation)
-from .numerics import as_matrix, fnorm, solve_right, sv_ratio
+from .errors import DimensionMismatch, SingularMatrix, SymmetryViolation
+from .numerics import as_matrix, fnorm, sv_ratio
 
 A0_SYMMETRY_RTOL = 1e-12
 A1_SINGULAR_RTOL = 1e-12
 A1_WARN_RTOL = 1e-8
-W_SINGULAR_RTOL = 1e-12
 
 _CODES = {("T", 1): "tp", ("T", -1): "ta", ("H", 1): "hp", ("H", -1): "ha"}
 _NAMES = {
@@ -153,56 +151,6 @@ def assembled_system(cls, A1, A0):
     return sys
 
 
-@dataclass
-class StandardPair:
-    """A pair (X, T) with X n-by-m and T m-by-m nonsingular.
-
-    m = 2n gives a full pair (the stacked matrix W = [X; -X T^{-1}] must be
-    nonsingular); m < 2n gives an invariant/partial pair.
-    """
-
-    X: np.ndarray
-    T: np.ndarray
-    _W: np.ndarray = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.X = as_matrix(self.X, "X")
-        self.T = as_matrix(self.T, "T")
-        m = self.T.shape[0]
-        if self.T.shape != (m, m):
-            raise DimensionMismatch(f"T must be square, got {self.T.shape}")
-        if self.X.shape[1] != m:
-            raise DimensionMismatch(
-                f"X has {self.X.shape[1]} columns but T is {m}-by-{m}")
-        if sv_ratio(self.T) <= W_SINGULAR_RTOL:
-            raise SingularMatrix("T is numerically singular")
-        if self.is_full:
-            W = self.W
-            if sv_ratio(W) <= W_SINGULAR_RTOL:
-                raise SingularW(
-                    "[X; -X T^{-1}] is numerically singular; not a standard pair")
-
-    @property
-    def n(self):
-        return self.X.shape[0]
-
-    @property
-    def m(self):
-        return self.T.shape[0]
-
-    @property
-    def is_full(self):
-        return self.m == 2 * self.n
-
-    @property
-    def W(self):
-        """The stacked matrix [X; -X T^{-1}]."""
-        if self._W is None:
-            XTinv = solve_right(self.X, self.T)
-            self._W = np.vstack([self.X, -XTinv])
-        return self._W
-
-
 def eval_Q(sys, lam):
     """Evaluate Q(lambda) = lambda^2 A1* + lambda A0 + eps A1."""
     lam = complex(lam)
@@ -229,10 +177,7 @@ def pair_residual(sys, pair):
     Normalized by ||A1|| ||X|| ||T||^2 + ||A0|| ||X|| ||T|| + ||A1|| ||X||
     (all Frobenius) so the number is scale free.
     """
-    if isinstance(pair, StandardPair):
-        X, T = pair.X, pair.T
-    else:
-        X, T = pair
+    X, T = pair
     R = pair_defect_matrix(sys, X, T)
     na1, na0 = fnorm(sys.A1), fnorm(sys.A0)
     nx, nt = fnorm(X), fnorm(T)

@@ -9,9 +9,11 @@ from palinverse import cli
 from palinverse.cli import main, parse_complex, parse_complex_list
 from palinverse.fileio import (load_pair, load_system, load_values, save_pair,
                                save_system)
-from palinverse.forward import eig_full
+from palinverse.forward import eig_full, select_pairs
+from palinverse.iep import IepProblem, solve_iep_partial_result
+from palinverse.mup import MupProblem, update_model_result
 from palinverse.numerics import fnorm
-from palinverse.system import pair_residual
+from palinverse.system import TP, SymmetryClass, pair_residual
 from reference_problems import iep_fixture, update_fixture
 
 
@@ -130,6 +132,56 @@ def test_cmd_solve_parity_infeasible(tmp_path, capsys):
     assert code == 2
     err = json.loads(captured.err.strip())
     assert "parity" in err["message"] or "Infeasible" in err["error"]
+
+
+def test_cmd_solve_full_pair_rejects_remaining(tmp_path, capsys):
+    e = eig_full(random_system(TP, 3, seed=5))
+    pairfile, valfile = tmp_path / "pair.json", tmp_path / "vals.json"
+    save_pair(e.vectors, np.diag(e.values), pairfile)
+    _write_values([0.5, 2.0, 7 + 1j], valfile)
+    code = main(["solve", "--class", "tp", "--pairs", str(pairfile),
+                 "--remaining", str(valfile)])
+    captured = capsys.readouterr()
+    assert code == 2
+    err = json.loads(captured.err.strip())
+    assert err["error"] == "RemainingEigenvalueConflict"
+    assert err["message"] == "expected 0 remaining eigenvalues, got 3"
+
+
+def _printed_defect(out):
+    """The relative A0 symmetry defect printed by solve and update."""
+    (value,) = re.findall(r"^A0 symmetry defect removed: (\S+) \(relative\)$",
+                          out, flags=re.M)
+    return value
+
+
+@pytest.mark.parametrize("code_name", ["tp", "ta", "hp", "ha"])
+def test_cmd_prints_removed_a0_defect(tmp_path, capsys, code_name):
+    # solve and update print the a0_defect of their result, the defect the
+    # assembly actually removed (every stored A0 is exactly structured).
+    cls = SymmetryClass.from_code(code_name)
+    X1, T1 = iep_fixture(cls)
+    pairfile = tmp_path / "pair.json"
+    save_pair(X1, T1, pairfile)
+    assert main(["solve", "--class", code_name, "--pairs", str(pairfile),
+                 "--seed", "3"]) == 0
+    sol = solve_iep_partial_result(IepProblem(cls, X1, T1, seed=3))
+    assert _printed_defect(capsys.readouterr().out) == f"{sol.a0_defect:.6e}"
+    assert sol.a0_defect > 0.0
+
+    sys, replace, new = update_fixture(code_name)
+    sysfile = tmp_path / "sys.json"
+    save_system(sys, sysfile)
+    rep = ",".join(f"{complex(v).real!r}{complex(v).imag:+}i" for v in replace)
+    wit = ",".join(f"{complex(v).real!r}{complex(v).imag:+}i" for v in new)
+    assert main(["update", "--system", str(sysfile), f"--replace={rep}",
+                 f"--with={wit}", "--seed", "4"]) == 0
+    printed = _printed_defect(capsys.readouterr().out)
+    loaded = load_system(sysfile)
+    X, T, _, _ = select_pairs(eig_full(loaded), parse_complex_list(rep), tol=1e-3)
+    res = update_model_result(MupProblem(loaded, X, T, np.diag(new), seed=4))
+    assert printed == f"{res.a0_defect:.6e}"
+    assert res.a0_defect > 0.0
 
 
 @pytest.mark.parametrize("code_name", ["tp", "ta", "hp", "ha"])

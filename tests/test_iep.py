@@ -99,6 +99,25 @@ def test_iep_partial_reduces_to_full_at_k_equals_2n():
     assert pair_residual(sol.system, (e.vectors, np.diag(e.values))) <= 1e-8
 
 
+@pytest.mark.parametrize("cls", [TP, HA], ids=lambda c: c.code)
+def test_iep_full_pair_rejects_remaining_eigenvalues(cls):
+    # A full pair leaves no eigenvalue to choose: a non-empty list is
+    # refused, not silently dropped; an empty one is the plain full solve.
+    from helpers import random_system
+
+    e = eig_full(random_system(cls, 3, seed=5))
+    X, T = e.vectors, np.diag(e.values)
+    with pytest.raises(RemainingEigenvalueConflict,
+                       match="expected 0 remaining eigenvalues, got 3"):
+        solve_iep_partial_result(IepProblem(
+            cls, X, T, remaining_eigenvalues=[0.5, 2.0, 7 + 1j]))
+    plain = solve_iep_partial_result(IepProblem(cls, X, T)).system
+    empty = solve_iep_partial_result(IepProblem(
+        cls, X, T, remaining_eigenvalues=[])).system
+    assert np.array_equal(empty.A1, plain.A1)
+    assert np.array_equal(empty.A0, plain.A0)
+
+
 def test_iep_partial_determinism():
     cls = HP
     X1, T1 = iep_fixture(cls)

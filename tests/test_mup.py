@@ -11,11 +11,12 @@ from palinverse.errors import (Inconsistent, NoNonsingularS1Tilde,
                                SymmetryViolation, XiSingular,
                                XiSingularRetryExhausted)
 from palinverse.forward import eig_full, select_pairs
-from palinverse.mup import (MupProblem, MupResult, compute_S1, low_rank_update,
+from palinverse.mup import (MupProblem, MupResult, low_rank_update,
                             update_model_prescribed, update_model_result)
 from palinverse.numerics import fnorm, invert
-from palinverse.spectral import PAIR_RESIDUAL_GATE, parameter_from_pair
-from palinverse.system import (HP, TA, TP, PalindromicSystem, StandardPair, eval_Q,
+from palinverse.spectral import (PAIR_RESIDUAL_GATE, compute_S1,
+                                 parameter_from_pair)
+from palinverse.system import (HP, TA, TP, PalindromicSystem, eval_Q,
                                pair_residual)
 from reference_problems import update_fixture
 
@@ -42,7 +43,7 @@ def test_compute_S1_matches_full_parameter_block():
     # Full-pair parameter matrix in the same ordering.
     X = np.hstack([X1, X2])
     T = np.diag(np.concatenate([np.diag(T1), np.diag(T2)]))
-    S = parameter_from_pair(sys, StandardPair(X, T))
+    S = parameter_from_pair(sys, (X, T))
     k = T1.shape[0]
     S1 = compute_S1(sys, X1, T1)
     assert fnorm(S[:k, :k] - S1) <= 1e-8 * fnorm(S1)

@@ -6,15 +6,19 @@ from palinverse.errors import (MembershipCheckFailed, ResidualTooLarge,
                                SingularLeadingBlock, SingularMatrix)
 from palinverse.forward import eig_full
 from palinverse.numerics import fnorm, invert
-from palinverse.spectral import (coefficients_from_pair, parameter_from_pair,
-                                 structure_blocks)
-from palinverse.system import (ALL_CLASSES, TA, TP, PalindromicSystem,
-                               StandardPair)
+from palinverse.spectral import (coefficients_from_pair, compute_S1,
+                                 parameter_from_pair)
+from palinverse.system import ALL_CLASSES, TA, TP, PalindromicSystem
+
+
+def _stacked(X, T):
+    """W = [X; -X T^{-1}] of a pair."""
+    return np.vstack([X, -X @ np.linalg.inv(T)])
 
 
 def test_scalar_parameter_matrix():
     sys = PalindromicSystem(TA, [[1.0]], [[0.0]])
-    pair = StandardPair([[1.0, 1.0]], np.diag([1.0, -1.0]))
+    pair = (np.array([[1.0, 1.0]]), np.diag([1.0, -1.0]))
     S = parameter_from_pair(sys, pair)
     assert np.allclose(S, np.diag([-0.5, 0.5]), atol=1e-14)
 
@@ -40,9 +44,9 @@ def test_roundtrip_random_systems(cls):
     for seed in range(5):
         sys = random_system(cls, 4, seed=100 + seed)
         e = eig_full(sys)
-        pair = StandardPair(e.vectors, np.diag(e.values))
+        pair = (e.vectors, np.diag(e.values))
         S = parameter_from_pair(sys, pair)
-        rec = coefficients_from_pair(pair.X, pair.T, S, cls)
+        rec = coefficients_from_pair(*pair, S, cls)
         assert fnorm(rec.A1 - sys.A1) <= 1e-8 * fnorm(sys.A1)
         assert fnorm(rec.A0 - sys.A0) <= 1e-8 * max(fnorm(sys.A0), fnorm(sys.A1))
 
@@ -52,40 +56,58 @@ def test_parameter_transforms_under_pair_equivalence(cls):
     rng = np.random.default_rng(12)
     sys = random_system(cls, 3, seed=200)
     e = eig_full(sys)
-    pair = StandardPair(e.vectors, np.diag(e.values))
-    S = parameter_from_pair(sys, pair)
+    X, T = e.vectors, np.diag(e.values)
+    S = parameter_from_pair(sys, (X, T))
     while True:
         Y = random_complex(rng, 6, 6)
         if np.linalg.cond(Y) < 30:
             break
-    pair2 = StandardPair(pair.X @ Y, np.linalg.solve(Y, pair.T @ Y))
-    S2 = parameter_from_pair(sys, pair2)
+    S2 = parameter_from_pair(sys, (X @ Y, np.linalg.solve(Y, T @ Y)))
     expected = np.linalg.solve(Y, S @ cls.star_of(np.linalg.inv(Y)))
     assert fnorm(S2 - expected) <= 1e-8 * fnorm(S2)
 
 
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
 def test_structure_block_identity(cls):
-    # M J_eps M* = L J_eps L* with M = [[eps A1, 0], [-A0, -I]].
+    # M J_eps M* = L J_eps L* with M = [[eps A1, 0], [-A0, -I]], and the
+    # parameter matrix is (W* L J_eps L* W)^{-1}, which parameter_from_pair
+    # forms multiplied out.
     sys = random_system(cls, 3, seed=300)
     n = sys.n
-    L, J = structure_blocks(sys)
     eye = np.eye(n, dtype=complex)
     zero = np.zeros((n, n), dtype=complex)
+    L = np.block([[zero, eye], [sys.cls.star_of(sys.A1), zero]])
+    J = np.block([[zero, eye], [-sys.cls.epsilon * eye, zero]])
     M = np.block([[sys.cls.epsilon * sys.A1, zero], [-sys.A0, -eye]])
     lhs = M @ J @ sys.cls.star_of(M)
     rhs = L @ J @ sys.cls.star_of(L)
     scale = max(fnorm(lhs), 1.0)
     assert fnorm(lhs - rhs) <= 1e-12 * scale
+    e = eig_full(sys)
+    W = _stacked(e.vectors, np.diag(e.values))
+    S = invert(sys.cls.star_of(W) @ rhs @ W)
+    S_pair = parameter_from_pair(sys, (e.vectors, np.diag(e.values)))
+    assert fnorm(S_pair - S) <= 1e-10 * fnorm(S)
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_parameter_from_pair_matches_compute_S1(cls):
+    # One formula: on a full pair both give the same matrix, bit for bit.
+    for seed in range(3):
+        sys = random_system(cls, 4, seed=310 + seed)
+        e = eig_full(sys)
+        X, T = e.vectors, np.diag(e.values)
+        assert np.array_equal(parameter_from_pair(sys, (X, T)),
+                              compute_S1(sys, X, T))
 
 
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
 def test_wsw_block_identity(cls):
     sys = random_system(cls, 3, seed=400)
     e = eig_full(sys)
-    pair = StandardPair(e.vectors, np.diag(e.values))
+    pair = (e.vectors, np.diag(e.values))
     S = parameter_from_pair(sys, pair)
-    W = pair.W
+    W = _stacked(*pair)
     lhs = W @ S @ sys.cls.star_of(W)
     n = sys.n
     A1inv = invert(sys.A1)
@@ -102,7 +124,7 @@ def test_parameter_rejects_bad_pair():
     X = random_complex(rng, 3, 6)
     T = np.diag(random_complex(rng, 6) + 2.0)
     with pytest.raises(ResidualTooLarge):
-        parameter_from_pair(sys, StandardPair(X, T))
+        parameter_from_pair(sys, (X, T))
 
 
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
@@ -115,8 +137,8 @@ def test_parameter_rejects_ill_conditioned_pair(cls):
     e = eig_full(sys)
     scale = np.ones(6)
     scale[[0, e.partner_index(0)]] = 1e-7
-    pair = StandardPair(e.vectors * scale, np.diag(e.values))
-    assert 1e5 < np.linalg.cond(pair.W) < 1e9
+    pair = (e.vectors * scale, np.diag(e.values))
+    assert 1e5 < np.linalg.cond(_stacked(*pair)) < 1e9
     with pytest.raises(SingularMatrix, match=r"W\* L J L\* W is singular"):
         parameter_from_pair(sys, pair)
 
@@ -154,7 +176,7 @@ def test_parameter_block_sparsity_in_pjcf_order():
             seen.update((a, b))
     X = e.vectors[:, order]
     T = np.diag(e.values[order])
-    S = parameter_from_pair(sys, StandardPair(X, T))
+    S = parameter_from_pair(sys, (X, T))
     mask = np.ones_like(S, dtype=bool)
     for i in range(0, 6, 2):
         mask[i, i + 1] = mask[i + 1, i] = False

@@ -3,11 +3,14 @@ import pytest
 
 from helpers import (pair_defect, random_complex, random_structured,
                      random_system, reversal_defect)
-from palinverse.errors import SingularMatrix, SingularW, SymmetryViolation
+from palinverse.errors import (DimensionMismatch, SingularMatrix, SingularW,
+                               SymmetryViolation)
+from palinverse.forward import eig_full
 from palinverse.numerics import fnorm
+from palinverse.spectral import parameter_from_pair
 from palinverse.system import (ALL_CLASSES, HA, HP, TA, TP, PalindromicSystem,
-                               StandardPair, SymmetryClass, assembled_system,
-                               eval_Q, pair_residual)
+                               SymmetryClass, assembled_system, eval_Q,
+                               pair_residual)
 from reference_problems import update_fixture
 
 
@@ -101,8 +104,6 @@ def test_pair_residual_negative_control():
 
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
 def test_pair_residual_equivalence_invariance(cls):
-    from palinverse.forward import eig_full
-
     sys = random_system(cls, 3, seed=17)
     e = eig_full(sys)
     X, T = e.vectors, np.diag(e.values)
@@ -118,17 +119,22 @@ def test_pair_residual_equivalence_invariance(cls):
 
 
 def test_standard_pair_validation():
-    with pytest.raises(SingularMatrix):
-        StandardPair(np.ones((2, 2)), np.zeros((2, 2)))
+    # parameter_from_pair validates a standard pair (X, T): T nonsingular,
+    # X n-by-2n and W = [X; -X T^{-1}] nonsingular.
+    sys = random_system(TP, 2, seed=30)
+    with pytest.raises(SingularMatrix, match="T is numerically singular"):
+        parameter_from_pair(sys, (np.ones((2, 2)), np.zeros((2, 2))))
     X = np.array([[1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(SingularW, match="not a standard pair"):
+        parameter_from_pair(sys, (np.hstack([X, X]), np.eye(4)))
+    # A duplicated eigenpair column of an eig_full pair makes W singular.
+    e = eig_full(sys)
+    X, values = e.vectors.copy(), e.values.copy()
+    X[:, 1], values[1] = X[:, 0], values[0]
     with pytest.raises(SingularW):
-        StandardPair(np.hstack([X, X]), np.eye(4))
-
-
-def test_standard_pair_W():
-    pair = StandardPair(np.array([[1.0, 1.0]]), np.diag([1.0, -1.0]))
-    assert np.allclose(pair.W, [[1.0, 1.0], [-1.0, 1.0]])
-    assert pair.is_full
+        parameter_from_pair(sys, (X, np.diag(values)))
+    with pytest.raises(DimensionMismatch, match="needs a full pair"):
+        parameter_from_pair(sys, (e.vectors[:, :2], np.diag(e.values[:2])))
 
 
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)

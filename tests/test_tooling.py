@@ -1,8 +1,9 @@
 """Tooling checks.  The benchmark's tracer wraps package functions by name;
 a rename must fail here, not only in a traced benchmark run.  The public
 names in palinverse.__all__ must resolve.  The CLI must run on numpy alone,
-without importing scipy."""
+without importing scipy.  No package module imports a name it never uses."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -16,7 +17,9 @@ from palinverse.fileio import save_pair, save_system
 from palinverse.system import TP
 from reference_problems import iep_fixture, update_fixture
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING = ROOT / "bench" / "tracing.py"
+PACKAGE = ROOT / "src" / "palinverse"
 
 
 def _tracing_module():
@@ -36,6 +39,33 @@ def test_tracing_targets_resolve():
         assert "__post_init__" in vars(cls), name
     for module in tracing.MODULES:
         importlib.import_module(f"palinverse.{module}")
+
+
+def _unused_imports(source):
+    """Names a module's import statements bind but its code never reads."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound.add(alias.asname or alias.name.split(".")[0])
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - read)
+
+
+def test_no_unused_imports():
+    # __init__ imports to re-export; every other module imports to use.
+    unused = {path.name: _unused_imports(path.read_text())
+              for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_unused_import_check_flags_planted_names():
+    source = (PACKAGE / "system.py").read_text()
+    planted = ("import json\nfrom .numerics import invert, solve_right\n"
+               "from .errors import SingularW\n") + source
+    assert _unused_imports(source) == []
+    assert _unused_imports(planted) == ["SingularW", "invert", "json", "solve_right"]
 
 
 def test_forward_binds_the_traced_eigensolver():
