@@ -5,6 +5,9 @@ Subcommands: solve (construct a system from prescribed eigenpairs), update
 report the paired spectrum).  Exit codes: 0 success, 2 domain failure
 (single-line JSON diagnostic on stderr), 1 internal error.  PALINVERSE_SEED
 provides the default seed.
+
+Each subcommand imports only the modules it runs: solve loads iep, update
+loads mup, and eig loads neither.
 """
 
 import argparse
@@ -19,8 +22,6 @@ from .errors import PalinverseError
 from .fileio import (FileFormatError, load_pair, load_system, load_values,
                      save_system)
 from .forward import eig_full, select_pairs
-from .iep import IepProblem, solve_iep_partial_result
-from .mup import MupProblem, update_model_result
 from .numerics import two_norm
 from .system import SymmetryClass, pair_defect_matrix, pair_residual
 
@@ -72,6 +73,8 @@ def _pair_norms(sys, X, T):
 
 
 def cmd_solve(args):
+    from .iep import IepProblem, solve_iep_partial_result
+
     cls = SymmetryClass.from_code(args.cls)
     X1, T1 = load_pair(args.pairs)
     remaining = load_values(args.remaining) if args.remaining else None
@@ -92,6 +95,8 @@ def cmd_solve(args):
 
 
 def cmd_update(args):
+    from .mup import MupProblem, update_model_result
+
     sys = load_system(args.system)
     targets = parse_complex_list(args.replace)
     new_values = parse_complex_list(args.with_values)

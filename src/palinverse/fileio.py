@@ -6,6 +6,7 @@ formatting (Python repr), so parse -> serialize is byte identical.
 """
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -18,27 +19,41 @@ class FileFormatError(ValueError):
     """Raised for malformed or unsupported input files."""
 
 
-def _complex_to_pair(z):
-    z = complex(z)
-    return [z.real, z.imag]
-
-
 def _matrix_to_json(M):
     M = np.asarray(M, dtype=np.complex128)
-    return [[_complex_to_pair(z) for z in row] for row in M]
+    return np.stack([M.real, M.imag], -1).tolist()
 
 
 def _pair_to_complex(item, what):
     if (not isinstance(item, (list, tuple))) or len(item) != 2 or \
-            not all(isinstance(x, (int, float)) for x in item):
+            not all(type(x) in (int, float) for x in item):
         raise FileFormatError(f"parse: {what} must be a [re, im] pair, got {item!r}")
-    return complex(float(item[0]), float(item[1]))
+    try:
+        return complex(float(item[0]), float(item[1]))
+    except OverflowError as exc:
+        raise FileFormatError(f"parse: {what} is out of the float range") from exc
 
 
 def _matrix_from_json(data, what):
+    """Complex matrix from decoded JSON rows of [re, im] number pairs.
+
+    Well-formed input converts in one np.array call.  Anything else (ragged
+    rows, non-pairs, booleans, integers numpy keeps as objects, no columns)
+    takes the per-entry loop, which names the first bad entry.
+    """
     if not isinstance(data, list) or not data or \
             not all(isinstance(row, list) for row in data):
         raise FileFormatError(f"parse: {what} must be a nested list")
+    try:
+        parts = np.array(data)
+    except ValueError:  # ragged nesting
+        parts = np.array(())
+    numbers = chain.from_iterable(chain.from_iterable(data))
+    if parts.shape[2:] == (2,) and parts.dtype.kind in "if" and \
+            bool not in set(map(type, numbers)):
+        out = np.empty(parts.shape[:2], dtype=np.complex128)
+        out.real, out.imag = parts[..., 0], parts[..., 1]
+        return out
     ncols = len(data[0])
     out = np.zeros((len(data), ncols), dtype=np.complex128)
     for i, row in enumerate(data):

@@ -18,6 +18,9 @@ from and neither is writeable, so a reassigned coefficient, or a
 deepcopied or unpickled system (whose arrays are writeable again), is
 solved afresh.  An array made writeable, written and made read-only again
 is not detected.  eig_full always runs its own eigensolve.
+
+_group_values applies the same pairing to a prescribed value list, for
+construction (iep) and updating (mup).
 """
 
 from dataclasses import dataclass, field
@@ -140,6 +143,31 @@ def _greedy_pairing(values, cls, tol):
         else:
             unmatched.append(i)
     return pairs, unmatched
+
+
+def _group_values(values, cls):
+    """Split a pairing-closed value list into reciprocal pairs and
+    unimodular singletons, each in list order (a pair at the place of its
+    first value); raise when some value has no partner."""
+    values = [complex(v) for v in values]
+    matched, unmatched = _greedy_pairing(
+        np.array(values, dtype=np.complex128), cls, COINCIDE_RTOL)
+    if unmatched:
+        raise PairingNotClosed(
+            f"value {values[min(unmatched)]:.6g} has no reciprocal partner "
+            "in the list")
+    pairs, singles = [], []
+    for i, j in sorted(matched):
+        if i == j:
+            singles.append(values[i])
+        else:
+            pairs.append((values[i], values[j]))
+    return pairs, singles
+
+
+def _unit_multiplicity(values, point):
+    return int(sum(1 for v in values
+                   if abs(complex(v) - point) <= COINCIDE_RTOL))
 
 
 def eig_full(sys, pairing_tol=PAIRING_TOL):

@@ -23,14 +23,14 @@ from .errors import (Infeasible, NoNonsingularFound, NoSolution,
                      RemainingEigenvalueConflict, ResidualTooLarge,
                      RetryExhausted, SingularLeadingBlock, SingularW,
                      SymmetryViolation, UnsupportedRegime, retry)
-from .forward import COINCIDE_RTOL, _greedy_pairing
+from .forward import COINCIDE_RTOL, _group_values, _unit_multiplicity
 from .numerics import as_matrix, block_diag, fnorm, linear_solve, sv_ratio
 from .paramspace import (SBasis, s_basis, sample_nonsingular, solution_space)
-from .spectral import coefficients_from_pair
-from .structfact import build_delta, inertia, star_factorize
+from .spectral import OUTPUT_RESIDUAL_TOL, coefficients_from_pair
+from .structfact import (_congruence_onto, _snap_isotropy, build_delta, inertia,
+                         star_factorize)
 from .system import pair_residual
 
-OUTPUT_RESIDUAL_TOL = 1e-9
 T1_SINGULAR_RTOL = 1e-12
 
 
@@ -63,112 +63,6 @@ def solve_iep_full(X, T, cls, seed=0):
 # Psi construction: solve Psi Omega Psi* = target for canonical patterns
 # ---------------------------------------------------------------------------
 
-def _random_complex(rng, rows, cols):
-    return (rng.standard_normal((rows, cols))
-            + 1j * rng.standard_normal((rows, cols))) / np.sqrt(2.0)
-
-
-def _isometry(form, cls, rng):
-    """A random W with W form W* = form.
-
-    form is a nonsingular canonical pattern, so it is unitary and
-    star(form) = -eps form.  K = M form^{-1} with M = eps star(M) then lies
-    in the Lie algebra of the form (K form + form star(K) = 0), and its
-    Cayley transform W = (I - K)^{-1} (I + K) is an isometry; scaling to
-    ||K||_F = 1/2 keeps I - K well conditioned (cond <= 3).
-    """
-    r = form.shape[0]
-    A = _random_complex(rng, r, r)
-    K = (A + cls.epsilon * cls.star_of(A)) @ form.conj().T
-    size = fnorm(K)
-    if size > 0.0:  # K vanishes only for a 1x1 skew-symmetric M
-        K *= 0.5 / size
-    eye = np.eye(r, dtype=np.complex128)
-    return linear_solve(eye - K, eye + K)
-
-
-def _snap_isotropy(X1, S1, cls):
-    """X1 S1 X1*, snapped to exact zero at roundoff level.
-
-    When every eigenpair is selected this product is the isotropy identity
-    of the full parameter matrix, so it vanishes identically and only
-    roundoff survives; downstream canonical factorization needs the exact
-    zero to classify it."""
-    G = X1 @ S1 @ cls.star_of(X1)
-    scale = fnorm(X1) ** 2 * fnorm(S1)
-    if fnorm(G) <= 1e-12 * scale:
-        return np.zeros_like(G)
-    return G
-
-
-def _congruence_onto(target, form, cls, rng=None):
-    """Psi with Psi form Psi* = target, both exact canonical patterns.
-
-    form must be nonsingular canonical; target may be rank deficient with
-    trailing zeros and may carry the opposite sign.  A selection matrix C
-    maps the target's nonzero slots onto form slots of the same value;
-    rows of C facing the zero block of the target are filled with
-    form-isotropic combinations of the leftover form slots (instead of
-    zeros) so the assembled eigenvector matrix can reach full row rank.
-    With rng given, Psi = C W for a random isometry W of the form;
-    otherwise Psi = C.
-    """
-    n = target.shape[0]
-    r = form.shape[0]
-    if r == 0:
-        if fnorm(target) > 1e-12:
-            raise Infeasible("empty form cannot produce a nonzero target")
-        return np.zeros((n, 0), dtype=np.complex128)
-    C = np.zeros((n, r), dtype=np.complex128)
-    if cls.star == "H":
-        tvals, fvals = np.diag(target), np.diag(form)
-        spare = []
-        for value in ((1.0j, -1.0j) if cls.epsilon == 1 else (1.0, -1.0)):
-            tgt = np.flatnonzero(tvals == value)
-            src = np.flatnonzero(fvals == value)
-            if len(src) < len(tgt):
-                raise Infeasible(
-                    f"inertia shortfall: target needs {len(tgt)} entries of "
-                    f"{value}, source offers {len(src)}")
-            C[tgt, src[:len(tgt)]] = 1.0
-            spare.append(src[len(tgt):])
-        # One + and one - leftover slot per zero row: the form values cancel.
-        zero = np.flatnonzero(tvals == 0)
-        m = min(len(spare[0]), len(spare[1]), len(zero))
-        C[zero[:m], spare[0][:m]] = 1.0
-        C[zero[:m], spare[1][:m]] = 1.0
-    elif cls.epsilon == 1:
-        ht, hs = np.count_nonzero(target.any(axis=1)) // 2, r // 2
-        if ht > hs:
-            raise Infeasible(f"target rank {2 * ht} exceeds source rank {r}")
-        j = np.arange(ht)
-        # target = sigma [[0, I], [-I, 0]]: swap the pair slots when the
-        # sign differs from the form's.
-        swap = ht > 0 and target[0, ht] != form[0, hs]
-        C[j, j + hs if swap else j] = 1.0
-        C[j + ht, j if swap else j + hs] = 1.0
-        # A single slot of a fresh symplectic pair is isotropic.
-        z = np.arange(min(hs - ht, n - 2 * ht))
-        C[2 * ht + z, ht + z] = 1.0
-    else:
-        tt = np.count_nonzero(np.diag(target))
-        if tt > r:
-            raise Infeasible(f"target rank {tt} exceeds source rank {r}")
-        j = np.arange(tt)
-        # target = sigma I: c^2 form = target picks c = 1 or i.
-        C[j, j] = 1.0 if tt == 0 or target[0, 0] == form[0, 0] else 1.0j
-        # Pairs of leftover slots combine into isotropic rows: 1^2 + i^2 = 0.
-        z = np.arange(min((r - tt) // 2, n - tt))
-        C[tt + z, tt + 2 * z] = 1.0
-        C[tt + z, tt + 2 * z + 1] = 1.0j
-    psi = C if rng is None else C @ _isometry(form, cls, rng)
-    err = fnorm(psi @ form @ cls.star_of(psi) - target)
-    floor = 1e-12 * max(1.0, fnorm(psi) ** 2 * fnorm(form))
-    if err > 1e-10 * fnorm(target) + floor:
-        raise RetryExhausted(f"congruence construction residual {err:.3e}")
-    return psi
-
-
 def solve_psi(delta, omega, cls, seed=0, theta_mode="identity"):
     """A matrix Psi with Psi Omega Psi* = -Delta.
 
@@ -188,31 +82,6 @@ def solve_psi(delta, omega, cls, seed=0, theta_mode="identity"):
 # ---------------------------------------------------------------------------
 # remaining-spectrum machinery
 # ---------------------------------------------------------------------------
-
-def _group_values(values, cls):
-    """Split a pairing-closed value list into reciprocal pairs and
-    unimodular singletons, each in list order (a pair at the place of its
-    first value); raise when some value has no partner."""
-    values = [complex(v) for v in values]
-    matched, unmatched = _greedy_pairing(
-        np.array(values, dtype=np.complex128), cls, COINCIDE_RTOL)
-    if unmatched:
-        raise PairingNotClosed(
-            f"value {values[min(unmatched)]:.6g} has no reciprocal partner "
-            "in the list")
-    pairs, singles = [], []
-    for i, j in sorted(matched):
-        if i == j:
-            singles.append(values[i])
-        else:
-            pairs.append((values[i], values[j]))
-    return pairs, singles
-
-
-def _unit_multiplicity(values, point):
-    return int(sum(1 for v in values
-                   if abs(complex(v) - point) <= COINCIDE_RTOL))
-
 
 def _ta_singleton_parity(order, t1_values):
     """Forced +-1 singleton counts for a transpose-anti-palindromic system.

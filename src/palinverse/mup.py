@@ -22,15 +22,14 @@ from .errors import (DefectiveSpectrum, DimensionMismatch, Infeasible,
                      NoNonsingularS1Tilde, ResidualTooLarge, SingularMatrix,
                      SpectraOverlap, SymmetryViolation, XiSingular,
                      XiSingularRetryExhausted, retry)
-from .forward import COINCIDE_RTOL, eigenvalues
-from .iep import (OUTPUT_RESIDUAL_TOL, _congruence_onto, _group_values,
-                  _snap_isotropy, _unit_multiplicity)
+from .forward import (COINCIDE_RTOL, _group_values, _unit_multiplicity,
+                      eigenvalues)
 from .numerics import (as_matrix, fnorm, invert, linear_solve, range_coordinates,
                        rank_factorize, solve_right, sv_ratio)
 from .paramspace import (NONSINGULAR_RTOL, constrained_family, s_basis,
                          sample_nonsingular)
-from .spectral import PAIR_RESIDUAL_GATE, compute_S1
-from .structfact import star_factorize
+from .spectral import OUTPUT_RESIDUAL_TOL, PAIR_RESIDUAL_GATE, compute_S1
+from .structfact import _congruence_onto, _snap_isotropy, star_factorize
 from .system import PalindromicSystem, assembled_system, pair_residual
 
 XI_SINGULAR_RTOL = 1e-12

@@ -14,7 +14,7 @@ construction that bounds the condition number:
 
 - forward.companion: A1*, of order n; PalindromicSystem gates A1
   (sv_ratio > 1e-12), whose singular values A1* shares.
-- iep._isometry: I - K with ||K||_F = 1/2, so sigma(I - K) lies in
+- structfact._isometry: I - K with ||K||_F = 1/2, so sigma(I - K) lies in
   [1/2, 3/2].
 - IepProblem: T1, sv_ratio-gated just before the solve.
 - spectral.parameter_from_pair: T and W = [X; -X T^{-1}], then

@@ -17,6 +17,8 @@ from .numerics import as_matrix, fnorm, invert, linear_solve, solve_right, sv_ra
 from .system import assembled_system, pair_residual
 
 PAIR_RESIDUAL_GATE = 1e-8
+# Pair residual a constructed (iep) or updated (mup) system must meet.
+OUTPUT_RESIDUAL_TOL = 1e-9
 MEMBERSHIP_RTOL = 1e-10
 LEADING_SINGULAR_RTOL = 1e-12
 S1_MEMBERSHIP_RTOL = 1e-9

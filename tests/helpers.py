@@ -4,6 +4,7 @@ import numpy as np
 import scipy.linalg
 
 from palinverse import forward
+from palinverse.fileio import FileFormatError
 from palinverse.forward import eig_full
 from palinverse.numerics import RANK_RTOL, as_matrix, fnorm, linear_solve
 from palinverse.paramspace import NULLSPACE_RTOL, _rvec
@@ -199,6 +200,40 @@ def greedy_pairing_loop(values, cls, tol):
             matched[i] = True
             unmatched.append(i)
     return pairs, unmatched
+
+
+# ---------------------------------------------------------------------------
+# Per-entry reference for the fileio matrix format
+# ---------------------------------------------------------------------------
+
+def matrix_to_json_loop(M):
+    """Rows of [re, im] pairs, one complex entry at a time: the reference
+    for fileio._matrix_to_json."""
+    M = np.asarray(M, dtype=np.complex128)
+    return [[[complex(z).real, complex(z).imag] for z in row] for row in M]
+
+
+def matrix_from_json_loop(data, what):
+    """Complex matrix from rows of [re, im] pairs, one entry at a time: the
+    reference for fileio._matrix_from_json, which must give the same bits
+    and, for malformed input, the same message.  It reads booleans as
+    numbers and lets an integer beyond the float range raise
+    OverflowError; fileio rejects both with FileFormatError."""
+    if not isinstance(data, list) or not data or \
+            not all(isinstance(row, list) for row in data):
+        raise FileFormatError(f"parse: {what} must be a nested list")
+    ncols = len(data[0])
+    out = np.zeros((len(data), ncols), dtype=np.complex128)
+    for i, row in enumerate(data):
+        if len(row) != ncols:
+            raise FileFormatError(f"parse: ragged rows in {what}")
+        for j, item in enumerate(row):
+            if (not isinstance(item, (list, tuple))) or len(item) != 2 or \
+                    not all(isinstance(x, (int, float)) for x in item):
+                raise FileFormatError(
+                    f"parse: {what}[{i}][{j}] must be a [re, im] pair, got {item!r}")
+            out[i, j] = complex(float(item[0]), float(item[1]))
+    return out
 
 
 # ---------------------------------------------------------------------------

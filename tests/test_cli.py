@@ -117,6 +117,24 @@ def test_cmd_solve_malformed_json(tmp_path, capsys):
     assert err["error"] == "parse"
 
 
+@pytest.mark.parametrize("entry", ["1" + "0" * 400, "true"])
+def test_cmd_out_of_range_or_boolean_entry_is_a_parse_error(entry, tmp_path, capsys):
+    # A 400-digit integer overflows float() and a boolean is no number:
+    # both are file errors (exit 2), not internal ones (exit 1).
+    sysfile, pairfile = tmp_path / "sys.json", tmp_path / "pair.json"
+    save_system(update_fixture("tp")[0], sysfile)
+    save_pair(*iep_fixture(TP), pairfile)
+    for path, key in ((sysfile, "A0"), (pairfile, "X")):
+        doc = json.loads(path.read_text())
+        doc[key][0][0][1] = "ENTRY"
+        path.write_text(json.dumps(doc).replace('"ENTRY"', entry))
+    for argv in (["eig", "--system", str(sysfile)],
+                 ["solve", "--class", "tp", "--pairs", str(pairfile)]):
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "parse", err
+
+
 def test_cmd_solve_parity_infeasible(tmp_path, capsys):
     # tp with one remaining +-1 singleton is structurally impossible.
     rng = np.random.default_rng(5)

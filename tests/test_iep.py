@@ -440,7 +440,7 @@ CONGRUENCE_SIZES = [(6, 3), (5, 5), (3, 8)]
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_congruence_onto_property(cls, n, r, data):
-    from palinverse.iep import _congruence_onto, _isometry
+    from palinverse.structfact import _congruence_onto, _isometry
 
     if cls.star == "T" and cls.epsilon == 1:
         r -= r % 2  # a nonsingular skew form has even order

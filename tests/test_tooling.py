@@ -1,6 +1,8 @@
 """Tooling checks.  The benchmark's tracer wraps package functions by name;
 a rename must fail here, not only in a traced benchmark run.  The public
-names in palinverse.__all__ must resolve.  The CLI must run on numpy alone,
+names in palinverse.__all__ must resolve, each to the object in its home
+module.  `import palinverse` loads neither numpy nor any submodule, and each
+subcommand loads only the modules it runs.  The CLI must run on numpy alone,
 without importing scipy.  No package module imports a name it never uses."""
 
 import ast
@@ -11,6 +13,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import palinverse
 from palinverse.fileio import save_pair, save_system
@@ -86,6 +90,35 @@ def test_public_names_resolve():
     assert sorted(namespace) == sorted(names)
 
 
+def _child(code, payload, cwd):
+    """Run code in a fresh interpreter that imports this checkout's src;
+    return the JSON object its last stdout line holds."""
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(payload)],
+                          env=env, cwd=cwd, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _cli_runs(tmp_path):
+    """Argument lists for solve, update and eig on the TP reference fixtures."""
+    pairfile, sysfile = tmp_path / "pair.json", tmp_path / "sys.json"
+    save_pair(*iep_fixture(TP), pairfile)
+    usys, replace, new = update_fixture("tp")
+    save_system(usys, sysfile)
+    values = [",".join(f"{complex(v).real}{complex(v).imag:+}i" for v in vs)
+              for vs in (replace, new)]
+    return {"solve": ["solve", "--class", "tp", "--pairs", str(pairfile),
+                      "--seed", "1", "--out", str(tmp_path / "solved.json")],
+            "update": ["update", "--system", str(sysfile), f"--replace={values[0]}",
+                       f"--with={values[1]}", "--seed", "1",
+                       "--out", str(tmp_path / "updated.json")],
+            "eig": ["eig", "--system", str(sysfile), "--json"]}
+
+
 # Runs the three subcommands in one fresh interpreter, then lists every
 # scipy module it has loaded.
 _NO_SCIPY_CODE = """
@@ -99,24 +132,53 @@ print(json.dumps({"codes": codes, "scipy": loaded}))
 
 
 def test_cli_runs_without_scipy(tmp_path):
-    pairfile, sysfile = tmp_path / "pair.json", tmp_path / "sys.json"
-    save_pair(*iep_fixture(TP), pairfile)
-    usys, replace, new = update_fixture("tp")
-    save_system(usys, sysfile)
-    values = [",".join(f"{complex(v).real}{complex(v).imag:+}i" for v in vs)
-              for vs in (replace, new)]
-    runs = [["solve", "--class", "tp", "--pairs", str(pairfile), "--seed", "1",
-             "--out", str(tmp_path / "solved.json")],
-            ["update", "--system", str(sysfile), f"--replace={values[0]}",
-             f"--with={values[1]}", "--seed", "1",
-             "--out", str(tmp_path / "updated.json")],
-            ["eig", "--system", str(sysfile), "--json"]]
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_CODE, json.dumps(runs)],
-                          env=env, cwd=tmp_path, capture_output=True, text=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    runs = list(_cli_runs(tmp_path).values())
+    result = _child(_NO_SCIPY_CODE, runs, tmp_path)
     assert result == {"codes": [0, 0, 0], "scipy": []}
+
+
+# `import palinverse`, then one subcommand; lists the package modules and
+# whether numpy was loaded after the import alone.
+_LOADED_CODE = """
+import json, sys
+import palinverse
+report = {"numpy": "numpy" in sys.modules,
+          "after_import": sorted(m for m in sys.modules if m.startswith("palinverse."))}
+from palinverse.cli import main
+report["code"] = main(json.loads(sys.argv[1]))
+report["modules"] = sorted(m[len("palinverse."):] for m in sys.modules
+                           if m.startswith("palinverse."))
+print(json.dumps(report))
+"""
+
+# Modules a subcommand has no use for.
+_NOT_LOADED = {
+    "eig": {"iep", "mup", "paramspace", "structfact", "spectral", "analysis"},
+    "solve": {"mup", "analysis"},
+    "update": {"iep", "analysis"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_NOT_LOADED))
+def test_subcommand_loads_only_what_it_runs(command, tmp_path):
+    report = _child(_LOADED_CODE, _cli_runs(tmp_path)[command], tmp_path)
+    assert report["numpy"] is False
+    assert report["after_import"] == []
+    assert report["code"] == 0
+    assert "cli" in report["modules"]
+    assert _NOT_LOADED[command].isdisjoint(report["modules"])
+
+
+def test_public_names_are_their_home_objects():
+    for name in palinverse.__all__:
+        home = importlib.import_module(f"palinverse.{palinverse._HOME[name]}")
+        assert getattr(palinverse, name) is getattr(home, name), name
+    assert dir(palinverse) == palinverse.__all__
+    assert palinverse.iep is importlib.import_module("palinverse.iep")
+
+
+def test_unknown_public_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        palinverse.no_such_name
+    with pytest.raises(ImportError):
+        exec("from palinverse import no_such_name", {})
