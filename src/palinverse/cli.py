@@ -3,7 +3,8 @@
 Subcommands: solve (construct a system from prescribed eigenpairs), update
 (replace eigenvalues with no spillover), eig / verify (forward-solve and
 report the paired spectrum).  Exit codes: 0 success, 2 domain failure
-(single-line JSON diagnostic on stderr), 1 internal error.  PALINVERSE_SEED
+(single-line JSON diagnostic on stderr, whose "error" is usage, parse, io
+or the name of the domain error), 1 internal error.  PALINVERSE_SEED
 provides the default seed.
 
 Each subcommand imports only the modules it runs: solve loads iep, update
@@ -19,8 +20,7 @@ import sys as _sys
 import numpy as np
 
 from .errors import PalinverseError
-from .fileio import (FileFormatError, load_pair, load_system, load_values,
-                     save_system)
+from .fileio import load_pair, load_system, load_values, save_system
 from .forward import eig_full, select_pairs
 from .numerics import two_norm
 from .system import SymmetryClass, pair_defect_matrix, pair_residual
@@ -197,9 +197,9 @@ def main(argv=None):
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except FileFormatError as exc:
-        return _fail("parse", str(exc))
-    except (OSError, ValueError) as exc:
+    except OSError as exc:  # a file that cannot be read or written
+        return _fail("io", str(exc))
+    except ValueError as exc:  # malformed JSON, file format or literal
         return _fail("parse", str(exc))
     except PalinverseError as exc:
         return _fail(type(exc).__name__, str(exc))

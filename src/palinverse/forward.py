@@ -19,8 +19,10 @@ deepcopied or unpickled system (whose arrays are writeable again), is
 solved afresh.  An array made writeable, written and made read-only again
 is not detected.  eig_full always runs its own eigensolve.
 
-_group_values applies the same pairing to a prescribed value list, for
-construction (iep) and updating (mup).
+Construction (iep), updating (mup) and select_pairs decide every rule on a
+set of eigenvalues here: _coincide is the one coincidence test,
+_group_values applies the reciprocal pairing to a prescribed value list,
+and _unit_parity is the +-1 multiplicity rule of the transpose classes.
 """
 
 from dataclasses import dataclass, field
@@ -165,9 +167,25 @@ def _group_values(values, cls):
     return pairs, singles
 
 
-def _unit_multiplicity(values, point):
-    return int(sum(1 for v in values
-                   if abs(complex(v) - point) <= COINCIDE_RTOL))
+def _coincide(a, b):
+    """Boolean matrix: a_i and b_j coincide, |a_i - b_j| <= COINCIDE_RTOL
+    max(1, |a_i|)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return np.abs(a[:, None] - b[None, :]) <= \
+        COINCIDE_RTOL * np.maximum(1.0, np.abs(a))[:, None]
+
+
+def _unit_parity(cls, n, values):
+    """The points +-1 whose multiplicity in the whole spectrum values of an
+    order-n system breaks the transpose-class rule: even for eps = +1, and
+    congruent to n mod 2 for eps = -1, where Q(+-1) is skew-symmetric.
+    Empty for star = H, which puts no parity on +-1."""
+    if cls.star == "H":
+        return []
+    want = 0 if cls.epsilon == 1 else n % 2
+    points = (1.0, -1.0)
+    counts = _coincide(points, values).sum(axis=1)
+    return [p for p, m in zip(points, counts) if m % 2 != want]
 
 
 def eig_full(sys, pairing_tol=PAIRING_TOL):
@@ -237,9 +255,7 @@ def select_pairs(eigs, targets, tol=1e-3):
             f"without its partner {values[j]:.6g}")
     rest = np.flatnonzero(~in_sel)
     chosen = values[selected]
-    overlap = np.abs(chosen[:, None] - values[None, rest]) <= \
-        COINCIDE_RTOL * np.maximum(1.0, np.abs(chosen))[:, None]
-    hit = np.flatnonzero(overlap.any(axis=1))
+    hit = np.flatnonzero(_coincide(chosen, values[rest]).any(axis=1))
     if hit.size:
         raise SpectraOverlap(
             f"selected eigenvalue {chosen[hit[0]]:.6g} reappears in the "

@@ -18,12 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (Infeasible, NoNonsingularFound, NoSolution,
+from .errors import (BadIndices, Infeasible, NoNonsingularFound, NoSolution,
                      NonsingularityRetryExhausted, PairingNotClosed,
                      RemainingEigenvalueConflict, ResidualTooLarge,
                      RetryExhausted, SingularLeadingBlock, SingularW,
                      SymmetryViolation, UnsupportedRegime, retry)
-from .forward import COINCIDE_RTOL, _group_values, _unit_multiplicity
+from .forward import COINCIDE_RTOL, _coincide, _group_values, _unit_parity
 from .numerics import as_matrix, block_diag, fnorm, linear_solve, sv_ratio
 from .paramspace import (SBasis, s_basis, sample_nonsingular, solution_space)
 from .spectral import OUTPUT_RESIDUAL_TOL, coefficients_from_pair
@@ -83,35 +83,13 @@ def solve_psi(delta, omega, cls, seed=0, theta_mode="identity"):
 # remaining-spectrum machinery
 # ---------------------------------------------------------------------------
 
-def _ta_singleton_parity(order, t1_values):
-    """Forced +-1 singleton counts for a transpose-anti-palindromic system.
-
-    Q(1) and Q(-1) are skew-symmetric, so both +1 and -1 must appear with
-    multiplicity congruent to the order n mod 2 (odd order forces both).
-    Returns (need_plus, need_minus) in {0, 1} for the remaining spectrum,
-    raising when the prescribed part already owns the point with the wrong
-    parity (the remaining spectrum must stay disjoint from T1).
-    """
-    need = []
-    for point in (1.0, -1.0):
-        m = _unit_multiplicity(t1_values, point)
-        deficit = (order - m) % 2
-        if deficit and m > 0:
-            raise Infeasible(
-                f"parity: eigenvalue {point:+.0f} must occur with multiplicity "
-                f"congruent to n mod 2, but it is prescribed {m} times and the "
-                "remaining spectrum cannot repeat it")
-        need.append(deficit)
-    return need[0], need[1]
-
-
 def _default_remaining(cls, count, n_pos, n_neg, order, t1_values, rng):
     """Seeded default for the unprescribed eigenvalues.
 
     Off-circle reciprocal pairs with modulus in [0.3, 0.7] wherever the
     class structure allows them; star = H classes fill the remaining
-    inertia with unimodular singletons, transpose-anti adds the +-1
-    singletons its determinant parity forces.
+    inertia with unimodular singletons, and the transpose classes add the
+    +-1 singletons that the parity of T1's spectrum forces.
     """
     # Values to stay clear of, T1's first and then each accepted draw, with
     # their exclusion radii; moduli by hypot, as abs() of a Python complex.
@@ -170,42 +148,25 @@ def _default_remaining(cls, count, n_pos, n_neg, order, t1_values, rng):
                 return mu
         raise RetryExhausted("could not draw a clear unimodular value")
 
-    pairs, singles, signs = [], [], []
     if cls.star == "H":
         n_pair = min(n_pos, n_neg)
-        if 2 * n_pair + abs(n_pos - n_neg) != count:
-            raise Infeasible(
-                f"inertia targets ({n_pos}, {n_neg}) inconsistent with count {count}")
         pairs = draw_pairs(n_pair)
-        extra_sign = 1 if n_pos > n_neg else -1
-        for _ in range(abs(n_pos - n_neg)):
-            singles.append(draw_unimodular())
-            signs.append(extra_sign)
-    elif cls.epsilon == 1:
-        if count % 2 != 0:
-            raise Infeasible("parity: transpose-palindromic remainder must be even")
-        pairs = draw_pairs(count // 2)
-    else:
-        need_plus, need_minus = _ta_singleton_parity(order, t1_values)
-        for point, needed in ((1.0, need_plus), (-1.0, need_minus)):
-            if needed:
-                singles.append(complex(point))
-                signs.append(1)
-        n_pair, rem = divmod(count - len(singles), 2)
-        if n_pair < 0 or rem != 0:
-            raise Infeasible(
-                f"parity: remaining count {count} cannot host the forced "
-                f"+-1 singletons")
-        pairs = draw_pairs(n_pair)
-    return pairs, singles, signs
+        singles = [draw_unimodular() for _ in range(abs(n_pos - n_neg))]
+        return pairs, singles, _assign_hermitian_signs(len(singles), n_pair,
+                                                       n_pos, n_neg)
+    # The up-front parity check leaves only points T1 does not carry.
+    singles = _unit_parity(cls, order, t1_values)
+    return draw_pairs((count - len(singles)) // 2), singles, [1] * len(singles)
 
 
-def _assign_hermitian_signs(cls, n_singles, n_pairs, n_pos, n_neg):
-    """Distribute singleton inertia signs to hit the (n_pos, n_neg) target."""
+def _assign_hermitian_signs(n_singles, n_pairs, n_pos, n_neg):
+    """Singleton inertia signs that, with n_pairs reciprocal pairs, make up
+    the inertia (n_pos, n_neg) of Omega.  (n_pos, n_neg) comes from the
+    drawn S1, so a miss raises BadIndices, which the construction retries."""
     a = n_pos - n_pairs
     b = n_neg - n_pairs
     if a < 0 or b < 0 or a + b != n_singles:
-        raise Infeasible(
+        raise BadIndices(
             f"remaining eigenvalues carry {n_pairs} pairs and {n_singles} "
             f"singletons, incompatible with inertia targets ({n_pos}, {n_neg})")
     return [1] * a + [-1] * b
@@ -229,7 +190,8 @@ def _build_t2hat(cls, pairs, singles, signs, omega):
 
     In block form a reciprocal pair (mu, nu) is y^{-1} diag(mu, nu) y with
     the class factor y of _PAIR_FACTOR, and a unimodular singleton is its
-    own 1x1 block, carrying +-i (HP) or +-1 (HA, TA) by its inertia sign.
+    own 1x1 block, carrying +-i (HP) or +-1 (HA, TA) by its inertia sign;
+    TP has no singletons, its equal +-1 values come as pairs.
     A permutation then sorts the slots into build_delta order: the +i (HP)
     or +1 (HA) slots first; for TP the first slots of the pairs, then the
     second slots.
@@ -256,12 +218,10 @@ def _build_t2hat(cls, pairs, singles, signs, omega):
     elif cls.epsilon == -1:
         order = np.arange(r)
         delta = np.eye(r)
-    elif not singles:
+    else:
         order = np.arange(r).reshape(npair, 2).T.ravel()
         delta = build_delta(cls, 0, 0, r, r)
-    else:
-        delta = None  # a skew form has no 1x1 blocks
-    if delta is None or fnorm(delta - omega) > 1e-8 * max(fnorm(omega), 1e-300):
+    if fnorm(delta - omega) > 1e-8 * max(fnorm(omega), 1e-300):
         raise Infeasible(
             "canonical factor of the model parameter block does not match Omega")
     return t2[np.ix_(order, order)]
@@ -329,40 +289,39 @@ def _remaining_spectrum(problem):
     """Pairs and singletons of the user-supplied remaining eigenvalues,
     checked against the prescribed spectrum and the class rules."""
     cls, t1_eigs = problem.cls, problem.t1_values
-    vals = [complex(v) for v in problem.remaining_eigenvalues]
-    for v in vals:
-        if min(abs(v - t1_eigs)) <= COINCIDE_RTOL * max(1.0, abs(v)):
-            raise RemainingEigenvalueConflict(
-                f"remaining eigenvalue {v:.6g} collides with the "
-                "prescribed spectrum")
+    vals = np.array(problem.remaining_eigenvalues, dtype=np.complex128)
+    hit = np.flatnonzero(_coincide(vals, t1_eigs).any(axis=1))
+    if hit.size:
+        raise RemainingEigenvalueConflict(
+            f"remaining eigenvalue {vals[hit[0]]:.6g} collides with the "
+            "prescribed spectrum")
     try:
         pairs, singles = _group_values(vals, cls)
     except PairingNotClosed as exc:
         raise RemainingEigenvalueConflict(str(exc)) from exc
-    if cls.star == "T" and singles and cls.epsilon == 1:
+    wrong = _unit_parity(cls, problem.n, np.concatenate([t1_eigs, vals]))
+    if wrong:
         raise Infeasible(
-            "simple unimodular eigenvalues are structurally "
-            "impossible for this class")
-    if cls.star == "T" and cls.epsilon == -1:
-        for point in (1.0, -1.0):
-            total = _unit_multiplicity(t1_eigs, point) \
-                + _unit_multiplicity(vals, point)
-            if (problem.n - total) % 2 != 0:
-                raise Infeasible(
-                    f"parity: eigenvalue {point:+.0f} must occur "
-                    f"with multiplicity congruent to n mod 2")
+            f"parity: eigenvalue {wrong[0]:+.0f} occurs with a multiplicity "
+            "this class and order forbid")
+    if cls.star == "T" and cls.epsilon == 1:
+        # Equal +-1 values pair into +-I blocks, which preserve the skew form.
+        singles = sorted(singles, key=lambda v: v.real)
+        return pairs + list(zip(singles[0::2], singles[1::2])), []
     return pairs, singles
 
 
 def solve_iep_partial_result(problem):
-    """Run the partial-eigendata construction, returning full diagnostics."""
+    """Run the partial-eigendata construction, returning full diagnostics.
+
+    Infeasible is decided before the first draw, from the +-1 parity of
+    the transpose classes.  For star = H the inertia counts of any
+    pairing-closed remaining list of length 2n - k are consistent: some
+    inertia of S1 admits a sign split, and a draw that misses it is
+    retried."""
     cls = problem.cls
     n, k = problem.n, problem.k
     r = 2 * n - k
-    if cls.star == "T" and cls.epsilon == 1 and r % 2 != 0:
-        raise Infeasible(
-            f"infeasible: parity requires an even number of remaining "
-            f"eigenvalues for this class, got {r}")
     given = problem.remaining_eigenvalues
     if given is not None and len(given) != r:
         raise RemainingEigenvalueConflict(
@@ -371,9 +330,15 @@ def solve_iep_partial_result(problem):
         sys = solve_iep_full(problem.X1, problem.T1, cls, problem.seed)
         return IepSolution(sys, problem.X1, problem.T1, None, 1,
                            pair_residual(sys, (problem.X1, problem.T1)))
+    t1_eigs = problem.t1_values
+    for point in _unit_parity(cls, n, t1_eigs):
+        if _coincide([point], t1_eigs).any():
+            raise Infeasible(
+                f"parity: eigenvalue {point:+.0f} is prescribed with a "
+                "multiplicity this class and order forbid, and the remaining "
+                "spectrum cannot repeat it")
     if given is not None:
         given = _remaining_spectrum(problem)
-    t1_eigs = problem.t1_values
     basis = s_basis(problem.T1, cls)
     master = np.random.default_rng(problem.seed)
 
@@ -386,16 +351,11 @@ def solve_iep_partial_result(problem):
                 f"no nonsingular parameter block for the prescribed pairs: {exc}"
             ) from exc
         if cls.star == "H":
-            herm = 1j * S1 if cls.epsilon == 1 else S1
-            p, q, _ = inertia(herm)
-            if p + q != k:
-                raise Infeasible("sampled parameter block is numerically singular")
-            if n - p < 0 or n - q < 0:
-                raise Infeasible(
-                    f"inertia ({p}, {q}) of the prescribed block exceeds the "
-                    "order; no completion exists")
-            omega = build_delta(cls, p=n - p, q=n - q, t=0, size=r)
+            p, q, _ = inertia(1j * S1 if cls.epsilon == 1 else S1)
             n_pos, n_neg = n - p, n - q
+            # BadIndices, retried, when S1 is numerically singular
+            # (p + q < k) or its inertia exceeds the order.
+            omega = build_delta(cls, p=n_pos, q=n_neg, t=0, size=r)
         else:
             omega = build_delta(cls, p=0, q=0, t=r, size=r)
             n_pos = n_neg = 0
@@ -407,7 +367,7 @@ def solve_iep_partial_result(problem):
         else:
             pairs, singles = given
             # The singleton signs depend on the inertia of the drawn S1.
-            signs = _assign_hermitian_signs(cls, len(singles), len(pairs),
+            signs = _assign_hermitian_signs(len(singles), len(pairs),
                                             n_pos, n_neg) \
                 if cls.star == "H" else [1] * len(singles)
         t2hat = _build_t2hat(cls, pairs, singles, signs, omega)
@@ -431,6 +391,6 @@ def solve_iep_partial_result(problem):
         return IepSolution(sys, X, T, S, attempt, resid)
 
     return retry(problem.attempts, draw,
-                 (RetryExhausted, SingularLeadingBlock, ResidualTooLarge,
-                  SymmetryViolation),
+                 (RetryExhausted, BadIndices, SingularLeadingBlock,
+                  ResidualTooLarge, SymmetryViolation),
                  NonsingularityRetryExhausted, "no regular completion")

@@ -22,8 +22,7 @@ from .errors import (DefectiveSpectrum, DimensionMismatch, Infeasible,
                      NoNonsingularS1Tilde, ResidualTooLarge, SingularMatrix,
                      SpectraOverlap, SymmetryViolation, XiSingular,
                      XiSingularRetryExhausted, retry)
-from .forward import (COINCIDE_RTOL, _group_values, _unit_multiplicity,
-                      eigenvalues)
+from .forward import _coincide, _group_values, _unit_parity, eigenvalues
 from .numerics import (as_matrix, fnorm, invert, linear_solve, range_coordinates,
                        rank_factorize, solve_right, sv_ratio)
 from .paramspace import (NONSINGULAR_RTOL, constrained_family, s_basis,
@@ -90,38 +89,31 @@ class MupProblem:
         new = np.diag(self.T1_new)
         _group_values(old, cls)
         _group_values(new, cls)
-        for i in range(k):
-            for j in range(i + 1, k):
-                if abs(old[i] - old[j]) <= COINCIDE_RTOL * max(1.0, abs(old[i])):
-                    raise DefectiveSpectrum(
-                        f"selected eigenvalues {old[i]:.6g} and {old[j]:.6g} "
-                        "cluster; semi-simple selection required")
-        for v in new:
-            if min(abs(v - old)) <= COINCIDE_RTOL * max(1.0, abs(v)):
-                raise SpectraOverlap(
-                    f"replacement eigenvalue {v:.6g} collides with a "
-                    "replaced one")
+        cluster = np.argwhere(np.triu(_coincide(old, old), 1))
+        if cluster.size:
+            i, j = cluster[0]
+            raise DefectiveSpectrum(
+                f"selected eigenvalues {old[i]:.6g} and {old[j]:.6g} "
+                "cluster; semi-simple selection required")
+        hit = np.flatnonzero(_coincide(new, old).any(axis=1))
+        if hit.size:
+            raise SpectraOverlap(
+                f"replacement eigenvalue {new[hit[0]]:.6g} collides with a "
+                "replaced one")
         values = eigenvalues(self.sys)
         kept_vals = values[self._kept_indices(values, old)]
-        for v in np.concatenate([old, new]):
-            if kept_vals.size and min(abs(v - kept_vals)) <= \
-                    COINCIDE_RTOL * max(1.0, abs(v)):
-                raise SpectraOverlap(
-                    f"eigenvalue {v:.6g} collides with the kept spectrum")
-        if cls.star == "T":
-            # Transpose classes pin the parity of the +-1 multiplicities
-            # (even for eps = +1; congruent to n mod 2 for eps = -1, since
-            # Q(+-1) is then skew-symmetric).  An update whose final
-            # spectrum breaks this has no solution at all.
-            updated = np.concatenate([new, kept_vals])
-            want = 0 if cls.epsilon == 1 else self.sys.n % 2
-            for point in (1.0, -1.0):
-                m = _unit_multiplicity(updated, point)
-                if m % 2 != want:
-                    raise Infeasible(
-                        f"parity: the updated spectrum carries eigenvalue "
-                        f"{point:+.0f} with multiplicity {m}, impossible for "
-                        "this class and order")
+        moved = np.concatenate([old, new])
+        hit = np.flatnonzero(_coincide(moved, kept_vals).any(axis=1))
+        if hit.size:
+            raise SpectraOverlap(
+                f"eigenvalue {moved[hit[0]]:.6g} collides with the kept spectrum")
+        # An update whose final spectrum breaks the +-1 parity of the
+        # transpose classes has no solution at all.
+        wrong = _unit_parity(cls, self.sys.n, np.concatenate([new, kept_vals]))
+        if wrong:
+            raise Infeasible(
+                f"parity: the updated spectrum carries eigenvalue {wrong[0]:+.0f} "
+                "with a multiplicity impossible for this class and order")
 
     def _kept_indices(self, values, old):
         used = set()

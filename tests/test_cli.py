@@ -117,6 +117,21 @@ def test_cmd_solve_malformed_json(tmp_path, capsys):
     assert err["error"] == "parse"
 
 
+def test_cmd_file_errors_are_io_errors(tmp_path, capsys):
+    # A file that cannot be written or read is an io failure, not a parse
+    # error; both exit with code 2.
+    pairfile = tmp_path / "pair.json"
+    save_pair(*iep_fixture(TP), pairfile)
+    missing = tmp_path / "missing"
+    for argv in (["solve", "--class", "tp", "--pairs", str(pairfile),
+                  "--out", str(missing / "out.json")],
+                 ["solve", "--class", "tp", "--pairs", str(missing / "pair.json")]):
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "io", err
+    assert not missing.exists()
+
+
 @pytest.mark.parametrize("entry", ["1" + "0" * 400, "true"])
 def test_cmd_out_of_range_or_boolean_entry_is_a_parse_error(entry, tmp_path, capsys):
     # A 400-digit integer overflows float() and a boolean is no number:

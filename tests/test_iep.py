@@ -184,6 +184,108 @@ def test_iep_user_remaining_respected():
         assert min(abs(e.values - v)) <= 1e-6
 
 
+@pytest.mark.parametrize("cls", [HP, HA], ids=lambda c: c.code)
+def test_iep_given_remaining_solves_every_seed(cls):
+    # Two unimodular prescribed values leave the inertia of S1 to the draw;
+    # one draw in two misses the sign split that two remaining pairs need.
+    # The counts are consistent, so a miss is retried, never Infeasible.
+    X1 = random_complex(np.random.default_rng(21), 3, 2)
+    T1 = np.diag([np.exp(0.3j), np.exp(1.1j)])
+    want = [0.2 + 0.1j, 1 / np.conj(0.2 + 0.1j), 0.6 - 0.3j, 1 / np.conj(0.6 - 0.3j)]
+    retried = 0
+    for seed in range(40):
+        sol = solve_iep_partial_result(IepProblem(
+            cls, X1, T1, seed=seed, remaining_eigenvalues=want))
+        assert sol.residual <= 1e-9
+        retried += sol.attempts > 1
+    assert retried > 0
+
+
+@pytest.mark.parametrize("units", [[1.0, 1.0], [1.0, 1.0, -1.0, -1.0],
+                                   [1.0, 1.0, 1.0, 1.0]],
+                         ids=["pp", "ppmm", "pppp"])
+def test_iep_tp_given_double_unit_eigenvalues(units):
+    # Equal +-1 values of a transpose-palindromic system pair into +-I
+    # blocks of T2hat, which preserve the skew form.  Order 4: a semisimple
+    # eigenvalue of a regular system has multiplicity at most n.
+    mu = 0.4 * np.exp(0.7j)
+    X1 = random_complex(np.random.default_rng(14), 4, 2)
+    remaining = units + [2.0, 0.5, 3.0, 1 / 3.0][:6 - len(units)]
+    sol = solve_iep_partial_result(IepProblem(
+        TP, X1, np.diag([mu, 1 / mu]), seed=0, remaining_eigenvalues=remaining))
+    assert sol.residual <= 1e-9
+    values = eig_full(sol.system).values
+    for v in set(remaining):
+        near = np.abs(values - v) <= 1e-6
+        assert np.count_nonzero(near) == remaining.count(v)
+
+
+def _reciprocal_pairs(count, start):
+    zs = [(0.3 + 0.05 * (start + i)) * np.exp(1j * (0.4 + start + i))
+          for i in range(count)]
+    return [v for z in zs for v in (z, 1 / z)]
+
+
+UNIT_PARITY_CASES = [(cls, n, mp, mm) for cls in (TP, TA) for n in (3, 4)
+                     for mp in range(4) for mm in range(4)
+                     if mp + mm <= 2 * n - 2 and (mp + mm) % 2 == 0]
+
+
+@pytest.mark.parametrize("cls,n,m_plus,m_minus", UNIT_PARITY_CASES,
+                         ids=[f"{c.code}-n{n}-{p}{m}"
+                              for c, n, p, m in UNIT_PARITY_CASES])
+def test_solve_and_update_share_the_unit_parity_rule(cls, n, m_plus, m_minus):
+    # A solve whose prescribed pair and remaining eigenvalues make up a
+    # spectrum with m_plus values +1 and m_minus values -1, and an update
+    # whose final spectrum has the same multiplicities, are both refused as
+    # Infeasible or both accepted.
+    from palinverse.forward import select_pairs
+    from palinverse.mup import MupProblem
+
+    rng = np.random.default_rng(10 * n + 3 * m_plus + m_minus)
+    mu = _reciprocal_pairs(1, 0)
+    counts = {1.0: m_plus, -1.0: m_minus}
+    rest = _reciprocal_pairs((2 * n - 2 - m_plus - m_minus) // 2, 1)
+    try:
+        solve_iep_partial_result(IepProblem(
+            cls, random_complex(rng, n, 2), np.diag(mu), seed=0,
+            remaining_eigenvalues=[p for p, m in counts.items()
+                                   for _ in range(m)] + rest))
+        solved = True
+    except Infeasible:
+        solved = False
+
+    # The update keeps `kept` and replaces `old` by `new`.  A point whose
+    # multiplicity a system can carry is kept; otherwise the replacement
+    # brings it (or, at multiplicity 0, takes the one copy an odd-order
+    # anti-palindromic system must carry).  The replaced values collide
+    # with neither of the others.
+    want = 0 if cls.epsilon == 1 else n % 2
+    kept, new, old = list(rest), list(mu), []
+    for point, m in counts.items():
+        if m % 2 == want:
+            kept += [point] * m
+        elif m == 0:
+            old.append(point)
+        elif want == 0:
+            new += [point] * m
+        else:
+            pytest.skip("an even +-1 multiplicity at odd order is reached "
+                        "by no update free of collisions")
+    old += _reciprocal_pairs((len(new) - len(old)) // 2, 2 * n)
+    base_values = old[-2:] + kept + old[:-2]
+    base = solve_iep_partial_result(IepProblem(
+        cls, random_complex(rng, n, 2), np.diag(base_values[:2]), seed=0,
+        remaining_eigenvalues=base_values[2:])).system
+    X1, T1, _, _ = select_pairs(eig_full(base), old)
+    try:
+        MupProblem(base, X1, T1, np.diag(new))
+        updated = True
+    except Infeasible:
+        updated = False
+    assert updated == solved
+
+
 def test_iep_problem_validation():
     rng = np.random.default_rng(12)
     X1 = random_complex(rng, 3, 2)
@@ -372,10 +474,10 @@ def test_build_t2hat_closed_form(cls, n_pairs, signs):
         bad = (pairs, singles, [-s for s in signs], omega)
         if not signs:
             bad = (pairs[1:], [1.0, 1.0], [1, 1], omega)
-    elif cls.epsilon == 1:
-        bad = (pairs[1:], [1.0, -1.0], [1, 1], omega)  # TP has no 1x1 blocks
     else:
-        bad = (pairs, singles, signs, build_delta(cls, 0, 0, r - 1, r))
+        # A rank-deficient Omega (of even rank for the skew TP form).
+        rank = r - 2 if cls.epsilon == 1 else r - 1
+        bad = (pairs, singles, signs, build_delta(cls, 0, 0, rank, r))
     with pytest.raises(Infeasible, match="canonical factor of the model"):
         _build_t2hat(cls, *bad)
 

@@ -3,7 +3,8 @@ a rename must fail here, not only in a traced benchmark run.  The public
 names in palinverse.__all__ must resolve, each to the object in its home
 module.  `import palinverse` loads neither numpy nor any submodule, and each
 subcommand loads only the modules it runs.  The CLI must run on numpy alone,
-without importing scipy.  No package module imports a name it never uses."""
+without importing scipy.  No package module imports a name it never uses,
+and only forward decides when two eigenvalues coincide."""
 
 import ast
 import importlib
@@ -70,6 +71,26 @@ def test_unused_import_check_flags_planted_names():
                "from .errors import SingularW\n") + source
     assert _unused_imports(source) == []
     assert _unused_imports(planted) == ["SingularW", "invert", "json", "solve_right"]
+
+
+def _readers(source, name):
+    """Top-level definitions that read a name (None for other statements)."""
+    return {getattr(stmt, "name", None) for stmt in ast.parse(source).body
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and node.id == name}
+
+
+def test_coincidence_tolerance_read_in_one_place():
+    # Every eigenvalue-set rule (coincidence, pairing of a value list, +-1
+    # parity) is decided in forward.  The one other reader is the exclusion
+    # radius of iep's default remaining eigenvalues; iep keeps the import,
+    # and tests patch that binding.
+    readers = {path.stem: _readers(path.read_text(), "COINCIDE_RTOL")
+               for path in sorted(PACKAGE.glob("*.py")) if path.stem != "forward"}
+    assert {module: names for module, names in readers.items() if names} == \
+        {"iep": {"_default_remaining"}}
+    planted = "def _check(v, w):\n    return abs(v - w) <= COINCIDE_RTOL\n"
+    assert _readers(planted, "COINCIDE_RTOL") == {"_check"}
 
 
 def test_forward_binds_the_traced_eigensolver():
