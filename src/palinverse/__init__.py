@@ -20,7 +20,7 @@ _EXPORTS = {
                "SymmetryClass", "eval_Q", "pair_residual"),
     "numerics": ("dense_eig", "linear_solve", "rank_factorize"),
     "structfact": ("DeltaPattern", "StarFactorization", "build_delta",
-                   "inertia", "star_factorize"),
+                   "star_factorize"),
     "paramspace": ("SBasis", "pascal_matrix", "pascal_scaling", "s_basis",
                    "sample_nonsingular"),
     "spectral": ("coefficients_from_pair", "compute_S1", "parameter_from_pair"),

@@ -14,12 +14,12 @@ import numpy as np
 
 from .errors import (GeomMultViolation, NotJBDiagonalizable, SingularInput,
                      StructureViolation)
-from .numerics import as_matrix, dense_eig, fnorm, invert, sv_ratio
+from .forward import _coincide
+from .numerics import (NORM_FLOOR, OFFBLOCK_RTOL, RANK_RTOL, SINGULAR_RTOL,
+                       STRUCTURE_RTOL, ZETA_CLUSTER_RTOL, as_matrix, dense_eig,
+                       fnorm, invert, sv_ratio)
 from .paramspace import _jordan_blocks, solution_space
 from .spectral import coefficients_from_pair
-
-ZETA_CLUSTER_RTOL = 1e-7
-OFFBLOCK_RTOL = 1e-8
 
 
 def s_space_dimension(X, T, cls):
@@ -75,7 +75,7 @@ def zeta_partition(S, S_tilde, cls, tol=ZETA_CLUSTER_RTOL):
     S_tilde = as_matrix(S_tilde, "S_tilde")
     if S.shape != S_tilde.shape or S.shape[0] != S.shape[1]:
         raise SingularInput("S and S_tilde must be square of equal size")
-    if sv_ratio(S) <= 1e-12 or sv_ratio(S_tilde) <= 1e-12:
+    if sv_ratio(S) <= SINGULAR_RTOL or sv_ratio(S_tilde) <= SINGULAR_RTOL:
         raise SingularInput("S and S_tilde must be nonsingular")
     ratio = S_tilde @ invert(S)
     w, _ = dense_eig(ratio)
@@ -126,7 +126,7 @@ def _offblock_mass(M, sizes):
     for s in sizes:
         mask[off:off + s, off:off + s] = False
         off += s
-    return float(np.linalg.norm(M[mask]) / max(fnorm(M), 1e-300))
+    return float(np.linalg.norm(M[mask]) / max(fnorm(M), NORM_FLOOR))
 
 
 def joint_block_diagonalize(X, J, S, S_tilde, S_hat, cls, tol=ZETA_CLUSTER_RTOL):
@@ -142,13 +142,11 @@ def joint_block_diagonalize(X, J, S, S_tilde, S_hat, cls, tol=ZETA_CLUSTER_RTOL)
     """
     X = as_matrix(X, "X")
     J = as_matrix(J, "J")
-    jordan = _jordan_blocks(J, tol=1e-10)
+    jordan = _jordan_blocks(J, tol=STRUCTURE_RTOL)
     if jordan is None:
         raise GeomMultViolation("J is not in Jordan canonical form")
     starts, sizes, values = jordan
-    close = np.abs(values[:, None] - values[None, :]) <= \
-        1e-8 * np.maximum(1.0, np.abs(values))[:, None]
-    shared = np.argwhere(np.triu(close, 1))
+    shared = np.argwhere(np.triu(_coincide(values, values), 1))
     if shared.size:
         raise GeomMultViolation(
             f"eigenvalue {values[shared[0, 0]]:.6g} has geometric "
@@ -184,7 +182,7 @@ def joint_block_diagonalize(X, J, S, S_tilde, S_hat, cls, tol=ZETA_CLUSTER_RTOL)
         order.extend(members)
         blocks.append(len(members))
     K = V[:, order]
-    if sv_ratio(K) <= 1e-10:
+    if sv_ratio(K) <= RANK_RTOL:
         raise NotJBDiagonalizable("eigenvector matrix K is ill conditioned")
 
     # Permutation grouping the Jordan blocks of J by ratio class, read off

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import PalinverseError
 from .fileio import load_pair, load_system, load_values, save_system
 from .forward import eig_full, select_pairs
-from .numerics import two_norm
+from .numerics import MATCH_TOL, two_norm
 from .system import SymmetryClass, pair_defect_matrix, pair_residual
 
 _LITERAL_RE = re.compile(r"^[0-9eEij+.\-]+$")
@@ -174,7 +174,7 @@ def build_parser():
     p.add_argument("--with", dest="with_values", required=True,
                    help="comma-separated replacement eigenvalues")
     p.add_argument("--vectors", help="JSON pair file prescribing new eigenvectors")
-    p.add_argument("--match-tol", type=float, default=1e-3,
+    p.add_argument("--match-tol", type=float, default=MATCH_TOL,
                    help="matching tolerance for --replace values")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", help="write the updated system here")

@@ -30,10 +30,6 @@ class SymmetryViolation(PalinverseError):
 
 
 # structfact
-class NotHermitian(PalinverseError):
-    """Inertia was requested for a matrix that is not Hermitian."""
-
-
 class FactorizationFailure(PalinverseError):
     """A canonical congruence factorization could not be completed."""
 

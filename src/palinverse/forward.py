@@ -5,7 +5,7 @@ C = [[-Y0, -Y1], [I, 0]] with A1* [Y0, Y1] = [A0, eps A1], the standard form
 of the pencil lambda [[A1*, 0], [0, I]] + [[A0, eps A1], [-I, 0]].  The pencil
 is never formed: C costs one order-n LU solve with 2n right-hand sides.
 This companion form is deliberately unstructured; at desk scale its
-accuracy supports the 1e-6 pairing tolerance used throughout, and
+accuracy supports the 1e-6 pairing tolerance PAIRING_TOL, and
 structure-preserving solvers are out of scope.
 
 Each system keeps the 2n eigenvalues of its last eigensolve, so a
@@ -22,7 +22,8 @@ is not detected.  eig_full always runs its own eigensolve.
 Construction (iep), updating (mup) and select_pairs decide every rule on a
 set of eigenvalues here: _coincide is the one coincidence test,
 _group_values applies the reciprocal pairing to a prescribed value list,
-and _unit_parity is the +-1 multiplicity rule of the transpose classes.
+_unit_parity is the +-1 multiplicity rule of the transpose classes, and
+_semisimple_bound caps the multiplicity of any value at the order n.
 """
 
 from dataclasses import dataclass, field
@@ -30,15 +31,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import PairingNotClosed, SpectraOverlap, TargetNotFound
-from .numerics import dense_eig, linear_solve
+from .errors import Infeasible, PairingNotClosed, SpectraOverlap, TargetNotFound
+from .numerics import COINCIDE_RTOL, MATCH_TOL, PAIRING_TOL, dense_eig, linear_solve
 from .system import SymmetryClass
-
-PAIRING_TOL = 1e-6
-# Relative distance under which two eigenvalues coincide: a selected value
-# repeated in the remaining spectrum, a prescribed or replacement value
-# colliding with another, or a value list's reciprocal pairing.
-COINCIDE_RTOL = 1e-8
 
 
 def companion(sys):
@@ -188,6 +183,20 @@ def _unit_parity(cls, n, values):
     return [p for p, m in zip(points, counts) if m % 2 != want]
 
 
+def _semisimple_bound(n, values):
+    """Raise Infeasible when a value occurs more than n times in values: a
+    semisimple eigenvalue of an order-n system has at most n eigenvectors.
+    A list disjoint from the rest of the spectrum decides it for the whole."""
+    values = np.asarray(values)
+    counts = _coincide(values, values).sum(axis=1)
+    if counts.max(initial=0) > n:
+        i = int(np.argmax(counts))
+        raise Infeasible(
+            f"multiplicity: eigenvalue {values[i]:.6g} occurs {counts[i]} times, "
+            f"but a semisimple eigenvalue of an order-{n} system has at most "
+            f"{n} eigenvectors")
+
+
 def eig_full(sys, pairing_tol=PAIRING_TOL):
     """All 2n finite eigenpairs of Q with reciprocal pairing.
 
@@ -217,7 +226,7 @@ def eig_full(sys, pairing_tol=PAIRING_TOL):
                         pairing_tol, unmatched)
 
 
-def select_pairs(eigs, targets, tol=1e-3):
+def select_pairs(eigs, targets, tol=MATCH_TOL):
     """Split an EigenPairSet into selected and remaining invariant pairs.
 
     Each target must match exactly one computed eigenvalue within tol

@@ -23,15 +23,14 @@ from .errors import (BadIndices, Infeasible, NoNonsingularFound, NoSolution,
                      RemainingEigenvalueConflict, ResidualTooLarge,
                      RetryExhausted, SingularLeadingBlock, SingularW,
                      SymmetryViolation, UnsupportedRegime, retry)
-from .forward import COINCIDE_RTOL, _coincide, _group_values, _unit_parity
-from .numerics import as_matrix, block_diag, fnorm, linear_solve, sv_ratio
+from .forward import _coincide, _group_values, _semisimple_bound, _unit_parity
+from .numerics import (COINCIDE_RTOL, NORM_FLOOR, OUTPUT_RESIDUAL_TOL, PATTERN_RTOL,
+                       RANK_RTOL, SINGULAR_RTOL, as_matrix, block_diag, fnorm,
+                       linear_solve, sv_ratio)
 from .paramspace import (SBasis, s_basis, sample_nonsingular, solution_space)
-from .spectral import OUTPUT_RESIDUAL_TOL, coefficients_from_pair
-from .structfact import (_congruence_onto, _snap_isotropy, build_delta, inertia,
-                         star_factorize)
+from .spectral import coefficients_from_pair
+from .structfact import _congruence_onto, _snap_isotropy, build_delta, star_factorize
 from .system import pair_residual
-
-T1_SINGULAR_RTOL = 1e-12
 
 
 def solve_iep_full(X, T, cls, seed=0):
@@ -116,29 +115,20 @@ def _default_remaining(cls, count, n_pos, n_neg, order, t1_values, rng):
     def partner(mu):
         return 1.0 / (np.conj(mu) if cls.star == "H" else mu)
 
-    def draw_pair():
-        for _ in range(100):
-            radius = rng.uniform(0.3, 0.7)
-            mu = radius * np.exp(2j * np.pi * rng.uniform())
-            nu = partner(mu)
-            if clear(mu) and clear(nu):
-                keep([mu, nu])
-                return mu, nu
-        raise RetryExhausted("could not draw a clear reciprocal pair")
-
     def draw_pairs(m):
-        # One batch under the same predicate as draw_pair: every value clear
-        # of T1 and of the pairs before it; one pair at a time on a clash.
-        mu = rng.uniform(0.3, 0.7, m) * np.exp(2j * np.pi * rng.uniform(size=m))
-        z = np.column_stack([mu, partner(mu)]).ravel()
-        d = z[:, None] - np.concatenate([avoid[:used], z])
-        far = np.hypot(d.real, d.imag) > np.concatenate([reach[:used], reach_of(z)])
+        # m pairs in one batch, every value clear of T1 and of the pairs
+        # before it; the whole batch is drawn again on a clash.
         slot = np.arange(2 * m) // 2
-        far[:, used:] |= slot[:, None] <= slot
-        if not far.all():
-            return [draw_pair() for _ in range(m)]
-        keep(z)
-        return list(zip(z[0::2], z[1::2]))
+        for _ in range(100):
+            mu = rng.uniform(0.3, 0.7, m) * np.exp(2j * np.pi * rng.uniform(size=m))
+            z = np.column_stack([mu, partner(mu)]).ravel()
+            d = z[:, None] - np.concatenate([avoid[:used], z])
+            far = np.hypot(d.real, d.imag) > np.concatenate([reach[:used], reach_of(z)])
+            far[:, used:] |= slot[:, None] <= slot
+            if far.all():
+                keep(z)
+                return list(zip(z[0::2], z[1::2]))
+        raise RetryExhausted("could not draw clear reciprocal pairs")
 
     def draw_unimodular():
         for _ in range(100):
@@ -221,7 +211,7 @@ def _build_t2hat(cls, pairs, singles, signs, omega):
     else:
         order = np.arange(r).reshape(npair, 2).T.ravel()
         delta = build_delta(cls, 0, 0, r, r)
-    if fnorm(delta - omega) > 1e-8 * max(fnorm(omega), 1e-300):
+    if fnorm(delta - omega) > PATTERN_RTOL * max(fnorm(omega), NORM_FLOOR):
         raise Infeasible(
             "canonical factor of the model parameter block does not match Omega")
     return t2[np.ix_(order, order)]
@@ -250,11 +240,11 @@ class IepProblem:
         k = self.T1.shape[0]
         if self.T1.shape != (k, k) or self.X1.shape[1] != k:
             raise SingularW("X1 and T1 dimensions do not conform")
-        if sv_ratio(self.T1) <= T1_SINGULAR_RTOL:
+        if sv_ratio(self.T1) <= SINGULAR_RTOL:
             raise SingularW("T1 must be nonsingular")
         X1T1inv = linear_solve(self.T1.T, self.X1.T).T
         stacked = np.vstack([self.X1, -X1T1inv])
-        if sv_ratio(stacked) <= 1e-10:
+        if sv_ratio(stacked) <= RANK_RTOL:
             raise SingularW("[X1; -X1 T1^{-1}] must have full column rank")
         self.t1_values = np.linalg.eigvals(self.T1)
         _group_values(self.t1_values, self.cls)  # raises PairingNotClosed
@@ -304,6 +294,7 @@ def _remaining_spectrum(problem):
         raise Infeasible(
             f"parity: eigenvalue {wrong[0]:+.0f} occurs with a multiplicity "
             "this class and order forbid")
+    _semisimple_bound(problem.n, vals)
     if cls.star == "T" and cls.epsilon == 1:
         # Equal +-1 values pair into +-I blocks, which preserve the skew form.
         singles = sorted(singles, key=lambda v: v.real)
@@ -315,10 +306,11 @@ def solve_iep_partial_result(problem):
     """Run the partial-eigendata construction, returning full diagnostics.
 
     Infeasible is decided before the first draw, from the +-1 parity of
-    the transpose classes.  For star = H the inertia counts of any
-    pairing-closed remaining list of length 2n - k are consistent: some
-    inertia of S1 admits a sign split, and a draw that misses it is
-    retried."""
+    the transpose classes and the multiplicity bound of a given remaining
+    list.  For star = H any pairing-closed remaining list of length
+    2n - k has consistent inertia counts: some inertia of S1, read off
+    its star factorization, admits a sign split, and a draw that misses
+    it is retried."""
     cls = problem.cls
     n, k = problem.n, problem.k
     r = 2 * n - k
@@ -351,8 +343,8 @@ def solve_iep_partial_result(problem):
                 f"no nonsingular parameter block for the prescribed pairs: {exc}"
             ) from exc
         if cls.star == "H":
-            p, q, _ = inertia(1j * S1 if cls.epsilon == 1 else S1)
-            n_pos, n_neg = n - p, n - q
+            pattern = star_factorize(S1, cls).pattern
+            n_pos, n_neg = n - pattern.p, n - pattern.q
             # BadIndices, retried, when S1 is numerically singular
             # (p + q < k) or its inertia exceeds the order.
             omega = build_delta(cls, p=n_pos, q=n_neg, t=0, size=r)

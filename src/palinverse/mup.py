@@ -22,20 +22,17 @@ from .errors import (DefectiveSpectrum, DimensionMismatch, Infeasible,
                      NoNonsingularS1Tilde, ResidualTooLarge, SingularMatrix,
                      SpectraOverlap, SymmetryViolation, XiSingular,
                      XiSingularRetryExhausted, retry)
-from .forward import _coincide, _group_values, _unit_parity, eigenvalues
-from .numerics import (as_matrix, fnorm, invert, linear_solve, range_coordinates,
-                       rank_factorize, solve_right, sv_ratio)
-from .paramspace import (NONSINGULAR_RTOL, constrained_family, s_basis,
-                         sample_nonsingular)
-from .spectral import OUTPUT_RESIDUAL_TOL, PAIR_RESIDUAL_GATE, compute_S1
+from .forward import (_coincide, _group_values, _semisimple_bound, _unit_parity,
+                      eigenvalues)
+from .numerics import (DIAGONAL_RTOL, NONSINGULAR_RTOL, NORM_FLOOR,
+                       OUTPUT_RESIDUAL_TOL, PAIR_RESIDUAL_GATE, SELECTED_MATCH_RTOL,
+                       SINGULAR_RTOL, TRANSFER_FLOOR_RTOL, as_matrix, fnorm, invert,
+                       linear_solve, range_coordinates, rank_factorize, solve_right,
+                       sv_ratio)
+from .paramspace import constrained_family, s_basis, sample_nonsingular
+from .spectral import compute_S1
 from .structfact import _congruence_onto, _snap_isotropy, star_factorize
 from .system import PalindromicSystem, assembled_system, pair_residual
-
-XI_SINGULAR_RTOL = 1e-12
-# Relative distance within which a selected eigenvalue must be found in the
-# system's spectrum.  It also absorbs the roundoff between values computed
-# with eigenvectors (eig_full, usually the source of T1) and without them.
-SELECTED_MATCH_RTOL = 1e-6
 
 
 def _check_diagonal(T, name):
@@ -43,7 +40,7 @@ def _check_diagonal(T, name):
     if T.shape[0] != T.shape[1]:
         raise DimensionMismatch(f"{name} must be square")
     off = T - np.diag(np.diag(T))
-    if fnorm(off) > 1e-12 * max(fnorm(T), 1e-300):
+    if fnorm(off) > DIAGONAL_RTOL * max(fnorm(T), NORM_FLOOR):
         raise DimensionMismatch(
             f"{name} must be diagonal (semi-simple selected eigenvalues)")
     return T
@@ -54,8 +51,9 @@ class MupProblem:
     """A no-spillover update: replace the eigenvalues of (X1, T1) by T1_new.
 
     T1 and T1_new must be diagonal, pairing-closed and mutually disjoint;
-    both must stay away from the remaining spectrum of the system.  With
-    X1_new set, the replacement eigenvectors are prescribed.
+    both must stay away from the remaining spectrum of the system, and
+    T1_new may repeat no value more than n times.  With X1_new set, the
+    replacement eigenvectors are prescribed.
     """
 
     sys: PalindromicSystem
@@ -114,8 +112,10 @@ class MupProblem:
             raise Infeasible(
                 f"parity: the updated spectrum carries eigenvalue {wrong[0]:+.0f} "
                 "with a multiplicity impossible for this class and order")
+        _semisimple_bound(self.sys.n, new)
 
     def _kept_indices(self, values, old):
+        # The tolerance also absorbs eig_full's roundoff against eigenvalues'.
         used = set()
         for v in old:
             dist = np.abs(values - v)
@@ -176,7 +176,7 @@ def low_rank_update(sys, X1, T1, S1, X1_new, T1_new, S1_new):
         return PalindromicSystem(cls, sys.A1.copy(), sys.A0.copy()), Z1, Z2, 0
 
     Xi = np.eye(ell, dtype=np.complex128) + eps * star(Z2) @ sys.A1 @ Z1
-    if sv_ratio(Xi) <= XI_SINGULAR_RTOL:
+    if sv_ratio(Xi) <= SINGULAR_RTOL:
         raise XiSingular("low-rank pivot Xi is singular")
     T2_new = T1_new @ T1_new
     T2_old = T1 @ T1
@@ -201,9 +201,10 @@ def _finish(problem, S1, X1t, S1t, attempt):
     # Mixed bound: relative to the transfer target, with a roundoff floor
     # in the natural scale of the products (the target is exactly zero when
     # every eigenpair is replaced).
-    floor = 1e-13 * (fnorm(problem.X1) ** 2 * fnorm(S1)
-                     + fnorm(X1t) ** 2 * fnorm(S1t))
-    if resid_new > OUTPUT_RESIDUAL_TOL or eq_resid > 1e-9 * fnorm(target) + floor:
+    floor = TRANSFER_FLOOR_RTOL * (fnorm(problem.X1) ** 2 * fnorm(S1)
+                                   + fnorm(X1t) ** 2 * fnorm(S1t))
+    if resid_new > OUTPUT_RESIDUAL_TOL \
+            or eq_resid > OUTPUT_RESIDUAL_TOL * fnorm(target) + floor:
         raise ResidualTooLarge(
             f"update verification failed (pair residual {resid_new:.3e}, "
             f"transfer residual {eq_resid:.3e})")

@@ -9,34 +9,65 @@ Singularity policy.  linear_solve raises SingularMatrix only when LAPACK
 meets an exactly zero pivot; it does not judge conditioning, so an exactly
 solvable diagonal system with condition 1e14 is solved.  Every production
 call of linear_solve, invert and solve_right is guarded before the call by
-a scale-invariant gate (sv_ratio, sigma_min / sigma_max) or by a
-construction that bounds the condition number:
+a scale-invariant gate (sv_ratio, sigma_min / sigma_max, against
+SINGULAR_RTOL unless named otherwise) or by a construction that bounds the
+condition number:
 
-- forward.companion: A1*, of order n; PalindromicSystem gates A1
-  (sv_ratio > 1e-12), whose singular values A1* shares.
+- forward.companion: A1*, of order n; PalindromicSystem gates A1, whose
+  singular values A1* shares.
 - structfact._isometry: I - K with ||K||_F = 1/2, so sigma(I - K) lies in
   [1/2, 3/2].
-- IepProblem: T1, sv_ratio-gated just before the solve.
+- IepProblem: T1, gated just before the solve.
 - spectral.parameter_from_pair: T and W = [X; -X T^{-1}], then
-  eps X* A1 X T^{-1} - T^{-*} X* A1* X, all sv_ratio-gated.
-- spectral.compute_S1: that matrix, sv_ratio-gated; T1 as in mup.
-- spectral.coefficients_from_pair: G, sv_ratio-gated; T, because
-  S = T S T* with S sv_ratio-gated forces |det T| = 1.
+  eps X* A1 X T^{-1} - T^{-*} X* A1* X, all gated.
+- spectral.compute_S1: that matrix, gated; T1 as in mup.
+- spectral.coefficients_from_pair: G, gated; T, because S = T S T* with S
+  gated forces |det T| = 1.
 - mup: the diagonal T1, T1_new and their squares, whose entries are
   nonzero (eigenvalues of a system with nonsingular A1, and a
-  pairing-closed replacement) and are divided exactly; Xi, sv_ratio-gated;
-  the star factor of S1_new, which passed sample_nonsingular
-  (sv_ratio > 1e-8).
-- analysis: zeta_partition sv_ratio-gates S, and A1 is gated by
-  PalindromicSystem.
+  pairing-closed replacement) and are divided exactly; Xi, gated; the
+  star factor of S1_new, which passed sample_nonsingular
+  (sv_ratio > NONSINGULAR_RTOL).
+- analysis: zeta_partition gates S, and A1 is gated by PalindromicSystem.
+
+Tolerance table.  Every numerical decision of the package reads one entry
+below.  An RTOL is relative to the norm its site names, an ATOL absolute.
 """
 
 import numpy as np
 
 from .errors import ConvergenceFailure, DimensionMismatch, SingularMatrix
 
-# Relative singular-value threshold for rank decisions.
-RANK_RTOL = 1e-10
+# Singularity and rank.
+SINGULAR_RTOL = 1e-12  # sv_ratio at or below which a matrix to be inverted is singular
+A1_WARN_RTOL = 1e-8  # sv_ratio of A1 below which a system warns that it is nearly singular
+NONSINGULAR_RTOL = 1e-8  # sv_ratio a drawn or solved parameter matrix S must exceed
+RANK_RTOL = 1e-10  # singular values or |eigenvalues| this small against the largest are zero
+# Structure: a relative defect under which a matrix has its claimed form.
+STRUCTURE_RTOL = 1e-10  # star(B) = -eps B, membership, reconstruction, congruence, Jordan form
+A0_SYMMETRY_RTOL = 1e-12  # star(A0) = eps A0 of a system
+DIAGONAL_RTOL = 1e-12  # an update's T1 or T1_new is diagonal
+JORDAN_JOIN_ATOL = 1e-12  # a superdiagonal entry this close to 1 joins two Jordan rows
+CLUSTER_RTOL = 1e-8  # singular values this close, relative to the largest, form one cluster
+CONSISTENCY_RTOL = 1e-8  # X S X* = C has a solution: C's structure and the least-squares residual
+S1_MEMBERSHIP_RTOL = 1e-9  # the S1 computed from a system satisfies S1 = T1 S1 T1*
+PATTERN_RTOL = 1e-8  # the model block's canonical factor matches Omega
+# Roundoff floors.
+ROUNDOFF_RTOL = 1e-12  # a product W M W* within this of its scale ||W||^2 ||M|| is roundoff
+TRANSFER_FLOOR_RTOL = 1e-13  # an update's transfer residual within this of its scale is roundoff
+RECONSTRUCT_ATOL = 1e-13  # a star factorization's reconstruction residual always allowed
+ZERO_ATOL = 1e-12  # a target that nothing can produce (empty form or basis) is zero
+NORM_FLOOR = 1e-300  # least norm a relative bound or ratio scales by, in place of zero
+# Residual gates.
+PAIR_RESIDUAL_GATE = 1e-8  # pair_residual under which a given pair is an invariant pair
+OUTPUT_RESIDUAL_TOL = 1e-9  # pair_residual of a built or updated system; an update's transfer
+# Eigenvalue sets.
+PAIRING_TOL = 1e-6  # |lam mu* - 1| within which eig_full pairs two eigenvalues
+COINCIDE_RTOL = 1e-8  # two eigenvalues coincide: |a - b| <= COINCIDE_RTOL max(1, |a|)
+SELECTED_MATCH_RTOL = 1e-6  # an update finds a selected eigenvalue among the system's
+MATCH_TOL = 1e-3  # select_pairs and --match-tol find a target among the eigenvalues
+ZETA_CLUSTER_RTOL = 1e-7  # ratio eigenvalues cluster in analysis.zeta_partition
+OFFBLOCK_RTOL = 1e-8  # off-block mass a joint block diagonalization may leave
 
 
 def as_matrix(a, name="matrix"):

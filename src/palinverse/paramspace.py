@@ -18,13 +18,11 @@ import numpy as np
 
 from .errors import (DefectiveSpectrum, DimensionMismatch, Inconsistent,
                      NoNonsingularFound, SingularMatrix)
-from .numerics import (as_matrix, dense_eig, fnorm, range_coordinates,
-                       sv_ratio)
+from .numerics import (CONSISTENCY_RTOL, JORDAN_JOIN_ATOL, NONSINGULAR_RTOL,
+                       NORM_FLOOR, RANK_RTOL, SINGULAR_RTOL, ZERO_ATOL, as_matrix,
+                       dense_eig, fnorm, range_coordinates, sv_ratio)
 from .system import SymmetryClass
 
-NULLSPACE_RTOL = 1e-10
-NONSINGULAR_RTOL = 1e-8
-CONSISTENCY_RTOL = 1e-8
 SAMPLE_ATTEMPTS = 50
 
 
@@ -56,7 +54,7 @@ def _svd_null(A, floor):
 def _jordan_blocks(T, tol=0.0):
     """(starts, sizes, values) of the Jordan blocks of T, or None.
 
-    A superdiagonal entry within 1e-12 of one joins two rows into a
+    A superdiagonal entry within JORDAN_JOIN_ATOL of one joins two rows into a
     block, whose eigenvalue is its first diagonal entry.  T is in Jordan
     form when it differs from the Jordan matrix read this way by at most
     tol ||T||_F (by default: not at all).  A diagonal T is all 1-by-1
@@ -65,7 +63,7 @@ def _jordan_blocks(T, tol=0.0):
     m = T.shape[0]
     if not np.any(T - np.diag(np.diag(T))):
         return np.arange(m), np.ones(m, dtype=int), np.diag(T)
-    joins = np.abs(np.diag(T, 1) - 1.0) <= 1e-12
+    joins = np.abs(np.diag(T, 1) - 1.0) <= JORDAN_JOIN_ATOL
     starts = np.flatnonzero(np.concatenate([[True], ~joins]))
     sizes = np.diff(starts, append=m)
     values = np.diag(T)[starts]
@@ -82,7 +80,7 @@ def _symmetric_family(lam, size, cls):
     gens = [s * F for F in _block_family(lam, size, size) for s in (1.0, 1.0j)]
     A = np.column_stack([_rvec(G + cls.epsilon * cls.star_of(G)) for G in gens])
     # Every column has norm at most 2.
-    _, _, vt, rank = _svd_null(A, 2.0 * NULLSPACE_RTOL)
+    _, _, vt, rank = _svd_null(A, 2.0 * RANK_RTOL)
     out = []
     for coeff in vt[rank:]:
         B = sum(c * G for c, G in zip(coeff, gens))
@@ -97,7 +95,7 @@ def _stein_support(starts, sizes, values, cls):
 
     Entry e puts a[e] at (I[e], J[e]) and b[e] at (J[e], I[e]) of element
     K[e]; K is nondecreasing.  The block of S joining Jordan blocks p and
-    q is free only when |lam_p lam_q* - 1| <= NULLSPACE_RTOL (relative to
+    q is free only when |lam_p lam_q* - 1| <= RANK_RTOL (relative to
     the largest |lam_p lam_q*|), and star(S) = -eps S mirrors block
     (p, q) into (q, p).  Between 1-by-1 blocks (all of them for a
     diagonal T) a pair p < q carries one free complex value z, as two
@@ -110,7 +108,7 @@ def _stein_support(starts, sizes, values, cls):
     eps = cls.epsilon
     star = (lambda z: z) if cls.star == "T" else np.conj
     P = values[:, None] * star(values)[None, :]
-    free = np.abs(P - 1.0) <= NULLSPACE_RTOL * max(1.0, float(np.abs(P).max()))
+    free = np.abs(P - 1.0) <= RANK_RTOL * max(1.0, float(np.abs(P).max()))
     bp, bq = np.nonzero(np.triu(free))
     single = sizes == 1
     unit = single[bp] & single[bq]
@@ -163,7 +161,7 @@ def _jordan_space(starts, sizes, values, cls, X):
             img = np.add.reduceat(img, np.searchsorted(K, np.arange(n_el)))
         img = img.reshape(n_el, -1)
         A = np.vstack([img.real.T, img.imag.T])
-        _, _, vt, rank = _svd_null(A, NULLSPACE_RTOL * fnorm(X) ** 2)
+        _, _, vt, rank = _svd_null(A, RANK_RTOL * fnorm(X) ** 2)
         coeffs = vt[rank:]
     S = np.zeros((coeffs.shape[0], m, m), dtype=np.complex128)
     np.add.at(S, (slice(None), I, J), coeffs[:, K] * a)
@@ -182,11 +180,11 @@ def solution_space(T, cls, X=None):
     T goes through its eigendecomposition T = V D V^-1: the space of
     (X V, D) is mapped back as V S V* and projected onto the exact
     structure (B - eps B*) / 2.  DefectiveSpectrum is raised when
-    sv_ratio(V) <= u / NULLSPACE_RTOL (about 2.2e-6): a defective T must be
+    sv_ratio(V) <= u / RANK_RTOL (about 2.2e-6): a defective T must be
     given in Jordan form.  The elements are orthonormal as real vectors
     for a diagonal T and of unit norm for larger Jordan blocks without X;
     mapped back through V they are neither.  With X, rank decisions
-    compare against NULLSPACE_RTOL ||X||_F^2, the largest value X S X*
+    compare against RANK_RTOL ||X||_F^2, the largest value X S X*
     can take on a unit S.
     """
     T = as_matrix(T, "T")
@@ -202,10 +200,10 @@ def solution_space(T, cls, X=None):
         return list(_jordan_space(*blocks, cls, X))
     w, V = dense_eig(T)
     # Roundoff moves the eigenvalues by up to about u ||T|| / sv_ratio(V);
-    # past NULLSPACE_RTOL the Stein support can no longer be read off them.
+    # past RANK_RTOL the Stein support can no longer be read off them.
     # (A defective T gives sv_ratio(V) ~ sqrt(u) ~ 1e-8 for 2-by-2 blocks.)
     ratio = sv_ratio(V)
-    if ratio <= np.finfo(float).eps / NULLSPACE_RTOL:
+    if ratio <= np.finfo(float).eps / RANK_RTOL:
         raise DefectiveSpectrum(
             f"T is defective or nearly so (eigenvector sigma ratio "
             f"{ratio:.3e}); give a defective T in Jordan form")
@@ -247,7 +245,7 @@ class SBasis:
 def s_basis(T, cls):
     """Real basis of the space {S : star(S) = -eps S, S = T S T*}."""
     T = as_matrix(T, "T")
-    if T.size and sv_ratio(T) <= 1e-12:
+    if T.size and sv_ratio(T) <= SINGULAR_RTOL:
         raise SingularMatrix("T must be nonsingular")
     return SBasis(T, cls, solution_space(T, cls))
 
@@ -313,7 +311,7 @@ def _block_family(lam, p, q):
 
 def sample_nonsingular(basis, seed):
     """Draw S = sum_i c_i B_i with seeded normal coefficients until
-    sigma_min(S) > 1e-8 sigma_max(S), at most SAMPLE_ATTEMPTS times.
+    sv_ratio(S) > NONSINGULAR_RTOL, at most SAMPLE_ATTEMPTS times.
 
     Raises NoNonsingularFound when every draw fails, which signals that the
     space may contain no nonsingular element at all.
@@ -341,16 +339,17 @@ def constrained_family(basis, X, C, cls):
     coordinates Q of range(X) as P S P* = Q^H C star(Q^H), P = Q^H X: one
     thin SVD of a real 2 min(n, m)^2-row matrix with the singular values
     of the map S -> X S X*.  Raises Inconsistent when the least-squares
-    residual, the part of C outside range(Q) included, exceeds 1e-8 ||C||.
+    residual, the part of C outside range(Q) included, or the defect of
+    star(C) = -eps C exceeds CONSISTENCY_RTOL ||C||.
     """
     X = as_matrix(X, "X")
     C = as_matrix(C, "C")
     star = cls.star_of
     defect = fnorm(star(C) + cls.epsilon * C)
-    if defect > 1e-8 * max(fnorm(C), 1e-300):
+    if defect > CONSISTENCY_RTOL * max(fnorm(C), NORM_FLOOR):
         raise Inconsistent("right-hand side C must satisfy star(C) = -eps C")
     if basis.dim == 0:
-        if fnorm(C) <= 1e-12:
+        if fnorm(C) <= ZERO_ATOL:
             m = basis.T.shape[0]
             return np.zeros((m, m), dtype=np.complex128), []
         raise Inconsistent("parameter space is trivial but C != 0")
@@ -361,13 +360,13 @@ def constrained_family(basis, X, C, cls):
     b = _rvec(C_core)
     # ||X B X*|| <= ||X||_F^2 ||B||_F bounds every column of A.
     scale = fnorm(X) ** 2 * max(fnorm(B) for B in basis.basis)
-    u, s, vt, rank = _svd_null(A, NULLSPACE_RTOL * scale)
+    u, s, vt, rank = _svd_null(A, RANK_RTOL * scale)
     coeff = vt[:rank].T @ ((u[:, :rank].T @ b) / s[:rank])
     # The two parts of the residual are orthogonal: inside range(Q) and
     # the part of C that no X S X* can reach.
     resid = np.hypot(np.linalg.norm(A @ coeff - b),
                      fnorm(C - Q @ C_core @ star(Q)))
-    if resid > CONSISTENCY_RTOL * max(fnorm(C), 1e-300):
+    if resid > CONSISTENCY_RTOL * max(fnorm(C), NORM_FLOOR):
         raise Inconsistent(
             f"no S solves X S X* = C (residual {resid:.3e} vs ||C|| {fnorm(C):.3e})")
     S_part = basis.combine(coeff)

@@ -13,30 +13,25 @@ import numpy as np
 from .errors import (DimensionMismatch, MembershipCheckFailed, ResidualTooLarge,
                      SingularLeadingBlock, SingularMatrix, SingularS1Precursor,
                      SingularW)
-from .numerics import as_matrix, fnorm, invert, linear_solve, solve_right, sv_ratio
+from .numerics import (NORM_FLOOR, PAIR_RESIDUAL_GATE, S1_MEMBERSHIP_RTOL,
+                       SINGULAR_RTOL, STRUCTURE_RTOL, as_matrix, fnorm, invert,
+                       linear_solve, solve_right, sv_ratio)
 from .system import assembled_system, pair_residual
-
-PAIR_RESIDUAL_GATE = 1e-8
-# Pair residual a constructed (iep) or updated (mup) system must meet.
-OUTPUT_RESIDUAL_TOL = 1e-9
-MEMBERSHIP_RTOL = 1e-10
-LEADING_SINGULAR_RTOL = 1e-12
-S1_MEMBERSHIP_RTOL = 1e-9
 
 
 def check_membership(S, X, T, cls):
     """Verify S is in the parameter space of (X, T); raise on failure."""
-    nS = max(fnorm(S), 1e-300)
-    nT = max(fnorm(T), 1e-300)
-    nX = max(fnorm(X), 1e-300)
+    nS = max(fnorm(S), NORM_FLOOR)
+    nT = max(fnorm(T), NORM_FLOOR)
+    nX = max(fnorm(X), NORM_FLOOR)
     sym = fnorm(cls.star_of(S) + cls.epsilon * S)
     com = fnorm(S - T @ S @ cls.star_of(T))
     iso = fnorm(X @ S @ cls.star_of(X))
-    if sym > MEMBERSHIP_RTOL * nS:
+    if sym > STRUCTURE_RTOL * nS:
         raise MembershipCheckFailed(f"star(S) != -eps S (defect {sym:.3e})")
-    if com > MEMBERSHIP_RTOL * nS * nT * nT:
+    if com > STRUCTURE_RTOL * nS * nT * nT:
         raise MembershipCheckFailed(f"S != T S T* (defect {com:.3e})")
-    if iso > MEMBERSHIP_RTOL * nX * nX * nS:
+    if iso > STRUCTURE_RTOL * nX * nX * nS:
         raise MembershipCheckFailed(f"X S X* != 0 (defect {iso:.3e})")
 
 
@@ -67,11 +62,11 @@ def parameter_from_pair(sys, pair):
     if X.shape[1] != m:
         raise DimensionMismatch(
             f"X has {X.shape[1]} columns but T is {m}-by-{m}")
-    if sv_ratio(T) <= LEADING_SINGULAR_RTOL:
+    if sv_ratio(T) <= SINGULAR_RTOL:
         raise SingularMatrix("T is numerically singular")
     if m != 2 * X.shape[0]:
         raise DimensionMismatch("parameter_from_pair needs a full pair (m = 2n)")
-    if sv_ratio(np.vstack([X, -solve_right(X, T)])) <= LEADING_SINGULAR_RTOL:
+    if sv_ratio(np.vstack([X, -solve_right(X, T)])) <= SINGULAR_RTOL:
         raise SingularW(
             "[X; -X T^{-1}] is numerically singular; not a standard pair")
     if X.shape[0] != sys.n:
@@ -82,7 +77,7 @@ def parameter_from_pair(sys, pair):
             f"pair residual {resid:.3e} exceeds gate {PAIR_RESIDUAL_GATE:.0e}")
     Sinv = _inverse_parameter(sys, X, T)
     ratio = sv_ratio(Sinv)
-    if ratio <= LEADING_SINGULAR_RTOL:
+    if ratio <= SINGULAR_RTOL:
         raise SingularMatrix(
             f"W* L J L* W is singular (sigma_min/sigma_max = {ratio:.3e})")
     S = invert(Sinv)
@@ -99,12 +94,12 @@ def compute_S1(sys, X1, T1):
     T1 = as_matrix(T1, "T1")
     star = sys.cls.star_of
     G = _inverse_parameter(sys, X1, T1)
-    if sv_ratio(G) <= LEADING_SINGULAR_RTOL:
+    if sv_ratio(G) <= SINGULAR_RTOL:
         raise SingularS1Precursor(
             "eps X1* A1 X1 T1^{-1} - T1^{-*} X1* A1* X1 is singular")
     S1 = invert(G)
     S1 = (S1 - sys.cls.epsilon * star(S1)) / 2.0
-    nS, nT = max(fnorm(S1), 1e-300), max(fnorm(T1), 1e-300)
+    nS, nT = max(fnorm(S1), NORM_FLOOR), max(fnorm(T1), NORM_FLOOR)
     com = fnorm(S1 - T1 @ S1 @ star(T1))
     if com > S1_MEMBERSHIP_RTOL * nS * nT * nT:
         raise MembershipCheckFailed(
@@ -125,13 +120,13 @@ def coefficients_from_pair(X, T, S, cls):
     S = as_matrix(S, "S")
     if X.shape[1] != T.shape[0] or T.shape[0] != T.shape[1] or S.shape != T.shape:
         raise DimensionMismatch("X, T, S dimensions do not conform")
-    if sv_ratio(S) <= LEADING_SINGULAR_RTOL:
+    if sv_ratio(S) <= SINGULAR_RTOL:
         raise SingularMatrix("S must be nonsingular")
     check_membership(S, X, T, cls)
     star = cls.star_of
     TinvS = linear_solve(T, S)
     G = X @ TinvS @ star(X)
-    if sv_ratio(G) <= LEADING_SINGULAR_RTOL:
+    if sv_ratio(G) <= SINGULAR_RTOL:
         raise SingularLeadingBlock(
             "X T^{-1} S X* is numerically singular; no regular solution")
     A1 = cls.epsilon * invert(G)

@@ -22,33 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadIndices, FactorizationFailure, Infeasible, NotHermitian,
-                     RetryExhausted, SymmetryViolation)
-from .numerics import RANK_RTOL, as_matrix, fnorm, linear_solve
+from .errors import (BadIndices, FactorizationFailure, Infeasible, RetryExhausted,
+                     SymmetryViolation)
+from .numerics import (CLUSTER_RTOL, NORM_FLOOR, RANK_RTOL, RECONSTRUCT_ATOL,
+                       ROUNDOFF_RTOL, STRUCTURE_RTOL, ZERO_ATOL, as_matrix, fnorm,
+                       linear_solve)
 from .system import SymmetryClass
-
-SYMMETRY_RTOL = 1e-10
-RECONSTRUCT_RTOL = 1e-10
-# Relative gap under which singular values are treated as one cluster.
-CLUSTER_RTOL = 1e-8
-
-
-def inertia(H):
-    """Counts (p, q, z) of eigenvalues of Hermitian H above/below/near zero.
-
-    The zero band is |eig| <= 1e-10 * ||H||_2.
-    """
-    H = as_matrix(H, "H")
-    nrm = fnorm(H)
-    if fnorm(H - H.conj().T) > SYMMETRY_RTOL * max(nrm, 1e-300):
-        raise NotHermitian("input is not Hermitian within tolerance")
-    if H.shape[0] == 0:
-        return 0, 0, 0
-    w = np.linalg.eigvalsh((H + H.conj().T) / 2.0)
-    tol = 1e-10 * (np.max(np.abs(w)) if w.size else 0.0)
-    p = int(np.count_nonzero(w > tol))
-    q = int(np.count_nonzero(w < -tol))
-    return p, q, H.shape[0] - p - q
 
 
 def build_delta(cls, p, q, t, size):
@@ -176,7 +155,7 @@ def _takagi(u, s, vh, rank_tol):
     m = np.einsum("ki,ik->i", u[:, :t], vh[:t].conj())
     Z = u.copy()
     Z[:, :t] *= np.conj(np.sqrt(m))
-    for group in _cluster_descending(s[:t], CLUSTER_RTOL * max(smax, 1e-300)):
+    for group in _cluster_descending(s[:t], CLUSTER_RTOL * max(smax, NORM_FLOOR)):
         if len(group) < 2:
             continue
         idx = np.asarray(group)
@@ -208,7 +187,7 @@ def _youla_pairs(B, zleft, s, rank_tol):
     # Nonzero singular values of a skew-symmetric matrix come in equal
     # pairs; the pairing map stays inside each equal-sigma cluster, so the
     # deflation must as well.  Merge clusters forward until all are even.
-    clusters = _cluster_descending(s[:t], CLUSTER_RTOL * max(smax, 1e-300))
+    clusters = _cluster_descending(s[:t], CLUSTER_RTOL * max(smax, NORM_FLOOR))
     merged = []
     carry = []
     for group in clusters:
@@ -255,7 +234,7 @@ def _youla_pairs(B, zleft, s, rank_tol):
 def star_factorize(B, cls, rank_tol=None):
     """Canonical congruence factorization B = Y Delta Y*.
 
-    Requires star(B) = -eps B within 1e-10 relative; the input is projected
+    Requires star(B) = -eps B within STRUCTURE_RTOL; the input is projected
     onto that structure before factorizing.  Y is square nonsingular with
     the zero block of Delta trailing.
     """
@@ -265,7 +244,7 @@ def star_factorize(B, cls, rank_tol=None):
         raise SymmetryViolation("B must be square")
     nrm = fnorm(B)
     defect = fnorm(cls.star_of(B) + cls.epsilon * B)
-    if defect > SYMMETRY_RTOL * max(nrm, 1e-300):
+    if defect > STRUCTURE_RTOL * max(nrm, NORM_FLOOR):
         raise SymmetryViolation(
             f"star(B) != -eps B: defect {defect:.3e} vs ||B|| {nrm:.3e}")
     Bp = (B - cls.epsilon * cls.star_of(B)) / 2.0
@@ -317,7 +296,7 @@ def star_factorize(B, cls, rank_tol=None):
 
     fact = StarFactorization(Y, pattern, cls)
     err = fnorm(fact.reconstruct() - Bp)
-    if err > RECONSTRUCT_RTOL * max(nrm, 1e-300) and err > 1e-13:
+    if err > STRUCTURE_RTOL * max(nrm, NORM_FLOOR) and err > RECONSTRUCT_ATOL:
         raise FactorizationFailure(
             f"reconstruction residual {err:.3e} exceeds tolerance for ||B|| = {nrm:.3e}")
     return fact
@@ -360,7 +339,7 @@ def _snap_isotropy(X1, S1, cls):
     zero to classify it."""
     G = X1 @ S1 @ cls.star_of(X1)
     scale = fnorm(X1) ** 2 * fnorm(S1)
-    if fnorm(G) <= 1e-12 * scale:
+    if fnorm(G) <= ROUNDOFF_RTOL * scale:
         return np.zeros_like(G)
     return G
 
@@ -380,7 +359,7 @@ def _congruence_onto(target, form, cls, rng=None):
     n = target.shape[0]
     r = form.shape[0]
     if r == 0:
-        if fnorm(target) > 1e-12:
+        if fnorm(target) > ZERO_ATOL:
             raise Infeasible("empty form cannot produce a nonzero target")
         return np.zeros((n, 0), dtype=np.complex128)
     C = np.zeros((n, r), dtype=np.complex128)
@@ -427,7 +406,7 @@ def _congruence_onto(target, form, cls, rng=None):
         C[tt + z, tt + 2 * z + 1] = 1.0j
     psi = C if rng is None else C @ _isometry(form, cls, rng)
     err = fnorm(psi @ form @ cls.star_of(psi) - target)
-    floor = 1e-12 * max(1.0, fnorm(psi) ** 2 * fnorm(form))
-    if err > 1e-10 * fnorm(target) + floor:
+    floor = ROUNDOFF_RTOL * max(1.0, fnorm(psi) ** 2 * fnorm(form))
+    if err > STRUCTURE_RTOL * fnorm(target) + floor:
         raise RetryExhausted(f"congruence construction residual {err:.3e}")
     return psi

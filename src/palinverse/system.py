@@ -11,11 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, SingularMatrix, SymmetryViolation
-from .numerics import as_matrix, fnorm, sv_ratio
-
-A0_SYMMETRY_RTOL = 1e-12
-A1_SINGULAR_RTOL = 1e-12
-A1_WARN_RTOL = 1e-8
+from .numerics import (A0_SYMMETRY_RTOL, A1_WARN_RTOL, NORM_FLOOR, SINGULAR_RTOL,
+                       as_matrix, fnorm, sv_ratio)
 
 _CODES = {("T", 1): "tp", ("T", -1): "ta", ("H", 1): "hp", ("H", -1): "ha"}
 _NAMES = {
@@ -110,13 +107,13 @@ class PalindromicSystem:
         defect = fnorm(self.cls.star_of(self.A0) - self.cls.epsilon * self.A0)
         # Scale against the whole system so a zero A0 (defect pure roundoff)
         # is not rejected by a vacuous relative bound.
-        scale = max(fnorm(self.A0), fnorm(self.A1), 1e-300)
+        scale = max(fnorm(self.A0), fnorm(self.A1), NORM_FLOOR)
         if defect > A0_SYMMETRY_RTOL * scale:
             raise SymmetryViolation(
                 f"A0 symmetry violation: ||A0* - eps A0|| = {defect:.3e} "
                 f"exceeds {A0_SYMMETRY_RTOL:.0e} * max(||A0||, ||A1||)")
         ratio = sv_ratio(self.A1)
-        if ratio <= A1_SINGULAR_RTOL:
+        if ratio <= SINGULAR_RTOL:
             raise SingularMatrix(
                 f"A1 is numerically singular (sigma_min/sigma_max = {ratio:.3e})")
         if ratio <= A1_WARN_RTOL:
@@ -145,7 +142,7 @@ def assembled_system(cls, A1, A0):
     """
     A0_star = cls.star_of(A0)
     defect = fnorm(A0_star - cls.epsilon * A0) \
-        / max(fnorm(A0), fnorm(A1), 1e-300)
+        / max(fnorm(A0), fnorm(A1), NORM_FLOOR)
     sys = PalindromicSystem(cls, A1, (A0 + cls.epsilon * A0_star) / 2.0)
     sys.a0_defect = defect
     return sys

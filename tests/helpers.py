@@ -6,8 +6,9 @@ import scipy.linalg
 from palinverse import forward
 from palinverse.fileio import FileFormatError
 from palinverse.forward import eig_full
-from palinverse.numerics import RANK_RTOL, as_matrix, fnorm, linear_solve
-from palinverse.paramspace import NULLSPACE_RTOL, _rvec
+from palinverse.numerics import (NORM_FLOOR, RANK_RTOL, STRUCTURE_RTOL, as_matrix,
+                                 fnorm, linear_solve)
+from palinverse.paramspace import _rvec
 from palinverse.system import PalindromicSystem, eval_Q
 
 
@@ -37,6 +38,25 @@ def random_structured(rng, cls, n):
     """A random matrix with star(B) = -eps B."""
     M = random_complex(rng, n, n)
     return (M - cls.epsilon * cls.star_of(M)) / 2.0
+
+
+def inertia(H):
+    """Counts (p, q, z) of eigenvalues of Hermitian H above/below/near zero,
+    with the zero band |eig| <= RANK_RTOL ||H||_2.
+
+    Sylvester oracle for the (p, q) pattern of star_factorize in the
+    conjugate-transpose classes.
+    """
+    H = as_matrix(H, "H")
+    if fnorm(H - H.conj().T) > STRUCTURE_RTOL * max(fnorm(H), NORM_FLOOR):
+        raise ValueError("input is not Hermitian within tolerance")
+    if H.shape[0] == 0:
+        return 0, 0, 0
+    w = np.linalg.eigvalsh((H + H.conj().T) / 2.0)
+    tol = RANK_RTOL * np.max(np.abs(w))
+    p = int(np.count_nonzero(w > tol))
+    q = int(np.count_nonzero(w < -tol))
+    return p, q, H.shape[0] - p - q
 
 
 def random_system(cls, n, seed, real=False, cond_limit=1e6, max_tries=200):
@@ -300,7 +320,7 @@ def kronecker_space(T, cls, X=None):
         X = X / fnorm(X)
     A = _constraint_rows(T, cls, X)
     _, s, vt = np.linalg.svd(A, full_matrices=False)
-    rank = int(np.count_nonzero(s > NULLSPACE_RTOL * s[0]))
+    rank = int(np.count_nonzero(s > RANK_RTOL * s[0]))
     return [_unrvec(v, T.shape[0], T.shape[0]) for v in vt[rank:]]
 
 
@@ -335,6 +355,6 @@ def dense_constrained_family(basis, X, C, cls):
     b = _rvec(C)
     scale = fnorm(X) ** 2 * max(fnorm(B) for B in basis.basis)
     u, s, vt = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
-    rank = int(np.count_nonzero(s > NULLSPACE_RTOL * scale))
+    rank = int(np.count_nonzero(s > RANK_RTOL * scale))
     coeff = vt[:rank].T @ ((u[:, :rank].T @ b) / s[:rank])
     return coeff, vt[rank:], float(np.linalg.norm(A @ coeff - b))

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from helpers import (jordan_matrix, kronecker_space, max_eig_condition,
+from helpers import (inertia, jordan_matrix, kronecker_space, max_eig_condition,
                      pair_defect, planted_direct_sum, random_complex,
                      random_structured, random_system, separated_spectrum)
 from palinverse.analysis import (_offblock_mass, joint_block_diagonalize,
@@ -24,7 +24,7 @@ from palinverse.numerics import fnorm, invert
 from palinverse.paramspace import (SBasis, _rvec, pascal_scaling, s_basis,
                                    sample_nonsingular, solution_space)
 from palinverse.spectral import (coefficients_from_pair, parameter_from_pair)
-from palinverse.structfact import build_delta, inertia, star_factorize
+from palinverse.structfact import build_delta, star_factorize
 from palinverse.system import ALL_CLASSES, TA, TP, pair_residual
 from reference_problems import iep_fixture, update_fixture
 

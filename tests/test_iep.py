@@ -220,6 +220,25 @@ def test_iep_tp_given_double_unit_eigenvalues(units):
         assert np.count_nonzero(near) == remaining.count(v)
 
 
+@pytest.mark.parametrize("cls,value", [(TP, 1.0), (HP, np.exp(0.5j))],
+                         ids=["tp-plus-one", "hp-unimodular"])
+def test_iep_value_beyond_the_order_is_infeasible(cls, value, monkeypatch):
+    # Four remaining copies of one value at order 3: a semisimple eigenvalue
+    # has at most n eigenvectors, so no draw can succeed, and the solve
+    # raises Infeasible before the first one.
+    from palinverse import iep
+
+    draws = []
+    monkeypatch.setattr(iep, "sample_nonsingular", lambda *args: draws.append(args))
+    mu = 0.4 * np.exp(0.7j)
+    X1 = random_complex(np.random.default_rng(14), 3, 2)
+    problem = IepProblem(cls, X1, np.diag([mu, 1 / cls.star_scalar(mu)]), seed=0,
+                         remaining_eigenvalues=[value] * 4)
+    with pytest.raises(Infeasible, match="multiplicity: .* 4 times"):
+        solve_iep_partial_result(problem)
+    assert draws == []
+
+
 def _reciprocal_pairs(count, start):
     zs = [(0.3 + 0.05 * (start + i)) * np.exp(1j * (0.4 + start + i))
           for i in range(count)]
@@ -643,9 +662,9 @@ def test_iep_partial_reads_t1_eigenvalues_once(monkeypatch):
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
 @pytest.mark.parametrize("tol", [1e-8, 2e-2])
 def test_default_remaining_keeps_values_clear(cls, tol, monkeypatch):
-    # The batched draw obeys the one-at-a-time predicate: every value lies
-    # outside 10 tol max(1, |a|) of T1's values and of the earlier pairs'.
-    # The wide tolerance makes batches clash, so the fallback runs too.
+    # Every drawn value lies outside 10 tol max(1, |a|) of T1's values and
+    # of the earlier pairs'.  The wide tolerance makes batches clash, so
+    # whole batches are drawn again.
     from palinverse import iep
 
     monkeypatch.setattr(iep, "COINCIDE_RTOL", tol)

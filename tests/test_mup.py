@@ -13,9 +13,8 @@ from palinverse.errors import (Inconsistent, NoNonsingularS1Tilde,
 from palinverse.forward import eig_full, select_pairs
 from palinverse.mup import (MupProblem, MupResult, low_rank_update,
                             update_model_prescribed, update_model_result)
-from palinverse.numerics import fnorm, invert
-from palinverse.spectral import (PAIR_RESIDUAL_GATE, compute_S1,
-                                 parameter_from_pair)
+from palinverse.numerics import PAIR_RESIDUAL_GATE, fnorm, invert
+from palinverse.spectral import compute_S1, parameter_from_pair
 from palinverse.system import (HP, TA, TP, PalindromicSystem, eval_Q,
                                pair_residual)
 from reference_problems import update_fixture
@@ -256,6 +255,19 @@ def test_update_parity_guard_transpose_anti():
         with pytest.raises(Infeasible, match="parity"):
             MupProblem(sys, X1, T1, np.diag([mu, 1 / mu]))
         done = True
+
+
+def test_update_value_beyond_the_order_is_infeasible():
+    # Four values +1 at order 3: a semisimple eigenvalue has at most n
+    # eigenvectors, so no update reaches that spectrum, and MupProblem
+    # refuses it before any draw.
+    from palinverse.errors import Infeasible
+
+    sys = random_system(TP, 3, 5)
+    e = eig_full(sys)
+    old = [i for pair in e.pairing if pair[0] != pair[1] for i in pair][:4]
+    with pytest.raises(Infeasible, match="multiplicity: eigenvalue 1.* 4 times"):
+        MupProblem(sys, e.vectors[:, old], np.diag(e.values[old]), np.eye(4))
 
 
 def _fixture_problem(code, **kwargs):

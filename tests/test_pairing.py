@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import greedy_pairing_loop, random_system, residual_scale
-from palinverse import forward
+from palinverse import forward, numerics
 from palinverse.errors import PairingNotClosed, SpectraOverlap, TargetNotFound
 from palinverse.forward import _greedy_pairing, eig_full, select_pairs
 from palinverse.numerics import dense_eig
@@ -64,7 +64,7 @@ def test_pairing_injected_duplicate(cls):
     big = int(np.argmax(np.abs(values)))
     small = int(np.argmin(np.abs(values)))
     values[big] = values[small]  # the small value's partner now ties twice
-    assert_same_pairing(values, cls, forward.PAIRING_TOL)
+    assert_same_pairing(values, cls, numerics.PAIRING_TOL)
 
 
 @pytest.mark.parametrize("n", [1, 5, 48, 128])

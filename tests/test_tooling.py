@@ -4,7 +4,8 @@ names in palinverse.__all__ must resolve, each to the object in its home
 module.  `import palinverse` loads neither numpy nor any submodule, and each
 subcommand loads only the modules it runs.  The CLI must run on numpy alone,
 without importing scipy.  No package module imports a name it never uses,
-and only forward decides when two eigenvalues coincide."""
+only forward decides when two eigenvalues coincide, and every float
+tolerance is defined in the one table of numerics."""
 
 import ast
 import importlib
@@ -82,15 +83,40 @@ def _readers(source, name):
 
 def test_coincidence_tolerance_read_in_one_place():
     # Every eigenvalue-set rule (coincidence, pairing of a value list, +-1
-    # parity) is decided in forward.  The one other reader is the exclusion
-    # radius of iep's default remaining eigenvalues; iep keeps the import,
-    # and tests patch that binding.
+    # parity, the multiplicity bound) is decided in forward.  The one other
+    # reader is the exclusion radius of iep's default remaining eigenvalues;
+    # iep keeps the import, and tests patch that binding.  numerics defines
+    # the value in its tolerance table (a top-level statement, so None).
     readers = {path.stem: _readers(path.read_text(), "COINCIDE_RTOL")
                for path in sorted(PACKAGE.glob("*.py")) if path.stem != "forward"}
     assert {module: names for module, names in readers.items() if names} == \
-        {"iep": {"_default_remaining"}}
+        {"iep": {"_default_remaining"}, "numerics": {None}}
     planted = "def _check(v, w):\n    return abs(v - w) <= COINCIDE_RTOL\n"
     assert _readers(planted, "COINCIDE_RTOL") == {"_check"}
+
+
+def _small_floats(source):
+    """(line, value) of every float or complex literal of modulus in
+    (0, 1e-3] in a module's source: a tolerance or a floor."""
+    return sorted((node.lineno, node.value) for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Constant)
+                  and isinstance(node.value, (float, complex))
+                  and 0 < abs(node.value) <= 1e-3)
+
+
+def test_tolerances_live_in_the_numerics_table():
+    found = {path.name: _small_floats(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py")) if path.stem != "numerics"}
+    assert {name: values for name, values in found.items() if values} == {}
+
+
+def test_small_float_check_flags_planted_literals():
+    source = (PACKAGE / "mup.py").read_text()
+    planted = source + ("\n\ndef _gate(x, y):\n"
+                        "    return x <= 1e-9 * y or x > -2.5e-4 or x == 0.0 or y > 0.5\n")
+    assert _small_floats(source) == []
+    assert [value for _, value in _small_floats(planted)] == [1e-9, 2.5e-4]
+    assert _small_floats((PACKAGE / "numerics.py").read_text())
 
 
 def test_forward_binds_the_traced_eigensolver():
