@@ -1,8 +1,8 @@
 """JSON file formats for systems, pairs, and eigenvalue lists.
 
-Complex scalars are always two-element [re, im] arrays.  Serialization is
-canonical: fixed key order, two-space indent, shortest round-trip float
-formatting (Python repr), so parse -> serialize is byte identical.
+Complex scalars are always two-element [re, im] arrays.  A file holds the
+bytes of json.dumps(doc, indent=2) and a newline: fixed key order, two-space
+indent, shortest round-trip floats, so parse -> serialize is byte identical.
 """
 
 import json
@@ -17,11 +17,6 @@ FORMAT_TAG = "palinverse-v1"
 
 class FileFormatError(ValueError):
     """Raised for malformed or unsupported input files."""
-
-
-def _matrix_to_json(M):
-    M = np.asarray(M, dtype=np.complex128)
-    return np.stack([M.real, M.imag], -1).tolist()
 
 
 def _pair_to_complex(item, what):
@@ -64,10 +59,27 @@ def _matrix_from_json(data, what):
     return out
 
 
-def _dump(obj, path):
-    text = json.dumps(obj, indent=2)
+def _matrix_text(M):
+    """json.dumps(indent=2) of the [re, im] rows of M as a field of a
+    document: the repr of one tolist() with its separators respelled."""
+    parts = np.stack([M.real, M.imag], -1)
+    if not parts.size or not np.isfinite(parts).all():  # [], NaN, Infinity
+        return json.dumps(parts.tolist(), indent=2).replace("\n", "\n  ")
+    p1, p2, p3, p4 = ("\n" + " " * i for i in (2, 4, 6, 8))
+    text = repr(parts.tolist())[3:-3]
+    for sep, spelled in (("]], [[", f"{p3}]{p2}],{p2}[{p3}[{p4}"),
+                         ("], [", f"{p3}],{p3}[{p4}"), (", ", "," + p4)):
+        text = text.replace(sep, spelled)
+    return f"[{p2}[{p3}[{p4}{text}{p3}]{p2}]{p1}]"
+
+
+def _dump(doc, matrices, path):
+    """Write json.dumps(doc | matrices, indent=2) and a newline, without
+    json's pure-Python indenting encoder for the matrices."""
+    fields = [f"  {json.dumps(key)}: {_matrix_text(np.asarray(M, dtype=np.complex128))}"
+              for key, M in matrices.items()]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        fh.write(json.dumps(doc, indent=2)[:-2] + ",\n" + ",\n".join(fields) + "\n}\n")
 
 
 def _load(path):
@@ -91,10 +103,8 @@ def save_system(sys, path):
         "format": FORMAT_TAG,
         "class": {"star": sys.cls.star, "epsilon": sys.cls.epsilon},
         "n": sys.n,
-        "A1": _matrix_to_json(sys.A1),
-        "A0": _matrix_to_json(sys.A0),
     }
-    _dump(doc, path)
+    _dump(doc, {"A1": sys.A1, "A0": sys.A0}, path)
 
 
 def load_system(path):
@@ -114,12 +124,7 @@ def load_system(path):
 
 
 def save_pair(X, T, path):
-    doc = {
-        "format": FORMAT_TAG,
-        "X": _matrix_to_json(X),
-        "T": _matrix_to_json(T),
-    }
-    _dump(doc, path)
+    _dump({"format": FORMAT_TAG}, {"X": X, "T": T}, path)
 
 
 def load_pair(path):

@@ -25,10 +25,10 @@ from .errors import (BadIndices, Infeasible, NoNonsingularFound, NoSolution,
                      SymmetryViolation, UnsupportedRegime, retry)
 from .forward import _coincide, _group_values, _semisimple_bound, _unit_parity
 from .numerics import (COINCIDE_RTOL, NORM_FLOOR, OUTPUT_RESIDUAL_TOL, PATTERN_RTOL,
-                       RANK_RTOL, SINGULAR_RTOL, as_matrix, block_diag, fnorm,
-                       linear_solve, sv_ratio)
+                       RANK_RTOL, SINGULAR_RTOL, as_matrix, fnorm, solve_right,
+                       sv_ratio)
 from .paramspace import (SBasis, s_basis, sample_nonsingular, solution_space)
-from .spectral import coefficients_from_pair
+from .spectral import _coefficients_from_blocks, coefficients_from_pair
 from .structfact import _congruence_onto, _snap_isotropy, build_delta, star_factorize
 from .system import pair_residual
 
@@ -240,11 +240,12 @@ class IepProblem:
         k = self.T1.shape[0]
         if self.T1.shape != (k, k) or self.X1.shape[1] != k:
             raise SingularW("X1 and T1 dimensions do not conform")
+        if np.count_nonzero(self.T1) == np.count_nonzero(np.diagonal(self.T1)):
+            # X1 D poses the same problem for a diagonal D: take unit columns.
+            self.X1 /= np.maximum(np.linalg.norm(self.X1, axis=0), NORM_FLOOR)
         if sv_ratio(self.T1) <= SINGULAR_RTOL:
             raise SingularW("T1 must be nonsingular")
-        X1T1inv = linear_solve(self.T1.T, self.X1.T).T
-        stacked = np.vstack([self.X1, -X1T1inv])
-        if sv_ratio(stacked) <= RANK_RTOL:
+        if sv_ratio(np.vstack([self.X1, -solve_right(self.X1, self.T1)])) <= RANK_RTOL:
             raise SingularW("[X1; -X1 T1^{-1}] must have full column rank")
         self.t1_values = np.linalg.eigvals(self.T1)
         _group_values(self.t1_values, self.cls)  # raises PairingNotClosed
@@ -372,17 +373,19 @@ def solve_iep_partial_result(problem):
                 "with compatible inertia, a determinantal condition that "
                 f"the freely drawn S1 misses (k = {k} > n = {n})") from exc
         X2 = fact.Y @ psi
-        X = np.hstack([problem.X1, X2])
-        T = block_diag(problem.T1, t2hat)
-        S = block_diag(S1, omega)
-        # Raises SingularLeadingBlock when X T^-1 S X* is singular.
-        sys = coefficients_from_pair(X, T, S, cls)
+        # (X, T, S) = ([X1, X2], diag(T1, T2hat), diag(S1, Omega)), assembled
+        # by blocks; raises SingularLeadingBlock when X T^-1 S X* is singular.
+        sys = _coefficients_from_blocks(
+            [(problem.X1, problem.T1, S1), (X2, t2hat, omega)], cls)
         resid = pair_residual(sys, (problem.X1, problem.T1))
         if resid > OUTPUT_RESIDUAL_TOL:
             raise ResidualTooLarge(f"prescribed-pair residual {resid:.3e}")
-        return IepSolution(sys, X, T, S, attempt, resid)
+        return sys, X2, S1, t2hat, omega, attempt, resid
 
-    return retry(problem.attempts, draw,
-                 (RetryExhausted, BadIndices, SingularLeadingBlock,
-                  ResidualTooLarge, SymmetryViolation),
-                 NonsingularityRetryExhausted, "no regular completion")
+    sys, X2, S1, t2hat, omega, attempt, resid = retry(
+        problem.attempts, draw, (RetryExhausted, BadIndices, SingularLeadingBlock,
+                                 ResidualTooLarge, SymmetryViolation),
+        NonsingularityRetryExhausted, "no regular completion")
+    T, S = np.zeros((2, 2 * n, 2 * n), dtype=np.complex128)
+    T[:k, :k], T[k:, k:], S[:k, :k], S[k:, k:] = problem.T1, t2hat, S1, omega
+    return IepSolution(sys, np.hstack([problem.X1, X2]), T, S, attempt, resid)

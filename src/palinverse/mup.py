@@ -67,6 +67,8 @@ class MupProblem:
     def __post_init__(self):
         self.X1 = as_matrix(self.X1, "X1")
         self.T1 = _check_diagonal(self.T1, "T1")
+        # X1 D poses the same update for a diagonal D: take unit columns.
+        self.X1 /= np.maximum(np.linalg.norm(self.X1, axis=0), NORM_FLOOR)
         self.T1_new = _check_diagonal(self.T1_new, "T1_new")
         k = self.T1.shape[0]
         if self.X1.shape != (self.sys.n, k):

@@ -21,8 +21,11 @@ condition number:
 - spectral.parameter_from_pair: T and W = [X; -X T^{-1}], then
   eps X* A1 X T^{-1} - T^{-*} X* A1* X, all gated.
 - spectral.compute_S1: that matrix, gated; T1 as in mup.
-- spectral.coefficients_from_pair: G, gated; T, because S = T S T* with S
-  gated forces |det T| = 1.
+- spectral.coefficients_from_pair, block by block over (X_b, T_b, S_b): G,
+  gated; S, gated on the union of the singular values of its blocks (a
+  monomial block such as Omega needs no SVD); each T_b, because S_b = T_b
+  S_b T_b* with S gated forces |det T_b| = 1.  A diagonal T_b divides
+  exactly, a unitary S_b takes T_b^{-1} S_b = S_b T_b*, others LU-solve.
 - mup: the diagonal T1, T1_new and their squares, whose entries are
   nonzero (eigenvalues of a system with nonsingular A1, and a
   pairing-closed replacement) and are divided exactly; Xi, gated; the
@@ -33,6 +36,8 @@ condition number:
 Tolerance table.  Every numerical decision of the package reads one entry
 below.  An RTOL is relative to the norm its site names, an ATOL absolute.
 """
+
+import math
 
 import numpy as np
 
@@ -75,14 +80,19 @@ def as_matrix(a, name="matrix"):
     m = np.array(a, dtype=np.complex128, copy=True)
     if m.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if np.count_nonzero(np.isfinite(m)) != m.size:
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
 
 def fnorm(a):
-    """Frobenius norm."""
-    return float(np.linalg.norm(a, "fro"))
+    """Frobenius norm, bit-identical to np.linalg.norm(a, "fro"): its real
+    dots over ravel(order="K"), without its argument dispatch."""
+    x = np.asarray(a)
+    x = (x if x.dtype.kind in "fc" else x.astype(float)).ravel(order="K")
+    if x.dtype.kind == "c":
+        return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    return math.sqrt(x.dot(x))
 
 
 def two_norm(a):
@@ -101,19 +111,6 @@ def sv_ratio(a):
     if s[0] == 0.0:
         return 0.0
     return float(s[-1] / s[0])
-
-
-def block_diag(*blocks):
-    """Complex block-diagonal matrix of 2-D blocks (empty blocks allowed)."""
-    rows = sum(b.shape[0] for b in blocks)
-    cols = sum(b.shape[1] for b in blocks)
-    out = np.zeros((rows, cols), dtype=np.complex128)
-    i = j = 0
-    for b in blocks:
-        out[i:i + b.shape[0], j:j + b.shape[1]] = b
-        i += b.shape[0]
-        j += b.shape[1]
-    return out
 
 
 def linear_solve(A, B):
@@ -139,13 +136,13 @@ def linear_solve(A, B):
 
 def invert(A):
     """Matrix inverse via linear_solve against the identity."""
-    A = as_matrix(A, "A")
-    return linear_solve(A, np.eye(A.shape[0], dtype=np.complex128))
+    n = np.shape(A)[0] if np.ndim(A) else 0
+    return linear_solve(A, np.eye(n, dtype=np.complex128))
 
 
 def solve_right(B, A):
     """Solve X A = B (i.e. X = B A^{-1}) without forming the inverse."""
-    return linear_solve(as_matrix(A, "A").T, as_matrix(B, "B").T).T
+    return linear_solve(np.transpose(A), np.transpose(B)).T
 
 
 def rank_factorize(M, star="H"):

@@ -5,7 +5,7 @@ with W = [X; -X T^{-1}], formed multiplied out as
 (eps X* A1 X T^{-1} - T^{-*} X* A1* X)^{-1}: parameter_from_pair for a full
 pair, compute_S1 for the selected pair of an update.  From (X, T, S) the
 coefficients are recovered as A1 = eps (X T^{-1} S X*)^{-1} and
-A0 = -A1 X T^{-2} S X* A1.
+A0 = -A1 X T^{-2} S X* A1, block by block when T and S are block diagonal.
 """
 
 import numpy as np
@@ -21,12 +21,18 @@ from .system import assembled_system, pair_residual
 
 def check_membership(S, X, T, cls):
     """Verify S is in the parameter space of (X, T); raise on failure."""
-    nS = max(fnorm(S), NORM_FLOOR)
-    nT = max(fnorm(T), NORM_FLOOR)
-    nX = max(fnorm(X), NORM_FLOOR)
-    sym = fnorm(cls.star_of(S) + cls.epsilon * S)
-    com = fnorm(S - T @ S @ cls.star_of(T))
-    iso = fnorm(X @ S @ cls.star_of(X))
+    _check_membership([(X, T, S)], cls)
+
+
+def _check_membership(blocks, cls):
+    """check_membership of the block-diagonal (X, T, S) of blocks (X_b, T_b,
+    S_b): defects per block, X S X* summed, norms the hypot of block norms."""
+    star, eps = cls.star_of, cls.epsilon
+    nS, nT, nX, sym, com = np.hypot.reduce(
+        [[fnorm(S), fnorm(T), fnorm(X), fnorm(star(S) + eps * S),
+          fnorm(S - T @ S @ star(T))] for X, T, S in blocks], axis=0)
+    nS, nT, nX = max(nS, NORM_FLOOR), max(nT, NORM_FLOOR), max(nX, NORM_FLOOR)
+    iso = fnorm(sum(X @ S @ star(X) for X, _, S in blocks))
     if sym > STRUCTURE_RTOL * nS:
         raise MembershipCheckFailed(f"star(S) != -eps S (defect {sym:.3e})")
     if com > STRUCTURE_RTOL * nS * nT * nT:
@@ -115,20 +121,47 @@ def coefficients_from_pair(X, T, S, cls):
     membership identities are checked before the coefficients are formed,
     and A0 is taken as its structured part (see assembled_system).
     """
-    X = as_matrix(X, "X")
-    T = as_matrix(T, "T")
-    S = as_matrix(S, "S")
+    X, T, S = as_matrix(X, "X"), as_matrix(T, "T"), as_matrix(S, "S")
     if X.shape[1] != T.shape[0] or T.shape[0] != T.shape[1] or S.shape != T.shape:
         raise DimensionMismatch("X, T, S dimensions do not conform")
-    if sv_ratio(S) <= SINGULAR_RTOL:
+    return _coefficients_from_blocks([(X, T, S)], cls)
+
+
+def _singular_values(S):
+    """Singular values of S; a monomial S (one nonzero in each row and
+    column, as a canonical Omega) has the moduli of its entries."""
+    nz = S != 0
+    if np.count_nonzero(nz) == len(S) and nz.any(axis=0).all() and nz.any(axis=1).all():
+        return np.abs(S[nz])
+    return np.linalg.svd(S, compute_uv=False)
+
+
+def _coefficients_from_blocks(blocks, cls):
+    """coefficients_from_pair of the block-diagonal (X, T, S) of blocks
+    (X_b, T_b, S_b), X = [X_1, X_2, ...], without forming T or S.  A diagonal
+    T_b divides exactly; a unitary S_b (Omega) takes T_b^{-1} S_b = S_b T_b*,
+    which the checked S_b = T_b S_b T_b* gives; other T_b are LU-solved."""
+    sv = [_singular_values(S) for _, _, S in blocks]  # sigma(S), unioned
+    s = np.concatenate(sv)
+    if not s.size or s.min() <= SINGULAR_RTOL * s.max():
         raise SingularMatrix("S must be nonsingular")
-    check_membership(S, X, T, cls)
+    _check_membership(blocks, cls)
     star = cls.star_of
-    TinvS = linear_solve(T, S)
-    G = X @ TinvS @ star(X)
+    G = H = 0
+    for (X, T, S), sb in zip(blocks, sv):  # G += X T^-1 S X*, H += X T^-2 S X*
+        d = np.diagonal(T)
+        if d.all() and np.count_nonzero(T) == len(d):
+            TinvS = S / d[:, None]
+            XTinvS, XT2invS = X @ TinvS, X @ (TinvS / d[:, None])
+        elif (sb == 1).all():
+            XTinvS = X @ S @ star(T)
+            XT2invS = XTinvS @ star(T)
+        else:
+            TinvS = linear_solve(T, S)
+            XTinvS, XT2invS = X @ TinvS, X @ linear_solve(T, TinvS)
+        G, H = G + XTinvS @ star(X), H + XT2invS @ star(X)
     if sv_ratio(G) <= SINGULAR_RTOL:
         raise SingularLeadingBlock(
             "X T^{-1} S X* is numerically singular; no regular solution")
     A1 = cls.epsilon * invert(G)
-    T2invS = linear_solve(T, TinvS)
-    return assembled_system(cls, A1, -A1 @ X @ T2invS @ star(X) @ A1)
+    return assembled_system(cls, A1, -A1 @ H @ A1)

@@ -227,8 +227,8 @@ def greedy_pairing_loop(values, cls, tol):
 # ---------------------------------------------------------------------------
 
 def matrix_to_json_loop(M):
-    """Rows of [re, im] pairs, one complex entry at a time: the reference
-    for fileio._matrix_to_json."""
+    """Rows of [re, im] pairs, one complex entry at a time: with json.dumps,
+    the reference for the matrices fileio writes."""
     M = np.asarray(M, dtype=np.complex128)
     return [[[complex(z).real, complex(z).imag] for z in row] for row in M]
 

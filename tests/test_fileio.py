@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import matrix_from_json_loop, matrix_to_json_loop
-from palinverse.fileio import (FileFormatError, _matrix_from_json,
-                               _matrix_to_json, load_pair, load_values,
-                               save_pair)
+from palinverse.fileio import (FORMAT_TAG, FileFormatError, _matrix_from_json,
+                               load_pair, load_values, load_system, save_pair,
+                               save_system)
+from palinverse.system import ALL_CLASSES
 
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                 -2.2250738585072014e-308, 1e300, -1e300, 1.7976931348623157e308,
@@ -83,7 +84,45 @@ def test_save_load_is_bit_identical(tmp_path_factory, X, T):
     save_pair(X, T, path)
     X2, T2 = load_pair(path)
     assert _bits(X2) == _bits(X) and _bits(T2) == _bits(T)
-    assert json.dumps(_matrix_to_json(X)) == json.dumps(matrix_to_json_loop(X))
+    assert path.read_text() == _pair_oracle(X, T)
+
+
+def _pair_oracle(X, T):
+    """The canonical pair file: json.dumps(indent=2) of the entry loop."""
+    doc = {"format": FORMAT_TAG, "X": matrix_to_json_loop(X),
+           "T": matrix_to_json_loop(T)}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_save_system_writes_the_json_dumps_bytes(tmp_path, cls):
+    from helpers import random_system
+
+    path = tmp_path / "system.json"
+    for n in (1, 2, 5):
+        sys_ = random_system(cls, n, seed=n)
+        save_system(sys_, path)
+        doc = {"format": FORMAT_TAG,
+               "class": {"star": cls.star, "epsilon": cls.epsilon}, "n": n,
+               "A1": matrix_to_json_loop(sys_.A1), "A0": matrix_to_json_loop(sys_.A0)}
+        assert path.read_text() == json.dumps(doc, indent=2) + "\n"
+        assert load_system(path).A1.tobytes() == sys_.A1.tobytes()
+
+
+@pytest.mark.parametrize("values", [
+    [-0.0, 5e-324, 1e308, 2.0, -3.0, 0.1, 1e16, 1e-5, -1.7976931348623157e308],
+    [float("nan"), float("inf"), -float("inf"), 1.0],
+])
+def test_save_pair_writes_the_json_dumps_bytes(tmp_path, values):
+    # Separators, signed zero, subnormals, the float range, integral floats
+    # and the exponent switch; non-finite values as json spells them.
+    path = tmp_path / "pair.json"
+    parts = np.resize(values, 2 * 3 * 4)
+    X = np.empty((3, 4), dtype=np.complex128)
+    X.real, X.imag = parts[0::2].reshape(3, 4), parts[1::2].reshape(3, 4)
+    for T in (X, X.real, X[:1, :1], np.zeros((2, 0)), np.zeros((0, 2))):
+        save_pair(X, T, path)
+        assert path.read_text() == _pair_oracle(X, T)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -371,6 +371,16 @@ def test_iep_user_remaining_with_unimodular_singles():
         assert min(abs(e.values - v)) <= 1e-6
 
 
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_iep_partial_any_column_scaling(cls):
+    # X1 D with D = diag(10^U[-6, 6]) poses the same problem as X1.
+    X1, T1 = iep_fixture(cls)
+    for seed in range(6):
+        D = 10.0 ** np.random.default_rng(seed).uniform(-6, 6, X1.shape[1])
+        sol = solve_iep_partial_result(IepProblem(cls, X1 * D, T1, seed=seed))
+        assert pair_residual(sol.system, (X1, T1)) <= 1e-9
+
+
 def test_iep_partial_retry_exhaustion_counts_reasons(monkeypatch):
     # A draw whose assembled A0 misses the symmetry gate is retried like a
     # residual failure; exhaustion reports the count per reason.
@@ -379,7 +389,7 @@ def test_iep_partial_retry_exhaustion_counts_reasons(monkeypatch):
     def always_asymmetric(*args):
         raise SymmetryViolation("forced")
 
-    monkeypatch.setattr(iep, "coefficients_from_pair", always_asymmetric)
+    monkeypatch.setattr(iep, "_coefficients_from_blocks", always_asymmetric)
     X1, T1 = iep_fixture(TP)
     with pytest.raises(NonsingularityRetryExhausted,
                        match=r"in 20 attempts: SymmetryViolation 20 \("):
@@ -404,7 +414,7 @@ def test_iep_remaining_checked_once(monkeypatch):
     group_values = iep._group_values
     monkeypatch.setattr(iep, "_group_values",
                         lambda *args: calls.append(args) or group_values(*args))
-    monkeypatch.setattr(iep, "coefficients_from_pair", always_asymmetric)
+    monkeypatch.setattr(iep, "_coefficients_from_blocks", always_asymmetric)
     with pytest.raises(NonsingularityRetryExhausted):
         solve_iep_partial_result(problem)
     assert len(calls) == 1

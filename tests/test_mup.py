@@ -125,6 +125,18 @@ def test_update_model_wrapper():
     assert pair_residual(ns, (x1n, np.diag(new))) <= 1e-9
 
 
+@pytest.mark.parametrize("code", ["tp", "ta", "hp", "ha"])
+def test_free_update_any_column_scaling(code):
+    # X1 D with D = diag(10^U[-6, 6]) poses the same update as X1.
+    sys, replace, new = update_fixture(code)
+    X1, T1, _, _ = select_pairs(eig_full(sys), replace)
+    for seed in range(12):
+        D = 10.0 ** np.random.default_rng(seed).uniform(-6, 6, X1.shape[1])
+        result = update_model_result(MupProblem(sys, X1 * D, T1, np.diag(new),
+                                                seed=seed))
+        assert pair_residual(result.system, (result.X1_new, np.diag(new))) <= 1e-9
+
+
 def test_update_determinism():
     sys, replace, new = update_fixture("hp")
     e = eig_full(sys)

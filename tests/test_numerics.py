@@ -3,8 +3,9 @@ import pytest
 
 from helpers import random_complex, random_unitary
 from palinverse.errors import DimensionMismatch, SingularMatrix
-from palinverse.numerics import (dense_eig, fnorm, invert, linear_solve,
-                                 rank_factorize, sv_ratio)
+from palinverse.numerics import (as_matrix, dense_eig, fnorm, invert,
+                                 linear_solve, rank_factorize, solve_right,
+                                 sv_ratio)
 
 
 def test_linear_solve_identity():
@@ -149,3 +150,52 @@ def test_sv_ratio_empty_and_zero():
 def test_non_finite_rejected():
     with pytest.raises(ValueError):
         linear_solve(np.array([[np.nan, 0.0], [0.0, 1.0]]), np.eye(2))
+
+
+def _views(a):
+    """C- and F-ordered copies, the transpose and strided slices of a."""
+    return [a, np.asfortranarray(a), a.T, a[::2, 1:], a[:, ::-3], a[:0], a.T[:, :0]]
+
+
+def test_fnorm_bit_identical_to_numpy_frobenius():
+    rng = np.random.default_rng(9)
+    for rows, cols in [(1, 1), (5, 7), (16, 16), (48, 3)]:
+        z = random_complex(rng, rows, cols) * 10.0 ** rng.uniform(-200, 200)
+        for a in _views(z) + _views(z.real.copy()) + _views(np.round(z.imag * 8)):
+            assert fnorm(a) == float(np.linalg.norm(a, "fro"))
+            assert type(fnorm(a)) is float
+    assert fnorm(np.zeros((0, 0))) == 0.0
+    assert fnorm(np.array([[1, 2], [3, 4]])) == float(np.linalg.norm([[1, 2], [3, 4]], "fro"))
+
+
+def test_as_matrix_copies_and_rejects():
+    a = np.array([[1.0, 2.0]])
+    m = as_matrix(a)
+    m[0, 0] = 5.0
+    assert a[0, 0] == 1.0 and m.dtype == np.complex128
+    for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan)):
+        with pytest.raises(ValueError, match="X contains non-finite entries"):
+            as_matrix([[1.0, bad]], "X")
+    for shape in [(3,), (2, 2, 2), ()]:
+        with pytest.raises(DimensionMismatch, match="X must be 2-D"):
+            as_matrix(np.ones(shape), "X")
+
+
+def test_invert_and_solve_right_copy_and_check_once():
+    rng = np.random.default_rng(10)
+    A = random_complex(rng, 4, 4)
+    B = random_complex(rng, 3, 4)
+    A0, B0 = A.copy(), B.copy()
+    assert fnorm(invert(A) @ A - np.eye(4)) <= 1e-12 * fnorm(A)
+    assert fnorm(solve_right(B, A) @ A - B) <= 1e-12 * fnorm(A) * fnorm(B)
+    assert np.array_equal(A, A0) and np.array_equal(B, B0)
+    with pytest.raises(ValueError, match="non-finite"):
+        invert(np.where(np.eye(4) > 0, np.nan, A))
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_right(np.full((3, 4), np.inf), A)
+    with pytest.raises(DimensionMismatch):
+        invert(np.ones(3))
+    with pytest.raises(DimensionMismatch):
+        solve_right(np.ones((3, 2)), A)
+    with pytest.raises(SingularMatrix):
+        invert(np.zeros((2, 2)))

@@ -6,7 +6,8 @@ from palinverse.errors import (MembershipCheckFailed, ResidualTooLarge,
                                SingularLeadingBlock, SingularMatrix)
 from palinverse.forward import eig_full
 from palinverse.numerics import fnorm, invert
-from palinverse.spectral import (coefficients_from_pair, compute_S1,
+from palinverse.spectral import (_coefficients_from_blocks,
+                                 coefficients_from_pair, compute_S1,
                                  parameter_from_pair)
 from palinverse.system import ALL_CLASSES, TA, TP, PalindromicSystem
 
@@ -198,3 +199,58 @@ def test_full_solve_order_32_passes_symmetry_gate(cls):
         assert sys.symmetry_defect() == 0.0
         assert sys.a0_defect > 0.0
         assert pair_residual(sys, pair) <= 1e-12
+
+
+def _partial_blocks(cls, seed):
+    """The two blocks (X1, T1, S1), (X2, T2hat, Omega) of a solved partial
+    problem at order 6 with k = 4, read back from its dense (X, T, S)."""
+    from palinverse.iep import IepProblem, solve_iep_partial_result
+
+    e = eig_full(random_system(cls, 6, seed))
+    idx = [i for pair in e.pairing[:2] for i in pair]
+    sol = solve_iep_partial_result(IepProblem(
+        cls, e.vectors[:, idx], np.diag(e.values[idx]), seed=seed))
+    k = len(idx)
+    return [(sol.X[:, :k], sol.T[:k, :k], sol.S[:k, :k]),
+            (sol.X[:, k:], sol.T[k:, k:], sol.S[k:, k:])], sol
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_block_assembly_matches_the_dense_pair(cls):
+    for seed in range(3):
+        blocks, sol = _partial_blocks(cls, seed)
+        assert np.count_nonzero(blocks[1][2]) == blocks[1][2].shape[0]  # Omega
+        by_blocks = _coefficients_from_blocks(blocks, cls)
+        dense = coefficients_from_pair(sol.X, sol.T, sol.S, cls)
+        scale = max(fnorm(dense.A1), fnorm(dense.A0))
+        assert fnorm(by_blocks.A1 - dense.A1) <= 1e-12 * scale
+        assert fnorm(by_blocks.A0 - dense.A0) <= 1e-12 * scale
+
+
+def _dense(blocks):
+    (X1, T1, S1), (X2, T2, S2) = blocks
+    z = np.zeros((T1.shape[0], T2.shape[0]))
+    return (np.hstack([X1, X2]), np.block([[T1, z], [z.T, T2]]),
+            np.block([[S1, z], [z.T, S2]]))
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_block_assembly_fails_as_the_dense_pair_does(cls):
+    blocks, _ = _partial_blocks(cls, 0)
+    (X1, T1, S1), (X2, T2, S2) = blocks
+    rng = np.random.default_rng(1)
+    cases = [
+        (SingularMatrix, [(X1, T1, 0 * S1), (X2, T2, S2)]),
+        (MembershipCheckFailed, [(X1, T1, S1), (X2, T2 + 1e-6 * random_complex(
+            rng, *T2.shape), S2)]),
+        (MembershipCheckFailed, [(X1, T1, S1 + 1e-6 * random_complex(
+            rng, *S1.shape)), (X2, T2, S2)]),
+        # A zero row of X makes X T^{-1} S X* singular.
+        (SingularLeadingBlock, [(np.vstack([0 * X1[:1], X1[1:]]), T1, S1),
+                                (np.vstack([0 * X2[:1], X2[1:]]), T2, S2)]),
+    ]
+    for error, broken in cases:
+        with pytest.raises(error):
+            _coefficients_from_blocks(broken, cls)
+        with pytest.raises(error):
+            coefficients_from_pair(*_dense(broken), cls)
