@@ -26,7 +26,7 @@ from .errors import (BadIndices, Infeasible, NoNonsingularFound, NoSolution,
 from .forward import _coincide, _group_values, _semisimple_bound, _unit_parity
 from .numerics import (COINCIDE_RTOL, NORM_FLOOR, OUTPUT_RESIDUAL_TOL, PATTERN_RTOL,
                        RANK_RTOL, SINGULAR_RTOL, as_matrix, fnorm, solve_right,
-                       sv_ratio)
+                       sv_ratio, unit_columns)
 from .paramspace import (SBasis, s_basis, sample_nonsingular, solution_space)
 from .spectral import _coefficients_from_blocks, coefficients_from_pair
 from .structfact import _congruence_onto, _snap_isotropy, build_delta, star_factorize
@@ -41,10 +41,10 @@ def solve_iep_full(X, T, cls, seed=0):
     nonsingular element (for instance when a transpose-palindromic target
     carries a simple eigenvalue at +1 or -1).
     """
-    X = as_matrix(X, "X")
-    T = as_matrix(T, "T")
+    X, T = as_matrix(X, "X"), as_matrix(T, "T")
     if X.shape[1] != T.shape[0] or 2 * X.shape[0] != T.shape[0]:
         raise SingularW("solve_iep_full needs X n-by-2n and T 2n-by-2n")
+    X = unit_columns(X, T)
     basis = SBasis(T, cls, solution_space(T, cls, X))
     try:
         S = sample_nonsingular(basis, seed)
@@ -240,9 +240,7 @@ class IepProblem:
         k = self.T1.shape[0]
         if self.T1.shape != (k, k) or self.X1.shape[1] != k:
             raise SingularW("X1 and T1 dimensions do not conform")
-        if np.count_nonzero(self.T1) == np.count_nonzero(np.diagonal(self.T1)):
-            # X1 D poses the same problem for a diagonal D: take unit columns.
-            self.X1 /= np.maximum(np.linalg.norm(self.X1, axis=0), NORM_FLOOR)
+        self.X1 = unit_columns(self.X1, self.T1)
         if sv_ratio(self.T1) <= SINGULAR_RTOL:
             raise SingularW("T1 must be nonsingular")
         if sv_ratio(np.vstack([self.X1, -solve_right(self.X1, self.T1)])) <= RANK_RTOL:

@@ -27,10 +27,10 @@ from .forward import (_coincide, _group_values, _semisimple_bound, _unit_parity,
 from .numerics import (DIAGONAL_RTOL, NONSINGULAR_RTOL, NORM_FLOOR,
                        OUTPUT_RESIDUAL_TOL, PAIR_RESIDUAL_GATE, SELECTED_MATCH_RTOL,
                        SINGULAR_RTOL, TRANSFER_FLOOR_RTOL, as_matrix, fnorm, invert,
-                       linear_solve, range_coordinates, rank_factorize, solve_right,
-                       sv_ratio)
+                       range_coordinates, rank_factorize, solve_right, sv_ratio,
+                       unit_columns)
 from .paramspace import constrained_family, s_basis, sample_nonsingular
-from .spectral import compute_S1
+from .spectral import _spectral_sums, compute_S1
 from .structfact import _congruence_onto, _snap_isotropy, star_factorize
 from .system import PalindromicSystem, assembled_system, pair_residual
 
@@ -67,8 +67,7 @@ class MupProblem:
     def __post_init__(self):
         self.X1 = as_matrix(self.X1, "X1")
         self.T1 = _check_diagonal(self.T1, "T1")
-        # X1 D poses the same update for a diagonal D: take unit columns.
-        self.X1 /= np.maximum(np.linalg.norm(self.X1, axis=0), NORM_FLOOR)
+        self.X1 = unit_columns(self.X1, self.T1)
         self.T1_new = _check_diagonal(self.T1_new, "T1_new")
         k = self.T1.shape[0]
         if self.X1.shape != (self.sys.n, k):
@@ -158,11 +157,12 @@ class MupResult:
 def low_rank_update(sys, X1, T1, S1, X1_new, T1_new, S1_new):
     """Coefficient update from old and new selected spectral data.
 
-    Factorizes the change of X T^{-1} S X* as Z1 Z2*, forms the pivot
-    Xi = I + eps Z2* A1 Z1 and applies the bordered update to (A1, A0).
-    The change is factorized as its order-min(n, 2k) core in the
-    coordinates Q of range([X1_new, X1]), lifted as Z1 = Q Z1c,
-    Z2 = Q Z2c.  A zero-rank change short-circuits to exact copies.
+    spectral._spectral_sums gives the changes of X T^{-1} S X* and of
+    X T^{-2} S X* (Upsilon) as order-min(n, 2k) cores in the coordinates Q
+    of range([X1_new, X1]).  The first is factorized as Z1 Z2*, Z1 = Q Z1c,
+    Z2 = Q Z2c, the pivot Xi = I + eps Z2* A1 Z1 borders the update of
+    (A1, A0), and Upsilon enters A0 as (A1 Q) Upsilon_c (Q* A1).  A
+    zero-rank change short-circuits to exact copies.
     Returns (system, Z1, Z2, rank); raises XiSingular when Xi is singular
     (callers retry with a fresh parameter draw).
     """
@@ -170,8 +170,8 @@ def low_rank_update(sys, X1, T1, S1, X1_new, T1_new, S1_new):
     star = cls.star_of
     eps = cls.epsilon
     Q, (P_new, P_old) = range_coordinates(X1_new, X1)
-    D1_core = P_new @ linear_solve(T1_new, S1_new) @ star(P_new) \
-        - P_old @ linear_solve(T1, S1) @ star(P_old)
+    D1_core, Upsilon_core = _spectral_sums(
+        [(P_new, T1_new, S1_new), (P_old, T1, -S1)], star)
     Z1, Z2, ell = rank_factorize(D1_core, star=cls.star)
     Z1, Z2 = Q @ Z1, Q @ Z2
     if ell == 0:
@@ -180,16 +180,12 @@ def low_rank_update(sys, X1, T1, S1, X1_new, T1_new, S1_new):
     Xi = np.eye(ell, dtype=np.complex128) + eps * star(Z2) @ sys.A1 @ Z1
     if sv_ratio(Xi) <= SINGULAR_RTOL:
         raise XiSingular("low-rank pivot Xi is singular")
-    T2_new = T1_new @ T1_new
-    T2_old = T1 @ T1
-    Upsilon = X1_new @ linear_solve(T2_new, S1_new) @ star(X1_new) \
-        - X1 @ linear_solve(T2_old, S1) @ star(X1)
     XiInv = invert(Xi)
     XiInvZ2A1 = XiInv @ star(Z2) @ sys.A1
     A1_new = sys.A1 - eps * sys.A1 @ Z1 @ XiInvZ2A1
     E = np.eye(sys.n, dtype=np.complex128) - eps * sys.A1 @ Z1 @ XiInv @ star(Z2)
     F = np.eye(sys.n, dtype=np.complex128) - eps * Z1 @ XiInvZ2A1
-    core = sys.A0 - sys.A1 @ Upsilon @ sys.A1
+    core = sys.A0 - (sys.A1 @ Q) @ Upsilon_core @ (star(Q) @ sys.A1)
     return assembled_system(cls, A1_new, E @ core @ F), Z1, Z2, ell
 
 

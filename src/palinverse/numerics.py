@@ -20,17 +20,15 @@ condition number:
 - IepProblem: T1, gated just before the solve.
 - spectral.parameter_from_pair: T and W = [X; -X T^{-1}], then
   eps X* A1 X T^{-1} - T^{-*} X* A1* X, all gated.
-- spectral.compute_S1: that matrix, gated; T1 as in mup.
-- spectral.coefficients_from_pair, block by block over (X_b, T_b, S_b): G,
-  gated; S, gated on the union of the singular values of its blocks (a
-  monomial block such as Omega needs no SVD); each T_b, because S_b = T_b
-  S_b T_b* with S gated forces |det T_b| = 1.  A diagonal T_b divides
-  exactly, a unitary S_b takes T_b^{-1} S_b = S_b T_b*, others LU-solve.
-- mup: the diagonal T1, T1_new and their squares, whose entries are
-  nonzero (eigenvalues of a system with nonsingular A1, and a
-  pairing-closed replacement) and are divided exactly; Xi, gated; the
-  star factor of S1_new, which passed sample_nonsingular
-  (sv_ratio > NONSINGULAR_RTOL).
+- spectral.compute_S1: that matrix, gated; T1 as in an update below.
+- spectral._spectral_sums, for construction and update: T_b is LU-solved
+  unless diagonal (divided exactly) or S_b is unit-monomial.  Construction
+  gates G and S, S on its blocks' singular values (a monomial block such as
+  Omega needs no SVD), so S_b = T_b S_b T_b* forces |det T_b| = 1.  An
+  update's T1 and T1_new are diagonal with nonzero entries (eigenvalues of
+  a system with nonsingular A1, and a pairing-closed replacement).
+- mup: Xi, gated; the star factor of S1_new, which passed
+  sample_nonsingular (sv_ratio > NONSINGULAR_RTOL).
 - analysis: zeta_partition gates S, and A1 is gated by PalindromicSystem.
 
 Tolerance table.  Every numerical decision of the package reads one entry
@@ -93,6 +91,14 @@ def fnorm(a):
     if x.dtype.kind == "c":
         return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
     return math.sqrt(x.dot(x))
+
+
+def unit_columns(X, T):
+    """X with unit columns if T is diagonal, as (X D, T) then is the same
+    eigendata as (X, T) for every nonsingular diagonal D."""
+    if np.count_nonzero(T) == np.count_nonzero(np.diagonal(T)):
+        X = X / np.maximum(np.linalg.norm(X, axis=0), NORM_FLOOR)
+    return X
 
 
 def two_norm(a):

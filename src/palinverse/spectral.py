@@ -5,7 +5,8 @@ with W = [X; -X T^{-1}], formed multiplied out as
 (eps X* A1 X T^{-1} - T^{-*} X* A1* X)^{-1}: parameter_from_pair for a full
 pair, compute_S1 for the selected pair of an update.  From (X, T, S) the
 coefficients are recovered as A1 = eps (X T^{-1} S X*)^{-1} and
-A0 = -A1 X T^{-2} S X* A1, block by block when T and S are block diagonal.
+A0 = -A1 X T^{-2} S X* A1, block by block (_spectral_sums) when T and S are
+block diagonal; the no-spillover update (mup) forms its change the same way.
 """
 
 import numpy as np
@@ -19,14 +20,9 @@ from .numerics import (NORM_FLOOR, PAIR_RESIDUAL_GATE, S1_MEMBERSHIP_RTOL,
 from .system import assembled_system, pair_residual
 
 
-def check_membership(S, X, T, cls):
-    """Verify S is in the parameter space of (X, T); raise on failure."""
-    _check_membership([(X, T, S)], cls)
-
-
 def _check_membership(blocks, cls):
-    """check_membership of the block-diagonal (X, T, S) of blocks (X_b, T_b,
-    S_b): defects per block, X S X* summed, norms the hypot of block norms."""
+    """Raise unless diag(S_b) is in the parameter space of ([X_b], diag(T_b)):
+    defects per block, X S X* summed, norms the hypot of block norms."""
     star, eps = cls.star_of, cls.epsilon
     nS, nT, nX, sym, com = np.hypot.reduce(
         [[fnorm(S), fnorm(T), fnorm(X), fnorm(star(S) + eps * S),
@@ -60,8 +56,7 @@ def parameter_from_pair(sys, pair):
     failing loudly instead of trusting a numerically inconsistent pair.
     """
     X, T = pair
-    X = as_matrix(X, "X")
-    T = as_matrix(T, "T")
+    X, T = as_matrix(X, "X"), as_matrix(T, "T")
     m = T.shape[0]
     if T.shape != (m, m):
         raise DimensionMismatch(f"T must be square, got {T.shape}")
@@ -89,15 +84,14 @@ def parameter_from_pair(sys, pair):
     S = invert(Sinv)
     # Exact by theory; strip the round-off asymmetry.
     S = (S - sys.cls.epsilon * sys.cls.star_of(S)) / 2.0
-    check_membership(S, X, T, sys.cls)
+    _check_membership([(X, T, S)], sys.cls)
     return S
 
 
 def compute_S1(sys, X1, T1):
     """Parameter block of the selected invariant pair, straight from the
     coefficients: S1 = (eps X1* A1 X1 T1^{-1} - T1^{-*} X1* A1* X1)^{-1}."""
-    X1 = as_matrix(X1, "X1")
-    T1 = as_matrix(T1, "T1")
+    X1, T1 = as_matrix(X1, "X1"), as_matrix(T1, "T1")
     star = sys.cls.star_of
     G = _inverse_parameter(sys, X1, T1)
     if sv_ratio(G) <= SINGULAR_RTOL:
@@ -136,30 +130,35 @@ def _singular_values(S):
     return np.linalg.svd(S, compute_uv=False)
 
 
-def _coefficients_from_blocks(blocks, cls):
-    """coefficients_from_pair of the block-diagonal (X, T, S) of blocks
-    (X_b, T_b, S_b), X = [X_1, X_2, ...], without forming T or S.  A diagonal
-    T_b divides exactly; a unitary S_b (Omega) takes T_b^{-1} S_b = S_b T_b*,
-    which the checked S_b = T_b S_b T_b* gives; other T_b are LU-solved."""
-    sv = [_singular_values(S) for _, _, S in blocks]  # sigma(S), unioned
-    s = np.concatenate(sv)
-    if not s.size or s.min() <= SINGULAR_RTOL * s.max():
-        raise SingularMatrix("S must be nonsingular")
-    _check_membership(blocks, cls)
-    star = cls.star_of
+def _spectral_sums(blocks, star):
+    """G = sum X_b T_b^{-1} S_b X_b* and H = sum X_b T_b^{-2} S_b X_b* over
+    blocks (X_b, T_b, S_b).  A diagonal T_b divides exactly; a unit-monomial
+    S_b (Omega) takes T_b^{-1} S_b = S_b T_b*, which S_b = T_b S_b T_b*
+    gives; other T_b are LU-solved."""
     G = H = 0
-    for (X, T, S), sb in zip(blocks, sv):  # G += X T^-1 S X*, H += X T^-2 S X*
+    for X, T, S in blocks:
         d = np.diagonal(T)
         if d.all() and np.count_nonzero(T) == len(d):
             TinvS = S / d[:, None]
             XTinvS, XT2invS = X @ TinvS, X @ (TinvS / d[:, None])
-        elif (sb == 1).all():
+        elif (_singular_values(S) == 1).all():
             XTinvS = X @ S @ star(T)
             XT2invS = XTinvS @ star(T)
         else:
             TinvS = linear_solve(T, S)
             XTinvS, XT2invS = X @ TinvS, X @ linear_solve(T, TinvS)
         G, H = G + XTinvS @ star(X), H + XT2invS @ star(X)
+    return G, H
+
+
+def _coefficients_from_blocks(blocks, cls):
+    """coefficients_from_pair of the block-diagonal (X, T, S) of blocks
+    (X_b, T_b, S_b), X = [X_1, X_2, ...], without forming T or S."""
+    s = np.concatenate([_singular_values(S) for _, _, S in blocks])  # sigma(S)
+    if not s.size or s.min() <= SINGULAR_RTOL * s.max():
+        raise SingularMatrix("S must be nonsingular")
+    _check_membership(blocks, cls)
+    G, H = _spectral_sums(blocks, cls.star_of)
     if sv_ratio(G) <= SINGULAR_RTOL:
         raise SingularLeadingBlock(
             "X T^{-1} S X* is numerically singular; no regular solution")

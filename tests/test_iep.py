@@ -84,8 +84,8 @@ def test_iep_partial_various_sizes(cls, n, k):
     assert sol.residual <= 1e-9
     assert pair_residual(sol.system, (X1, np.diag(vals))) <= 1e-9
     # Constructed S satisfies the full membership conditions.
-    from palinverse.spectral import check_membership
-    check_membership(sol.S, sol.X, sol.T, cls)
+    from palinverse.spectral import _check_membership
+    _check_membership([(sol.X, sol.T, sol.S)], cls)
 
 
 def test_iep_partial_reduces_to_full_at_k_equals_2n():
@@ -379,6 +379,20 @@ def test_iep_partial_any_column_scaling(cls):
         D = 10.0 ** np.random.default_rng(seed).uniform(-6, 6, X1.shape[1])
         sol = solve_iep_partial_result(IepProblem(cls, X1 * D, T1, seed=seed))
         assert pair_residual(sol.system, (X1, T1)) <= 1e-9
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_full_iep_any_column_scaling(cls):
+    # X D with D = diag(10^U[-6, 6]) poses the same problem as X for a
+    # diagonal T; the full solve takes X with unit columns.
+    from helpers import random_system
+
+    for seed in range(6):
+        e = eig_full(random_system(cls, 6, seed))
+        T = np.diag(e.values)
+        D = 10.0 ** np.random.default_rng(seed).uniform(-6, 6, T.shape[0])
+        sys = solve_iep_full(e.vectors * D, T, cls, seed=seed)
+        assert pair_residual(sys, (e.vectors, T)) <= 1e-9
 
 
 def test_iep_partial_retry_exhaustion_counts_reasons(monkeypatch):

@@ -4,8 +4,9 @@ names in palinverse.__all__ must resolve, each to the object in its home
 module.  `import palinverse` loads neither numpy nor any submodule, and each
 subcommand loads only the modules it runs.  The CLI must run on numpy alone,
 without importing scipy.  No package module imports a name it never uses,
-only forward decides when two eigenvalues coincide, and every float
-tolerance is defined in the one table of numerics."""
+only forward decides when two eigenvalues coincide, one function assembles
+the spectral sums, and every float tolerance is defined in the one table of
+numerics."""
 
 import ast
 import importlib
@@ -16,6 +17,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import palinverse
@@ -125,6 +127,38 @@ def test_forward_binds_the_traced_eigensolver():
     from palinverse import forward, numerics
 
     assert forward.dense_eig is numerics.dense_eig
+
+
+def test_one_spectral_assembly(monkeypatch):
+    # Construction and the no-spillover update form X T^-1 S X* and
+    # X T^-2 S X* in spectral._spectral_sums alone: wrapped wherever a module
+    # binds it, it runs once per partial-solve draw and once per update
+    # draw, and mup binds no linear_solve: the sums divide its T1 and T1_new.
+    from palinverse import mup, spectral
+    from palinverse.forward import eig_full, select_pairs
+    from palinverse.iep import IepProblem, solve_iep_partial_result
+
+    real, calls = spectral._spectral_sums, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    bindings = []
+    for name in _tracing_module().MODULES:
+        module = importlib.import_module(f"palinverse.{name}")
+        if getattr(module, "_spectral_sums", None) is real:
+            monkeypatch.setattr(module, "_spectral_sums", counted)
+            bindings.append(name)
+    assert bindings == ["spectral", "mup"]
+    assert not hasattr(mup, "linear_solve")
+
+    sol = solve_iep_partial_result(IepProblem(TP, *iep_fixture(TP), seed=1))
+    assert (sol.attempts, len(calls)) == (1, 1)
+    usys, replace, new = update_fixture("tp")
+    X1, T1, _, _ = select_pairs(eig_full(usys), replace)
+    res = mup.update_model_result(mup.MupProblem(usys, X1, T1, np.diag(new), seed=1))
+    assert (res.attempts, len(calls)) == (1, 2)
 
 
 def test_public_names_resolve():
