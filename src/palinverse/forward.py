@@ -13,11 +13,9 @@ spectrum is solved at most once per system.  eig_full and eigenvalues
 record a read-only copy of the values they compute on the system; the
 most recent solve overwrites the record (eig_full's values, computed with
 eigenvectors, differ from eigenvalues' at roundoff).  eigenvalues returns
-the record only while sys.A1 and sys.A0 are the very arrays it was computed
-from and neither is writeable, so a reassigned coefficient, or a
-deepcopied or unpickled system (whose arrays are writeable again), is
-solved afresh.  An array made writeable, written and made read-only again
-is not detected.  eig_full always runs its own eigensolve.
+the record only while system._recorded holds it valid (sys.A1 and sys.A0
+the very arrays it came from, neither writeable), and solves afresh
+otherwise.  eig_full always runs its own eigensolve.
 
 Construction (iep), updating (mup) and select_pairs decide every rule on a
 set of eigenvalues here: _coincide is the one coincidence test,
@@ -33,7 +31,7 @@ import numpy as np
 
 from .errors import Infeasible, PairingNotClosed, SpectraOverlap, TargetNotFound
 from .numerics import COINCIDE_RTOL, MATCH_TOL, PAIRING_TOL, dense_eig, linear_solve
-from .system import SymmetryClass
+from .system import SymmetryClass, _recorded
 
 
 def companion(sys):
@@ -63,11 +61,9 @@ def eigenvalues(sys):
     when they are still valid (see the module docstring) and solves for
     them otherwise.
     """
-    memo = sys._eigenvalues
-    if memo is not None and memo[0] is sys.A1 and memo[1] is sys.A0 \
-            and not (sys.A1.flags.writeable or sys.A0.flags.writeable):
-        return memo[2]
-    return _record(sys, dense_eig(companion(sys), vectors=False))
+    values = _recorded(sys, sys._eigenvalues)
+    return values if values is not None \
+        else _record(sys, dense_eig(companion(sys), vectors=False))
 
 
 @dataclass

@@ -2,16 +2,16 @@
 
 Selected eigenvalues are replaced while every remaining eigenpair is kept
 exactly invariant.  The update never touches the kept eigenvectors: the
-parameter block S1 of the selected pairs is computed directly from the
-coefficients (spectral.compute_S1), replacement data (X1_new, S1_new) is
-built so that X1_new S1_new X1_new* = X1 S1 X1*, and the coefficient
-change is a low rank correction driven by a rank factorization and a
-Sherman-Morrison-Woodbury style pivot Xi.  Each product W M W* with W
-thin (X1, X1_new or both) is decomposed in the coordinates of range(W)
-(numerics.range_coordinates), at order at most 2k.  update_model_result
-is the one entry point: it takes the replacement eigenvectors as given
-when MupProblem.X1_new is set and constructs them otherwise, and
-errors.retry draws again when the output misses a gate.
+parameter block S1 of the selected pairs is computed from the coefficients
+(spectral.compute_S1), replacement data (X1_new, S1_new) is built so that
+X1_new S1_new X1_new* = X1 S1 X1*, and the coefficient change is a rank-ell
+correction with a Sherman-Morrison-Woodbury pivot Xi, applied in O(n^2 k);
+Woodbury also certifies the new A1 nonsingular without an order-n SVD
+(low_rank_update).  Each product W M W* with W thin (X1, X1_new or both)
+is decomposed in the coordinates of range(W), at order at most 2k.
+update_model_result is the one entry point: it takes the replacement
+eigenvectors as given when MupProblem.X1_new is set and constructs them
+otherwise, and errors.retry draws again when the output misses a gate.
 """
 
 from dataclasses import dataclass
@@ -32,7 +32,7 @@ from .numerics import (DIAGONAL_RTOL, NONSINGULAR_RTOL, NORM_FLOOR,
 from .paramspace import constrained_family, s_basis, sample_nonsingular
 from .spectral import _spectral_sums, compute_S1
 from .structfact import _congruence_onto, _snap_isotropy, star_factorize
-from .system import PalindromicSystem, assembled_system, pair_residual
+from .system import PalindromicSystem, _recorded, assembled_system, pair_residual
 
 
 def _check_diagonal(T, name):
@@ -160,11 +160,14 @@ def low_rank_update(sys, X1, T1, S1, X1_new, T1_new, S1_new):
     spectral._spectral_sums gives the changes of X T^{-1} S X* and of
     X T^{-2} S X* (Upsilon) as order-min(n, 2k) cores in the coordinates Q
     of range([X1_new, X1]).  The first is factorized as Z1 Z2*, Z1 = Q Z1c,
-    Z2 = Q Z2c, the pivot Xi = I + eps Z2* A1 Z1 borders the update of
-    (A1, A0), and Upsilon enters A0 as (A1 Q) Upsilon_c (Q* A1).  A
-    zero-rank change short-circuits to exact copies.
-    Returns (system, Z1, Z2, rank); raises XiSingular when Xi is singular
-    (callers retry with a fresh parameter draw).
+    Z2 = Q Z2c.  With the pivot Xi = I + eps Z2* A1 Z1, R = Xi^{-1} Z2* A1 and
+    L = (A1 Z1) Xi^{-1}: A1_new = A1 - eps (A1 Z1) R, and A0_new = (I - eps L Z2*)
+    core (I - eps Z1 R), core = A0 - (A1 Q) Upsilon_c (Q* A1), is applied as two
+    rank-ell corrections, so every product is O(n^2 k).  By Woodbury
+    A1_new^{-1} = A1^{-1} + eps Z1 Z2*: the floor 1 / (1 / sigma_min(A1) +
+    ||Z1||_F ||Z2||_F) <= sigma_min(A1_new) goes to assembled_system when sys
+    records sigma_min(A1).  A zero-rank change copies the system.  Returns
+    (system, Z1, Z2, rank); raises XiSingular when Xi is singular.
     """
     cls = sys.cls
     star = cls.star_of
@@ -172,21 +175,25 @@ def low_rank_update(sys, X1, T1, S1, X1_new, T1_new, S1_new):
     Q, (P_new, P_old) = range_coordinates(X1_new, X1)
     D1_core, Upsilon_core = _spectral_sums(
         [(P_new, T1_new, S1_new), (P_old, T1, -S1)], star)
-    Z1, Z2, ell = rank_factorize(D1_core, star=cls.star)
-    Z1, Z2 = Q @ Z1, Q @ Z2
+    Z1c, Z2c, ell = rank_factorize(D1_core, star=cls.star)
+    Z1, Z2 = Q @ Z1c, Q @ Z2c
+    smin = _recorded(sys, sys._a1_sigma_min)
     if ell == 0:
-        return PalindromicSystem(cls, sys.A1.copy(), sys.A0.copy()), Z1, Z2, 0
+        copy = PalindromicSystem(cls, sys.A1.copy(), sys.A0.copy(), _a1_floor=smin)
+        return copy, Z1, Z2, 0
 
-    Xi = np.eye(ell, dtype=np.complex128) + eps * star(Z2) @ sys.A1 @ Z1
+    A1Q = sys.A1 @ Q
+    A1Z1, Z2sA1 = A1Q @ Z1c, star(Z2) @ sys.A1
+    Xi = np.eye(ell, dtype=np.complex128) + eps * Z2sA1 @ Z1
     if sv_ratio(Xi) <= SINGULAR_RTOL:
         raise XiSingular("low-rank pivot Xi is singular")
     XiInv = invert(Xi)
-    XiInvZ2A1 = XiInv @ star(Z2) @ sys.A1
-    A1_new = sys.A1 - eps * sys.A1 @ Z1 @ XiInvZ2A1
-    E = np.eye(sys.n, dtype=np.complex128) - eps * sys.A1 @ Z1 @ XiInv @ star(Z2)
-    F = np.eye(sys.n, dtype=np.complex128) - eps * Z1 @ XiInvZ2A1
-    core = sys.A0 - (sys.A1 @ Q) @ Upsilon_core @ (star(Q) @ sys.A1)
-    return assembled_system(cls, A1_new, E @ core @ F), Z1, Z2, ell
+    L, R = A1Z1 @ XiInv, XiInv @ Z2sA1
+    core = sys.A0 - A1Q @ Upsilon_core @ (star(Q) @ sys.A1)
+    M = core - eps * L @ (star(Z2) @ core)
+    floor = None if smin is None else 1.0 / (1.0 / smin + fnorm(Z1) * fnorm(Z2))
+    return assembled_system(cls, sys.A1 - eps * A1Z1 @ R,
+                            M - eps * (M @ Z1) @ R, floor), Z1, Z2, ell
 
 
 def _finish(problem, S1, X1t, S1t, attempt):

@@ -14,7 +14,8 @@ SINGULAR_RTOL unless named otherwise) or by a construction that bounds the
 condition number:
 
 - forward.companion: A1*, of order n; PalindromicSystem gates A1, whose
-  singular values A1* shares.
+  singular values A1* shares, or certifies an updated A1 above A1_WARN_RTOL
+  by the Woodbury floor on its sigma_min (mup.low_rank_update).
 - structfact._isometry: I - K with ||K||_F = 1/2, so sigma(I - K) lies in
   [1/2, 3/2].
 - IepProblem: T1, gated just before the solve.
@@ -43,7 +44,7 @@ from .errors import ConvergenceFailure, DimensionMismatch, SingularMatrix
 
 # Singularity and rank.
 SINGULAR_RTOL = 1e-12  # sv_ratio at or below which a matrix to be inverted is singular
-A1_WARN_RTOL = 1e-8  # sv_ratio of A1 below which a system warns that it is nearly singular
+A1_WARN_RTOL = 1e-8  # sv_ratio of A1 at or below which a system warns; a certified A1 clears it
 NONSINGULAR_RTOL = 1e-8  # sv_ratio a drawn or solved parameter matrix S must exceed
 RANK_RTOL = 1e-10  # singular values or |eigenvalues| this small against the largest are zero
 # Structure: a relative defect under which a matrix has its claimed form.
@@ -102,21 +103,18 @@ def unit_columns(X, T):
 
 
 def two_norm(a):
-    a = np.asarray(a)
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.norm(a, 2)) if np.size(a) else 0.0
+
+
+def sv_min_ratio(a):
+    """(sigma_min, sigma_min / sigma_max), (0.0, 0.0) for an empty or zero matrix."""
+    s = np.linalg.svd(a, compute_uv=False) if np.size(a) else np.zeros(1)
+    return (float(s[-1]), float(s[-1] / s[0])) if s[0] else (0.0, 0.0)
 
 
 def sv_ratio(a):
     """sigma_min / sigma_max, or 0.0 for an empty or zero matrix."""
-    a = np.asarray(a)
-    if a.size == 0:
-        return 0.0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[0] == 0.0:
-        return 0.0
-    return float(s[-1] / s[0])
+    return sv_min_ratio(a)[1]
 
 
 def linear_solve(A, B):

@@ -130,18 +130,19 @@ def _singular_values(S):
     return np.linalg.svd(S, compute_uv=False)
 
 
-def _spectral_sums(blocks, star):
+def _spectral_sums(blocks, star, svals=None):
     """G = sum X_b T_b^{-1} S_b X_b* and H = sum X_b T_b^{-2} S_b X_b* over
     blocks (X_b, T_b, S_b).  A diagonal T_b divides exactly; a unit-monomial
-    S_b (Omega) takes T_b^{-1} S_b = S_b T_b*, which S_b = T_b S_b T_b*
-    gives; other T_b are LU-solved."""
+    S_b (Omega; svals[b] are S_b's singular values, if known) takes
+    T_b^{-1} S_b = S_b T_b*, which S_b = T_b S_b T_b* gives; other T_b are
+    LU-solved."""
     G = H = 0
-    for X, T, S in blocks:
+    for b, (X, T, S) in enumerate(blocks):
         d = np.diagonal(T)
         if d.all() and np.count_nonzero(T) == len(d):
             TinvS = S / d[:, None]
             XTinvS, XT2invS = X @ TinvS, X @ (TinvS / d[:, None])
-        elif (_singular_values(S) == 1).all():
+        elif ((_singular_values(S) if svals is None else svals[b]) == 1).all():
             XTinvS = X @ S @ star(T)
             XT2invS = XTinvS @ star(T)
         else:
@@ -154,11 +155,12 @@ def _spectral_sums(blocks, star):
 def _coefficients_from_blocks(blocks, cls):
     """coefficients_from_pair of the block-diagonal (X, T, S) of blocks
     (X_b, T_b, S_b), X = [X_1, X_2, ...], without forming T or S."""
-    s = np.concatenate([_singular_values(S) for _, _, S in blocks])  # sigma(S)
+    svals = [_singular_values(S) for _, _, S in blocks]
+    s = np.concatenate(svals)  # sigma(S)
     if not s.size or s.min() <= SINGULAR_RTOL * s.max():
         raise SingularMatrix("S must be nonsingular")
     _check_membership(blocks, cls)
-    G, H = _spectral_sums(blocks, cls.star_of)
+    G, H = _spectral_sums(blocks, cls.star_of, svals)
     if sv_ratio(G) <= SINGULAR_RTOL:
         raise SingularLeadingBlock(
             "X T^{-1} S X* is numerically singular; no regular solution")

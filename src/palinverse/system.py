@@ -6,13 +6,13 @@ an A0 that is not eps-(anti)symmetric within tolerance is rejected.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, SingularMatrix, SymmetryViolation
 from .numerics import (A0_SYMMETRY_RTOL, A1_WARN_RTOL, NORM_FLOOR, SINGULAR_RTOL,
-                       as_matrix, fnorm, sv_ratio)
+                       as_matrix, fnorm, sv_min_ratio)
 
 _CODES = {("T", 1): "tp", ("T", -1): "ta", ("H", 1): "hp", ("H", -1): "ha"}
 _NAMES = {
@@ -84,18 +84,22 @@ class PalindromicSystem:
 
     A1 and A0 are private copies of the input and read-only after
     validation: an in-place write raises ValueError.  A different system
-    is built as a new PalindromicSystem.
+    is built as a new PalindromicSystem.  Validation records sigma_min(A1)
+    from its SVD, or a certified floor on it (see assembled_system).
     """
 
     cls: SymmetryClass
     A1: np.ndarray
     A0: np.ndarray
+    _: KW_ONLY
+    _a1_floor: InitVar[float] = None
     a0_defect: float = field(default=0.0, init=False, repr=False)
     # (A1, A0, values) of the last eigensolve; see forward.eigenvalues.
-    _eigenvalues: tuple = field(default=None, init=False, repr=False,
-                                compare=False)
+    _eigenvalues: tuple = field(default=None, init=False, repr=False, compare=False)
+    # (A1, sigma_min(A1) or a floor on it); see _recorded.
+    _a1_sigma_min: tuple = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, _a1_floor):
         self.A1 = as_matrix(self.A1, "A1")
         self.A0 = as_matrix(self.A0, "A0")
         n = self.A1.shape[0]
@@ -112,16 +116,20 @@ class PalindromicSystem:
             raise SymmetryViolation(
                 f"A0 symmetry violation: ||A0* - eps A0|| = {defect:.3e} "
                 f"exceeds {A0_SYMMETRY_RTOL:.0e} * max(||A0||, ||A1||)")
-        ratio = sv_ratio(self.A1)
-        if ratio <= SINGULAR_RTOL:
-            raise SingularMatrix(
-                f"A1 is numerically singular (sigma_min/sigma_max = {ratio:.3e})")
-        if ratio <= A1_WARN_RTOL:
-            warnings.warn(
-                f"A1 is nearly singular (sigma_min/sigma_max = {ratio:.3e}); "
-                "results may be inaccurate", stacklevel=2)
+        if _a1_floor is not None and _a1_floor > A1_WARN_RTOL * fnorm(self.A1):
+            smin = _a1_floor  # sigma_max(A1) <= ||A1||_F
+        else:
+            smin, ratio = sv_min_ratio(self.A1)
+            if ratio <= SINGULAR_RTOL:
+                raise SingularMatrix(
+                    f"A1 is numerically singular (sigma_min/sigma_max = {ratio:.3e})")
+            if ratio <= A1_WARN_RTOL:
+                warnings.warn(
+                    f"A1 is nearly singular (sigma_min/sigma_max = {ratio:.3e}); "
+                    "results may be inaccurate", stacklevel=2)
         self.A1.flags.writeable = False
         self.A0.flags.writeable = False
+        self._a1_sigma_min = (self.A1, smin)
 
     @property
     def n(self):
@@ -132,18 +140,29 @@ class PalindromicSystem:
         return fnorm(self.cls.star_of(self.A0) - self.cls.epsilon * self.A0)
 
 
-def assembled_system(cls, A1, A0):
+def _recorded(sys, memo):
+    """memo[-1] while memo[:-1] are still the read-only (A1, A0) of sys it came
+    from, else None; a write between two flips of the flag goes unseen."""
+    live = memo is not None and all(a is b and not b.flags.writeable
+                                    for a, b in zip(memo[:-1], (sys.A1, sys.A0)))
+    return memo[-1] if live else None
+
+
+def assembled_system(cls, A1, A0, a1_floor=None):
     """System from assembled coefficients, A0 taken as its structured part.
 
     Assembly formulas give star(A0) = eps A0 only in exact arithmetic, with
     a roundoff defect that grows with their conditioning.  The structured
     part (A0 + eps A0*)/2 satisfies it exactly; the relative defect
     ||A0* - eps A0|| / max(||A0||, ||A1||) it removes is kept as a0_defect.
+    A floor a1_floor <= sigma_min(A1) with a1_floor / ||A1||_F > A1_WARN_RTOL
+    passes both A1 gates (sigma_max <= ||A1||_F) without the validation SVD.
     """
     A0_star = cls.star_of(A0)
     defect = fnorm(A0_star - cls.epsilon * A0) \
         / max(fnorm(A0), fnorm(A1), NORM_FLOOR)
-    sys = PalindromicSystem(cls, A1, (A0 + cls.epsilon * A0_star) / 2.0)
+    sys = PalindromicSystem(cls, A1, (A0 + cls.epsilon * A0_star) / 2.0,
+                            _a1_floor=a1_floor)
     sys.a0_defect = defect
     return sys
 
@@ -179,6 +198,4 @@ def pair_residual(sys, pair):
     na1, na0 = fnorm(sys.A1), fnorm(sys.A0)
     nx, nt = fnorm(X), fnorm(T)
     denom = na1 * nx * nt * nt + na0 * nx * nt + na1 * nx
-    if denom == 0.0:
-        return 0.0
-    return fnorm(R) / denom
+    return fnorm(R) / denom if denom else 0.0

@@ -15,8 +15,8 @@ from palinverse.mup import (MupProblem, MupResult, low_rank_update,
                             update_model_prescribed, update_model_result)
 from palinverse.numerics import PAIR_RESIDUAL_GATE, fnorm, invert
 from palinverse.spectral import compute_S1, parameter_from_pair
-from palinverse.system import (HP, TA, TP, PalindromicSystem, eval_Q,
-                               pair_residual)
+from palinverse.system import (ALL_CLASSES, HA, HP, TA, TP, PalindromicSystem,
+                               eval_Q, pair_residual)
 from reference_problems import update_fixture
 
 
@@ -403,12 +403,26 @@ def test_free_update_seeded_runs_repeat(code, k):
     assert a.a0_defect == b.a0_defect == a.system.a0_defect > 0.0
 
 
-@pytest.mark.parametrize("modulus", [3000.0, 1 / 3000.0])
-@pytest.mark.parametrize("cls", [TP, HP], ids=lambda c: c.code)
-def test_free_update_to_large_modulus(cls, modulus):
+def _large_modulus_cases():
+    for n in (8, 48):
+        for cls in ALL_CLASSES:
+            for modulus in (3000.0, 1 / 3000.0):
+                marks = ()
+                if (cls, n, modulus) == (HA, 8, 3000.0):
+                    marks = pytest.mark.xfail(strict=True, reason=(
+                        "kept-pair residual 3e-8 above PAIR_RESIDUAL_GATE: the "
+                        "T^-2 term of the A0 assembly cancels ~modulus^2 of its "
+                        "digits (ROADMAP item 1)"))
+                suffix = "" if n == 8 else f"-n{n}"
+                yield pytest.param(cls, modulus, n, marks=marks,
+                                   id=f"{cls.code}-{modulus}{suffix}")
+
+
+@pytest.mark.parametrize("cls,modulus,n", _large_modulus_cases())
+def test_free_update_to_large_modulus(cls, modulus, n):
     # The new T1 and its square are diagonal with condition modulus^4
     # (8e13); they are divided exactly, never refused as singular.
-    sys = random_system(cls, 8, 3)
+    sys = random_system(cls, n, 3)
     e = eig_full(sys)
     i = next(i for i in np.argsort(-np.abs(e.values))
              if abs(abs(e.values[i]) - 1.0) > 0.05)
@@ -482,31 +496,126 @@ def test_low_rank_factors_match_order_n_change(code, k):
         assert fnorm(res.Z1 @ sys.cls.star_of(res.Z2) - D1) <= 1e-10 * fnorm(D1)
 
 
+class _Logged(np.ndarray):
+    """An array whose matrix products, and those of every array computed
+    from it, append (rows, inner, columns) to _Logged.log."""
+
+    log = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        plain = [x.view(np.ndarray) if isinstance(x, _Logged) else x for x in inputs]
+        if ufunc is np.matmul and all(np.ndim(x) == 2 for x in plain):
+            _Logged.log.append(plain[0].shape + plain[1].shape[1:])
+        out = getattr(ufunc, method)(*plain, **kwargs)
+        return out.view(_Logged) if isinstance(out, np.ndarray) else out
+
+
+def _log_decompositions(monkeypatch, order):
+    """(name, input) of every SVD or eigensolve of order above `order`
+    from now on."""
+    logged = []
+    for name in ("svd", "eigh", "eig", "eigvals"):
+        def recording(a, *args, _name=name, _decompose=getattr(np.linalg, name),
+                      **kwargs):
+            if max(np.shape(a)) > order:
+                logged.append((_name, np.array(a)))
+            return _decompose(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recording)
+    return logged
+
+
+def _log_products(monkeypatch, sys):
+    """(rows, inner, columns) of every matrix product an update of sys
+    forms from now on from its coefficients.  They become views that log
+    their products; the sigma_min record moves onto the new A1."""
+    monkeypatch.setattr(_Logged, "log", [])
+    smin = sys._a1_sigma_min[1]
+    sys.A1, sys.A0 = sys.A1.view(_Logged), sys.A0.view(_Logged)
+    sys._a1_sigma_min = (sys.A1, smin)
+    return _Logged.log
+
+
 @pytest.mark.parametrize("k", [2, 8])
 @pytest.mark.parametrize("code", ["tp", "ta", "hp", "ha"])
 def test_update_decomposes_nothing_of_order_n_but_the_new_a1(code, k, monkeypatch):
-    # Every rank-2k product is decomposed in range coordinates, so past
-    # the problem's checks an update at n = 48 runs no SVD or Hermitian
-    # eigensolve of order above 2k, except the sigma-ratio gate of the
-    # new A1 in PalindromicSystem.  The transfer constraint is a real
-    # system of 2 k^2 rows (not 2 n^2) over at most 2k unknowns.
+    # Every rank-2k product is decomposed in range coordinates, and the new
+    # A1 is certified nonsingular by its Woodbury floor, so past the
+    # problem's checks an update at n = 48 runs no SVD or eigensolve of
+    # order above 2k, not even the sigma-ratio gate of the new A1, and
+    # multiplies no two matrices all of whose dimensions exceed 2k.  The
+    # transfer constraint is a real system of 2 k^2 rows (not 2 n^2) over
+    # at most 2k unknowns.
     sys, X1, T1, T1_new = _random_update_case(code, k)
     free_problem = MupProblem(sys, X1, T1, T1_new, seed=3)
-    inputs = []
-    for name in ("svd", "eigh"):
-        def recording(a, *args, _decompose=getattr(np.linalg, name), **kwargs):
-            inputs.append(np.array(a))
-            return _decompose(a, *args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, recording)
+    decomposed = _log_decompositions(monkeypatch, 2 * k)
+    products = _log_products(monkeypatch, sys)
+
+    def order_n_products():
+        return [dims for dims in products if min(dims) > 2 * k]
 
     free = update_model_result(free_problem)
-    large = [a for a in inputs if max(a.shape) > 2 * k]
-    assert len(large) == 1 and np.array_equal(large[0], free.system.A1)
+    assert decomposed == [] and products and order_n_products() == []
 
     prescribed_problem = MupProblem(sys, X1, T1, T1_new, X1_new=free.X1_new, seed=4)
-    inputs.clear()
-    prescribed = update_model_result(prescribed_problem)
-    transfer, gate = [a for a in inputs if max(a.shape) > 2 * k]
-    assert transfer.dtype == np.float64
+    decomposed.clear()
+    products.clear()
+    update_model_result(prescribed_problem)
+    ((name, transfer),) = decomposed
+    assert name == "svd" and transfer.dtype == np.float64
     assert transfer.shape[0] == 2 * k * k and transfer.shape[1] <= 2 * k
-    assert np.array_equal(gate, prescribed.system.A1)
+    assert order_n_products() == []
+
+
+def _farthest_pair(e):
+    """(X1, T1) of the reciprocal pair of e farthest from the unit circle."""
+    i = next(i for i in np.argsort(-np.abs(np.log(np.abs(e.values))))
+             if e.partner_index(i) != i)
+    return select_pairs(e, [e.values[i], e.values[e.partner_index(i)]])[:2]
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_chained_updates_stay_certified(cls, monkeypatch):
+    # Five free updates in a row (k = 2), each replacing the pair farthest
+    # from the unit circle: the base system's validation is the only SVD
+    # of order above 2k, and every child records a floor on sigma_min(A1)
+    # that the true value respects.
+    sys = random_system(cls, 48, 7)
+    svd = np.linalg.svd
+    decomposed = _log_decompositions(monkeypatch, 4)
+    for step in range(5):
+        X1, T1 = _farthest_pair(eig_full(sys))
+        mu = (0.3 + 0.05 * step) * np.exp(1j * (0.4 + step))
+        T1_new = np.diag([mu, 1 / cls.star_scalar(mu)])
+        sys = update_model_result(MupProblem(sys, X1, T1, T1_new, seed=step)).system
+        floor = sys._a1_sigma_min[1]
+        assert 0.0 < floor <= svd(sys.A1, compute_uv=False)[-1]
+    assert [a.shape for name, a in decomposed if name == "svd"] == []
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_update_of_a_nearly_singular_a1_runs_the_svd(cls, monkeypatch):
+    # sigma_min / sigma_max of the base A1 is 1e-9, so it warns, and the
+    # floor of the new A1 cannot certify it past A1_WARN_RTOL: validation
+    # runs its order-n SVD and warns with the ratio it computes.  The
+    # scalar block (A1 entry s, A0 entry 0) has eigenvalues +-1 or +-i and
+    # is untouched by an update of the order-7 block.
+    block = random_system(cls, 7, 3)
+    A1 = np.zeros((8, 8), dtype=complex)
+    A0 = np.zeros((8, 8), dtype=complex)
+    A1[:7, :7], A0[:7, :7] = block.A1, block.A0
+    A1[7, 7] = 1e-9 * np.linalg.norm(block.A1, 2)
+    with pytest.warns(UserWarning, match="nearly singular"):
+        sys = PalindromicSystem(cls, A1, A0)
+    X1, T1 = _farthest_pair(eig_full(sys))
+    mu = 0.5 * np.exp(0.7j)
+    problem = MupProblem(sys, X1, T1, np.diag([mu, 1 / cls.star_scalar(mu)]), seed=0)
+    decomposed = _log_decompositions(monkeypatch, 4)
+    with pytest.warns(UserWarning, match="nearly singular") as caught:
+        res = update_model_result(problem)
+    ((name, A1_new),) = decomposed
+    assert name == "svd" and np.array_equal(A1_new, res.system.A1)
+    s = np.linalg.svd(A1_new, compute_uv=False)
+    assert [str(w.message) for w in caught] == [
+        f"A1 is nearly singular (sigma_min/sigma_max = {s[-1] / s[0]:.3e}); "
+        "results may be inaccurate"]
+    assert res.system._a1_sigma_min[1] == s[-1]

@@ -274,3 +274,26 @@ def test_update_equals_fresh_assembly(cls):
             [(res.X1_new, T1_new, res.S1_new), kept], cls)
         for got, want in [(res.system.A1, fresh.A1), (res.system.A0, fresh.A0)]:
             assert fnorm(got - want) <= 1e-10 * fnorm(want)
+
+
+def test_block_singular_values_decided_once(monkeypatch):
+    # A Jordan T1 is LU-solved unless its S1 is unit-monomial; that route is
+    # decided on the singular values the S gate already computed, so each
+    # block (S1 and the canonical remaining block) is decomposed once.
+    from helpers import jordan_matrix
+    from palinverse import spectral
+    from palinverse.iep import IepProblem, solve_iep_partial_result
+
+    lam = 0.5 + 0.3j
+    X1 = random_complex(np.random.default_rng(1), 6, 4)
+    calls, singular_values = [], spectral._singular_values
+
+    def counted(S):
+        calls.append(S.shape)
+        return singular_values(S)
+
+    monkeypatch.setattr(spectral, "_singular_values", counted)
+    res = solve_iep_partial_result(
+        IepProblem(TA, X1, jordan_matrix([lam, 1 / lam], [2, 2]), seed=0))
+    assert res.attempts == 1
+    assert calls == [(4, 4), (8, 8)]
