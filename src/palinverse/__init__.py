@@ -21,7 +21,7 @@ _EXPORTS = {
     "numerics": ("dense_eig", "linear_solve", "rank_factorize"),
     "structfact": ("DeltaPattern", "StarFactorization", "build_delta",
                    "star_factorize"),
-    "paramspace": ("SBasis", "pascal_matrix", "pascal_scaling", "s_basis",
+    "paramspace": ("pascal_matrix", "pascal_scaling", "s_basis",
                    "sample_nonsingular"),
     "spectral": ("coefficients_from_pair", "compute_S1", "parameter_from_pair"),
     "forward": ("EigenPairSet", "eig_full", "select_pairs"),

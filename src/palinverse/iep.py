@@ -27,7 +27,7 @@ from .forward import _coincide, _group_values, _semisimple_bound, _unit_parity
 from .numerics import (COINCIDE_RTOL, NORM_FLOOR, OUTPUT_RESIDUAL_TOL, PATTERN_RTOL,
                        RANK_RTOL, SINGULAR_RTOL, as_matrix, fnorm, solve_right,
                        sv_ratio, unit_columns)
-from .paramspace import (SBasis, s_basis, sample_nonsingular, solution_space)
+from .paramspace import s_basis, sample_nonsingular, solution_space
 from .spectral import _coefficients_from_blocks, coefficients_from_pair
 from .structfact import _congruence_onto, _snap_isotropy, build_delta, star_factorize
 from .system import pair_residual
@@ -45,9 +45,8 @@ def solve_iep_full(X, T, cls, seed=0):
     if X.shape[1] != T.shape[0] or 2 * X.shape[0] != T.shape[0]:
         raise SingularW("solve_iep_full needs X n-by-2n and T 2n-by-2n")
     X = unit_columns(X, T)
-    basis = SBasis(T, cls, solution_space(T, cls, X))
     try:
-        S = sample_nonsingular(basis, seed)
+        S = sample_nonsingular(solution_space(T, cls, X), seed)
     except NoNonsingularFound as exc:
         raise NoSolution(f"no nonsingular parameter matrix exists: {exc}") from exc
     sys = coefficients_from_pair(X, T, S, cls)

@@ -238,9 +238,9 @@ def update_model_result(problem):
     """
     cls = problem.sys.cls
     S1 = compute_S1(problem.sys, problem.X1, problem.T1)
-    basis = s_basis(problem.T1_new, cls)
     retryable = (XiSingular, ResidualTooLarge, SymmetryViolation)
     if problem.X1_new is None:
+        basis = s_basis(problem.T1_new, cls)
         Q, (P,) = range_coordinates(problem.X1)
         fact = star_factorize(_snap_isotropy(P, S1, cls), cls)
         Y = Q @ fact.Y
@@ -258,7 +258,8 @@ def update_model_result(problem):
         attempts = problem.attempts
     else:
         C = _snap_isotropy(problem.X1, S1, cls)
-        S_part, homogeneous = constrained_family(basis, problem.X1_new, C, cls)
+        S_part, homogeneous = constrained_family(
+            problem.T1_new, cls, problem.X1_new, C)
         rng = np.random.default_rng(problem.seed)
 
         def draw(attempt):

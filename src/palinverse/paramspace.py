@@ -2,16 +2,19 @@
 
 The solution set is a real-linear subspace (conjugations in the star = H
 classes break complex linearity, so everything is handled over real
-coordinates uniformly).  solution_space builds it from the Jordan blocks
-of T: the block of S joining Jordan blocks a and b is nonzero only when
-lam_a lam_b* = 1, and there it is an upper-left Hankel parameter block
-times a constant lower-triangular scaled rotated Pascal matrix.  A
-diagonal T is the case of all 1-by-1 blocks, whose space lives on the
-Stein support {(i, j) : t_i t_j* = 1}.  Any other T goes through its
-eigendecomposition, so a defective T must be given in Jordan form.
+coordinates uniformly), built from the Jordan blocks of T: the block of S
+joining Jordan blocks a and b is nonzero only when lam_a lam_b* = 1, and
+there it is an upper-left Hankel parameter block times a constant
+lower-triangular scaled rotated Pascal matrix.  A diagonal T is the case
+of all 1-by-1 blocks, whose space lives on the Stein support
+{(i, j) : t_i t_j* = 1}.  Any other T goes through its eigendecomposition,
+so a defective T must be given in Jordan form.  One routine, _xsx_solve,
+cuts the space down by X S X* = C: solution_space is its homogeneous view
+(C = 0, as for entire eigendata) and constrained_family its affine view
+(the transfer constraint of a prescribed update).  A basis is a plain
+(d, m, m) array.
 """
 
-from dataclasses import dataclass, field
 from math import comb
 
 import numpy as np
@@ -21,7 +24,6 @@ from .errors import (DefectiveSpectrum, DimensionMismatch, Inconsistent,
 from .numerics import (CONSISTENCY_RTOL, JORDAN_JOIN_ATOL, NONSINGULAR_RTOL,
                        NORM_FLOOR, RANK_RTOL, SINGULAR_RTOL, ZERO_ATOL, as_matrix,
                        dense_eig, fnorm, range_coordinates, sv_ratio)
-from .system import SymmetryClass
 
 SAMPLE_ATTEMPTS = 50
 
@@ -108,7 +110,7 @@ def _stein_support(starts, sizes, values, cls):
     eps = cls.epsilon
     star = (lambda z: z) if cls.star == "T" else np.conj
     P = values[:, None] * star(values)[None, :]
-    free = np.abs(P - 1.0) <= RANK_RTOL * max(1.0, float(np.abs(P).max()))
+    free = np.abs(P - 1.0) <= RANK_RTOL * np.abs(P).max(initial=1.0)
     bp, bq = np.nonzero(np.triu(free))
     single = sizes == 1
     unit = single[bp] & single[bq]
@@ -143,16 +145,64 @@ def _stein_support(starts, sizes, values, cls):
             np.concatenate(b).astype(np.complex128))
 
 
-def _jordan_space(starts, sizes, values, cls, X):
-    """solution_space for T in Jordan form: the structural elements of
-    _stein_support, cut down to the null space of S -> X S X* over their
-    coefficients.  Returns the elements stacked in one array."""
-    m = int(sizes.sum())
-    K, I, J, a, b = _stein_support(starts, sizes, values, cls)
+def _xsx_solve(T, cls, X=None, C=None):
+    """The one solve of X S X* = C over {S : star(S) = -eps S, S = T S T*}.
+
+    The Stein support comes from the Jordan form of T, a diagonal T
+    included; any other T = V D V^-1 is solved as (X V, D), mapped back as
+    V S V* and projected onto (B - eps B*) / 2.  DefectiveSpectrum is
+    raised when sv_ratio(V) <= u / RANK_RTOL (about 2.2e-6).  One thin SVD
+    of the sparse images X E X* of the structural elements E decides their
+    rank against RANK_RTOL ||X||_F^2, the largest value X S X* takes on a
+    unit S.  Without C the rows are those of X; with C, those of P = Q^H X
+    in the coordinates Q of range(X), which keep the singular values of
+    the map, and Inconsistent is raised when star(C) = -eps C fails or the
+    least-squares residual, the part of C outside range(Q) included,
+    exceeds CONSISTENCY_RTOL ||C||.  Returns (particular, elements): the
+    minimum-norm solution (None without C) and the null directions,
+    stacked in one (d, m, m) array.
+    """
+    T = as_matrix(T, "T")
+    m = T.shape[0]
+    star = cls.star_of
+    if X is not None:
+        X = as_matrix(X, "X")
+        if X.shape[1] != m:
+            raise DimensionMismatch(f"X has {X.shape[1]} columns, expected {m}")
+    if C is not None:
+        C = as_matrix(C, "C")
+        n = X.shape[0]
+        if C.shape != (n, n):
+            raise DimensionMismatch(f"C has shape {C.shape}, expected ({n}, {n})")
+        defect = fnorm(star(C) + cls.epsilon * C)
+        if defect > CONSISTENCY_RTOL * max(fnorm(C), NORM_FLOOR):
+            raise Inconsistent("right-hand side C must satisfy star(C) = -eps C")
+    blocks, V = _jordan_blocks(T), None
+    if blocks is None:
+        w, V = dense_eig(T)
+        # Roundoff moves the eigenvalues by up to about u ||T|| / sv_ratio(V);
+        # past RANK_RTOL the Stein support can no longer be read off them.
+        # (A defective T gives sv_ratio(V) ~ sqrt(u) ~ 1e-8 for 2-by-2 blocks.)
+        ratio = sv_ratio(V)
+        if ratio <= np.finfo(float).eps / RANK_RTOL:
+            raise DefectiveSpectrum(
+                f"T is defective or nearly so (eigenvector sigma ratio "
+                f"{ratio:.3e}); give a defective T in Jordan form")
+        blocks = np.arange(m), np.ones(m, dtype=int), w
+        X = None if X is None else X @ V
+    K, I, J, a, b = _stein_support(*blocks, cls)
     n_el = int(K[-1]) + 1 if K.size else 0
     coeffs = np.eye(n_el)
-    if X is not None and n_el:
-        # Image X E_k X* of each element, as real columns of the map.
+    if C is not None and n_el == 0:
+        if fnorm(C) > ZERO_ATOL:
+            raise Inconsistent("parameter space is trivial but C != 0")
+        coeffs = np.zeros((1, 0))
+    elif X is not None and n_el:
+        if C is not None:
+            Q, (X,) = range_coordinates(X)
+            core = Q.conj().T @ C @ star(Q.conj().T)
+        # Image X E_k X* of each element, as real columns of the map; its
+        # rows are row-major, and so is the right-hand side.
         Y = X if cls.star == "T" else np.conj(X)
         img = np.einsum("pk,qk->kpq", X[:, I] * a, Y[:, J]) \
             + np.einsum("pk,qk->kpq", X[:, J] * b, Y[:, I])
@@ -161,93 +211,50 @@ def _jordan_space(starts, sizes, values, cls, X):
             img = np.add.reduceat(img, np.searchsorted(K, np.arange(n_el)))
         img = img.reshape(n_el, -1)
         A = np.vstack([img.real.T, img.imag.T])
-        _, _, vt, rank = _svd_null(A, RANK_RTOL * fnorm(X) ** 2)
+        u, s, vt, rank = _svd_null(A, RANK_RTOL * fnorm(X) ** 2)
         coeffs = vt[rank:]
+        if C is not None:
+            rhs = _rvec(core.T)
+            part = vt[:rank].T @ ((u[:, :rank].T @ rhs) / s[:rank])
+            # The two parts of the residual are orthogonal: inside range(Q)
+            # and the part of C that no X S X* can reach.
+            resid = np.hypot(np.linalg.norm(A @ part - rhs),
+                             fnorm(C - Q @ core @ star(Q)))
+            if resid > CONSISTENCY_RTOL * max(fnorm(C), NORM_FLOOR):
+                raise Inconsistent(
+                    f"no S solves X S X* = C (residual {resid:.3e} "
+                    f"vs ||C|| {fnorm(C):.3e})")
+            coeffs = np.vstack([part, coeffs])
     S = np.zeros((coeffs.shape[0], m, m), dtype=np.complex128)
     np.add.at(S, (slice(None), I, J), coeffs[:, K] * a)
     np.add.at(S, (slice(None), J, I), coeffs[:, K] * b)
-    return S
+    if V is not None:
+        S = V @ S @ star(V)
+        St = np.swapaxes(S, 1, 2)
+        S = (S - cls.epsilon * (St if cls.star == "T" else St.conj())) / 2.0
+    return (None, S) if C is None else (S[0], S[1:])
 
 
 def solution_space(T, cls, X=None):
-    """Real basis of {S : star(S) = -eps S, S = T S T*, (X S X* = 0)}.
-
-    Returns a list of m-by-m complex matrices, each exactly
-    (anti)symmetric.  T in Jordan form, a diagonal T included, is solved
-    block by block (_stein_support): one real unknown per structural
-    element, about 2m of them when the eigenvalues are distinct, and
-    X S X* = 0 is a thin SVD over those (O(n^4) for X n-by-m).  Any other
-    T goes through its eigendecomposition T = V D V^-1: the space of
-    (X V, D) is mapped back as V S V* and projected onto the exact
-    structure (B - eps B*) / 2.  DefectiveSpectrum is raised when
-    sv_ratio(V) <= u / RANK_RTOL (about 2.2e-6): a defective T must be
-    given in Jordan form.  The elements are orthonormal as real vectors
-    for a diagonal T and of unit norm for larger Jordan blocks without X;
-    mapped back through V they are neither.  With X, rank decisions
-    compare against RANK_RTOL ||X||_F^2, the largest value X S X*
-    can take on a unit S.
-    """
-    T = as_matrix(T, "T")
-    m = T.shape[0]
-    if m == 0:
-        return []
-    if X is not None:
-        X = as_matrix(X, "X")
-        if X.shape[1] != m:
-            raise DimensionMismatch(f"X has {X.shape[1]} columns, expected {m}")
-    blocks = _jordan_blocks(T)
-    if blocks is not None:
-        return list(_jordan_space(*blocks, cls, X))
-    w, V = dense_eig(T)
-    # Roundoff moves the eigenvalues by up to about u ||T|| / sv_ratio(V);
-    # past RANK_RTOL the Stein support can no longer be read off them.
-    # (A defective T gives sv_ratio(V) ~ sqrt(u) ~ 1e-8 for 2-by-2 blocks.)
-    ratio = sv_ratio(V)
-    if ratio <= np.finfo(float).eps / RANK_RTOL:
-        raise DefectiveSpectrum(
-            f"T is defective or nearly so (eigenvector sigma ratio "
-            f"{ratio:.3e}); give a defective T in Jordan form")
-    S = _jordan_space(np.arange(m), np.ones(m, dtype=int), w, cls,
-                      None if X is None else X @ V)
-    S = V @ S @ cls.star_of(V)
-    St = np.swapaxes(S, 1, 2)
-    return list((S - cls.epsilon * (St if cls.star == "T" else St.conj())) / 2.0)
+    """Real basis of {S : star(S) = -eps S, S = T S T*, (X S X* = 0)}: the
+    homogeneous view of _xsx_solve, a (d, m, m) array of exactly
+    (anti)symmetric elements, orthonormal as real vectors for a diagonal T
+    and of unit norm for larger Jordan blocks without X.  About 2m real
+    unknowns when the eigenvalues are distinct: O(n^4) for X n-by-m."""
+    return _xsx_solve(T, cls, X)[1]
 
 
-@dataclass
-class SBasis:
-    """A real basis of a parameter-matrix space attached to an ambient T.
-
-    dim counts real degrees of freedom.  For star = T the space is also
-    complex-linear, so the real dimension is twice the complex one; the
-    basis is a real basis either way.
-    """
-
-    T: np.ndarray
-    cls: SymmetryClass
-    basis: list = field(default_factory=list)
-
-    @property
-    def dim(self):
-        return len(self.basis)
-
-    def combine(self, coeffs):
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (self.dim,):
-            raise DimensionMismatch(f"expected {self.dim} coefficients")
-        m = self.T.shape[0]
-        S = np.zeros((m, m), dtype=np.complex128)
-        for c, B in zip(coeffs, self.basis):
-            S += c * B
-        return S
-
-
-def s_basis(T, cls):
-    """Real basis of the space {S : star(S) = -eps S, S = T S T*}."""
+def _nonsingular(T):
     T = as_matrix(T, "T")
     if T.size and sv_ratio(T) <= SINGULAR_RTOL:
         raise SingularMatrix("T must be nonsingular")
-    return SBasis(T, cls, solution_space(T, cls))
+    return T
+
+
+def s_basis(T, cls):
+    """solution_space(T, cls) of a nonsingular T.  Its length counts real
+    degrees of freedom: twice the complex dimension for star = T."""
+    return solution_space(_nonsingular(T), cls)
 
 
 # ---------------------------------------------------------------------------
@@ -310,18 +317,19 @@ def _block_family(lam, p, q):
 # ---------------------------------------------------------------------------
 
 def sample_nonsingular(basis, seed):
-    """Draw S = sum_i c_i B_i with seeded normal coefficients until
-    sv_ratio(S) > NONSINGULAR_RTOL, at most SAMPLE_ATTEMPTS times.
+    """Draw S = sum_i c_i B_i over a basis array with seeded normal
+    coefficients until sv_ratio(S) > NONSINGULAR_RTOL, at most
+    SAMPLE_ATTEMPTS times.
 
     Raises NoNonsingularFound when every draw fails, which signals that the
     space may contain no nonsingular element at all.
     """
-    if basis.dim == 0:
+    if len(basis) == 0:
         raise NoNonsingularFound("parameter space is trivial")
     rng = np.random.default_rng(seed)
     best = 0.0
     for _ in range(SAMPLE_ATTEMPTS):
-        S = basis.combine(rng.standard_normal(basis.dim))
+        S = sum(c * B for c, B in zip(rng.standard_normal(len(basis)), basis))
         ratio = sv_ratio(S)
         if ratio > NONSINGULAR_RTOL:
             return S
@@ -331,44 +339,11 @@ def sample_nonsingular(basis, seed):
         f"(best sigma ratio {best:.3e})")
 
 
-def constrained_family(basis, X, C, cls):
-    """Affine solution set of X S X* = C over span(basis).
-
-    Returns (S_particular, homogeneous) where homogeneous is a list of
-    matrices spanning the null directions.  It is solved in the
-    coordinates Q of range(X) as P S P* = Q^H C star(Q^H), P = Q^H X: one
-    thin SVD of a real 2 min(n, m)^2-row matrix with the singular values
-    of the map S -> X S X*.  Raises Inconsistent when the least-squares
-    residual, the part of C outside range(Q) included, or the defect of
-    star(C) = -eps C exceeds CONSISTENCY_RTOL ||C||.
+def constrained_family(T, cls, X, C):
+    """Affine solution set of X S X* = C over the parameter space of a
+    nonsingular T: the affine view of _xsx_solve, one thin SVD of a real
+    2 min(n, m)^2-row matrix.  Returns (S_particular, homogeneous), the
+    null directions as a list; raises Inconsistent when no S solves it.
     """
-    X = as_matrix(X, "X")
-    C = as_matrix(C, "C")
-    star = cls.star_of
-    defect = fnorm(star(C) + cls.epsilon * C)
-    if defect > CONSISTENCY_RTOL * max(fnorm(C), NORM_FLOOR):
-        raise Inconsistent("right-hand side C must satisfy star(C) = -eps C")
-    if basis.dim == 0:
-        if fnorm(C) <= ZERO_ATOL:
-            m = basis.T.shape[0]
-            return np.zeros((m, m), dtype=np.complex128), []
-        raise Inconsistent("parameter space is trivial but C != 0")
-    Q, (P,) = range_coordinates(X)
-    QH = Q.conj().T
-    C_core = QH @ C @ star(QH)
-    A = np.column_stack([_rvec(P @ B @ star(P)) for B in basis.basis])
-    b = _rvec(C_core)
-    # ||X B X*|| <= ||X||_F^2 ||B||_F bounds every column of A.
-    scale = fnorm(X) ** 2 * max(fnorm(B) for B in basis.basis)
-    u, s, vt, rank = _svd_null(A, RANK_RTOL * scale)
-    coeff = vt[:rank].T @ ((u[:, :rank].T @ b) / s[:rank])
-    # The two parts of the residual are orthogonal: inside range(Q) and
-    # the part of C that no X S X* can reach.
-    resid = np.hypot(np.linalg.norm(A @ coeff - b),
-                     fnorm(C - Q @ C_core @ star(Q)))
-    if resid > CONSISTENCY_RTOL * max(fnorm(C), NORM_FLOOR):
-        raise Inconsistent(
-            f"no S solves X S X* = C (residual {resid:.3e} vs ||C|| {fnorm(C):.3e})")
-    S_part = basis.combine(coeff)
-    homogeneous = [basis.combine(v) for v in vt[rank:]]
-    return S_part, homogeneous
+    S_part, homogeneous = _xsx_solve(_nonsingular(T), cls, X, C)
+    return S_part, list(homogeneous)

@@ -351,9 +351,9 @@ def dense_constrained_family(basis, X, C, cls):
     range(X).  Returns (coeff, null, resid): the minimum-norm coefficient
     vector, the null directions as rows, and the residual norm.
     """
-    A = np.column_stack([_rvec(X @ B @ cls.star_of(X)) for B in basis.basis])
+    A = np.column_stack([_rvec(X @ B @ cls.star_of(X)) for B in basis])
     b = _rvec(C)
-    scale = fnorm(X) ** 2 * max(fnorm(B) for B in basis.basis)
+    scale = fnorm(X) ** 2 * max(fnorm(B) for B in basis)
     u, s, vt = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])
     rank = int(np.count_nonzero(s > RANK_RTOL * scale))
     coeff = vt[:rank].T @ ((u[:, :rank].T @ b) / s[:rank])

@@ -341,7 +341,7 @@ def test_prescribed_all_candidates_singular(monkeypatch):
     problem = _fixture_problem("ta")
     problem = _fixture_problem("ta", X1_new=problem.X1)
     monkeypatch.setattr(mup, "constrained_family",
-                        lambda basis, X, C, cls: (np.zeros_like(C), []))
+                        lambda T, cls, X, C: (np.zeros_like(C), []))
     with pytest.raises(NoNonsingularS1Tilde) as info:
         update_model_result(problem)
     assert info.value.__cause__.reasons == Counter(SingularMatrix=21)

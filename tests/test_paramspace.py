@@ -5,12 +5,12 @@ import scipy.linalg
 from helpers import (dense_constrained_family, jordan_matrix, kronecker_space,
                      planted_direct_sum, random_complex, random_structured,
                      random_system)
-from palinverse.errors import (DefectiveSpectrum, Inconsistent,
-                               NoNonsingularFound)
+from palinverse.errors import (DefectiveSpectrum, DimensionMismatch,
+                               Inconsistent, NoNonsingularFound)
 from palinverse.forward import eig_full
 from palinverse.iep import solve_iep_full
 from palinverse.numerics import fnorm
-from palinverse.paramspace import (SBasis, _rvec, pascal_matrix,
+from palinverse.paramspace import (_rvec, pascal_matrix,
                                    pascal_scaling, s_basis,
                                    sample_nonsingular, constrained_family,
                                    solution_space)
@@ -43,14 +43,14 @@ def _pair_diag(cls, *lams):
 
 
 def test_s_basis_dimensions_simple_cases():
-    assert s_basis(_pair_diag(HP, 1 + 1j), HP).dim == 2
-    assert s_basis(np.diag([1.0, -1.0]), TA).dim == 4
-    assert s_basis(_pair_diag(TP, 2.0), TP).dim == 2
+    assert len(s_basis(_pair_diag(HP, 1 + 1j), HP)) == 2
+    assert len(s_basis(np.diag([1.0, -1.0]), TA)) == 4
+    assert len(s_basis(_pair_diag(TP, 2.0), TP)) == 2
 
 
 def test_s_basis_hp_pair_structure():
     b = s_basis(_pair_diag(HP, 1 + 1j), HP)
-    for B in b.basis:
+    for B in b:
         assert abs(B[0, 0]) < 1e-12 and abs(B[1, 1]) < 1e-12
         assert abs(B[1, 0] + np.conj(B[0, 1])) < 1e-12
 
@@ -60,7 +60,7 @@ def test_s_basis_membership_residuals(cls):
     T = _pair_diag(cls, 0.4 + 0.2j, 1.7 - 0.5j)
     b = s_basis(T, cls)
     nt = fnorm(T)
-    for B in b.basis:
+    for B in b:
         assert fnorm(B + cls.epsilon * cls.star_of(B)) <= 1e-12 * fnorm(B)
         assert fnorm(B - T @ B @ cls.star_of(T)) <= 1e-10 * fnorm(B) * nt * nt
 
@@ -72,10 +72,10 @@ def test_s_basis_real_dim_convention(cls):
     T = _pair_diag(cls, 0.4 + 0.2j, 1.7 - 0.5j)
     b = s_basis(T, cls)
     if cls.star == "T":
-        assert b.dim % 2 == 0
-        A = np.column_stack([_rvec(B) for B in b.basis])
+        assert len(b) % 2 == 0
+        A = np.column_stack([_rvec(B) for B in b])
         q, _ = np.linalg.qr(A)
-        for B in b.basis:
+        for B in b:
             v = _rvec(1j * B)
             assert np.linalg.norm(v - q @ (q.T @ v)) < 1e-8
 
@@ -96,8 +96,8 @@ def test_pjcf_basis_agrees_with_generic_simple(cls):
                        lam2, 1 / cls.star_scalar(lam2)], [1, 1, 1, 1])
     sb = s_basis(T, cls)
     gb = kronecker_space(T, cls)
-    assert sb.dim == len(gb)
-    assert _span_gap(sb.basis, gb) <= 1e-8
+    assert len(sb) == len(gb)
+    assert _span_gap(sb, gb) <= 1e-8
 
 
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
@@ -106,15 +106,15 @@ def test_pjcf_basis_agrees_with_generic_jordan(cls):
     T = jordan_matrix([lam, 1 / cls.star_scalar(lam)], [2, 2])
     sb = s_basis(T, cls)
     gb = kronecker_space(T, cls)
-    assert sb.dim == len(gb) == 4
-    assert _span_gap(sb.basis, gb) <= 1e-8
+    assert len(sb) == len(gb) == 4
+    assert _span_gap(sb, gb) <= 1e-8
 
 
 def test_pjcf_jordan_pair_is_pascal_hankel():
     lam = 0.5 + 0.3j
     sb = s_basis(jordan_matrix([lam, 1 / lam], [2, 2]), TP)
     P = pascal_scaling(2, lam)
-    for B in sb.basis:
+    for B in sb:
         H = B[:2, 2:] @ np.linalg.inv(P)
         # Upper-triangular Hankel: zero below the main anti-diagonal,
         # constant on anti-diagonals.
@@ -128,24 +128,22 @@ def test_pjcf_flags_forced_zero_singletons():
     # there) and free for TA (some element does not).
     T = np.diag([2.0, 0.5, 1.0, -1.0])
     sb = s_basis(T, TP)
-    assert not any(np.any(B[[2, 3], [2, 3]]) for B in sb.basis)
-    assert sb.dim == 2
+    assert not any(np.any(B[[2, 3], [2, 3]]) for B in sb)
+    assert len(sb) == 2
     sb_ta = s_basis(T, TA)
     for slot in (2, 3):
-        assert any(B[slot, slot] != 0 for B in sb_ta.basis)
-    assert sb_ta.dim == 6
+        assert any(B[slot, slot] != 0 for B in sb_ta)
+    assert len(sb_ta) == 6
 
 
 def test_sample_nonsingular_scalar_family():
-    basis = SBasis(np.diag([1.0, -1.0]), TA,
-                   [np.diag([1.0, -1.0]).astype(complex)])
+    basis = np.array([np.diag([1.0, -1.0]).astype(complex)])
     S = sample_nonsingular(basis, seed=0)
     assert np.linalg.cond(S) < 1e8
 
 
 def test_sample_nonsingular_structural_failure():
-    basis = SBasis(np.eye(2, dtype=complex), TA,
-                   [np.diag([1.0, 0.0]).astype(complex)])
+    basis = np.array([np.diag([1.0, 0.0]).astype(complex)])
     with pytest.raises(NoNonsingularFound):
         sample_nonsingular(basis, seed=0)
 
@@ -164,9 +162,9 @@ def test_solve_constrained_plant_and_recover(cls):
     T = _pair_diag(cls, 0.4 + 0.2j, 1.7 - 0.5j)
     b = s_basis(T, cls)
     X = random_complex(rng, 3, 4)
-    S0 = b.combine(rng.standard_normal(b.dim))
+    S0 = sum(c * B for c, B in zip(rng.standard_normal(len(b)), b))
     C = X @ S0 @ cls.star_of(X)
-    S = constrained_family(b, X, C, cls)[0]
+    S = constrained_family(T, cls, X, C)[0]
     assert fnorm(X @ S @ cls.star_of(X) - C) <= 1e-10 * max(fnorm(C), 1e-300)
 
 
@@ -175,17 +173,17 @@ def test_solve_constrained_homogeneous_and_inconsistent():
     T = _pair_diag(TA, 0.4 + 0.2j)
     b = s_basis(T, TA)
     X = random_complex(rng, 2, 2)
-    S, hom = constrained_family(b, X, np.zeros((2, 2)), TA)
+    S, hom = constrained_family(T, TA, X, np.zeros((2, 2)))
     assert fnorm(S) < 1e-10
     # Right-hand side violating the required antisymmetry type:
     bad = np.array([[1.0, 0.0], [0.0, 2.0]])  # symmetric, but C must be too
     C_bad = np.array([[0.0, 1.0], [-1.0, 0.0]])  # skew: wrong type for TA
     with pytest.raises(Inconsistent):
-        constrained_family(b, X, C_bad, TA)[0]
+        constrained_family(T, TA, X, C_bad)[0]
     # Structurally unreachable symmetric right side:
     X1 = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(Inconsistent):
-        constrained_family(b, X1, bad, TA)[0]
+        constrained_family(T, TA, X1, bad)[0]
 
 
 def _span_defect(A, B):
@@ -196,27 +194,42 @@ def _span_defect(A, B):
     return fnorm(B - A @ fit) / fnorm(B)
 
 
+def _family_t(cls, name):
+    """Order-4 T of the constrained-family cases: diagonal with reciprocal
+    pairs or unimodular, a Jordan pair of 2-by-2 blocks, whose elements
+    have several entries, or a dense V D V^-1, solved in the
+    eigen-coordinates."""
+    if name == "unimodular":
+        return np.eye(4)
+    if name == "jordan":
+        lam = 0.5 + 0.3j
+        return jordan_matrix([lam, 1 / cls.star_scalar(lam)], [2, 2])
+    D = _pair_diag(cls, 0.4 + 0.2j, 1.7 - 0.5j)
+    return D if name == "pairs" else _similar(D, seed=34)[0]
+
+
 # X is n-by-m with m = 4: full column rank with m <= n, rank deficient,
 # and m > n, where range(X) is the whole space.
 @pytest.mark.parametrize("n, rank", [(6, 4), (6, 2), (3, 3), (2, 2)],
                          ids=["m<=n", "m<=n-deficient", "m>n", "m=2n"])
-@pytest.mark.parametrize("T", ["pairs", "unimodular"])
+@pytest.mark.parametrize("T", ["pairs", "unimodular", "jordan", "dense"])
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
 def test_constrained_family_matches_order_n_solve(cls, T, n, rank):
     rng = np.random.default_rng(31)
-    T = _pair_diag(cls, 0.4 + 0.2j, 1.7 - 0.5j) if T == "pairs" else np.eye(4)
+    T = _family_t(cls, T)
     b = s_basis(T, cls)
     X = random_complex(rng, n, rank) @ random_complex(rng, rank, 4)
-    C = X @ b.combine(rng.standard_normal(b.dim)) @ cls.star_of(X)
-    S, hom = constrained_family(b, X, C, cls)
+    C = X @ sum(c * B for c, B in zip(rng.standard_normal(len(b)), b)) \
+        @ cls.star_of(X)
+    S, hom = constrained_family(T, cls, X, C)
     coeff, null, resid = dense_constrained_family(b, X, C, cls)
     assert resid <= 1e-10 * fnorm(C)
-    assert fnorm(S - b.combine(coeff)) <= 1e-8 * fnorm(S)
+    assert fnorm(S - sum(c * B for c, B in zip(coeff, b))) <= 1e-8 * fnorm(S)
     # Same null-space dimension and span.
     assert len(hom) == len(null)
     H = np.column_stack([_rvec(h) for h in hom]) if hom else np.zeros((1, 0))
-    R = np.column_stack([_rvec(b.combine(v)) for v in null]) if len(null) \
-        else np.zeros((1, 0))
+    R = np.column_stack([_rvec(sum(c * B for c, B in zip(v, b)))
+                         for v in null]) if len(null) else np.zeros((1, 0))
     assert _span_defect(H, R) <= 1e-8 and _span_defect(R, H) <= 1e-8
 
 
@@ -225,25 +238,36 @@ def test_constrained_family_counts_c_outside_range_of_x(cls):
     # The in-range part of C is consistent; a part outside range(X), which
     # no X S X* can produce, must still count in the residual.
     rng = np.random.default_rng(32)
-    b = s_basis(_pair_diag(cls, 0.4 + 0.2j), cls)
+    T = _pair_diag(cls, 0.4 + 0.2j)
+    b = s_basis(T, cls)
     X = random_complex(rng, 6, 2)
-    inside = X @ b.combine(rng.standard_normal(b.dim)) @ cls.star_of(X)
+    inside = X @ sum(c * B for c, B in zip(rng.standard_normal(len(b)), b)) \
+        @ cls.star_of(X)
     N = np.linalg.qr(X, mode="complete")[0][:, 2:]
     outside = N @ random_structured(rng, cls, 4) @ cls.star_of(N)
     outside *= fnorm(inside) / fnorm(outside)
-    S = constrained_family(b, X, inside, cls)[0]
+    S = constrained_family(T, cls, X, inside)[0]
     assert fnorm(X @ S @ cls.star_of(X) - inside) <= 1e-10 * fnorm(inside)
     with pytest.raises(Inconsistent):
-        constrained_family(b, X, inside + 1e-6 * outside, cls)
+        constrained_family(T, cls, X, inside + 1e-6 * outside)
     # Below the 1e-8 consistency bound the outside part is tolerated.
-    constrained_family(b, X, inside + 1e-10 * outside, cls)
+    constrained_family(T, cls, X, inside + 1e-10 * outside)
+
+
+def test_constrained_family_checks_operand_shapes():
+    T = np.diag([0.5, 2.0, 0.4, 2.5])
+    with pytest.raises(DimensionMismatch, match="X has 5 columns, expected 4"):
+        constrained_family(T, TA, np.ones((3, 5)), np.zeros((3, 3)))
+    with pytest.raises(DimensionMismatch, match=r"C has shape \(4, 4\)"):
+        constrained_family(T, TA, np.ones((3, 4)), np.zeros((4, 4)))
 
 
 def test_constrained_family_trivial_space_returns_m_by_m():
-    b = s_basis(np.diag([1.0, -1.0]), TP)
-    assert b.dim == 0
+    T = np.diag([1.0, -1.0])
+    b = s_basis(T, TP)
+    assert len(b) == 0
     X = random_complex(np.random.default_rng(33), 4, 2)
-    S, hom = constrained_family(b, X, np.zeros((4, 4)), TP)
+    S, hom = constrained_family(T, TP, X, np.zeros((4, 4)))
     assert S.shape == (2, 2) and not S.any()
     assert hom == []
 
@@ -267,8 +291,8 @@ def test_pjcf_basis_geometric_multiplicity_two(cls):
     sb = s_basis(T, cls)
     gb = kronecker_space(T, cls)
     # min-size sums over the 2x2 sub-block grid: 2+1+1+1 parameters.
-    assert sb.dim == len(gb) == 10
-    assert _span_gap(sb.basis, gb) <= 1e-8
+    assert len(sb) == len(gb) == 10
+    assert _span_gap(sb, gb) <= 1e-8
 
 
 def test_pjcf_basis_jordan_singles():
@@ -276,8 +300,8 @@ def test_pjcf_basis_jordan_singles():
         T = jordan_matrix([np.exp(0.6j) if cls.star == "H" else 1.0], [2])
         sb = s_basis(T, cls)
         gb = kronecker_space(T, cls)
-        assert sb.dim == len(gb) == 2
-        assert _span_gap(sb.basis, gb) <= 1e-8
+        assert len(sb) == len(gb) == 2
+        assert _span_gap(sb, gb) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -345,9 +369,9 @@ def test_isotropic_x_keeps_whole_space():
     # decision must not call any of it nonzero.
     cls, T, X = _special_case("tp-isotropic-rank-one")
     b = s_basis(T, cls)
-    assert len(solution_space(T, cls, 1e-6 * X)) == b.dim == 6
-    S, hom = constrained_family(b, 1e-6 * X, np.zeros((3, 3)), cls)
-    assert len(hom) == b.dim
+    assert len(solution_space(T, cls, 1e-6 * X)) == len(b) == 6
+    S, hom = constrained_family(T, cls, 1e-6 * X, np.zeros((3, 3)))
+    assert len(hom) == len(b)
     assert fnorm(S) == 0.0
 
 

@@ -5,8 +5,8 @@ module.  `import palinverse` loads neither numpy nor any submodule, and each
 subcommand loads only the modules it runs.  The CLI must run on numpy alone,
 without importing scipy.  No package module imports a name it never uses,
 only forward decides when two eigenvalues coincide, one function assembles
-the spectral sums, and every float tolerance is defined in the one table of
-numerics."""
+the spectral sums, one function solves X S X* = C over the parameter space,
+and every float tolerance is defined in the one table of numerics."""
 
 import ast
 import importlib
@@ -159,6 +159,47 @@ def test_one_spectral_assembly(monkeypatch):
     X1, T1, _, _ = select_pairs(eig_full(usys), replace)
     res = mup.update_model_result(mup.MupProblem(usys, X1, T1, np.diag(new), seed=1))
     assert (res.attempts, len(calls)) == (1, 2)
+
+
+def test_one_solve_of_the_parameter_space(monkeypatch):
+    # Construction and the prescribed update solve X S X* = C over the
+    # parameter space in paramspace._xsx_solve alone: wrapped wherever a
+    # module binds it, it runs once for a full solve, once for the s_basis
+    # of a partial solve and once for a prescribed update.  It and the
+    # Jordan-block family are the only null-space decisions by SVD.
+    from palinverse import mup, paramspace
+    from palinverse.forward import eig_full, select_pairs
+    from palinverse.iep import IepProblem, solve_iep_full, solve_iep_partial_result
+
+    usys, replace, new = update_fixture("tp")
+    X1, T1, _, _ = select_pairs(eig_full(usys), replace)
+    free = mup.update_model_result(mup.MupProblem(usys, X1, T1, np.diag(new), seed=1))
+    real, calls = paramspace._xsx_solve, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    bindings = []
+    for name in _tracing_module().MODULES:
+        module = importlib.import_module(f"palinverse.{name}")
+        if getattr(module, "_xsx_solve", None) is real:
+            monkeypatch.setattr(module, "_xsx_solve", counted)
+            bindings.append(name)
+    assert bindings == ["paramspace"]
+
+    e = eig_full(usys)
+    solve_iep_full(e.vectors, np.diag(e.values), TP, seed=1)
+    assert len(calls) == 1
+    sol = solve_iep_partial_result(IepProblem(TP, *iep_fixture(TP), seed=1))
+    assert (sol.attempts, len(calls)) == (1, 2)
+    res = mup.update_model_result(mup.MupProblem(
+        usys, X1, T1, np.diag(new), X1_new=free.X1_new, seed=1))
+    assert (res.attempts, len(calls)) == (1, 3)
+    readers = {path.stem: _readers(path.read_text(), "_svd_null")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert {module: names for module, names in readers.items() if names} == \
+        {"paramspace": {"_xsx_solve", "_symmetric_family"}}
 
 
 def test_public_names_resolve():
