@@ -25,8 +25,7 @@ _EXPORTS = {
                    "sample_nonsingular"),
     "spectral": ("coefficients_from_pair", "compute_S1", "parameter_from_pair"),
     "forward": ("EigenPairSet", "eig_full", "select_pairs"),
-    "iep": ("IepProblem", "solve_iep_full", "solve_iep_partial_result",
-            "solve_psi"),
+    "iep": ("IepProblem", "solve_iep_partial_result"),
     "mup": ("MupProblem", "update_model_result"),
     "analysis": ("ZetaPartition", "joint_block_diagonalize",
                  "s_space_dimension", "zeta_partition"),

@@ -63,13 +63,14 @@ def _cluster(values, tol):
     return clusters
 
 
-def zeta_partition(S, S_tilde, cls, tol=ZETA_CLUSTER_RTOL):
+def zeta_partition(S, S_tilde, cls):
     """Partition of n from the eigenvalues of S_tilde S^{-1}.
 
-    Eigenvalues are clustered at relative tolerance tol and grouped into
-    (mu, mu*) pairs of equal multiplicity; a self-paired mu (always, for
-    star = T; real mu for star = H) must have even multiplicity.
-    Violations raise StructureViolation as a numerical red flag.
+    Eigenvalues are clustered at relative tolerance ZETA_CLUSTER_RTOL and
+    grouped into (mu, mu*) pairs of equal multiplicity; a self-paired mu
+    (always, for star = T; real mu for star = H) must have even
+    multiplicity.  Violations raise StructureViolation as a numerical red
+    flag.
     """
     S = as_matrix(S, "S")
     S_tilde = as_matrix(S_tilde, "S_tilde")
@@ -79,7 +80,7 @@ def zeta_partition(S, S_tilde, cls, tol=ZETA_CLUSTER_RTOL):
         raise SingularInput("S and S_tilde must be nonsingular")
     ratio = S_tilde @ invert(S)
     w, _ = dense_eig(ratio)
-    clusters = _cluster(list(w), tol)
+    clusters = _cluster(list(w), ZETA_CLUSTER_RTOL)
     reps = [np.mean([w[i] for i in cl]) for cl in clusters]
     sizes = [len(cl) for cl in clusters]
     consumed = [False] * len(clusters)
@@ -90,7 +91,7 @@ def zeta_partition(S, S_tilde, cls, tol=ZETA_CLUSTER_RTOL):
         consumed[a] = True
         mu = reps[a]
         mu_star = cls.star_scalar(mu)
-        if abs(mu - mu_star) <= tol * max(1.0, abs(mu)):
+        if abs(mu - mu_star) <= ZETA_CLUSTER_RTOL * max(1.0, abs(mu)):
             if sizes[a] % 2 != 0:
                 raise StructureViolation(
                     f"self-paired ratio eigenvalue {mu:.6g} has odd "
@@ -102,7 +103,7 @@ def zeta_partition(S, S_tilde, cls, tol=ZETA_CLUSTER_RTOL):
         partner = None
         for b in range(a + 1, len(clusters)):
             if not consumed[b] and abs(reps[b] - mu_star) <= \
-                    tol * max(1.0, abs(mu_star)):
+                    ZETA_CLUSTER_RTOL * max(1.0, abs(mu_star)):
                 partner = b
                 break
         if partner is None:
@@ -129,7 +130,7 @@ def _offblock_mass(M, sizes):
     return float(np.linalg.norm(M[mask]) / max(fnorm(M), NORM_FLOOR))
 
 
-def joint_block_diagonalize(X, J, S, S_tilde, S_hat, cls, tol=ZETA_CLUSTER_RTOL):
+def joint_block_diagonalize(X, J, S, S_tilde, S_hat, cls):
     """Congruence K splitting every system built over (X, J) jointly.
 
     Computes the ratio partition of (S, S_tilde), eigen-decomposes
@@ -138,7 +139,7 @@ def joint_block_diagonalize(X, J, S, S_tilde, S_hat, cls, tol=ZETA_CLUSTER_RTOL)
     sizes in blocks, Pi is an index permutation grouping the Jordan blocks
     of J conformally, and the same K works for every nonsingular parameter
     choice.  Raises NotJBDiagonalizable when eigenvalue clustering is
-    ambiguous at the requested tolerance.
+    ambiguous at ZETA_CLUSTER_RTOL.
     """
     X = as_matrix(X, "X")
     J = as_matrix(J, "J")
@@ -151,7 +152,7 @@ def joint_block_diagonalize(X, J, S, S_tilde, S_hat, cls, tol=ZETA_CLUSTER_RTOL)
         raise GeomMultViolation(
             f"eigenvalue {values[shared[0, 0]]:.6g} has geometric "
             "multiplicity greater than one")
-    zeta = zeta_partition(S, S_tilde, cls, tol)
+    zeta = zeta_partition(S, S_tilde, cls)
     sys_S = coefficients_from_pair(X, J, S, cls)
     sys_St = coefficients_from_pair(X, J, S_tilde, cls)
     F = cls.star_of(invert(sys_St.A1)) @ cls.star_of(sys_S.A1)
@@ -163,7 +164,7 @@ def joint_block_diagonalize(X, J, S, S_tilde, S_hat, cls, tol=ZETA_CLUSTER_RTOL)
     for ci, mu in enumerate(zeta.values):
         cands = {mu, cls.star_scalar(mu)}
         for i, lam in enumerate(w):
-            if any(abs(lam - c) <= tol * max(1.0, abs(c)) * 10 for c in cands):
+            if any(abs(lam - c) <= ZETA_CLUSTER_RTOL * max(1.0, abs(c)) * 10 for c in cands):
                 if owners[i] is not None and owners[i] != ci:
                     raise NotJBDiagonalizable(
                         f"eigenvalue {lam:.6g} matches two ratio classes")
@@ -198,7 +199,7 @@ def joint_block_diagonalize(X, J, S, S_tilde, S_hat, cls, tol=ZETA_CLUSTER_RTOL)
             d = min(abs(mu_here - mu), abs(mu_here - cls.star_scalar(mu)))
             if d < best_d:
                 best, best_d = ci, d
-        if best_d > 100 * tol * max(1.0, abs(mu_here)):
+        if best_d > 100 * ZETA_CLUSTER_RTOL * max(1.0, abs(mu_here)):
             raise NotJBDiagonalizable(
                 f"Jordan block at {lam:.6g} matches no ratio class")
         pi_groups[best].extend(idx)

@@ -91,6 +91,9 @@ class Infeasible(PalinverseError):
     """A structural feasibility condition (inertia, rank, parity) fails."""
 
 
+RETRY_ATTEMPTS = 20  # draws a construction or an update makes before giving up
+
+
 def retry(attempts, draw, retryable, exhausted, what):
     """Call draw(attempt) for attempt = 1, 2, ... until one draw returns.
 

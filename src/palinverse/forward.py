@@ -73,7 +73,7 @@ class EigenPairSet:
     pairing holds index tuples (i, j) with lam_j ~= 1 / lam_i*; self-paired
     unimodular eigenvalues appear as (i, i).  residuals[i] is the 2-norm of
     Q(lam_i) v_i.  pairing_complete is False when some eigenvalue found no
-    partner within pairing_tol; those indices are listed in unmatched.
+    partner within PAIRING_TOL; those indices are listed in unmatched.
     """
 
     cls: SymmetryClass
@@ -81,7 +81,6 @@ class EigenPairSet:
     vectors: np.ndarray
     pairing: list
     residuals: np.ndarray
-    pairing_tol: float
     unmatched: list = field(default_factory=list)
 
     @property
@@ -193,13 +192,14 @@ def _semisimple_bound(n, values):
             f"{n} eigenvectors")
 
 
-def eig_full(sys, pairing_tol=PAIRING_TOL):
+def eig_full(sys):
     """All 2n finite eigenpairs of Q with reciprocal pairing.
 
     Solves the standard eigenproblem of the companion matrix, normalizes
     eigenvectors from the better scaled companion block, and pairs the
-    spectrum greedily.  An incomplete pairing is recorded in the result,
-    not raised.  The eigenvalues are also recorded on sys, for eigenvalues.
+    spectrum greedily within PAIRING_TOL.  An incomplete pairing is
+    recorded in the result, not raised.  The eigenvalues are also recorded
+    on sys, for eigenvalues.
     """
     n = sys.n
     values, Z = dense_eig(companion(sys))
@@ -217,9 +217,8 @@ def eig_full(sys, pairing_tol=PAIRING_TOL):
     R = (sys.cls.star_of(A1) @ vectors) * values**2 + (sys.A0 @ vectors) * values \
         + sys.cls.epsilon * (A1 @ vectors)
     residuals = np.linalg.norm(R, axis=0)
-    pairs, unmatched = _greedy_pairing(values, sys.cls, pairing_tol)
-    return EigenPairSet(sys.cls, values, vectors, pairs, residuals,
-                        pairing_tol, unmatched)
+    pairs, unmatched = _greedy_pairing(values, sys.cls, PAIRING_TOL)
+    return EigenPairSet(sys.cls, values, vectors, pairs, residuals, unmatched)
 
 
 def select_pairs(eigs, targets, tol=MATCH_TOL):

@@ -1,49 +1,49 @@
 """Inverse eigenvalue problems with prescribed eigenpairs.
 
-solve_iep_full covers the complete-eigendata case: a regular solution
-exists exactly when the parameter space of (X, T) contains a nonsingular
-element, which is searched by seeded sampling.  solve_iep_partial_result
-covers 1 <= k < 2n prescribed pairs under the standing assumptions that the
-prescribed T1 is similar to T1^{-*} and the remaining spectrum stays
-disjoint: a parameter block S1 for the prescribed part is sampled, the
-deficit X1 S1 X1* = Y Delta Y* is cancelled by extra eigenvector columns
-Y Psi with Psi Omega Psi* = -Delta, and the remaining eigenvalues enter
-through any T2hat preserving the canonical form Omega.  Each attempt
-draws S1, the default remaining eigenvalues and the isometry of Omega from
-one seeded master RNG, and errors.retry draws again when the output misses
-a gate.
+solve_iep_partial_result(IepProblem(...)) is the one entry, for every
+1 <= k <= 2n.  For k = 2n (solve_iep_full) a regular solution exists
+exactly when the parameter space of (X, T) contains a nonsingular element,
+which is searched by seeded sampling.  For k < 2n, under the standing
+assumptions that the prescribed T1 is similar to T1^{-*} and the remaining
+spectrum stays disjoint, a parameter block S1 for the prescribed part is
+sampled, the deficit X1 S1 X1* = Y Delta Y* is cancelled by extra
+eigenvector columns Y Psi with Psi Omega Psi* = -Delta, and the remaining
+eigenvalues enter through any T2hat preserving the canonical form Omega.
+Each attempt draws S1, the default remaining eigenvalues and the isometry
+of Omega from one seeded master RNG, and errors.retry draws again when the
+output misses a gate.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (BadIndices, Infeasible, NoNonsingularFound, NoSolution,
-                     NonsingularityRetryExhausted, PairingNotClosed,
-                     RemainingEigenvalueConflict, ResidualTooLarge,
-                     RetryExhausted, SingularLeadingBlock, SingularW,
-                     SymmetryViolation, UnsupportedRegime, retry)
+from .errors import (RETRY_ATTEMPTS, BadIndices, DimensionMismatch, Infeasible,
+                     NoNonsingularFound, NoSolution, NonsingularityRetryExhausted,
+                     PairingNotClosed, RemainingEigenvalueConflict,
+                     ResidualTooLarge, RetryExhausted, SingularLeadingBlock,
+                     SingularW, SymmetryViolation, UnsupportedRegime, retry)
 from .forward import _coincide, _group_values, _semisimple_bound, _unit_parity
 from .numerics import (COINCIDE_RTOL, NORM_FLOOR, OUTPUT_RESIDUAL_TOL, PATTERN_RTOL,
                        RANK_RTOL, SINGULAR_RTOL, as_matrix, fnorm, solve_right,
                        sv_ratio, unit_columns)
-from .paramspace import s_basis, sample_nonsingular, solution_space
+from .paramspace import sample_nonsingular, solution_space
 from .spectral import _coefficients_from_blocks, coefficients_from_pair
 from .structfact import _congruence_onto, _snap_isotropy, build_delta, star_factorize
 from .system import pair_residual
 
 
 def solve_iep_full(X, T, cls, seed=0):
-    """Construct a regular system with the full prescribed pair (X, T).
+    """The k = 2n step of solve_iep_partial_result, which checks the pair
+    and its +-1 parity first; bench/ times it directly, by this name.
 
     Samples a nonsingular S subject to star(S) = -eps S, S = T S T* and
     X S X* = 0; raises NoSolution when the constrained space contains no
-    nonsingular element (for instance when a transpose-palindromic target
-    carries a simple eigenvalue at +1 or -1).
+    nonsingular element.
     """
     X, T = as_matrix(X, "X"), as_matrix(T, "T")
     if X.shape[1] != T.shape[0] or 2 * X.shape[0] != T.shape[0]:
-        raise SingularW("solve_iep_full needs X n-by-2n and T 2n-by-2n")
+        raise DimensionMismatch("solve_iep_full needs X n-by-2n and T 2n-by-2n")
     X = unit_columns(X, T)
     try:
         S = sample_nonsingular(solution_space(T, cls, X), seed)
@@ -61,20 +61,17 @@ def solve_iep_full(X, T, cls, seed=0):
 # Psi construction: solve Psi Omega Psi* = target for canonical patterns
 # ---------------------------------------------------------------------------
 
-def solve_psi(delta, omega, cls, seed=0, theta_mode="identity"):
-    """A matrix Psi with Psi Omega Psi* = -Delta.
+def solve_psi(delta, omega, cls):
+    """The canonical selection Psi with Psi Omega Psi* = -Delta.
 
     Delta is an n-by-n canonical factor (possibly rank deficient, zeros
     trailing); Omega is a nonsingular canonical factor of the complementary
     size.  For star = H the inertias must satisfy the usual feasibility
-    inequalities, otherwise Infeasible is raised.  theta_mode "identity"
-    returns the canonical selection; any other mode composes it with a
-    random isometry of Omega drawn from seed.
+    inequalities, otherwise Infeasible is raised.  Not public; bench/
+    traces it by name.  Construction and updating compose the selection
+    with a seeded isometry of Omega (_congruence_onto with an rng).
     """
-    delta = as_matrix(delta, "Delta")
-    omega = as_matrix(omega, "Omega")
-    rng = None if theta_mode == "identity" else np.random.default_rng(seed)
-    return _congruence_onto(-delta, omega, cls, rng)
+    return _congruence_onto(-as_matrix(delta, "Delta"), as_matrix(omega, "Omega"), cls)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +215,7 @@ def _build_t2hat(cls, pairs, singles, signs, omega):
 
 @dataclass
 class IepProblem:
-    """A partial inverse problem: k prescribed eigenpairs (X1, T1).
+    """An inverse problem: k prescribed eigenpairs (X1, T1), 1 <= k <= 2n.
 
     remaining_eigenvalues optionally fixes the other 2n - k eigenvalues
     (must be pairing-closed and disjoint from the spectrum of T1);
@@ -230,7 +227,6 @@ class IepProblem:
     T1: np.ndarray
     seed: int = 0
     remaining_eigenvalues: list = None
-    attempts: int = 20
     t1_values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -238,7 +234,9 @@ class IepProblem:
         self.T1 = as_matrix(self.T1, "T1")
         k = self.T1.shape[0]
         if self.T1.shape != (k, k) or self.X1.shape[1] != k:
-            raise SingularW("X1 and T1 dimensions do not conform")
+            raise DimensionMismatch("X1 and T1 dimensions do not conform")
+        if k == 0:
+            raise DimensionMismatch("a construction prescribes at least one eigenpair")
         self.X1 = unit_columns(self.X1, self.T1)
         if sv_ratio(self.T1) <= SINGULAR_RTOL:
             raise SingularW("T1 must be nonsingular")
@@ -301,11 +299,11 @@ def _remaining_spectrum(problem):
 
 
 def solve_iep_partial_result(problem):
-    """Run the partial-eigendata construction, returning full diagnostics.
+    """Solve an IepProblem for any 1 <= k <= 2n, returning full diagnostics.
 
     Infeasible is decided before the first draw, from the +-1 parity of
-    the transpose classes and the multiplicity bound of a given remaining
-    list.  For star = H any pairing-closed remaining list of length
+    the transpose classes (for k = 2n too) and the multiplicity bound of a
+    given remaining list.  For star = H any pairing-closed remaining list of length
     2n - k has consistent inertia counts: some inertia of S1, read off
     its star factorization, admits a sign split, and a draw that misses
     it is retried."""
@@ -316,10 +314,6 @@ def solve_iep_partial_result(problem):
     if given is not None and len(given) != r:
         raise RemainingEigenvalueConflict(
             f"expected {r} remaining eigenvalues, got {len(given)}")
-    if r == 0:
-        sys = solve_iep_full(problem.X1, problem.T1, cls, problem.seed)
-        return IepSolution(sys, problem.X1, problem.T1, None, 1,
-                           pair_residual(sys, (problem.X1, problem.T1)))
     t1_eigs = problem.t1_values
     for point in _unit_parity(cls, n, t1_eigs):
         if _coincide([point], t1_eigs).any():
@@ -327,9 +321,14 @@ def solve_iep_partial_result(problem):
                 f"parity: eigenvalue {point:+.0f} is prescribed with a "
                 "multiplicity this class and order forbid, and the remaining "
                 "spectrum cannot repeat it")
+    if r == 0:
+        sys = solve_iep_full(problem.X1, problem.T1, cls, problem.seed)
+        return IepSolution(sys, problem.X1, problem.T1, None, 1,
+                           pair_residual(sys, (problem.X1, problem.T1)))
     if given is not None:
         given = _remaining_spectrum(problem)
-    basis = s_basis(problem.T1, cls)
+    # IepProblem has refused a singular T1.
+    basis = solution_space(problem.T1, cls)
     master = np.random.default_rng(problem.seed)
 
     def draw(attempt):
@@ -380,7 +379,7 @@ def solve_iep_partial_result(problem):
         return sys, X2, S1, t2hat, omega, attempt, resid
 
     sys, X2, S1, t2hat, omega, attempt, resid = retry(
-        problem.attempts, draw, (RetryExhausted, BadIndices, SingularLeadingBlock,
+        RETRY_ATTEMPTS, draw, (RetryExhausted, BadIndices, SingularLeadingBlock,
                                  ResidualTooLarge, SymmetryViolation),
         NonsingularityRetryExhausted, "no regular completion")
     T, S = np.zeros((2, 2 * n, 2 * n), dtype=np.complex128)

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DefectiveSpectrum, DimensionMismatch, Infeasible,
-                     NoNonsingularS1Tilde, ResidualTooLarge, SingularMatrix,
-                     SpectraOverlap, SymmetryViolation, XiSingular,
-                     XiSingularRetryExhausted, retry)
+from .errors import (RETRY_ATTEMPTS, DefectiveSpectrum, DimensionMismatch,
+                     Infeasible, NoNonsingularS1Tilde, ResidualTooLarge,
+                     SingularMatrix, SpectraOverlap, SymmetryViolation,
+                     XiSingular, XiSingularRetryExhausted, retry)
 from .forward import (_coincide, _group_values, _semisimple_bound, _unit_parity,
                       eigenvalues)
 from .numerics import (DIAGONAL_RTOL, NONSINGULAR_RTOL, NORM_FLOOR,
@@ -62,7 +62,6 @@ class MupProblem:
     T1_new: np.ndarray
     X1_new: np.ndarray = None
     seed: int = 0
-    attempts: int = 20
 
     def __post_init__(self):
         self.X1 = as_matrix(self.X1, "X1")
@@ -70,6 +69,8 @@ class MupProblem:
         self.X1 = unit_columns(self.X1, self.T1)
         self.T1_new = _check_diagonal(self.T1_new, "T1_new")
         k = self.T1.shape[0]
+        if k == 0:
+            raise DimensionMismatch("an update replaces at least one eigenvalue")
         if self.X1.shape != (self.sys.n, k):
             raise DimensionMismatch("X1 must be n-by-k")
         if self.T1_new.shape != (k, k):
@@ -255,7 +256,7 @@ def update_model_result(problem):
             X1t = solve_right(Y @ psi, fact_t.Y)
             return _finish(problem, S1, X1t, S1t, attempt)
 
-        attempts = problem.attempts
+        attempts = RETRY_ATTEMPTS
     else:
         C = _snap_isotropy(problem.X1, S1, cls)
         S_part, homogeneous = constrained_family(
@@ -272,7 +273,7 @@ def update_model_result(problem):
                 raise SingularMatrix("candidate S1_new is singular")
             return _finish(problem, S1, problem.X1_new, S1t, attempt)
 
-        attempts = problem.attempts + 1
+        attempts = RETRY_ATTEMPTS + 1
         retryable += (SingularMatrix,)
     try:
         return retry(attempts, draw, retryable, XiSingularRetryExhausted,

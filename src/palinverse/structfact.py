@@ -98,13 +98,6 @@ class StarFactorization:
     def rank(self):
         return self.pattern.rank
 
-    @property
-    def condition(self):
-        """Condition number of Y; the scaling absorbed into Y can inflate
-        this badly for ill-conditioned inputs, so it is worth reporting."""
-        s = np.linalg.svd(self.Y, compute_uv=False)
-        return float(s[0] / s[-1]) if s.size and s[-1] > 0 else np.inf
-
     def reconstruct(self):
         return self.Y @ self.delta @ self.cls.star_of(self.Y)
 

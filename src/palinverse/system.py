@@ -15,12 +15,6 @@ from .numerics import (A0_SYMMETRY_RTOL, A1_WARN_RTOL, NORM_FLOOR, SINGULAR_RTOL
                        as_matrix, fnorm, sv_min_ratio)
 
 _CODES = {("T", 1): "tp", ("T", -1): "ta", ("H", 1): "hp", ("H", -1): "ha"}
-_NAMES = {
-    "tp": "transpose-palindromic",
-    "ta": "transpose-anti-palindromic",
-    "hp": "conjugate-transpose-palindromic",
-    "ha": "conjugate-transpose-anti-palindromic",
-}
 
 
 @dataclass(frozen=True)
@@ -51,10 +45,6 @@ class SymmetryClass:
     @property
     def code(self):
         return _CODES[(self.star, self.epsilon)]
-
-    @property
-    def name(self):
-        return _NAMES[self.code]
 
     @classmethod
     def from_code(cls, code):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import count_eigensolves, random_system
-from palinverse import cli
+from palinverse import forward
 from palinverse.cli import main, parse_complex, parse_complex_list
 from palinverse.fileio import (load_pair, load_system, load_values, save_pair,
                                save_system)
@@ -165,6 +165,24 @@ def test_cmd_solve_parity_infeasible(tmp_path, capsys):
     assert code == 2
     err = json.loads(captured.err.strip())
     assert "parity" in err["message"] or "Infeasible" in err["error"]
+
+
+def test_cmd_solve_full_pair_parity_infeasible(tmp_path, capsys):
+    # k = 2n with a simple +1 and -1: tp parity, as for k < 2n.
+    pairfile = tmp_path / "pair.json"
+    X = np.random.default_rng(4).standard_normal((2, 4))
+    save_pair(X, np.diag([1.0, -1.0, 0.5, 2.0]), pairfile)
+    code = main(["solve", "--class", "tp", "--pairs", str(pairfile)])
+    err = json.loads(capsys.readouterr().err.strip())
+    assert (code, err["error"]) == (2, "Infeasible")
+
+
+def test_cmd_update_of_nothing_is_dimension_mismatch(tmp_path, capsys):
+    sysfile = tmp_path / "sys.json"
+    save_system(update_fixture("tp")[0], sysfile)
+    code = main(["update", "--system", str(sysfile), "--replace=", "--with="])
+    err = json.loads(capsys.readouterr().err.strip())
+    assert (code, err["error"]) == (2, "DimensionMismatch")
 
 
 def test_cmd_solve_full_pair_rejects_remaining(tmp_path, capsys):
@@ -327,11 +345,10 @@ def test_cmd_eig_pairing_notes(tmp_path, capsys, monkeypatch):
     save_system(random_system(TA, 3, seed=1), sysfile)
     sys = load_system(sysfile)
     for tol, complete in ((1e-6, True), (1e-18, False)):
-        monkeypatch.setattr(cli, "eig_full",
-                            lambda s, tol=tol: eig_full(s, pairing_tol=tol))
+        monkeypatch.setattr(forward, "PAIRING_TOL", tol)
         assert main(["eig", "--system", str(sysfile)]) == 0
         lines = capsys.readouterr().out.splitlines()
-        expected = _pairing_notes(eig_full(sys, pairing_tol=tol))
+        expected = _pairing_notes(eig_full(sys))
         assert [line.split("  ")[-1] for line in lines[1:7]] == expected
         assert lines[7:] == ([] if complete else ["warning: pairing incomplete"])
         if complete:

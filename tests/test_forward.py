@@ -173,10 +173,11 @@ def test_select_pairs_overlap_guard():
         select_pairs(e, [e.values[0], 1 / e.values[0]])
 
 
-def test_eig_full_strict_pairing_failure():
+def test_eig_full_strict_pairing_failure(monkeypatch):
     sys, _, _ = update_fixture("tp")
     # An absurdly tight tolerance forces unmatched eigenvalues.
-    e = eig_full(sys, pairing_tol=1e-18)
+    monkeypatch.setattr(forward, "PAIRING_TOL", 1e-18)
+    e = eig_full(sys)
     assert not e.pairing_complete
     assert e.unmatched
 

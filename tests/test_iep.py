@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import pair_defect, random_complex
-from palinverse.errors import (Infeasible, NoSolution,
+from palinverse.errors import (DimensionMismatch, Infeasible, NoSolution,
                                NonsingularityRetryExhausted, PairingNotClosed,
-                               RemainingEigenvalueConflict, SymmetryViolation,
-                               UnsupportedRegime)
+                               RemainingEigenvalueConflict, SingularW,
+                               SymmetryViolation, UnsupportedRegime)
 from palinverse.forward import eig_full
 from palinverse.iep import (IepProblem, solve_iep_full,
                             solve_iep_partial_result, solve_psi)
@@ -305,6 +305,42 @@ def test_solve_and_update_share_the_unit_parity_rule(cls, n, m_plus, m_minus):
     assert updated == solved
 
 
+def test_full_iep_parity_through_the_entry_as_for_k_below_2n():
+    # A simple +1 and -1 break the tp parity; the entry refuses them at
+    # k = 2n exactly as at k = 2, where solve_iep_full alone answers
+    # NoSolution (test_full_iep_simple_unit_eigenvalue_rejected).
+    X = random_complex(np.random.default_rng(4), 2, 4)
+    T = np.diag([1.0, -1.0, 0.5, 2.0]).astype(complex)
+    for k in (4, 2):
+        with pytest.raises(Infeasible, match="parity"):
+            solve_iep_partial_result(IepProblem(TP, X[:, :k], T[:k, :k], seed=0))
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_full_iep_through_the_entry_refuses_non_standard_pairs(cls):
+    # Complete eigendata gets IepProblem's typed refusals at the one entry.
+    from helpers import random_system
+
+    e = eig_full(random_system(cls, 4, 0))
+    zero_value, unpaired, zero_column = e.values.copy(), e.values.copy(), e.vectors.copy()
+    zero_value[0], zero_column[:, 0] = 0.0, 0.0
+    unpaired[0] *= 1.7
+    for X, values, error in ((e.vectors, zero_value, SingularW),
+                             (zero_column, e.values, SingularW),
+                             (e.vectors, unpaired, PairingNotClosed)):
+        with pytest.raises(error):
+            solve_iep_partial_result(IepProblem(cls, X, np.diag(values), seed=0))
+
+
+def test_shape_errors_and_k_zero_are_dimension_mismatch():
+    with pytest.raises(DimensionMismatch, match="do not conform"):
+        IepProblem(TP, np.ones((3, 2)), np.eye(3))
+    with pytest.raises(DimensionMismatch, match="n-by-2n"):
+        solve_iep_full(np.ones((3, 2)), np.eye(2), TP)
+    with pytest.raises(DimensionMismatch, match="at least one"):
+        IepProblem(TP, np.zeros((3, 0)), np.zeros((0, 0)))
+
+
 def test_iep_problem_validation():
     rng = np.random.default_rng(12)
     X1 = random_complex(rng, 3, 2)
@@ -314,16 +350,16 @@ def test_iep_problem_validation():
 
 def test_solve_psi_examples():
     D = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
-    psi = solve_psi(D, D, TP, seed=1)
+    psi = solve_psi(D, D, TP)
     assert fnorm(psi @ D @ psi.T + D) <= 1e-10 * fnorm(D)
 
     D2 = np.diag([1j, -1j])
-    psi = solve_psi(D2, D2, HP, seed=1)
+    psi = solve_psi(D2, D2, HP)
     assert fnorm(psi @ D2 @ psi.conj().T + D2) <= 1e-10 * fnorm(D2)
 
     D3 = np.diag([1.0 + 0j])
     O3 = np.eye(2, dtype=complex)
-    psi = solve_psi(D3, O3, TA, seed=1)
+    psi = solve_psi(D3, O3, TA)
     assert psi.shape == (1, 2)
     assert fnorm(psi @ O3 @ psi.T + D3) <= 1e-10
 
@@ -333,7 +369,7 @@ def test_solve_psi_infeasible_inertia():
     delta = build_delta(HP, p=2, q=0, t=0, size=2)   # diag(-i, -i)
     omega = build_delta(HP, p=2, q=0, t=0, size=2)   # diag(-i, -i)
     with pytest.raises(Infeasible):
-        solve_psi(delta, omega, HP, seed=0)
+        solve_psi(delta, omega, HP)
 
 
 def test_iep_odd_k_tp_parity_error():
@@ -384,15 +420,17 @@ def test_iep_partial_any_column_scaling(cls):
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
 def test_full_iep_any_column_scaling(cls):
     # X D with D = diag(10^U[-6, 6]) poses the same problem as X for a
-    # diagonal T; the full solve takes X with unit columns.
+    # diagonal T; the full solve takes X with unit columns, called directly
+    # and through the one entry.
     from helpers import random_system
 
     for seed in range(6):
         e = eig_full(random_system(cls, 6, seed))
         T = np.diag(e.values)
         D = 10.0 ** np.random.default_rng(seed).uniform(-6, 6, T.shape[0])
-        sys = solve_iep_full(e.vectors * D, T, cls, seed=seed)
-        assert pair_residual(sys, (e.vectors, T)) <= 1e-9
+        entry = solve_iep_partial_result(IepProblem(cls, e.vectors * D, T, seed=seed))
+        for sys in (solve_iep_full(e.vectors * D, T, cls, seed=seed), entry.system):
+            assert pair_residual(sys, (e.vectors, T)) <= 1e-9
 
 
 def test_iep_partial_retry_exhaustion_counts_reasons(monkeypatch):
@@ -631,17 +669,12 @@ def test_congruence_onto_property(cls, n, r, data):
 
 
 def test_solve_psi_signature_and_modes():
-    assert list(inspect.signature(solve_psi).parameters) == [
-        "delta", "omega", "cls", "seed", "theta_mode"]
+    assert list(inspect.signature(solve_psi).parameters) == ["delta", "omega", "cls"]
     delta = build_delta(HA, p=1, q=1, t=0, size=3)
     omega = build_delta(HA, p=2, q=3, t=0, size=5)
-    canonical = solve_psi(delta, omega, HA, seed=4)
-    assert np.array_equal(canonical, solve_psi(delta, omega, HA, seed=9))
-    drawn = solve_psi(delta, omega, HA, seed=4, theta_mode="random")
-    assert not np.array_equal(drawn, canonical)
-    assert np.array_equal(drawn, solve_psi(delta, omega, HA, seed=4,
-                                           theta_mode="random"))
-    assert fnorm(drawn @ omega @ drawn.conj().T + delta) <= 1e-12 * fnorm(delta)
+    canonical = solve_psi(delta, omega, HA)
+    assert np.array_equal(canonical, solve_psi(delta, omega, HA))
+    assert fnorm(canonical @ omega @ canonical.conj().T + delta) <= 1e-12 * fnorm(delta)
 
 
 def _pairs_of_some_system(cls, n, k):

@@ -6,7 +6,7 @@ import pytest
 from helpers import (count_eigensolves, dense_update_change, random_complex,
                      random_system, residual_scale, separated_spectrum)
 from palinverse import mup
-from palinverse.errors import (Inconsistent, NoNonsingularS1Tilde,
+from palinverse.errors import (DimensionMismatch, Inconsistent, NoNonsingularS1Tilde,
                                ResidualTooLarge, SpectraOverlap,
                                SymmetryViolation, XiSingular,
                                XiSingularRetryExhausted)
@@ -282,6 +282,14 @@ def test_update_value_beyond_the_order_is_infeasible():
         MupProblem(sys, e.vectors[:, old], np.diag(e.values[old]), np.eye(4))
 
 
+def test_update_of_nothing_is_dimension_mismatch():
+    # Nothing selected is refused before any decomposition.
+    sys, _, _ = update_fixture("tp")
+    X1, T1, _, _ = select_pairs(eig_full(sys), [])
+    with pytest.raises(DimensionMismatch, match="at least one"):
+        MupProblem(sys, X1, T1, T1)
+
+
 def _fixture_problem(code, **kwargs):
     sys, replace, new = update_fixture(code)
     X1, T1, _, _ = select_pairs(eig_full(sys), replace)
@@ -309,7 +317,8 @@ def test_prescribed_retry_exhaustion_counts_mixed_reasons(monkeypatch):
         raise next(failures)("forced")
 
     free = update_model_result(_fixture_problem("hp"))
-    problem = _fixture_problem("hp", X1_new=free.X1_new, attempts=3)
+    problem = _fixture_problem("hp", X1_new=free.X1_new)
+    monkeypatch.setattr(mup, "RETRY_ATTEMPTS", 3)
     monkeypatch.setattr(mup, "_finish", fail_in_turn)
     with pytest.raises(XiSingularRetryExhausted) as info:
         update_model_prescribed(problem)

@@ -25,7 +25,7 @@ def assert_same_pairing(values, cls, tol):
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
 def test_pairing_matches_loop(cls, n):
     e = eig_full(random_system(cls, n, seed=40 + n))
-    assert (e.pairing, e.unmatched) == greedy_pairing_loop(e.values, cls, e.pairing_tol)
+    assert (e.pairing, e.unmatched) == greedy_pairing_loop(e.values, cls, numerics.PAIRING_TOL)
     assert e.pairing_complete
 
 
@@ -33,7 +33,7 @@ def test_pairing_matches_loop(cls, n):
 @pytest.mark.parametrize("cls", [TP, TA], ids=lambda c: c.code)
 def test_pairing_matches_loop_real(cls, n):
     e = eig_full(random_system(cls, n, seed=50 + n, real=True))
-    assert (e.pairing, e.unmatched) == greedy_pairing_loop(e.values, cls, e.pairing_tol)
+    assert (e.pairing, e.unmatched) == greedy_pairing_loop(e.values, cls, numerics.PAIRING_TOL)
     # The computed conjugate pairs of a real system tie in modulus only by
     # chance, so the ties come from an exactly conjugate-closed copy: the
     # upper half-plane values, their exact conjugates and the real values.
@@ -43,13 +43,13 @@ def test_pairing_matches_loop_real(cls, n):
     closed = np.concatenate([upper, upper.conj(), values[real].real.astype(complex)])
     moduli = np.hypot(closed.real, closed.imag)
     assert len(np.unique(moduli)) < len(moduli) or n == 1
-    assert_same_pairing(closed, cls, e.pairing_tol)
+    assert_same_pairing(closed, cls, numerics.PAIRING_TOL)
 
 
 def test_pairing_ta_scalar_self_pairs():
     e = eig_full(PalindromicSystem(TA, [[1.0]], [[0.0]]))
     assert e.pairing == [(0, 0), (1, 1)]
-    assert (e.pairing, e.unmatched) == greedy_pairing_loop(e.values, TA, e.pairing_tol)
+    assert (e.pairing, e.unmatched) == greedy_pairing_loop(e.values, TA, numerics.PAIRING_TOL)
 
 
 def test_pairing_exact_duplicate_goes_to_lowest_index():
@@ -69,8 +69,9 @@ def test_pairing_injected_duplicate(cls):
 
 @pytest.mark.parametrize("n", [1, 5, 48, 128])
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
-def test_pairing_tiny_tolerance(cls, n):
-    e = eig_full(random_system(cls, n, seed=60 + n), pairing_tol=1e-18)
+def test_pairing_tiny_tolerance(cls, n, monkeypatch):
+    monkeypatch.setattr(forward, "PAIRING_TOL", 1e-18)
+    e = eig_full(random_system(cls, n, seed=60 + n))
     assert e.unmatched
     assert (e.pairing, e.unmatched) == greedy_pairing_loop(e.values, cls, 1e-18)
 
@@ -139,8 +140,9 @@ def test_zero_block_falls_back_to_other_block(monkeypatch):
 
 
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
-def test_partner_index_matches_pair_list(cls):
-    e = eig_full(random_system(cls, 5, seed=9), pairing_tol=1e-13)
+def test_partner_index_matches_pair_list(cls, monkeypatch):
+    monkeypatch.setattr(forward, "PAIRING_TOL", 1e-13)
+    e = eig_full(random_system(cls, 5, seed=9))
     for i in range(len(e.values)):
         scan = [b if a == i else a for a, b in e.pairing if i in (a, b)]
         assert e.partner_index(i) == (scan[0] if scan else None)

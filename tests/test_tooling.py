@@ -164,7 +164,7 @@ def test_one_spectral_assembly(monkeypatch):
 def test_one_solve_of_the_parameter_space(monkeypatch):
     # Construction and the prescribed update solve X S X* = C over the
     # parameter space in paramspace._xsx_solve alone: wrapped wherever a
-    # module binds it, it runs once for a full solve, once for the s_basis
+    # module binds it, it runs once for a full solve, once for the space
     # of a partial solve and once for a prescribed update.  It and the
     # Jordan-block family are the only null-space decisions by SVD.
     from palinverse import mup, paramspace
@@ -200,6 +200,34 @@ def test_one_solve_of_the_parameter_space(monkeypatch):
                for path in sorted(PACKAGE.glob("*.py"))}
     assert {module: names for module, names in readers.items() if names} == \
         {"paramspace": {"_xsx_solve", "_symmetric_family"}}
+
+
+def test_no_option_without_a_production_caller():
+    # Options no production path set are constants now, and the k = 2n
+    # step is no public entry; this keeps them from coming back unnoticed.
+    import dataclasses
+    import inspect
+
+    from palinverse import analysis, forward, iep, mup, structfact, system
+
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    def init_fields(cls):
+        return [f.name for f in dataclasses.fields(cls) if f.init]
+
+    assert params(forward.eig_full) == ["sys"]
+    assert params(iep.solve_psi) == ["delta", "omega", "cls"]
+    assert params(analysis.zeta_partition) == ["S", "S_tilde", "cls"]
+    assert params(analysis.joint_block_diagonalize) == [
+        "X", "J", "S", "S_tilde", "S_hat", "cls"]
+    assert init_fields(iep.IepProblem) == [
+        "cls", "X1", "T1", "seed", "remaining_eigenvalues"]
+    assert init_fields(mup.MupProblem) == ["sys", "X1", "T1", "T1_new", "X1_new", "seed"]
+    assert "pairing_tol" not in init_fields(forward.EigenPairSet)
+    assert not hasattr(system.SymmetryClass, "name")
+    assert not hasattr(structfact.StarFactorization, "condition")
+    assert {"solve_iep_full", "solve_psi"}.isdisjoint(palinverse.__all__)
 
 
 def test_public_names_resolve():
