@@ -13,26 +13,21 @@ import importlib
 
 __version__ = "0.1.0"
 
-# Home module of every public name.
+# Home module of every public name; any other name is reached through its
+# submodule, as palinverse.<module>.<name>.
 _EXPORTS = {
     "errors": ("PalinverseError",),
     "system": ("ALL_CLASSES", "HA", "HP", "TA", "TP", "PalindromicSystem",
-               "SymmetryClass", "eval_Q", "pair_residual"),
-    "numerics": ("dense_eig", "linear_solve", "rank_factorize"),
-    "structfact": ("DeltaPattern", "StarFactorization", "build_delta",
-                   "star_factorize"),
-    "paramspace": ("pascal_matrix", "pascal_scaling", "s_basis",
-                   "sample_nonsingular"),
-    "spectral": ("coefficients_from_pair", "compute_S1", "parameter_from_pair"),
+               "SymmetryClass", "pair_residual"),
     "forward": ("EigenPairSet", "eig_full", "select_pairs"),
     "iep": ("IepProblem", "solve_iep_partial_result"),
     "mup": ("MupProblem", "update_model_result"),
-    "analysis": ("ZetaPartition", "joint_block_diagonalize",
-                 "s_space_dimension", "zeta_partition"),
     "fileio": ("load_pair", "load_system", "save_pair", "save_system"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = frozenset(_EXPORTS) | {"cli"}
+_SUBMODULES = frozenset({"analysis", "cli", "errors", "fileio", "forward", "iep",
+                         "mup", "numerics", "paramspace", "spectral",
+                         "structfact", "system"})
 
 __all__ = sorted(_HOME)
 

@@ -1,5 +1,5 @@
-"""Solution-family analysis: dimension, ratio-spectrum partitions, and
-joint block diagonalization.
+"""Solution-family analysis: ratio-spectrum partitions and joint block
+diagonalization.
 
 When the parameter space of a prescribed pair has dimension beyond the
 trivial scaling family, the ratio S_tilde S^{-1} of two nonsingular members
@@ -18,13 +18,8 @@ from .forward import _coincide
 from .numerics import (NORM_FLOOR, OFFBLOCK_RTOL, RANK_RTOL, SINGULAR_RTOL,
                        STRUCTURE_RTOL, ZETA_CLUSTER_RTOL, as_matrix, dense_eig,
                        fnorm, invert, sv_ratio)
-from .paramspace import _jordan_blocks, solution_space
+from .paramspace import _jordan_blocks
 from .spectral import coefficients_from_pair
-
-
-def s_space_dimension(X, T, cls):
-    """Real dimension of {S : star(S) = -eps S, S = T S T*, X S X* = 0}."""
-    return len(solution_space(T, cls, X))
 
 
 @dataclass

@@ -50,11 +50,20 @@ def parse_complex_list(text):
     return [parse_complex(part) for part in text.split(",") if part.strip()]
 
 
+class _UsageError(Exception):
+    """Arguments that parse but pose no valid call."""
+
+
 def _default_seed(args):
+    """--seed, else PALINVERSE_SEED, else 0; a negative seed is a usage error."""
     if args.seed is not None:
-        return args.seed
-    env = os.environ.get("PALINVERSE_SEED")
-    return int(env) if env else 0
+        seed = args.seed
+    else:
+        env = os.environ.get("PALINVERSE_SEED")
+        seed = int(env) if env else 0
+    if seed < 0:
+        raise _UsageError(f"seed must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _fail(kind, message):
@@ -76,10 +85,10 @@ def cmd_solve(args):
     from .iep import IepProblem, solve_iep_partial_result
 
     cls = SymmetryClass.from_code(args.cls)
+    seed = _default_seed(args)
     X1, T1 = load_pair(args.pairs)
     remaining = load_values(args.remaining) if args.remaining else None
-    problem = IepProblem(cls, X1, T1, seed=_default_seed(args),
-                         remaining_eigenvalues=remaining)
+    problem = IepProblem(cls, X1, T1, seed=seed, remaining_eigenvalues=remaining)
     sol = solve_iep_partial_result(problem)
     if args.out:
         save_system(sol.system, args.out)
@@ -97,17 +106,20 @@ def cmd_solve(args):
 def cmd_update(args):
     from .mup import MupProblem, update_model_result
 
+    if not args.match_tol >= 0:  # refuses nan too
+        raise _UsageError(f"--match-tol must be >= 0, got {args.match_tol}")
+    seed = _default_seed(args)
     sys = load_system(args.system)
     targets = parse_complex_list(args.replace)
     new_values = parse_complex_list(args.with_values)
     if len(targets) != len(new_values):
-        return _fail("usage", "--replace and --with need equally many values")
+        raise _UsageError("--replace and --with need equally many values")
     eigs = eig_full(sys)
     X1, T1, X2, T2 = select_pairs(eigs, targets, tol=args.match_tol)
     T1_new = np.diag(np.array(new_values, dtype=np.complex128))
     X1_new = load_pair(args.vectors)[0] if args.vectors else None
     res = update_model_result(MupProblem(sys, X1, T1, T1_new, X1_new=X1_new,
-                                         seed=_default_seed(args)))
+                                         seed=seed))
     new_sys, x1n = res.system, res.X1_new
     if args.out:
         save_system(new_sys, args.out)
@@ -162,7 +174,7 @@ def build_parser():
                    help="symmetry class")
     p.add_argument("--pairs", required=True, help="JSON pair file with X and T")
     p.add_argument("--remaining", help="JSON file with the remaining eigenvalues")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help="non-negative seed")
     p.add_argument("--out", help="write the constructed system here")
     p.add_argument("--report", action="store_true", help="print extra diagnostics")
     p.set_defaults(func=cmd_solve)
@@ -175,8 +187,8 @@ def build_parser():
                    help="comma-separated replacement eigenvalues")
     p.add_argument("--vectors", help="JSON pair file prescribing new eigenvectors")
     p.add_argument("--match-tol", type=float, default=MATCH_TOL,
-                   help="matching tolerance for --replace values")
-    p.add_argument("--seed", type=int, default=None)
+                   help="matching tolerance for --replace values (>= 0)")
+    p.add_argument("--seed", type=int, default=None, help="non-negative seed")
     p.add_argument("--out", help="write the updated system here")
     p.set_defaults(func=cmd_update)
 
@@ -197,6 +209,8 @@ def main(argv=None):
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
+    except _UsageError as exc:
+        return _fail("usage", str(exc))
     except OSError as exc:  # a file that cannot be read or written
         return _fail("io", str(exc))
     except ValueError as exc:  # malformed JSON, file format or literal

@@ -229,6 +229,8 @@ def select_pairs(eigs, targets, tol=MATCH_TOL):
     under reciprocal pairing, and selected and remaining eigenvalues must
     not overlap.  Returns (X1, T1, X2, T2) with diagonal T factors.
     """
+    if not tol >= 0:  # a nan tolerance would match any eigenvalue
+        raise ValueError(f"match tolerance must be >= 0, got {tol}")
     values = eigs.values
     targets = np.fromiter(targets, dtype=np.complex128)
     dists = np.abs(values[None, :] - targets[:, None])

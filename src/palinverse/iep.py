@@ -315,12 +315,13 @@ def solve_iep_partial_result(problem):
         raise RemainingEigenvalueConflict(
             f"expected {r} remaining eigenvalues, got {len(given)}")
     t1_eigs = problem.t1_values
+    # At k = 2n no remaining spectrum can supply a missing +-1 either.
     for point in _unit_parity(cls, n, t1_eigs):
-        if _coincide([point], t1_eigs).any():
+        if r == 0 or _coincide([point], t1_eigs).any():
             raise Infeasible(
                 f"parity: eigenvalue {point:+.0f} is prescribed with a "
                 "multiplicity this class and order forbid, and the remaining "
-                "spectrum cannot repeat it")
+                "spectrum cannot mend it")
     if r == 0:
         sys = solve_iep_full(problem.X1, problem.T1, cls, problem.seed)
         return IepSolution(sys, problem.X1, problem.T1, None, 1,

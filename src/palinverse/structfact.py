@@ -90,16 +90,8 @@ class StarFactorization:
     pattern: DeltaPattern
     cls: SymmetryClass
 
-    @property
-    def delta(self):
-        return self.pattern.matrix()
-
-    @property
-    def rank(self):
-        return self.pattern.rank
-
     def reconstruct(self):
-        return self.Y @ self.delta @ self.cls.star_of(self.Y)
+        return self.Y @ self.pattern.matrix() @ self.cls.star_of(self.Y)
 
 
 def _cluster_descending(values, tol):

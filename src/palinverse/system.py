@@ -98,7 +98,7 @@ class PalindromicSystem:
         if self.A0.shape != (n, n):
             raise DimensionMismatch(
                 f"A0 shape {self.A0.shape} does not match A1 shape {self.A1.shape}")
-        defect = fnorm(self.cls.star_of(self.A0) - self.cls.epsilon * self.A0)
+        defect = self.symmetry_defect()
         # Scale against the whole system so a zero A0 (defect pure roundoff)
         # is not rejected by a vacuous relative bound.
         scale = max(fnorm(self.A0), fnorm(self.A1), NORM_FLOOR)

@@ -285,6 +285,36 @@ def test_cmd_update_target_not_found(tmp_path, capsys):
     assert "target not found" in err["message"]
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_cmd_update_match_tol_out_of_range_is_a_usage_error(tol, tmp_path, capsys):
+    # A nan tolerance matched any eigenvalue and -1 none, even an exact one.
+    sys, replace, new = update_fixture("tp")
+    sysfile = tmp_path / "sys.json"
+    save_system(sys, sysfile)
+    rep = ",".join(f"{complex(v).real}{complex(v).imag:+}i" for v in replace)
+    wit = ",".join(f"{complex(v).real}{complex(v).imag:+}i" for v in new)
+    code = main(["update", "--system", str(sysfile), f"--replace={rep}",
+                 f"--with={wit}", "--match-tol", tol])
+    err = json.loads(capsys.readouterr().err.strip())
+    assert (code, err["error"]) == (2, "usage")
+    assert "--match-tol" in err["message"]
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_cmd_negative_seed_is_a_usage_error(source, tmp_path, capsys, monkeypatch):
+    pairfile = tmp_path / "pair.json"
+    save_pair(*iep_fixture(TP), pairfile)
+    argv = ["solve", "--class", "tp", "--pairs", str(pairfile)]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        monkeypatch.setenv("PALINVERSE_SEED", "-1")
+    code = main(argv)
+    err = json.loads(capsys.readouterr().err.strip())
+    assert (code, err["error"]) == (2, "usage")
+    assert "seed" in err["message"]
+
+
 def test_cmd_update_pairing_not_closed(tmp_path, capsys):
     sys, replace, _ = update_fixture("ta")
     sysfile = tmp_path / "sys.json"

@@ -163,6 +163,10 @@ def test_select_pairs_errors():
         select_pairs(e, [123.0])
     with pytest.raises(PairingNotClosed):
         select_pairs(e, [replace[0]])
+    # A nan tolerance would match any eigenvalue, a negative one none.
+    for tol in (float("nan"), -1.0):
+        with pytest.raises(ValueError, match="tolerance"):
+            select_pairs(e, replace, tol=tol)
 
 
 def test_select_pairs_overlap_guard():

@@ -316,6 +316,16 @@ def test_full_iep_parity_through_the_entry_as_for_k_below_2n():
             solve_iep_partial_result(IepProblem(TP, X[:, :k], T[:k, :k], seed=0))
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_full_iep_missing_forced_unit_value_is_infeasible(n):
+    # Odd-order ta forces +1 and -1 into the spectrum; complete eigendata
+    # without them breaks the parity as a prescribed +-1 does.
+    X = random_complex(np.random.default_rng(n), n, 2 * n)
+    values = [v for mu in (2.0, 3.0, 4.0)[:n] for v in (mu, 1 / mu)]
+    with pytest.raises(Infeasible, match="parity"):
+        solve_iep_partial_result(IepProblem(TA, X, np.diag(values), seed=0))
+
+
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
 def test_full_iep_through_the_entry_refuses_non_standard_pairs(cls):
     # Complete eigendata gets IepProblem's typed refusals at the one entry.

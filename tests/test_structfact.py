@@ -57,7 +57,7 @@ def test_star_factorize_symmetric_random():
     B = random_structured(rng, TA, 6)
     f = star_factorize(B, TA)
     assert fnorm(f.reconstruct() - B) <= 1e-10 * fnorm(B)
-    assert np.allclose(f.delta, np.eye(6), atol=1e-12)
+    assert np.allclose(f.pattern.matrix(), np.eye(6), atol=1e-12)
 
 
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
@@ -69,7 +69,7 @@ def test_star_factorize_reconstruction_sweep(cls):
         B = random_structured(rng, cls, n)
         f = star_factorize(B, cls)
         assert fnorm(f.reconstruct() - B) <= 1e-10 * fnorm(B)
-        assert f.rank == np.linalg.matrix_rank(B, tol=1e-8 * fnorm(B))
+        assert f.pattern.rank == np.linalg.matrix_rank(B, tol=1e-8 * fnorm(B))
 
 
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
@@ -83,7 +83,7 @@ def test_star_factorize_rank_deficient(cls):
     C = random_complex(rng, n, r)
     B = C @ core @ cls.star_of(C)
     f = star_factorize(B, cls)
-    assert f.rank == r
+    assert f.pattern.rank == r
     assert fnorm(f.reconstruct() - B) <= 1e-10 * fnorm(B)
 
 
@@ -114,7 +114,7 @@ def test_star_factorize_odd_rank_skew_rejected():
         star_factorize(B, TP, rank_tol=1e-12)
     # At the default threshold the perturbation is treated as noise.
     f = star_factorize(B, TP)
-    assert f.rank == 2
+    assert f.pattern.rank == 2
 
 
 def test_delta_roundtrip_near_unitary_Y():
@@ -171,7 +171,7 @@ def test_takagi_mixed_clusters():
     assert fnorm(Z.conj().T @ Z - np.eye(6)) <= 1e-12
     assert fnorm(Z @ np.diag(s) @ Z.T - B) <= 1e-10 * fnorm(B)
     f = star_factorize(B, TA)
-    assert f.rank == 5
+    assert f.pattern.rank == 5
     assert fnorm(f.reconstruct() - B) <= 1e-10 * fnorm(B)
 
 

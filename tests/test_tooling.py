@@ -1,18 +1,21 @@
 """Tooling checks.  The benchmark's tracer wraps package functions by name;
 a rename must fail here, not only in a traced benchmark run.  The public
-names in palinverse.__all__ must resolve, each to the object in its home
-module.  `import palinverse` loads neither numpy nor any submodule, and each
-subcommand loads only the modules it runs.  The CLI must run on numpy alone,
-without importing scipy.  No package module imports a name it never uses,
-only forward decides when two eigenvalues coincide, one function assembles
-the spectral sums, one function solves X S X* = C over the parameter space,
-and every float tolerance is defined in the one table of numerics."""
+names in palinverse.__all__ are the paper's 20, the ones the README lists,
+and must resolve, each to the object in its home module.  `import
+palinverse` loads neither numpy nor any submodule, every submodule loads on
+first access, and each subcommand loads only the modules it runs.  The CLI
+must run on numpy alone, without importing scipy.  No package module
+imports a name it never uses, only forward decides when two eigenvalues
+coincide, one function assembles the spectral sums, one function solves
+X S X* = C over the parameter space, and every float tolerance is defined
+in the one table of numerics."""
 
 import ast
 import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -226,8 +229,37 @@ def test_no_option_without_a_production_caller():
     assert init_fields(mup.MupProblem) == ["sys", "X1", "T1", "T1_new", "X1_new", "seed"]
     assert "pairing_tol" not in init_fields(forward.EigenPairSet)
     assert not hasattr(system.SymmetryClass, "name")
-    assert not hasattr(structfact.StarFactorization, "condition")
+    for member in ("condition", "delta", "rank"):
+        assert not hasattr(structfact.StarFactorization, member), member
+    assert not hasattr(analysis, "s_space_dimension")
     assert {"solve_iep_full", "solve_psi"}.isdisjoint(palinverse.__all__)
+
+
+# The system and its classes, the forward check, one entry per operation
+# (construction and update), and the file formats.
+PUBLIC = ["ALL_CLASSES", "EigenPairSet", "HA", "HP", "IepProblem", "MupProblem",
+          "PalindromicSystem", "PalinverseError", "SymmetryClass", "TA", "TP",
+          "eig_full", "load_pair", "load_system", "pair_residual", "save_pair",
+          "save_system", "select_pairs", "solve_iep_partial_result",
+          "update_model_result"]
+
+
+def test_public_names_are_the_papers():
+    assert palinverse.__all__ == PUBLIC
+    with pytest.raises(ImportError):
+        exec("from palinverse import star_factorize", {})
+
+
+def test_readme_lists_the_public_names():
+    # Each row of the README's module table names its public names in its
+    # last column; together they are __all__, each in its home module.
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Modules\n", 1)[1].split("\n## ", 1)[0]
+    listed = {}
+    for module, names in re.findall(r"^\| `palinverse\.(\w+)` \|.*\|(.*)\|$",
+                                    section, re.MULTILINE):
+        listed.update((name, module) for name in re.findall(r"`(\w+)`", names))
+    assert listed == palinverse._HOME
 
 
 def test_public_names_resolve():
@@ -307,6 +339,26 @@ _NOT_LOADED = {
     "solve": {"mup", "analysis"},
     "update": {"iep", "analysis"},
 }
+
+
+# `import palinverse`, then every submodule named in argv by attribute access.
+_SUBMODULES_CODE = """
+import json, sys
+import palinverse
+report = {"after_import": sorted(m for m in sys.modules if m.startswith("palinverse."))}
+report["resolved"] = [getattr(palinverse, name) is sys.modules[f"palinverse.{name}"]
+                      for name in json.loads(sys.argv[1])]
+report["star_factorize"] = hasattr(palinverse, "star_factorize")
+print(json.dumps(report))
+"""
+
+
+def test_every_submodule_loads_on_first_access(tmp_path):
+    modules = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+    assert sorted(palinverse._SUBMODULES) == modules
+    report = _child(_SUBMODULES_CODE, modules, tmp_path)
+    assert report == {"after_import": [], "resolved": [True] * len(modules),
+                      "star_factorize": False}
 
 
 @pytest.mark.parametrize("command", sorted(_NOT_LOADED))
