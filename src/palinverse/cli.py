@@ -51,7 +51,15 @@ def parse_complex_list(text):
 
 
 class _UsageError(Exception):
-    """Arguments that parse but pose no valid call."""
+    """Arguments that argparse refuses, or that parse but pose no valid call."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose refusals reach main as _UsageError, so they
+    end in the one-line JSON diagnostic; --help still exits 0."""
+
+    def error(self, message):
+        raise _UsageError(message)
 
 
 def _default_seed(args):
@@ -162,7 +170,7 @@ def cmd_eig(args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="palinverse",
         description="Inverse eigenvalue problems and no-spillover updating "
                     "for quadratic palindromic systems")
@@ -202,13 +210,11 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return int(exc.code) if exc.code else 0
     except _UsageError as exc:
         return _fail("usage", str(exc))
     except OSError as exc:  # a file that cannot be read or written

@@ -207,11 +207,9 @@ def eig_full(sys):
     top, bottom = Z[:n], Z[n:]
     # hypot, as in _greedy_pairing: unimodular values sit on this boundary.
     vectors = np.where(np.hypot(values.real, values.imag) >= 1.0, top, bottom)
-    norms = np.linalg.norm(vectors, axis=0)
-    for i in np.flatnonzero(norms == 0.0):
-        vectors[:, i] = top[:, i] if np.linalg.norm(top[:, i]) > 0 else bottom[:, i]
-        norms[i] = np.linalg.norm(vectors[:, i])
-    vectors = vectors / norms
+    # A unit companion eigenvector is (lam x; x), so the kept block has
+    # norm at least 1/sqrt(2).
+    vectors = vectors / np.linalg.norm(vectors, axis=0)
     # Q(lam_i) x_i for all i at once: Lambda acts as a column scaling.
     A1 = sys.A1
     R = (sys.cls.star_of(A1) @ vectors) * values**2 + (sys.A0 @ vectors) * values \

@@ -1,17 +1,18 @@
 """Inverse eigenvalue problems with prescribed eigenpairs.
 
 solve_iep_partial_result(IepProblem(...)) is the one entry, for every
-1 <= k <= 2n.  For k = 2n (solve_iep_full) a regular solution exists
-exactly when the parameter space of (X, T) contains a nonsingular element,
-which is searched by seeded sampling.  For k < 2n, under the standing
+1 <= k <= 2n.  For k = 2n a regular solution exists exactly when the
+parameter space of (X, T) contains a nonsingular element, which is
+searched by seeded sampling.  For k < 2n, under the standing
 assumptions that the prescribed T1 is similar to T1^{-*} and the remaining
 spectrum stays disjoint, a parameter block S1 for the prescribed part is
 sampled, the deficit X1 S1 X1* = Y Delta Y* is cancelled by extra
 eigenvector columns Y Psi with Psi Omega Psi* = -Delta, and the remaining
 eigenvalues enter through any T2hat preserving the canonical form Omega.
-Each attempt draws S1, the default remaining eigenvalues and the isometry
-of Omega from one seeded master RNG, and errors.retry draws again when the
-output misses a gate.
+Every k draws in one loop (_construct): each attempt takes S1 and, for
+k < 2n, the default remaining eigenvalues and the isometry of Omega from
+one seeded master RNG, and errors.retry draws again when the output misses
+a gate.
 """
 
 from dataclasses import dataclass, field
@@ -28,33 +29,25 @@ from .numerics import (COINCIDE_RTOL, NORM_FLOOR, OUTPUT_RESIDUAL_TOL, PATTERN_R
                        RANK_RTOL, SINGULAR_RTOL, as_matrix, fnorm, solve_right,
                        sv_ratio, unit_columns)
 from .paramspace import sample_nonsingular, solution_space
-from .spectral import _coefficients_from_blocks, coefficients_from_pair
+from .spectral import _coefficients_from_blocks
 from .structfact import _congruence_onto, _snap_isotropy, build_delta, star_factorize
 from .system import pair_residual
 
 
 def solve_iep_full(X, T, cls, seed=0):
-    """The k = 2n step of solve_iep_partial_result, which checks the pair
-    and its +-1 parity first; bench/ times it directly, by this name.
+    """The system of the k = 2n step of solve_iep_partial_result, which
+    checks the pair and its +-1 parity first; bench/ times it directly, by
+    this name.
 
     Samples a nonsingular S subject to star(S) = -eps S, S = T S T* and
-    X S X* = 0; raises NoSolution when the constrained space contains no
-    nonsingular element.
+    X S X* = 0, with the entry's seeded draws and retries; raises NoSolution
+    when the constrained space contains no nonsingular element.
     """
     X, T = as_matrix(X, "X"), as_matrix(T, "T")
     if X.shape[1] != T.shape[0] or 2 * X.shape[0] != T.shape[0]:
         raise DimensionMismatch("solve_iep_full needs X n-by-2n and T 2n-by-2n")
     X = unit_columns(X, T)
-    try:
-        S = sample_nonsingular(solution_space(T, cls, X), seed)
-    except NoNonsingularFound as exc:
-        raise NoSolution(f"no nonsingular parameter matrix exists: {exc}") from exc
-    sys = coefficients_from_pair(X, T, S, cls)
-    resid = pair_residual(sys, (X, T))
-    if resid > OUTPUT_RESIDUAL_TOL:
-        raise ResidualTooLarge(
-            f"constructed system has pair residual {resid:.3e}")
-    return sys
+    return _construct(cls, X, T, seed, solution_space(T, cls, X)).system
 
 
 # ---------------------------------------------------------------------------
@@ -79,70 +72,43 @@ def solve_psi(delta, omega, cls):
 # ---------------------------------------------------------------------------
 
 def _default_remaining(cls, count, n_pos, n_neg, order, t1_values, rng):
-    """Seeded default for the unprescribed eigenvalues.
+    """Seeded default (pairs, singles) for the unprescribed eigenvalues.
 
     Off-circle reciprocal pairs with modulus in [0.3, 0.7] wherever the
     class structure allows them; star = H classes fill the remaining
     inertia with unimodular singletons, and the transpose classes add the
-    +-1 singletons that the parity of T1's spectrum forces.
+    +-1 singletons that the parity of T1's spectrum forces.  The drawn
+    values come in one batch, drawn again whole when a value lies within
+    10 COINCIDE_RTOL max(1, |a|) of a value a of T1 or of an earlier drawn
+    value other than its partner.
     """
-    # Values to stay clear of, T1's first and then each accepted draw, with
-    # their exclusion radii; moduli by hypot, as abs() of a Python complex.
-    used = len(t1_values)
-    avoid = np.zeros(used + count, dtype=np.complex128)
-    avoid[:used] = t1_values
-
-    def reach_of(z):
-        return 10 * COINCIDE_RTOL * np.maximum(1.0, np.hypot(z.real, z.imag))
-
-    reach = reach_of(avoid)
-
-    def keep(zs):
-        nonlocal used
-        zs = np.asarray(zs)
-        avoid[used:used + len(zs)] = zs
-        reach[used:used + len(zs)] = reach_of(zs)
-        used += len(zs)
-
-    def clear(z):
-        d = z - avoid[:used]
-        return bool((np.hypot(d.real, d.imag) > reach[:used]).all())
-
-    def partner(mu):
-        return 1.0 / (np.conj(mu) if cls.star == "H" else mu)
-
-    def draw_pairs(m):
-        # m pairs in one batch, every value clear of T1 and of the pairs
-        # before it; the whole batch is drawn again on a clash.
-        slot = np.arange(2 * m) // 2
-        for _ in range(100):
-            mu = rng.uniform(0.3, 0.7, m) * np.exp(2j * np.pi * rng.uniform(size=m))
-            z = np.column_stack([mu, partner(mu)]).ravel()
-            d = z[:, None] - np.concatenate([avoid[:used], z])
-            far = np.hypot(d.real, d.imag) > np.concatenate([reach[:used], reach_of(z)])
-            far[:, used:] |= slot[:, None] <= slot
-            if far.all():
-                keep(z)
-                return list(zip(z[0::2], z[1::2]))
-        raise RetryExhausted("could not draw clear reciprocal pairs")
-
-    def draw_unimodular():
-        for _ in range(100):
-            mu = np.exp(2j * np.pi * rng.uniform())
-            if clear(mu):
-                keep([mu])
-                return mu
-        raise RetryExhausted("could not draw a clear unimodular value")
-
     if cls.star == "H":
-        n_pair = min(n_pos, n_neg)
-        pairs = draw_pairs(n_pair)
-        singles = [draw_unimodular() for _ in range(abs(n_pos - n_neg))]
-        return pairs, singles, _assign_hermitian_signs(len(singles), n_pair,
-                                                       n_pos, n_neg)
-    # The up-front parity check leaves only points T1 does not carry.
-    singles = _unit_parity(cls, order, t1_values)
-    return draw_pairs((count - len(singles)) // 2), singles, [1] * len(singles)
+        n_pair, n_single = min(n_pos, n_neg), abs(n_pos - n_neg)
+    else:
+        # The up-front parity check leaves only points T1 does not carry.
+        forced = _unit_parity(cls, order, t1_values)
+        n_pair, n_single = (count - len(forced)) // 2, 0
+    # A pair's two values share a slot; a value is checked against T1 and
+    # the values of earlier slots.
+    slot = np.concatenate([np.arange(2 * n_pair) // 2, n_pair + np.arange(n_single)])
+    for _ in range(100):
+        mu = rng.uniform(0.3, 0.7, n_pair) * np.exp(2j * np.pi * rng.uniform(size=n_pair))
+        nu = 1.0 / (np.conj(mu) if cls.star == "H" else mu)
+        z = np.concatenate([np.column_stack([mu, nu]).ravel(),
+                            [np.exp(2j * np.pi * rng.uniform()) for _ in range(n_single)]])
+        avoid = np.concatenate([t1_values, z])
+        d = z[:, None] - avoid
+        # Moduli by hypot, as abs() of a Python complex.
+        far = np.hypot(d.real, d.imag) > \
+            10 * COINCIDE_RTOL * np.maximum(1.0, np.hypot(avoid.real, avoid.imag))
+        far[:, len(t1_values):] |= slot[:, None] <= slot
+        if far.all():
+            break
+    else:
+        raise RetryExhausted("could not draw remaining eigenvalues clear of T1 "
+                             "and of each other")
+    pairs = list(zip(z[0:2 * n_pair:2], z[1:2 * n_pair:2]))
+    return pairs, list(z[2 * n_pair:]) if cls.star == "H" else forced
 
 
 def _assign_hermitian_signs(n_singles, n_pairs, n_pos, n_neg):
@@ -230,6 +196,8 @@ class IepProblem:
     t1_values: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.seed < 0:  # numpy would refuse it only at the first draw
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         self.X1 = as_matrix(self.X1, "X1")
         self.T1 = as_matrix(self.T1, "T1")
         k = self.T1.shape[0]
@@ -256,7 +224,8 @@ class IepProblem:
 
 @dataclass
 class IepSolution:
-    """A solved partial problem with its assembled spectral data."""
+    """A solved problem with its assembled spectral data (X, T, S) and the
+    number of draws it took."""
 
     system: object
     X: np.ndarray
@@ -323,23 +292,12 @@ def solve_iep_partial_result(problem):
                 "multiplicity this class and order forbid, and the remaining "
                 "spectrum cannot mend it")
     if r == 0:
-        sys = solve_iep_full(problem.X1, problem.T1, cls, problem.seed)
-        return IepSolution(sys, problem.X1, problem.T1, None, 1,
-                           pair_residual(sys, (problem.X1, problem.T1)))
+        return _construct(cls, problem.X1, problem.T1, problem.seed,
+                          solution_space(problem.T1, cls, problem.X1))
     if given is not None:
         given = _remaining_spectrum(problem)
-    # IepProblem has refused a singular T1.
-    basis = solution_space(problem.T1, cls)
-    master = np.random.default_rng(problem.seed)
 
-    def draw(attempt):
-        seeds = master.integers(0, 2 ** 63, size=3)
-        try:
-            S1 = sample_nonsingular(basis, int(seeds[0]))
-        except NoNonsingularFound as exc:
-            raise NoSolution(
-                f"no nonsingular parameter block for the prescribed pairs: {exc}"
-            ) from exc
+    def completion(S1, seeds):
         if cls.star == "H":
             pattern = star_factorize(S1, cls).pattern
             n_pos, n_neg = n - pattern.p, n - pattern.q
@@ -350,16 +308,11 @@ def solve_iep_partial_result(problem):
             omega = build_delta(cls, p=0, q=0, t=r, size=r)
             n_pos = n_neg = 0
         fact = star_factorize(_snap_isotropy(problem.X1, S1, cls), cls)
-        if given is None:
-            pairs, singles, signs = _default_remaining(
-                cls, r, n_pos, n_neg, n, t1_eigs,
-                np.random.default_rng(int(seeds[1])))
-        else:
-            pairs, singles = given
-            # The singleton signs depend on the inertia of the drawn S1.
-            signs = _assign_hermitian_signs(len(singles), len(pairs),
-                                            n_pos, n_neg) \
-                if cls.star == "H" else [1] * len(singles)
+        pairs, singles = given if given is not None else _default_remaining(
+            cls, r, n_pos, n_neg, n, t1_eigs, np.random.default_rng(int(seeds[1])))
+        # The singleton signs depend on the inertia of the drawn S1.
+        signs = _assign_hermitian_signs(len(singles), len(pairs), n_pos, n_neg) \
+            if cls.star == "H" else [1] * len(singles)
         t2hat = _build_t2hat(cls, pairs, singles, signs, omega)
         try:
             psi = _congruence_onto(-fact.pattern.matrix(), omega, cls,
@@ -369,20 +322,47 @@ def solve_iep_partial_result(problem):
                 f"{exc}: completion needs rank(X1 S1 X1*) <= 2n - k = {r} "
                 "with compatible inertia, a determinantal condition that "
                 f"the freely drawn S1 misses (k = {k} > n = {n})") from exc
-        X2 = fact.Y @ psi
+        return fact.Y @ psi, t2hat, omega
+
+    # IepProblem has refused a singular T1.
+    return _construct(cls, problem.X1, problem.T1, problem.seed,
+                      solution_space(problem.T1, cls), completion)
+
+
+def _construct(cls, X1, T1, seed, basis, completion=None):
+    """The seeded draws of every construction.  Each draw takes S1 from
+    basis and, for k < 2n, the block (X2, T2hat, Omega) that
+    completion(S1, seeds) builds; errors.retry draws again when the output
+    misses a gate."""
+    master = np.random.default_rng(seed)
+
+    def draw(attempt):
+        seeds = master.integers(0, 2 ** 63, size=3)
+        try:
+            S1 = sample_nonsingular(basis, int(seeds[0]))
+        except NoNonsingularFound as exc:
+            raise NoSolution(
+                f"no nonsingular parameter matrix for the prescribed pairs: {exc}"
+            ) from exc
+        blocks = [(X1, T1, S1)]
+        if completion is not None:
+            blocks.append(completion(S1, seeds))
         # (X, T, S) = ([X1, X2], diag(T1, T2hat), diag(S1, Omega)), assembled
         # by blocks; raises SingularLeadingBlock when X T^-1 S X* is singular.
-        sys = _coefficients_from_blocks(
-            [(problem.X1, problem.T1, S1), (X2, t2hat, omega)], cls)
-        resid = pair_residual(sys, (problem.X1, problem.T1))
+        sys = _coefficients_from_blocks(blocks, cls)
+        resid = pair_residual(sys, (X1, T1))
         if resid > OUTPUT_RESIDUAL_TOL:
             raise ResidualTooLarge(f"prescribed-pair residual {resid:.3e}")
-        return sys, X2, S1, t2hat, omega, attempt, resid
+        return sys, blocks, attempt, resid
 
-    sys, X2, S1, t2hat, omega, attempt, resid = retry(
+    sys, blocks, attempt, resid = retry(
         RETRY_ATTEMPTS, draw, (RetryExhausted, BadIndices, SingularLeadingBlock,
                                  ResidualTooLarge, SymmetryViolation),
         NonsingularityRetryExhausted, "no regular completion")
-    T, S = np.zeros((2, 2 * n, 2 * n), dtype=np.complex128)
-    T[:k, :k], T[k:, k:], S[:k, :k], S[k:, k:] = problem.T1, t2hat, S1, omega
-    return IepSolution(sys, np.hstack([problem.X1, X2]), T, S, attempt, resid)
+    if completion is None:
+        return IepSolution(sys, X1, T1, blocks[0][2], attempt, resid)
+    (_, _, S1), (X2, t2hat, omega) = blocks
+    k, m = len(T1), len(T1) + len(t2hat)
+    T, S = np.zeros((2, m, m), dtype=np.complex128)
+    T[:k, :k], T[k:, k:], S[:k, :k], S[k:, k:] = T1, t2hat, S1, omega
+    return IepSolution(sys, np.hstack([X1, X2]), T, S, attempt, resid)

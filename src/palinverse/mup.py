@@ -64,6 +64,8 @@ class MupProblem:
     seed: int = 0
 
     def __post_init__(self):
+        if self.seed < 0:  # numpy would refuse it only at the first draw
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         self.X1 = as_matrix(self.X1, "X1")
         self.T1 = _check_diagonal(self.T1, "T1")
         self.X1 = unit_columns(self.X1, self.T1)

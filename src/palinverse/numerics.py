@@ -14,8 +14,10 @@ SINGULAR_RTOL unless named otherwise) or by a construction that bounds the
 condition number:
 
 - forward.companion: A1*, of order n; PalindromicSystem gates A1, whose
-  singular values A1* shares, or certifies an updated A1 above A1_WARN_RTOL
-  by the Woodbury floor on its sigma_min (mup.low_rank_update).
+  singular values A1* shares, or certifies A1 above A1_WARN_RTOL by a floor
+  on its sigma_min: the Woodbury floor of an update (mup.low_rank_update),
+  1 / sigma_max(X T^-1 S X*) less a roundoff margin for a construction
+  (spectral._coefficients_from_blocks).
 - structfact._isometry: I - K with ||K||_F = 1/2, so sigma(I - K) lies in
   [1/2, 3/2].
 - IepProblem: T1, gated just before the solve.

@@ -16,7 +16,7 @@ from .errors import (DimensionMismatch, MembershipCheckFailed, ResidualTooLarge,
                      SingularW)
 from .numerics import (NORM_FLOOR, PAIR_RESIDUAL_GATE, S1_MEMBERSHIP_RTOL,
                        SINGULAR_RTOL, STRUCTURE_RTOL, as_matrix, fnorm, invert,
-                       linear_solve, solve_right, sv_ratio)
+                       linear_solve, solve_right, sv_min_ratio, sv_ratio)
 from .system import assembled_system, pair_residual
 
 
@@ -161,8 +161,14 @@ def _coefficients_from_blocks(blocks, cls):
         raise SingularMatrix("S must be nonsingular")
     _check_membership(blocks, cls)
     G, H = _spectral_sums(blocks, cls.star_of, svals)
-    if sv_ratio(G) <= SINGULAR_RTOL:
+    smin, ratio = sv_min_ratio(G)
+    if ratio <= SINGULAR_RTOL:
         raise SingularLeadingBlock(
             "X T^{-1} S X* is numerically singular; no regular solution")
     A1 = cls.epsilon * invert(G)
-    return assembled_system(cls, A1, -A1 @ H @ A1)
+    # sigma_min(A1) = 1 / sigma_max(G) in exact arithmetic; the computed
+    # inverse may fall below it by O(n u kappa(G)^2) relative, so the floor
+    # gives up a margin of that order, or is not claimed.
+    margin = 4 * len(G) * np.finfo(float).eps / ratio ** 2
+    floor = ratio / smin * (1.0 - margin) if margin < 0.5 else None
+    return assembled_system(cls, A1, -A1 @ H @ A1, floor)

@@ -404,8 +404,34 @@ def test_cmd_eig_symmetry_violation(tmp_path, capsys):
 
 def test_cmd_usage_error_exit_code(capsys):
     code = main(["solve"])  # missing required flags
-    capsys.readouterr()
+    captured = capsys.readouterr()
     assert code == 2
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "usage"
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, said", [
+    (["--class", "tp", "--pairs", "p.json", "--seed", "abc"], "invalid int value: 'abc'"),
+    (["--class", "xx", "--pairs", "p.json"], "invalid choice: 'xx'"),
+    (["--class", "tp"], "the following arguments are required: --pairs"),
+], ids=["seed", "class", "pairs"])
+def test_cmd_argparse_refusal_is_one_json_line(argv, said, capsys):
+    # An argument argparse refuses ends like every other failure: exit 2
+    # and one {"error", "message"} line on stderr, no usage text.
+    code = main(["solve"] + argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "usage" and said in err["message"]
+
+
+def test_cmd_help_still_exits_zero(capsys):
+    assert main(["solve", "--help"]) == 0
+    assert "--pairs" in capsys.readouterr().out
 
 
 def test_cmd_update_prescribed_vectors(tmp_path, capsys):

@@ -95,8 +95,71 @@ def test_iep_partial_reduces_to_full_at_k_equals_2n():
     e = eig_full(src)
     prob = IepProblem(HA, e.vectors, np.diag(e.values), seed=2)
     sol = solve_iep_partial_result(prob)
-    assert sol.S is None  # full-pair branch
+    # The drawn member of the parameter space of the whole pair.
+    from palinverse.spectral import _check_membership
+    _check_membership([(sol.X, sol.T, sol.S)], HA)
     assert pair_residual(sol.system, (e.vectors, np.diag(e.values))) <= 1e-8
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_full_iep_direct_step_and_entry_agree_bit_for_bit(cls):
+    # Both normalise X once and draw through the same loop, so the k = 2n
+    # step bench/ calls by name and the entry build the same system, even
+    # for badly scaled columns.
+    from helpers import random_system
+
+    e = eig_full(random_system(cls, 4, seed=12))
+    T = np.diag(e.values)
+    X = e.vectors * 10.0 ** np.random.default_rng(12).uniform(-3, 3, T.shape[0])
+    direct = solve_iep_full(X, T, cls, seed=3)
+    entry = solve_iep_partial_result(IepProblem(cls, X, T, seed=3)).system
+    assert direct.A1.tobytes() == entry.A1.tobytes()
+    assert direct.A0.tobytes() == entry.A0.tobytes()
+
+
+def test_full_iep_retries_a_singular_leading_block(monkeypatch):
+    # At k = 2n a draw that misses a gate is drawn again, as for k < 2n:
+    # the first draw's X T^-1 S X* is reported singular, the second passes.
+    from helpers import random_system
+    from palinverse import spectral
+
+    e = eig_full(random_system(TP, 3, seed=4))
+    X, T = e.vectors, np.diag(e.values)
+    real, calls = spectral.sv_min_ratio, []
+
+    def singular_once(a):
+        calls.append(a.shape)
+        return (0.0, 0.0) if len(calls) == 1 else real(a)
+
+    monkeypatch.setattr(spectral, "sv_min_ratio", singular_once)
+    sol = solve_iep_partial_result(IepProblem(TP, X, T, seed=1))
+    assert calls == [(3, 3), (3, 3)]
+    assert sol.attempts == 2
+    assert pair_residual(sol.system, (X, T)) <= 1e-9
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_constructed_a1_is_certified_by_its_leading_block(cls, monkeypatch):
+    # 1 / sigma_max(X T^-1 S X*), less its roundoff margin, is a floor on
+    # sigma_min of the stored A1, so validation runs no SVD of A1.
+    from palinverse import system
+
+    X1, T1 = iep_fixture(cls)
+    real, calls = system.sv_min_ratio, []
+    monkeypatch.setattr(system, "sv_min_ratio",
+                        lambda a: calls.append(a.shape) or real(a))
+    for k in (2, 4):
+        sol = solve_iep_partial_result(IepProblem(cls, X1[:, :k], T1[:k, :k], seed=2))
+        floor = sol.system._a1_sigma_min[1]
+        smin = np.linalg.svd(sol.system.A1, compute_uv=False)[-1]
+        assert 0.999 * smin <= floor <= smin
+    assert calls == []
+
+
+def test_problem_refuses_a_negative_seed():
+    # numpy would refuse it only at the first draw, untyped.
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        IepProblem(TP, *iep_fixture(TP), seed=-1)
 
 
 @pytest.mark.parametrize("cls", [TP, HA], ids=lambda c: c.code)
@@ -595,18 +658,18 @@ def test_iep_partial_seeded_runs_repeat(cls, k):
 
 
 def test_iep_partial_counts_singular_leading_block(monkeypatch):
-    # The leading-block check lives in coefficients_from_pair; a singular
+    # The leading-block check lives in the spectral assembly; a singular
     # X T^-1 S X* must still be retried and counted under its own reason.
     from palinverse import spectral
 
-    sv_ratio = spectral.sv_ratio
+    sv_min_ratio = spectral.sv_min_ratio
     X1, T1 = iep_fixture(HA)
     n = X1.shape[0]
 
     def singular_leading_block(a):
-        return 0.0 if a.shape == (n, n) else sv_ratio(a)
+        return (0.0, 0.0) if a.shape == (n, n) else sv_min_ratio(a)
 
-    monkeypatch.setattr(spectral, "sv_ratio", singular_leading_block)
+    monkeypatch.setattr(spectral, "sv_min_ratio", singular_leading_block)
     with pytest.raises(NonsingularityRetryExhausted,
                        match=r"in 20 attempts: SingularLeadingBlock 20 \("):
         solve_iep_partial_result(IepProblem(HA, X1, T1, seed=5))
@@ -737,8 +800,8 @@ def test_default_remaining_keeps_values_clear(cls, tol, monkeypatch):
     monkeypatch.setattr(iep, "COINCIDE_RTOL", tol)
     t1 = np.array([0.5 * np.exp(0.4j), 1 / cls.star_scalar(0.5 * np.exp(0.4j))])
     n_pos = n_neg = 7 if cls.star == "H" else 0
-    pairs, singles, _ = iep._default_remaining(cls, 14, n_pos, n_neg, 8, t1,
-                                               np.random.default_rng(3))
+    pairs, singles = iep._default_remaining(cls, 14, n_pos, n_neg, 8, t1,
+                                            np.random.default_rng(3))
     assert len(pairs) == 7 and not singles
     _assert_clear(cls, t1, pairs, tol)
     if tol == 1e-8:  # no clash: one batch of moduli, then one of angles
@@ -756,6 +819,29 @@ def _assert_clear(cls, t1, pairs, tol):
         accepted += [mu, nu]
 
 
+@pytest.mark.parametrize("cls", [TP, HP], ids=lambda c: c.code)
+def test_default_remaining_redraws_a_batch_that_hits_t1(cls):
+    # T1 carries the last value of the batch a generator seeded 11 draws
+    # first (tp: the second pair; hp: the unimodular singleton), so the
+    # whole batch is drawn again and the second one is returned.
+    from palinverse import iep
+
+    n_pos, n_neg = (0, 0) if cls is TP else (2, 1)
+    n_pair, n_single = (2, 0) if cls is TP else (1, 1)
+    rng = np.random.default_rng(11)
+    batches = []
+    for _ in range(2):
+        mu = rng.uniform(0.3, 0.7, n_pair) * np.exp(2j * np.pi * rng.uniform(size=n_pair))
+        batches.append((mu, [np.exp(2j * np.pi * rng.uniform()) for _ in range(n_single)]))
+    (mu1, singles1), (mu2, singles2) = batches
+    hit = singles1[0] if n_single else mu1[-1]
+    t1 = np.array([hit, 1 / cls.star_scalar(hit)])
+    pairs, singles = iep._default_remaining(cls, 4, n_pos, n_neg, 3, t1,
+                                            np.random.default_rng(11))
+    assert np.array_equal([mu for mu, _ in pairs], mu2)
+    assert np.array_equal(singles, singles2)
+
+
 def test_default_remaining_clears_prescribed_values(monkeypatch):
     # One pair against eight prescribed pairs in the same annulus: draws
     # that land within reach of T1 are redrawn.
@@ -765,6 +851,6 @@ def test_default_remaining_clears_prescribed_values(monkeypatch):
     mus = (0.3 + 0.05 * np.arange(8)) * np.exp(0.8j * np.arange(8))
     t1 = np.concatenate([mus, 1 / mus])
     for seed in range(20):
-        pairs, _, _ = iep._default_remaining(TP, 2, 0, 0, 9, t1,
-                                             np.random.default_rng(seed))
+        pairs, _ = iep._default_remaining(TP, 2, 0, 0, 9, t1,
+                                          np.random.default_rng(seed))
         _assert_clear(TP, t1, pairs, 1e-2)

@@ -206,6 +206,14 @@ def test_problem_validation_overlap():
                    np.diag(new))
 
 
+def test_problem_refuses_a_negative_seed():
+    # numpy would refuse it only at the first draw, untyped.
+    sys, replace, new = update_fixture("ta")
+    X1, T1, _, _ = select_pairs(eig_full(sys), replace)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        MupProblem(sys, X1, T1, np.diag(new), seed=-1)
+
+
 def test_problem_validation_residual_gate():
     sys, replace, new = update_fixture("ta")
     rng = np.random.default_rng(16)

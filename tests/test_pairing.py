@@ -110,35 +110,6 @@ def test_vectors_match_loop(cls, n, seed):
     np.testing.assert_allclose(e.vectors, vectors, rtol=0, atol=1e-14)
 
 
-def test_zero_block_falls_back_to_other_block(monkeypatch):
-    sys = random_system(TP, 5, seed=3)
-    n = sys.n
-    real_eig = forward.dense_eig
-    hole = {}
-
-    def eig_with_zero_blocks(A):
-        w, Z = real_eig(A)
-        Z = Z.copy()
-        big = int(np.argmax(np.abs(w)))      # normally takes the top block
-        small = int(np.argmin(np.abs(w)))    # normally takes the bottom block
-        Z[:n, big] = 0.0
-        Z[n:, small] = 0.0
-        hole.update(Z=Z, big=big, small=small)
-        return w, Z
-
-    monkeypatch.setattr(forward, "dense_eig", eig_with_zero_blocks)
-    e = eig_full(sys)
-    Z = hole["Z"]
-    for i, block in ((hole["big"], Z[n:]), (hole["small"], Z[:n])):
-        x = block[:, i] / np.linalg.norm(block[:, i])
-        assert np.array_equal(e.vectors[:, i], x)
-        assert np.linalg.norm(e.vectors[:, i]) == pytest.approx(1.0)
-    for i, lam in enumerate(e.values):
-        res = np.linalg.norm(eval_Q(sys, lam) @ e.vectors[:, i])
-        assert res == pytest.approx(e.residuals[i], abs=1e-12)
-        assert res <= 1e-8 * residual_scale(sys, lam)
-
-
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
 def test_partner_index_matches_pair_list(cls, monkeypatch):
     monkeypatch.setattr(forward, "PAIRING_TOL", 1e-13)
