@@ -39,10 +39,6 @@ class BadIndices(PalinverseError):
 
 
 # paramspace
-class NoNonsingularFound(PalinverseError):
-    """No nonsingular element was found in the sampled parameter space."""
-
-
 class Inconsistent(PalinverseError):
     """A linear constraint on the parameter matrix has no solution."""
 
@@ -94,14 +90,15 @@ class Infeasible(PalinverseError):
 RETRY_ATTEMPTS = 20  # draws a construction or an update makes before giving up
 
 
-def retry(attempts, draw, retryable, exhausted, what):
+def retry(attempts, draw, retryable, exhausted, what, singular):
     """Call draw(attempt) for attempt = 1, 2, ... until one draw returns.
 
     A draw that raises one of the retryable types counts as failed, keyed
     by its type name.  When all attempts fail, raises exhausted with the
     message '<what> in 20 attempts: SymmetryViolation 18, XiSingular 2
     (last failure: ...)', reasons most frequent first, and keeps the
-    Counter of reasons as its .reasons.
+    Counter of reasons as its .reasons; if every failure was SingularMatrix
+    (a singular parameter matrix), raises singular from it instead.
     """
     reasons = Counter()
     last = None
@@ -115,6 +112,8 @@ def retry(attempts, draw, retryable, exhausted, what):
     error = exhausted(f"{what} in {attempts} attempts: {counts} "
                       f"(last failure: {last})")
     error.reasons = reasons
+    if set(reasons) == {SingularMatrix.__name__}:
+        raise singular(f"every parameter matrix drawn was singular: {error}") from error
     raise error
 
 
@@ -142,7 +141,7 @@ class SingularS1Precursor(PalinverseError):
 
 
 class NoNonsingularS1Tilde(PalinverseError):
-    """No nonsingular S1-tilde solves the prescribed-eigenvector constraint."""
+    """Every S1-tilde drawn, for free or prescribed eigenvectors, was singular."""
 
 
 class XiSingular(PalinverseError):

@@ -112,14 +112,18 @@ def load_system(path):
     _check_format(doc, path)
     try:
         cdoc = doc["class"]
-        cls = SymmetryClass(str(cdoc["star"]), int(cdoc["epsilon"]))
+        eps = cdoc["epsilon"]
+        # int() would read 1.5, true or "1" as +1 and -1.9 as -1.
+        if type(eps) not in (int, float) or eps not in (1, -1):
+            raise ValueError(f"epsilon must be the number 1 or -1, got {eps!r}")
+        cls = SymmetryClass(str(cdoc["star"]), int(eps))
         A1 = _matrix_from_json(doc["A1"], "A1")
         A0 = _matrix_from_json(doc["A0"], "A0")
     except (KeyError, TypeError, ValueError) as exc:
         raise FileFormatError(f"parse: bad system file {path}: {exc}") from exc
     n = doc.get("n")
-    if n is not None and int(n) != A1.shape[0]:
-        raise FileFormatError(f"parse: declared n = {n} does not match A1")
+    if n is not None and (type(n) not in (int, float) or n != A1.shape[0]):
+        raise FileFormatError(f"parse: declared n = {n!r} is not the order of A1")
     return PalindromicSystem(cls, A1, A0)
 
 
@@ -141,6 +145,7 @@ def load_pair(path):
 def load_values(path):
     doc = _load(path)
     if isinstance(doc, dict):
+        _check_format(doc, path)
         doc = doc.get("values")
     if not isinstance(doc, list):
         raise FileFormatError(f"parse: {path} must hold a list of [re, im] pairs")

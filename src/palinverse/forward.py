@@ -231,6 +231,9 @@ def select_pairs(eigs, targets, tol=MATCH_TOL):
         raise ValueError(f"match tolerance must be >= 0, got {tol}")
     values = eigs.values
     targets = np.fromiter(targets, dtype=np.complex128)
+    bad = targets[~np.isfinite(targets)]
+    if bad.size:  # a nan distance would never count as missing
+        raise ValueError(f"targets must be finite, got {bad[0]}")
     dists = np.abs(values[None, :] - targets[:, None])
     selected = np.argmin(dists, axis=1)
     missing = dists.min(axis=1) > tol * np.maximum(1.0, np.abs(targets))

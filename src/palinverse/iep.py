@@ -20,10 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (RETRY_ATTEMPTS, BadIndices, DimensionMismatch, Infeasible,
-                     NoNonsingularFound, NoSolution, NonsingularityRetryExhausted,
-                     PairingNotClosed, RemainingEigenvalueConflict,
-                     ResidualTooLarge, RetryExhausted, SingularLeadingBlock,
-                     SingularW, SymmetryViolation, UnsupportedRegime, retry)
+                     NoSolution, NonsingularityRetryExhausted, PairingNotClosed,
+                     RemainingEigenvalueConflict, ResidualTooLarge, RetryExhausted,
+                     SingularLeadingBlock, SingularMatrix, SingularW,
+                     SymmetryViolation, UnsupportedRegime, retry)
 from .forward import _coincide, _group_values, _semisimple_bound, _unit_parity
 from .numerics import (COINCIDE_RTOL, NORM_FLOOR, OUTPUT_RESIDUAL_TOL, PATTERN_RTOL,
                        RANK_RTOL, SINGULAR_RTOL, as_matrix, fnorm, solve_right,
@@ -332,33 +332,31 @@ def solve_iep_partial_result(problem):
 def _construct(cls, X1, T1, seed, basis, completion=None):
     """The seeded draws of every construction.  Each draw takes S1 from
     basis and, for k < 2n, the block (X2, T2hat, Omega) that
-    completion(S1, seeds) builds; errors.retry draws again when the output
-    misses a gate."""
+    completion(S1, seeds) builds; errors.retry draws again when S1 is
+    singular or the output misses a gate, and raises NoSolution when every
+    S1 drawn was singular."""
     master = np.random.default_rng(seed)
 
     def draw(attempt):
         seeds = master.integers(0, 2 ** 63, size=3)
-        try:
-            S1 = sample_nonsingular(basis, int(seeds[0]))
-        except NoNonsingularFound as exc:
-            raise NoSolution(
-                f"no nonsingular parameter matrix for the prescribed pairs: {exc}"
-            ) from exc
-        blocks = [(X1, T1, S1)]
+        S1, s1 = sample_nonsingular(basis, int(seeds[0]))
+        blocks, svals = [(X1, T1, S1)], [s1]
         if completion is not None:
             blocks.append(completion(S1, seeds))
+            # A canonical Omega has one unimodular entry in each row and column.
+            svals.append(np.ones(len(blocks[1][2])))
         # (X, T, S) = ([X1, X2], diag(T1, T2hat), diag(S1, Omega)), assembled
         # by blocks; raises SingularLeadingBlock when X T^-1 S X* is singular.
-        sys = _coefficients_from_blocks(blocks, cls)
+        sys = _coefficients_from_blocks(blocks, cls, svals)
         resid = pair_residual(sys, (X1, T1))
         if resid > OUTPUT_RESIDUAL_TOL:
             raise ResidualTooLarge(f"prescribed-pair residual {resid:.3e}")
         return sys, blocks, attempt, resid
 
     sys, blocks, attempt, resid = retry(
-        RETRY_ATTEMPTS, draw, (RetryExhausted, BadIndices, SingularLeadingBlock,
-                                 ResidualTooLarge, SymmetryViolation),
-        NonsingularityRetryExhausted, "no regular completion")
+        RETRY_ATTEMPTS, draw, (SingularMatrix, RetryExhausted, BadIndices,
+                               SingularLeadingBlock, ResidualTooLarge, SymmetryViolation),
+        NonsingularityRetryExhausted, "no regular completion", NoSolution)
     if completion is None:
         return IepSolution(sys, X1, T1, blocks[0][2], attempt, resid)
     (_, _, S1), (X2, t2hat, omega) = blocks

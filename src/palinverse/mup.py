@@ -24,9 +24,9 @@ from .errors import (RETRY_ATTEMPTS, DefectiveSpectrum, DimensionMismatch,
                      XiSingular, XiSingularRetryExhausted, retry)
 from .forward import (_coincide, _group_values, _semisimple_bound, _unit_parity,
                       eigenvalues)
-from .numerics import (DIAGONAL_RTOL, NONSINGULAR_RTOL, NORM_FLOOR,
-                       OUTPUT_RESIDUAL_TOL, PAIR_RESIDUAL_GATE, SELECTED_MATCH_RTOL,
-                       SINGULAR_RTOL, TRANSFER_FLOOR_RTOL, as_matrix, fnorm, invert,
+from .numerics import (DIAGONAL_RTOL, NORM_FLOOR, OUTPUT_RESIDUAL_TOL,
+                       PAIR_RESIDUAL_GATE, SELECTED_MATCH_RTOL, SINGULAR_RTOL,
+                       TRANSFER_FLOOR_RTOL, as_matrix, fnorm, invert,
                        range_coordinates, rank_factorize, solve_right, sv_ratio,
                        unit_columns)
 from .paramspace import constrained_family, s_basis, sample_nonsingular
@@ -234,14 +234,15 @@ def update_model_result(problem):
     X1_new S X1_new* = X1 S1 X1* for a nonsingular S in the parameter space
     of T1_new: the particular solution first, then seeded draws along the
     homogeneous directions.  Raises Inconsistent when no S solves the
-    constraint and NoNonsingularS1Tilde when no solution is nonsingular.
+    constraint.
 
-    Both then apply the low-rank update, drawing again when its pivot is
-    singular or its output misses a gate.
+    Both draw S1_new with paramspace.sample_nonsingular and then apply the
+    low-rank update, drawing again when S1_new or the pivot is singular or
+    the output misses a gate; NoNonsingularS1Tilde is raised when every
+    S1_new drawn was singular.
     """
     cls = problem.sys.cls
     S1 = compute_S1(problem.sys, problem.X1, problem.T1)
-    retryable = (XiSingular, ResidualTooLarge, SymmetryViolation)
     if problem.X1_new is None:
         basis = s_basis(problem.T1_new, cls)
         Q, (P,) = range_coordinates(problem.X1)
@@ -251,7 +252,7 @@ def update_model_result(problem):
 
         def draw(attempt):
             seeds = master.integers(0, 2 ** 63, size=2)
-            S1t = sample_nonsingular(basis, int(seeds[0]))
+            S1t, _ = sample_nonsingular(basis, int(seeds[0]))
             fact_t = star_factorize(S1t, cls)
             psi = _congruence_onto(fact.pattern.matrix(), fact_t.pattern.matrix(),
                                    cls, np.random.default_rng(int(seeds[1])))
@@ -266,25 +267,13 @@ def update_model_result(problem):
         rng = np.random.default_rng(problem.seed)
 
         def draw(attempt):
-            coeff = np.zeros(len(homogeneous)) if attempt == 1 \
-                else rng.standard_normal(len(homogeneous))
-            S1t = S_part.copy()
-            for c, H in zip(coeff, homogeneous):
-                S1t = S1t + c * H
-            if sv_ratio(S1t) <= NONSINGULAR_RTOL:
-                raise SingularMatrix("candidate S1_new is singular")
+            S1t, _ = sample_nonsingular(homogeneous if attempt > 1 else [], rng, S_part)
             return _finish(problem, S1, problem.X1_new, S1t, attempt)
 
         attempts = RETRY_ATTEMPTS + 1
-        retryable += (SingularMatrix,)
-    try:
-        return retry(attempts, draw, retryable, XiSingularRetryExhausted,
-                     "no regular update found")
-    except XiSingularRetryExhausted as exc:
-        if set(exc.reasons) == {SingularMatrix.__name__}:
-            raise NoNonsingularS1Tilde(
-                "every solution of the transfer constraint is singular") from exc
-        raise
+    return retry(attempts, draw, (SingularMatrix, XiSingular, ResidualTooLarge,
+                                  SymmetryViolation), XiSingularRetryExhausted,
+                 "no regular update found", NoNonsingularS1Tilde)
 
 
 def update_model_prescribed(problem):

@@ -25,13 +25,13 @@ condition number:
   eps X* A1 X T^{-1} - T^{-*} X* A1* X, all gated.
 - spectral.compute_S1: that matrix, gated; T1 as in an update below.
 - spectral._spectral_sums, for construction and update: T_b is LU-solved
-  unless diagonal (divided exactly) or S_b is unit-monomial.  Construction
-  gates G and S, S on its blocks' singular values (a monomial block such as
-  Omega needs no SVD), so S_b = T_b S_b T_b* forces |det T_b| = 1.  An
-  update's T1 and T1_new are diagonal with nonzero entries (eigenvalues of
-  a system with nonsingular A1, and a pairing-closed replacement).
-- mup: Xi, gated; the star factor of S1_new, which passed
-  sample_nonsingular (sv_ratio > NONSINGULAR_RTOL).
+  unless diagonal (divided exactly) or S_b has unit singular values.
+  Construction gates G and S, S on its blocks' singular values (the
+  sampler's for S1, ones for Omega), so S_b = T_b S_b T_b* forces
+  |det T_b| = 1.  An update's T1 and T1_new are diagonal with nonzero
+  entries (eigenvalues of a nonsingular A1, and a pairing-closed replacement).
+- mup: Xi, gated; the star factor of S1_new, free or prescribed, which
+  passed sample_nonsingular (sigma_min / sigma_max > NONSINGULAR_RTOL).
 - analysis: zeta_partition gates S, and A1 is gated by PalindromicSystem.
 
 Tolerance table.  Every numerical decision of the package reads one entry

@@ -19,13 +19,10 @@ from math import comb
 
 import numpy as np
 
-from .errors import (DefectiveSpectrum, DimensionMismatch, Inconsistent,
-                     NoNonsingularFound, SingularMatrix)
+from .errors import DefectiveSpectrum, DimensionMismatch, Inconsistent, SingularMatrix
 from .numerics import (CONSISTENCY_RTOL, JORDAN_JOIN_ATOL, NONSINGULAR_RTOL,
                        NORM_FLOOR, RANK_RTOL, SINGULAR_RTOL, ZERO_ATOL, as_matrix,
                        dense_eig, fnorm, range_coordinates, sv_ratio)
-
-SAMPLE_ATTEMPTS = 50
 
 
 # ---------------------------------------------------------------------------
@@ -316,27 +313,26 @@ def _block_family(lam, p, q):
 # sampling and constrained solves
 # ---------------------------------------------------------------------------
 
-def sample_nonsingular(basis, seed):
-    """Draw S = sum_i c_i B_i over a basis array with seeded normal
-    coefficients until sv_ratio(S) > NONSINGULAR_RTOL, at most
-    SAMPLE_ATTEMPTS times.
+def sample_nonsingular(basis, seed, particular=None):
+    """One draw S = particular + sum_i c_i B_i over a basis array, with
+    c = default_rng(seed).standard_normal(len(basis)); seed may be a
+    Generator, which the draw advances.  Without particular the sum starts
+    at zero.
 
-    Raises NoNonsingularFound when every draw fails, which signals that the
-    space may contain no nonsingular element at all.
+    Returns (S, s), s the singular values of S, when
+    sigma_min / sigma_max > NONSINGULAR_RTOL; otherwise raises
+    SingularMatrix, and the caller's retry loop draws again.
     """
-    if len(basis) == 0:
-        raise NoNonsingularFound("parameter space is trivial")
+    if len(basis) == 0 and particular is None:
+        raise SingularMatrix("parameter space is trivial")
     rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(SAMPLE_ATTEMPTS):
-        S = sum(c * B for c, B in zip(rng.standard_normal(len(basis)), basis))
-        ratio = sv_ratio(S)
-        if ratio > NONSINGULAR_RTOL:
-            return S
-        best = max(best, ratio)
-    raise NoNonsingularFound(
-        f"no nonsingular element found in {SAMPLE_ATTEMPTS} draws "
-        f"(best sigma ratio {best:.3e})")
+    terms = (c * B for c, B in zip(rng.standard_normal(len(basis)), basis))
+    S = sum(terms, 0 if particular is None else particular)
+    s = np.linalg.svd(S, compute_uv=False)
+    ratio = s[-1] / s[0] if s[0] else 0.0
+    if ratio <= NONSINGULAR_RTOL:
+        raise SingularMatrix(f"drawn S is singular (sigma ratio {ratio:.3e})")
+    return S, s
 
 
 def constrained_family(T, cls, X, C):

@@ -118,22 +118,14 @@ def coefficients_from_pair(X, T, S, cls):
     X, T, S = as_matrix(X, "X"), as_matrix(T, "T"), as_matrix(S, "S")
     if X.shape[1] != T.shape[0] or T.shape[0] != T.shape[1] or S.shape != T.shape:
         raise DimensionMismatch("X, T, S dimensions do not conform")
-    return _coefficients_from_blocks([(X, T, S)], cls)
-
-
-def _singular_values(S):
-    """Singular values of S; a monomial S (one nonzero in each row and
-    column, as a canonical Omega) has the moduli of its entries."""
-    nz = S != 0
-    if np.count_nonzero(nz) == len(S) and nz.any(axis=0).all() and nz.any(axis=1).all():
-        return np.abs(S[nz])
-    return np.linalg.svd(S, compute_uv=False)
+    return _coefficients_from_blocks([(X, T, S)], cls,
+                                     [np.linalg.svd(S, compute_uv=False)])
 
 
 def _spectral_sums(blocks, star, svals=None):
     """G = sum X_b T_b^{-1} S_b X_b* and H = sum X_b T_b^{-2} S_b X_b* over
-    blocks (X_b, T_b, S_b).  A diagonal T_b divides exactly; a unit-monomial
-    S_b (Omega; svals[b] are S_b's singular values, if known) takes
+    blocks (X_b, T_b, S_b).  A diagonal T_b divides exactly; an S_b whose
+    singular values svals[b] are all one (a canonical Omega) takes
     T_b^{-1} S_b = S_b T_b*, which S_b = T_b S_b T_b* gives; other T_b are
     LU-solved."""
     G = H = 0
@@ -142,7 +134,7 @@ def _spectral_sums(blocks, star, svals=None):
         if d.all() and np.count_nonzero(T) == len(d):
             TinvS = S / d[:, None]
             XTinvS, XT2invS = X @ TinvS, X @ (TinvS / d[:, None])
-        elif ((_singular_values(S) if svals is None else svals[b]) == 1).all():
+        elif svals is not None and (svals[b] == 1).all():
             XTinvS = X @ S @ star(T)
             XT2invS = XTinvS @ star(T)
         else:
@@ -152,10 +144,11 @@ def _spectral_sums(blocks, star, svals=None):
     return G, H
 
 
-def _coefficients_from_blocks(blocks, cls):
+def _coefficients_from_blocks(blocks, cls, svals):
     """coefficients_from_pair of the block-diagonal (X, T, S) of blocks
-    (X_b, T_b, S_b), X = [X_1, X_2, ...], without forming T or S."""
-    svals = [_singular_values(S) for _, _, S in blocks]
+    (X_b, T_b, S_b), X = [X_1, X_2, ...], without forming T or S; svals[b]
+    are the singular values of S_b, which gate S and pick the route of
+    _spectral_sums."""
     s = np.concatenate(svals)  # sigma(S)
     if not s.size or s.min() <= SINGULAR_RTOL * s.max():
         raise SingularMatrix("S must be nonsingular")

@@ -25,6 +25,18 @@ def count_eigensolves(monkeypatch):
     return calls
 
 
+def singular_draws(module, monkeypatch, count):
+    """Zero the basis of the first count draws of module's parameter
+    sampler, which then refuses each of them as singular."""
+    sample, calls = module.sample_nonsingular, []
+
+    def planted(basis, seed, *rest):
+        calls.append(seed)
+        return sample(0 * np.asarray(basis) if len(calls) <= count else basis, seed, *rest)
+
+    monkeypatch.setattr(module, "sample_nonsingular", planted)
+
+
 def random_complex(rng, *shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 

@@ -278,10 +278,10 @@ def test_criterion_7_joint_block_diagonalization():
         for sizes in shapes:
             X, J = planted_direct_sum(cls, list(sizes), seed=71)
             basis = solution_space(J, cls, X)
-            S = sample_nonsingular(basis, 1)
-            S2 = sample_nonsingular(basis, 2)
-            Shat = sample_nonsingular(basis, 3)
-            Shat2 = sample_nonsingular(basis, 4)
+            S, _ = sample_nonsingular(basis, 1)
+            S2, _ = sample_nonsingular(basis, 2)
+            Shat, _ = sample_nonsingular(basis, 3)
+            Shat2, _ = sample_nonsingular(basis, 4)
             K, pi, blocks = joint_block_diagonalize(X, J, S, S2, Shat, cls)
             assert sorted(blocks) == sorted(sizes), \
                 f"{cls.code} {sizes}: got blocks {blocks}"

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import matrix_from_json_loop, matrix_to_json_loop
+from helpers import matrix_from_json_loop, matrix_to_json_loop, random_system
 from palinverse.fileio import (FORMAT_TAG, FileFormatError, _matrix_from_json,
                                load_pair, load_values, load_system, save_pair,
                                save_system)
-from palinverse.system import ALL_CLASSES
+from palinverse.system import ALL_CLASSES, TP
 
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                 -2.2250738585072014e-308, 1e300, -1e300, 1.7976931348623157e308,
@@ -170,3 +170,44 @@ def test_integer_beyond_float_range_is_a_format_error(tmp_path):
     path.write_text(f"[[0.5, {huge}]]")
     with pytest.raises(FileFormatError, match="out of the float range"):
         load_values(path)
+
+
+def _system_doc(tmp_path, **changes):
+    """A saved order-2 tp system file with header fields replaced: epsilon
+    in its class, n at the top."""
+    path = tmp_path / "system.json"
+    save_system(random_system(TP, 2, 0), path)
+    doc = json.loads(path.read_text())
+    for key, value in changes.items():
+        (doc["class"] if key == "epsilon" else doc)[key] = value
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("epsilon", [1.5, True, "1", -1.9])
+def test_system_epsilon_must_be_the_number_one_or_minus_one(tmp_path, epsilon):
+    # int() read 1.5, true and "1" as tp, and -1.9 as ta.
+    with pytest.raises(FileFormatError, match="epsilon must be the number 1 or -1"):
+        load_system(_system_doc(tmp_path, epsilon=epsilon))
+
+
+def test_system_epsilon_as_a_float_one_loads(tmp_path):
+    epsilon = load_system(_system_doc(tmp_path, epsilon=1.0)).cls.epsilon
+    assert epsilon == 1 and type(epsilon) is int
+
+
+@pytest.mark.parametrize("n", [2.7, "2", True, 3])
+def test_system_n_must_be_the_order(tmp_path, n):
+    # int() read 2.7 as 2.
+    with pytest.raises(FileFormatError, match="is not the order of A1"):
+        load_system(_system_doc(tmp_path, n=n))
+    assert load_system(_system_doc(tmp_path, n=2.0)).n == 2
+
+
+def test_values_file_with_a_foreign_format_tag_is_refused(tmp_path):
+    path = tmp_path / "values.json"
+    path.write_text(json.dumps({"format": "other-v9", "values": [[0.5, 0.0]]}))
+    with pytest.raises(FileFormatError, match="unsupported format 'other-v9'"):
+        load_values(path)
+    path.write_text(json.dumps({"format": FORMAT_TAG, "values": [[0.5, 0.0]]}))
+    assert load_values(path) == [0.5]

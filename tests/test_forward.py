@@ -167,6 +167,10 @@ def test_select_pairs_errors():
     for tol in (float("nan"), -1.0):
         with pytest.raises(ValueError, match="tolerance"):
             select_pairs(e, replace, tol=tol)
+    # A non-finite target would stand for eigenvalue #0.
+    for bad in (float("nan"), float("inf"), complex(float("nan"), 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            select_pairs(e, [bad, replace[1]])
 
 
 def test_select_pairs_overlap_guard():

@@ -1,10 +1,11 @@
 import inspect
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import pair_defect, random_complex
+from helpers import pair_defect, random_complex, random_system, singular_draws
 from palinverse.errors import (DimensionMismatch, Infeasible, NoSolution,
                                NonsingularityRetryExhausted, PairingNotClosed,
                                RemainingEigenvalueConflict, SingularW,
@@ -519,6 +520,37 @@ def test_iep_partial_retry_exhaustion_counts_reasons(monkeypatch):
     with pytest.raises(NonsingularityRetryExhausted,
                        match=r"in 20 attempts: SymmetryViolation 20 \("):
         solve_iep_partial_result(IepProblem(TP, X1, T1, seed=5))
+
+
+def _k2n_or_partial(full):
+    if full:
+        e = eig_full(random_system(HP, 3, 50))
+        return e.vectors, np.diag(e.values)
+    return iep_fixture(HP)
+
+
+@pytest.mark.parametrize("full", [True, False], ids=["k=2n", "k<2n"])
+def test_iep_singular_draw_is_retried(full, monkeypatch):
+    # The sampler refuses a singular S1, and the construction's one retry
+    # loop draws again.
+    from palinverse import iep
+
+    X1, T1 = _k2n_or_partial(full)
+    singular_draws(iep, monkeypatch, 1)
+    res = solve_iep_partial_result(IepProblem(HP, X1, T1, seed=0))
+    assert res.attempts == 2
+    assert pair_residual(res.system, (X1, T1)) <= 1e-9
+
+
+@pytest.mark.parametrize("full", [True, False], ids=["k=2n", "k<2n"])
+def test_iep_every_draw_singular_is_no_solution(full, monkeypatch):
+    from palinverse import iep
+
+    X1, T1 = _k2n_or_partial(full)
+    singular_draws(iep, monkeypatch, 20)
+    with pytest.raises(NoSolution) as info:
+        solve_iep_partial_result(IepProblem(HP, X1, T1, seed=0))
+    assert info.value.__cause__.reasons == Counter(SingularMatrix=20)
 
 
 def test_iep_remaining_checked_once(monkeypatch):

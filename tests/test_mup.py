@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import (count_eigensolves, dense_update_change, random_complex,
-                     random_system, residual_scale, separated_spectrum)
+                     random_system, residual_scale, separated_spectrum,
+                     singular_draws)
 from palinverse import mup
 from palinverse.errors import (DimensionMismatch, Inconsistent, NoNonsingularS1Tilde,
                                ResidualTooLarge, SpectraOverlap,
@@ -315,6 +316,23 @@ def test_update_retry_exhaustion_counts_reasons(monkeypatch):
                        match=r"in 20 attempts: SymmetryViolation 20 \(") as info:
         update_model_result(_fixture_problem("ta"))
     assert info.value.reasons == Counter(SymmetryViolation=20)
+
+
+def test_free_update_retries_a_singular_draw(monkeypatch):
+    # The sampler refuses a singular S1_new, and the update's one retry
+    # loop draws again.
+    singular_draws(mup, monkeypatch, 1)
+    problem = _fixture_problem("hp")
+    res = update_model_result(problem)
+    assert res.attempts == 2
+    assert pair_residual(res.system, (res.X1_new, problem.T1_new)) <= 1e-9
+
+
+def test_free_update_with_every_draw_singular(monkeypatch):
+    singular_draws(mup, monkeypatch, 20)
+    with pytest.raises(NoNonsingularS1Tilde) as info:
+        update_model_result(_fixture_problem("ta"))
+    assert info.value.__cause__.reasons == Counter(SingularMatrix=20)
 
 
 def test_prescribed_retry_exhaustion_counts_mixed_reasons(monkeypatch):

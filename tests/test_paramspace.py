@@ -6,7 +6,7 @@ from helpers import (dense_constrained_family, jordan_matrix, kronecker_space,
                      planted_direct_sum, random_complex, random_structured,
                      random_system)
 from palinverse.errors import (DefectiveSpectrum, DimensionMismatch,
-                               Inconsistent, NoNonsingularFound)
+                               Inconsistent, SingularMatrix)
 from palinverse.forward import eig_full
 from palinverse.iep import solve_iep_full
 from palinverse.numerics import fnorm
@@ -138,21 +138,21 @@ def test_pjcf_flags_forced_zero_singletons():
 
 def test_sample_nonsingular_scalar_family():
     basis = np.array([np.diag([1.0, -1.0]).astype(complex)])
-    S = sample_nonsingular(basis, seed=0)
+    S, _ = sample_nonsingular(basis, seed=0)
     assert np.linalg.cond(S) < 1e8
 
 
 def test_sample_nonsingular_structural_failure():
     basis = np.array([np.diag([1.0, 0.0]).astype(complex)])
-    with pytest.raises(NoNonsingularFound):
+    with pytest.raises(SingularMatrix):
         sample_nonsingular(basis, seed=0)
 
 
 def test_sample_nonsingular_deterministic():
     T = _pair_diag(HP, 0.3 + 0.4j, 1.2 - 0.1j)
     b = s_basis(T, HP)
-    S1 = sample_nonsingular(b, seed=123)
-    S2 = sample_nonsingular(b, seed=123)
+    S1, _ = sample_nonsingular(b, seed=123)
+    S2, _ = sample_nonsingular(b, seed=123)
     assert np.array_equal(S1, S2)
 
 

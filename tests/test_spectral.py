@@ -215,12 +215,16 @@ def _partial_blocks(cls, seed):
             (sol.X[:, k:], sol.T[k:, k:], sol.S[k:, k:])], sol
 
 
+def _svals(blocks):
+    return [np.linalg.svd(S, compute_uv=False) for _, _, S in blocks]
+
+
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
 def test_block_assembly_matches_the_dense_pair(cls):
     for seed in range(3):
         blocks, sol = _partial_blocks(cls, seed)
         assert np.count_nonzero(blocks[1][2]) == blocks[1][2].shape[0]  # Omega
-        by_blocks = _coefficients_from_blocks(blocks, cls)
+        by_blocks = _coefficients_from_blocks(blocks, cls, _svals(blocks))
         dense = coefficients_from_pair(sol.X, sol.T, sol.S, cls)
         scale = max(fnorm(dense.A1), fnorm(dense.A0))
         assert fnorm(by_blocks.A1 - dense.A1) <= 1e-12 * scale
@@ -251,7 +255,7 @@ def test_block_assembly_fails_as_the_dense_pair_does(cls):
     ]
     for error, broken in cases:
         with pytest.raises(error):
-            _coefficients_from_blocks(broken, cls)
+            _coefficients_from_blocks(broken, cls, _svals(broken))
         with pytest.raises(error):
             coefficients_from_pair(*_dense(broken), cls)
 
@@ -270,30 +274,35 @@ def test_update_equals_fresh_assembly(cls):
     for seed in range(5):
         ((X1, T1, _), kept), sol = _partial_blocks(cls, seed)
         res = update_model_result(MupProblem(sol.system, X1, T1, T1_new, seed=seed))
-        fresh = _coefficients_from_blocks(
-            [(res.X1_new, T1_new, res.S1_new), kept], cls)
+        blocks = [(res.X1_new, T1_new, res.S1_new), kept]
+        fresh = _coefficients_from_blocks(blocks, cls, _svals(blocks))
         for got, want in [(res.system.A1, fresh.A1), (res.system.A0, fresh.A0)]:
             assert fnorm(got - want) <= 1e-10 * fnorm(want)
 
 
 def test_block_singular_values_decided_once(monkeypatch):
-    # A Jordan T1 is LU-solved unless its S1 is unit-monomial; that route is
-    # decided on the singular values the S gate already computed, so each
-    # block (S1 and the canonical remaining block) is decomposed once.
+    # A Jordan T1 is LU-solved unless its S1 has unit singular values.  The
+    # S gate and that route read the singular values the sampler computed
+    # for S1, and ones for the canonical Omega, so a draw decomposes S1
+    # once and Omega never.
     from helpers import jordan_matrix
-    from palinverse import spectral
     from palinverse.iep import IepProblem, solve_iep_partial_result
 
     lam = 0.5 + 0.3j
     X1 = random_complex(np.random.default_rng(1), 6, 4)
-    calls, singular_values = [], spectral._singular_values
+    seen, svd = [], np.linalg.svd
 
-    def counted(S):
-        calls.append(S.shape)
-        return singular_values(S)
+    def recorded(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return svd(a, *args, **kwargs)
 
-    monkeypatch.setattr(spectral, "_singular_values", counted)
+    monkeypatch.setattr(np.linalg, "svd", recorded)
     res = solve_iep_partial_result(
         IepProblem(TA, X1, jordan_matrix([lam, 1 / lam], [2, 2]), seed=0))
     assert res.attempts == 1
-    assert calls == [(4, 4), (8, 8)]
+
+    def decompositions(M):
+        return sum(a.shape == M.shape and np.array_equal(a, M) for a in seen)
+
+    assert decompositions(res.S[:4, :4]) == 1
+    assert decompositions(res.S[4:, 4:]) == 0

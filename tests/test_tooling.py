@@ -100,6 +100,15 @@ def test_coincidence_tolerance_read_in_one_place():
     assert _readers(planted, "COINCIDE_RTOL") == {"_check"}
 
 
+def test_parameter_matrices_decided_in_the_sampler_alone():
+    # Construction and both updates draw S through one sampler, which alone
+    # decides a drawn S nonsingular; numerics defines the gate.
+    readers = {path.stem: _readers(path.read_text(), "NONSINGULAR_RTOL")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert {module: names for module, names in readers.items() if names} == \
+        {"paramspace": {"sample_nonsingular"}, "numerics": {None}}
+
+
 def _small_floats(source):
     """(line, value) of every float or complex literal of modulus in
     (0, 1e-3] in a module's source: a tolerance or a floor."""
