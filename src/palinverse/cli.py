@@ -63,12 +63,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _default_seed(args):
-    """--seed, else PALINVERSE_SEED, else 0; a negative seed is a usage error."""
-    if args.seed is not None:
-        seed = args.seed
-    else:
-        env = os.environ.get("PALINVERSE_SEED")
-        seed = int(env) if env else 0
+    """--seed, else PALINVERSE_SEED, else 0; a seed that is not a
+    non-negative integer is a usage error."""
+    seed, env = args.seed, os.environ.get("PALINVERSE_SEED")
+    if seed is None:
+        try:
+            seed = int(env) if env else 0
+        except ValueError:
+            raise _UsageError(f"PALINVERSE_SEED must be an integer, got {env!r}") from None
     if seed < 0:
         raise _UsageError(f"seed must be a non-negative integer, got {seed}")
     return seed

@@ -35,7 +35,8 @@ class FactorizationFailure(PalinverseError):
 
 
 class BadIndices(PalinverseError):
-    """Inertia/rank indices passed to build_delta are inconsistent."""
+    """A canonical pattern cannot be built from its inertia/rank indices,
+    or cannot be reached by congruence from the form at hand."""
 
 
 # paramspace
@@ -80,41 +81,14 @@ class DefectiveSpectrum(PalinverseError):
 
 # iep
 class NoSolution(PalinverseError):
-    """The inverse eigenvalue problem instance admits no regular solution."""
+    """Every parameter matrix a construction or update drew was singular:
+    its parameter space holds no nonsingular element.  Raised from the
+    RetryExhausted that counts the draws."""
 
 
 class Infeasible(PalinverseError):
-    """A structural feasibility condition (inertia, rank, parity) fails."""
-
-
-RETRY_ATTEMPTS = 20  # draws a construction or an update makes before giving up
-
-
-def retry(attempts, draw, retryable, exhausted, what, singular):
-    """Call draw(attempt) for attempt = 1, 2, ... until one draw returns.
-
-    A draw that raises one of the retryable types counts as failed, keyed
-    by its type name.  When all attempts fail, raises exhausted with the
-    message '<what> in 20 attempts: SymmetryViolation 18, XiSingular 2
-    (last failure: ...)', reasons most frequent first, and keeps the
-    Counter of reasons as its .reasons; if every failure was SingularMatrix
-    (a singular parameter matrix), raises singular from it instead.
-    """
-    reasons = Counter()
-    last = None
-    for attempt in range(1, attempts + 1):
-        try:
-            return draw(attempt)
-        except retryable as exc:
-            reasons[type(exc).__name__] += 1
-            last = exc
-    counts = ", ".join(f"{name} {n}" for name, n in reasons.most_common())
-    error = exhausted(f"{what} in {attempts} attempts: {counts} "
-                      f"(last failure: {last})")
-    error.reasons = reasons
-    if set(reasons) == {SingularMatrix.__name__}:
-        raise singular(f"every parameter matrix drawn was singular: {error}") from error
-    raise error
+    """A structural condition (inertia, parity, multiplicity) rules out
+    every solution; each operation decides it before its first draw."""
 
 
 class UnsupportedRegime(PalinverseError):
@@ -123,33 +97,13 @@ class UnsupportedRegime(PalinverseError):
     drawn S1 misses."""
 
 
-class RetryExhausted(PalinverseError):
-    """Random draws kept producing degenerate intermediates."""
-
-
-class NonsingularityRetryExhausted(PalinverseError):
-    """All retries produced a singular assembled coefficient block."""
-
-
-class RemainingEigenvalueConflict(PalinverseError):
-    """User-supplied remaining eigenvalues collide with the prescribed ones."""
-
-
 # mup
 class SingularS1Precursor(PalinverseError):
     """The matrix inverted to obtain S1 is singular."""
 
 
-class NoNonsingularS1Tilde(PalinverseError):
-    """Every S1-tilde drawn, for free or prescribed eigenvectors, was singular."""
-
-
 class XiSingular(PalinverseError):
     """The low-rank update pivot Xi is singular for the current draw."""
-
-
-class XiSingularRetryExhausted(PalinverseError):
-    """Every retry produced a singular low-rank update pivot Xi."""
 
 
 # analysis
@@ -167,3 +121,43 @@ class NotJBDiagonalizable(PalinverseError):
 
 class GeomMultViolation(PalinverseError):
     """An eigenvalue has geometric multiplicity larger than one."""
+
+
+# draws
+class RetryExhausted(PalinverseError):
+    """Every draw of a construction or update missed; .reasons counts the
+    misses by type name."""
+
+
+# Failures of one seeded draw, not of the problem: retry draws again.
+MISSES = (SingularMatrix, BadIndices, FactorizationFailure, SpectraOverlap,
+          SingularLeadingBlock, XiSingular, ResidualTooLarge, SymmetryViolation)
+
+RETRY_ATTEMPTS = 20  # draws a construction or an update makes before giving up
+
+
+def retry(attempts, draw, what):
+    """Call draw(attempt) for attempt = 1, 2, ... until one draw returns.
+
+    A draw that raises one of MISSES counts as failed, keyed by its type
+    name.  When all attempts fail, raises RetryExhausted with the message
+    '<what> in 20 attempts: SymmetryViolation 18, XiSingular 2 (last
+    failure: ...)', reasons most frequent first, and keeps the Counter of
+    reasons as its .reasons; if every failure was SingularMatrix (a
+    singular parameter matrix), raises NoSolution from it instead.
+    """
+    reasons = Counter()
+    last = None
+    for attempt in range(1, attempts + 1):
+        try:
+            return draw(attempt)
+        except MISSES as exc:
+            reasons[type(exc).__name__] += 1
+            last = exc
+    counts = ", ".join(f"{name} {n}" for name, n in reasons.most_common())
+    error = RetryExhausted(f"{what} in {attempts} attempts: {counts} "
+                           f"(last failure: {last})")
+    error.reasons = reasons
+    if set(reasons) == {SingularMatrix.__name__}:
+        raise NoSolution(f"every parameter matrix drawn was singular: {error}") from error
+    raise error

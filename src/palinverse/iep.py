@@ -11,8 +11,8 @@ eigenvector columns Y Psi with Psi Omega Psi* = -Delta, and the remaining
 eigenvalues enter through any T2hat preserving the canonical form Omega.
 Every k draws in one loop (_construct): each attempt takes S1 and, for
 k < 2n, the default remaining eigenvalues and the isometry of Omega from
-one seeded master RNG, and errors.retry draws again when the output misses
-a gate.
+one seeded master RNG, and errors.retry draws again when the draw misses
+(errors.MISSES).  Infeasible is decided before the first draw.
 """
 
 from dataclasses import dataclass, field
@@ -20,10 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (RETRY_ATTEMPTS, BadIndices, DimensionMismatch, Infeasible,
-                     NoSolution, NonsingularityRetryExhausted, PairingNotClosed,
-                     RemainingEigenvalueConflict, ResidualTooLarge, RetryExhausted,
-                     SingularLeadingBlock, SingularMatrix, SingularW,
-                     SymmetryViolation, UnsupportedRegime, retry)
+                     ResidualTooLarge, SingularW, SpectraOverlap, UnsupportedRegime,
+                     retry)
 from .forward import _coincide, _group_values, _semisimple_bound, _unit_parity
 from .numerics import (COINCIDE_RTOL, NORM_FLOOR, OUTPUT_RESIDUAL_TOL, PATTERN_RTOL,
                        RANK_RTOL, SINGULAR_RTOL, as_matrix, fnorm, solve_right,
@@ -60,7 +58,7 @@ def solve_psi(delta, omega, cls):
     Delta is an n-by-n canonical factor (possibly rank deficient, zeros
     trailing); Omega is a nonsingular canonical factor of the complementary
     size.  For star = H the inertias must satisfy the usual feasibility
-    inequalities, otherwise Infeasible is raised.  Not public; bench/
+    inequalities, otherwise BadIndices is raised.  Not public; bench/
     traces it by name.  Construction and updating compose the selection
     with a seeded isometry of Omega (_congruence_onto with an rng).
     """
@@ -78,9 +76,9 @@ def _default_remaining(cls, count, n_pos, n_neg, order, t1_values, rng):
     class structure allows them; star = H classes fill the remaining
     inertia with unimodular singletons, and the transpose classes add the
     +-1 singletons that the parity of T1's spectrum forces.  The drawn
-    values come in one batch, drawn again whole when a value lies within
-    10 COINCIDE_RTOL max(1, |a|) of a value a of T1 or of an earlier drawn
-    value other than its partner.
+    values come in one batch; a value within 10 COINCIDE_RTOL max(1, |a|)
+    of a value a of T1 or of an earlier drawn value other than its partner
+    raises SpectraOverlap, a miss, and the construction draws again.
     """
     if cls.star == "H":
         n_pair, n_single = min(n_pos, n_neg), abs(n_pos - n_neg)
@@ -91,22 +89,19 @@ def _default_remaining(cls, count, n_pos, n_neg, order, t1_values, rng):
     # A pair's two values share a slot; a value is checked against T1 and
     # the values of earlier slots.
     slot = np.concatenate([np.arange(2 * n_pair) // 2, n_pair + np.arange(n_single)])
-    for _ in range(100):
-        mu = rng.uniform(0.3, 0.7, n_pair) * np.exp(2j * np.pi * rng.uniform(size=n_pair))
-        nu = 1.0 / (np.conj(mu) if cls.star == "H" else mu)
-        z = np.concatenate([np.column_stack([mu, nu]).ravel(),
-                            [np.exp(2j * np.pi * rng.uniform()) for _ in range(n_single)]])
-        avoid = np.concatenate([t1_values, z])
-        d = z[:, None] - avoid
-        # Moduli by hypot, as abs() of a Python complex.
-        far = np.hypot(d.real, d.imag) > \
-            10 * COINCIDE_RTOL * np.maximum(1.0, np.hypot(avoid.real, avoid.imag))
-        far[:, len(t1_values):] |= slot[:, None] <= slot
-        if far.all():
-            break
-    else:
-        raise RetryExhausted("could not draw remaining eigenvalues clear of T1 "
-                             "and of each other")
+    mu = rng.uniform(0.3, 0.7, n_pair) * np.exp(2j * np.pi * rng.uniform(size=n_pair))
+    nu = 1.0 / (np.conj(mu) if cls.star == "H" else mu)
+    z = np.concatenate([np.column_stack([mu, nu]).ravel(),
+                        [np.exp(2j * np.pi * rng.uniform()) for _ in range(n_single)]])
+    avoid = np.concatenate([t1_values, z])
+    d = z[:, None] - avoid
+    # Moduli by hypot, as abs() of a Python complex.
+    far = np.hypot(d.real, d.imag) > \
+        10 * COINCIDE_RTOL * np.maximum(1.0, np.hypot(avoid.real, avoid.imag))
+    far[:, len(t1_values):] |= slot[:, None] <= slot
+    if not far.all():
+        raise SpectraOverlap("a drawn remaining eigenvalue lies within reach of "
+                             "T1 or of another drawn value")
     pairs = list(zip(z[0:2 * n_pair:2], z[1:2 * n_pair:2]))
     return pairs, list(z[2 * n_pair:]) if cls.star == "H" else forced
 
@@ -151,7 +146,7 @@ def _build_t2hat(cls, pairs, singles, signs, omega):
     npair = len(pairs)
     r = 2 * npair + len(singles)
     if omega.shape != (r, r):
-        raise Infeasible("remaining eigenvalue count does not match Omega")
+        raise BadIndices("remaining eigenvalue count does not match Omega")
     y, slots = _PAIR_FACTOR[(cls.star, cls.epsilon)]
     lam = np.array(pairs, dtype=np.complex128).reshape(npair, 1, 2)
     t2 = np.zeros((r, r), dtype=np.complex128)
@@ -174,7 +169,7 @@ def _build_t2hat(cls, pairs, singles, signs, omega):
         order = np.arange(r).reshape(npair, 2).T.ravel()
         delta = build_delta(cls, 0, 0, r, r)
     if fnorm(delta - omega) > PATTERN_RTOL * max(fnorm(omega), NORM_FLOOR):
-        raise Infeasible(
+        raise BadIndices(
             "canonical factor of the model parameter block does not match Omega")
     return t2[np.ix_(order, order)]
 
@@ -247,13 +242,10 @@ def _remaining_spectrum(problem):
     vals = np.array(problem.remaining_eigenvalues, dtype=np.complex128)
     hit = np.flatnonzero(_coincide(vals, t1_eigs).any(axis=1))
     if hit.size:
-        raise RemainingEigenvalueConflict(
+        raise SpectraOverlap(
             f"remaining eigenvalue {vals[hit[0]]:.6g} collides with the "
             "prescribed spectrum")
-    try:
-        pairs, singles = _group_values(vals, cls)
-    except PairingNotClosed as exc:
-        raise RemainingEigenvalueConflict(str(exc)) from exc
+    pairs, singles = _group_values(vals, cls)
     wrong = _unit_parity(cls, problem.n, np.concatenate([t1_eigs, vals]))
     if wrong:
         raise Infeasible(
@@ -281,7 +273,7 @@ def solve_iep_partial_result(problem):
     r = 2 * n - k
     given = problem.remaining_eigenvalues
     if given is not None and len(given) != r:
-        raise RemainingEigenvalueConflict(
+        raise DimensionMismatch(
             f"expected {r} remaining eigenvalues, got {len(given)}")
     t1_eigs = problem.t1_values
     # At k = 2n no remaining spectrum can supply a missing +-1 either.
@@ -317,7 +309,7 @@ def solve_iep_partial_result(problem):
         try:
             psi = _congruence_onto(-fact.pattern.matrix(), omega, cls,
                                    np.random.default_rng(int(seeds[2])))
-        except Infeasible as exc:
+        except BadIndices as exc:
             raise UnsupportedRegime(
                 f"{exc}: completion needs rank(X1 S1 X1*) <= 2n - k = {r} "
                 "with compatible inertia, a determinantal condition that "
@@ -333,7 +325,7 @@ def _construct(cls, X1, T1, seed, basis, completion=None):
     """The seeded draws of every construction.  Each draw takes S1 from
     basis and, for k < 2n, the block (X2, T2hat, Omega) that
     completion(S1, seeds) builds; errors.retry draws again when S1 is
-    singular or the output misses a gate, and raises NoSolution when every
+    singular or the draw misses a gate, and raises NoSolution when every
     S1 drawn was singular."""
     master = np.random.default_rng(seed)
 
@@ -353,10 +345,7 @@ def _construct(cls, X1, T1, seed, basis, completion=None):
             raise ResidualTooLarge(f"prescribed-pair residual {resid:.3e}")
         return sys, blocks, attempt, resid
 
-    sys, blocks, attempt, resid = retry(
-        RETRY_ATTEMPTS, draw, (SingularMatrix, RetryExhausted, BadIndices,
-                               SingularLeadingBlock, ResidualTooLarge, SymmetryViolation),
-        NonsingularityRetryExhausted, "no regular completion", NoSolution)
+    sys, blocks, attempt, resid = retry(RETRY_ATTEMPTS, draw, "no regular completion")
     if completion is None:
         return IepSolution(sys, X1, T1, blocks[0][2], attempt, resid)
     (_, _, S1), (X2, t2hat, omega) = blocks

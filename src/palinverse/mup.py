@@ -11,17 +11,15 @@ Woodbury also certifies the new A1 nonsingular without an order-n SVD
 is decomposed in the coordinates of range(W), at order at most 2k.
 update_model_result is the one entry point: it takes the replacement
 eigenvectors as given when MupProblem.X1_new is set and constructs them
-otherwise, and errors.retry draws again when the output misses a gate.
+otherwise, and errors.retry draws again when a draw misses.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (RETRY_ATTEMPTS, DefectiveSpectrum, DimensionMismatch,
-                     Infeasible, NoNonsingularS1Tilde, ResidualTooLarge,
-                     SingularMatrix, SpectraOverlap, SymmetryViolation,
-                     XiSingular, XiSingularRetryExhausted, retry)
+                     Infeasible, ResidualTooLarge, SpectraOverlap, XiSingular, retry)
 from .forward import (_coincide, _group_values, _semisimple_bound, _unit_parity,
                       eigenvalues)
 from .numerics import (DIAGONAL_RTOL, NORM_FLOOR, OUTPUT_RESIDUAL_TOL,
@@ -62,6 +60,7 @@ class MupProblem:
     T1_new: np.ndarray
     X1_new: np.ndarray = None
     seed: int = 0
+    new_groups: tuple = field(init=False, repr=False)  # (pairs, singles) of T1_new
 
     def __post_init__(self):
         if self.seed < 0:  # numpy would refuse it only at the first draw
@@ -90,7 +89,7 @@ class MupProblem:
         old = np.diag(self.T1)
         new = np.diag(self.T1_new)
         _group_values(old, cls)
-        _group_values(new, cls)
+        self.new_groups = _group_values(new, cls)
         cluster = np.argwhere(np.triu(_coincide(old, old), 1))
         if cluster.size:
             i, j = cluster[0]
@@ -237,9 +236,10 @@ def update_model_result(problem):
     constraint.
 
     Both draw S1_new with paramspace.sample_nonsingular and then apply the
-    low-rank update, drawing again when S1_new or the pivot is singular or
-    the output misses a gate; NoNonsingularS1Tilde is raised when every
-    S1_new drawn was singular.
+    low-rank update, drawing again when the draw misses (errors.MISSES);
+    NoSolution is raised when every S1_new drawn was singular.  A free
+    update whose Delta has more slots of one sign than any nonsingular
+    S1_new offers is Infeasible before the first draw.
     """
     cls = problem.sys.cls
     S1 = compute_S1(problem.sys, problem.X1, problem.T1)
@@ -247,6 +247,14 @@ def update_model_result(problem):
         basis = s_basis(problem.T1_new, cls)
         Q, (P,) = range_coordinates(problem.X1)
         fact = star_factorize(_snap_isotropy(P, S1, cls), cls)
+        # Each pair of T1_new gives S1_new one slot of each sign, each
+        # unimodular value one slot of either sign (p = q = 0 for star = T).
+        pairs, units = (len(group) for group in problem.new_groups)
+        p, q = fact.pattern.p, fact.pattern.q
+        if max(p - pairs, 0) + max(q - pairs, 0) > units:
+            raise Infeasible(
+                f"inertia: X1 S1 X1* has inertia ({p}, {q}), more than "
+                f"{pairs} pairs and {units} unimodular values of T1_new can carry")
         Y = Q @ fact.Y
         master = np.random.default_rng(problem.seed)
 
@@ -271,9 +279,7 @@ def update_model_result(problem):
             return _finish(problem, S1, problem.X1_new, S1t, attempt)
 
         attempts = RETRY_ATTEMPTS + 1
-    return retry(attempts, draw, (SingularMatrix, XiSingular, ResidualTooLarge,
-                                  SymmetryViolation), XiSingularRetryExhausted,
-                 "no regular update found", NoNonsingularS1Tilde)
+    return retry(attempts, draw, "no regular update found")
 
 
 def update_model_prescribed(problem):

@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadIndices, FactorizationFailure, Infeasible, RetryExhausted,
-                     SymmetryViolation)
+from .errors import BadIndices, FactorizationFailure, SymmetryViolation
 from .numerics import (CLUSTER_RTOL, NORM_FLOOR, RANK_RTOL, RECONSTRUCT_ATOL,
                        ROUNDOFF_RTOL, STRUCTURE_RTOL, ZERO_ATOL, as_matrix, fnorm,
                        linear_solve)
@@ -339,13 +338,15 @@ def _congruence_onto(target, form, cls, rng=None):
     form-isotropic combinations of the leftover form slots (instead of
     zeros) so the assembled eigenvector matrix can reach full row rank.
     With rng given, Psi = C W for a random isometry W of the form;
-    otherwise Psi = C.
+    otherwise Psi = C.  Raises BadIndices when the form lacks the inertia
+    or rank the target needs, and FactorizationFailure when Psi misses the
+    residual gate.
     """
     n = target.shape[0]
     r = form.shape[0]
     if r == 0:
         if fnorm(target) > ZERO_ATOL:
-            raise Infeasible("empty form cannot produce a nonzero target")
+            raise BadIndices("empty form cannot produce a nonzero target")
         return np.zeros((n, 0), dtype=np.complex128)
     C = np.zeros((n, r), dtype=np.complex128)
     if cls.star == "H":
@@ -355,7 +356,7 @@ def _congruence_onto(target, form, cls, rng=None):
             tgt = np.flatnonzero(tvals == value)
             src = np.flatnonzero(fvals == value)
             if len(src) < len(tgt):
-                raise Infeasible(
+                raise BadIndices(
                     f"inertia shortfall: target needs {len(tgt)} entries of "
                     f"{value}, source offers {len(src)}")
             C[tgt, src[:len(tgt)]] = 1.0
@@ -368,7 +369,7 @@ def _congruence_onto(target, form, cls, rng=None):
     elif cls.epsilon == 1:
         ht, hs = np.count_nonzero(target.any(axis=1)) // 2, r // 2
         if ht > hs:
-            raise Infeasible(f"target rank {2 * ht} exceeds source rank {r}")
+            raise BadIndices(f"target rank {2 * ht} exceeds source rank {r}")
         j = np.arange(ht)
         # target = sigma [[0, I], [-I, 0]]: swap the pair slots when the
         # sign differs from the form's.
@@ -381,7 +382,7 @@ def _congruence_onto(target, form, cls, rng=None):
     else:
         tt = np.count_nonzero(np.diag(target))
         if tt > r:
-            raise Infeasible(f"target rank {tt} exceeds source rank {r}")
+            raise BadIndices(f"target rank {tt} exceeds source rank {r}")
         j = np.arange(tt)
         # target = sigma I: c^2 form = target picks c = 1 or i.
         C[j, j] = 1.0 if tt == 0 or target[0, 0] == form[0, 0] else 1.0j
@@ -393,5 +394,5 @@ def _congruence_onto(target, form, cls, rng=None):
     err = fnorm(psi @ form @ cls.star_of(psi) - target)
     floor = ROUNDOFF_RTOL * max(1.0, fnorm(psi) ** 2 * fnorm(form))
     if err > STRUCTURE_RTOL * fnorm(target) + floor:
-        raise RetryExhausted(f"congruence construction residual {err:.3e}")
+        raise FactorizationFailure(f"congruence construction residual {err:.3e}")
     return psi

@@ -195,7 +195,7 @@ def test_cmd_solve_full_pair_rejects_remaining(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     err = json.loads(captured.err.strip())
-    assert err["error"] == "RemainingEigenvalueConflict"
+    assert err["error"] == "DimensionMismatch"
     assert err["message"] == "expected 0 remaining eigenvalues, got 3"
 
 
@@ -313,6 +313,18 @@ def test_cmd_negative_seed_is_a_usage_error(source, tmp_path, capsys, monkeypatc
     err = json.loads(capsys.readouterr().err.strip())
     assert (code, err["error"]) == (2, "usage")
     assert "seed" in err["message"]
+
+
+@pytest.mark.parametrize("env", ["abc", "1.5", " "])
+def test_cmd_non_integer_env_seed_is_a_usage_error(env, tmp_path, capsys, monkeypatch):
+    # As --seed abc is: the seed is an argument, not a file to parse.
+    pairfile = tmp_path / "pair.json"
+    save_pair(*iep_fixture(TP), pairfile)
+    monkeypatch.setenv("PALINVERSE_SEED", env)
+    code = main(["solve", "--class", "tp", "--pairs", str(pairfile)])
+    err = json.loads(capsys.readouterr().err.strip())
+    assert (code, err["error"]) == (2, "usage")
+    assert err["message"] == f"PALINVERSE_SEED must be an integer, got {env!r}"
 
 
 def test_cmd_update_pairing_not_closed(tmp_path, capsys):

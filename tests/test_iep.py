@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import pair_defect, random_complex, random_system, singular_draws
-from palinverse.errors import (DimensionMismatch, Infeasible, NoSolution,
-                               NonsingularityRetryExhausted, PairingNotClosed,
-                               RemainingEigenvalueConflict, SingularW,
-                               SymmetryViolation, UnsupportedRegime)
+from palinverse.errors import (BadIndices, DimensionMismatch, Infeasible, NoSolution,
+                               PairingNotClosed, RetryExhausted, SingularW,
+                               SpectraOverlap, SymmetryViolation, UnsupportedRegime)
 from palinverse.forward import eig_full
 from palinverse.iep import (IepProblem, solve_iep_full,
                             solve_iep_partial_result, solve_psi)
@@ -171,7 +170,7 @@ def test_iep_full_pair_rejects_remaining_eigenvalues(cls):
 
     e = eig_full(random_system(cls, 3, seed=5))
     X, T = e.vectors, np.diag(e.values)
-    with pytest.raises(RemainingEigenvalueConflict,
+    with pytest.raises(DimensionMismatch,
                        match="expected 0 remaining eigenvalues, got 3"):
         solve_iep_partial_result(IepProblem(
             cls, X, T, remaining_eigenvalues=[0.5, 2.0, 7 + 1j]))
@@ -224,13 +223,14 @@ def test_iep_remaining_conflicts():
     mu = 0.4 * np.exp(0.7j)
     X1 = random_complex(rng, 3, 2)
     T1 = np.diag([mu, 1 / mu])
-    with pytest.raises(RemainingEigenvalueConflict):
+    # A collision, a wrong count and an unpaired value, each by its own type.
+    with pytest.raises(SpectraOverlap, match="collides with the prescribed"):
         solve_iep_partial_result(IepProblem(
             TP, X1, T1, remaining_eigenvalues=[mu, 1 / mu, 2.0, 0.5]))
-    with pytest.raises(RemainingEigenvalueConflict):
+    with pytest.raises(DimensionMismatch, match="expected 4 remaining"):
         solve_iep_partial_result(IepProblem(
             TP, X1, T1, remaining_eigenvalues=[2.0, 0.5, 3.0]))
-    with pytest.raises(RemainingEigenvalueConflict):
+    with pytest.raises(PairingNotClosed):
         solve_iep_partial_result(IepProblem(
             TP, X1, T1, remaining_eigenvalues=[2.0, 0.6, 3.0, 1 / 3.0]))
 
@@ -439,10 +439,11 @@ def test_solve_psi_examples():
 
 
 def test_solve_psi_infeasible_inertia():
-    # -Delta = diag(i, i) needs +i entries the all -i source cannot provide.
+    # -Delta = diag(i, i) needs +i entries the all -i source cannot provide:
+    # a pattern no congruence reaches, which claims nothing of the problem.
     delta = build_delta(HP, p=2, q=0, t=0, size=2)   # diag(-i, -i)
     omega = build_delta(HP, p=2, q=0, t=0, size=2)   # diag(-i, -i)
-    with pytest.raises(Infeasible):
+    with pytest.raises(BadIndices, match="inertia shortfall"):
         solve_psi(delta, omega, HP)
 
 
@@ -517,9 +518,10 @@ def test_iep_partial_retry_exhaustion_counts_reasons(monkeypatch):
 
     monkeypatch.setattr(iep, "_coefficients_from_blocks", always_asymmetric)
     X1, T1 = iep_fixture(TP)
-    with pytest.raises(NonsingularityRetryExhausted,
-                       match=r"in 20 attempts: SymmetryViolation 20 \("):
+    with pytest.raises(RetryExhausted,
+                       match=r"in 20 attempts: SymmetryViolation 20 \(") as info:
         solve_iep_partial_result(IepProblem(TP, X1, T1, seed=5))
+    assert info.value.reasons == Counter(SymmetryViolation=20)
 
 
 def _k2n_or_partial(full):
@@ -550,6 +552,7 @@ def test_iep_every_draw_singular_is_no_solution(full, monkeypatch):
     singular_draws(iep, monkeypatch, 20)
     with pytest.raises(NoSolution) as info:
         solve_iep_partial_result(IepProblem(HP, X1, T1, seed=0))
+    assert isinstance(info.value.__cause__, RetryExhausted)
     assert info.value.__cause__.reasons == Counter(SingularMatrix=20)
 
 
@@ -572,7 +575,7 @@ def test_iep_remaining_checked_once(monkeypatch):
     monkeypatch.setattr(iep, "_group_values",
                         lambda *args: calls.append(args) or group_values(*args))
     monkeypatch.setattr(iep, "_coefficients_from_blocks", always_asymmetric)
-    with pytest.raises(NonsingularityRetryExhausted):
+    with pytest.raises(RetryExhausted):
         solve_iep_partial_result(problem)
     assert len(calls) == 1
 
@@ -650,7 +653,7 @@ def test_build_t2hat_closed_form(cls, n_pairs, signs):
         assert abs(eigs.pop(j) - v) <= 1e-12 * max(1.0, abs(v))
     assert not eigs
 
-    with pytest.raises(Infeasible, match="remaining eigenvalue count"):
+    with pytest.raises(BadIndices, match="remaining eigenvalue count"):
         _build_t2hat(cls, pairs, singles, signs,
                      np.zeros((r + 1, r + 1), dtype=complex))
     if r == 0:
@@ -664,7 +667,7 @@ def test_build_t2hat_closed_form(cls, n_pairs, signs):
         # A rank-deficient Omega (of even rank for the skew TP form).
         rank = r - 2 if cls.epsilon == 1 else r - 1
         bad = (pairs, singles, signs, build_delta(cls, 0, 0, rank, r))
-    with pytest.raises(Infeasible, match="canonical factor of the model"):
+    with pytest.raises(BadIndices, match="canonical factor of the model"):
         _build_t2hat(cls, *bad)
 
 
@@ -702,7 +705,7 @@ def test_iep_partial_counts_singular_leading_block(monkeypatch):
         return (0.0, 0.0) if a.shape == (n, n) else sv_min_ratio(a)
 
     monkeypatch.setattr(spectral, "sv_min_ratio", singular_leading_block)
-    with pytest.raises(NonsingularityRetryExhausted,
+    with pytest.raises(RetryExhausted,
                        match=r"in 20 attempts: SingularLeadingBlock 20 \("):
         solve_iep_partial_result(IepProblem(HA, X1, T1, seed=5))
 
@@ -750,7 +753,7 @@ def test_congruence_onto_property(cls, n, r, data):
     else:
         feasible = t_plus <= r
     if not feasible:
-        with pytest.raises(Infeasible):
+        with pytest.raises(BadIndices):
             _congruence_onto(target, form, cls, np.random.default_rng(seed))
         return
     W = _isometry(form, cls, np.random.default_rng(seed))
@@ -821,25 +824,42 @@ def test_iep_partial_reads_t1_eigenvalues_once(monkeypatch):
     assert calls == [T1.shape]
 
 
+def _remaining_or_overlap(cls, count, n_pos, n_neg, order, t1, seed):
+    """_default_remaining's batch for a generator seeded seed, or None when
+    the batch clashes and raises SpectraOverlap."""
+    from palinverse import iep
+
+    try:
+        return iep._default_remaining(cls, count, n_pos, n_neg, order, t1,
+                                      np.random.default_rng(seed))
+    except SpectraOverlap:
+        return None
+
+
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
 @pytest.mark.parametrize("tol", [1e-8, 2e-2])
 def test_default_remaining_keeps_values_clear(cls, tol, monkeypatch):
-    # Every drawn value lies outside 10 tol max(1, |a|) of T1's values and
-    # of the earlier pairs'.  The wide tolerance makes batches clash, so
-    # whole batches are drawn again.
+    # Every returned value lies outside 10 tol max(1, |a|) of T1's values
+    # and of the earlier pairs'.  The wide tolerance makes most batches
+    # clash, and a clashing batch raises SpectraOverlap: one batch per draw.
     from palinverse import iep
 
     monkeypatch.setattr(iep, "COINCIDE_RTOL", tol)
     t1 = np.array([0.5 * np.exp(0.4j), 1 / cls.star_scalar(0.5 * np.exp(0.4j))])
     n_pos = n_neg = 7 if cls.star == "H" else 0
-    pairs, singles = iep._default_remaining(cls, 14, n_pos, n_neg, 8, t1,
-                                            np.random.default_rng(3))
-    assert len(pairs) == 7 and not singles
-    _assert_clear(cls, t1, pairs, tol)
+    batches = [_remaining_or_overlap(cls, 14, n_pos, n_neg, 8, t1, seed)
+               for seed in range(40)]
+    returned = [b for b in batches if b is not None]
+    for pairs, singles in returned:
+        assert len(pairs) == 7 and not singles
+        _assert_clear(cls, t1, pairs, tol)
     if tol == 1e-8:  # no clash: one batch of moduli, then one of angles
+        assert len(returned) == 40
         rng = np.random.default_rng(3)
         mus = rng.uniform(0.3, 0.7, 7) * np.exp(2j * np.pi * rng.uniform(size=7))
-        assert np.array_equal([mu for mu, _ in pairs], mus)
+        assert np.array_equal([mu for mu, _ in batches[3][0]], mus)
+    else:
+        assert 0 < len(returned) < 40
 
 
 def _assert_clear(cls, t1, pairs, tol):
@@ -851,38 +871,64 @@ def _assert_clear(cls, t1, pairs, tol):
         accepted += [mu, nu]
 
 
+def _first_batch(rng, n_pair, n_single):
+    mu = rng.uniform(0.3, 0.7, n_pair) * np.exp(2j * np.pi * rng.uniform(size=n_pair))
+    return mu, [np.exp(2j * np.pi * rng.uniform()) for _ in range(n_single)]
+
+
 @pytest.mark.parametrize("cls", [TP, HP], ids=lambda c: c.code)
-def test_default_remaining_redraws_a_batch_that_hits_t1(cls):
+def test_default_remaining_redraws_a_batch_that_hits_t1(cls, monkeypatch):
     # T1 carries the last value of the batch a generator seeded 11 draws
-    # first (tp: the second pair; hp: the unimodular singleton), so the
-    # whole batch is drawn again and the second one is returned.
+    # first (tp: the second pair; hp: the unimodular singleton), so that
+    # batch raises SpectraOverlap.  Through the entry, T1 carries a value of
+    # the batch of the first draw: the construction draws again and
+    # succeeds on the second.
     from palinverse import iep
 
     n_pos, n_neg = (0, 0) if cls is TP else (2, 1)
     n_pair, n_single = (2, 0) if cls is TP else (1, 1)
-    rng = np.random.default_rng(11)
-    batches = []
-    for _ in range(2):
-        mu = rng.uniform(0.3, 0.7, n_pair) * np.exp(2j * np.pi * rng.uniform(size=n_pair))
-        batches.append((mu, [np.exp(2j * np.pi * rng.uniform()) for _ in range(n_single)]))
-    (mu1, singles1), (mu2, singles2) = batches
-    hit = singles1[0] if n_single else mu1[-1]
+    mu, singles = _first_batch(np.random.default_rng(11), n_pair, n_single)
+    hit = singles[0] if n_single else mu[-1]
     t1 = np.array([hit, 1 / cls.star_scalar(hit)])
-    pairs, singles = iep._default_remaining(cls, 4, n_pos, n_neg, 3, t1,
-                                            np.random.default_rng(11))
-    assert np.array_equal([mu for mu, _ in pairs], mu2)
-    assert np.array_equal(singles, singles2)
+    assert _remaining_or_overlap(cls, 4, n_pos, n_neg, 3, t1, 11) is None
+
+    # n = 3, k = 2: two remaining pairs for either class (the off-circle
+    # pair of T1 gives S1 the inertia (1, 1)); the batch of the first draw
+    # comes from the second of the master generator's three seeds.
+    seeds = np.random.default_rng(5).integers(0, 2 ** 63, size=3)
+    mu, _ = _first_batch(np.random.default_rng(int(seeds[1])), 2, 0)
+    T1 = np.diag([mu[-1], 1 / cls.star_scalar(mu[-1])])
+    X1 = random_complex(np.random.default_rng(12), 3, 2)
+    default_remaining, outcomes = iep._default_remaining, []
+
+    def recorded(*args):
+        try:
+            batch = default_remaining(*args)
+        except SpectraOverlap:
+            outcomes.append(None)
+            raise
+        outcomes.append(batch)
+        return batch
+
+    monkeypatch.setattr(iep, "_default_remaining", recorded)
+    sol = solve_iep_partial_result(IepProblem(cls, X1, T1, seed=5))
+    assert sol.attempts == 2
+    assert outcomes[0] is None and len(outcomes) == 2
+    _assert_clear(cls, np.diag(T1), outcomes[1][0], 1e-8)
+    assert pair_residual(sol.system, (X1, T1)) <= 1e-9
 
 
 def test_default_remaining_clears_prescribed_values(monkeypatch):
-    # One pair against eight prescribed pairs in the same annulus: draws
-    # that land within reach of T1 are redrawn.
+    # One pair against eight prescribed pairs in the same annulus: a draw
+    # that lands within reach of T1 raises SpectraOverlap, and every batch
+    # returned stays clear.
     from palinverse import iep
 
     monkeypatch.setattr(iep, "COINCIDE_RTOL", 1e-2)
     mus = (0.3 + 0.05 * np.arange(8)) * np.exp(0.8j * np.arange(8))
     t1 = np.concatenate([mus, 1 / mus])
-    for seed in range(20):
-        pairs, _ = iep._default_remaining(TP, 2, 0, 0, 9, t1,
-                                          np.random.default_rng(seed))
-        _assert_clear(TP, t1, pairs, 1e-2)
+    batches = [_remaining_or_overlap(TP, 2, 0, 0, 9, t1, seed) for seed in range(20)]
+    assert None in batches
+    for batch in batches:
+        if batch is not None:
+            _assert_clear(TP, t1, batch[0], 1e-2)

@@ -7,10 +7,9 @@ from helpers import (count_eigensolves, dense_update_change, random_complex,
                      random_system, residual_scale, separated_spectrum,
                      singular_draws)
 from palinverse import mup
-from palinverse.errors import (DimensionMismatch, Inconsistent, NoNonsingularS1Tilde,
-                               ResidualTooLarge, SpectraOverlap,
-                               SymmetryViolation, XiSingular,
-                               XiSingularRetryExhausted)
+from palinverse.errors import (DimensionMismatch, Inconsistent, Infeasible, NoSolution,
+                               ResidualTooLarge, RetryExhausted, SpectraOverlap,
+                               SymmetryViolation, XiSingular)
 from palinverse.forward import eig_full, select_pairs
 from palinverse.mup import (MupProblem, MupResult, low_rank_update,
                             update_model_prescribed, update_model_result)
@@ -306,13 +305,13 @@ def _fixture_problem(code, **kwargs):
 
 
 def test_update_retry_exhaustion_counts_reasons(monkeypatch):
-    # Every draw fails the output symmetry gate: the exhausted-retry error
-    # keeps its type but reports what actually failed, not a singular Xi.
+    # Every draw fails the output symmetry gate: the one exhausted error
+    # reports what actually failed, not a singular Xi.
     def always_asymmetric(*args):
         raise SymmetryViolation("forced")
 
     monkeypatch.setattr(mup, "_finish", always_asymmetric)
-    with pytest.raises(XiSingularRetryExhausted,
+    with pytest.raises(RetryExhausted,
                        match=r"in 20 attempts: SymmetryViolation 20 \(") as info:
         update_model_result(_fixture_problem("ta"))
     assert info.value.reasons == Counter(SymmetryViolation=20)
@@ -330,8 +329,9 @@ def test_free_update_retries_a_singular_draw(monkeypatch):
 
 def test_free_update_with_every_draw_singular(monkeypatch):
     singular_draws(mup, monkeypatch, 20)
-    with pytest.raises(NoNonsingularS1Tilde) as info:
+    with pytest.raises(NoSolution) as info:
         update_model_result(_fixture_problem("ta"))
+    assert isinstance(info.value.__cause__, RetryExhausted)
     assert info.value.__cause__.reasons == Counter(SingularMatrix=20)
 
 
@@ -346,7 +346,7 @@ def test_prescribed_retry_exhaustion_counts_mixed_reasons(monkeypatch):
     problem = _fixture_problem("hp", X1_new=free.X1_new)
     monkeypatch.setattr(mup, "RETRY_ATTEMPTS", 3)
     monkeypatch.setattr(mup, "_finish", fail_in_turn)
-    with pytest.raises(XiSingularRetryExhausted) as info:
+    with pytest.raises(RetryExhausted) as info:
         update_model_prescribed(problem)
     assert "in 4 attempts: SymmetryViolation 2, XiSingular 1, " \
         "ResidualTooLarge 1 (" in str(info.value)
@@ -377,9 +377,51 @@ def test_prescribed_all_candidates_singular(monkeypatch):
     problem = _fixture_problem("ta", X1_new=problem.X1)
     monkeypatch.setattr(mup, "constrained_family",
                         lambda T, cls, X, C: (np.zeros_like(C), []))
-    with pytest.raises(NoNonsingularS1Tilde) as info:
+    with pytest.raises(NoSolution) as info:
         update_model_result(problem)
+    assert isinstance(info.value.__cause__, RetryExhausted)
     assert info.value.__cause__.reasons == Counter(SingularMatrix=21)
+
+
+def _unimodular_system(cls, angles, X1, seed):
+    """A system constructed from the eigenvectors X1 and the unimodular
+    eigenvalues e^{i angles}, and its computed eigenpair (X1, T1) of them."""
+    from palinverse.iep import IepProblem, solve_iep_partial_result
+
+    values = np.exp(1j * np.asarray(angles))
+    sys = solve_iep_partial_result(IepProblem(cls, X1, np.diag(values), seed=seed)).system
+    X1, T1, _, _ = select_pairs(eig_full(sys), values)
+    return sys, X1, T1
+
+
+@pytest.mark.parametrize("cls", [HP, HA], ids=lambda c: c.code)
+def test_free_update_of_a_unimodular_eigenvalue_solves_every_seed(cls):
+    # The sign characteristic of a unimodular eigenvalue is drawn with
+    # S1_new; a draw whose sign misses that of X1 S1 X1* is a miss, drawn
+    # again, not a refusal: e^{0.5i} -> e^{0.8i} succeeds for every seed.
+    X1 = np.random.default_rng(5).standard_normal((3, 1))
+    sys, X1, T1 = _unimodular_system(cls, [0.5], X1, 0)
+    new, attempts = np.diag([np.exp(0.8j)]), []
+    for seed in range(8):
+        res = update_model_result(MupProblem(sys, X1, T1, new, seed=seed))
+        assert pair_residual(res.system, (res.X1_new, new)) <= 1e-9
+        attempts.append(res.attempts)
+    assert max(attempts) > 1
+
+
+@pytest.mark.parametrize("cls", [HP, HA], ids=lambda c: c.code)
+def test_free_update_beyond_the_sign_characteristic_is_infeasible(cls, monkeypatch):
+    # Two unimodular eigenvalues whose X1 S1 X1* has two slots of one sign:
+    # an off-circle pair gives S1_new one slot of each sign, so no draw can
+    # carry them, and the update is refused before the first draw.
+    X1 = np.random.default_rng(21).standard_normal((3, 2))
+    sys, X1, T1 = _unimodular_system(cls, [0.3, 1.1], X1, 0)
+    draws = []
+    monkeypatch.setattr(mup, "sample_nonsingular", lambda *args: draws.append(args))
+    mu = 0.5 * np.exp(0.7j)
+    with pytest.raises(Infeasible, match=r"inertia: X1 S1 X1\* has inertia \((2, 0|0, 2)\)"):
+        update_model_result(MupProblem(sys, X1, T1, np.diag([mu, 1 / np.conj(mu)])))
+    assert draws == []
 
 
 def _spillover_case(code, k):

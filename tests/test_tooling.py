@@ -109,6 +109,54 @@ def test_parameter_matrices_decided_in_the_sampler_alone():
         {"paramspace": {"sample_nonsingular"}, "numerics": {None}}
 
 
+def test_one_retry_loop_and_one_exhausted_error():
+    # Construction and both updates hand their draw to errors.retry, which
+    # alone reads the one list of misses (defined by a top-level statement,
+    # so None) and raises the one exhausted error.
+    want = {"MISSES": {"errors": {None, "retry"}},
+            "RetryExhausted": {"errors": {"retry"}}}
+    for name, modules in want.items():
+        readers = {path.stem: _readers(path.read_text(), name)
+                   for path in sorted(PACKAGE.glob("*.py"))}
+        assert {module: names for module, names in readers.items() if names} == \
+            modules, name
+
+
+def _raisers(source, name):
+    """Qualified names (Class.method, outer.inner) of the functions that
+    raise name."""
+    found = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, f"{prefix}{child.name}.")
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if isinstance(exc, ast.Name) and exc.id == name:
+                    found.add(prefix[:-1])
+            visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_infeasible_is_decided_before_the_first_draw():
+    # Infeasible claims that no solution exists, so only the up-front
+    # checks raise it; no function a draw calls (nested draws included)
+    # does.
+    raisers = {path.stem: _raisers(path.read_text(), "Infeasible")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert {module: names for module, names in raisers.items() if names} == {
+        "forward": {"_semisimple_bound"},
+        "iep": {"_remaining_spectrum", "solve_iep_partial_result"},
+        "mup": {"MupProblem.__post_init__", "update_model_result"}}
+    planted = ("class P:\n    def check(self):\n        def draw():\n"
+               "            raise Infeasible('x')\n        raise Infeasible\n")
+    assert _raisers(planted, "Infeasible") == {"P.check.draw", "P.check"}
+
+
 def _small_floats(source):
     """(line, value) of every float or complex literal of modulus in
     (0, 1e-3] in a module's source: a tolerance or a floor."""
@@ -220,7 +268,7 @@ def test_no_option_without_a_production_caller():
     import dataclasses
     import inspect
 
-    from palinverse import analysis, forward, iep, mup, structfact, system
+    from palinverse import analysis, errors, forward, iep, mup, structfact, system
 
     def params(fn):
         return list(inspect.signature(fn).parameters)
@@ -229,6 +277,7 @@ def test_no_option_without_a_production_caller():
         return [f.name for f in dataclasses.fields(cls) if f.init]
 
     assert params(forward.eig_full) == ["sys"]
+    assert params(errors.retry) == ["attempts", "draw", "what"]
     assert params(iep.solve_psi) == ["delta", "omega", "cls"]
     assert params(analysis.zeta_partition) == ["S", "S_tilde", "cls"]
     assert params(analysis.joint_block_diagonalize) == [
