@@ -138,23 +138,17 @@ def _greedy_pairing(values, cls, tol):
 
 
 def _group_values(values, cls):
-    """Split a pairing-closed value list into reciprocal pairs and
-    unimodular singletons, each in list order (a pair at the place of its
-    first value); raise when some value has no partner."""
-    values = [complex(v) for v in values]
-    matched, unmatched = _greedy_pairing(
-        np.array(values, dtype=np.complex128), cls, COINCIDE_RTOL)
+    """Split a pairing-closed value list, by index, into reciprocal pairs
+    (i, j), i < j, and unimodular singletons i, each in list order (a pair
+    at the place of its first value); raise when some value has no partner."""
+    values = np.array(values, dtype=np.complex128)
+    matched, unmatched = _greedy_pairing(values, cls, COINCIDE_RTOL)
     if unmatched:
         raise PairingNotClosed(
             f"value {values[min(unmatched)]:.6g} has no reciprocal partner "
             "in the list")
-    pairs, singles = [], []
-    for i, j in sorted(matched):
-        if i == j:
-            singles.append(values[i])
-        else:
-            pairs.append((values[i], values[j]))
-    return pairs, singles
+    matched = sorted(matched)
+    return [(i, j) for i, j in matched if i != j], [i for i, j in matched if i == j]
 
 
 def _coincide(a, b):

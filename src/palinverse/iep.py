@@ -6,13 +6,15 @@ parameter space of (X, T) contains a nonsingular element, which is
 searched by seeded sampling.  For k < 2n, under the standing
 assumptions that the prescribed T1 is similar to T1^{-*} and the remaining
 spectrum stays disjoint, a parameter block S1 for the prescribed part is
-sampled, the deficit X1 S1 X1* = Y Delta Y* is cancelled by extra
-eigenvector columns Y Psi with Psi Omega Psi* = -Delta, and the remaining
-eigenvalues enter through any T2hat preserving the canonical form Omega.
-Every k draws in one loop (_construct): each attempt takes S1 and, for
-k < 2n, the default remaining eigenvalues and the isometry of Omega from
-one seeded master RNG, and errors.retry draws again when the draw misses
-(errors.MISSES).  Infeasible is decided before the first draw.
+sampled, and the remaining eigenvalues enter as T2 = diag(values) with
+the closed-form parameter block S2 = G F G* (structfact._closed_form_block).
+The deficit X1 S1 X1* = Y Delta Y* is cancelled by the extra eigenvector
+columns X2 = Y Psi G^H with Psi F Psi* = -Delta, so T = diag(T1, T2) and
+(X, T) is an eigendecomposition whenever T1 is diagonal.  Every k draws in
+one loop (_construct): each attempt takes S1 and, for k < 2n, the default
+remaining eigenvalues and the isometry of F from one seeded master RNG,
+and errors.retry draws again when the draw misses (errors.MISSES).
+Infeasible is decided before the first draw.
 """
 
 from dataclasses import dataclass, field
@@ -23,12 +25,12 @@ from .errors import (RETRY_ATTEMPTS, BadIndices, DimensionMismatch, Infeasible,
                      ResidualTooLarge, SingularW, SpectraOverlap, UnsupportedRegime,
                      retry)
 from .forward import _coincide, _group_values, _semisimple_bound, _unit_parity
-from .numerics import (COINCIDE_RTOL, NORM_FLOOR, OUTPUT_RESIDUAL_TOL, PATTERN_RTOL,
-                       RANK_RTOL, SINGULAR_RTOL, as_matrix, fnorm, solve_right,
-                       sv_ratio, unit_columns)
+from .numerics import (COINCIDE_RTOL, OUTPUT_RESIDUAL_TOL, RANK_RTOL, SINGULAR_RTOL,
+                       as_matrix, solve_right, sv_ratio, unit_columns)
 from .paramspace import sample_nonsingular, solution_space
 from .spectral import _coefficients_from_blocks
-from .structfact import _congruence_onto, _snap_isotropy, build_delta, star_factorize
+from .structfact import (_closed_form_block, _congruence_onto, _snap_isotropy,
+                         star_factorize)
 from .system import pair_residual
 
 
@@ -70,21 +72,23 @@ def solve_psi(delta, omega, cls):
 # ---------------------------------------------------------------------------
 
 def _default_remaining(cls, count, n_pos, n_neg, order, t1_values, rng):
-    """Seeded default (pairs, singles) for the unprescribed eigenvalues.
+    """Seeded default values for the unprescribed eigenvalues, with their
+    pairing by index (as forward._group_values gives it).
 
     Off-circle reciprocal pairs with modulus in [0.3, 0.7] wherever the
-    class structure allows them; star = H classes fill the remaining
-    inertia with unimodular singletons, and the transpose classes add the
-    +-1 singletons that the parity of T1's spectrum forces.  The drawn
-    values come in one batch; a value within 10 COINCIDE_RTOL max(1, |a|)
-    of a value a of T1 or of an earlier drawn value other than its partner
-    raises SpectraOverlap, a miss, and the construction draws again.
+    class structure allows them, each pair's values side by side; star = H
+    classes fill the remaining inertia with unimodular singletons, and the
+    transpose classes add the +-1 singletons that the parity of T1's
+    spectrum forces.  The drawn values come in one batch; a value within
+    10 COINCIDE_RTOL max(1, |a|) of a value a of T1 or of an earlier drawn
+    value other than its partner raises SpectraOverlap, a miss, and the
+    construction draws again.
     """
+    # The up-front parity check leaves only points T1 does not carry.
+    forced = _unit_parity(cls, order, t1_values)
     if cls.star == "H":
         n_pair, n_single = min(n_pos, n_neg), abs(n_pos - n_neg)
     else:
-        # The up-front parity check leaves only points T1 does not carry.
-        forced = _unit_parity(cls, order, t1_values)
         n_pair, n_single = (count - len(forced)) // 2, 0
     # A pair's two values share a slot; a value is checked against T1 and
     # the values of earlier slots.
@@ -102,76 +106,9 @@ def _default_remaining(cls, count, n_pos, n_neg, order, t1_values, rng):
     if not far.all():
         raise SpectraOverlap("a drawn remaining eigenvalue lies within reach of "
                              "T1 or of another drawn value")
-    pairs = list(zip(z[0:2 * n_pair:2], z[1:2 * n_pair:2]))
-    return pairs, list(z[2 * n_pair:]) if cls.star == "H" else forced
-
-
-def _assign_hermitian_signs(n_singles, n_pairs, n_pos, n_neg):
-    """Singleton inertia signs that, with n_pairs reciprocal pairs, make up
-    the inertia (n_pos, n_neg) of Omega.  (n_pos, n_neg) comes from the
-    drawn S1, so a miss raises BadIndices, which the construction retries."""
-    a = n_pos - n_pairs
-    b = n_neg - n_pairs
-    if a < 0 or b < 0 or a + b != n_singles:
-        raise BadIndices(
-            f"remaining eigenvalues carry {n_pairs} pairs and {n_singles} "
-            f"singletons, incompatible with inertia targets ({n_pos}, {n_neg})")
-    return [1] * a + [-1] * b
-
-
-# Per class (star, eps): a unitary 2x2 factor y of a reciprocal-pair block,
-# y delta y* = [[0, 1], [-eps, 0]], and for star = H the diagonal of the
-# canonical delta.  For star = T delta is [[0, 1], [-1, 0]] (eps = +1) or
-# the identity (eps = -1).
-_SQRT_HALF = np.sqrt(0.5)
-_PAIR_FACTOR = {
-    ("H", 1): (_SQRT_HALF * np.array([[1, 1], [1j, -1j]]), (1j, -1j)),
-    ("H", -1): (_SQRT_HALF * np.array([[1, 1], [1, -1]]), (1.0, -1.0)),
-    ("T", 1): (np.eye(2, dtype=np.complex128), None),
-    ("T", -1): (_SQRT_HALF * np.array([[1, 1j], [1, -1j]]), None),
-}
-
-
-def _build_t2hat(cls, pairs, singles, signs, omega):
-    """T2hat with T2hat Omega T2hat* = Omega and the given spectrum.
-
-    In block form a reciprocal pair (mu, nu) is y^{-1} diag(mu, nu) y with
-    the class factor y of _PAIR_FACTOR, and a unimodular singleton is its
-    own 1x1 block, carrying +-i (HP) or +-1 (HA, TA) by its inertia sign;
-    TP has no singletons, its equal +-1 values come as pairs.
-    A permutation then sorts the slots into build_delta order: the +i (HP)
-    or +1 (HA) slots first; for TP the first slots of the pairs, then the
-    second slots.
-    """
-    npair = len(pairs)
-    r = 2 * npair + len(singles)
-    if omega.shape != (r, r):
-        raise BadIndices("remaining eigenvalue count does not match Omega")
-    y, slots = _PAIR_FACTOR[(cls.star, cls.epsilon)]
-    lam = np.array(pairs, dtype=np.complex128).reshape(npair, 1, 2)
-    t2 = np.zeros((r, r), dtype=np.complex128)
-    rows = np.arange(2 * npair).reshape(npair, 2, 1)
-    t2[rows, rows.transpose(0, 2, 1)] = (y.conj().T * lam) @ y
-    single = np.arange(2 * npair, r)
-    t2[single, single] = singles
-    if cls.star == "H":
-        # sign = +1 must contribute positive inertia to sqrt(-eps) Omega.
-        unit = -1j if cls.epsilon == 1 else 1.0
-        values = np.concatenate([np.tile(slots, npair),
-                                 unit * np.asarray(signs, dtype=float)])
-        # +i (HP) and +1 (HA) lead, -i and -1 follow.
-        order = np.argsort(values.real + values.imag < 0, kind="stable")
-        delta = np.diag(values[order])
-    elif cls.epsilon == -1:
-        order = np.arange(r)
-        delta = np.eye(r)
-    else:
-        order = np.arange(r).reshape(npair, 2).T.ravel()
-        delta = build_delta(cls, 0, 0, r, r)
-    if fnorm(delta - omega) > PATTERN_RTOL * max(fnorm(omega), NORM_FLOOR):
-        raise BadIndices(
-            "canonical factor of the model parameter block does not match Omega")
-    return t2[np.ix_(order, order)]
+    values = np.concatenate([z, forced])
+    pairs = [(2 * m, 2 * m + 1) for m in range(n_pair)]
+    return values, (pairs, list(range(2 * n_pair, len(values))))
 
 
 @dataclass
@@ -236,8 +173,8 @@ class IepSolution:
 
 
 def _remaining_spectrum(problem):
-    """Pairs and singletons of the user-supplied remaining eigenvalues,
-    checked against the prescribed spectrum and the class rules."""
+    """The user-supplied remaining eigenvalues and their pairing, checked
+    against the prescribed spectrum and the class rules."""
     cls, t1_eigs = problem.cls, problem.t1_values
     vals = np.array(problem.remaining_eigenvalues, dtype=np.complex128)
     hit = np.flatnonzero(_coincide(vals, t1_eigs).any(axis=1))
@@ -245,18 +182,14 @@ def _remaining_spectrum(problem):
         raise SpectraOverlap(
             f"remaining eigenvalue {vals[hit[0]]:.6g} collides with the "
             "prescribed spectrum")
-    pairs, singles = _group_values(vals, cls)
+    groups = _group_values(vals, cls)
     wrong = _unit_parity(cls, problem.n, np.concatenate([t1_eigs, vals]))
     if wrong:
         raise Infeasible(
             f"parity: eigenvalue {wrong[0]:+.0f} occurs with a multiplicity "
             "this class and order forbid")
     _semisimple_bound(problem.n, vals)
-    if cls.star == "T" and cls.epsilon == 1:
-        # Equal +-1 values pair into +-I blocks, which preserve the skew form.
-        singles = sorted(singles, key=lambda v: v.real)
-        return pairs + list(zip(singles[0::2], singles[1::2])), []
-    return pairs, singles
+    return vals, groups
 
 
 def solve_iep_partial_result(problem):
@@ -290,31 +223,29 @@ def solve_iep_partial_result(problem):
         given = _remaining_spectrum(problem)
 
     def completion(S1, seeds):
+        p = q = 0
         if cls.star == "H":
+            # S = diag(S1, S2) has inertia (n, n).  BadIndices, retried, when
+            # S1 is numerically singular or its inertia exceeds the order.
             pattern = star_factorize(S1, cls).pattern
-            n_pos, n_neg = n - pattern.p, n - pattern.q
-            # BadIndices, retried, when S1 is numerically singular
-            # (p + q < k) or its inertia exceeds the order.
-            omega = build_delta(cls, p=n_pos, q=n_neg, t=0, size=r)
-        else:
-            omega = build_delta(cls, p=0, q=0, t=r, size=r)
-            n_pos = n_neg = 0
+            p, q = n - pattern.p, n - pattern.q
+            if min(p, q) < 0 or p + q != r:
+                raise BadIndices(f"S1 of inertia ({pattern.p}, {pattern.q}) leaves "
+                                 f"no inertia of size {r} for the remaining block")
         fact = star_factorize(_snap_isotropy(problem.X1, S1, cls), cls)
-        pairs, singles = given if given is not None else _default_remaining(
-            cls, r, n_pos, n_neg, n, t1_eigs, np.random.default_rng(int(seeds[1])))
-        # The singleton signs depend on the inertia of the drawn S1.
-        signs = _assign_hermitian_signs(len(singles), len(pairs), n_pos, n_neg) \
-            if cls.star == "H" else [1] * len(singles)
-        t2hat = _build_t2hat(cls, pairs, singles, signs, omega)
+        values, groups = given if given is not None else _default_remaining(
+            cls, r, p, q, n, t1_eigs, np.random.default_rng(int(seeds[1])))
+        S2, G, F = _closed_form_block(cls, values, groups, p, q)
         try:
-            psi = _congruence_onto(-fact.pattern.matrix(), omega, cls,
+            psi = _congruence_onto(-fact.pattern.matrix(), F, cls,
                                    np.random.default_rng(int(seeds[2])))
         except BadIndices as exc:
             raise UnsupportedRegime(
                 f"{exc}: completion needs rank(X1 S1 X1*) <= 2n - k = {r} "
                 "with compatible inertia, a determinantal condition that "
                 f"the freely drawn S1 misses (k = {k} > n = {n})") from exc
-        return fact.Y @ psi, t2hat, omega
+        # X2 S2 X2* = Y psi F psi* Y* = -X1 S1 X1*.
+        return fact.Y @ psi @ G.conj().T, np.diag(values), S2
 
     # IepProblem has refused a singular T1.
     return _construct(cls, problem.X1, problem.T1, problem.seed,
@@ -323,10 +254,10 @@ def solve_iep_partial_result(problem):
 
 def _construct(cls, X1, T1, seed, basis, completion=None):
     """The seeded draws of every construction.  Each draw takes S1 from
-    basis and, for k < 2n, the block (X2, T2hat, Omega) that
-    completion(S1, seeds) builds; errors.retry draws again when S1 is
-    singular or the draw misses a gate, and raises NoSolution when every
-    S1 drawn was singular."""
+    basis and, for k < 2n, the block (X2, T2, S2) of the remaining
+    eigenvalues that completion(S1, seeds) builds, T2 diagonal; errors.retry
+    draws again when S1 is singular or the draw misses a gate, and raises
+    NoSolution when every S1 drawn was singular."""
     master = np.random.default_rng(seed)
 
     def draw(attempt):
@@ -335,10 +266,10 @@ def _construct(cls, X1, T1, seed, basis, completion=None):
         blocks, svals = [(X1, T1, S1)], [s1]
         if completion is not None:
             blocks.append(completion(S1, seeds))
-            # A canonical Omega has one unimodular entry in each row and column.
+            # S2 has one unimodular entry in each row and column.
             svals.append(np.ones(len(blocks[1][2])))
-        # (X, T, S) = ([X1, X2], diag(T1, T2hat), diag(S1, Omega)), assembled
-        # by blocks; raises SingularLeadingBlock when X T^-1 S X* is singular.
+        # (X, T, S) = ([X1, X2], diag(T1, T2), diag(S1, S2)), assembled by
+        # blocks; raises SingularLeadingBlock when X T^-1 S X* is singular.
         sys = _coefficients_from_blocks(blocks, cls, svals)
         resid = pair_residual(sys, (X1, T1))
         if resid > OUTPUT_RESIDUAL_TOL:
@@ -348,8 +279,8 @@ def _construct(cls, X1, T1, seed, basis, completion=None):
     sys, blocks, attempt, resid = retry(RETRY_ATTEMPTS, draw, "no regular completion")
     if completion is None:
         return IepSolution(sys, X1, T1, blocks[0][2], attempt, resid)
-    (_, _, S1), (X2, t2hat, omega) = blocks
-    k, m = len(T1), len(T1) + len(t2hat)
+    (_, _, S1), (X2, T2, S2) = blocks
+    k, m = len(T1), len(T1) + len(T2)
     T, S = np.zeros((2, m, m), dtype=np.complex128)
-    T[:k, :k], T[k:, k:], S[:k, :k], S[k:, k:] = T1, t2hat, S1, omega
+    T[:k, :k], T[k:, k:], S[:k, :k], S[k:, k:] = T1, T2, S1, S2
     return IepSolution(sys, np.hstack([X1, X2]), T, S, attempt, resid)

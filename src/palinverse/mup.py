@@ -4,7 +4,8 @@ Selected eigenvalues are replaced while every remaining eigenpair is kept
 exactly invariant.  The update never touches the kept eigenvectors: the
 parameter block S1 of the selected pairs is computed from the coefficients
 (spectral.compute_S1), replacement data (X1_new, S1_new) is built so that
-X1_new S1_new X1_new* = X1 S1 X1*, and the coefficient change is a rank-ell
+X1_new S1_new X1_new* = X1 S1 X1* (free eigenvectors take S1_new in closed
+form, prescribed ones solve for it), and the coefficient change is a rank-ell
 correction with a Sherman-Morrison-Woodbury pivot Xi, applied in O(n^2 k);
 Woodbury also certifies the new A1 nonsingular without an order-n SVD
 (low_rank_update).  Each product W M W* with W thin (X1, X1_new or both)
@@ -18,18 +19,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (RETRY_ATTEMPTS, DefectiveSpectrum, DimensionMismatch,
+from .errors import (RETRY_ATTEMPTS, BadIndices, DefectiveSpectrum, DimensionMismatch,
                      Infeasible, ResidualTooLarge, SpectraOverlap, XiSingular, retry)
 from .forward import (_coincide, _group_values, _semisimple_bound, _unit_parity,
                       eigenvalues)
 from .numerics import (DIAGONAL_RTOL, NORM_FLOOR, OUTPUT_RESIDUAL_TOL,
                        PAIR_RESIDUAL_GATE, SELECTED_MATCH_RTOL, SINGULAR_RTOL,
                        TRANSFER_FLOOR_RTOL, as_matrix, fnorm, invert,
-                       range_coordinates, rank_factorize, solve_right, sv_ratio,
-                       unit_columns)
-from .paramspace import constrained_family, s_basis, sample_nonsingular
+                       range_coordinates, rank_factorize, sv_ratio, unit_columns)
+from .paramspace import constrained_family, sample_nonsingular
 from .spectral import _spectral_sums, compute_S1
-from .structfact import _congruence_onto, _snap_isotropy, star_factorize
+from .structfact import (_closed_form_block, _congruence_onto, _snap_isotropy,
+                         star_factorize)
 from .system import PalindromicSystem, _recorded, assembled_system, pair_residual
 
 
@@ -60,7 +61,7 @@ class MupProblem:
     T1_new: np.ndarray
     X1_new: np.ndarray = None
     seed: int = 0
-    new_groups: tuple = field(init=False, repr=False)  # (pairs, singles) of T1_new
+    new_groups: tuple = field(init=False, repr=False)  # pairing of T1_new, by index
 
     def __post_init__(self):
         if self.seed < 0:  # numpy would refuse it only at the first draw
@@ -222,50 +223,49 @@ def update_model_result(problem):
     """Replace the selected eigenvalues, returning full diagnostics.
 
     Free eigenvectors (X1_new unset) follow the constructive recipe:
-    factorize X1 S1 X1* = Y Delta Y*, sample a nonsingular S1_new for the
-    replacement eigenvalues, factorize it as Ytil Delta_til Ytil*, solve
-    Psi Delta_til Psi* = Delta, and set X1_new = Y Psi Ytil^{-1}, which
-    transfers the isotropy constraint to the new pair by construction.
-    Y = Q Yc is n-by-min(n, k), from the core P S1 P* = Yc Delta Yc* in
-    the coordinates Q of range(X1), P = Q^H X1.
+    factorize X1 S1 X1* = Y Delta Y*, take the closed-form parameter block
+    S1_new = G F G* of T1_new with the inertia of S1
+    (structfact._closed_form_block), and set X1_new = Y Psi G^H with
+    Psi F Psi* = Delta, which transfers the isotropy constraint to the new
+    pair by construction.  Y = Q Yc is n-by-min(n, k), from the core
+    P S1 P* = Yc Delta Yc* in the coordinates Q of range(X1), P = Q^H X1.
+    A draw is the seeded isometry of F in Psi; an inertia of S1 that the
+    pairs of T1_new cannot carry is Infeasible before the first draw.
 
     Prescribed eigenvectors (X1_new set) solve the transfer constraint
     X1_new S X1_new* = X1 S1 X1* for a nonsingular S in the parameter space
     of T1_new: the particular solution first, then seeded draws along the
-    homogeneous directions.  Raises Inconsistent when no S solves the
-    constraint.
+    homogeneous directions with paramspace.sample_nonsingular.  Raises
+    Inconsistent when no S solves the constraint, and NoSolution when
+    every S1_new drawn was singular.
 
-    Both draw S1_new with paramspace.sample_nonsingular and then apply the
-    low-rank update, drawing again when the draw misses (errors.MISSES);
-    NoSolution is raised when every S1_new drawn was singular.  A free
-    update whose Delta has more slots of one sign than any nonsingular
-    S1_new offers is Infeasible before the first draw.
+    Both then apply the low-rank update, drawing again when the draw
+    misses (errors.MISSES).
     """
     cls = problem.sys.cls
     S1 = compute_S1(problem.sys, problem.X1, problem.T1)
     if problem.X1_new is None:
-        basis = s_basis(problem.T1_new, cls)
         Q, (P,) = range_coordinates(problem.X1)
         fact = star_factorize(_snap_isotropy(P, S1, cls), cls)
+        # diag(S1, S_kept) keeps its inertia, so S1_new must carry that of
+        # S1, which passed compute_S1's gate: every eigenvalue sign counts.
         # Each pair of T1_new gives S1_new one slot of each sign, each
         # unimodular value one slot of either sign (p = q = 0 for star = T).
-        pairs, units = (len(group) for group in problem.new_groups)
-        p, q = fact.pattern.p, fact.pattern.q
-        if max(p - pairs, 0) + max(q - pairs, 0) > units:
-            raise Infeasible(
-                f"inertia: X1 S1 X1* has inertia ({p}, {q}), more than "
-                f"{pairs} pairs and {units} unimodular values of T1_new can carry")
-        Y = Q @ fact.Y
-        master = np.random.default_rng(problem.seed)
+        p = q = 0
+        if cls.star == "H":
+            inertia = star_factorize(S1, cls, rank_tol=0.0).pattern
+            p, q = inertia.p, inertia.q
+        try:
+            S1t, G, F = _closed_form_block(cls, np.diag(problem.T1_new),
+                                           problem.new_groups, p, q)
+        except BadIndices as exc:
+            raise Infeasible(f"inertia of S1: {exc}") from exc
+        Y, rng = Q @ fact.Y, np.random.default_rng(problem.seed)
 
         def draw(attempt):
-            seeds = master.integers(0, 2 ** 63, size=2)
-            S1t, _ = sample_nonsingular(basis, int(seeds[0]))
-            fact_t = star_factorize(S1t, cls)
-            psi = _congruence_onto(fact.pattern.matrix(), fact_t.pattern.matrix(),
-                                   cls, np.random.default_rng(int(seeds[1])))
-            X1t = solve_right(Y @ psi, fact_t.Y)
-            return _finish(problem, S1, X1t, S1t, attempt)
+            # X1_new S1_new X1_new* = Y psi F psi* Y* = X1 S1 X1*.
+            psi = _congruence_onto(fact.pattern.matrix(), F, cls, rng)
+            return _finish(problem, S1, Y @ psi @ G.conj().T, S1t, attempt)
 
         attempts = RETRY_ATTEMPTS
     else:

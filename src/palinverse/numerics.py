@@ -25,13 +25,12 @@ condition number:
   eps X* A1 X T^{-1} - T^{-*} X* A1* X, all gated.
 - spectral.compute_S1: that matrix, gated; T1 as in an update below.
 - spectral._spectral_sums, for construction and update: T_b is LU-solved
-  unless diagonal (divided exactly) or S_b has unit singular values.
-  Construction gates G and S, S on its blocks' singular values (the
-  sampler's for S1, ones for Omega), so S_b = T_b S_b T_b* forces
-  |det T_b| = 1.  An update's T1 and T1_new are diagonal with nonzero
-  entries (eigenvalues of a nonsingular A1, and a pairing-closed replacement).
-- mup: Xi, gated; the star factor of S1_new, free or prescribed, which
-  passed sample_nonsingular (sigma_min / sigma_max > NONSINGULAR_RTOL).
+  unless diagonal (divided exactly).  The one T_b that can be other than
+  diagonal is a construction's T1, gated by IepProblem.  The remaining T2
+  of a construction, and an update's T1 and T1_new, are diagonal with
+  nonzero entries (pairing-closed values, or eigenvalues of a nonsingular
+  A1).
+- mup: Xi, gated.
 - analysis: zeta_partition gates S, and A1 is gated by PalindromicSystem.
 
 Tolerance table.  Every numerical decision of the package reads one entry
@@ -57,7 +56,6 @@ JORDAN_JOIN_ATOL = 1e-12  # a superdiagonal entry this close to 1 joins two Jord
 CLUSTER_RTOL = 1e-8  # singular values this close, relative to the largest, form one cluster
 CONSISTENCY_RTOL = 1e-8  # X S X* = C has a solution: C's structure and the least-squares residual
 S1_MEMBERSHIP_RTOL = 1e-9  # the S1 computed from a system satisfies S1 = T1 S1 T1*
-PATTERN_RTOL = 1e-8  # the model block's canonical factor matches Omega
 # Roundoff floors.
 ROUNDOFF_RTOL = 1e-12  # a product W M W* within this of its scale ||W||^2 ||M|| is roundoff
 TRANSFER_FLOOR_RTOL = 1e-13  # an update's transfer residual within this of its scale is roundoff

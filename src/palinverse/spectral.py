@@ -6,7 +6,9 @@ with W = [X; -X T^{-1}], formed multiplied out as
 pair, compute_S1 for the selected pair of an update.  From (X, T, S) the
 coefficients are recovered as A1 = eps (X T^{-1} S X*)^{-1} and
 A0 = -A1 X T^{-2} S X* A1, block by block (_spectral_sums) when T and S are
-block diagonal; the no-spillover update (mup) forms its change the same way.
+block diagonal, dividing each diagonal T block exactly (every block of an
+update, and the closed-form remaining block of a construction); the
+no-spillover update (mup) forms its change the same way.
 """
 
 import numpy as np
@@ -122,21 +124,16 @@ def coefficients_from_pair(X, T, S, cls):
                                      [np.linalg.svd(S, compute_uv=False)])
 
 
-def _spectral_sums(blocks, star, svals=None):
+def _spectral_sums(blocks, star):
     """G = sum X_b T_b^{-1} S_b X_b* and H = sum X_b T_b^{-2} S_b X_b* over
-    blocks (X_b, T_b, S_b).  A diagonal T_b divides exactly; an S_b whose
-    singular values svals[b] are all one (a canonical Omega) takes
-    T_b^{-1} S_b = S_b T_b*, which S_b = T_b S_b T_b* gives; other T_b are
+    blocks (X_b, T_b, S_b).  A diagonal T_b divides exactly; other T_b are
     LU-solved."""
     G = H = 0
-    for b, (X, T, S) in enumerate(blocks):
+    for X, T, S in blocks:
         d = np.diagonal(T)
         if d.all() and np.count_nonzero(T) == len(d):
             TinvS = S / d[:, None]
             XTinvS, XT2invS = X @ TinvS, X @ (TinvS / d[:, None])
-        elif svals is not None and (svals[b] == 1).all():
-            XTinvS = X @ S @ star(T)
-            XT2invS = XTinvS @ star(T)
         else:
             TinvS = linear_solve(T, S)
             XTinvS, XT2invS = X @ TinvS, X @ linear_solve(T, TinvS)
@@ -147,13 +144,12 @@ def _spectral_sums(blocks, star, svals=None):
 def _coefficients_from_blocks(blocks, cls, svals):
     """coefficients_from_pair of the block-diagonal (X, T, S) of blocks
     (X_b, T_b, S_b), X = [X_1, X_2, ...], without forming T or S; svals[b]
-    are the singular values of S_b, which gate S and pick the route of
-    _spectral_sums."""
+    are the singular values of S_b, which gate S."""
     s = np.concatenate(svals)  # sigma(S)
     if not s.size or s.min() <= SINGULAR_RTOL * s.max():
         raise SingularMatrix("S must be nonsingular")
     _check_membership(blocks, cls)
-    G, H = _spectral_sums(blocks, cls.star_of, svals)
+    G, H = _spectral_sums(blocks, cls.star_of)
     smin, ratio = sv_min_ratio(G)
     if ratio <= SINGULAR_RTOL:
         raise SingularLeadingBlock(

@@ -396,3 +396,63 @@ def _congruence_onto(target, form, cls, rng=None):
     if err > STRUCTURE_RTOL * fnorm(target) + floor:
         raise FactorizationFailure(f"congruence construction residual {err:.3e}")
     return psi
+
+
+# ---------------------------------------------------------------------------
+# The parameter block of new eigenvalues, in closed form
+# ---------------------------------------------------------------------------
+
+# Per class (star, eps): a unitary 2x2 factor y of a reciprocal-pair block,
+# y diag(f) y* = [[0, 1], [-eps, 0]] for the pair's two canonical entries f,
+# (+i, -i) for star = H, eps = +1 and (+1, -1) for eps = -1.  For star = T the
+# pair's canonical block is [[0, 1], [-1, 0]] (eps = +1) or the identity
+# (eps = -1).
+_SQRT_HALF = np.sqrt(0.5)
+_PAIR_FACTOR = {
+    ("H", 1): _SQRT_HALF * np.array([[1, 1], [1j, -1j]]),
+    ("H", -1): _SQRT_HALF * np.array([[1, 1], [1, -1]]),
+    ("T", 1): np.eye(2, dtype=np.complex128),
+    ("T", -1): _SQRT_HALF * np.array([[1, 1j], [1, -1j]]),
+}
+
+
+def _closed_form_block(cls, values, groups, p, q):
+    """A member S of the parameter space of diag(values), with its canonical
+    congruence factorization S = G F star(G), G unitary.
+
+    groups is the reciprocal pairing of values that forward._group_values
+    gives, by index.  S is 1 and -eps on each pair (i, j), i < j, and a unit
+    on each unimodular value; tp has no unit for a +-1 value, so equal +-1
+    values pair instead.  F = build_delta(cls, p, q, t=len(values)), and G
+    is y of _PAIR_FACTOR on a pair's slots and 1 on a unimodular value's.
+    For star = H the first p - len(pairs) unimodular values carry the sign
+    that p counts (-i for eps = +1, +1 for eps = -1) and the others q's; for
+    star = T, p = q = 0.  Raises BadIndices when the counts cannot carry
+    (p, q), or the tp +-1 values cannot pair.
+    """
+    pairs, singles = groups
+    r, eps = len(values), cls.epsilon
+    if cls.star == "H" and (min(p, q) < len(pairs) or p + q != r):
+        raise BadIndices(f"{len(pairs)} pairs and {len(singles)} unimodular values "
+                         f"cannot carry the inertia ({p}, {q})")
+    if cls.star == "T" and eps == 1:
+        signs = np.sign(np.real(values)[singles])
+        if np.count_nonzero(signs < 0) % 2 or np.count_nonzero(signs > 0) % 2:
+            raise BadIndices("tp pairs equal +-1 values, which come in odd number")
+        ones = [singles[i] for i in np.argsort(signs, kind="stable")]
+        pairs, singles = list(pairs) + list(zip(ones[0::2], ones[1::2])), []
+    # The column of F for each slot, pairs' slots first.  Apart from ta's
+    # identity, F leads with the first slots of the pairs (+i, +1, or the
+    # first half of the skew form) and the unimodular values of that sign.
+    key = np.zeros(r) if cls.star == "T" and eps == -1 else np.concatenate(
+        [np.tile([0, 1], len(pairs)), (np.arange(len(singles)) < p - len(pairs)) == (eps == 1)])
+    slot = np.empty(r, dtype=int)
+    slot[np.argsort(key, kind="stable")] = np.arange(r)
+    F = build_delta(cls, p, q, r, r)
+    rows, cols = np.array(pairs, dtype=int).reshape(-1, 2), slot[:2 * len(pairs)].reshape(-1, 2)
+    S, G = np.zeros((2, r, r), dtype=np.complex128)
+    S[rows[:, 0], rows[:, 1]], S[rows[:, 1], rows[:, 0]] = 1.0, -eps
+    S[singles, singles] = np.diagonal(F)[slot[2 * len(pairs):]]
+    G[rows[:, :, None], cols[:, None, :]] = _PAIR_FACTOR[(cls.star, eps)]
+    G[singles, slot[2 * len(pairs):]] = 1.0
+    return S, G, F

@@ -9,11 +9,11 @@ from helpers import pair_defect, random_complex, random_system, singular_draws
 from palinverse.errors import (BadIndices, DimensionMismatch, Infeasible, NoSolution,
                                PairingNotClosed, RetryExhausted, SingularW,
                                SpectraOverlap, SymmetryViolation, UnsupportedRegime)
-from palinverse.forward import eig_full
+from palinverse.forward import _group_values, eig_full
 from palinverse.iep import (IepProblem, solve_iep_full,
                             solve_iep_partial_result, solve_psi)
 from palinverse.numerics import fnorm
-from palinverse.structfact import build_delta
+from palinverse.structfact import _closed_form_block, build_delta, star_factorize
 from palinverse.system import ALL_CLASSES, HA, HP, TA, TP, pair_residual
 from reference_problems import iep_fixture
 
@@ -269,8 +269,8 @@ def test_iep_given_remaining_solves_every_seed(cls):
                                    [1.0, 1.0, 1.0, 1.0]],
                          ids=["pp", "ppmm", "pppp"])
 def test_iep_tp_given_double_unit_eigenvalues(units):
-    # Equal +-1 values of a transpose-palindromic system pair into +-I
-    # blocks of T2hat, which preserve the skew form.  Order 4: a semisimple
+    # Equal +-1 values of a transpose-palindromic system pair as a
+    # reciprocal pair does, into a skew block of S2.  Order 4: a semisimple
     # eigenvalue of a regular system has multiplicity at most n.
     mu = 0.4 * np.exp(0.7j)
     X1 = random_complex(np.random.default_rng(14), 4, 2)
@@ -582,9 +582,10 @@ def test_iep_remaining_checked_once(monkeypatch):
 
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
 def test_group_values_keeps_list_order(cls):
-    # Pairs come back at the place of their first value and singletons in
-    # list order, as a first-fit scan of the list finds them; T2hat and the
-    # singleton signs are assembled in this order.
+    # Index pairs come back at the place of their first value and
+    # singletons in list order, as a first-fit scan of the list finds them;
+    # the closed-form block assigns its canonical slots and signs in this
+    # order.
     from palinverse.iep import _group_values
 
     rng = np.random.default_rng(8)
@@ -600,32 +601,49 @@ def test_group_values_keeps_list_order(cls):
             if i in used:
                 continue
             if pair_defect(cls, v, v) <= 1e-8:
-                singles.append(v)
+                singles.append(i)
                 continue
             j = next(j for j in range(i + 1, len(values))
                      if j not in used and pair_defect(cls, v, values[j]) <= 1e-8)
             used.add(j)
-            pairs.append((v, values[j]))
+            pairs.append((i, j))
         assert _group_values(values, cls) == (pairs, singles)
     with pytest.raises(PairingNotClosed, match="has no reciprocal partner"):
         _group_values(values[1:], cls)
 
 
 def _t2hat_case(cls, n_pairs, signs):
-    """Remaining values and the Omega they must carry: reciprocal pairs
-    off the circle, unimodular singletons (+-1 for TA) with the signs."""
+    """Remaining values and the inertia (p, q) they must carry: reciprocal
+    pairs off the circle, then unimodular singletons (+-1 for TA), p
+    counting the pairs and the signs +1."""
     mus = (0.3 + 0.1 * np.arange(n_pairs)) * np.exp(1j * (0.5 + 1.3 * np.arange(n_pairs)))
-    pairs = [(mu, 1 / cls.star_scalar(mu)) for mu in mus]
+    values = [v for mu in mus for v in (mu, 1 / cls.star_scalar(mu))]
     if cls.star == "H":
-        singles = [np.exp(1j * (0.2 + 0.9 * i)) for i in range(len(signs))]
-        p = n_pairs + signs.count(1)
-        omega = build_delta(cls, p=p, q=2 * n_pairs + len(signs) - p, t=0,
-                            size=2 * n_pairs + len(signs))
-    else:
-        singles = [1.0, -1.0][:len(signs)]
-        r = 2 * n_pairs + len(signs)
-        omega = build_delta(cls, p=0, q=0, t=r, size=r)
-    return pairs, singles, omega
+        values += [np.exp(1j * (0.2 + 0.9 * i)) for i in range(len(signs))]
+        return values, n_pairs + signs.count(1), n_pairs + signs.count(-1)
+    return values + [1.0, -1.0][:len(signs)], 0, 0
+
+
+def _check_closed_form_block(cls, values, p, q):
+    """The closed-form block of values, paired by forward, with the inertia
+    (p, q): an exact member of the parameter space of diag(values), 1 and
+    -eps on each pair and a unit on each unimodular value, and S = G F G*
+    with G unitary and F canonical."""
+    star, eps, r = cls.star_of, cls.epsilon, len(values)
+    groups = _group_values(values, cls)
+    S, G, F = _closed_form_block(cls, values, groups, p, q)
+    assert np.abs(G @ F @ star(G) - S).max(initial=0.0) <= 4 * np.finfo(float).eps
+    assert fnorm(G.conj().T @ G - np.eye(r)) <= 1e-14
+    assert np.array_equal(star(S), -eps * S)
+    D = np.diag(np.array(values, dtype=complex))
+    assert fnorm(D @ S @ star(D) - S) <= 1e-13 * max(r, 1)
+    for i, j in groups[0]:
+        assert (S[i, j], S[j, i]) == (1, -eps)
+    assert np.count_nonzero(S) == r and np.all(np.abs(S[S != 0]) == 1)
+    assert np.array_equal(F, build_delta(cls, p, q, r, r))
+    pattern = star_factorize(S, cls).pattern
+    assert (pattern.p, pattern.q) == (p, q)
+    return groups
 
 
 T2HAT_CASES = (
@@ -639,36 +657,55 @@ T2HAT_CASES = (
 @pytest.mark.parametrize("cls,n_pairs,signs", T2HAT_CASES,
                          ids=[f"{c.code}-{p}p-{len(s)}s" for c, p, s in T2HAT_CASES])
 def test_build_t2hat_closed_form(cls, n_pairs, signs):
-    from palinverse.iep import _build_t2hat
-
-    pairs, singles, omega = _t2hat_case(cls, n_pairs, signs)
-    T = _build_t2hat(cls, pairs, singles, signs, omega)
-    r = omega.shape[0]
-    assert T.shape == (r, r)
-    defect = fnorm(T @ omega @ cls.star_of(T) - omega)
-    assert defect <= 1e-13 * max(fnorm(omega), 1e-300)
-    eigs = list(np.linalg.eigvals(T))
-    for v in [z for pair in pairs for z in pair] + list(singles):
-        j = int(np.argmin([abs(e - v) for e in eigs]))
-        assert abs(eigs.pop(j) - v) <= 1e-12 * max(1.0, abs(v))
-    assert not eigs
-
-    with pytest.raises(BadIndices, match="remaining eigenvalue count"):
-        _build_t2hat(cls, pairs, singles, signs,
-                     np.zeros((r + 1, r + 1), dtype=complex))
-    if r == 0:
-        return
+    # The remaining block of a construction: T2 = diag(values), and its
+    # parameter block S2 = G F G* written in closed form.
+    values, p, q = _t2hat_case(cls, n_pairs, signs)
+    groups = _check_closed_form_block(cls, values, p, q)
     if cls.star == "H":
-        # Flipped inertia: the singletons carry the other signs.
-        bad = (pairs, singles, [-s for s in signs], omega)
-        if not signs:
-            bad = (pairs[1:], [1.0, 1.0], [1, 1], omega)
+        # Counts that cannot carry the inertia: one slot too many, and a
+        # pair short of one sign.
+        bad = [(p + 1, q), (p, q + 1)] + [(n_pairs - 1, q + 1)] * (n_pairs > 0)
+        for inertia in bad:
+            with pytest.raises(BadIndices, match="cannot carry the inertia"):
+                _closed_form_block(cls, values, groups, *inertia)
+    elif cls.epsilon == 1:
+        # tp carries +-1 only in equal pairs.
+        values = values + [1.0, -1.0]
+        with pytest.raises(BadIndices, match="odd number"):
+            _closed_form_block(cls, values, _group_values(values, cls), 0, 0)
+
+
+_UNIT_ANGLES = st.sampled_from([0.3, 1.1, 2.0, 4.0])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_closed_form_block_over_random_pairings(data):
+    # Pairs and unimodular values in any order, some coincident, with
+    # either sign for each unimodular value of the H classes.
+    cls = data.draw(st.sampled_from(ALL_CLASSES), label="cls")
+    pairs = data.draw(st.lists(st.tuples(st.floats(0.2, 0.9), st.floats(0.0, 6.0)),
+                               max_size=3), label="pairs")
+    values = [v for m, a in pairs for v in
+              (m * np.exp(1j * a), 1 / cls.star_scalar(m * np.exp(1j * a)))]
+    values *= data.draw(st.integers(1, 2), label="copies")
+    if cls.star == "H":
+        values += [np.exp(1j * a) for a in
+                   data.draw(st.lists(_UNIT_ANGLES, max_size=4), label="units")]
     else:
-        # A rank-deficient Omega (of even rank for the skew TP form).
-        rank = r - 2 if cls.epsilon == 1 else r - 1
-        bad = (pairs, singles, signs, build_delta(cls, 0, 0, rank, r))
-    with pytest.raises(BadIndices, match="canonical factor of the model"):
-        _build_t2hat(cls, *bad)
+        # tp: +-1 in equal pairs; ta: any count.
+        step = 2 if cls.epsilon == 1 else 1
+        plus, minus = (step * data.draw(st.integers(0, 2), label=f"{sign}1")
+                       for sign in "+-")
+        values += [1.0] * plus + [-1.0] * minus
+    values = [values[i] for i in data.draw(st.permutations(range(len(values))),
+                                           label="order")]
+    n_pairs, n_units = (len(group) for group in _group_values(values, cls))
+    p = q = 0
+    if cls.star == "H":
+        plus = data.draw(st.integers(0, n_units), label="positive units")
+        p, q = n_pairs + plus, n_pairs + n_units - plus
+    _check_closed_form_block(cls, values, p, q)
 
 
 def _prescribed_pairs(cls, n, k, seed):
@@ -824,14 +861,21 @@ def test_iep_partial_reads_t1_eigenvalues_once(monkeypatch):
     assert calls == [T1.shape]
 
 
+def _as_values(batch):
+    """A batch (values, (pairs, singles)) of _default_remaining, indices
+    replaced by values."""
+    values, (pairs, singles) = batch
+    return [(values[i], values[j]) for i, j in pairs], [values[i] for i in singles]
+
+
 def _remaining_or_overlap(cls, count, n_pos, n_neg, order, t1, seed):
-    """_default_remaining's batch for a generator seeded seed, or None when
-    the batch clashes and raises SpectraOverlap."""
+    """_default_remaining's batch for a generator seeded seed, as values,
+    or None when the batch clashes and raises SpectraOverlap."""
     from palinverse import iep
 
     try:
-        return iep._default_remaining(cls, count, n_pos, n_neg, order, t1,
-                                      np.random.default_rng(seed))
+        return _as_values(iep._default_remaining(cls, count, n_pos, n_neg, order, t1,
+                                                 np.random.default_rng(seed)))
     except SpectraOverlap:
         return None
 
@@ -914,7 +958,7 @@ def test_default_remaining_redraws_a_batch_that_hits_t1(cls, monkeypatch):
     sol = solve_iep_partial_result(IepProblem(cls, X1, T1, seed=5))
     assert sol.attempts == 2
     assert outcomes[0] is None and len(outcomes) == 2
-    _assert_clear(cls, np.diag(T1), outcomes[1][0], 1e-8)
+    _assert_clear(cls, np.diag(T1), _as_values(outcomes[1])[0], 1e-8)
     assert pair_residual(sol.system, (X1, T1)) <= 1e-9
 
 

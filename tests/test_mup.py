@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (count_eigensolves, dense_update_change, random_complex,
-                     random_system, residual_scale, separated_spectrum,
-                     singular_draws)
+                     random_system, residual_scale, separated_spectrum)
 from palinverse import mup
 from palinverse.errors import (DimensionMismatch, Inconsistent, Infeasible, NoSolution,
                                ResidualTooLarge, RetryExhausted, SpectraOverlap,
@@ -317,24 +316,6 @@ def test_update_retry_exhaustion_counts_reasons(monkeypatch):
     assert info.value.reasons == Counter(SymmetryViolation=20)
 
 
-def test_free_update_retries_a_singular_draw(monkeypatch):
-    # The sampler refuses a singular S1_new, and the update's one retry
-    # loop draws again.
-    singular_draws(mup, monkeypatch, 1)
-    problem = _fixture_problem("hp")
-    res = update_model_result(problem)
-    assert res.attempts == 2
-    assert pair_residual(res.system, (res.X1_new, problem.T1_new)) <= 1e-9
-
-
-def test_free_update_with_every_draw_singular(monkeypatch):
-    singular_draws(mup, monkeypatch, 20)
-    with pytest.raises(NoSolution) as info:
-        update_model_result(_fixture_problem("ta"))
-    assert isinstance(info.value.__cause__, RetryExhausted)
-    assert info.value.__cause__.reasons == Counter(SingularMatrix=20)
-
-
 def test_prescribed_retry_exhaustion_counts_mixed_reasons(monkeypatch):
     failures = iter([XiSingular, SymmetryViolation, ResidualTooLarge,
                      SymmetryViolation])
@@ -396,9 +377,8 @@ def _unimodular_system(cls, angles, X1, seed):
 
 @pytest.mark.parametrize("cls", [HP, HA], ids=lambda c: c.code)
 def test_free_update_of_a_unimodular_eigenvalue_solves_every_seed(cls):
-    # The sign characteristic of a unimodular eigenvalue is drawn with
-    # S1_new; a draw whose sign misses that of X1 S1 X1* is a miss, drawn
-    # again, not a refusal: e^{0.5i} -> e^{0.8i} succeeds for every seed.
+    # S1_new carries the sign characteristic of S1, so no draw misses on a
+    # sign: e^{0.5i} -> e^{0.8i} succeeds on the first draw for every seed.
     X1 = np.random.default_rng(5).standard_normal((3, 1))
     sys, X1, T1 = _unimodular_system(cls, [0.5], X1, 0)
     new, attempts = np.diag([np.exp(0.8j)]), []
@@ -406,22 +386,60 @@ def test_free_update_of_a_unimodular_eigenvalue_solves_every_seed(cls):
         res = update_model_result(MupProblem(sys, X1, T1, new, seed=seed))
         assert pair_residual(res.system, (res.X1_new, new)) <= 1e-9
         attempts.append(res.attempts)
-    assert max(attempts) > 1
+    assert attempts == [1] * 8
+
+
+@pytest.mark.parametrize("cls", [HP, HA], ids=lambda c: c.code)
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_free_update_of_unimodular_values_of_one_sign_solves_first_draw(cls, m):
+    # m unimodular eigenvalues whose parameter block S1 is definite (all
+    # of one sign), each moved by 0.15 rad at order 6: S1_new takes the
+    # same signs, and every seed succeeds on its first draw.
+    angles = 0.4 + 0.7 * np.arange(m)
+    X1 = np.random.default_rng(30 + m).standard_normal((6, m))
+    for seed in range(40):
+        sys, X1s, T1 = _unimodular_system(cls, angles, X1, seed)
+        # S1 is diagonal, imaginary for hp and real for ha.
+        units = (-1j if cls.epsilon == 1 else 1) * np.diag(compute_S1(sys, X1s, T1))
+        if abs(np.sign(units.real).sum()) == m:
+            break
+    else:
+        raise RuntimeError("no definite S1 among the construction seeds")
+    new = np.diag(np.exp(1j * (np.angle(np.diag(T1)) + 0.15)))
+    for seed in range(20):
+        res = update_model_result(MupProblem(sys, X1s, T1, new, seed=seed))
+        assert res.attempts == 1
+        assert pair_residual(res.system, (res.X1_new, new)) <= 1e-9
 
 
 @pytest.mark.parametrize("cls", [HP, HA], ids=lambda c: c.code)
 def test_free_update_beyond_the_sign_characteristic_is_infeasible(cls, monkeypatch):
-    # Two unimodular eigenvalues whose X1 S1 X1* has two slots of one sign:
-    # an off-circle pair gives S1_new one slot of each sign, so no draw can
+    # Two unimodular eigenvalues whose S1 has two slots of one sign: an
+    # off-circle pair gives S1_new one slot of each sign, so it cannot
     # carry them, and the update is refused before the first draw.
     X1 = np.random.default_rng(21).standard_normal((3, 2))
     sys, X1, T1 = _unimodular_system(cls, [0.3, 1.1], X1, 0)
     draws = []
-    monkeypatch.setattr(mup, "sample_nonsingular", lambda *args: draws.append(args))
+    monkeypatch.setattr(mup, "_congruence_onto", lambda *args: draws.append(args))
     mu = 0.5 * np.exp(0.7j)
-    with pytest.raises(Infeasible, match=r"inertia: X1 S1 X1\* has inertia \((2, 0|0, 2)\)"):
+    with pytest.raises(Infeasible, match=r"inertia of S1: 1 pairs and 0 unimodular "
+                       r"values cannot carry the inertia \((2, 0|0, 2)\)"):
         update_model_result(MupProblem(sys, X1, T1, np.diag([mu, 1 / np.conj(mu)])))
     assert draws == []
+
+
+@pytest.mark.parametrize("code", ["tp", "ta", "hp", "ha"])
+@pytest.mark.parametrize("drift", [1e-9, 5e-9])
+def test_free_update_to_a_pair_reciprocal_within_the_coincidence_tolerance(code, drift):
+    # MupProblem pairs the replacement values within COINCIDE_RTOL (1e-8),
+    # and S1_new is written on that pairing: a partner off by 1e-9 or
+    # 5e-9 relative is updated, not refused as having no parameter space.
+    sys, replace, new = update_fixture(code)
+    X1, T1, X2, T2 = select_pairs(eig_full(sys), replace)
+    T1_new = np.diag([new[0], new[1] * (1 + drift)])
+    res = update_model_result(MupProblem(sys, X1, T1, T1_new, seed=4))
+    assert pair_residual(res.system, (res.X1_new, T1_new)) <= 1e-9
+    assert pair_residual(res.system, (X2, T2)) <= PAIR_RESIDUAL_GATE
 
 
 def _spillover_case(code, k):
@@ -487,7 +505,7 @@ def _large_modulus_cases():
                 marks = ()
                 if (cls, n, modulus) == (HA, 8, 3000.0):
                     marks = pytest.mark.xfail(strict=True, reason=(
-                        "kept-pair residual 3e-8 above PAIR_RESIDUAL_GATE: the "
+                        "kept-pair residual 1.5e-8 above PAIR_RESIDUAL_GATE: the "
                         "T^-2 term of the A0 assembly cancels ~modulus^2 of its "
                         "digits (ROADMAP item 1)"))
                 suffix = "" if n == 8 else f"-n{n}"

@@ -202,7 +202,7 @@ def test_full_solve_order_32_passes_symmetry_gate(cls):
 
 
 def _partial_blocks(cls, seed):
-    """The two blocks (X1, T1, S1), (X2, T2hat, Omega) of a solved partial
+    """The two blocks (X1, T1, S1), (X2, T2, S2) of a solved partial
     problem at order 6 with k = 4, read back from its dense (X, T, S)."""
     from palinverse.iep import IepProblem, solve_iep_partial_result
 
@@ -223,7 +223,7 @@ def _svals(blocks):
 def test_block_assembly_matches_the_dense_pair(cls):
     for seed in range(3):
         blocks, sol = _partial_blocks(cls, seed)
-        assert np.count_nonzero(blocks[1][2]) == blocks[1][2].shape[0]  # Omega
+        assert np.count_nonzero(blocks[1][2]) == blocks[1][2].shape[0]  # closed form
         by_blocks = _coefficients_from_blocks(blocks, cls, _svals(blocks))
         dense = coefficients_from_pair(sol.X, sol.T, sol.S, cls)
         scale = max(fnorm(dense.A1), fnorm(dense.A0))
@@ -264,7 +264,7 @@ def test_block_assembly_fails_as_the_dense_pair_does(cls):
 def test_update_equals_fresh_assembly(cls):
     # A free update of the selected block (X1, T1, S1) of a partial solve
     # gives the system that _coefficients_from_blocks assembles afresh from
-    # (X1_new, T1_new, S1_new) and the kept block (X2, T2hat, Omega).  The
+    # (X1_new, T1_new, S1_new) and the kept block (X2, T2, S2).  The
     # worst relative gap over these cases (seeds 0-4) measured 6.4e-12;
     # the bound is 1e-10.
     from palinverse.mup import MupProblem, update_model_result
@@ -281,10 +281,9 @@ def test_update_equals_fresh_assembly(cls):
 
 
 def test_block_singular_values_decided_once(monkeypatch):
-    # A Jordan T1 is LU-solved unless its S1 has unit singular values.  The
-    # S gate and that route read the singular values the sampler computed
-    # for S1, and ones for the canonical Omega, so a draw decomposes S1
-    # once and Omega never.
+    # The S gate reads the singular values the sampler computed for S1 (of
+    # a Jordan T1, which is LU-solved), and ones for the closed-form S2, so
+    # a draw decomposes S1 once and S2 never.
     from helpers import jordan_matrix
     from palinverse.iep import IepProblem, solve_iep_partial_result
 

@@ -122,9 +122,9 @@ def test_one_retry_loop_and_one_exhausted_error():
             modules, name
 
 
-def _raisers(source, name):
+def _enclosing(source, matches):
     """Qualified names (Class.method, outer.inner) of the functions that
-    raise name."""
+    hold a node for which matches(node) is true."""
     found = set()
 
     def visit(node, prefix):
@@ -132,14 +132,29 @@ def _raisers(source, name):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 visit(child, f"{prefix}{child.name}.")
                 continue
-            if isinstance(child, ast.Raise) and child.exc is not None:
-                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
-                if isinstance(exc, ast.Name) and exc.id == name:
-                    found.add(prefix[:-1])
+            if matches(child):
+                found.add(prefix[:-1])
             visit(child, prefix)
 
     visit(ast.parse(source), "")
     return found
+
+
+def _raisers(source, name):
+    """The functions that raise name."""
+    def raises(node):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            return False
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return isinstance(exc, ast.Name) and exc.id == name
+
+    return _enclosing(source, raises)
+
+
+def _callers(source, name):
+    """The functions that call name."""
+    return _enclosing(source, lambda node: isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Name) and node.func.id == name)
 
 
 def test_infeasible_is_decided_before_the_first_draw():
@@ -219,6 +234,30 @@ def test_one_spectral_assembly(monkeypatch):
     X1, T1, _, _ = select_pairs(eig_full(usys), replace)
     res = mup.update_model_result(mup.MupProblem(usys, X1, T1, np.diag(new), seed=1))
     assert (res.attempts, len(calls)) == (1, 2)
+
+
+def test_one_closed_form_block_of_new_eigenvalues():
+    # The remaining eigenvalues of a construction and the replacement
+    # values of a free update take their parameter block from one builder,
+    # the one reader of the pair-factor table (defined by a top-level
+    # statement, so None).  The free update draws and factorizes no
+    # parameter matrix, and the spectral sums take no singular values.
+    import inspect
+
+    from palinverse import mup, spectral
+
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    readers = {module: _readers(source, "_PAIR_FACTOR") for module, source in sources.items()}
+    assert {module: names for module, names in readers.items() if names} == \
+        {"structfact": {None, "_closed_form_block"}}
+    callers = {module: _callers(source, "_closed_form_block")
+               for module, source in sources.items()}
+    assert {module: names for module, names in callers.items() if names} == {
+        "iep": {"solve_iep_partial_result.completion"}, "mup": {"update_model_result"}}
+    assert not hasattr(mup, "s_basis") and not hasattr(mup, "solve_right")
+    assert list(inspect.signature(spectral._spectral_sums).parameters) == ["blocks", "star"]
+    planted = "def f():\n    def g():\n        return h(1)\n    return h\n"
+    assert _callers(planted, "h") == {"f.g"}
 
 
 def test_one_solve_of_the_parameter_space(monkeypatch):
