@@ -8,12 +8,14 @@ assumptions that the prescribed T1 is similar to T1^{-*} and the remaining
 spectrum stays disjoint, a parameter block S1 for the prescribed part is
 sampled, and the remaining eigenvalues enter as T2 = diag(values) with
 the closed-form parameter block S2 = G F G* (structfact._closed_form_block).
-The deficit X1 S1 X1* = Y Delta Y* is cancelled by the extra eigenvector
-columns X2 = Y Psi G^H with Psi F Psi* = -Delta, so T = diag(T1, T2) and
-(X, T) is an eigendecomposition whenever T1 is diagonal.  Every k draws in
-one loop (_construct): each attempt takes S1 and, for k < 2n, the default
-remaining eigenvalues and the isometry of F from one seeded master RNG,
-and errors.retry draws again when the draw misses (errors.MISSES).
+The deficit X1 S1 X1* = Y Delta Y* (structfact._isotropy_factor, at order
+min(n, k)) is cancelled by the extra eigenvector columns X2 = Y Psi G^H
+with Psi F Psi* = -Delta, so T = diag(T1, T2) and (X, T) is an
+eigendecomposition whenever T1 is diagonal.  Every k draws in one loop
+(_construct): each attempt takes S1 and, for k < 2n, the default
+remaining eigenvalues and the isometry of F from the one generator the
+seed starts, and errors.retry draws again when the draw misses
+(errors.MISSES).
 Infeasible is decided before the first draw.
 """
 
@@ -29,7 +31,7 @@ from .numerics import (COINCIDE_RTOL, OUTPUT_RESIDUAL_TOL, RANK_RTOL, SINGULAR_R
                        as_matrix, solve_right, sv_ratio, unit_columns)
 from .paramspace import sample_nonsingular, solution_space
 from .spectral import _coefficients_from_blocks
-from .structfact import (_closed_form_block, _congruence_onto, _snap_isotropy,
+from .structfact import (_closed_form_block, _congruence_onto, _isotropy_factor,
                          star_factorize)
 from .system import pair_residual
 
@@ -222,23 +224,22 @@ def solve_iep_partial_result(problem):
     if given is not None:
         given = _remaining_spectrum(problem)
 
-    def completion(S1, seeds):
+    def completion(S1, rng):
         p = q = 0
         if cls.star == "H":
             # S = diag(S1, S2) has inertia (n, n).  BadIndices, retried, when
-            # S1 is numerically singular or its inertia exceeds the order.
-            pattern = star_factorize(S1, cls).pattern
+            # the inertia of S1 (nonsingular: it cleared the sampler) exceeds n.
+            pattern = star_factorize(S1, cls, rank_tol=0.0).pattern
             p, q = n - pattern.p, n - pattern.q
-            if min(p, q) < 0 or p + q != r:
+            if min(p, q) < 0:
                 raise BadIndices(f"S1 of inertia ({pattern.p}, {pattern.q}) leaves "
                                  f"no inertia of size {r} for the remaining block")
-        fact = star_factorize(_snap_isotropy(problem.X1, S1, cls), cls)
+        fact = _isotropy_factor(problem.X1, S1, cls)
         values, groups = given if given is not None else _default_remaining(
-            cls, r, p, q, n, t1_eigs, np.random.default_rng(int(seeds[1])))
+            cls, r, p, q, n, t1_eigs, rng)
         S2, G, F = _closed_form_block(cls, values, groups, p, q)
         try:
-            psi = _congruence_onto(-fact.pattern.matrix(), F, cls,
-                                   np.random.default_rng(int(seeds[2])))
+            psi = _congruence_onto(-fact.pattern.matrix(), F, cls, rng)
         except BadIndices as exc:
             raise UnsupportedRegime(
                 f"{exc}: completion needs rank(X1 S1 X1*) <= 2n - k = {r} "
@@ -253,19 +254,18 @@ def solve_iep_partial_result(problem):
 
 
 def _construct(cls, X1, T1, seed, basis, completion=None):
-    """The seeded draws of every construction.  Each draw takes S1 from
-    basis and, for k < 2n, the block (X2, T2, S2) of the remaining
-    eigenvalues that completion(S1, seeds) builds, T2 diagonal; errors.retry
-    draws again when S1 is singular or the draw misses a gate, and raises
-    NoSolution when every S1 drawn was singular."""
-    master = np.random.default_rng(seed)
+    """The seeded draws of every construction, from one generator rng.  Each
+    draw takes S1 from basis and, for k < 2n, the block (X2, T2, S2) of the
+    remaining eigenvalues that completion(S1, rng) builds, T2 diagonal;
+    errors.retry draws again when S1 is singular or the draw misses a gate,
+    and raises NoSolution when every S1 drawn was singular."""
+    rng = np.random.default_rng(seed)
 
     def draw(attempt):
-        seeds = master.integers(0, 2 ** 63, size=3)
-        S1, s1 = sample_nonsingular(basis, int(seeds[0]))
+        S1, s1 = sample_nonsingular(basis, rng)
         blocks, svals = [(X1, T1, S1)], [s1]
         if completion is not None:
-            blocks.append(completion(S1, seeds))
+            blocks.append(completion(S1, rng))
             # S2 has one unimodular entry in each row and column.
             svals.append(np.ones(len(blocks[1][2])))
         # (X, T, S) = ([X1, X2], diag(T1, T2), diag(S1, S2)), assembled by

@@ -29,8 +29,8 @@ from .numerics import (DIAGONAL_RTOL, NORM_FLOOR, OUTPUT_RESIDUAL_TOL,
                        range_coordinates, rank_factorize, sv_ratio, unit_columns)
 from .paramspace import constrained_family, sample_nonsingular
 from .spectral import _spectral_sums, compute_S1
-from .structfact import (_closed_form_block, _congruence_onto, _snap_isotropy,
-                         star_factorize)
+from .structfact import (_closed_form_block, _congruence_onto, _isotropy_factor,
+                         _snap_isotropy, star_factorize)
 from .system import PalindromicSystem, _recorded, assembled_system, pair_residual
 
 
@@ -227,26 +227,26 @@ def update_model_result(problem):
     S1_new = G F G* of T1_new with the inertia of S1
     (structfact._closed_form_block), and set X1_new = Y Psi G^H with
     Psi F Psi* = Delta, which transfers the isotropy constraint to the new
-    pair by construction.  Y = Q Yc is n-by-min(n, k), from the core
-    P S1 P* = Yc Delta Yc* in the coordinates Q of range(X1), P = Q^H X1.
-    A draw is the seeded isometry of F in Psi; an inertia of S1 that the
-    pairs of T1_new cannot carry is Infeasible before the first draw.
+    pair by construction.  Y and Delta come from structfact._isotropy_factor,
+    as for a construction, which decomposes the order-min(n, k) core.  A
+    draw is the seeded isometry of F in Psi; an inertia of S1 that the pairs
+    of T1_new cannot carry is Infeasible before the first draw.
 
     Prescribed eigenvectors (X1_new set) solve the transfer constraint
     X1_new S X1_new* = X1 S1 X1* for a nonsingular S in the parameter space
-    of T1_new: the particular solution first, then seeded draws along the
-    homogeneous directions with paramspace.sample_nonsingular.  Raises
-    Inconsistent when no S solves the constraint, and NoSolution when
-    every S1_new drawn was singular.
+    of T1_new, paired as MupProblem pairs it: the particular solution
+    first, then seeded draws along the homogeneous directions with
+    paramspace.sample_nonsingular.  Raises Inconsistent when no S solves
+    the constraint, and NoSolution when every S1_new drawn was singular.
 
-    Both then apply the low-rank update, drawing again when the draw
-    misses (errors.MISSES).
+    Both draw from one generator the seed starts, then apply the low-rank
+    update, drawing again when the draw misses (errors.MISSES).
     """
     cls = problem.sys.cls
     S1 = compute_S1(problem.sys, problem.X1, problem.T1)
+    rng = np.random.default_rng(problem.seed)
     if problem.X1_new is None:
-        Q, (P,) = range_coordinates(problem.X1)
-        fact = star_factorize(_snap_isotropy(P, S1, cls), cls)
+        fact = _isotropy_factor(problem.X1, S1, cls)
         # diag(S1, S_kept) keeps its inertia, so S1_new must carry that of
         # S1, which passed compute_S1's gate: every eigenvalue sign counts.
         # Each pair of T1_new gives S1_new one slot of each sign, each
@@ -260,19 +260,21 @@ def update_model_result(problem):
                                            problem.new_groups, p, q)
         except BadIndices as exc:
             raise Infeasible(f"inertia of S1: {exc}") from exc
-        Y, rng = Q @ fact.Y, np.random.default_rng(problem.seed)
 
         def draw(attempt):
             # X1_new S1_new X1_new* = Y psi F psi* Y* = X1 S1 X1*.
             psi = _congruence_onto(fact.pattern.matrix(), F, cls, rng)
-            return _finish(problem, S1, Y @ psi @ G.conj().T, S1t, attempt)
+            return _finish(problem, S1, fact.Y @ psi @ G.conj().T, S1t, attempt)
 
         attempts = RETRY_ATTEMPTS
     else:
-        C = _snap_isotropy(problem.X1, S1, cls)
+        # The space of T1_new as MupProblem pairs it: a partner within
+        # COINCIDE_RTOL becomes the exact reciprocal, for this solve alone.
+        paired = np.diag(problem.T1_new).copy()
+        for i, j in problem.new_groups[0]:
+            paired[j] = 1.0 / cls.star_scalar(paired[i])
         S_part, homogeneous = constrained_family(
-            problem.T1_new, cls, problem.X1_new, C)
-        rng = np.random.default_rng(problem.seed)
+            np.diag(paired), cls, problem.X1_new, _snap_isotropy(problem.X1, S1, cls))
 
         def draw(attempt):
             S1t, _ = sample_nonsingular(homogeneous if attempt > 1 else [], rng, S_part)

@@ -21,9 +21,8 @@ condition number:
 - structfact._isometry: I - K with ||K||_F = 1/2, so sigma(I - K) lies in
   [1/2, 3/2].
 - IepProblem: T1, gated just before the solve.
-- spectral.parameter_from_pair: T and W = [X; -X T^{-1}], then
-  eps X* A1 X T^{-1} - T^{-*} X* A1* X, all gated.
-- spectral.compute_S1: that matrix, gated; T1 as in an update below.
+- spectral.compute_S1: eps X1* A1 X1 T1^{-1} - T1^{-*} X1* A1* X1, gated;
+  T1 as in an update below.
 - spectral._spectral_sums, for construction and update: T_b is LU-solved
   unless diagonal (divided exactly).  The one T_b that can be other than
   diagonal is a construction's T1, gated by IepProblem.  The remaining T2

@@ -313,11 +313,10 @@ def _block_family(lam, p, q):
 # sampling and constrained solves
 # ---------------------------------------------------------------------------
 
-def sample_nonsingular(basis, seed, particular=None):
+def sample_nonsingular(basis, rng, particular=None):
     """One draw S = particular + sum_i c_i B_i over a basis array, with
-    c = default_rng(seed).standard_normal(len(basis)); seed may be a
-    Generator, which the draw advances.  Without particular the sum starts
-    at zero.
+    c = rng.standard_normal(len(basis)) from the operation's generator,
+    which the draw advances.  Without particular the sum starts at zero.
 
     Returns (S, s), s the singular values of S, when
     sigma_min / sigma_max > NONSINGULAR_RTOL; otherwise raises
@@ -325,7 +324,6 @@ def sample_nonsingular(basis, seed, particular=None):
     """
     if len(basis) == 0 and particular is None:
         raise SingularMatrix("parameter space is trivial")
-    rng = np.random.default_rng(seed)
     terms = (c * B for c, B in zip(rng.standard_normal(len(basis)), basis))
     S = sum(terms, 0 if particular is None else particular)
     s = np.linalg.svd(S, compute_uv=False)

@@ -2,9 +2,9 @@
 
 The parameter matrix of an invariant pair (X, T) is S = (W* L J_eps L* W)^{-1}
 with W = [X; -X T^{-1}], formed multiplied out as
-(eps X* A1 X T^{-1} - T^{-*} X* A1* X)^{-1}: parameter_from_pair for a full
-pair, compute_S1 for the selected pair of an update.  From (X, T, S) the
-coefficients are recovered as A1 = eps (X T^{-1} S X*)^{-1} and
+(eps X* A1 X T^{-1} - T^{-*} X* A1* X)^{-1}: compute_S1 for the selected
+pair of an update.  From (X, T, S) the coefficients are recovered as
+A1 = eps (X T^{-1} S X*)^{-1} and
 A0 = -A1 X T^{-2} S X* A1, block by block (_spectral_sums) when T and S are
 block diagonal, dividing each diagonal T block exactly (every block of an
 update, and the closed-form remaining block of a construction); the
@@ -13,13 +13,12 @@ no-spillover update (mup) forms its change the same way.
 
 import numpy as np
 
-from .errors import (DimensionMismatch, MembershipCheckFailed, ResidualTooLarge,
-                     SingularLeadingBlock, SingularMatrix, SingularS1Precursor,
-                     SingularW)
-from .numerics import (NORM_FLOOR, PAIR_RESIDUAL_GATE, S1_MEMBERSHIP_RTOL,
-                       SINGULAR_RTOL, STRUCTURE_RTOL, as_matrix, fnorm, invert,
-                       linear_solve, solve_right, sv_min_ratio, sv_ratio)
-from .system import assembled_system, pair_residual
+from .errors import (DimensionMismatch, MembershipCheckFailed, SingularLeadingBlock,
+                     SingularMatrix, SingularS1Precursor)
+from .numerics import (NORM_FLOOR, S1_MEMBERSHIP_RTOL, SINGULAR_RTOL, STRUCTURE_RTOL,
+                       as_matrix, fnorm, invert, linear_solve, solve_right,
+                       sv_min_ratio, sv_ratio)
+from .system import assembled_system
 
 
 def _check_membership(blocks, cls):
@@ -47,47 +46,6 @@ def _inverse_parameter(sys, X, T):
     lead = sys.cls.epsilon * solve_right(star(X) @ sys.A1 @ X, T)
     trail = linear_solve(star(T), star(X) @ star(sys.A1) @ X)
     return lead - trail
-
-
-def parameter_from_pair(sys, pair):
-    """Parameter matrix S of a system given a full standard pair (X, T).
-
-    Gates T and W = [X; -X T^{-1}] on their singular-value ratios and the
-    pair on its residual, then evaluates (W* L J_eps L* W)^{-1} and
-    verifies the membership identities the decomposition guarantees,
-    failing loudly instead of trusting a numerically inconsistent pair.
-    """
-    X, T = pair
-    X, T = as_matrix(X, "X"), as_matrix(T, "T")
-    m = T.shape[0]
-    if T.shape != (m, m):
-        raise DimensionMismatch(f"T must be square, got {T.shape}")
-    if X.shape[1] != m:
-        raise DimensionMismatch(
-            f"X has {X.shape[1]} columns but T is {m}-by-{m}")
-    if sv_ratio(T) <= SINGULAR_RTOL:
-        raise SingularMatrix("T is numerically singular")
-    if m != 2 * X.shape[0]:
-        raise DimensionMismatch("parameter_from_pair needs a full pair (m = 2n)")
-    if sv_ratio(np.vstack([X, -solve_right(X, T)])) <= SINGULAR_RTOL:
-        raise SingularW(
-            "[X; -X T^{-1}] is numerically singular; not a standard pair")
-    if X.shape[0] != sys.n:
-        raise DimensionMismatch("pair and system orders differ")
-    resid = pair_residual(sys, (X, T))
-    if resid > PAIR_RESIDUAL_GATE:
-        raise ResidualTooLarge(
-            f"pair residual {resid:.3e} exceeds gate {PAIR_RESIDUAL_GATE:.0e}")
-    Sinv = _inverse_parameter(sys, X, T)
-    ratio = sv_ratio(Sinv)
-    if ratio <= SINGULAR_RTOL:
-        raise SingularMatrix(
-            f"W* L J L* W is singular (sigma_min/sigma_max = {ratio:.3e})")
-    S = invert(Sinv)
-    # Exact by theory; strip the round-off asymmetry.
-    S = (S - sys.cls.epsilon * sys.cls.star_of(S)) / 2.0
-    _check_membership([(X, T, S)], sys.cls)
-    return S
 
 
 def compute_S1(sys, X1, T1):

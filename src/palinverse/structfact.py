@@ -13,12 +13,13 @@ singular-value clusters re-symmetrized blockwise.  The complex
 skew-symmetric case is a Youla reduction driven by the unitary
 eigendecomposition of B B^H.
 
-_congruence_onto maps one canonical pattern onto another (Psi form Psi* =
-target, optionally through a random isometry of the form); construction
-(iep) and updating (mup) share it.
+_isotropy_factor factorizes the deficit X1 S1 X1* of a thin X1 at order
+min(n, k), and _congruence_onto maps one canonical pattern onto another
+(Psi form Psi* = target, optionally through a random isometry of the
+form); construction (iep) and updating (mup) share both.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -326,6 +327,34 @@ def _snap_isotropy(X1, S1, cls):
     if fnorm(G) <= ROUNDOFF_RTOL * scale:
         return np.zeros_like(G)
     return G
+
+
+def _isotropy_factor(X1, S1, cls):
+    """star_factorize(_snap_isotropy(X1, S1, cls), cls) of the n-by-n deficit
+    X1 S1 X1*, decomposed at order m = min(n, k) for X1 n-by-k.
+
+    One complete QR of X1 gives a unitary Q whose first m columns span
+    range(X1); the snapped core P S1 P*, P = Q[:, :m]^H X1, keeps the
+    singular values of the deficit.  Y is square and nonsingular with the
+    zero block of Delta trailing, and that block lists the directions
+    outside range(X1) first: Q[:, m:], then Q[:, :m] times the core's
+    zero block, led by the left null space of P.  _congruence_onto fills
+    the leading rows of the zero block with isotropic rows, so those reach
+    outside range(X1) before any direction inside it.
+    """
+    n, k = X1.shape
+    m = min(n, k)
+    Q = np.linalg.qr(X1, mode="complete")[0]
+    P = Q[:, :m].conj().T @ X1
+    core = star_factorize(_snap_isotropy(P, S1, cls), cls)
+    rank, Yc = core.pattern.rank, core.Y
+    if rank < m:  # order the kernel by |P* u| ascending when some P* u = 0
+        _, s, vh = np.linalg.svd(P.conj().T @ Yc[:, rank:])
+        if s[-1] <= RANK_RTOL * fnorm(P):
+            Yc = np.hstack([Yc[:, :rank], Yc[:, rank:] @ vh[::-1].conj().T])
+    QY = Q[:, :m] @ Yc
+    Y = np.hstack([QY[:, :rank], Q[:, m:], QY[:, rank:]])
+    return StarFactorization(Y, replace(core.pattern, size=n), cls)
 
 
 def _congruence_onto(target, form, cls, rng=None):

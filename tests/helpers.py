@@ -3,13 +3,15 @@
 import numpy as np
 import scipy.linalg
 
-from palinverse import forward
+from palinverse import forward, spectral
+from palinverse.errors import DimensionMismatch, ResidualTooLarge, SingularMatrix, SingularW
 from palinverse.fileio import FileFormatError
 from palinverse.forward import eig_full
-from palinverse.numerics import (NORM_FLOOR, RANK_RTOL, STRUCTURE_RTOL, as_matrix,
-                                 fnorm, linear_solve)
+from palinverse.numerics import (NORM_FLOOR, PAIR_RESIDUAL_GATE, RANK_RTOL,
+                                 SINGULAR_RTOL, STRUCTURE_RTOL, as_matrix, fnorm,
+                                 invert, linear_solve, solve_right, sv_ratio)
 from palinverse.paramspace import _rvec
-from palinverse.system import PalindromicSystem, eval_Q
+from palinverse.system import PalindromicSystem, eval_Q, pair_residual
 
 
 def count_eigensolves(monkeypatch):
@@ -23,6 +25,20 @@ def count_eigensolves(monkeypatch):
 
     monkeypatch.setattr(forward, "dense_eig", counting_eig)
     return calls
+
+
+def log_decompositions(monkeypatch, order):
+    """(name, input) of every SVD or eigensolve of order above `order`
+    from now on."""
+    logged = []
+    for name in ("svd", "eigh", "eig", "eigvals"):
+        def recording(a, *args, _name=name, _decompose=getattr(np.linalg, name),
+                      **kwargs):
+            if max(np.shape(a)) > order:
+                logged.append((_name, np.array(a)))
+            return _decompose(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recording)
+    return logged
 
 
 def singular_draws(module, monkeypatch, count):
@@ -334,6 +350,52 @@ def kronecker_space(T, cls, X=None):
     _, s, vt = np.linalg.svd(A, full_matrices=False)
     rank = int(np.count_nonzero(s > RANK_RTOL * s[0]))
     return [_unrvec(v, T.shape[0], T.shape[0]) for v in vt[rank:]]
+
+
+# ---------------------------------------------------------------------------
+# Full-pair reference for spectral.compute_S1
+# ---------------------------------------------------------------------------
+
+def parameter_from_pair(sys, pair):
+    """Parameter matrix S of a system given a full standard pair (X, T),
+    the oracle of spectral.compute_S1 at k = 2n.
+
+    Gates T and W = [X; -X T^{-1}] on their singular-value ratios and the
+    pair on its residual, then evaluates (W* L J_eps L* W)^{-1} and
+    verifies the membership identities the decomposition guarantees,
+    failing loudly instead of trusting a numerically inconsistent pair.
+    """
+    X, T = pair
+    X, T = as_matrix(X, "X"), as_matrix(T, "T")
+    m = T.shape[0]
+    if T.shape != (m, m):
+        raise DimensionMismatch(f"T must be square, got {T.shape}")
+    if X.shape[1] != m:
+        raise DimensionMismatch(
+            f"X has {X.shape[1]} columns but T is {m}-by-{m}")
+    if sv_ratio(T) <= SINGULAR_RTOL:
+        raise SingularMatrix("T is numerically singular")
+    if m != 2 * X.shape[0]:
+        raise DimensionMismatch("parameter_from_pair needs a full pair (m = 2n)")
+    if sv_ratio(np.vstack([X, -solve_right(X, T)])) <= SINGULAR_RTOL:
+        raise SingularW(
+            "[X; -X T^{-1}] is numerically singular; not a standard pair")
+    if X.shape[0] != sys.n:
+        raise DimensionMismatch("pair and system orders differ")
+    resid = pair_residual(sys, (X, T))
+    if resid > PAIR_RESIDUAL_GATE:
+        raise ResidualTooLarge(
+            f"pair residual {resid:.3e} exceeds gate {PAIR_RESIDUAL_GATE:.0e}")
+    Sinv = spectral._inverse_parameter(sys, X, T)
+    ratio = sv_ratio(Sinv)
+    if ratio <= SINGULAR_RTOL:
+        raise SingularMatrix(
+            f"W* L J L* W is singular (sigma_min/sigma_max = {ratio:.3e})")
+    S = invert(Sinv)
+    # Exact by theory; strip the round-off asymmetry.
+    S = (S - sys.cls.epsilon * sys.cls.star_of(S)) / 2.0
+    spectral._check_membership([(X, T, S)], sys.cls)
+    return S
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from helpers import (inertia, jordan_matrix, kronecker_space, max_eig_condition,
-                     pair_defect, planted_direct_sum, random_complex,
-                     random_structured, random_system, separated_spectrum)
+                     pair_defect, parameter_from_pair, planted_direct_sum,
+                     random_complex, random_structured, random_system,
+                     separated_spectrum)
 from palinverse.analysis import (_offblock_mass, joint_block_diagonalize,
                                  zeta_partition)
 from palinverse.cli import main
@@ -23,7 +24,7 @@ from palinverse.mup import MupProblem, update_model_result
 from palinverse.numerics import fnorm, invert
 from palinverse.paramspace import (_rvec, pascal_scaling, s_basis,
                                    sample_nonsingular, solution_space)
-from palinverse.spectral import (coefficients_from_pair, parameter_from_pair)
+from palinverse.spectral import coefficients_from_pair
 from palinverse.structfact import build_delta, star_factorize
 from palinverse.system import ALL_CLASSES, TA, TP, pair_residual
 from reference_problems import iep_fixture, update_fixture
@@ -278,10 +279,10 @@ def test_criterion_7_joint_block_diagonalization():
         for sizes in shapes:
             X, J = planted_direct_sum(cls, list(sizes), seed=71)
             basis = solution_space(J, cls, X)
-            S, _ = sample_nonsingular(basis, 1)
-            S2, _ = sample_nonsingular(basis, 2)
-            Shat, _ = sample_nonsingular(basis, 3)
-            Shat2, _ = sample_nonsingular(basis, 4)
+            S, _ = sample_nonsingular(basis, np.random.default_rng(1))
+            S2, _ = sample_nonsingular(basis, np.random.default_rng(2))
+            Shat, _ = sample_nonsingular(basis, np.random.default_rng(3))
+            Shat2, _ = sample_nonsingular(basis, np.random.default_rng(4))
             K, pi, blocks = joint_block_diagonalize(X, J, S, S2, Shat, cls)
             assert sorted(blocks) == sorted(sizes), \
                 f"{cls.code} {sizes}: got blocks {blocks}"

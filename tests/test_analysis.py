@@ -41,7 +41,7 @@ def test_zeta_scaling_family():
     sys = random_system(HP, 3, seed=32)
     e = eig_full(sys)
     basis = _constrained_basis(e.vectors, np.diag(e.values), HP)
-    S, _ = sample_nonsingular(basis, 1)
+    S, _ = sample_nonsingular(basis, np.random.default_rng(1))
     z = zeta_partition(S, 2.0 * S, HP)
     assert z.parts == [3]
     assert z.pair_classes == ["self"]
@@ -51,8 +51,8 @@ def test_zeta_two_block():
     X, J = planted_direct_sum(TA, [1, 2], seed=41)
     basis = _constrained_basis(X, J, TA)
     rng = np.random.default_rng(0)
-    S, _ = sample_nonsingular(basis, 3)
-    S2, _ = sample_nonsingular(basis, 4)
+    S, _ = sample_nonsingular(basis, np.random.default_rng(3))
+    S2, _ = sample_nonsingular(basis, np.random.default_rng(4))
     z = zeta_partition(S, S2, TA)
     assert sorted(z.parts) == [1, 2]
     assert z.cardinality == 2
@@ -62,8 +62,8 @@ def test_zeta_generic_cardinality_one():
     sys = random_system(TP, 3, seed=33)
     e = eig_full(sys)
     basis = _constrained_basis(e.vectors, np.diag(e.values), TP)
-    S, _ = sample_nonsingular(basis, 5)
-    S2, _ = sample_nonsingular(basis, 6)
+    S, _ = sample_nonsingular(basis, np.random.default_rng(5))
+    S2, _ = sample_nonsingular(basis, np.random.default_rng(6))
     z = zeta_partition(S, S2, TP)
     assert z.cardinality == 1
 
@@ -85,13 +85,13 @@ def test_zeta_structure_violation():
 def test_joint_block_diagonalize_planted(cls):
     X, J = planted_direct_sum(cls, [2, 2], seed=42)
     basis = _constrained_basis(X, J, cls)
-    S, _ = sample_nonsingular(basis, 1)
-    S2, _ = sample_nonsingular(basis, 2)
-    Shat, _ = sample_nonsingular(basis, 7)
+    S, _ = sample_nonsingular(basis, np.random.default_rng(1))
+    S2, _ = sample_nonsingular(basis, np.random.default_rng(2))
+    Shat, _ = sample_nonsingular(basis, np.random.default_rng(7))
     K, pi, blocks = joint_block_diagonalize(X, J, S, S2, Shat, cls)
     assert sorted(blocks) == [2, 2]
     # K works for an independent draw too.
-    Shat2, _ = sample_nonsingular(basis, 8)
+    Shat2, _ = sample_nonsingular(basis, np.random.default_rng(8))
     sys2 = coefficients_from_pair(X, J, Shat2, cls)
     for M in (sys2.A1, sys2.A0):
         assert _offblock_mass(cls.star_of(K) @ M @ K, blocks) <= 1e-8
@@ -110,7 +110,7 @@ def test_joint_block_diagonalize_scalar_ratio():
     e = eig_full(sys)
     X, J = e.vectors, np.diag(e.values)
     basis = _constrained_basis(X, J, HA)
-    S, _ = sample_nonsingular(basis, 1)
+    S, _ = sample_nonsingular(basis, np.random.default_rng(1))
     K, pi, blocks = joint_block_diagonalize(X, J, S, 2.0 * S, S, HA)
     assert blocks == [3]
 
@@ -120,7 +120,7 @@ def test_joint_block_diagonalize_geom_mult_guard():
     Jbad = J.copy()
     Jbad[1, 1] = Jbad[0, 0]  # duplicate eigenvalue entry: geometric mult 2
     basis = _constrained_basis(X, J, TP)
-    S, _ = sample_nonsingular(basis, 1)
+    S, _ = sample_nonsingular(basis, np.random.default_rng(1))
     with pytest.raises(GeomMultViolation):
         joint_block_diagonalize(X, Jbad, S, 2 * S, S, TP)
 
@@ -150,10 +150,10 @@ def test_cardinality_bound_over_many_draws():
         basis = _constrained_basis(X, J, cls)
         dim = len(solution_space(J, cls, X))
         best = 0
-        S0, _ = sample_nonsingular(basis, 999)
+        S0, _ = sample_nonsingular(basis, np.random.default_rng(999))
         for seed in range(50):
             try:
-                S, _ = sample_nonsingular(basis, seed)
+                S, _ = sample_nonsingular(basis, np.random.default_rng(seed))
                 z = zeta_partition(S0, S, cls)
             except Exception:
                 continue

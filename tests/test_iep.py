@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import pair_defect, random_complex, random_system, singular_draws
+from helpers import (log_decompositions, pair_defect, random_complex, random_system,
+                     singular_draws)
 from palinverse.errors import (BadIndices, DimensionMismatch, Infeasible, NoSolution,
                                PairingNotClosed, RetryExhausted, SingularW,
                                SpectraOverlap, SymmetryViolation, UnsupportedRegime)
@@ -729,6 +730,37 @@ def test_iep_partial_seeded_runs_repeat(cls, k):
     assert a.attempts == b.attempts
 
 
+@pytest.mark.parametrize("k", [2, 12])
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_construction_decomposes_nothing_of_order_n_but_the_leading_block(cls, k,
+                                                                          monkeypatch):
+    # The deficit X1 S1 X1* is factorized at order min(n, k), and S1 at
+    # order k, so past the problem's checks a partial solve at n = 24 runs
+    # one SVD of order n per draw: the gate of X T^-1 S X*.
+    n = 24
+    problem = IepProblem(cls, *_prescribed_pairs(cls, n, k, seed=90 + k), seed=3)
+    decomposed = log_decompositions(monkeypatch, n - 1)
+    sol = solve_iep_partial_result(problem)
+    assert [(name, a.shape) for name, a in decomposed] == [("svd", (n, n))] * sol.attempts
+    X, T, S = sol.X, sol.T, sol.S
+    lead = X @ np.linalg.solve(T, S) @ sol.system.cls.star_of(X)
+    assert fnorm(decomposed[-1][1] - lead) <= 1e-12 * fnorm(lead)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_rank_deficient_eigenvectors_reach_outside_their_range(n):
+    # X1 = [x, (1+i) x] has rank one, so the core of X1 S1 X1* has a
+    # kernel, and the isotropic rows of the completion must reach the
+    # directions outside range(X1) before x itself: the zero block of the
+    # deficit's factorization lists them first, and every tp seed solves.
+    mu = 0.5 * np.exp(0.9j)
+    x = random_complex(np.random.default_rng(n), n, 1)
+    X1, T1 = np.hstack([x, (1 + 1j) * x]), np.diag([mu, 1 / mu])
+    for seed in range(5):
+        sol = solve_iep_partial_result(IepProblem(TP, X1, T1, seed=seed))
+        assert pair_residual(sol.system, (X1, T1)) <= 1e-9
+
+
 def test_iep_partial_counts_singular_leading_block(monkeypatch):
     # The leading-block check lives in the spectral assembly; a singular
     # X T^-1 S X* must still be retried and counted under its own reason.
@@ -937,10 +969,12 @@ def test_default_remaining_redraws_a_batch_that_hits_t1(cls, monkeypatch):
     assert _remaining_or_overlap(cls, 4, n_pos, n_neg, 3, t1, 11) is None
 
     # n = 3, k = 2: two remaining pairs for either class (the off-circle
-    # pair of T1 gives S1 the inertia (1, 1)); the batch of the first draw
-    # comes from the second of the master generator's three seeds.
-    seeds = np.random.default_rng(5).integers(0, 2 ** 63, size=3)
-    mu, _ = _first_batch(np.random.default_rng(int(seeds[1])), 2, 0)
+    # pair of T1 gives S1 the inertia (1, 1)).  The construction draws from
+    # one generator: the sampler takes one normal per real element of the
+    # pair's parameter space (two), and the batch of the first draw follows.
+    rng = np.random.default_rng(5)
+    rng.standard_normal(2)
+    mu, _ = _first_batch(rng, 2, 0)
     T1 = np.diag([mu[-1], 1 / cls.star_scalar(mu[-1])])
     X1 = random_complex(np.random.default_rng(12), 3, 2)
     default_remaining, outcomes = iep._default_remaining, []

@@ -3,8 +3,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import (count_eigensolves, dense_update_change, random_complex,
-                     random_system, residual_scale, separated_spectrum)
+from helpers import (count_eigensolves, dense_update_change, log_decompositions,
+                     parameter_from_pair, random_complex, random_system, residual_scale,
+                     separated_spectrum)
 from palinverse import mup
 from palinverse.errors import (DimensionMismatch, Inconsistent, Infeasible, NoSolution,
                                ResidualTooLarge, RetryExhausted, SpectraOverlap,
@@ -12,8 +13,8 @@ from palinverse.errors import (DimensionMismatch, Inconsistent, Infeasible, NoSo
 from palinverse.forward import eig_full, select_pairs
 from palinverse.mup import (MupProblem, MupResult, low_rank_update,
                             update_model_prescribed, update_model_result)
-from palinverse.numerics import PAIR_RESIDUAL_GATE, fnorm, invert
-from palinverse.spectral import compute_S1, parameter_from_pair
+from palinverse.numerics import OUTPUT_RESIDUAL_TOL, PAIR_RESIDUAL_GATE, fnorm, invert
+from palinverse.spectral import compute_S1
 from palinverse.system import (ALL_CLASSES, HA, HP, TA, TP, PalindromicSystem,
                                eval_Q, pair_residual)
 from reference_problems import update_fixture
@@ -416,9 +417,14 @@ def test_free_update_of_unimodular_values_of_one_sign_solves_first_draw(cls, m):
 def test_free_update_beyond_the_sign_characteristic_is_infeasible(cls, monkeypatch):
     # Two unimodular eigenvalues whose S1 has two slots of one sign: an
     # off-circle pair gives S1_new one slot of each sign, so it cannot
-    # carry them, and the update is refused before the first draw.
+    # carry them, and the update is refused before the first draw.  The
+    # construction seed 1 gives S1 that inertia in both classes.
+    from palinverse.structfact import star_factorize
+
     X1 = np.random.default_rng(21).standard_normal((3, 2))
-    sys, X1, T1 = _unimodular_system(cls, [0.3, 1.1], X1, 0)
+    sys, X1, T1 = _unimodular_system(cls, [0.3, 1.1], X1, 1)
+    inertia = star_factorize(compute_S1(sys, X1, T1), cls, rank_tol=0.0).pattern
+    assert sorted((inertia.p, inertia.q)) == [0, 2]
     draws = []
     monkeypatch.setattr(mup, "_congruence_onto", lambda *args: draws.append(args))
     mu = 0.5 * np.exp(0.7j)
@@ -434,12 +440,17 @@ def test_free_update_to_a_pair_reciprocal_within_the_coincidence_tolerance(code,
     # MupProblem pairs the replacement values within COINCIDE_RTOL (1e-8),
     # and S1_new is written on that pairing: a partner off by 1e-9 or
     # 5e-9 relative is updated, not refused as having no parameter space.
+    # The prescribed update solves its parameter space on the same pairing,
+    # so it takes the free update's eigenvectors too.
     sys, replace, new = update_fixture(code)
     X1, T1, X2, T2 = select_pairs(eig_full(sys), replace)
     T1_new = np.diag([new[0], new[1] * (1 + drift)])
     res = update_model_result(MupProblem(sys, X1, T1, T1_new, seed=4))
     assert pair_residual(res.system, (res.X1_new, T1_new)) <= 1e-9
     assert pair_residual(res.system, (X2, T2)) <= PAIR_RESIDUAL_GATE
+    given = update_model_result(MupProblem(sys, X1, T1, T1_new, X1_new=res.X1_new, seed=5))
+    assert pair_residual(given.system, (res.X1_new, T1_new)) <= OUTPUT_RESIDUAL_TOL
+    assert pair_residual(given.system, (X2, T2)) <= PAIR_RESIDUAL_GATE
 
 
 def _spillover_case(code, k):
@@ -605,20 +616,6 @@ class _Logged(np.ndarray):
         return out.view(_Logged) if isinstance(out, np.ndarray) else out
 
 
-def _log_decompositions(monkeypatch, order):
-    """(name, input) of every SVD or eigensolve of order above `order`
-    from now on."""
-    logged = []
-    for name in ("svd", "eigh", "eig", "eigvals"):
-        def recording(a, *args, _name=name, _decompose=getattr(np.linalg, name),
-                      **kwargs):
-            if max(np.shape(a)) > order:
-                logged.append((_name, np.array(a)))
-            return _decompose(a, *args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, recording)
-    return logged
-
-
 def _log_products(monkeypatch, sys):
     """(rows, inner, columns) of every matrix product an update of sys
     forms from now on from its coefficients.  They become views that log
@@ -642,7 +639,7 @@ def test_update_decomposes_nothing_of_order_n_but_the_new_a1(code, k, monkeypatc
     # at most 2k unknowns.
     sys, X1, T1, T1_new = _random_update_case(code, k)
     free_problem = MupProblem(sys, X1, T1, T1_new, seed=3)
-    decomposed = _log_decompositions(monkeypatch, 2 * k)
+    decomposed = log_decompositions(monkeypatch, 2 * k)
     products = _log_products(monkeypatch, sys)
 
     def order_n_products():
@@ -676,7 +673,7 @@ def test_chained_updates_stay_certified(cls, monkeypatch):
     # that the true value respects.
     sys = random_system(cls, 48, 7)
     svd = np.linalg.svd
-    decomposed = _log_decompositions(monkeypatch, 4)
+    decomposed = log_decompositions(monkeypatch, 4)
     for step in range(5):
         X1, T1 = _farthest_pair(eig_full(sys))
         mu = (0.3 + 0.05 * step) * np.exp(1j * (0.4 + step))
@@ -704,7 +701,7 @@ def test_update_of_a_nearly_singular_a1_runs_the_svd(cls, monkeypatch):
     X1, T1 = _farthest_pair(eig_full(sys))
     mu = 0.5 * np.exp(0.7j)
     problem = MupProblem(sys, X1, T1, np.diag([mu, 1 / cls.star_scalar(mu)]), seed=0)
-    decomposed = _log_decompositions(monkeypatch, 4)
+    decomposed = log_decompositions(monkeypatch, 4)
     with pytest.warns(UserWarning, match="nearly singular") as caught:
         res = update_model_result(problem)
     ((name, A1_new),) = decomposed

@@ -138,21 +138,21 @@ def test_pjcf_flags_forced_zero_singletons():
 
 def test_sample_nonsingular_scalar_family():
     basis = np.array([np.diag([1.0, -1.0]).astype(complex)])
-    S, _ = sample_nonsingular(basis, seed=0)
+    S, _ = sample_nonsingular(basis, np.random.default_rng(0))
     assert np.linalg.cond(S) < 1e8
 
 
 def test_sample_nonsingular_structural_failure():
     basis = np.array([np.diag([1.0, 0.0]).astype(complex)])
     with pytest.raises(SingularMatrix):
-        sample_nonsingular(basis, seed=0)
+        sample_nonsingular(basis, np.random.default_rng(0))
 
 
 def test_sample_nonsingular_deterministic():
     T = _pair_diag(HP, 0.3 + 0.4j, 1.2 - 0.1j)
     b = s_basis(T, HP)
-    S1, _ = sample_nonsingular(b, seed=123)
-    S2, _ = sample_nonsingular(b, seed=123)
+    S1, _ = sample_nonsingular(b, np.random.default_rng(123))
+    S2, _ = sample_nonsingular(b, np.random.default_rng(123))
     assert np.array_equal(S1, S2)
 
 

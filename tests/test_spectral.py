@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from helpers import random_complex, random_system
+from helpers import parameter_from_pair, random_complex, random_system
 from palinverse.errors import (MembershipCheckFailed, ResidualTooLarge,
                                SingularLeadingBlock, SingularMatrix)
 from palinverse.forward import eig_full
 from palinverse.numerics import fnorm, invert
-from palinverse.spectral import (_coefficients_from_blocks,
-                                 coefficients_from_pair, compute_S1,
-                                 parameter_from_pair)
+from palinverse.spectral import (_coefficients_from_blocks, coefficients_from_pair,
+                                 compute_S1)
 from palinverse.system import ALL_CLASSES, TA, TP, PalindromicSystem
 
 

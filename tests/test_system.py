@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from helpers import (pair_defect, random_complex, random_structured,
-                     random_system, reversal_defect)
+from helpers import (pair_defect, parameter_from_pair, random_complex,
+                     random_structured, random_system, reversal_defect)
 from palinverse.errors import (DimensionMismatch, SingularMatrix, SingularW,
                                SymmetryViolation)
 from palinverse.forward import eig_full
 from palinverse.numerics import fnorm
-from palinverse.spectral import parameter_from_pair
 from palinverse.system import (ALL_CLASSES, HA, HP, TA, TP, PalindromicSystem,
                                SymmetryClass, assembled_system, eval_Q,
                                pair_residual)

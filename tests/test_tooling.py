@@ -152,9 +152,14 @@ def _raisers(source, name):
 
 
 def _callers(source, name):
-    """The functions that call name."""
-    return _enclosing(source, lambda node: isinstance(node, ast.Call)
-                      and isinstance(node.func, ast.Name) and node.func.id == name)
+    """The functions that call name, bare or as an attribute (np.f)."""
+    def calls(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return getattr(func, "id", None) == name or getattr(func, "attr", None) == name
+
+    return _enclosing(source, calls)
 
 
 def test_infeasible_is_decided_before_the_first_draw():
@@ -258,6 +263,27 @@ def test_one_closed_form_block_of_new_eigenvalues():
     assert list(inspect.signature(spectral._spectral_sums).parameters) == ["blocks", "star"]
     planted = "def f():\n    def g():\n        return h(1)\n    return h\n"
     assert _callers(planted, "h") == {"f.g"}
+
+
+def test_one_factorization_of_the_deficit_and_one_stream():
+    # Construction and the free update factorize the deficit X1 S1 X1* in
+    # one function, at order min(n, k); the prescribed update snaps the
+    # same product as its right-hand side.  Each operation seeds one
+    # generator, which the sampler, the default remaining eigenvalues and
+    # the isometry of the congruence all draw from.
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+
+    def callers(name):
+        found = {module: _callers(source, name) for module, source in sources.items()}
+        return {module: names for module, names in found.items() if names}
+
+    assert callers("_isotropy_factor") == {
+        "iep": {"solve_iep_partial_result.completion"}, "mup": {"update_model_result"}}
+    assert callers("_snap_isotropy") == {
+        "structfact": {"_isotropy_factor"}, "mup": {"update_model_result"}}
+    assert callers("default_rng") == {"iep": {"_construct"}, "mup": {"update_model_result"}}
+    planted = "import numpy as np\ndef f(s):\n    return np.random.default_rng(s)\n"
+    assert _callers(planted, "default_rng") == {"f"}
 
 
 def test_one_solve_of_the_parameter_space(monkeypatch):
