@@ -42,7 +42,7 @@ def _check_diagonal(T, name):
     if fnorm(off) > DIAGONAL_RTOL * max(fnorm(T), NORM_FLOOR):
         raise DimensionMismatch(
             f"{name} must be diagonal (semi-simple selected eigenvalues)")
-    return T
+    return np.diag(np.diag(T))
 
 
 @dataclass

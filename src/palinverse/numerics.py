@@ -59,7 +59,7 @@ S1_MEMBERSHIP_RTOL = 1e-9  # the S1 computed from a system satisfies S1 = T1 S1 
 ROUNDOFF_RTOL = 1e-12  # a product W M W* within this of its scale ||W||^2 ||M|| is roundoff
 TRANSFER_FLOOR_RTOL = 1e-13  # an update's transfer residual within this of its scale is roundoff
 RECONSTRUCT_ATOL = 1e-13  # a star factorization's reconstruction residual always allowed
-ZERO_ATOL = 1e-12  # a target that nothing can produce (empty form or basis) is zero
+ZERO_ATOL = 1e-12  # a target that nothing can produce (an empty basis) is zero
 NORM_FLOOR = 1e-300  # least norm a relative bound or ratio scales by, in place of zero
 # Residual gates.
 PAIR_RESIDUAL_GATE = 1e-8  # pair_residual under which a given pair is an invariant pair
@@ -129,8 +129,6 @@ def linear_solve(A, B):
         raise DimensionMismatch(f"A must be square, got {A.shape}")
     if B.shape[0] != n:
         raise DimensionMismatch(f"B has {B.shape[0]} rows, expected {n}")
-    if n == 0:
-        return np.zeros((0, B.shape[1]), dtype=np.complex128)
     try:
         return np.linalg.solve(A, B)
     except np.linalg.LinAlgError as exc:
@@ -159,12 +157,8 @@ def rank_factorize(M, star="H"):
     Returns (Z1, Z2, rank); rank 0 yields empty factors.
     """
     M = as_matrix(M, "M")
-    if M.size == 0:
-        return (np.zeros((M.shape[0], 0), dtype=np.complex128),
-                np.zeros((M.shape[1], 0), dtype=np.complex128), 0)
     u, s, vh = np.linalg.svd(M)
-    smax = s[0] if s.size else 0.0
-    ell = int(np.count_nonzero(s > RANK_RTOL * smax))
+    ell = int(np.count_nonzero(s > RANK_RTOL * s[0]))
     Z1 = u[:, :ell] * s[:ell]
     V = vh[:ell].conj().T
     Z2 = V.conj() if star == "T" else V

@@ -7,11 +7,17 @@ symmetric, and the canonical middle factor Delta is respectively a
 [[0, I], [-I, 0]] block, or an identity block, each padded with a trailing
 zero block when B is rank deficient.
 
-The Hermitian cases reduce to a unitary eigendecomposition.  The complex
-symmetric case is an SVD-based Takagi factorization with degenerate
-singular-value clusters re-symmetrized blockwise.  The complex
-skew-symmetric case is a Youla reduction driven by the unitary
-eigendecomposition of B B^H.
+The Hermitian cases reduce to a unitary eigendecomposition.  The two
+transpose classes share one reduction of the antilinear map
+A(z) = B conj(z), which leaves each cluster of equal singular values
+sigma of B invariant and squares to sigma^2 on it for symmetric B, to
+-sigma^2 for skew-symmetric B.  One step on a unit vector v of a cluster
+takes w = A(v) / sigma and gives a Takagi vector (A(z) = sigma z, a
+longest combination of v and w) or a Youla pair (w made orthogonal to v,
+v).  A cluster one step wide takes that step alone, all such clusters at
+once; a wider one steps on its leading left singular vector, deflates,
+and steps again.  The vector a step starts from is the one free choice
+of the factorization.
 
 _isotropy_factor factorizes the deficit X1 S1 X1* of a thin X1 at order
 min(n, k), and _congruence_onto maps one canonical pattern onto another
@@ -25,7 +31,7 @@ import numpy as np
 
 from .errors import BadIndices, FactorizationFailure, SymmetryViolation
 from .numerics import (CLUSTER_RTOL, NORM_FLOOR, RANK_RTOL, RECONSTRUCT_ATOL,
-                       ROUNDOFF_RTOL, STRUCTURE_RTOL, ZERO_ATOL, as_matrix, fnorm,
+                       ROUNDOFF_RTOL, STRUCTURE_RTOL, as_matrix, fnorm,
                        linear_solve)
 from .system import SymmetryClass
 
@@ -94,126 +100,99 @@ class StarFactorization:
         return self.Y @ self.pattern.matrix() @ self.cls.star_of(self.Y)
 
 
-def _cluster_descending(values, tol):
-    """Group indices of a descending nonnegative sequence by closeness."""
-    groups = []
+def _cluster_descending(values, tol, width):
+    """Group indices of a descending nonnegative sequence by closeness to
+    the first value of a cluster; a group whose size is not a multiple of
+    width takes in the next cluster."""
+    groups, head = [], 0
     for i, v in enumerate(values):
-        if groups and (values[groups[-1][0]] - v) <= tol:
+        if groups and values[head] - v <= tol:
             groups[-1].append(i)
+        elif groups and len(groups[-1]) % width:
+            groups[-1].append(i)
+            head = i
         else:
             groups.append([i])
+            head = i
     return groups
 
 
-def _symmetric_unitary_sqrt(M):
-    """A symmetric unitary R with R R = M, for symmetric unitary M.
+def _antilinear_step(B, V, eps, rank_tol):
+    """One step of the reduction of z -> B conj(z) on each column v of V.
 
-    Rotates M by a phase e^{-i alpha} that moves the point -1 into the
-    widest gap of its spectrum, so N = e^{-i alpha} M has no eigenvalue
-    near -1, and takes the polar factor of I + N:
-    R = e^{i alpha/2} (I + N) H^{-1/2} with H = (I + N)* (I + N) =
-    2 (I + Re N).  N commutes with the real symmetric H, which makes R
-    symmetric and unitary, and R R = e^{i alpha} (I + N)^2 H^{-1} = M.
-    Repeated eigenvalues and eigenvalues at -1 need no special case.
+    With gamma = |B conj(v)| and the unit image w = B conj(v) / gamma, the
+    map squares to -eps gamma^2 on v's cluster.  For eps = -1 the step
+    takes the Takagi vector z = c v + conj(c) w, normalized, with
+    c^2 = <v, w> / |<v, w>| (c = 1 if <v, w> = 0): the longest of the
+    vectors e^{ia} v + e^{-ia} w, all of which have B conj(z) = gamma z.
+    For eps = +1 it takes the Youla pair (w made orthogonal to v, v).
+    Returns the columns taken, [Z] or [W, V], and gamma.
     """
-    theta = np.sort(np.angle(np.linalg.eigvals(M)))
-    gaps = np.diff(np.append(theta, theta[0] + 2.0 * np.pi))
-    widest = int(np.argmax(gaps))
-    alpha = theta[widest] + gaps[widest] / 2.0 - np.pi
-    N = np.exp(-1j * alpha) * M
-    eye = np.eye(M.shape[0])
-    h, P = np.linalg.eigh(2.0 * (eye + N.real))
-    return np.exp(0.5j * alpha) * ((eye + N) @ (P / np.sqrt(h)) @ P.T)
-
-
-def _takagi(u, s, vh, rank_tol):
-    """Takagi factorization B = Z diag(s) Z^T of complex symmetric B.
-
-    Takes the SVD B = u diag(s) vh and returns (Z, t) with Z unitary and t
-    the numerical rank.  A simple singular value rescales its column by a
-    scalar square root; a degenerate cluster takes a blockwise matrix
-    square root, re-symmetrized within the cluster.
-    """
-    smax = s[0] if s.size else 0.0
-    t = int(np.count_nonzero(s > rank_tol))
-    # Diagonal of u^T vh^H over the active columns.
-    m = np.einsum("ki,ik->i", u[:, :t], vh[:t].conj())
-    Z = u.copy()
-    Z[:, :t] *= np.conj(np.sqrt(m))
-    for group in _cluster_descending(s[:t], CLUSTER_RTOL * max(smax, NORM_FLOOR)):
-        if len(group) < 2:
-            continue
-        idx = np.asarray(group)
-        M = u[:, idx].T @ vh[idx].conj().T
-        M = (M + M.T) / 2.0
-        Z[:, idx] = u[:, idx] @ np.conj(_symmetric_unitary_sqrt(M))
-    return Z, t
-
-
-def _youla_pairs(B, zleft, s, rank_tol):
-    """Youla reduction of complex skew-symmetric B.
-
-    Takes the left singular vectors zleft and singular values s of B and
-    returns (gammas, U, V, kernel) with B = sum_i gamma_i (u_i v_i^T -
-    v_i u_i^T), gammas descending positive, and [U V kernel] unitary.
-    The left singular vectors of B (eigenvectors of B B^H) span the
-    active subspace; the antilinear map x -> B conj(x) pairs each basis
-    vector with an orthogonal partner carrying the same singular value.
-    """
-    n = B.shape[0]
-    smax = s[0] if s.size else 0.0
-    t = int(np.count_nonzero(s > rank_tol))
-    if t % 2 != 0:
+    W = B @ V.conj()
+    gamma = np.linalg.norm(W, axis=0)
+    if gamma.min(initial=np.inf) <= rank_tol:
         raise FactorizationFailure(
-            f"skew-symmetric input has odd numerical rank {t}; "
-            "rank must be even")
-    kernel = zleft[:, t:]
+            "reduction collapsed inside the numerically nonzero subspace")
+    W /= gamma
+    vw = (V.conj() * W).sum(axis=0)
+    if eps == -1:
+        c = np.exp(0.5j * np.angle(vw))
+        return [(c * V + c.conj() * W) / np.sqrt(2.0 + 2.0 * np.abs(vw))], gamma
+    W -= V * vw
+    nu = np.linalg.norm(W, axis=0)
+    if nu.min(initial=1.0) < 0.5:
+        raise FactorizationFailure("lost orthogonality in Youla pairing")
+    return [W / nu, V], gamma
 
-    # Nonzero singular values of a skew-symmetric matrix come in equal
-    # pairs; the pairing map stays inside each equal-sigma cluster, so the
-    # deflation must as well.  Merge clusters forward until all are even.
-    clusters = _cluster_descending(s[:t], CLUSTER_RTOL * max(smax, NORM_FLOOR))
-    merged = []
-    carry = []
-    for group in clusters:
-        carry += group
-        if len(carry) % 2 == 0:
-            merged.append(carry)
-            carry = []
-    if carry:
-        raise FactorizationFailure("could not pair singular-value clusters")
 
-    gammas, us, vs = [], [], []
-    for group in merged:
-        active = zleft[:, group]
-        while active.shape[1] > 0:
-            v = active[:, 0]
-            u = B @ np.conj(v)
-            gamma = float(np.linalg.norm(u))
-            if gamma <= rank_tol:
-                raise FactorizationFailure(
-                    "pairing collapsed inside the numerically nonzero subspace")
-            u = u / gamma
-            u = u - v * np.vdot(v, u)
-            nu = np.linalg.norm(u)
-            if nu < 0.5:
-                raise FactorizationFailure("lost orthogonality in Youla pairing")
-            u = u / nu
-            gammas.append(gamma)
-            vs.append(v)
-            us.append(u)
-            keep = active.shape[1] - 2
-            if keep == 0:
-                break
-            proj = active - np.outer(v, np.conj(v) @ active) \
-                - np.outer(u, np.conj(u) @ active)
-            q, sp, _ = np.linalg.svd(proj, full_matrices=False)
-            if sp[keep - 1] < 0.5:
-                raise FactorizationFailure("deflation lost rank in Youla pairing")
-            active = q[:, :keep]
-    U = np.column_stack(us) if us else np.zeros((n, 0), dtype=np.complex128)
-    V = np.column_stack(vs) if vs else np.zeros((n, 0), dtype=np.complex128)
-    return np.asarray(gammas), U, V, kernel
+def _transpose_reduction(B, u, s, vh, eps, rank_tol):
+    """B = Y Delta Y^T for complex symmetric (eps = -1) or skew-symmetric
+    (eps = +1) B, from its SVD B = u diag(s) vh.
+
+    Returns (Y, t), t the numerical rank, with Y = [Z sqrt(gamma), kernel]
+    for eps = -1 (Delta = diag(I_t, 0)) and Y = [W sqrt(gamma),
+    V sqrt(gamma), kernel] for eps = +1 (the aggregated skew block); Z and
+    [W V] are orthonormal and gamma matches s.  The map leaves each
+    cluster of equal singular values invariant, merged for eps = +1 until
+    each holds whole pairs.  The clusters of one step's width all take
+    their step at once, on their first singular vectors; for eps = -1 the
+    image w = p v is read off the SVD, p = conj(u_j^T v_j), and the step is
+    z = sqrt(p) v.  A wider cluster steps on its first singular vector,
+    projects out the columns taken, and steps again on B's leading left
+    singular vector within the rest.
+    """
+    width = 1 if eps == -1 else 2
+    t = int(np.count_nonzero(s > rank_tol))
+    if t % width:
+        raise FactorizationFailure(
+            f"skew-symmetric input has odd numerical rank {t}; rank must be even")
+    clusters = _cluster_descending(s[:t].tolist(), CLUSTER_RTOL * (s[0] if t else 0.0), width)
+    if eps == -1:
+        m = np.einsum("ki,ik->i", u[:, :t], vh[:t].conj())
+        cols, gamma = [u[:, :t] * np.conj(np.sqrt(m))], s[:t]
+    else:
+        cols, gamma = _antilinear_step(B, u[:, :t:2], eps, rank_tol)
+    sides = [col * np.sqrt(gamma) for col in cols]
+    for c in clusters:
+        if len(c) == width:
+            continue
+        active = u[:, c]
+        for slot in range(c[0] // width, (c[-1] + 1) // width):
+            taken, g = _antilinear_step(B, active[:, :1], eps, rank_tol)
+            for side, col in zip(sides, taken):
+                side[:, slot:slot + 1] = col * np.sqrt(g)
+            keep = active.shape[1] - width
+            if keep:
+                prev = np.hstack(taken)
+                q, sv, _ = np.linalg.svd(active - prev @ (prev.conj().T @ active),
+                                         full_matrices=False)
+                if sv[keep - 1] < 0.5:
+                    raise FactorizationFailure("deflation lost rank in the reduction")
+                # Values of a cluster that are close but unequal keep their
+                # own vectors: the next step is on B's singular vectors.
+                q = q[:, :keep]
+                active = q @ np.linalg.svd(B.conj().T @ q, full_matrices=False)[2].conj().T
+    return np.concatenate(sides + [u[:, t:]], axis=1), t
 
 
 def star_factorize(B, cls, rank_tol=None):
@@ -259,13 +238,7 @@ def star_factorize(B, cls, rank_tol=None):
         u, s, vh = np.linalg.svd(Bp)
         if rank_tol is None:
             rank_tol = RANK_RTOL * (s[0] if n else 0.0)
-        if cls.epsilon == -1:
-            Z, t = _takagi(u, s, vh, rank_tol)
-            scale = np.ones(n)
-            scale[:t] = np.sqrt(s[:t])
-            Y = Z * scale
-            pattern = DeltaPattern(cls, n, t=t)
-        else:
+        if cls.epsilon == 1:
             # Guard on the raw input: a genuinely skew-symmetric matrix has
             # even rank, so an odd numerical rank flags an inconsistent rank
             # decision.
@@ -274,10 +247,8 @@ def star_factorize(B, cls, rank_tol=None):
                 raise FactorizationFailure(
                     "input has odd numerical rank; skew-symmetric matrices "
                     "have even rank")
-            gammas, U, V, kernel = _youla_pairs(Bp, u, s, rank_tol)
-            sq = np.sqrt(gammas)
-            Y = np.hstack([U * sq, V * sq, kernel])
-            pattern = DeltaPattern(cls, n, t=2 * len(gammas))
+        Y, t = _transpose_reduction(Bp, u, s, vh, cls.epsilon, rank_tol)
+        pattern = DeltaPattern(cls, n, t=t)
 
     fact = StarFactorization(Y, pattern, cls)
     err = fnorm(fact.reconstruct() - Bp)
@@ -373,10 +344,6 @@ def _congruence_onto(target, form, cls, rng=None):
     """
     n = target.shape[0]
     r = form.shape[0]
-    if r == 0:
-        if fnorm(target) > ZERO_ATOL:
-            raise BadIndices("empty form cannot produce a nonzero target")
-        return np.zeros((n, 0), dtype=np.complex128)
     C = np.zeros((n, r), dtype=np.complex128)
     if cls.star == "H":
         tvals, fvals = np.diag(target), np.diag(form)

@@ -137,6 +137,28 @@ def test_free_update_any_column_scaling(code):
         assert pair_residual(result.system, (result.X1_new, np.diag(new))) <= 1e-9
 
 
+@pytest.mark.parametrize("code", ["tp", "ta", "hp", "ha"])
+def test_nearly_diagonal_t1_poses_the_same_update(code):
+    # A T1 or T1_new with off-diagonal mass under DIAGONAL_RTOL passes as
+    # diagonal, and the problem keeps its diagonal: X1 D then takes unit
+    # columns and the update repeats to the bit.
+    sys, replace, new = update_fixture(code)
+    X1, T1, _, _ = select_pairs(eig_full(sys), replace)
+    D = np.array([3.0, 0.5, 2.0, 0.25])[:X1.shape[1]]
+    E = np.zeros(T1.shape, dtype=complex)
+    E[0, -1] = 1e-13 * fnorm(T1)
+    base = MupProblem(sys, X1 * D, T1, np.diag(new), seed=1)
+    for T1_given, T1_new in ((T1 + E, np.diag(new)), (T1, np.diag(new) + E)):
+        problem = MupProblem(sys, X1 * D, T1_given, T1_new, seed=1)
+        assert np.array_equal(problem.X1, base.X1)
+        assert np.array_equal(problem.T1, base.T1)
+        assert np.array_equal(problem.T1_new, base.T1_new)
+        a, b = update_model_result(base), update_model_result(problem)
+        for x, y in ((a.system.A1, b.system.A1), (a.system.A0, b.system.A0),
+                     (a.X1_new, b.X1_new)):
+            assert np.array_equal(x, y)
+
+
 def test_update_determinism():
     sys, replace, new = update_fixture("hp")
     e = eig_full(sys)

@@ -156,22 +156,25 @@ def test_star_factorize_one_decomposition(cls, monkeypatch):
     assert calls == expected
 
 
-def test_takagi_mixed_clusters():
-    # Simple singular values take a scalar square root, the two degenerate
-    # clusters a blockwise one; the kernel column passes through.
-    from palinverse.structfact import _takagi
+def _unit_columns(f):
+    """Z of Y = Z diag(sqrt(gamma), 1): the Takagi vectors and kernel of a
+    ta factorization, the Youla pairs and kernel of a tp one."""
+    return f.Y / np.linalg.norm(f.Y, axis=0)
 
+
+def test_takagi_mixed_clusters():
+    # Simple singular values take one step at once, the two degenerate
+    # clusters the deflation loop; the kernel column passes through.
     rng = np.random.default_rng(12)
     U = random_unitary(rng, 6)
     sigma = np.array([3.0, 3.0, 2.0, 1.0, 1.0, 0.0])
     B = U @ np.diag(sigma) @ U.T
-    u, s, vh = np.linalg.svd(B)
-    Z, t = _takagi(u, s, vh, 1e-10 * s[0])
-    assert t == 5
+    s = np.linalg.svd(B, compute_uv=False)
+    f = star_factorize(B, TA)
+    Z = _unit_columns(f)
+    assert f.pattern.rank == 5
     assert fnorm(Z.conj().T @ Z - np.eye(6)) <= 1e-12
     assert fnorm(Z @ np.diag(s) @ Z.T - B) <= 1e-10 * fnorm(B)
-    f = star_factorize(B, TA)
-    assert f.pattern.rank == 5
     assert fnorm(f.reconstruct() - B) <= 1e-10 * fnorm(B)
 
 
@@ -188,15 +191,14 @@ _ANGLES = st.one_of(st.sampled_from([np.pi, -np.pi / 2, 0.0, 1.0]),
 @example(angles=[np.pi, 0.3, np.pi, 0.3], seed=1)
 @example(angles=[np.pi / 2, -np.pi / 2], seed=2)
 def test_symmetric_unitary_sqrt_property(angles, seed):
-    from palinverse.structfact import _symmetric_unitary_sqrt
-
+    # All singular values of a symmetric unitary M are 1: one cluster, which
+    # the deflation loop reduces to a unitary square root, Y Y^T = M.
     m = len(angles)
     O, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((m, m)))
     M = O @ np.diag(np.exp(1j * np.array(angles))) @ O.T
-    R = _symmetric_unitary_sqrt(M)
-    assert fnorm(R - R.T) <= 1e-12
-    assert fnorm(R.conj().T @ R - np.eye(m)) <= 1e-12
-    assert fnorm(R @ R - M) <= 1e-12
+    Y = star_factorize(M, TA).Y
+    assert fnorm(Y.conj().T @ Y - np.eye(m)) <= 1e-12
+    assert fnorm(Y @ Y.T - M) <= 1e-12
 
 
 @pytest.mark.parametrize("sigma", [[2.0, 2.0, 1.0], [3.0, 3.0, 3.0, 1.0, 0.0],
@@ -204,14 +206,53 @@ def test_symmetric_unitary_sqrt_property(angles, seed):
                                    [1.0] * 4 + [0.0] * 2])
 @pytest.mark.parametrize("seed", range(4))
 def test_takagi_degenerate_clusters(sigma, seed):
-    from palinverse.structfact import _takagi
-
     rng = np.random.default_rng(30 + seed)
     n = len(sigma)
     U = random_unitary(rng, n)
     B = U @ np.diag(sigma) @ U.T
-    u, s, vh = np.linalg.svd(B)
-    Z, t = _takagi(u, s, vh, 1e-10 * s[0])
-    assert t == np.count_nonzero(sigma)
+    s = np.linalg.svd(B, compute_uv=False)
+    f = star_factorize(B, TA)
+    Z = _unit_columns(f)
+    assert f.pattern.t == np.count_nonzero(sigma)
     assert fnorm(Z.conj().T @ Z - np.eye(n)) <= 1e-10
     assert fnorm(Z @ np.diag(s) @ Z.T - B) <= 1e-10 * fnorm(B)
+
+
+def _skew(rng, gammas, kernel=0):
+    """U [[0, G], [-G, 0]] U^T padded by a kernel, G = diag(gammas), U unitary."""
+    h, n = len(gammas), 2 * len(gammas) + kernel
+    U = random_unitary(rng, n)
+    core = np.zeros((n, n))
+    core[:h, h:2 * h] = np.diag(gammas)
+    return U @ (core - core.T) @ U.T
+
+
+@pytest.mark.parametrize("gammas", [[2.0] * 2, [2.0] * 3, [2.0] * 2 + [1.0]])
+@pytest.mark.parametrize("kernel", [0, 2])
+def test_youla_degenerate_clusters(gammas, kernel):
+    # 4 or 6 equal singular values of a skew-symmetric B run the deflation
+    # loop for eps = +1; the kernel passes through.
+    B = _skew(np.random.default_rng(40 + kernel), gammas, kernel)
+    f = star_factorize(B, TP)
+    assert f.pattern.t == 2 * len(gammas)
+    Z = _unit_columns(f)
+    assert fnorm(Z.conj().T @ Z - np.eye(B.shape[0])) <= 1e-10
+    assert fnorm(f.reconstruct() - B) <= 1e-10 * fnorm(B)
+
+
+@pytest.mark.parametrize("cls", [TA, TP], ids=lambda c: c.code)
+@pytest.mark.parametrize("seed", range(4))
+def test_cluster_of_unequal_values_reconstructs(cls, seed):
+    # Values up to 2e-9 apart share a cluster (CLUSTER_RTOL = 1e-8), yet
+    # are not equal: the deflation steps on B's leading singular vector of
+    # the rest, so the reconstruction stays at roundoff, not at the spread.
+    rng = np.random.default_rng(50 + seed)
+    values = 1.0 - np.array([0.0, 6e-10, 7e-10, 1.3e-9, 1.8e-9, 2e-9])
+    if cls == TA:
+        U = random_unitary(rng, 6)
+        B = U @ np.diag(values) @ U.T
+    else:
+        B = _skew(rng, values)
+    f = star_factorize(B, cls)
+    assert f.pattern.t == B.shape[0]
+    assert fnorm(f.reconstruct() - B) <= 1e-13 * fnorm(B)

@@ -265,6 +265,31 @@ def test_one_closed_form_block_of_new_eigenvalues():
     assert _callers(planted, "h") == {"f.g"}
 
 
+def test_one_reduction_for_the_transpose_classes():
+    # Takagi (ta) and Youla (tp) factorizations are one reduction of
+    # z -> B conj(z): it alone reads the cluster tolerance (numerics defines
+    # it, a top-level statement, so None) and clusters the singular values,
+    # and the star = T branch of star_factorize calls it.
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    readers = {module: _readers(source, "CLUSTER_RTOL") for module, source in sources.items()}
+    assert {module: names for module, names in readers.items() if names} == \
+        {"structfact": {"_transpose_reduction"}, "numerics": {None}}
+    for name, caller in (("_cluster_descending", "_transpose_reduction"),
+                         ("_transpose_reduction", "star_factorize")):
+        callers = {module: _callers(source, name) for module, source in sources.items()}
+        assert {module: names for module, names in callers.items() if names} == \
+            {"structfact": {caller}}, name
+    factorize = next(node for node in ast.parse(sources["structfact"]).body
+                     if getattr(node, "name", None) == "star_factorize")
+    branch = next(node for node in ast.walk(factorize) if isinstance(node, ast.If)
+                  and ast.unparse(node.test) == "cls.star == 'H'")
+    assert "_transpose_reduction" in {
+        node.func.id for stmt in branch.orelse for node in ast.walk(stmt)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    for gone in ("_takagi", "_youla_pairs", "_symmetric_unitary_sqrt"):
+        assert not any(re.search(rf"\b{gone}\b", source) for source in sources.values())
+
+
 def test_one_factorization_of_the_deficit_and_one_stream():
     # Construction and the free update factorize the deficit X1 S1 X1* in
     # one function, at order min(n, k); the prescribed update snaps the
