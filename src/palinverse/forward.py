@@ -20,8 +20,11 @@ otherwise.  eig_full always runs its own eigensolve.
 Construction (iep), updating (mup) and select_pairs decide every rule on a
 set of eigenvalues here: _coincide is the one coincidence test,
 _group_values applies the reciprocal pairing to a prescribed value list,
-_unit_parity is the +-1 multiplicity rule of the transpose classes, and
-_semisimple_bound caps the multiplicity of any value at the order n.
+_unit_parity is the +-1 multiplicity rule of the transpose classes, _admit
+puts a list of new values beside the rest of a spectrum (a construction's
+remaining values, an update's replacement values) by all of these rules,
+and _nearest finds given values in a spectrum (select_pairs' targets, an
+update's selected values).
 """
 
 from dataclasses import dataclass, field
@@ -86,10 +89,6 @@ class EigenPairSet:
     @property
     def pairing_complete(self):
         return not self.unmatched
-
-    @property
-    def n(self):
-        return self.vectors.shape[0]
 
     @cached_property
     def partners(self):
@@ -172,18 +171,47 @@ def _unit_parity(cls, n, values):
     return [p for p, m in zip(points, counts) if m % 2 != want]
 
 
-def _semisimple_bound(n, values):
-    """Raise Infeasible when a value occurs more than n times in values: a
-    semisimple eigenvalue of an order-n system has at most n eigenvectors.
-    A list disjoint from the rest of the spectrum decides it for the whole."""
-    values = np.asarray(values)
-    counts = _coincide(values, values).sum(axis=1)
+def _admit(cls, n, new, rest, where):
+    """The pairing of the new values of an order-n spectrum (as
+    _group_values gives it), put beside the rest of it, which where names.
+
+    Raises, in this order: SpectraOverlap when a new value coincides with
+    one of rest; PairingNotClosed when one has no reciprocal partner; and
+    Infeasible when new and rest together break the +-1 parity, or when new
+    repeats a value more than n times, as a semisimple eigenvalue of an
+    order-n system has at most n eigenvectors (new, disjoint from rest,
+    decides this for the whole spectrum).
+    """
+    new = np.asarray(new)
+    hit = np.flatnonzero(_coincide(new, rest).any(axis=1))
+    if hit.size:
+        raise SpectraOverlap(f"eigenvalue {new[hit[0]]:.6g} collides with {where}")
+    groups = _group_values(new, cls)
+    wrong = _unit_parity(cls, n, np.concatenate([new, rest]))
+    if wrong:
+        raise Infeasible(
+            f"parity: eigenvalue {wrong[0]:+.0f} occurs with a multiplicity "
+            "this class and order forbid")
+    counts = _coincide(new, new).sum(axis=1)
     if counts.max(initial=0) > n:
         i = int(np.argmax(counts))
         raise Infeasible(
-            f"multiplicity: eigenvalue {values[i]:.6g} occurs {counts[i]} times, "
+            f"multiplicity: eigenvalue {new[i]:.6g} occurs {counts[i]} times, "
             f"but a semisimple eigenvalue of an order-{n} system has at most "
             f"{n} eigenvectors")
+    return groups
+
+
+def _nearest(values, targets, rtol):
+    """For each target, the index of its nearest value, with two masks of
+    targets: missing, farther than rtol max(1, |target|) from it, and
+    repeated, whose nearest value an earlier target already took."""
+    dists = np.abs(values[None, :] - targets[:, None])
+    nearest = np.argmin(dists, axis=1)
+    missing = dists.min(axis=1) > rtol * np.maximum(1.0, np.abs(targets))
+    repeated = np.ones(len(targets), dtype=bool)
+    repeated[np.unique(nearest, return_index=True)[1]] = False
+    return nearest, missing, repeated
 
 
 def eig_full(sys):
@@ -228,11 +256,7 @@ def select_pairs(eigs, targets, tol=MATCH_TOL):
     bad = targets[~np.isfinite(targets)]
     if bad.size:  # a nan distance would never count as missing
         raise ValueError(f"targets must be finite, got {bad[0]}")
-    dists = np.abs(values[None, :] - targets[:, None])
-    selected = np.argmin(dists, axis=1)
-    missing = dists.min(axis=1) > tol * np.maximum(1.0, np.abs(targets))
-    repeated = np.ones(len(targets), dtype=bool)
-    repeated[np.unique(selected, return_index=True)[1]] = False
+    selected, missing, repeated = _nearest(values, targets, tol)
     bad = np.flatnonzero(missing | repeated)
     if bad.size:
         a = bad[0]

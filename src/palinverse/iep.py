@@ -26,7 +26,7 @@ import numpy as np
 from .errors import (RETRY_ATTEMPTS, BadIndices, DimensionMismatch, Infeasible,
                      ResidualTooLarge, SingularW, SpectraOverlap, UnsupportedRegime,
                      retry)
-from .forward import _coincide, _group_values, _semisimple_bound, _unit_parity
+from .forward import _admit, _coincide, _group_values, _unit_parity
 from .numerics import (COINCIDE_RTOL, OUTPUT_RESIDUAL_TOL, RANK_RTOL, SINGULAR_RTOL,
                        as_matrix, solve_right, sv_ratio, unit_columns)
 from .paramspace import sample_nonsingular, solution_space
@@ -174,32 +174,13 @@ class IepSolution:
         return self.system.a0_defect
 
 
-def _remaining_spectrum(problem):
-    """The user-supplied remaining eigenvalues and their pairing, checked
-    against the prescribed spectrum and the class rules."""
-    cls, t1_eigs = problem.cls, problem.t1_values
-    vals = np.array(problem.remaining_eigenvalues, dtype=np.complex128)
-    hit = np.flatnonzero(_coincide(vals, t1_eigs).any(axis=1))
-    if hit.size:
-        raise SpectraOverlap(
-            f"remaining eigenvalue {vals[hit[0]]:.6g} collides with the "
-            "prescribed spectrum")
-    groups = _group_values(vals, cls)
-    wrong = _unit_parity(cls, problem.n, np.concatenate([t1_eigs, vals]))
-    if wrong:
-        raise Infeasible(
-            f"parity: eigenvalue {wrong[0]:+.0f} occurs with a multiplicity "
-            "this class and order forbid")
-    _semisimple_bound(problem.n, vals)
-    return vals, groups
-
-
 def solve_iep_partial_result(problem):
     """Solve an IepProblem for any 1 <= k <= 2n, returning full diagnostics.
 
     Infeasible is decided before the first draw, from the +-1 parity of
-    the transpose classes (for k = 2n too) and the multiplicity bound of a
-    given remaining list.  For star = H any pairing-closed remaining list of length
+    the transpose classes (for k = 2n too); a given remaining list is
+    admitted by forward._admit, the rule an update's replacement values
+    pass too.  For star = H any pairing-closed remaining list of length
     2n - k has consistent inertia counts: some inertia of S1, read off
     its star factorization, admits a sign split, and a draw that misses
     it is retried."""
@@ -222,7 +203,8 @@ def solve_iep_partial_result(problem):
         return _construct(cls, problem.X1, problem.T1, problem.seed,
                           solution_space(problem.T1, cls, problem.X1))
     if given is not None:
-        given = _remaining_spectrum(problem)
+        vals = np.array(given, dtype=np.complex128)
+        given = vals, _admit(cls, n, vals, t1_eigs, "the prescribed spectrum")
 
     def completion(S1, rng):
         p = q = 0

@@ -21,8 +21,7 @@ import numpy as np
 
 from .errors import (RETRY_ATTEMPTS, BadIndices, DefectiveSpectrum, DimensionMismatch,
                      Infeasible, ResidualTooLarge, SpectraOverlap, XiSingular, retry)
-from .forward import (_coincide, _group_values, _semisimple_bound, _unit_parity,
-                      eigenvalues)
+from .forward import _admit, _coincide, _group_values, _nearest, eigenvalues
 from .numerics import (DIAGONAL_RTOL, NORM_FLOOR, OUTPUT_RESIDUAL_TOL,
                        PAIR_RESIDUAL_GATE, SELECTED_MATCH_RTOL, SINGULAR_RTOL,
                        TRANSFER_FLOOR_RTOL, as_matrix, fnorm, invert,
@@ -49,10 +48,11 @@ def _check_diagonal(T, name):
 class MupProblem:
     """A no-spillover update: replace the eigenvalues of (X1, T1) by T1_new.
 
-    T1 and T1_new must be diagonal, pairing-closed and mutually disjoint;
-    both must stay away from the remaining spectrum of the system, and
-    T1_new may repeat no value more than n times.  With X1_new set, the
-    replacement eigenvectors are prescribed.
+    T1 and T1_new must be diagonal, pairing-closed and mutually disjoint,
+    and T1 must be found in the spectrum of the system away from the kept
+    rest of it.  T1_new is admitted beside the kept spectrum by
+    forward._admit, the rule a construction's remaining values pass.  With
+    X1_new set, the replacement eigenvectors are prescribed.
     """
 
     sys: PalindromicSystem
@@ -90,7 +90,6 @@ class MupProblem:
         old = np.diag(self.T1)
         new = np.diag(self.T1_new)
         _group_values(old, cls)
-        self.new_groups = _group_values(new, cls)
         cluster = np.argwhere(np.triu(_coincide(old, old), 1))
         if cluster.size:
             i, j = cluster[0]
@@ -103,39 +102,18 @@ class MupProblem:
                 f"replacement eigenvalue {new[hit[0]]:.6g} collides with a "
                 "replaced one")
         values = eigenvalues(self.sys)
-        kept_vals = values[self._kept_indices(values, old)]
-        moved = np.concatenate([old, new])
-        hit = np.flatnonzero(_coincide(moved, kept_vals).any(axis=1))
+        # The tolerance also absorbs eig_full's roundoff against eigenvalues'.
+        selected, missing, repeated = _nearest(values, old, SELECTED_MATCH_RTOL)
+        bad = np.flatnonzero(missing | repeated)
+        if bad.size:
+            raise SpectraOverlap(f"selected eigenvalue {old[bad[0]]:.6g} not found "
+                                 "in the system spectrum")
+        kept = np.delete(values, selected)
+        hit = np.flatnonzero(_coincide(old, kept).any(axis=1))
         if hit.size:
             raise SpectraOverlap(
-                f"eigenvalue {moved[hit[0]]:.6g} collides with the kept spectrum")
-        # An update whose final spectrum breaks the +-1 parity of the
-        # transpose classes has no solution at all.
-        wrong = _unit_parity(cls, self.sys.n, np.concatenate([new, kept_vals]))
-        if wrong:
-            raise Infeasible(
-                f"parity: the updated spectrum carries eigenvalue {wrong[0]:+.0f} "
-                "with a multiplicity impossible for this class and order")
-        _semisimple_bound(self.sys.n, new)
-
-    def _kept_indices(self, values, old):
-        # The tolerance also absorbs eig_full's roundoff against eigenvalues'.
-        used = set()
-        for v in old:
-            dist = np.abs(values - v)
-            for j in np.argsort(dist):
-                if j not in used:
-                    if dist[j] > SELECTED_MATCH_RTOL * max(1.0, abs(v)):
-                        raise SpectraOverlap(
-                            f"selected eigenvalue {v:.6g} not found in the "
-                            "system spectrum")
-                    used.add(int(j))
-                    break
-        return [i for i in range(len(values)) if i not in used]
-
-    @property
-    def k(self):
-        return self.T1.shape[0]
+                f"eigenvalue {old[hit[0]]:.6g} collides with the kept spectrum")
+        self.new_groups = _admit(cls, self.sys.n, new, kept, "the kept spectrum")
 
 
 @dataclass

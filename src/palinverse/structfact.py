@@ -101,19 +101,15 @@ class StarFactorization:
 
 
 def _cluster_descending(values, tol, width):
-    """Group indices of a descending nonnegative sequence by closeness to
-    the first value of a cluster; a group whose size is not a multiple of
-    width takes in the next cluster."""
-    groups, head = [], 0
+    """Group indices of a descending nonnegative sequence into runs whose
+    consecutive values lie within tol (single linkage); a group whose size
+    is not a multiple of width takes in the next value."""
+    groups = []
     for i, v in enumerate(values):
-        if groups and values[head] - v <= tol:
+        if groups and (values[i - 1] - v <= tol or len(groups[-1]) % width):
             groups[-1].append(i)
-        elif groups and len(groups[-1]) % width:
-            groups[-1].append(i)
-            head = i
         else:
             groups.append([i])
-            head = i
     return groups
 
 
@@ -216,7 +212,6 @@ def star_factorize(B, cls, rank_tol=None):
     # its spectrum (||Bp||_2 is the largest |eigenvalue| or singular value).
     if cls.star == "H":
         H = 1j * Bp if cls.epsilon == 1 else Bp
-        H = (H + H.conj().T) / 2.0
         w, Z = np.linalg.eigh(H)
         if rank_tol is None:
             rank_tol = RANK_RTOL * (np.abs(w).max() if n else 0.0)

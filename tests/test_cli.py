@@ -285,6 +285,17 @@ def test_cmd_update_target_not_found(tmp_path, capsys):
     assert "target not found" in err["message"]
 
 
+def test_cmd_update_lists_of_unequal_length_are_a_usage_error(tmp_path, capsys):
+    sys, replace, _ = update_fixture("tp")
+    sysfile = tmp_path / "sys.json"
+    save_system(sys, sysfile)
+    rep = ",".join(f"{complex(v).real}{complex(v).imag:+}i" for v in replace)
+    code = main(["update", "--system", str(sysfile), f"--replace={rep}", "--with=0.5"])
+    err = json.loads(capsys.readouterr().err.strip())
+    assert (code, err) == (2, {"error": "usage", "message":
+                               "--replace and --with need equally many values"})
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1"])
 def test_cmd_update_match_tol_out_of_range_is_a_usage_error(tol, tmp_path, capsys):
     # A nan tolerance matched any eigenvalue and -1 none, even an exact one.

@@ -2,6 +2,7 @@
 helpers is the reference for its bits and its error messages."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -211,3 +212,25 @@ def test_values_file_with_a_foreign_format_tag_is_refused(tmp_path):
         load_values(path)
     path.write_text(json.dumps({"format": FORMAT_TAG, "values": [[0.5, 0.0]]}))
     assert load_values(path) == [0.5]
+
+
+def test_pair_file_without_T_is_refused(tmp_path):
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"format": FORMAT_TAG, "X": [[[1.0, 0.0]]]}))
+    with pytest.raises(FileFormatError, match=re.escape(f"pair file {path} misses 'T'")):
+        load_pair(path)
+
+
+def test_pair_file_holding_a_list_is_refused(tmp_path):
+    path = tmp_path / "pair.json"
+    path.write_text("[[1.0, 0.0]]")
+    with pytest.raises(FileFormatError, match=re.escape(f"{path} must hold a JSON object")):
+        load_pair(path)
+
+
+@pytest.mark.parametrize("values", [{"re": 0.5}, "0.5", None])
+def test_values_object_without_a_values_list_is_refused(tmp_path, values):
+    path = tmp_path / "values.json"
+    path.write_text(json.dumps({"format": FORMAT_TAG, "values": values}))
+    with pytest.raises(FileFormatError, match=r"must hold a list of \[re, im\] pairs"):
+        load_values(path)

@@ -572,9 +572,8 @@ def test_iep_remaining_checked_once(monkeypatch):
                          np.diag([mu, 1 / np.conj(mu)]), seed=1,
                          remaining_eigenvalues=want)
     calls = []
-    group_values = iep._group_values
-    monkeypatch.setattr(iep, "_group_values",
-                        lambda *args: calls.append(args) or group_values(*args))
+    admit = iep._admit
+    monkeypatch.setattr(iep, "_admit", lambda *args: calls.append(args) or admit(*args))
     monkeypatch.setattr(iep, "_coefficients_from_blocks", always_asymmetric)
     with pytest.raises(RetryExhausted):
         solve_iep_partial_result(problem)

@@ -7,9 +7,9 @@ from helpers import (count_eigensolves, dense_update_change, log_decompositions,
                      parameter_from_pair, random_complex, random_system, residual_scale,
                      separated_spectrum)
 from palinverse import mup
-from palinverse.errors import (DimensionMismatch, Inconsistent, Infeasible, NoSolution,
-                               ResidualTooLarge, RetryExhausted, SpectraOverlap,
-                               SymmetryViolation, XiSingular)
+from palinverse.errors import (DefectiveSpectrum, DimensionMismatch, Inconsistent,
+                               Infeasible, NoSolution, ResidualTooLarge, RetryExhausted,
+                               SpectraOverlap, SymmetryViolation, XiSingular)
 from palinverse.forward import eig_full, select_pairs
 from palinverse.mup import (MupProblem, MupResult, low_rank_update,
                             update_model_prescribed, update_model_result)
@@ -310,6 +310,36 @@ def test_update_value_beyond_the_order_is_infeasible():
     old = [i for pair in e.pairing if pair[0] != pair[1] for i in pair][:4]
     with pytest.raises(Infeasible, match="multiplicity: eigenvalue 1.* 4 times"):
         MupProblem(sys, e.vectors[:, old], np.diag(e.values[old]), np.eye(4))
+
+
+def test_clustered_selection_is_defective():
+    # One unimodular eigenpair given twice, its second value 1e-10 away:
+    # an invariant pair within the gate, but not a semi-simple selection.
+    sys = random_system(HP, 4, 0)
+    e = eig_full(sys)
+    i = int(np.argmin(np.abs(np.abs(e.values) - 1.0)))
+    assert e.partner_index(i) == i
+    x, lam = e.vectors[:, i:i + 1], e.values[i]
+    with pytest.raises(DefectiveSpectrum, match="cluster; semi-simple selection required"):
+        MupProblem(sys, np.hstack([x, x]), np.diag([lam, lam * (1 + 1e-10)]),
+                   np.diag([np.exp(0.2j), np.exp(0.3j)]))
+
+
+def test_problem_shapes_are_dimension_mismatch():
+    sys, replace, new = update_fixture("tp")
+    X1, T1, _, _ = select_pairs(eig_full(sys), replace)
+    off = T1.copy()
+    off[0, 1] = 1.0
+    for change, message in [({"T1": np.ones((2, 3))}, "T1 must be square"),
+                            ({"T1": off}, "T1 must be diagonal"),
+                            ({"X1": X1[:, :1]}, "X1 must be n-by-k"),
+                            ({"X1": X1[:-1]}, "X1 must be n-by-k"),
+                            ({"T1_new": np.diag([*new, 0.5])}, "T1_new must match T1 in size"),
+                            ({"X1_new": np.ones((sys.n, 3))}, "X1_new must be n-by-k"),
+                            ({"X1_new": np.ones((sys.n + 1, 2))}, "X1_new must be n-by-k")]:
+        args = dict(sys=sys, X1=X1, T1=T1, T1_new=np.diag(new)) | change
+        with pytest.raises(DimensionMismatch, match=message):
+            MupProblem(**args)
 
 
 def test_update_of_nothing_is_dimension_mismatch():

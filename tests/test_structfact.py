@@ -243,7 +243,7 @@ def test_youla_degenerate_clusters(gammas, kernel):
 @pytest.mark.parametrize("cls", [TA, TP], ids=lambda c: c.code)
 @pytest.mark.parametrize("seed", range(4))
 def test_cluster_of_unequal_values_reconstructs(cls, seed):
-    # Values up to 2e-9 apart share a cluster (CLUSTER_RTOL = 1e-8), yet
+    # Values up to 2e-9 apart share a cluster (CLUSTER_RTOL = 1e-4), yet
     # are not equal: the deflation steps on B's leading singular vector of
     # the rest, so the reconstruction stays at roundoff, not at the spread.
     rng = np.random.default_rng(50 + seed)
@@ -256,3 +256,41 @@ def test_cluster_of_unequal_values_reconstructs(cls, seed):
     f = star_factorize(B, cls)
     assert f.pattern.t == B.shape[0]
     assert fnorm(f.reconstruct() - B) <= 1e-13 * fnorm(B)
+
+
+def _cluster_input(cls, rng, values, kernel=0):
+    """U diag(values) U^T (ta) or the skew form with pair values (tp), each
+    padded by a kernel of the given size."""
+    if cls == TA:
+        values = np.concatenate([values, np.zeros(kernel)])
+        U = random_unitary(rng, len(values))
+        return U @ np.diag(values) @ U.T
+    return _skew(rng, values, kernel)
+
+
+@pytest.mark.parametrize("cls", [TA, TP], ids=lambda c: c.code)
+def test_nearly_equal_values_factorize_to_relative_roundoff(cls):
+    # Singular values a little farther apart than the cluster tolerance
+    # would take one-value steps, whose vectors are accurate only to about
+    # u / gap; clustering neighbours within CLUSTER_RTOL leaves every such
+    # input to the deflation loop.  The error is relative, which the
+    # absolute RECONSTRUCT_ATOL floor of the gate does not see at scale 1e-9.
+    def rel_error(B):
+        return fnorm(star_factorize(B, cls).reconstruct() - B) / fnorm(B)
+
+    worst = 0.0
+    for g in (2e-8, 5e-8, 1e-7, 1e-6):
+        for seed in range(20):
+            B = _cluster_input(cls, np.random.default_rng(seed), np.array([1, 1 - g, 0.5]))
+            worst = max(worst, rel_error(B))
+    for spread in (1e-9, 1e-7, 1e-6, 1e-5, 1e-4, 3e-3):
+        for m in (2, 3, 4):
+            for scale in (1e-9, 1.0, 1e9):
+                for kernel in (0, 2):
+                    for seed in range(10):
+                        rng = np.random.default_rng([m, seed, kernel])
+                        inner = 1 - np.sort(rng.uniform(size=m - 2))[::-1]
+                        steps = np.concatenate([[0.0], inner, [1.0]])
+                        values = scale * np.append(1 - spread * steps, 0.5)
+                        worst = max(worst, rel_error(_cluster_input(cls, rng, values, kernel)))
+    assert worst <= 1e-10

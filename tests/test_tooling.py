@@ -6,9 +6,11 @@ palinverse` loads neither numpy nor any submodule, every submodule loads on
 first access, and each subcommand loads only the modules it runs.  The CLI
 must run on numpy alone, without importing scipy.  No package module
 imports a name it never uses, only forward decides when two eigenvalues
-coincide, one function assembles the spectral sums, one function solves
-X S X* = C over the parameter space, and every float tolerance is defined
-in the one table of numerics."""
+coincide, admits new eigenvalues and finds given ones, one function
+assembles the spectral sums, one function solves X S X* = C over the
+parameter space, and every float tolerance is defined in the one table of
+numerics.  Every definition is reached from the CLI or a public name, but
+for a listed few that wait for the benchmark to stop naming them."""
 
 import ast
 import importlib
@@ -169,12 +171,113 @@ def test_infeasible_is_decided_before_the_first_draw():
     raisers = {path.stem: _raisers(path.read_text(), "Infeasible")
                for path in sorted(PACKAGE.glob("*.py"))}
     assert {module: names for module, names in raisers.items() if names} == {
-        "forward": {"_semisimple_bound"},
-        "iep": {"_remaining_spectrum", "solve_iep_partial_result"},
-        "mup": {"MupProblem.__post_init__", "update_model_result"}}
+        "forward": {"_admit"}, "iep": {"solve_iep_partial_result"},
+        "mup": {"update_model_result"}}
     planted = ("class P:\n    def check(self):\n        def draw():\n"
                "            raise Infeasible('x')\n        raise Infeasible\n")
     assert _raisers(planted, "Infeasible") == {"P.check.draw", "P.check"}
+
+
+def _defined(stmt):
+    """Names a top-level statement defines: a function, a class or the
+    targets of an assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else \
+        [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+    return [node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name)]
+
+
+def _unreached(sources, roots):
+    """(module, name) of every top-level definition, and (module,
+    Class.method) of every method, that no name read from roots reaches.
+    Names resolve by spelling alone, in any module: a read of x reaches
+    every definition and every method called x.  A reached class reaches
+    its bases, decorators and field defaults, not its methods; dunders,
+    which Python calls, and _Parser.error, which argparse calls, are roots."""
+    defs = {}
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            defs.update(((module, name), stmt) for name in _defined(stmt))
+            if isinstance(stmt, ast.ClassDef):
+                defs.update(((module, f"{stmt.name}.{item.name}"), item)
+                            for item in stmt.body if isinstance(item, ast.FunctionDef))
+    spelled = {}
+    for key in defs:
+        spelled.setdefault(key[1].split(".")[-1], []).append(key)
+    todo = list(roots) + [("cli", "_Parser.error")] + [
+        key for key in defs if re.fullmatch(r"__\w+__", key[1].split(".")[-1])]
+    reached = set()
+    while todo:
+        key = todo.pop()
+        if key in reached:
+            continue
+        reached.add(key)
+        node = defs[key]
+        parts = [node] if not isinstance(node, ast.ClassDef) else \
+            node.bases + node.decorator_list + [
+                item for item in node.body if not isinstance(item, ast.FunctionDef)]
+        for part in parts:
+            for sub in ast.walk(part):
+                name = sub.id if isinstance(sub, ast.Name) else \
+                    sub.attr if isinstance(sub, ast.Attribute) else None
+                todo += spelled.get(name, [])
+    return set(defs) - reached
+
+
+# Definitions no production path reaches.  Each waits for ROADMAP item 2:
+# bench/ imports analysis (tracing.MODULES) and looks up the functions by
+# name (tracing.TARGETS); the four errors and two tolerances only analysis
+# reads.  None stands for every definition of the module.
+_WAITING = {
+    "analysis": None,
+    "errors": {"GeomMultViolation", "NotJBDiagonalizable", "SingularInput",
+               "StructureViolation"},
+    "numerics": {"OFFBLOCK_RTOL", "ZETA_CLUSTER_RTOL"},
+    "iep": {"solve_iep_full", "solve_psi"},
+    "mup": {"update_model_prescribed"},
+    "paramspace": {"s_basis"},
+    "spectral": {"coefficients_from_pair"},
+    "system": {"eval_Q"},
+}
+
+
+def _package_unreached(sources):
+    roots = [("cli", "main")] + [(palinverse._HOME[name], name) for name in palinverse.__all__]
+    return _unreached(sources, roots)
+
+
+def test_every_definition_is_reached_from_the_cli_or_a_public_name():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    unreached = _package_unreached(sources)
+    waiting = {(module, name) for module, name in unreached
+               if module in _WAITING and (_WAITING[module] is None
+                                          or name in _WAITING[module])}
+    assert unreached - waiting == set()
+    # Every named entry is still unreached, and every function waits on bench/.
+    named = {(module, name) for module, names in _WAITING.items() for name in names or ()}
+    assert named <= unreached
+    tracing = _tracing_module()
+    looked_up = {(module, attr) for module, attr, _ in tracing.TARGETS}
+    assert "analysis" in tracing.MODULES
+    assert {key for key in named if key[0] not in ("errors", "numerics")} <= looked_up
+    planted = dict(sources, mup=sources["mup"] + "\n\ndef _planted():\n    return 0\n")
+    assert _package_unreached(planted) == unreached | {("mup", "_planted")}
+
+
+def test_one_admission_rule_and_one_matcher():
+    # A construction's remaining values and an update's replacement values
+    # are admitted beside the rest of the spectrum by forward._admit; the
+    # targets of select_pairs and an update's selected values are found by
+    # forward._nearest.
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    for name, want in (("_admit", {"iep": {"solve_iep_partial_result"},
+                                   "mup": {"MupProblem.__post_init__"}}),
+                       ("_nearest", {"forward": {"select_pairs"},
+                                     "mup": {"MupProblem.__post_init__"}})):
+        callers = {module: _callers(source, name) for module, source in sources.items()}
+        assert {module: names for module, names in callers.items() if names} == want, name
 
 
 def _small_floats(source):
