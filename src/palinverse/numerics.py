@@ -33,7 +33,8 @@ condition number:
 - analysis: zeta_partition gates S, and A1 is gated by PalindromicSystem.
 
 Tolerance table.  Every numerical decision of the package reads one entry
-below.  An RTOL is relative to the norm its site names, an ATOL absolute.
+below.  Each RTOL is relative to the norm its site names; the one ATOL,
+JORDAN_JOIN_ATOL, is a distance to the exact 1 that a Jordan form fixes.
 """
 
 import math
@@ -60,8 +61,6 @@ S1_MEMBERSHIP_RTOL = 1e-9  # the S1 computed from a system satisfies S1 = T1 S1 
 # Roundoff floors.
 ROUNDOFF_RTOL = 1e-12  # a product W M W* within this of its scale ||W||^2 ||M|| is roundoff
 TRANSFER_FLOOR_RTOL = 1e-13  # an update's transfer residual within this of its scale is roundoff
-RECONSTRUCT_ATOL = 1e-13  # a star factorization's reconstruction residual always allowed
-ZERO_ATOL = 1e-12  # a target that nothing can produce (an empty basis) is zero
 NORM_FLOOR = 1e-300  # least norm a relative bound or ratio scales by, in place of zero
 # Residual gates.
 PAIR_RESIDUAL_GATE = 1e-8  # pair_residual under which a given pair is an invariant pair

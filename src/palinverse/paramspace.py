@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DefectiveSpectrum, DimensionMismatch, Inconsistent, SingularMatrix
 from .numerics import (CONSISTENCY_RTOL, JORDAN_JOIN_ATOL, NONSINGULAR_RTOL,
-                       NORM_FLOOR, RANK_RTOL, SINGULAR_RTOL, ZERO_ATOL, as_matrix,
+                       NORM_FLOOR, RANK_RTOL, SINGULAR_RTOL, as_matrix,
                        dense_eig, fnorm, range_coordinates, sv_ratio)
 
 
@@ -190,11 +190,7 @@ def _xsx_solve(T, cls, X=None, C=None):
     K, I, J, a, b = _stein_support(*blocks, cls)
     n_el = int(K[-1]) + 1 if K.size else 0
     coeffs = np.eye(n_el)
-    if C is not None and n_el == 0:
-        if fnorm(C) > ZERO_ATOL:
-            raise Inconsistent("parameter space is trivial but C != 0")
-        coeffs = np.zeros((1, 0))
-    elif X is not None and n_el:
+    if X is not None:
         if C is not None:
             Q, (X,) = range_coordinates(X)
             core = Q.conj().T @ C @ star(Q.conj().T)
@@ -206,7 +202,7 @@ def _xsx_solve(T, cls, X=None, C=None):
         if K.size > n_el:
             # Elements of larger Jordan blocks have several entries.
             img = np.add.reduceat(img, np.searchsorted(K, np.arange(n_el)))
-        img = img.reshape(n_el, -1)
+        img = img.reshape(n_el, len(X) ** 2)
         A = np.vstack([img.real.T, img.imag.T])
         u, s, vt, rank = _svd_null(A, RANK_RTOL * fnorm(X) ** 2)
         coeffs = vt[rank:]

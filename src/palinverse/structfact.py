@@ -30,9 +30,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BadIndices, FactorizationFailure, SymmetryViolation
-from .numerics import (CLUSTER_RTOL, NORM_FLOOR, RANK_RTOL, RECONSTRUCT_ATOL,
-                       ROUNDOFF_RTOL, STRUCTURE_RTOL, as_matrix, fnorm,
-                       linear_solve)
+from .numerics import (CLUSTER_RTOL, NORM_FLOOR, RANK_RTOL, ROUNDOFF_RTOL,
+                       STRUCTURE_RTOL, as_matrix, fnorm, linear_solve)
 from .system import SymmetryClass
 
 
@@ -247,7 +246,7 @@ def star_factorize(B, cls, rank_tol=None):
 
     fact = StarFactorization(Y, pattern, cls)
     err = fnorm(fact.reconstruct() - Bp)
-    if err > STRUCTURE_RTOL * max(nrm, NORM_FLOOR) and err > RECONSTRUCT_ATOL:
+    if err > STRUCTURE_RTOL * max(nrm, NORM_FLOOR):
         raise FactorizationFailure(
             f"reconstruction residual {err:.3e} exceeds tolerance for ||B|| = {nrm:.3e}")
     return fact

@@ -112,6 +112,14 @@ def random_system(cls, n, seed, real=False, cond_limit=1e6, max_tries=200):
     raise RuntimeError(f"no well conditioned {cls.code} system of order {n} found")
 
 
+def off_circle_pair(e):
+    """select_pairs of the reciprocal pair of e whose member has the
+    largest modulus among those more than 0.05 off the unit circle."""
+    i = next(i for i in np.argsort(-np.abs(e.values))
+             if abs(abs(e.values[i]) - 1.0) > 0.05)
+    return forward.select_pairs(e, [e.values[i], e.values[e.partner_index(i)]])
+
+
 def linearize(sys):
     """Companion pencil (M0, M1) of Q; lambda M1 + M0 is singular exactly
     at the eigenvalues of Q, and the top n-block of a pencil eigenvector is

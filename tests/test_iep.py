@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (log_decompositions, pair_defect, random_complex, random_system,
-                     singular_draws)
+from helpers import (log_decompositions, off_circle_pair, pair_defect, random_complex,
+                     random_system, singular_draws)
 from palinverse.errors import (BadIndices, DimensionMismatch, Infeasible, NoSolution,
                                PairingNotClosed, RetryExhausted, SingularW,
                                SpectraOverlap, SymmetryViolation, UnsupportedRegime)
@@ -15,7 +15,8 @@ from palinverse.iep import (IepProblem, solve_iep_full,
                             solve_iep_partial_result, solve_psi)
 from palinverse.numerics import fnorm
 from palinverse.structfact import _closed_form_block, build_delta, star_factorize
-from palinverse.system import ALL_CLASSES, HA, HP, TA, TP, pair_residual
+from palinverse.system import (ALL_CLASSES, HA, HP, TA, TP, PalindromicSystem,
+                               pair_residual)
 from reference_problems import iep_fixture
 
 
@@ -491,6 +492,19 @@ def test_iep_partial_any_column_scaling(cls):
         D = 10.0 ** np.random.default_rng(seed).uniform(-6, 6, X1.shape[1])
         sol = solve_iep_partial_result(IepProblem(cls, X1 * D, T1, seed=seed))
         assert pair_residual(sol.system, (X1, T1)) <= 1e-9
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-20, 1e20, 1e150])
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_construction_holds_under_overall_scaling(cls, scale):
+    # Eigendata of a system scaled by s, with eigenvectors scaled by s:
+    # every gate is relative, so k = 2 and k = 2n construct for any s.
+    base = random_system(cls, 8, 3)
+    e = eig_full(PalindromicSystem(cls, scale * base.A1, scale * base.A0))
+    X1, T1 = off_circle_pair(e)[:2]
+    for X, T in ((scale * X1, T1), (scale * e.vectors, np.diag(e.values))):
+        sol = solve_iep_partial_result(IepProblem(cls, X, T, seed=0))
+        assert pair_residual(sol.system, (X, T)) <= 1e-9
 
 
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)

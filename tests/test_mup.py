@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import (count_eigensolves, dense_update_change, log_decompositions,
-                     parameter_from_pair, random_complex, random_system, residual_scale,
-                     separated_spectrum)
+                     off_circle_pair, parameter_from_pair, random_complex, random_system,
+                     residual_scale, separated_spectrum)
 from palinverse import mup
 from palinverse.errors import (DefectiveSpectrum, DimensionMismatch, Inconsistent,
                                Infeasible, NoSolution, ResidualTooLarge, RetryExhausted,
@@ -581,16 +581,32 @@ def test_free_update_to_large_modulus(cls, modulus, n):
     # The new T1 and its square are diagonal with condition modulus^4
     # (8e13); they are divided exactly, never refused as singular.
     sys = random_system(cls, n, 3)
-    e = eig_full(sys)
-    i = next(i for i in np.argsort(-np.abs(e.values))
-             if abs(abs(e.values[i]) - 1.0) > 0.05)
-    X1, T1, X2, T2 = select_pairs(e, [e.values[i], e.values[e.partner_index(i)]])
+    X1, T1, X2, T2 = off_circle_pair(eig_full(sys))
     mu = modulus * np.exp(0.7j)
     T1_new = np.diag([mu, 1 / cls.star_scalar(mu)])
     res = update_model_result(MupProblem(sys, X1, T1, T1_new, seed=0))
     assert pair_residual(res.system, (res.X1_new, T1_new)) <= 1e-9
     # The kept pairs stay invariant pairs a further update accepts.
     assert pair_residual(res.system, (X2, T2)) <= PAIR_RESIDUAL_GATE
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-20, 1e20, 1e150])
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_updates_hold_under_overall_scaling(cls, scale):
+    # Scaling (A1, A0) by s keeps every eigenpair, and every gate is
+    # relative to what it checks, so free and prescribed updates hold for
+    # any s a float can carry.
+    base = random_system(cls, 8, 3)
+    sys = PalindromicSystem(cls, scale * base.A1, scale * base.A0)
+    X1, T1, X2, T2 = off_circle_pair(eig_full(sys))
+    mu = 0.5 * np.exp(0.7j)
+    T1_new = np.diag([mu, 1 / cls.star_scalar(mu)])
+    free = update_model_result(MupProblem(sys, X1, T1, T1_new, seed=0))
+    prescribed = update_model_result(
+        MupProblem(sys, X1, T1, T1_new, X1_new=free.X1_new, seed=1))
+    for res in (free, prescribed):
+        assert pair_residual(res.system, (res.X1_new, T1_new)) <= 1e-9
+        assert pair_residual(res.system, (X2, T2)) <= 1e-8
 
 
 def _fixture_update_case(code):

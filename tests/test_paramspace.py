@@ -270,6 +270,12 @@ def test_constrained_family_trivial_space_returns_m_by_m():
     S, hom = constrained_family(T, TP, X, np.zeros((4, 4)))
     assert S.shape == (2, 2) and not S.any()
     assert hom == []
+    # An empty space takes the one consistency rule: X 0 X* = C only for
+    # C = 0, however small a nonzero C is.
+    M = random_complex(np.random.default_rng(1), 4, 4)
+    for c in (1e-20, 1e-13):
+        with pytest.raises(Inconsistent, match="no S solves"):
+            constrained_family(T, TP, X, c * (M - M.T))
 
 
 def test_solution_space_with_isotropy_constraint():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import inertia, random_complex, random_structured, random_unitary
+from palinverse import structfact
 from palinverse.errors import BadIndices, FactorizationFailure, SymmetryViolation
 from palinverse.numerics import fnorm
 from palinverse.structfact import build_delta, star_factorize
@@ -156,6 +157,34 @@ def test_star_factorize_one_decomposition(cls, monkeypatch):
     assert calls == expected
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-20])
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_star_factorize_refuses_a_relative_error_at_any_scale(cls, scale, monkeypatch):
+    # The reconstruction gate is relative to ||B|| alone: a decomposition
+    # whose Y Delta Y* is off B by 1e-6 relative is refused however small
+    # B is.
+    B = scale * random_structured(np.random.default_rng(9), cls, 6)
+    assert fnorm(star_factorize(B, cls).reconstruct() - B) <= 1e-13 * fnorm(B)
+    if cls.star == "H":
+        eigh = np.linalg.eigh
+
+        def wrong(a):
+            w, Z = eigh(a)
+            return w * (1 + 1e-6), Z
+
+        monkeypatch.setattr(np.linalg, "eigh", wrong)
+    else:
+        reduction = structfact._transpose_reduction
+
+        def wrong(*args):
+            Y, t = reduction(*args)
+            return Y * np.sqrt(1 + 1e-6), t
+
+        monkeypatch.setattr(structfact, "_transpose_reduction", wrong)
+    with pytest.raises(FactorizationFailure, match="reconstruction residual"):
+        star_factorize(B, cls)
+
+
 def _unit_columns(f):
     """Z of Y = Z diag(sqrt(gamma), 1): the Takagi vectors and kernel of a
     ta factorization, the Youla pairs and kernel of a tp one."""
@@ -273,8 +302,8 @@ def test_nearly_equal_values_factorize_to_relative_roundoff(cls):
     # Singular values a little farther apart than the cluster tolerance
     # would take one-value steps, whose vectors are accurate only to about
     # u / gap; clustering neighbours within CLUSTER_RTOL leaves every such
-    # input to the deflation loop.  The error is relative, which the
-    # absolute RECONSTRUCT_ATOL floor of the gate does not see at scale 1e-9.
+    # input to the deflation loop.  The error is measured relative to ||B||,
+    # as the reconstruction gate measures it, at scales 1e-9 to 1e9.
     def rel_error(B):
         return fnorm(star_factorize(B, cls).reconstruct() - B) / fnorm(B)
 

@@ -9,8 +9,9 @@ imports a name it never uses, only forward decides when two eigenvalues
 coincide, admits new eigenvalues and finds given ones, one function
 assembles the spectral sums, one function solves X S X* = C over the
 parameter space, and every float tolerance is defined in the one table of
-numerics.  Every definition is reached from the CLI or a public name, but
-for a listed few that wait for the benchmark to stop naming them."""
+numerics, whose one absolute entry is JORDAN_JOIN_ATOL.  Every definition
+is reached from the CLI or a public name, but for a listed few that wait
+for the benchmark to stop naming them."""
 
 import ast
 import importlib
@@ -293,6 +294,15 @@ def test_tolerances_live_in_the_numerics_table():
     found = {path.name: _small_floats(path.read_text())
              for path in sorted(PACKAGE.glob("*.py")) if path.stem != "numerics"}
     assert {name: values for name, values in found.items() if values} == {}
+
+
+def test_the_one_absolute_tolerance_is_the_jordan_join():
+    # Every other gate is relative to the size of what it checks, so an
+    # overall scaling of the data moves no decision.  JORDAN_JOIN_ATOL
+    # compares an entry with the exact 1 of a Jordan form.
+    from palinverse import numerics
+
+    assert [name for name in vars(numerics) if name.endswith("_ATOL")] == ["JORDAN_JOIN_ATOL"]
 
 
 def test_small_float_check_flags_planted_literals():
