@@ -106,23 +106,6 @@ class XiSingular(PalinverseError):
     """The low-rank update pivot Xi is singular for the current draw."""
 
 
-# analysis
-class StructureViolation(PalinverseError):
-    """Computed spectra violate the pairing/multiplicity structure theory predicts."""
-
-
-class SingularInput(PalinverseError):
-    """An analysis routine received a singular parameter matrix."""
-
-
-class NotJBDiagonalizable(PalinverseError):
-    """Joint block diagonalization failed (ambiguous eigenvalue clustering)."""
-
-
-class GeomMultViolation(PalinverseError):
-    """An eigenvalue has geometric multiplicity larger than one."""
-
-
 # draws
 class RetryExhausted(PalinverseError):
     """Every draw of a construction or update missed; .reasons counts the

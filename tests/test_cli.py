@@ -296,6 +296,18 @@ def test_cmd_update_lists_of_unequal_length_are_a_usage_error(tmp_path, capsys):
                                "--replace and --with need equally many values"})
 
 
+@pytest.mark.parametrize("literal, said", [
+    ("1e999", "non-finite complex literal '1e999'"),
+    ("1e+", "cannot parse complex literal '1e+'"),
+], ids=["overflow", "truncated"])
+def test_cmd_update_bad_replace_literal_is_a_parse_error(literal, said, tmp_path, capsys):
+    sysfile = tmp_path / "sys.json"
+    save_system(update_fixture("tp")[0], sysfile)
+    code = main(["update", "--system", str(sysfile), f"--replace={literal}", "--with=0.5"])
+    err = json.loads(capsys.readouterr().err.strip())
+    assert (code, err) == (2, {"error": "parse", "message": said})
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1"])
 def test_cmd_update_match_tol_out_of_range_is_a_usage_error(tol, tmp_path, capsys):
     # A nan tolerance matched any eigenvalue and -1 none, even an exact one.

@@ -103,6 +103,8 @@ def test_star_factorize_rejects_wrong_symmetry():
     B = random_structured(rng, TA, 4)
     with pytest.raises(SymmetryViolation):
         star_factorize(B, TP)
+    with pytest.raises(SymmetryViolation, match="B must be square"):
+        star_factorize(np.ones((2, 3)), TP)
 
 
 def test_star_factorize_odd_rank_skew_rejected():

@@ -38,6 +38,15 @@ def test_constructor_rejects_broken_symmetry():
         PalindromicSystem(TP, A1, A0)
 
 
+@pytest.mark.parametrize("A1, A0, said", [
+    (np.ones((2, 3)), np.ones((2, 2)), "A1 must be square"),
+    (np.eye(2), np.zeros((3, 3)), r"A0 shape \(3, 3\) does not match A1 shape \(2, 2\)"),
+], ids=["A1", "A0"])
+def test_constructor_rejects_nonconforming_shapes(A1, A0, said):
+    with pytest.raises(DimensionMismatch, match=said):
+        PalindromicSystem(TP, A1, A0)
+
+
 def test_constructor_rejects_singular_A1():
     with pytest.raises(SingularMatrix):
         PalindromicSystem(TA, np.zeros((2, 2)), np.zeros((2, 2)))
@@ -91,6 +100,15 @@ def test_pair_residual_scalar_case():
     sys = PalindromicSystem(TA, [[1.0]], [[0.0]])
     r = pair_residual(sys, (np.array([[1.0, 1.0]]), np.diag([1.0, -1.0])))
     assert r < 1e-15
+
+
+@pytest.mark.parametrize("X, T, said", [
+    (np.ones((2, 2)), np.eye(2), "X has 2 rows, expected 3"),
+    (np.ones((3, 2)), np.eye(3), "X and T dimensions do not conform"),
+], ids=["rows", "conform"])
+def test_pair_residual_rejects_nonconforming_pair(X, T, said):
+    with pytest.raises(DimensionMismatch, match=said):
+        pair_residual(random_system(TP, 3, seed=3), (X, T))
 
 
 def test_pair_residual_negative_control():

@@ -227,15 +227,12 @@ def _unreached(sources, roots):
     return set(defs) - reached
 
 
-# Definitions no production path reaches.  Each waits for ROADMAP item 2:
-# bench/ imports analysis (tracing.MODULES) and looks up the functions by
-# name (tracing.TARGETS); the four errors and two tolerances only analysis
-# reads.  None stands for every definition of the module.
+# Definitions no production path reaches.  Each waits for ROADMAP item 17:
+# bench/ looks up the functions by name (tracing.TARGETS) and imports the
+# empty analysis module (tracing.MODULES).  None stands for every
+# definition of the module.
 _WAITING = {
     "analysis": None,
-    "errors": {"GeomMultViolation", "NotJBDiagonalizable", "SingularInput",
-               "StructureViolation"},
-    "numerics": {"OFFBLOCK_RTOL", "ZETA_CLUSTER_RTOL"},
     "iep": {"solve_iep_full", "solve_psi"},
     "mup": {"update_model_prescribed"},
     "paramspace": {"s_basis"},
@@ -262,7 +259,7 @@ def test_every_definition_is_reached_from_the_cli_or_a_public_name():
     tracing = _tracing_module()
     looked_up = {(module, attr) for module, attr, _ in tracing.TARGETS}
     assert "analysis" in tracing.MODULES
-    assert {key for key in named if key[0] not in ("errors", "numerics")} <= looked_up
+    assert named <= looked_up
     planted = dict(sources, mup=sources["mup"] + "\n\ndef _planted():\n    return 0\n")
     assert _package_unreached(planted) == unreached | {("mup", "_planted")}
 
@@ -471,7 +468,7 @@ def test_no_option_without_a_production_caller():
     import dataclasses
     import inspect
 
-    from palinverse import analysis, errors, forward, iep, mup, structfact, system
+    from palinverse import errors, forward, iep, mup, paramspace, structfact, system
 
     def params(fn):
         return list(inspect.signature(fn).parameters)
@@ -482,9 +479,7 @@ def test_no_option_without_a_production_caller():
     assert params(forward.eig_full) == ["sys"]
     assert params(errors.retry) == ["attempts", "draw", "what"]
     assert params(iep.solve_psi) == ["delta", "omega", "cls"]
-    assert params(analysis.zeta_partition) == ["S", "S_tilde", "cls"]
-    assert params(analysis.joint_block_diagonalize) == [
-        "X", "J", "S", "S_tilde", "S_hat", "cls"]
+    assert params(paramspace._jordan_blocks) == ["T"]
     assert init_fields(iep.IepProblem) == [
         "cls", "X1", "T1", "seed", "remaining_eigenvalues"]
     assert init_fields(mup.MupProblem) == ["sys", "X1", "T1", "T1_new", "X1_new", "seed"]
@@ -492,7 +487,6 @@ def test_no_option_without_a_production_caller():
     assert not hasattr(system.SymmetryClass, "name")
     for member in ("condition", "delta", "rank"):
         assert not hasattr(structfact.StarFactorization, member), member
-    assert not hasattr(analysis, "s_space_dimension")
     assert {"solve_iep_full", "solve_psi"}.isdisjoint(palinverse.__all__)
 
 
