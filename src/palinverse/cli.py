@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import PalinverseError
 from .fileio import load_pair, load_system, load_values, save_system
-from .forward import eig_full, select_pairs
+from .forward import _coincide, eig_full, select_pairs
 from .numerics import MATCH_TOL, two_norm
 from .system import SymmetryClass, pair_defect_matrix, pair_residual
 
@@ -127,7 +127,12 @@ def cmd_update(args):
     eigs = eig_full(sys)
     X1, T1, X2, T2 = select_pairs(eigs, targets, tol=args.match_tol)
     T1_new = np.diag(np.array(new_values, dtype=np.complex128))
-    X1_new = load_pair(args.vectors)[0] if args.vectors else None
+    X1_new = None
+    if args.vectors:
+        X1_new, T = load_pair(args.vectors)
+        if T.shape != T1_new.shape or np.any(T != np.diag(np.diag(T))) \
+                or not _coincide(np.diag(T), new_values).diagonal().all():
+            raise _UsageError("--vectors must pair X with T = diag(--with values)")
     res = update_model_result(MupProblem(sys, X1, T1, T1_new, X1_new=X1_new,
                                          seed=seed))
     new_sys, x1n = res.system, res.X1_new

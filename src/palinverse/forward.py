@@ -18,13 +18,14 @@ the very arrays it came from, neither writeable), and solves afresh
 otherwise.  eig_full always runs its own eigensolve.
 
 Construction (iep), updating (mup) and select_pairs decide every rule on a
-set of eigenvalues here: _coincide is the one coincidence test,
-_group_values applies the reciprocal pairing to a prescribed value list,
-_unit_parity is the +-1 multiplicity rule of the transpose classes, _admit
-puts a list of new values beside the rest of a spectrum (a construction's
-remaining values, an update's replacement values) by all of these rules,
-and _nearest finds given values in a spectrum (select_pairs' targets, an
-update's selected values).
+set of eigenvalues here: _coincide is the one coincidence test, and _apart
+keeps a value list clear of the rest of a spectrum by it; _group_values
+applies the reciprocal pairing to a prescribed value list, _unit_parity is
+the +-1 multiplicity rule of the transpose classes, _admit puts new values
+beside the rest of a spectrum (a construction's remaining values, an
+update's replacement values) by all of these rules, and _nearest finds
+given values in a spectrum (select_pairs' targets, an update's selected
+values).
 """
 
 from dataclasses import dataclass, field
@@ -158,6 +159,13 @@ def _coincide(a, b):
         COINCIDE_RTOL * np.maximum(1.0, np.abs(a))[:, None]
 
 
+def _apart(values, rest, where):
+    """Raise SpectraOverlap when a value coincides with one of rest (where)."""
+    hit = np.flatnonzero(_coincide(values, rest).any(axis=1))
+    if hit.size:
+        raise SpectraOverlap(f"eigenvalue {values[hit[0]]:.6g} collides with {where}")
+
+
 def _unit_parity(cls, n, values):
     """The points +-1 whose multiplicity in the whole spectrum values of an
     order-n system breaks the transpose-class rule: even for eps = +1, and
@@ -182,10 +190,7 @@ def _admit(cls, n, new, rest, where):
     order-n system has at most n eigenvectors (new, disjoint from rest,
     decides this for the whole spectrum).
     """
-    new = np.asarray(new)
-    hit = np.flatnonzero(_coincide(new, rest).any(axis=1))
-    if hit.size:
-        raise SpectraOverlap(f"eigenvalue {new[hit[0]]:.6g} collides with {where}")
+    _apart(new, rest, where)
     groups = _group_values(new, cls)
     wrong = _unit_parity(cls, n, np.concatenate([new, rest]))
     if wrong:
@@ -203,15 +208,23 @@ def _admit(cls, n, new, rest, where):
 
 
 def _nearest(values, targets, rtol):
-    """For each target, the index of its nearest value, with two masks of
-    targets: missing, farther than rtol max(1, |target|) from it, and
-    repeated, whose nearest value an earlier target already took."""
+    """For each target, the index of its nearest value.  Raises TargetNotFound
+    at the first target that is missing, farther than rtol max(1, |target|)
+    from it, or ambiguous, its nearest value taken by an earlier target."""
     dists = np.abs(values[None, :] - targets[:, None])
     nearest = np.argmin(dists, axis=1)
     missing = dists.min(axis=1) > rtol * np.maximum(1.0, np.abs(targets))
     repeated = np.ones(len(targets), dtype=bool)
     repeated[np.unique(nearest, return_index=True)[1]] = False
-    return nearest, missing, repeated
+    bad = np.flatnonzero(missing | repeated)
+    if bad.size:
+        a = bad[0]
+        if missing[a]:
+            raise TargetNotFound(f"target not found: {complex(targets[a]):.6g} "
+                                 f"(closest eigenvalue {values[nearest[a]]:.6g})")
+        raise TargetNotFound(
+            f"targets are ambiguous: eigenvalue {values[nearest[a]]:.6g} matched twice")
+    return nearest
 
 
 def eig_full(sys):
@@ -256,16 +269,7 @@ def select_pairs(eigs, targets, tol=MATCH_TOL):
     bad = targets[~np.isfinite(targets)]
     if bad.size:  # a nan distance would never count as missing
         raise ValueError(f"targets must be finite, got {bad[0]}")
-    selected, missing, repeated = _nearest(values, targets, tol)
-    bad = np.flatnonzero(missing | repeated)
-    if bad.size:
-        a = bad[0]
-        j = selected[a]
-        if missing[a]:
-            raise TargetNotFound(f"target not found: {complex(targets[a]):.6g} "
-                                 f"(closest eigenvalue {values[j]:.6g})")
-        raise TargetNotFound(
-            f"targets are ambiguous: eigenvalue {values[j]:.6g} matched twice")
+    selected = _nearest(values, targets, tol)
     in_sel = np.zeros(len(values), dtype=bool)
     in_sel[selected] = True
     partner = eigs.partners[selected]
@@ -279,14 +283,6 @@ def select_pairs(eigs, targets, tol=MATCH_TOL):
             f"pairing not closed: eigenvalue {values[i]:.6g} selected "
             f"without its partner {values[j]:.6g}")
     rest = np.flatnonzero(~in_sel)
-    chosen = values[selected]
-    hit = np.flatnonzero(_coincide(chosen, values[rest]).any(axis=1))
-    if hit.size:
-        raise SpectraOverlap(
-            f"selected eigenvalue {chosen[hit[0]]:.6g} reappears in the "
-            "remaining spectrum")
-    X1 = eigs.vectors[:, selected]
-    T1 = np.diag(chosen)
-    X2 = eigs.vectors[:, rest]
-    T2 = np.diag(values[rest])
-    return X1, T1, X2, T2
+    _apart(values[selected], values[rest], "the remaining spectrum")
+    return (eigs.vectors[:, selected], np.diag(values[selected]),
+            eigs.vectors[:, rest], np.diag(values[rest]))

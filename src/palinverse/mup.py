@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (RETRY_ATTEMPTS, BadIndices, DefectiveSpectrum, DimensionMismatch,
-                     Infeasible, ResidualTooLarge, SpectraOverlap, XiSingular, retry)
-from .forward import _admit, _coincide, _group_values, _nearest, eigenvalues
+                     Infeasible, ResidualTooLarge, XiSingular, retry)
+from .forward import _admit, _apart, _coincide, _group_values, _nearest, eigenvalues
 from .numerics import (DIAGONAL_RTOL, NORM_FLOOR, OUTPUT_RESIDUAL_TOL,
                        PAIR_RESIDUAL_GATE, SELECTED_MATCH_RTOL, SINGULAR_RTOL,
                        TRANSFER_FLOOR_RTOL, as_matrix, fnorm, invert,
@@ -49,9 +49,9 @@ class MupProblem:
     """A no-spillover update: replace the eigenvalues of (X1, T1) by T1_new.
 
     T1 and T1_new must be diagonal, pairing-closed and mutually disjoint,
-    and T1 must be found in the spectrum of the system away from the kept
-    rest of it.  T1_new is admitted beside the kept spectrum by
-    forward._admit, the rule a construction's remaining values pass.  With
+    and forward._nearest must find T1 in the spectrum of the system, apart
+    from the kept rest of it.  T1_new is admitted beside the kept spectrum
+    by forward._admit, the rule a construction's remaining values pass.  With
     X1_new set, the replacement eigenvectors are prescribed.
     """
 
@@ -96,23 +96,11 @@ class MupProblem:
             raise DefectiveSpectrum(
                 f"selected eigenvalues {old[i]:.6g} and {old[j]:.6g} "
                 "cluster; semi-simple selection required")
-        hit = np.flatnonzero(_coincide(new, old).any(axis=1))
-        if hit.size:
-            raise SpectraOverlap(
-                f"replacement eigenvalue {new[hit[0]]:.6g} collides with a "
-                "replaced one")
+        _apart(new, old, "a replaced one")
         values = eigenvalues(self.sys)
         # The tolerance also absorbs eig_full's roundoff against eigenvalues'.
-        selected, missing, repeated = _nearest(values, old, SELECTED_MATCH_RTOL)
-        bad = np.flatnonzero(missing | repeated)
-        if bad.size:
-            raise SpectraOverlap(f"selected eigenvalue {old[bad[0]]:.6g} not found "
-                                 "in the system spectrum")
-        kept = np.delete(values, selected)
-        hit = np.flatnonzero(_coincide(old, kept).any(axis=1))
-        if hit.size:
-            raise SpectraOverlap(
-                f"eigenvalue {old[hit[0]]:.6g} collides with the kept spectrum")
+        kept = np.delete(values, _nearest(values, old, SELECTED_MATCH_RTOL))
+        _apart(old, kept, "the kept spectrum")
         self.new_groups = _admit(cls, self.sys.n, new, kept, "the kept spectrum")
 
 

@@ -120,6 +120,31 @@ def off_circle_pair(e):
     return forward.select_pairs(e, [e.values[i], e.values[e.partner_index(i)]])
 
 
+def closed_selection(e, k):
+    """Indices of k eigenvalues of e closed under its reciprocal pairing:
+    whole pairs first, in pairing order, then self-paired values."""
+    idx = []
+    for a, b in sorted(e.pairing, key=lambda p: p[0] == p[1]):
+        group = [a] if a == b else [a, b]
+        if len(idx) + len(group) <= k:
+            idx += group
+    assert len(idx) == k, (k, e.pairing)
+    return idx
+
+
+def replacement_values(cls, values, rng):
+    """New values for a pairing-closed list, group for group: a reciprocal
+    pair of modulus in [0.3, 0.7] for each pair, a unimodular value for each
+    self-paired one, so a free update can carry the inertia of S1."""
+    pairs, singles = forward._group_values(values, cls)
+    new = np.empty(len(values), dtype=np.complex128)
+    for i, j in pairs:
+        new[i] = rng.uniform(0.3, 0.7) * np.exp(2j * np.pi * rng.uniform())
+        new[j] = 1.0 / cls.star_scalar(new[i])
+    new[singles] = np.exp(2j * np.pi * rng.uniform(size=len(singles)))
+    return new
+
+
 def linearize(sys):
     """Companion pencil (M0, M1) of Q; lambda M1 + M0 is singular exactly
     at the eigenvalues of Q, and the top n-block of a pencil eigenvector is

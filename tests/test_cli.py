@@ -464,6 +464,30 @@ def test_cmd_argparse_refusal_is_one_json_line(argv, said, capsys):
     assert err["error"] == "usage" and said in err["message"]
 
 
+@pytest.mark.parametrize("change", ["value", "off_diagonal", "size"])
+def test_cmd_update_vectors_whose_T_is_not_the_new_values(change, tmp_path, capsys):
+    # The T of a --vectors file pairs its eigenvectors with eigenvalues, so
+    # it must be the diagonal matrix of the --with values.
+    sys, replace, new = update_fixture("hp")
+    sysfile = tmp_path / "sys.json"
+    save_system(sys, sysfile)
+    X1, T1, _, _ = select_pairs(eig_full(sys), replace)
+    X1_new = update_model_result(MupProblem(sys, X1, T1, np.diag(new), seed=4)).X1_new
+    T = {"value": np.diag([new[0] * 1.01, new[1]]),
+         "off_diagonal": np.diag(new) + np.array([[0, 0.5], [0, 0]]),
+         "size": np.diag(new[:1])}[change]
+    vecfile = tmp_path / "vectors.json"
+    save_pair(X1_new, T, vecfile)
+    rep = ",".join(f"{complex(v).real}{complex(v).imag:+}i" for v in replace)
+    wit = ",".join(f"{complex(v).real}{complex(v).imag:+}i" for v in new)
+    code = main(["update", "--system", str(sysfile), f"--replace={rep}",
+                 f"--with={wit}", "--vectors", str(vecfile), "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2, captured.out
+    err = json.loads(captured.err)
+    assert err["error"] == "usage" and "--vectors" in err["message"]
+
+
 def test_cmd_help_still_exits_zero(capsys):
     assert main(["solve", "--help"]) == 0
     assert "--pairs" in capsys.readouterr().out

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (log_decompositions, off_circle_pair, pair_defect, random_complex,
-                     random_system, singular_draws)
+from helpers import (closed_selection, log_decompositions, off_circle_pair, pair_defect,
+                     random_complex, random_system, singular_draws)
 from palinverse.errors import (BadIndices, DimensionMismatch, Infeasible, NoSolution,
                                PairingNotClosed, RetryExhausted, SingularW,
                                SpectraOverlap, SymmetryViolation, UnsupportedRegime)
@@ -265,6 +265,21 @@ def test_iep_given_remaining_solves_every_seed(cls):
         assert sol.residual <= 1e-9
         retried += sol.attempts > 1
     assert retried > 0
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_first_draw_census_of_constructions(cls):
+    # Generic eigendata never needs a second draw: k in {2, n, 2n}
+    # eigenpairs of a random system solve on the first draw at every seed.
+    attempts = {}
+    for n in (4, 8):
+        e = eig_full(random_system(cls, n, 7))
+        for k in (2, n, 2 * n):
+            idx = closed_selection(e, k)
+            for seed in range(3):
+                attempts[n, k, seed] = solve_iep_partial_result(IepProblem(
+                    cls, e.vectors[:, idx], np.diag(e.values[idx]), seed=seed)).attempts
+    assert set(attempts.values()) == {1}, attempts
 
 
 @pytest.mark.parametrize("units", [[1.0, 1.0], [1.0, 1.0, -1.0, -1.0],

@@ -1,15 +1,18 @@
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from helpers import (count_eigensolves, dense_update_change, log_decompositions,
-                     off_circle_pair, parameter_from_pair, random_complex, random_system,
-                     residual_scale, separated_spectrum)
+from helpers import (closed_selection, count_eigensolves, dense_update_change,
+                     log_decompositions, off_circle_pair, parameter_from_pair,
+                     random_complex, random_system, replacement_values, residual_scale,
+                     separated_spectrum)
 from palinverse import mup
 from palinverse.errors import (DefectiveSpectrum, DimensionMismatch, Inconsistent,
                                Infeasible, NoSolution, ResidualTooLarge, RetryExhausted,
-                               SpectraOverlap, SymmetryViolation, XiSingular)
+                               SpectraOverlap, SymmetryViolation, TargetNotFound,
+                               XiSingular)
 from palinverse.forward import eig_full, select_pairs
 from palinverse.mup import (MupProblem, MupResult, low_rank_update,
                             update_model_prescribed, update_model_result)
@@ -220,12 +223,37 @@ def test_problem_validation_overlap():
     with pytest.raises(SpectraOverlap, match="collides with a replaced one"):
         MupProblem(sys, X1, T1, T1.copy())
     # A zero X1 passes the residual gate (zero denominator), so the
-    # off-spectrum T1 is caught by the spectrum lookup.
+    # off-spectrum T1 is caught by the spectrum lookup, forward._nearest.
     mu = 0.37 + 0.11j
-    with pytest.raises(SpectraOverlap,
-                       match="not found in the system spectrum"):
+    with pytest.raises(TargetNotFound, match=re.escape("target not found: 0.37+0.11j")):
         MupProblem(sys, np.zeros((sys.n, 2)), np.diag([mu, 1 / mu]),
                    np.diag(new))
+    # Two selected pairs 1e-7 apart stay apart by COINCIDE_RTOL, but both
+    # take the same eigenvalues within SELECTED_MATCH_RTOL.
+    mu = max(np.diag(T1), key=abs)
+    nu = mu * (1 + 1e-7)
+    with pytest.raises(TargetNotFound, match="targets are ambiguous"):
+        MupProblem(sys, np.zeros((sys.n, 4)), np.diag([mu, 1 / mu, nu, 1 / nu]),
+                   np.diag([0.5, 2.0, 0.25, 4.0]))
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_first_draw_census_of_free_updates(cls):
+    # A free update draws only the isometry in Psi, so replacing k in
+    # {2, 4} eigenvalues of a random system, group for group, succeeds on
+    # the first draw at every seed.
+    attempts = {}
+    for n in (4, 8):
+        sys = random_system(cls, n, 7)
+        e = eig_full(sys)
+        for k in (2, 4):
+            idx = closed_selection(e, k)
+            T1 = np.diag(e.values[idx])
+            for seed in range(3):
+                new = replacement_values(cls, e.values[idx], np.random.default_rng(seed))
+                attempts[n, k, seed] = update_model_result(MupProblem(
+                    sys, e.vectors[:, idx], T1, np.diag(new), seed=seed)).attempts
+    assert set(attempts.values()) == {1}, attempts
 
 
 def test_problem_refuses_a_negative_seed():

@@ -157,7 +157,8 @@ def test_select_pairs_overlap_after_closed_pairing():
     c = next(i for i in range(len(e.values)) if i not in (a, b))
     e.values[c] = e.values[a] * (1 + 1e-10)
     with pytest.raises(SpectraOverlap,
-                       match=re.escape(f"selected eigenvalue {e.values[a]:.6g} reappears")):
+                       match=re.escape(f"eigenvalue {e.values[a]:.6g} collides with the "
+                                       "remaining spectrum")):
         select_pairs(e, [e.values[a], e.values[b]])
 
 

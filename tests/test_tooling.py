@@ -6,7 +6,8 @@ palinverse` loads neither numpy nor any submodule, every submodule loads on
 first access, and each subcommand loads only the modules it runs.  The CLI
 must run on numpy alone, without importing scipy.  No package module
 imports a name it never uses, only forward decides when two eigenvalues
-coincide, admits new eigenvalues and finds given ones, one function
+coincide, keeps a value list clear of a spectrum, admits new eigenvalues
+and finds given ones (mup builds no error of either), one function
 assembles the spectral sums, one function solves X S X* = C over the
 parameter space, and every float tolerance is defined in the one table of
 numerics, whose one absolute entry is JORDAN_JOIN_ATOL.  Every definition
@@ -264,18 +265,46 @@ def test_every_definition_is_reached_from_the_cli_or_a_public_name():
     assert _package_unreached(planted) == unreached | {("mup", "_planted")}
 
 
+def _spells_apart(node):
+    """A call _coincide(...).any(axis=1): some value of a list coincides
+    with one of another."""
+    func = getattr(node, "func", None)
+    return isinstance(node, ast.Call) and getattr(func, "attr", None) == "any" \
+        and isinstance(func.value, ast.Call) \
+        and getattr(func.value.func, "id", None) == "_coincide" \
+        and any(kw.arg == "axis" for kw in node.keywords)
+
+
 def test_one_admission_rule_and_one_matcher():
     # A construction's remaining values and an update's replacement values
     # are admitted beside the rest of the spectrum by forward._admit; the
     # targets of select_pairs and an update's selected values are found by
-    # forward._nearest.
+    # forward._nearest; and forward._apart alone checks that a value list
+    # is clear of the rest of a spectrum.  mup builds neither of the two
+    # errors of a lookup or a collision itself.
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     for name, want in (("_admit", {"iep": {"solve_iep_partial_result"},
                                    "mup": {"MupProblem.__post_init__"}}),
                        ("_nearest", {"forward": {"select_pairs"},
-                                     "mup": {"MupProblem.__post_init__"}})):
+                                     "mup": {"MupProblem.__post_init__"}}),
+                       ("_apart", {"forward": {"_admit", "select_pairs"},
+                                   "mup": {"MupProblem.__post_init__"}})):
         callers = {module: _callers(source, name) for module, source in sources.items()}
         assert {module: names for module, names in callers.items() if names} == want, name
+    spelled = {module: _enclosing(source, _spells_apart) for module, source in sources.items()}
+    assert {module: names for module, names in spelled.items() if names} == \
+        {"forward": {"_apart"}}
+    for error in ("SpectraOverlap", "TargetNotFound"):
+        assert _callers(sources["mup"], error) | _raisers(sources["mup"], error) == set()
+
+
+def test_apart_check_flags_planted_spellings():
+    planted = ("def check(a, b):\n"
+               "    if _coincide(a, b).any(axis=1).any():\n"
+               "        raise SpectraOverlap('x')\n"
+               "    return _coincide(a, b).any()\n")
+    assert _enclosing(planted, _spells_apart) == {"check"}
+    assert _callers(planted, "SpectraOverlap") == {"check"}
 
 
 def _small_floats(source):
