@@ -20,12 +20,12 @@ otherwise.  eig_full always runs its own eigensolve.
 Construction (iep), updating (mup) and select_pairs decide every rule on a
 set of eigenvalues here: _coincide is the one coincidence test, and _apart
 keeps a value list clear of the rest of a spectrum by it; _group_values
-applies the reciprocal pairing to a prescribed value list, _unit_parity is
-the +-1 multiplicity rule of the transpose classes, _admit puts new values
-beside the rest of a spectrum (a construction's remaining values, an
-update's replacement values) by all of these rules, and _nearest finds
-given values in a spectrum (select_pairs' targets, an update's selected
-values).
+applies the reciprocal pairing to a prescribed value list, and _paired
+snaps it to the exact values a solve builds on; _unit_parity is the +-1
+multiplicity rule of the transpose classes, _admit puts new values beside
+the rest of a spectrum (a construction's remaining values, an update's
+replacement values) by all of these rules, and _nearest finds given
+values in a spectrum (select_pairs' targets, an update's selected values).
 """
 
 from dataclasses import dataclass, field
@@ -149,6 +149,18 @@ def _group_values(values, cls):
             "in the list")
     matched = sorted(matched)
     return [(i, j) for i, j in matched if i != j], [i for i, j in matched if i == j]
+
+
+def _paired(values, groups, cls):
+    """The exact values a solve builds on, from values grouped as _group_values
+    groups them: a pair's second value becomes 1/star(first), a unimodular
+    value lam/|lam| (star = H) and a +-1 exactly +-1 (star = T)."""
+    out = np.array(values, dtype=np.complex128)
+    for i, j in groups[0]:
+        out[j] = 1.0 / cls.star_scalar(out[i])
+    ones = out[groups[1]]
+    out[groups[1]] = ones / np.abs(ones) if cls.star == "H" else np.sign(ones.real)
+    return out
 
 
 def _coincide(a, b):

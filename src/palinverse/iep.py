@@ -24,11 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (RETRY_ATTEMPTS, BadIndices, DimensionMismatch, Infeasible,
-                     ResidualTooLarge, SingularW, SpectraOverlap, UnsupportedRegime,
-                     retry)
-from .forward import _admit, _coincide, _group_values, _unit_parity
-from .numerics import (COINCIDE_RTOL, OUTPUT_RESIDUAL_TOL, RANK_RTOL, SINGULAR_RTOL,
-                       as_matrix, solve_right, sv_ratio, unit_columns)
+                     ResidualTooLarge, SingularW, UnsupportedRegime, retry)
+from .forward import _admit, _apart, _coincide, _group_values, _paired, _unit_parity
+from .numerics import (OUTPUT_RESIDUAL_TOL, RANK_RTOL, SINGULAR_RTOL, as_matrix,
+                       solve_right, sv_ratio, unit_columns)
 from .paramspace import sample_nonsingular, solution_space
 from .spectral import _coefficients_from_blocks
 from .structfact import (_closed_form_block, _congruence_onto, _isotropy_factor,
@@ -49,7 +48,7 @@ def solve_iep_full(X, T, cls, seed=0):
     if X.shape[1] != T.shape[0] or 2 * X.shape[0] != T.shape[0]:
         raise DimensionMismatch("solve_iep_full needs X n-by-2n and T 2n-by-2n")
     X = unit_columns(X, T)
-    return _construct(cls, X, T, seed, solution_space(T, cls, X)).system
+    return _construct(cls, X, T, seed, None).system
 
 
 # ---------------------------------------------------------------------------
@@ -81,10 +80,9 @@ def _default_remaining(cls, count, n_pos, n_neg, order, t1_values, rng):
     class structure allows them, each pair's values side by side; star = H
     classes fill the remaining inertia with unimodular singletons, and the
     transpose classes add the +-1 singletons that the parity of T1's
-    spectrum forces.  The drawn values come in one batch; a value within
-    10 COINCIDE_RTOL max(1, |a|) of a value a of T1 or of an earlier drawn
-    value other than its partner raises SpectraOverlap, a miss, and the
-    construction draws again.
+    spectrum forces.  The drawn values come in one batch, exact pairs; one
+    that coincides with a value of T1 raises SpectraOverlap
+    (forward._apart), a miss, and the construction draws again.
     """
     # The up-front parity check leaves only points T1 does not carry.
     forced = _unit_parity(cls, order, t1_values)
@@ -92,24 +90,12 @@ def _default_remaining(cls, count, n_pos, n_neg, order, t1_values, rng):
         n_pair, n_single = min(n_pos, n_neg), abs(n_pos - n_neg)
     else:
         n_pair, n_single = (count - len(forced)) // 2, 0
-    # A pair's two values share a slot; a value is checked against T1 and
-    # the values of earlier slots.
-    slot = np.concatenate([np.arange(2 * n_pair) // 2, n_pair + np.arange(n_single)])
     mu = rng.uniform(0.3, 0.7, n_pair) * np.exp(2j * np.pi * rng.uniform(size=n_pair))
-    nu = 1.0 / (np.conj(mu) if cls.star == "H" else mu)
-    z = np.concatenate([np.column_stack([mu, nu]).ravel(),
-                        [np.exp(2j * np.pi * rng.uniform()) for _ in range(n_single)]])
-    avoid = np.concatenate([t1_values, z])
-    d = z[:, None] - avoid
-    # Moduli by hypot, as abs() of a Python complex.
-    far = np.hypot(d.real, d.imag) > \
-        10 * COINCIDE_RTOL * np.maximum(1.0, np.hypot(avoid.real, avoid.imag))
-    far[:, len(t1_values):] |= slot[:, None] <= slot
-    if not far.all():
-        raise SpectraOverlap("a drawn remaining eigenvalue lies within reach of "
-                             "T1 or of another drawn value")
-    values = np.concatenate([z, forced])
+    singles = [np.exp(2j * np.pi * rng.uniform()) for _ in range(n_single)]
     pairs = [(2 * m, 2 * m + 1) for m in range(n_pair)]
+    z = _paired(np.concatenate([np.repeat(mu, 2), singles]), (pairs, []), cls)
+    _apart(z, t1_values, "the prescribed spectrum")
+    values = np.concatenate([z, forced])
     return values, (pairs, list(range(2 * n_pair, len(values))))
 
 
@@ -127,7 +113,8 @@ class IepProblem:
     T1: np.ndarray
     seed: int = 0
     remaining_eigenvalues: list = None
-    t1_values: np.ndarray = field(init=False, repr=False)
+    t1_values: np.ndarray = field(init=False, repr=False)  # a diagonal T1's, in order
+    t1_groups: tuple = field(init=False, repr=False)  # pairing of t1_values, by index
 
     def __post_init__(self):
         if self.seed < 0:  # numpy would refuse it only at the first draw
@@ -145,7 +132,7 @@ class IepProblem:
         if sv_ratio(np.vstack([self.X1, -solve_right(self.X1, self.T1)])) <= RANK_RTOL:
             raise SingularW("[X1; -X1 T1^{-1}] must have full column rank")
         self.t1_values = np.linalg.eigvals(self.T1)
-        _group_values(self.t1_values, self.cls)  # raises PairingNotClosed
+        self.t1_groups = _group_values(self.t1_values, self.cls)  # raises PairingNotClosed
 
     @property
     def n(self):
@@ -191,20 +178,17 @@ def solve_iep_partial_result(problem):
     if given is not None and len(given) != r:
         raise DimensionMismatch(
             f"expected {r} remaining eigenvalues, got {len(given)}")
-    t1_eigs = problem.t1_values
     # At k = 2n no remaining spectrum can supply a missing +-1 either.
-    for point in _unit_parity(cls, n, t1_eigs):
-        if r == 0 or _coincide([point], t1_eigs).any():
+    for point in _unit_parity(cls, n, problem.t1_values):
+        if r == 0 or _coincide([point], problem.t1_values).any():
             raise Infeasible(
                 f"parity: eigenvalue {point:+.0f} is prescribed with a "
                 "multiplicity this class and order forbid, and the remaining "
                 "spectrum cannot mend it")
-    if r == 0:
-        return _construct(cls, problem.X1, problem.T1, problem.seed,
-                          solution_space(problem.T1, cls, problem.X1))
     if given is not None:
         vals = np.array(given, dtype=np.complex128)
-        given = vals, _admit(cls, n, vals, t1_eigs, "the prescribed spectrum")
+        groups = _admit(cls, n, vals, problem.t1_values, "the prescribed spectrum")
+        given = _paired(vals, groups, cls), groups
 
     def completion(S1, rng):
         p = q = 0
@@ -218,7 +202,7 @@ def solve_iep_partial_result(problem):
                                  f"no inertia of size {r} for the remaining block")
         fact = _isotropy_factor(problem.X1, S1, cls)
         values, groups = given if given is not None else _default_remaining(
-            cls, r, p, q, n, t1_eigs, rng)
+            cls, r, p, q, n, problem.t1_values, rng)
         S2, G, F = _closed_form_block(cls, values, groups, p, q)
         try:
             psi = _congruence_onto(-fact.pattern.matrix(), F, cls, rng)
@@ -230,22 +214,30 @@ def solve_iep_partial_result(problem):
         # X2 S2 X2* = Y psi F psi* Y* = -X1 S1 X1*.
         return fact.Y @ psi @ G.conj().T, np.diag(values), S2
 
-    # IepProblem has refused a singular T1.
-    return _construct(cls, problem.X1, problem.T1, problem.seed,
-                      solution_space(problem.T1, cls), completion)
+    # At k = 2n the constraint X1 S1 X1* = 0 takes the completion's place.
+    return _construct(cls, problem.X1, problem.T1, problem.seed, problem.t1_groups,
+                      completion if r else None)
 
 
-def _construct(cls, X1, T1, seed, basis, completion=None):
-    """The seeded draws of every construction, from one generator rng.  Each
-    draw takes S1 from basis and, for k < 2n, the block (X2, T2, S2) of the
-    remaining eigenvalues that completion(S1, rng) builds, T2 diagonal;
-    errors.retry draws again when S1 is singular or the draw misses a gate,
-    and raises NoSolution when every S1 drawn was singular."""
+def _construct(cls, X1, T1, seed, groups, completion=None):
+    """The seeded draws of every construction, from one generator rng.  A
+    diagonal T1 is solved on as forward._paired snaps it by groups (the
+    pairing of its diagonal, found when None); the gate judges T1 as given,
+    and IepSolution.T reports the T1 solved on.  Each draw takes S1 from its
+    parameter space (with X1 S1 X1* = 0 when completion is None) and, for
+    k < 2n, the block (X2, T2, S2) of the remaining eigenvalues that
+    completion(S1, rng) builds, T2 diagonal; errors.retry draws again when
+    S1 is singular or the draw misses a gate, and raises NoSolution when
+    every S1 drawn was singular."""
     rng = np.random.default_rng(seed)
+    d = np.diag(T1)
+    T1s = np.diag(_paired(d, groups or _group_values(d, cls), cls)) \
+        if np.count_nonzero(T1) == np.count_nonzero(d) else T1
+    basis = solution_space(T1s, cls, X1 if completion is None else None)
 
     def draw(attempt):
         S1, s1 = sample_nonsingular(basis, rng)
-        blocks, svals = [(X1, T1, S1)], [s1]
+        blocks, svals = [(X1, T1s, S1)], [s1]
         if completion is not None:
             blocks.append(completion(S1, rng))
             # S2 has one unimodular entry in each row and column.
@@ -260,9 +252,9 @@ def _construct(cls, X1, T1, seed, basis, completion=None):
 
     sys, blocks, attempt, resid = retry(RETRY_ATTEMPTS, draw, "no regular completion")
     if completion is None:
-        return IepSolution(sys, X1, T1, blocks[0][2], attempt, resid)
+        return IepSolution(sys, X1, T1s, blocks[0][2], attempt, resid)
     (_, _, S1), (X2, T2, S2) = blocks
     k, m = len(T1), len(T1) + len(T2)
     T, S = np.zeros((2, m, m), dtype=np.complex128)
-    T[:k, :k], T[k:, k:], S[:k, :k], S[k:, k:] = T1, T2, S1, S2
+    T[:k, :k], T[k:, k:], S[:k, :k], S[k:, k:] = T1s, T2, S1, S2
     return IepSolution(sys, np.hstack([X1, X2]), T, S, attempt, resid)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (RETRY_ATTEMPTS, BadIndices, DefectiveSpectrum, DimensionMismatch,
                      Infeasible, ResidualTooLarge, XiSingular, retry)
-from .forward import _admit, _apart, _coincide, _group_values, _nearest, eigenvalues
+from .forward import _admit, _apart, _coincide, _group_values, _nearest, _paired, eigenvalues
 from .numerics import (DIAGONAL_RTOL, NORM_FLOOR, OUTPUT_RESIDUAL_TOL,
                        PAIR_RESIDUAL_GATE, SELECTED_MATCH_RTOL, SINGULAR_RTOL,
                        TRANSFER_FLOOR_RTOL, as_matrix, fnorm, invert,
@@ -165,9 +165,9 @@ def low_rank_update(sys, X1, T1, S1, X1_new, T1_new, S1_new):
                             M - eps * (M @ Z1) @ R, floor), Z1, Z2, ell
 
 
-def _finish(problem, S1, X1t, S1t, attempt):
+def _finish(problem, S1, X1t, T1t, S1t, attempt):
     new_sys, Z1, Z2, ell = low_rank_update(
-        problem.sys, problem.X1, problem.T1, S1, X1t, problem.T1_new, S1t)
+        problem.sys, problem.X1, problem.T1, S1, X1t, T1t, S1t)
     cls = problem.sys.cls
     resid_new = pair_residual(new_sys, (X1t, problem.T1_new))
     target = problem.X1 @ S1 @ cls.star_of(problem.X1)
@@ -200,15 +200,17 @@ def update_model_result(problem):
 
     Prescribed eigenvectors (X1_new set) solve the transfer constraint
     X1_new S X1_new* = X1 S1 X1* for a nonsingular S in the parameter space
-    of T1_new, paired as MupProblem pairs it: the particular solution
-    first, then seeded draws along the homogeneous directions with
-    paramspace.sample_nonsingular.  Raises Inconsistent when no S solves
-    the constraint, and NoSolution when every S1_new drawn was singular.
+    of T1_new: the particular solution first, then seeded draws along the
+    homogeneous directions with paramspace.sample_nonsingular.  Raises
+    Inconsistent when no S solves the constraint, and NoSolution when every
+    S1_new drawn was singular.
 
-    Both draw from one generator the seed starts, then apply the low-rank
-    update, drawing again when the draw misses (errors.MISSES).
+    Both solve on T1_new as forward._paired snaps it (the gates judge it as
+    given), draw from one generator the seed starts and apply the low-rank
+    update, drawing again when a draw misses (errors.MISSES).
     """
     cls = problem.sys.cls
+    T1t = np.diag(_paired(np.diag(problem.T1_new), problem.new_groups, cls))
     S1 = compute_S1(problem.sys, problem.X1, problem.T1)
     rng = np.random.default_rng(problem.seed)
     if problem.X1_new is None:
@@ -222,29 +224,23 @@ def update_model_result(problem):
             inertia = star_factorize(S1, cls, rank_tol=0.0).pattern
             p, q = inertia.p, inertia.q
         try:
-            S1t, G, F = _closed_form_block(cls, np.diag(problem.T1_new),
-                                           problem.new_groups, p, q)
+            S1t, G, F = _closed_form_block(cls, np.diag(T1t), problem.new_groups, p, q)
         except BadIndices as exc:
             raise Infeasible(f"inertia of S1: {exc}") from exc
 
         def draw(attempt):
             # X1_new S1_new X1_new* = Y psi F psi* Y* = X1 S1 X1*.
             psi = _congruence_onto(fact.pattern.matrix(), F, cls, rng)
-            return _finish(problem, S1, fact.Y @ psi @ G.conj().T, S1t, attempt)
+            return _finish(problem, S1, fact.Y @ psi @ G.conj().T, T1t, S1t, attempt)
 
         attempts = RETRY_ATTEMPTS
     else:
-        # The space of T1_new as MupProblem pairs it: a partner within
-        # COINCIDE_RTOL becomes the exact reciprocal, for this solve alone.
-        paired = np.diag(problem.T1_new).copy()
-        for i, j in problem.new_groups[0]:
-            paired[j] = 1.0 / cls.star_scalar(paired[i])
         S_part, homogeneous = constrained_family(
-            np.diag(paired), cls, problem.X1_new, _snap_isotropy(problem.X1, S1, cls))
+            T1t, cls, problem.X1_new, _snap_isotropy(problem.X1, S1, cls))
 
         def draw(attempt):
             S1t, _ = sample_nonsingular(homogeneous if attempt > 1 else [], rng, S_part)
-            return _finish(problem, S1, problem.X1_new, S1t, attempt)
+            return _finish(problem, S1, problem.X1_new, T1t, S1t, attempt)
 
         attempts = RETRY_ATTEMPTS + 1
     return retry(attempts, draw, "no regular update found")

@@ -943,36 +943,35 @@ def _remaining_or_overlap(cls, count, n_pos, n_neg, order, t1, seed):
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
 @pytest.mark.parametrize("tol", [1e-8, 2e-2])
 def test_default_remaining_keeps_values_clear(cls, tol, monkeypatch):
-    # Every returned value lies outside 10 tol max(1, |a|) of T1's values
-    # and of the earlier pairs'.  The wide tolerance makes most batches
-    # clash, and a clashing batch raises SpectraOverlap: one batch per draw.
-    from palinverse import iep
+    # Every returned value z lies outside tol max(1, |z|) of T1's values,
+    # the forward._apart rule, and each pair is exact.  The wide tolerance
+    # makes a few batches clash, and a clashing batch raises SpectraOverlap:
+    # one batch per draw.
+    from palinverse import forward
 
-    monkeypatch.setattr(iep, "COINCIDE_RTOL", tol)
+    monkeypatch.setattr(forward, "COINCIDE_RTOL", tol)
     t1 = np.array([0.5 * np.exp(0.4j), 1 / cls.star_scalar(0.5 * np.exp(0.4j))])
     n_pos = n_neg = 7 if cls.star == "H" else 0
     batches = [_remaining_or_overlap(cls, 14, n_pos, n_neg, 8, t1, seed)
-               for seed in range(40)]
+               for seed in range(400)]
     returned = [b for b in batches if b is not None]
     for pairs, singles in returned:
         assert len(pairs) == 7 and not singles
         _assert_clear(cls, t1, pairs, tol)
     if tol == 1e-8:  # no clash: one batch of moduli, then one of angles
-        assert len(returned) == 40
+        assert len(returned) == 400
         rng = np.random.default_rng(3)
         mus = rng.uniform(0.3, 0.7, 7) * np.exp(2j * np.pi * rng.uniform(size=7))
         assert np.array_equal([mu for mu, _ in batches[3][0]], mus)
     else:
-        assert 0 < len(returned) < 40
+        assert 0 < len(returned) < 400
 
 
 def _assert_clear(cls, t1, pairs, tol):
-    accepted = list(t1)
     for mu, nu in pairs:
         assert pair_defect(cls, mu, nu) <= 1e-12
         for z in (mu, nu):
-            assert all(abs(z - a) > 10 * tol * max(1.0, abs(a)) for a in accepted)
-        accepted += [mu, nu]
+            assert all(abs(z - a) > tol * max(1.0, abs(z)) for a in t1)
 
 
 def _first_batch(rng, n_pair, n_single):
@@ -1026,15 +1025,15 @@ def test_default_remaining_redraws_a_batch_that_hits_t1(cls, monkeypatch):
 
 def test_default_remaining_clears_prescribed_values(monkeypatch):
     # One pair against eight prescribed pairs in the same annulus: a draw
-    # that lands within reach of T1 raises SpectraOverlap, and every batch
-    # returned stays clear.
-    from palinverse import iep
+    # that coincides with a value of T1 (forward._apart, the rule patched
+    # wide) raises SpectraOverlap, and every batch returned stays clear.
+    from palinverse import forward
 
-    monkeypatch.setattr(iep, "COINCIDE_RTOL", 1e-2)
+    monkeypatch.setattr(forward, "COINCIDE_RTOL", 1e-1)
     mus = (0.3 + 0.05 * np.arange(8)) * np.exp(0.8j * np.arange(8))
     t1 = np.concatenate([mus, 1 / mus])
     batches = [_remaining_or_overlap(TP, 2, 0, 0, 9, t1, seed) for seed in range(20)]
     assert None in batches
     for batch in batches:
         if batch is not None:
-            _assert_clear(TP, t1, batch[0], 1e-2)
+            _assert_clear(TP, t1, batch[0], 1e-1)

@@ -92,14 +92,14 @@ def _readers(source, name):
 
 def test_coincidence_tolerance_read_in_one_place():
     # Every eigenvalue-set rule (coincidence, pairing of a value list, +-1
-    # parity, the multiplicity bound) is decided in forward.  The one other
-    # reader is the exclusion radius of iep's default remaining eigenvalues;
-    # iep keeps the import, and tests patch that binding.  numerics defines
-    # the value in its tolerance table (a top-level statement, so None).
+    # parity, the multiplicity bound, the clearance of drawn remaining
+    # eigenvalues) is decided in forward, which alone reads the tolerance;
+    # tests patch that binding.  numerics defines the value in its
+    # tolerance table (a top-level statement, so None).
     readers = {path.stem: _readers(path.read_text(), "COINCIDE_RTOL")
-               for path in sorted(PACKAGE.glob("*.py")) if path.stem != "forward"}
+               for path in sorted(PACKAGE.glob("*.py"))}
     assert {module: names for module, names in readers.items() if names} == \
-        {"iep": {"_default_remaining"}, "numerics": {None}}
+        {"forward": {"_coincide", "_group_values"}, "numerics": {None}}
     planted = "def _check(v, w):\n    return abs(v - w) <= COINCIDE_RTOL\n"
     assert _readers(planted, "COINCIDE_RTOL") == {"_check"}
 
@@ -275,25 +275,41 @@ def _spells_apart(node):
         and any(kw.arg == "axis" for kw in node.keywords)
 
 
+def _spells_partner(node):
+    """A division 1 / (...) whose denominator conjugates or stars a value:
+    a partner value 1/lam* written out."""
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div) \
+        and isinstance(node.left, ast.Constant) and node.left.value == 1 \
+        and any(getattr(getattr(sub, "func", None), "attr", None) in ("conj", "star_scalar")
+                for sub in ast.walk(node.right))
+
+
 def test_one_admission_rule_and_one_matcher():
     # A construction's remaining values and an update's replacement values
     # are admitted beside the rest of the spectrum by forward._admit; the
     # targets of select_pairs and an update's selected values are found by
-    # forward._nearest; and forward._apart alone checks that a value list
-    # is clear of the rest of a spectrum.  mup builds neither of the two
-    # errors of a lookup or a collision itself.
+    # forward._nearest; forward._apart alone checks that a value list is
+    # clear of the rest of a spectrum (drawn remaining values too); and
+    # forward._paired alone writes a partner value, for the values every
+    # solve builds on.  mup builds neither of the two errors of a lookup or
+    # a collision itself.
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     for name, want in (("_admit", {"iep": {"solve_iep_partial_result"},
                                    "mup": {"MupProblem.__post_init__"}}),
                        ("_nearest", {"forward": {"select_pairs"},
                                      "mup": {"MupProblem.__post_init__"}}),
                        ("_apart", {"forward": {"_admit", "select_pairs"},
-                                   "mup": {"MupProblem.__post_init__"}})):
+                                   "iep": {"_default_remaining"},
+                                   "mup": {"MupProblem.__post_init__"}}),
+                       ("_paired", {"iep": {"_default_remaining", "solve_iep_partial_result",
+                                            "_construct"},
+                                    "mup": {"update_model_result"}})):
         callers = {module: _callers(source, name) for module, source in sources.items()}
         assert {module: names for module, names in callers.items() if names} == want, name
-    spelled = {module: _enclosing(source, _spells_apart) for module, source in sources.items()}
-    assert {module: names for module, names in spelled.items() if names} == \
-        {"forward": {"_apart"}}
+    for spells, home in ((_spells_apart, "_apart"), (_spells_partner, "_paired")):
+        spelled = {module: _enclosing(source, spells) for module, source in sources.items()}
+        assert {module: names for module, names in spelled.items() if names} == \
+            {"forward": {home}}, home
     for error in ("SpectraOverlap", "TargetNotFound"):
         assert _callers(sources["mup"], error) | _raisers(sources["mup"], error) == set()
 
@@ -305,6 +321,19 @@ def test_apart_check_flags_planted_spellings():
                "    return _coincide(a, b).any()\n")
     assert _enclosing(planted, _spells_apart) == {"check"}
     assert _callers(planted, "SpectraOverlap") == {"check"}
+
+
+def test_partner_check_flags_planted_spellings():
+    # The snap loop a prescribed update kept, and the drawn partners of a
+    # construction's default remaining values, as they were written.
+    planted = ("def snap(values, pairs, cls):\n"
+               "    for i, j in pairs:\n"
+               "        values[j] = 1.0 / cls.star_scalar(values[i])\n"
+               "def draw(mu, cls):\n"
+               "    return 1.0 / (np.conj(mu) if cls.star == 'H' else mu)\n"
+               "def fine(lam, x):\n"
+               "    return -1.0 / lam + 1.0 / (1.0 / x + 2.0)\n")
+    assert _enclosing(planted, _spells_partner) == {"snap", "draw"}
 
 
 def _small_floats(source):
