@@ -75,8 +75,8 @@ class SpectraOverlap(PalinverseError):
 
 
 class DefectiveSpectrum(PalinverseError):
-    """Eigenvalues cluster too tightly to be treated as semi-simple (a
-    selection to update, or a T not in Jordan form)."""
+    """Eigenvalues too clustered to treat as semi-simple: an update's
+    selection, or a non-Jordan T1 whose eigenvector matrix is near singular."""
 
 
 # iep

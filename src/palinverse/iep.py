@@ -10,25 +10,24 @@ sampled, and the remaining eigenvalues enter as T2 = diag(values) with
 the closed-form parameter block S2 = G F G* (structfact._closed_form_block).
 The deficit X1 S1 X1* = Y Delta Y* (structfact._isotropy_factor, at order
 min(n, k)) is cancelled by the extra eigenvector columns X2 = Y Psi G^H
-with Psi F Psi* = -Delta, so T = diag(T1, T2) and (X, T) is an
-eigendecomposition whenever T1 is diagonal.  Every k draws in one loop
-(_construct): each attempt takes S1 and, for k < 2n, the default
-remaining eigenvalues and the isometry of F from the one generator the
-seed starts, and errors.retry draws again when the draw misses
-(errors.MISSES).
-Infeasible is decided before the first draw.
+with Psi F Psi* = -Delta, so T = diag(T1, T2) with T1 in Jordan form
+(_jordan_form): (X, T) is an eigendecomposition unless the caller's T1
+is a defective Jordan form.  Every k draws in one loop (_construct):
+each attempt takes S1 and, for k < 2n, the default remaining eigenvalues
+and the isometry of F from the one generator the seed starts, and
+errors.retry draws again when a draw misses (errors.MISSES).
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (RETRY_ATTEMPTS, BadIndices, DimensionMismatch, Infeasible,
-                     ResidualTooLarge, SingularW, UnsupportedRegime, retry)
+from .errors import (RETRY_ATTEMPTS, BadIndices, DefectiveSpectrum, DimensionMismatch,
+                     Infeasible, ResidualTooLarge, SingularW, UnsupportedRegime, retry)
 from .forward import _admit, _apart, _coincide, _group_values, _paired, _unit_parity
 from .numerics import (OUTPUT_RESIDUAL_TOL, RANK_RTOL, SINGULAR_RTOL, as_matrix,
-                       solve_right, sv_ratio, unit_columns)
-from .paramspace import sample_nonsingular, solution_space
+                       dense_eig, solve_right, sv_ratio, unit_columns)
+from .paramspace import _jordan_blocks, sample_nonsingular, solution_space
 from .spectral import _coefficients_from_blocks
 from .structfact import (_closed_form_block, _congruence_onto, _isotropy_factor,
                          star_factorize)
@@ -48,7 +47,23 @@ def solve_iep_full(X, T, cls, seed=0):
     if X.shape[1] != T.shape[0] or 2 * X.shape[0] != T.shape[0]:
         raise DimensionMismatch("solve_iep_full needs X n-by-2n and T 2n-by-2n")
     X = unit_columns(X, T)
-    return _construct(cls, X, T, seed, None).system
+    return _construct(cls, (X, T), _jordan_form(X, T), seed, None).system
+
+
+def _jordan_form(X1, T1):
+    """(X1, T1) in the Jordan form a construction solves on: as given when
+    paramspace._jordan_blocks reads T1, else (X1 V, D), unit columns, from
+    one T1 = V D V^-1.  DefectiveSpectrum when sv_ratio(V) <= u / RANK_RTOL
+    (2.2e-6), past which roundoff in D, about u ||T1|| / sv_ratio(V), tops
+    RANK_RTOL: a defective T1 must be given in Jordan form."""
+    if _jordan_blocks(T1) is not None:
+        return X1, T1
+    w, V = dense_eig(T1)
+    ratio = sv_ratio(V)
+    if ratio <= np.finfo(float).eps / RANK_RTOL:
+        raise DefectiveSpectrum(f"T1 is defective or nearly so (eigenvector sigma "
+                                f"ratio {ratio:.3e}); give it in Jordan form")
+    return unit_columns(X1 @ V, np.diag(w)), np.diag(w)
 
 
 # ---------------------------------------------------------------------------
@@ -113,14 +128,14 @@ class IepProblem:
     T1: np.ndarray
     seed: int = 0
     remaining_eigenvalues: list = None
-    t1_values: np.ndarray = field(init=False, repr=False)  # a diagonal T1's, in order
+    form: tuple = field(init=False, repr=False)  # (X1, T1) in Jordan form (_jordan_form)
+    t1_values: np.ndarray = field(init=False, repr=False)  # the form's diagonal, in order
     t1_groups: tuple = field(init=False, repr=False)  # pairing of t1_values, by index
 
     def __post_init__(self):
         if self.seed < 0:  # numpy would refuse it only at the first draw
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        self.X1 = as_matrix(self.X1, "X1")
-        self.T1 = as_matrix(self.T1, "T1")
+        self.X1, self.T1 = as_matrix(self.X1, "X1"), as_matrix(self.T1, "T1")
         k = self.T1.shape[0]
         if self.T1.shape != (k, k) or self.X1.shape[1] != k:
             raise DimensionMismatch("X1 and T1 dimensions do not conform")
@@ -131,7 +146,8 @@ class IepProblem:
             raise SingularW("T1 must be nonsingular")
         if sv_ratio(np.vstack([self.X1, -solve_right(self.X1, self.T1)])) <= RANK_RTOL:
             raise SingularW("[X1; -X1 T1^{-1}] must have full column rank")
-        self.t1_values = np.linalg.eigvals(self.T1)
+        self.form = _jordan_form(self.X1, self.T1)
+        self.t1_values = np.diag(self.form[1])
         self.t1_groups = _group_values(self.t1_values, self.cls)  # raises PairingNotClosed
 
     @property
@@ -200,7 +216,7 @@ def solve_iep_partial_result(problem):
             if min(p, q) < 0:
                 raise BadIndices(f"S1 of inertia ({pattern.p}, {pattern.q}) leaves "
                                  f"no inertia of size {r} for the remaining block")
-        fact = _isotropy_factor(problem.X1, S1, cls)
+        fact = _isotropy_factor(problem.form[0], S1, cls)
         values, groups = given if given is not None else _default_remaining(
             cls, r, p, q, n, problem.t1_values, rng)
         S2, G, F = _closed_form_block(cls, values, groups, p, q)
@@ -215,29 +231,29 @@ def solve_iep_partial_result(problem):
         return fact.Y @ psi @ G.conj().T, np.diag(values), S2
 
     # At k = 2n the constraint X1 S1 X1* = 0 takes the completion's place.
-    return _construct(cls, problem.X1, problem.T1, problem.seed, problem.t1_groups,
-                      completion if r else None)
+    return _construct(cls, (problem.X1, problem.T1), problem.form, problem.seed,
+                      problem.t1_groups, completion if r else None)
 
 
-def _construct(cls, X1, T1, seed, groups, completion=None):
-    """The seeded draws of every construction, from one generator rng.  A
-    diagonal T1 is solved on as forward._paired snaps it by groups (the
-    pairing of its diagonal, found when None); the gate judges T1 as given,
-    and IepSolution.T reports the T1 solved on.  Each draw takes S1 from its
-    parameter space (with X1 S1 X1* = 0 when completion is None) and, for
-    k < 2n, the block (X2, T2, S2) of the remaining eigenvalues that
-    completion(S1, rng) builds, T2 diagonal; errors.retry draws again when
-    S1 is singular or the draw misses a gate, and raises NoSolution when
-    every S1 drawn was singular."""
+def _construct(cls, pair, form, seed, groups, completion=None):
+    """The seeded draws of every construction, from one generator rng, on
+    the Jordan form (X1, T1) of the caller's pair, its diagonal snapped by
+    forward._paired and groups (its pairing, found when None); the gate
+    judges pair.  Each draw takes S1 from its parameter space (with
+    X1 S1 X1* = 0 when completion is None) and, for k < 2n, the block
+    (X2, T2, S2) of the remaining eigenvalues that completion(S1, rng)
+    builds, T2 diagonal; errors.retry draws again when S1 is singular or
+    the draw misses a gate, and raises NoSolution when every S1 drawn was
+    singular."""
     rng = np.random.default_rng(seed)
+    X1, T1 = form[0], form[1].copy()
     d = np.diag(T1)
-    T1s = np.diag(_paired(d, groups or _group_values(d, cls), cls)) \
-        if np.count_nonzero(T1) == np.count_nonzero(d) else T1
-    basis = solution_space(T1s, cls, X1 if completion is None else None)
+    np.fill_diagonal(T1, _paired(d, groups or _group_values(d, cls), cls))
+    basis = solution_space(T1, cls, X1 if completion is None else None)
 
     def draw(attempt):
         S1, s1 = sample_nonsingular(basis, rng)
-        blocks, svals = [(X1, T1s, S1)], [s1]
+        blocks, svals = [(X1, T1, S1)], [s1]
         if completion is not None:
             blocks.append(completion(S1, rng))
             # S2 has one unimodular entry in each row and column.
@@ -245,16 +261,16 @@ def _construct(cls, X1, T1, seed, groups, completion=None):
         # (X, T, S) = ([X1, X2], diag(T1, T2), diag(S1, S2)), assembled by
         # blocks; raises SingularLeadingBlock when X T^-1 S X* is singular.
         sys = _coefficients_from_blocks(blocks, cls, svals)
-        resid = pair_residual(sys, (X1, T1))
+        resid = pair_residual(sys, pair)
         if resid > OUTPUT_RESIDUAL_TOL:
             raise ResidualTooLarge(f"prescribed-pair residual {resid:.3e}")
         return sys, blocks, attempt, resid
 
     sys, blocks, attempt, resid = retry(RETRY_ATTEMPTS, draw, "no regular completion")
     if completion is None:
-        return IepSolution(sys, X1, T1s, blocks[0][2], attempt, resid)
+        return IepSolution(sys, X1, T1, blocks[0][2], attempt, resid)
     (_, _, S1), (X2, T2, S2) = blocks
     k, m = len(T1), len(T1) + len(T2)
     T, S = np.zeros((2, m, m), dtype=np.complex128)
-    T[:k, :k], T[k:, k:], S[:k, :k], S[k:, k:] = T1s, T2, S1, S2
+    T[:k, :k], T[k:, k:], S[:k, :k], S[k:, k:] = T1, T2, S1, S2
     return IepSolution(sys, np.hstack([X1, X2]), T, S, attempt, resid)

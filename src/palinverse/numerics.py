@@ -24,11 +24,11 @@ condition number:
 - spectral.compute_S1: eps X1* A1 X1 T1^{-1} - T1^{-*} X1* A1* X1, gated;
   T1 as in an update below.
 - spectral._spectral_sums, for construction and update: T_b is LU-solved
-  unless diagonal (divided exactly).  The one T_b that can be other than
-  diagonal is a construction's T1, gated by IepProblem.  The remaining T2
-  of a construction, and an update's T1 and T1_new, are diagonal with
-  nonzero entries (pairing-closed values, or eigenvalues of a nonsingular
-  A1).
+  unless diagonal (divided exactly), so only for a construction's T1 given
+  as a defective Jordan form (iep._jordan_form diagonalizes any other T1),
+  gated by IepProblem.  The remaining T2 of a construction, and an
+  update's T1 and T1_new, are diagonal with nonzero entries (pairing-closed
+  values, or eigenvalues of a nonsingular A1).
 - mup: Xi, gated.
 
 Tolerance table.  Every numerical decision of the package reads one entry

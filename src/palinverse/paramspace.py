@@ -7,12 +7,12 @@ joining Jordan blocks a and b is nonzero only when lam_a lam_b* = 1, and
 there it is an upper-left Hankel parameter block times a constant
 lower-triangular scaled rotated Pascal matrix.  A diagonal T is the case
 of all 1-by-1 blocks, whose space lives on the Stein support
-{(i, j) : t_i t_j* = 1}.  Any other T goes through its eigendecomposition,
-so a defective T must be given in Jordan form.  One routine, _xsx_solve,
-cuts the space down by X S X* = C: solution_space is its homogeneous view
-(C = 0, as for entire eigendata) and constrained_family its affine view
-(the transfer constraint of a prescribed update).  A basis is a plain
-(d, m, m) array.
+{(i, j) : t_i t_j* = 1}.  T must be in Jordan form, as iep._jordan_form
+puts a construction's T1 (an update's is diagonal): nothing here computes
+eigenvalues.  One routine, _xsx_solve, cuts the space down by X S X* = C:
+solution_space is its homogeneous view (C = 0, as for entire eigendata)
+and constrained_family its affine view (the transfer constraint of a
+prescribed update).  A basis is a plain (d, m, m) array.
 """
 
 from math import comb
@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import DefectiveSpectrum, DimensionMismatch, Inconsistent, SingularMatrix
 from .numerics import (CONSISTENCY_RTOL, JORDAN_JOIN_ATOL, NONSINGULAR_RTOL,
-                       NORM_FLOOR, RANK_RTOL, SINGULAR_RTOL, as_matrix,
-                       dense_eig, fnorm, range_coordinates, sv_ratio)
+                       NORM_FLOOR, RANK_RTOL, SINGULAR_RTOL, as_matrix, fnorm,
+                       range_coordinates, sv_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -144,15 +144,13 @@ def _stein_support(starts, sizes, values, cls):
 def _xsx_solve(T, cls, X=None, C=None):
     """The one solve of X S X* = C over {S : star(S) = -eps S, S = T S T*}.
 
-    The Stein support comes from the Jordan form of T, a diagonal T
-    included; any other T = V D V^-1 is solved as (X V, D), mapped back as
-    V S V* and projected onto (B - eps B*) / 2.  DefectiveSpectrum is
-    raised when sv_ratio(V) <= u / RANK_RTOL (about 2.2e-6).  One thin SVD
-    of the sparse images X E X* of the structural elements E decides their
-    rank against RANK_RTOL ||X||_F^2, the largest value X S X* takes on a
-    unit S.  Without C the rows are those of X; with C, those of P = Q^H X
-    in the coordinates Q of range(X), which keep the singular values of
-    the map, and Inconsistent is raised when star(C) = -eps C fails or the
+    The Stein support comes from T in Jordan form, a diagonal T included;
+    any other T raises DefectiveSpectrum.  One thin SVD of the sparse
+    images X E X* of the structural elements E decides their rank against
+    RANK_RTOL ||X||_F^2, the largest value X S X* takes on a unit S.
+    Without C the rows are those of X; with C, those of P = Q^H X in the
+    coordinates Q of range(X), which keep the singular values of the map,
+    and Inconsistent is raised when star(C) = -eps C fails or the
     least-squares residual, the part of C outside range(Q) included,
     exceeds CONSISTENCY_RTOL ||C||.  Returns (particular, elements): the
     minimum-norm solution (None without C) and the null directions,
@@ -173,19 +171,9 @@ def _xsx_solve(T, cls, X=None, C=None):
         defect = fnorm(star(C) + cls.epsilon * C)
         if defect > CONSISTENCY_RTOL * max(fnorm(C), NORM_FLOOR):
             raise Inconsistent("right-hand side C must satisfy star(C) = -eps C")
-    blocks, V = _jordan_blocks(T), None
+    blocks = _jordan_blocks(T)
     if blocks is None:
-        w, V = dense_eig(T)
-        # Roundoff moves the eigenvalues by up to about u ||T|| / sv_ratio(V);
-        # past RANK_RTOL the Stein support can no longer be read off them.
-        # (A defective T gives sv_ratio(V) ~ sqrt(u) ~ 1e-8 for 2-by-2 blocks.)
-        ratio = sv_ratio(V)
-        if ratio <= np.finfo(float).eps / RANK_RTOL:
-            raise DefectiveSpectrum(
-                f"T is defective or nearly so (eigenvector sigma ratio "
-                f"{ratio:.3e}); give a defective T in Jordan form")
-        blocks = np.arange(m), np.ones(m, dtype=int), w
-        X = None if X is None else X @ V
+        raise DefectiveSpectrum("T is not in Jordan form")
     K, I, J, a, b = _stein_support(*blocks, cls)
     n_el = int(K[-1]) + 1 if K.size else 0
     coeffs = np.eye(n_el)
@@ -220,10 +208,6 @@ def _xsx_solve(T, cls, X=None, C=None):
     S = np.zeros((coeffs.shape[0], m, m), dtype=np.complex128)
     np.add.at(S, (slice(None), I, J), coeffs[:, K] * a)
     np.add.at(S, (slice(None), J, I), coeffs[:, K] * b)
-    if V is not None:
-        S = V @ S @ star(V)
-        St = np.swapaxes(S, 1, 2)
-        S = (S - cls.epsilon * (St if cls.star == "T" else St.conj())) / 2.0
     return (None, S) if C is None else (S[0], S[1:])
 
 

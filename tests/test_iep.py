@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (closed_selection, log_decompositions, off_circle_pair, pair_defect,
-                     random_complex, random_system, singular_draws)
+from helpers import (closed_selection, jordan_matrix, log_decompositions, off_circle_pair,
+                     pair_defect, random_complex, random_system, singular_draws)
 from palinverse.errors import (BadIndices, DimensionMismatch, Infeasible, NoSolution,
                                PairingNotClosed, RetryExhausted, SingularW,
                                SpectraOverlap, SymmetryViolation, UnsupportedRegime)
@@ -907,20 +907,31 @@ def test_iep_partial_more_pairs_than_order_is_unsupported(cls, n, k):
 
 
 def test_iep_partial_reads_t1_eigenvalues_once(monkeypatch):
-    X1, T1 = iep_fixture(HP)
+    # A construction reads the eigenvalues of T1 in iep._jordan_form alone:
+    # off the diagonal of a diagonal or Jordan T1 with no eigensolve, and by
+    # exactly one dense_eig of any other T1.  Every nonsymmetric eigensolve
+    # is counted (structfact's eigh factorizes a Hermitian S1, not T1).
+    from palinverse import iep
+
     calls = []
-    eigvals = np.linalg.eigvals
-
-    def counted(a):
-        calls.append(a.shape)
-        return eigvals(a)
-
-    monkeypatch.setattr(np.linalg, "eigvals", counted)
-    problem = IepProblem(HP, X1, T1, seed=5)
-    solve_iep_partial_result(problem)
-    assert calls == [T1.shape]
-
-
+    for name in ("eig", "eigvals"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, real=real, name=name:
+                            calls.append((name, a.shape)) or real(a))
+    dense_eig = iep.dense_eig
+    monkeypatch.setattr(iep, "dense_eig", lambda a: calls.append(("dense_eig", a.shape))
+                        or dense_eig(a))
+    X1, T1 = iep_fixture(HP)
+    lam = 0.5 + 0.3j
+    W = random_complex(np.random.default_rng(4), 4, 4)
+    cases = [(X1, T1, []),
+             (random_complex(np.random.default_rng(6), 6, 4),
+              jordan_matrix([lam, 1 / np.conj(lam)], [2, 2]), []),
+             (X1 @ W, np.linalg.solve(W, T1 @ W), [("dense_eig", (4, 4)), ("eig", (4, 4))])]
+    for X, T, want in cases:
+        calls.clear()
+        solve_iep_partial_result(IepProblem(HP, X, T, seed=5))
+        assert calls == want
 def _as_values(batch):
     """A batch (values, (pairs, singles)) of _default_remaining, indices
     replaced by values."""

@@ -8,9 +8,9 @@ from helpers import (dense_constrained_family, jordan_matrix, kronecker_space,
 from palinverse.errors import (DefectiveSpectrum, DimensionMismatch,
                                Inconsistent, SingularMatrix)
 from palinverse.forward import eig_full
-from palinverse.iep import solve_iep_full
-from palinverse.numerics import fnorm
-from palinverse.paramspace import (_rvec, pascal_matrix,
+from palinverse.iep import _jordan_form, solve_iep_full
+from palinverse.numerics import dense_eig, fnorm
+from palinverse.paramspace import (_jordan_blocks, _rvec, pascal_matrix,
                                    pascal_scaling, s_basis,
                                    sample_nonsingular, constrained_family,
                                    solution_space)
@@ -197,8 +197,8 @@ def _span_defect(A, B):
 def _family_t(cls, name):
     """Order-4 T of the constrained-family cases: diagonal with reciprocal
     pairs or unimodular, a Jordan pair of 2-by-2 blocks, whose elements
-    have several entries, or a dense V D V^-1, solved in the
-    eigen-coordinates."""
+    have several entries, or a dense V D V^-1, solved on the Jordan form
+    a construction puts it in (iep._jordan_form)."""
     if name == "unimodular":
         return np.eye(4)
     if name == "jordan":
@@ -216,9 +216,9 @@ def _family_t(cls, name):
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
 def test_constrained_family_matches_order_n_solve(cls, T, n, rank):
     rng = np.random.default_rng(31)
-    T = _family_t(cls, T)
-    b = s_basis(T, cls)
     X = random_complex(rng, n, rank) @ random_complex(rng, rank, 4)
+    X, T = _jordan_form(X, _family_t(cls, T))
+    b = s_basis(T, cls)
     C = X @ sum(c * B for c, B in zip(rng.standard_normal(len(b)), b)) \
         @ cls.star_of(X)
     S, hom = constrained_family(T, cls, X, C)
@@ -422,16 +422,37 @@ def _similar(T, seed):
     return np.linalg.solve(W, T @ W), W
 
 
+def _assert_same_space_on_form(T, cls, X):
+    """The space of the Jordan form (X V, D) of a dense T, as a construction
+    builds it (iep._jordan_form), mapped back by V S V*, is the Kronecker
+    reference space of (X, T) itself."""
+    assert _jordan_blocks(T) is None
+    w, V = dense_eig(T)
+    XV, D = _jordan_form(np.eye(len(T)) if X is None else X, T)
+    assert np.array_equal(D, np.diag(w))
+    if X is not None:
+        V = V / np.linalg.norm(X @ V, axis=0)  # the form's unit columns
+        assert fnorm(XV - X @ V) <= 1e-14 * fnorm(XV)
+    basis = solution_space(D, cls, None if X is None else XV)
+    for B in basis:
+        assert fnorm(B + cls.epsilon * cls.star_of(B)) == 0.0
+    ref = kronecker_space(T, cls, X)
+    assert len(basis) == len(ref)
+    if ref:
+        assert _span_gap([V @ B @ cls.star_of(V) for B in basis], ref) <= 1e-8
+    return XV, D
+
+
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
 def test_dense_space_matches_kronecker_on_eigendata(cls):
     # (X W, W^-1 D W) is a standard pair of the same system as (X, D).
     e = eig_full(random_system(cls, 3, seed=73))
     T, W = _similar(np.diag(e.values), seed=74)
     X = e.vectors @ W
-    _assert_same_space(T, cls, X)
-    _assert_same_space(T, cls, None)
-    _assert_same_space(T, cls, random_complex(np.random.default_rng(75), 2, 6))
-    assert len(solution_space(T, cls, X)) == \
+    XV, D = _assert_same_space_on_form(T, cls, X)
+    _assert_same_space_on_form(T, cls, None)
+    _assert_same_space_on_form(T, cls, random_complex(np.random.default_rng(75), 2, 6))
+    assert len(solution_space(D, cls, XV)) == \
         len(solution_space(np.diag(e.values), cls, e.vectors))
     sys = solve_iep_full(X, T, cls, seed=1)
     assert pair_residual(sys, (X, T)) <= 1e-9
@@ -443,15 +464,19 @@ def test_dense_space_matches_kronecker_on_eigendata(cls):
 def test_dense_space_matches_kronecker_special(name):
     cls, D, X = _special_case(name)
     T, W = _similar(D, seed=76)
-    _assert_same_space(T, cls, X @ W)
-    _assert_same_space(T, cls, None)
+    _assert_same_space_on_form(T, cls, X @ W)
+    _assert_same_space_on_form(T, cls, None)
 
 
 def test_upper_bidiagonal_t_is_not_read_as_jordan():
-    # A unit superdiagonal over unequal eigenvalues is diagonalizable.
+    # A unit superdiagonal over unequal eigenvalues is diagonalizable: the
+    # construction's helper diagonalizes it, and the parameter space, which
+    # takes Jordan form only, refuses it as given.
     T = np.array([[2.0, 1.0], [0.0, 0.5]])
-    _assert_same_space(T, TP, None)
-    assert len(solution_space(T, TP)) == 2
+    _, D = _assert_same_space_on_form(T, TP, None)
+    assert len(solution_space(D, TP)) == 2
+    with pytest.raises(DefectiveSpectrum, match="not in Jordan form"):
+        solution_space(T, TP)
 
 
 def _real_pair(sys):
@@ -477,9 +502,9 @@ def test_real_rotation_block_pair():
     X, T = _real_pair(sys)
     assert X.shape == (3, 6) and np.count_nonzero(np.diag(T, -1)) == 2
     assert pair_residual(sys, (X, T)) <= 1e-10
-    _assert_same_space(T, TP, X)
-    _assert_same_space(T, TP, None)
-    assert len(solution_space(T, TP, X)) == 2
+    XV, D = _assert_same_space_on_form(T, TP, X)
+    _assert_same_space_on_form(T, TP, None)
+    assert len(solution_space(D, TP, XV)) == 2
     built = solve_iep_full(X, T, TP, seed=2)
     assert pair_residual(built, (X, T)) <= 1e-9
 
@@ -489,10 +514,10 @@ def test_real_rotation_block_pair():
 def test_similar_jordan_block_is_rejected(cls, size):
     lam = 0.5 + 0.3j
     J = jordan_matrix([lam, 1 / cls.star_scalar(lam)], [size, size])
+    X = random_complex(np.random.default_rng(78), size, 2 * size)
     for seed in range(20):
         T, W = _similar(J, seed)
-        with pytest.raises(DefectiveSpectrum):
-            solution_space(T, cls)
-    X = random_complex(np.random.default_rng(78), size, 2 * size)
+        with pytest.raises(DefectiveSpectrum, match="eigenvector sigma ratio"):
+            _jordan_form(X @ W, T)
     with pytest.raises(DefectiveSpectrum):
         solve_iep_full(X @ W, T, cls)

@@ -5,7 +5,8 @@ within COINCIDE_RTOL, and forward._paired snaps it to the exact values a
 solve builds on.  So an input that the pairing accepts never ends in an
 error that says no solution exists or that the data is wrong (NoSolution,
 Inconsistent, MembershipCheckFailed), while every gate still judges the
-caller's own values.
+caller's own values.  A T1 that is neither diagonal nor Jordan reaches
+the rule through the one eigendecomposition iep._jordan_form makes.
 """
 
 import functools
@@ -13,10 +14,10 @@ import functools
 import numpy as np
 import pytest
 
-from helpers import pair_defect, random_complex
+from helpers import jordan_matrix, pair_defect, random_complex, random_system
 from palinverse.errors import PairingNotClosed, RetryExhausted
 from palinverse.forward import _group_values, _paired, eig_full, select_pairs
-from palinverse.iep import IepProblem, solve_iep_partial_result
+from palinverse.iep import IepProblem, solve_iep_full, solve_iep_partial_result
 from palinverse.mup import MupProblem, update_model_result
 from palinverse.numerics import COINCIDE_RTOL, OUTPUT_RESIDUAL_TOL
 from palinverse.system import ALL_CLASSES, HA, HP, pair_residual
@@ -127,3 +128,56 @@ def test_inputs_the_pairing_accepts_are_solved(solve, cls, n):
 def test_defects_beyond_the_pairing_tolerance_are_refused(solve, cls):
     with pytest.raises(PairingNotClosed):
         solve(cls, 6, BEYOND)
+
+
+def _solve_upper(cls, defect):
+    """k = 2, n = 6: an upper-triangular T1 [[mu, 0.5], [0, p]], its
+    eigenvalue p the partner of mu off by defect."""
+    X1 = random_complex(np.random.default_rng(6), 6, 2)
+    T1 = np.array([[MU, 0.5], [0.0, (1 + defect) / cls.star_scalar(MU)]])
+    sol = solve_iep_partial_result(IepProblem(cls, X1, T1, seed=1))
+    return pair_residual(sol.system, (X1, T1))
+
+
+def _solve_dense(cls, defect):
+    """k = 2n, n = 3, through solve_iep_full: (X W, W^-1 D W) with (X, D)
+    the eigendata of a system, one partner of D off by defect."""
+    e = eig_full(random_system(cls, 3, seed=5))
+    i, j = next((i, j) for i, j in e.pairing if i != j)
+    values = e.values.copy()
+    values[j] = (1 + defect) / cls.star_scalar(values[i])
+    W = random_complex(np.random.default_rng(7), 6, 6)
+    X, T = e.vectors @ W, np.linalg.solve(W, np.diag(values) @ W)
+    return pair_residual(solve_iep_full(X, T, cls, seed=1), (X, T))
+
+
+def _solve_jordan(cls, defect, n):
+    """k = 4: the Jordan T1 with two 2-by-2 blocks at lam and at its
+    partner off by defect."""
+    lam = 0.5 + 0.3j
+    X1 = random_complex(np.random.default_rng(n), n, 4)
+    T1 = jordan_matrix([lam, (1 + defect) / cls.star_scalar(lam)], [2, 2])
+    sol = solve_iep_partial_result(IepProblem(cls, X1, T1, seed=1))
+    return pair_residual(sol.system, (X1, T1))
+
+
+FORMS = [("upper-n6", _solve_upper), ("dense-k2n", _solve_dense),
+         ("jordan-n4", functools.partial(_solve_jordan, n=4)),
+         ("jordan-n6", functools.partial(_solve_jordan, n=6))]
+
+
+@pytest.mark.parametrize("defect", DEFECTS, ids=str)
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+@pytest.mark.parametrize(("form", "solve"), FORMS, ids=[form for form, _ in FORMS])
+def test_every_t1_form_solves_what_the_pairing_accepts(form, solve, cls, defect):
+    # Upper-triangular, dense and Jordan T1 are solved on their Jordan form
+    # with its diagonal snapped: no defect within COINCIDE_RTOL is refused,
+    # and the gate on the caller's own pair holds.
+    assert solve(cls, defect) <= OUTPUT_RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+@pytest.mark.parametrize(("form", "solve"), FORMS, ids=[form for form, _ in FORMS])
+def test_every_t1_form_refuses_defects_beyond_the_pairing_tolerance(form, solve, cls):
+    with pytest.raises(PairingNotClosed):
+        solve(cls, BEYOND)

@@ -9,7 +9,8 @@ imports a name it never uses, only forward decides when two eigenvalues
 coincide, keeps a value list clear of a spectrum, admits new eigenvalues
 and finds given ones (mup builds no error of either), one function
 assembles the spectral sums, one function solves X S X* = C over the
-parameter space, and every float tolerance is defined in the one table of
+parameter space and computes no eigenvalues, one function reads the
+eigenvalues of a prescribed T1, and every float tolerance is defined in the one table of
 numerics, whose one absolute entry is JORDAN_JOIN_ATOL.  Every definition
 is reached from the CLI or a public name, but for a listed few that wait
 for the benchmark to stop naming them."""
@@ -518,6 +519,34 @@ def test_one_solve_of_the_parameter_space(monkeypatch):
                for path in sorted(PACKAGE.glob("*.py"))}
     assert {module: names for module, names in readers.items() if names} == \
         {"paramspace": {"_xsx_solve", "_symmetric_family"}}
+
+
+EIGENSOLVERS = ("dense_eig", "eig", "eigvals", "eigh", "eigvalsh", "schur")
+
+
+def _eigensolves(source):
+    """{solver: functions calling it} for every eigensolver a source calls."""
+    found = {name: _callers(source, name) for name in EIGENSOLVERS}
+    return {name: names for name, names in found.items() if names}
+
+
+def test_t1_eigenvalues_read_in_one_place():
+    # Every construction solves on T1 in Jordan form, which iep._jordan_form
+    # decides with the one dense_eig of a T1 that is neither diagonal nor
+    # Jordan: iep makes no other eigensolve and the parameter space none.
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert _eigensolves(sources["paramspace"]) == {}
+    assert _eigensolves(sources["iep"]) == {"dense_eig": {"_jordan_form"}}
+
+
+def test_eigensolve_check_flags_planted_spellings():
+    # The reads this replaced: a second dense_eig in the space's solve and
+    # the eigvals of IepProblem.
+    planted = ("def _xsx_solve(T):\n    w, V = dense_eig(T)\n    return w\n"
+               "class IepProblem:\n    def __post_init__(self):\n"
+               "        self.t1_values = np.linalg.eigvals(self.T1)\n")
+    assert _eigensolves(planted) == {"dense_eig": {"_xsx_solve"},
+                                     "eigvals": {"IepProblem.__post_init__"}}
 
 
 def test_no_option_without_a_production_caller():
