@@ -164,11 +164,9 @@ def _paired(values, groups, cls):
 
 
 def _coincide(a, b):
-    """Boolean matrix: a_i and b_j coincide, |a_i - b_j| <= COINCIDE_RTOL
-    max(1, |a_i|)."""
+    """Boolean matrix: a_i and b_j coincide, |a_i - b_j| <= COINCIDE_RTOL |a_i|."""
     a, b = np.asarray(a), np.asarray(b)
-    return np.abs(a[:, None] - b[None, :]) <= \
-        COINCIDE_RTOL * np.maximum(1.0, np.abs(a))[:, None]
+    return np.abs(a[:, None] - b[None, :]) <= COINCIDE_RTOL * np.abs(a)[:, None]
 
 
 def _apart(values, rest, where):

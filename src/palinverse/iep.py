@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (RETRY_ATTEMPTS, BadIndices, DefectiveSpectrum, DimensionMismatch,
-                     Infeasible, ResidualTooLarge, SingularW, UnsupportedRegime, retry)
+                     Infeasible, PairingNotClosed, ResidualTooLarge, SingularW,
+                     UnsupportedRegime, retry)
 from .forward import _admit, _apart, _coincide, _group_values, _paired, _unit_parity
 from .numerics import (OUTPUT_RESIDUAL_TOL, RANK_RTOL, SINGULAR_RTOL, as_matrix,
                        dense_eig, solve_right, sv_ratio, unit_columns)
@@ -238,8 +239,9 @@ def solve_iep_partial_result(problem):
 def _construct(cls, pair, form, seed, groups, completion=None):
     """The seeded draws of every construction, from one generator rng, on
     the Jordan form (X1, T1) of the caller's pair, its diagonal snapped by
-    forward._paired and groups (its pairing, found when None); the gate
-    judges pair.  Each draw takes S1 from its parameter space (with
+    forward._paired and groups (its pairing, found when None; PairingNotClosed
+    when rows of one Jordan block take different partners); the gate judges
+    pair.  Each draw takes S1 from its parameter space (with
     X1 S1 X1* = 0 when completion is None) and, for k < 2n, the block
     (X2, T2, S2) of the remaining eigenvalues that completion(S1, rng)
     builds, T2 diagonal; errors.retry draws again when S1 is singular or
@@ -247,8 +249,11 @@ def _construct(cls, pair, form, seed, groups, completion=None):
     singular."""
     rng = np.random.default_rng(seed)
     X1, T1 = form[0], form[1].copy()
-    d = np.diag(T1)
+    d = np.diag(form[1])
     np.fill_diagonal(T1, _paired(d, groups or _group_values(d, cls), cls))
+    split = np.flatnonzero(np.diag(T1, 1) * np.diff(np.diag(T1)))
+    if split.size:
+        raise PairingNotClosed(f"pairing splits T1's Jordan block at eigenvalue {d[split[0]]:.6g}")
     basis = solution_space(T1, cls, X1 if completion is None else None)
 
     def draw(attempt):

@@ -66,7 +66,7 @@ PAIR_RESIDUAL_GATE = 1e-8  # pair_residual under which a given pair is an invari
 OUTPUT_RESIDUAL_TOL = 1e-9  # pair_residual of a built or updated system; an update's transfer
 # Eigenvalue sets.
 PAIRING_TOL = 1e-6  # |lam mu* - 1| within which eig_full pairs two eigenvalues
-COINCIDE_RTOL = 1e-8  # two eigenvalues coincide: |a - b| <= COINCIDE_RTOL max(1, |a|)
+COINCIDE_RTOL = 1e-8  # two eigenvalues coincide: |a - b| <= COINCIDE_RTOL |a|, at any modulus
 SELECTED_MATCH_RTOL = 1e-6  # an update finds a selected eigenvalue among the system's
 MATCH_TOL = 1e-3  # select_pairs and --match-tol find a target among the eigenvalues
 

@@ -3,13 +3,15 @@
 A parameter-type matrix satisfies star(B) = -eps B.  Depending on the class
 that makes B skew-Hermitian, Hermitian, complex skew-symmetric or complex
 symmetric, and the canonical middle factor Delta is respectively a
-(+i/-i) inertia pattern, a (+1/-1) inertia pattern, an aggregated
+(-i/+i) inertia pattern, a (+1/-1) inertia pattern, an aggregated
 [[0, I], [-I, 0]] block, or an identity block, each padded with a trailing
 zero block when B is rank deficient.
 
-The Hermitian cases reduce to a unitary eigendecomposition.  The two
-transpose classes share one reduction of the antilinear map
-A(z) = B conj(z), which leaves each cluster of equal singular values
+The Hermitian classes are one: u B is Hermitian for the unit u of
+_hermitian_unit (i for hp, 1 for ha), each hp canonical object is
+conj(u) = -i times ha's, and both reduce to one unitary eigendecomposition
+of u B.  The two transpose classes share one reduction of the antilinear
+map A(z) = B conj(z), which leaves each cluster of equal singular values
 sigma of B invariant and squares to sigma^2 on it for symmetric B, to
 -sigma^2 for skew-symmetric B.  One step on a unit vector v of a cluster
 takes w = A(v) / sigma and gives a Takagi vector (A(z) = sigma z, a
@@ -35,11 +37,18 @@ from .numerics import (CLUSTER_RTOL, NORM_FLOOR, RANK_RTOL, ROUNDOFF_RTOL,
 from .system import SymmetryClass
 
 
+def _hermitian_unit(cls):
+    """u with u B Hermitian for each parameter-type B of a star = H class: i
+    for hp, 1 for ha (and star = T).  No other code reads eps of an H class."""
+    return 1j if cls.star == "H" and cls.epsilon == 1 else 1
+
+
 def build_delta(cls, p, q, t, size):
     """The canonical Delta matrix of a class.
 
-    Star = H: diag(i I_q, -i I_p, 0) for eps = +1, diag(I_p, -I_q, 0)
-    for eps = -1 (p + q <= size).  Star = T: the aggregated skew block
+    Star = H: conj(u) diag(I_p, -I_q, 0) (p + q <= size), u the unit of
+    _hermitian_unit, so p counts the -i entries of hp and the +1 entries
+    of ha.  Star = T: the aggregated skew block
     diag([[0, I_{t/2}], [-I_{t/2}, 0]], 0) for eps = +1 (t even) and
     diag(I_t, 0) for eps = -1 (t <= size).
     """
@@ -49,12 +58,8 @@ def build_delta(cls, p, q, t, size):
     if cls.star == "H":
         if p < 0 or q < 0 or p + q > size:
             raise BadIndices(f"need p, q >= 0 and p + q <= size, got p={p}, q={q}, size={size}")
-        if cls.epsilon == 1:
-            D[:q, :q] = 1j * np.eye(q)
-            D[q:q + p, q:q + p] = -1j * np.eye(p)
-        else:
-            D[:p, :p] = np.eye(p)
-            D[p:p + q, p:p + q] = -np.eye(q)
+        np.fill_diagonal(D[:p + q, :p + q], _hermitian_unit(cls).conjugate()
+                         * np.repeat([1.0, -1.0], [p, q]))
     else:
         if t < 0 or t > size:
             raise BadIndices(f"need 0 <= t <= size, got t={t}, size={size}")
@@ -210,23 +215,16 @@ def star_factorize(B, cls, rank_tol=None):
     # One decomposition per class; the default rank threshold is read off
     # its spectrum (||Bp||_2 is the largest |eigenvalue| or singular value).
     if cls.star == "H":
-        H = 1j * Bp if cls.epsilon == 1 else Bp
-        w, Z = np.linalg.eigh(H)
+        w, Z = np.linalg.eigh(_hermitian_unit(cls) * Bp)
         if rank_tol is None:
             rank_tol = RANK_RTOL * (np.abs(w).max() if n else 0.0)
-        # eigh sorts ascending: negatives lead most negative first, positives
-        # are reordered largest first.
-        neg = np.flatnonzero(w < -rank_tol)
-        pos = np.flatnonzero(w > rank_tol)
-        pos = pos[np.argsort(-w[pos], kind="stable")]
-        zer = np.flatnonzero(np.abs(w) <= rank_tol)
+        # eigh of the Hermitian u Bp sorts ascending: Y takes the positives
+        # largest first, then the negatives most negative first, then the kernel.
+        pos, neg = np.flatnonzero(w > rank_tol), np.flatnonzero(w < -rank_tol)
+        order = np.concatenate((pos[np.argsort(-w[pos], kind="stable")], neg,
+                                np.flatnonzero(np.abs(w) <= rank_tol)))
         p, q = len(pos), len(neg)
-        # eps=+1: Delta = diag(i I_q, -i I_p, 0) -> negative eigenvalues lead.
-        order = np.concatenate((neg, pos, zer) if cls.epsilon == 1
-                               else (pos, neg, zer))
-        scale = np.ones(n)
-        scale[:p + q] = np.sqrt(np.abs(w[order][:p + q]))
-        Y = Z[:, order] * scale
+        Y = Z[:, order] * np.sqrt(np.where(np.arange(n) < p + q, np.abs(w[order]), 1.0))
         pattern = DeltaPattern(cls, n, p=p, q=q)
     else:
         u, s, vh = np.linalg.svd(Bp)
@@ -268,10 +266,11 @@ def _isometry(form, cls, rng):
     star(form) = -eps form.  K = M form^{-1} with M = eps star(M) then lies
     in the Lie algebra of the form (K form + form star(K) = 0), and its
     Cayley transform W = (I - K)^{-1} (I + K) is an isometry; scaling to
-    ||K||_F = 1/2 keeps I - K well conditioned (cond <= 3).
+    ||K||_F = 1/2 keeps I - K well conditioned (cond <= 3).  M is built from
+    conj(u) times the draw, so an hp form, conj(u) times ha's, draws ha's W.
     """
     r = form.shape[0]
-    A = _random_complex(rng, r, r)
+    A = _hermitian_unit(cls).conjugate() * _random_complex(rng, r, r)
     K = (A + cls.epsilon * cls.star_of(A)) @ form.conj().T
     size = fnorm(K)
     if size > 0.0:  # K vanishes only for a 1x1 skew-symmetric M
@@ -342,7 +341,7 @@ def _congruence_onto(target, form, cls, rng=None):
     if cls.star == "H":
         tvals, fvals = np.diag(target), np.diag(form)
         spare = []
-        for value in ((1.0j, -1.0j) if cls.epsilon == 1 else (1.0, -1.0)):
+        for value in _hermitian_unit(cls).conjugate() * np.array([1.0, -1.0]):
             tgt = np.flatnonzero(tvals == value)
             src = np.flatnonzero(fvals == value)
             if len(src) < len(tgt):
@@ -392,17 +391,15 @@ def _congruence_onto(target, form, cls, rng=None):
 # The parameter block of new eigenvalues, in closed form
 # ---------------------------------------------------------------------------
 
-# Per class (star, eps): a unitary 2x2 factor y of a reciprocal-pair block,
-# y diag(f) y* = [[0, 1], [-eps, 0]] for the pair's two canonical entries f,
-# (+i, -i) for star = H, eps = +1 and (+1, -1) for eps = -1.  For star = T the
-# pair's canonical block is [[0, 1], [-1, 0]] (eps = +1) or the identity
-# (eps = -1).
+# A unitary 2x2 factor y of a reciprocal-pair block, y diag(f) y* =
+# [[0, c], [-eps star(c), 0]] with c = conj(u), for the pair's two canonical
+# entries f: c (1, -1) for both star = H classes, [[0, 1], [-1, 0]] for tp
+# and the identity for ta.
 _SQRT_HALF = np.sqrt(0.5)
 _PAIR_FACTOR = {
-    ("H", 1): _SQRT_HALF * np.array([[1, 1], [1j, -1j]]),
-    ("H", -1): _SQRT_HALF * np.array([[1, 1], [1, -1]]),
-    ("T", 1): np.eye(2, dtype=np.complex128),
-    ("T", -1): _SQRT_HALF * np.array([[1, 1j], [1, -1j]]),
+    "H": _SQRT_HALF * np.array([[1, 1], [1, -1]]),
+    "tp": np.eye(2, dtype=np.complex128),
+    "ta": _SQRT_HALF * np.array([[1, 1j], [1, -1j]]),
 }
 
 
@@ -411,17 +408,17 @@ def _closed_form_block(cls, values, groups, p, q):
     congruence factorization S = G F star(G), G unitary.
 
     groups is the reciprocal pairing of values that forward._group_values
-    gives, by index.  S is 1 and -eps on each pair (i, j), i < j, and a unit
-    on each unimodular value; tp has no unit for a +-1 value, so equal +-1
-    values pair instead.  F = build_delta(cls, p, q, t=len(values)), and G
-    is y of _PAIR_FACTOR on a pair's slots and 1 on a unimodular value's.
-    For star = H the first p - len(pairs) unimodular values carry the sign
-    that p counts (-i for eps = +1, +1 for eps = -1) and the others q's; for
-    star = T, p = q = 0.  Raises BadIndices when the counts cannot carry
-    (p, q), or the tp +-1 values cannot pair.
+    gives, by index.  S is conj(u) and -eps star(conj(u)) = -eps u on each
+    pair (i, j), i < j, u of _hermitian_unit, and a unit on each unimodular
+    value; tp has no unit for a +-1 value, so equal +-1 values pair instead.
+    F = build_delta(cls, p, q, t=len(values)), and G is y of _PAIR_FACTOR on
+    a pair's slots and 1 on a unimodular value's.  For star = H the first
+    p - len(pairs) unimodular values carry conj(u), which p counts, and the
+    others -conj(u); for star = T, p = q = 0.  Raises BadIndices when the
+    counts cannot carry (p, q), or the tp +-1 values cannot pair.
     """
     pairs, singles = groups
-    r, eps = len(values), cls.epsilon
+    r, eps, unit = len(values), cls.epsilon, _hermitian_unit(cls)
     if cls.star == "H" and (min(p, q) < len(pairs) or p + q != r):
         raise BadIndices(f"{len(pairs)} pairs and {len(singles)} unimodular values "
                          f"cannot carry the inertia ({p}, {q})")
@@ -432,17 +429,17 @@ def _closed_form_block(cls, values, groups, p, q):
         ones = [singles[i] for i in np.argsort(signs, kind="stable")]
         pairs, singles = list(pairs) + list(zip(ones[0::2], ones[1::2])), []
     # The column of F for each slot, pairs' slots first.  Apart from ta's
-    # identity, F leads with the first slots of the pairs (+i, +1, or the
+    # identity, F leads with the first slots of the pairs (conj(u) or the
     # first half of the skew form) and the unimodular values of that sign.
     key = np.zeros(r) if cls.star == "T" and eps == -1 else np.concatenate(
-        [np.tile([0, 1], len(pairs)), (np.arange(len(singles)) < p - len(pairs)) == (eps == 1)])
+        [np.tile([0, 1], len(pairs)), np.arange(len(singles)) >= p - len(pairs)])
     slot = np.empty(r, dtype=int)
     slot[np.argsort(key, kind="stable")] = np.arange(r)
     F = build_delta(cls, p, q, r, r)
     rows, cols = np.array(pairs, dtype=int).reshape(-1, 2), slot[:2 * len(pairs)].reshape(-1, 2)
     S, G = np.zeros((2, r, r), dtype=np.complex128)
-    S[rows[:, 0], rows[:, 1]], S[rows[:, 1], rows[:, 0]] = 1.0, -eps
+    S[rows[:, 0], rows[:, 1]], S[rows[:, 1], rows[:, 0]] = unit.conjugate(), -eps * unit
     S[singles, singles] = np.diagonal(F)[slot[2 * len(pairs):]]
-    G[rows[:, :, None], cols[:, None, :]] = _PAIR_FACTOR[(cls.star, eps)]
+    G[rows[:, :, None], cols[:, None, :]] = _PAIR_FACTOR[cls.code if cls.star == "T" else "H"]
     G[singles, slot[2 * len(pairs):]] = 1.0
     return S, G, F

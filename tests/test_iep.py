@@ -18,6 +18,7 @@ from palinverse.structfact import _closed_form_block, build_delta, star_factoriz
 from palinverse.system import (ALL_CLASSES, HA, HP, TA, TP, PalindromicSystem,
                                pair_residual)
 from reference_problems import iep_fixture
+from strategies import draw_pairing
 
 
 def test_full_iep_scalar():
@@ -655,9 +656,10 @@ def _t2hat_case(cls, n_pairs, signs):
 
 def _check_closed_form_block(cls, values, p, q):
     """The closed-form block of values, paired by forward, with the inertia
-    (p, q): an exact member of the parameter space of diag(values), 1 and
-    -eps on each pair and a unit on each unimodular value, and S = G F G*
-    with G unitary and F canonical."""
+    (p, q): an exact member of the parameter space of diag(values), conj(u)
+    and -eps star(conj(u)) on each pair (u = i for hp, 1 otherwise) and a
+    unit on each unimodular value, and S = G F G* with G unitary and F
+    canonical."""
     star, eps, r = cls.star_of, cls.epsilon, len(values)
     groups = _group_values(values, cls)
     S, G, F = _closed_form_block(cls, values, groups, p, q)
@@ -666,8 +668,9 @@ def _check_closed_form_block(cls, values, p, q):
     assert np.array_equal(star(S), -eps * S)
     D = np.diag(np.array(values, dtype=complex))
     assert fnorm(D @ S @ star(D) - S) <= 1e-13 * max(r, 1)
+    c = -1j if cls == HP else 1
     for i, j in groups[0]:
-        assert (S[i, j], S[j, i]) == (1, -eps)
+        assert (S[i, j], S[j, i]) == (c, -eps * cls.star_scalar(c))
     assert np.count_nonzero(S) == r and np.all(np.abs(S[S != 0]) == 1)
     assert np.array_equal(F, build_delta(cls, p, q, r, r))
     pattern = star_factorize(S, cls).pattern
@@ -704,37 +707,11 @@ def test_build_t2hat_closed_form(cls, n_pairs, signs):
             _closed_form_block(cls, values, _group_values(values, cls), 0, 0)
 
 
-_UNIT_ANGLES = st.sampled_from([0.3, 1.1, 2.0, 4.0])
-
-
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_closed_form_block_over_random_pairings(data):
-    # Pairs and unimodular values in any order, some coincident, with
-    # either sign for each unimodular value of the H classes.
     cls = data.draw(st.sampled_from(ALL_CLASSES), label="cls")
-    pairs = data.draw(st.lists(st.tuples(st.floats(0.2, 0.9), st.floats(0.0, 6.0)),
-                               max_size=3), label="pairs")
-    values = [v for m, a in pairs for v in
-              (m * np.exp(1j * a), 1 / cls.star_scalar(m * np.exp(1j * a)))]
-    values *= data.draw(st.integers(1, 2), label="copies")
-    if cls.star == "H":
-        values += [np.exp(1j * a) for a in
-                   data.draw(st.lists(_UNIT_ANGLES, max_size=4), label="units")]
-    else:
-        # tp: +-1 in equal pairs; ta: any count.
-        step = 2 if cls.epsilon == 1 else 1
-        plus, minus = (step * data.draw(st.integers(0, 2), label=f"{sign}1")
-                       for sign in "+-")
-        values += [1.0] * plus + [-1.0] * minus
-    values = [values[i] for i in data.draw(st.permutations(range(len(values))),
-                                           label="order")]
-    n_pairs, n_units = (len(group) for group in _group_values(values, cls))
-    p = q = 0
-    if cls.star == "H":
-        plus = data.draw(st.integers(0, n_units), label="positive units")
-        p, q = n_pairs + plus, n_pairs + n_units - plus
-    _check_closed_form_block(cls, values, p, q)
+    _check_closed_form_block(cls, *draw_pairing(data, cls))
 
 
 def _prescribed_pairs(cls, n, k, seed):
@@ -952,10 +929,10 @@ def _remaining_or_overlap(cls, count, n_pos, n_neg, order, t1, seed):
 
 
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
-@pytest.mark.parametrize("tol", [1e-8, 2e-2])
+@pytest.mark.parametrize("tol", [1e-8, 5e-2])
 def test_default_remaining_keeps_values_clear(cls, tol, monkeypatch):
-    # Every returned value z lies outside tol max(1, |z|) of T1's values,
-    # the forward._apart rule, and each pair is exact.  The wide tolerance
+    # Every returned value z lies outside tol |z| of T1's values, the
+    # forward._apart rule, and each pair is exact.  The wide tolerance
     # makes a few batches clash, and a clashing batch raises SpectraOverlap:
     # one batch per draw.
     from palinverse import forward
@@ -982,7 +959,7 @@ def _assert_clear(cls, t1, pairs, tol):
     for mu, nu in pairs:
         assert pair_defect(cls, mu, nu) <= 1e-12
         for z in (mu, nu):
-            assert all(abs(z - a) > tol * max(1.0, abs(z)) for a in t1)
+            assert all(abs(z - a) > tol * abs(z) for a in t1)
 
 
 def _first_batch(rng, n_pair, n_single):
@@ -1040,11 +1017,11 @@ def test_default_remaining_clears_prescribed_values(monkeypatch):
     # wide) raises SpectraOverlap, and every batch returned stays clear.
     from palinverse import forward
 
-    monkeypatch.setattr(forward, "COINCIDE_RTOL", 1e-1)
+    monkeypatch.setattr(forward, "COINCIDE_RTOL", 2e-1)
     mus = (0.3 + 0.05 * np.arange(8)) * np.exp(0.8j * np.arange(8))
     t1 = np.concatenate([mus, 1 / mus])
     batches = [_remaining_or_overlap(TP, 2, 0, 0, 9, t1, seed) for seed in range(20)]
     assert None in batches
     for batch in batches:
         if batch is not None:
-            _assert_clear(TP, t1, batch[0], 1e-1)
+            _assert_clear(TP, t1, batch[0], 2e-1)

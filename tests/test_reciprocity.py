@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from helpers import jordan_matrix, pair_defect, random_complex, random_system
-from palinverse.errors import PairingNotClosed, RetryExhausted
-from palinverse.forward import _group_values, _paired, eig_full, select_pairs
+from palinverse.errors import PairingNotClosed, RetryExhausted, SpectraOverlap
+from palinverse.forward import _admit, _group_values, _paired, eig_full, select_pairs
 from palinverse.iep import IepProblem, solve_iep_full, solve_iep_partial_result
 from palinverse.mup import MupProblem, update_model_result
 from palinverse.numerics import COINCIDE_RTOL, OUTPUT_RESIDUAL_TOL
@@ -181,3 +181,33 @@ def test_every_t1_form_solves_what_the_pairing_accepts(form, solve, cls, defect)
 def test_every_t1_form_refuses_defects_beyond_the_pairing_tolerance(form, solve, cls):
     with pytest.raises(PairingNotClosed):
         solve(cls, BEYOND)
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_a_jordan_block_the_pairing_splits_is_refused(cls):
+    # T1's 2-by-2 block at p has two partners within COINCIDE_RTOL, a and
+    # a (1 + 3e-9): the pairing matches each row of the block with one of
+    # them, so snapping would split the block.
+    p = 0.5 + 0.3j
+    a = 1 / cls.star_scalar(p)
+    T1 = jordan_matrix([a, a * (1 + 3e-9), p], [1, 1, 2])
+    X1 = random_complex(np.random.default_rng(3), 6, 4)
+    with pytest.raises(PairingNotClosed,
+                       match=r"^pairing splits T1's Jordan block at eigenvalue 0\.5\+0\.3j$"):
+        solve_iep_partial_result(IepProblem(cls, X1, T1, seed=1))
+
+
+@pytest.mark.parametrize("modulus", [1e-5, 1e5], ids=["1e-5", "1e5"])
+def test_coincidence_is_relative_at_every_modulus(modulus):
+    # lam -> 1/star(lam) maps one modulus onto the other, so the rule is
+    # relative at both: a pair 5e-4 from another, relative to its size, is
+    # clear of it, and a pair 1e-9 from it coincides.
+    a = modulus * np.exp(0.3j)
+
+    def admit(b):
+        return _admit(HP, 4, np.array([b, 1 / np.conj(b)]), np.array([a, 1 / np.conj(a)]),
+                      "the rest")
+
+    assert admit(1.0005 * a) == ([(0, 1)], [])
+    with pytest.raises(SpectraOverlap, match="collides with the rest"):
+        admit(a * (1 + 1e-9))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -5,9 +7,12 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import inertia, random_complex, random_structured, random_unitary
 from palinverse import structfact
 from palinverse.errors import BadIndices, FactorizationFailure, SymmetryViolation
+from palinverse.forward import _group_values
 from palinverse.numerics import fnorm
-from palinverse.structfact import build_delta, star_factorize
+from palinverse.structfact import (_closed_form_block, _congruence_onto, build_delta,
+                                   star_factorize)
 from palinverse.system import ALL_CLASSES, HA, HP, TA, TP
+from strategies import draw_pairing
 
 
 def test_inertia_diagonal():
@@ -28,7 +33,7 @@ def test_inertia_rejects_non_hermitian():
 
 
 def test_build_delta_examples():
-    assert np.allclose(build_delta(HP, p=1, q=1, t=0, size=2), np.diag([1j, -1j]))
+    assert np.allclose(build_delta(HP, p=1, q=1, t=0, size=2), np.diag([-1j, 1j]))
     assert np.allclose(build_delta(TP, p=0, q=0, t=2, size=2),
                        [[0.0, 1.0], [-1.0, 0.0]])
     assert np.allclose(build_delta(TA, p=0, q=0, t=1, size=3),
@@ -325,3 +330,61 @@ def test_nearly_equal_values_factorize_to_relative_roundoff(cls):
                         values = scale * np.append(1 - spread * steps, 0.5)
                         worst = max(worst, rel_error(_cluster_input(cls, rng, values, kernel)))
     assert worst <= 1e-10
+
+
+# hp and ha are one problem: (A1, A0) -> (i A1, -i A0) maps one onto the
+# other with the same eigenpairs and S -> i S.  Every hp canonical object
+# is -i times ha's, bit for bit, as multiplying by +-i is exact.
+
+def test_hp_delta_is_minus_i_times_ha():
+    for size in range(5):
+        for p in range(size + 1):
+            for q in range(size - p + 1):
+                assert np.array_equal(build_delta(HP, p, q, 0, size),
+                                      -1j * build_delta(HA, p, q, 0, size))
+
+
+def test_hp_factorization_is_ha_of_i_times_b():
+    rng = np.random.default_rng(4)
+    inputs = [random_structured(rng, HP, n) for n in (1, 2, 3, 6, 11, 30)]
+    Y0 = random_complex(rng, 7, 4)
+    inputs += [Y0 @ build_delta(HP, 2, 2, 0, 4) @ Y0.conj().T, Y0 @ Y0.conj().T * 1j,
+               np.zeros((3, 3)), 1j * np.eye(2)]
+    for B in inputs:
+        hp, ha = star_factorize(B, HP), star_factorize(1j * B, HA)
+        assert np.array_equal(hp.Y, ha.Y)
+        assert (hp.pattern.p, hp.pattern.q) == (ha.pattern.p, ha.pattern.q)
+
+
+def _congruence_or_none(target, form, cls, seed):
+    rng = None if seed is None else np.random.default_rng(seed)
+    try:
+        return _congruence_onto(target, form, cls, rng)
+    except BadIndices:
+        return None
+
+
+@pytest.mark.parametrize("n,r", [(6, 3), (5, 5), (3, 8)])
+def test_hp_congruence_is_ha_on_minus_i_times_the_forms(n, r):
+    # Every target inertia and sign against every form inertia, with no
+    # isometry and with one drawn from a fresh generator on each side.
+    for f_plus, t_plus, sign, seed in itertools.product(
+            range(r + 1), range(n + 1), (1, -1), (None, 0, 7)):
+        form = build_delta(HA, f_plus, r - f_plus, 0, r)
+        for t_minus in range(n - t_plus + 1):
+            target = sign * build_delta(HA, t_plus, t_minus, 0, n)
+            ha = _congruence_or_none(target, form, HA, seed)
+            hp = _congruence_or_none(-1j * target, -1j * form, HP, seed)
+            assert (ha is None) == (hp is None)
+            assert ha is None or np.array_equal(hp, ha)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_hp_closed_form_block_is_minus_i_times_ha(data):
+    # The pairings of test_closed_form_block_over_random_pairings, for star = H.
+    values, p, q = draw_pairing(data, HA)
+    S, G, F = _closed_form_block(HA, values, _group_values(values, HA), p, q)
+    hp = _closed_form_block(HP, values, _group_values(values, HP), p, q)
+    for got, want in zip(hp, (-1j * S, G, -1j * F)):
+        assert np.array_equal(got, want)

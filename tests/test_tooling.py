@@ -434,6 +434,87 @@ def test_one_closed_form_block_of_new_eigenvalues():
     assert _callers(planted, "h") == {"f.g"}
 
 
+def _hermitian_eps_tests(source):
+    """The functions holding a comparison of eps (or epsilon) that is
+    reached only for star = H, or is joined by `and` with a test that star
+    is H: in the body of `if star == 'H'` (or `!= 'T'`), or the else of
+    `if star == 'T'` (or `!= 'H'`)."""
+    def star_test(node):
+        text = ast.unparse(node)
+        if re.fullmatch(r"(\w+\.)?star (==|!=) '[HT]'", text):
+            return ("==" in text) == text.endswith("'H'")
+        if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And) \
+                and any(star_test(value) for value in node.values):
+            return True
+        return None
+
+    def reads_eps(node):
+        return any(isinstance(n, ast.Name) and n.id in ("eps", "epsilon")
+                   or isinstance(n, ast.Attribute) and n.attr == "epsilon"
+                   for n in ast.walk(node))
+
+    found = set()
+
+    def visit(node, prefix, hermitian):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            prefix, hermitian = f"{prefix}{node.name}.", False
+        elif isinstance(node, ast.Compare) and hermitian and reads_eps(node):
+            found.add(prefix[:-1])
+        if isinstance(node, (ast.If, ast.IfExp)):
+            side = star_test(node.test)
+            visit(node.test, prefix, hermitian)
+            for branch, under in ((node.body, side is True), (node.orelse, side is False)):
+                for child in branch if isinstance(branch, list) else [branch]:
+                    visit(child, prefix, hermitian or under)
+            return
+        joined = isinstance(node, ast.BoolOp) and star_test(node) is True
+        for child in ast.iter_child_nodes(node):
+            visit(child, prefix, hermitian or joined)
+
+    visit(ast.parse(source), "", False)
+    return found
+
+
+def test_hermitian_unit_alone_reads_eps_of_an_h_class():
+    # hp and ha are one problem: every hp canonical object is conj(u) times
+    # ha's, and the unit u of _hermitian_unit is the one read of eps that
+    # tells the star = H classes apart.  A test of eps under star = T (the
+    # else of an H branch) is no such read.
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    found = {module: _hermitian_eps_tests(source) for module, source in sources.items()}
+    assert {module: names for module, names in found.items() if names} == \
+        {"structfact": {"_hermitian_unit"}}
+
+
+def test_hermitian_eps_check_flags_planted_spellings():
+    # The spellings this replaced: build_delta's two H patterns and
+    # star_factorize's 1j * Bp, each beside a test of eps that only a
+    # star = T class reaches, which is no read of an H class.
+    planted = ("def build_delta(cls, p, q, t, size):\n"
+               "    if cls.star == 'H':\n"
+               "        if cls.epsilon == 1:\n"
+               "            D[:q, :q] = 1j * np.eye(q)\n"
+               "        else:\n"
+               "            D[:p, :p] = np.eye(p)\n"
+               "    elif cls.epsilon == 1:\n"
+               "        D[:t, :t] = np.eye(t)\n"
+               "def star_factorize(B, cls):\n"
+               "    if cls.star == 'T' and cls.epsilon == 1:\n"
+               "        return B\n"
+               "    return 1j * B if cls.star == 'H' and cls.epsilon == 1 else B\n")
+    assert _hermitian_eps_tests(planted) == {"build_delta", "star_factorize"}
+    unit = ("def build_delta(cls, p, q, t, size):\n"
+            "    if cls.star == 'H':\n"
+            "        D[:p, :p] = _hermitian_unit(cls).conjugate() * np.eye(p)\n"
+            "    elif cls.epsilon == 1:\n"
+            "        D[:t, :t] = np.eye(t)\n"
+            "def star_factorize(B, cls):\n"
+            "    if cls.star != 'H' and cls.epsilon == 1:\n"
+            "        return B\n"
+            "    return _hermitian_unit(cls) * B\n")
+    assert _hermitian_eps_tests(unit) == set()
+
+
 def test_one_reduction_for_the_transpose_classes():
     # Takagi (ta) and Youla (tp) factorizations are one reduction of
     # z -> B conj(z): it alone reads the cluster tolerance (numerics defines
