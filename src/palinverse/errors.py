@@ -4,6 +4,7 @@ Every domain failure derives from PalinverseError so callers (and the CLI)
 can distinguish "the problem has no solution / bad input" from genuine bugs.
 """
 
+import operator
 from collections import Counter
 
 
@@ -144,3 +145,16 @@ def retry(attempts, draw, what):
     if set(reasons) == {SingularMatrix.__name__}:
         raise NoSolution(f"every parameter matrix drawn was singular: {error}") from error
     raise error
+
+
+def seed_index(seed):
+    """seed as the int an operation's one generator starts from; ValueError
+    for a negative seed or one operator.index refuses (1.5, 2.0, "3",
+    None), which numpy would refuse only at the first draw, untyped."""
+    try:
+        index = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}") from None
+    if index < 0:
+        raise ValueError(f"seed must be >= 0, got {index}")
+    return index

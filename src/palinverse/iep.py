@@ -24,14 +24,13 @@ import numpy as np
 
 from .errors import (RETRY_ATTEMPTS, BadIndices, DefectiveSpectrum, DimensionMismatch,
                      Infeasible, PairingNotClosed, ResidualTooLarge, SingularW,
-                     UnsupportedRegime, retry)
+                     UnsupportedRegime, retry, seed_index)
 from .forward import _admit, _apart, _coincide, _group_values, _paired, _unit_parity
 from .numerics import (OUTPUT_RESIDUAL_TOL, RANK_RTOL, SINGULAR_RTOL, as_matrix,
                        dense_eig, solve_right, sv_ratio, unit_columns)
 from .paramspace import _jordan_blocks, sample_nonsingular, solution_space
 from .spectral import _coefficients_from_blocks
-from .structfact import (_closed_form_block, _congruence_onto, _isotropy_factor,
-                         star_factorize)
+from .structfact import _closed_form_block, _congruence_onto, _inertia, _isotropy_factor
 from .system import pair_residual
 
 
@@ -134,8 +133,7 @@ class IepProblem:
     t1_groups: tuple = field(init=False, repr=False)  # pairing of t1_values, by index
 
     def __post_init__(self):
-        if self.seed < 0:  # numpy would refuse it only at the first draw
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        self.seed = seed_index(self.seed)
         self.X1, self.T1 = as_matrix(self.X1, "X1"), as_matrix(self.T1, "T1")
         k = self.T1.shape[0]
         if self.T1.shape != (k, k) or self.X1.shape[1] != k:
@@ -185,9 +183,9 @@ def solve_iep_partial_result(problem):
     the transpose classes (for k = 2n too); a given remaining list is
     admitted by forward._admit, the rule an update's replacement values
     pass too.  For star = H any pairing-closed remaining list of length
-    2n - k has consistent inertia counts: some inertia of S1, read off
-    its star factorization, admits a sign split, and a draw that misses
-    it is retried."""
+    2n - k has consistent inertia counts: some inertia of S1, its sign
+    count (structfact._inertia), admits a sign split, and a draw that
+    misses it is retried."""
     cls = problem.cls
     n, k = problem.n, problem.k
     r = 2 * n - k
@@ -208,15 +206,14 @@ def solve_iep_partial_result(problem):
         given = _paired(vals, groups, cls), groups
 
     def completion(S1, rng):
-        p = q = 0
-        if cls.star == "H":
-            # S = diag(S1, S2) has inertia (n, n).  BadIndices, retried, when
-            # the inertia of S1 (nonsingular: it cleared the sampler) exceeds n.
-            pattern = star_factorize(S1, cls, rank_tol=0.0).pattern
-            p, q = n - pattern.p, n - pattern.q
-            if min(p, q) < 0:
-                raise BadIndices(f"S1 of inertia ({pattern.p}, {pattern.q}) leaves "
-                                 f"no inertia of size {r} for the remaining block")
+        # For star = H, S = diag(S1, S2) has inertia (n, n).  BadIndices,
+        # retried, when the inertia of S1 (nonsingular: it cleared the
+        # sampler) exceeds n.  For star = T, p = q = 0.
+        inertia = _inertia(S1, cls)
+        p, q = (n - inertia[0], n - inertia[1]) if cls.star == "H" else inertia
+        if min(p, q) < 0:
+            raise BadIndices(f"S1 of inertia {inertia} leaves "
+                             f"no inertia of size {r} for the remaining block")
         fact = _isotropy_factor(problem.form[0], S1, cls)
         values, groups = given if given is not None else _default_remaining(
             cls, r, p, q, n, problem.t1_values, rng)

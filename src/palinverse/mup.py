@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (RETRY_ATTEMPTS, BadIndices, DefectiveSpectrum, DimensionMismatch,
-                     Infeasible, ResidualTooLarge, XiSingular, retry)
+                     Infeasible, ResidualTooLarge, XiSingular, retry, seed_index)
 from .forward import _admit, _apart, _coincide, _group_values, _nearest, _paired, eigenvalues
 from .numerics import (DIAGONAL_RTOL, NORM_FLOOR, OUTPUT_RESIDUAL_TOL,
                        PAIR_RESIDUAL_GATE, SELECTED_MATCH_RTOL, SINGULAR_RTOL,
@@ -28,8 +28,8 @@ from .numerics import (DIAGONAL_RTOL, NORM_FLOOR, OUTPUT_RESIDUAL_TOL,
                        range_coordinates, rank_factorize, sv_ratio, unit_columns)
 from .paramspace import constrained_family, sample_nonsingular
 from .spectral import _spectral_sums, compute_S1
-from .structfact import (_closed_form_block, _congruence_onto, _isotropy_factor,
-                         _snap_isotropy, star_factorize)
+from .structfact import (_closed_form_block, _congruence_onto, _inertia, _isotropy_factor,
+                         _snap_isotropy)
 from .system import PalindromicSystem, _recorded, assembled_system, pair_residual
 
 
@@ -64,8 +64,7 @@ class MupProblem:
     new_groups: tuple = field(init=False, repr=False)  # pairing of T1_new, by index
 
     def __post_init__(self):
-        if self.seed < 0:  # numpy would refuse it only at the first draw
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        self.seed = seed_index(self.seed)
         self.X1 = as_matrix(self.X1, "X1")
         self.T1 = _check_diagonal(self.T1, "T1")
         self.X1 = unit_columns(self.X1, self.T1)
@@ -219,10 +218,7 @@ def update_model_result(problem):
         # S1, which passed compute_S1's gate: every eigenvalue sign counts.
         # Each pair of T1_new gives S1_new one slot of each sign, each
         # unimodular value one slot of either sign (p = q = 0 for star = T).
-        p = q = 0
-        if cls.star == "H":
-            inertia = star_factorize(S1, cls, rank_tol=0.0).pattern
-            p, q = inertia.p, inertia.q
+        p, q = _inertia(S1, cls)
         try:
             S1t, G, F = _closed_form_block(cls, np.diag(T1t), problem.new_groups, p, q)
         except BadIndices as exc:

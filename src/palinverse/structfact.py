@@ -24,7 +24,8 @@ of the factorization.
 _isotropy_factor factorizes the deficit X1 S1 X1* of a thin X1 at order
 min(n, k), and _congruence_onto maps one canonical pattern onto another
 (Psi form Psi* = target, optionally through a random isometry of the
-form); construction (iep) and updating (mup) share both.
+form); construction (iep) and updating (mup) share both, and read the
+inertia of S1 from one sign count, _inertia.
 """
 
 from dataclasses import dataclass, replace
@@ -248,6 +249,18 @@ def star_factorize(B, cls, rank_tol=None):
         raise FactorizationFailure(
             f"reconstruction residual {err:.3e} exceeds tolerance for ||B|| = {nrm:.3e}")
     return fact
+
+
+def _inertia(B, cls):
+    """(p, q), the counts of positive and negative eigenvalues of the
+    Hermitian u B (u of _hermitian_unit) for a parameter-type B of a
+    star = H class, which the p and q of star_factorize(B, cls).pattern
+    count; (0, 0) for star = T.  Every sign counts, with no rank band: the
+    callers' B cleared a nonsingularity gate."""
+    if cls.star != "H":
+        return 0, 0
+    w = np.linalg.eigvalsh(_hermitian_unit(cls) * B)
+    return int(np.count_nonzero(w > 0)), int(np.count_nonzero(w < 0))
 
 
 # ---------------------------------------------------------------------------

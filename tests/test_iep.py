@@ -883,6 +883,33 @@ def test_iep_partial_more_pairs_than_order_is_unsupported(cls, n, k):
         solve_iep_partial_result(IepProblem(cls, X1, T1, seed=3))
 
 
+@pytest.mark.parametrize("cls", [HP, HA], ids=lambda c: c.code)
+def test_iep_partial_redraws_an_s1_of_too_much_inertia(cls, monkeypatch):
+    # k = 3 unimodular values at n = 2: S = diag(S1, S2) has inertia (2, 2),
+    # so an S1 with 3 eigenvalues of one sign leaves the remaining block no
+    # inertia, and the completion misses before it factorizes the deficit.
+    # Seeds 1 and 5 draw such an S1 first (5 twice) and draw again; every
+    # seed then meets the rank condition of k > n.
+    from helpers import inertia
+    from palinverse import iep
+
+    X1 = random_complex(np.random.default_rng(4), 2, 3)
+    T1 = np.diag(np.exp(1j * np.array([0.4, 1.3, 2.2])))
+    sample, factor = iep.sample_nonsingular, iep._isotropy_factor
+    unit = 1j if cls.epsilon == 1 else 1  # unit S1 is Hermitian
+    for seed in range(8):
+        drawn, factored = [], []
+        monkeypatch.setattr(iep, "sample_nonsingular",
+                            lambda *args: drawn.append(sample(*args)) or drawn[-1])
+        monkeypatch.setattr(iep, "_isotropy_factor",
+                            lambda *args: factored.append(args) or factor(*args))
+        with pytest.raises(UnsupportedRegime, match=r"rank\(X1 S1 X1\*\) <= 2n - k = 1 "):
+            solve_iep_partial_result(IepProblem(cls, X1, T1, seed=seed))
+        assert (len(drawn), len(factored)) == ({1: 2, 5: 3}.get(seed, 1), 1), seed
+        signs = [sorted(inertia(unit * S1)[:2]) for S1, _ in drawn]
+        assert signs == [[0, 3]] * (len(drawn) - 1) + [[1, 2]], seed
+
+
 def test_iep_partial_reads_t1_eigenvalues_once(monkeypatch):
     # A construction reads the eigenvalues of T1 in iep._jordan_form alone:
     # off the diagonal of a diagonal or Jordan T1 with no eigensolve, and by

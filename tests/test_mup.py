@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from helpers import (closed_selection, count_eigensolves, dense_update_change,
+from helpers import (closed_selection, count_eigensolves, dense_update_change, inertia,
                      log_decompositions, off_circle_pair, parameter_from_pair,
                      random_complex, random_system, replacement_values, residual_scale,
                      separated_spectrum)
@@ -264,6 +264,35 @@ def test_problem_refuses_a_negative_seed():
         MupProblem(sys, X1, T1, np.diag(new), seed=-1)
 
 
+def _problem(kind, seed):
+    """An IepProblem or a MupProblem of the reference fixtures, with seed."""
+    from palinverse.iep import IepProblem
+    from reference_problems import iep_fixture
+
+    if kind == "iep":
+        return IepProblem(TP, *iep_fixture(TP), seed=seed)
+    sys, replace, new = update_fixture("ta")
+    X1, T1, _, _ = select_pairs(eig_full(sys), replace)
+    return MupProblem(sys, X1, T1, np.diag(new), seed=seed)
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, np.float64(2.0), "3", None],
+                         ids=["1.5", "2.0", "float64", "str", "None"])
+@pytest.mark.parametrize("kind", ["iep", "mup"])
+def test_problem_refuses_a_seed_that_is_no_integer(kind, seed):
+    # A seed is an integer >= 0 (README): any value operator.index refuses
+    # is refused up front with ValueError, as a negative seed is, not by
+    # numpy at the first draw or by a failed comparison.
+    with pytest.raises(ValueError, match=r"seed must be an integer >= 0, got "):
+        _problem(kind, seed)
+
+
+@pytest.mark.parametrize("kind", ["iep", "mup"])
+def test_problem_takes_a_numpy_integer_seed(kind):
+    problem = _problem(kind, np.int64(2))
+    assert problem.seed == 2 and type(problem.seed) is int
+
+
 def test_problem_validation_residual_gate():
     sys, replace, new = update_fixture("ta")
     rng = np.random.default_rng(16)
@@ -499,12 +528,12 @@ def test_free_update_beyond_the_sign_characteristic_is_infeasible(cls, monkeypat
     # off-circle pair gives S1_new one slot of each sign, so it cannot
     # carry them, and the update is refused before the first draw.  The
     # construction seed 1 gives S1 that inertia in both classes.
-    from palinverse.structfact import star_factorize
-
     X1 = np.random.default_rng(21).standard_normal((3, 2))
     sys, X1, T1 = _unimodular_system(cls, [0.3, 1.1], X1, 1)
-    inertia = star_factorize(compute_S1(sys, X1, T1), cls, rank_tol=0.0).pattern
-    assert sorted((inertia.p, inertia.q)) == [0, 2]
+    # i S1 is Hermitian for hp, S1 itself for ha.
+    unit = 1j if cls.epsilon == 1 else 1
+    p, q, zero = inertia(unit * compute_S1(sys, X1, T1))
+    assert (sorted((p, q)), zero) == ([0, 2], 0)
     draws = []
     monkeypatch.setattr(mup, "_congruence_onto", lambda *args: draws.append(args))
     mu = 0.5 * np.exp(0.7j)

@@ -103,6 +103,23 @@ def test_star_factorize_inertia_matches_oracle():
         assert (f.pattern.p, f.pattern.q) == (p, q)
 
 
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_sign_count_is_the_inertia_of_the_factorization(cls):
+    # The inertia construction and the free update read: the signs of u B,
+    # as star_factorize and the Sylvester oracle count them, and (0, 0)
+    # for a transpose class, whose Delta has no signs.
+    rng = np.random.default_rng(5)
+    for n in (1, 4, 9):
+        B = random_structured(rng, cls, n)
+        counts = structfact._inertia(B, cls)
+        if cls.star == "T":
+            assert counts == (0, 0)
+            continue
+        pattern = star_factorize(B, cls).pattern
+        assert counts == (pattern.p, pattern.q) == inertia(1j * B if cls == HP else B)[:2]
+        assert all(type(c) is int for c in counts)
+
+
 def test_star_factorize_rejects_wrong_symmetry():
     rng = np.random.default_rng(5)
     B = random_structured(rng, TA, 4)

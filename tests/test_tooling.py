@@ -540,25 +540,41 @@ def test_one_reduction_for_the_transpose_classes():
         assert not any(re.search(rf"\b{gone}\b", source) for source in sources.values())
 
 
+def _package_callers(name):
+    """{module: functions calling name} over the package, callers only."""
+    found = {path.stem: _callers(path.read_text(), name)
+             for path in sorted(PACKAGE.glob("*.py"))}
+    return {module: names for module, names in found.items() if names}
+
+
 def test_one_factorization_of_the_deficit_and_one_stream():
     # Construction and the free update factorize the deficit X1 S1 X1* in
     # one function, at order min(n, k); the prescribed update snaps the
     # same product as its right-hand side.  Each operation seeds one
     # generator, which the sampler, the default remaining eigenvalues and
     # the isometry of the congruence all draw from.
-    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-
-    def callers(name):
-        found = {module: _callers(source, name) for module, source in sources.items()}
-        return {module: names for module, names in found.items() if names}
-
-    assert callers("_isotropy_factor") == {
+    assert _package_callers("_isotropy_factor") == {
         "iep": {"solve_iep_partial_result.completion"}, "mup": {"update_model_result"}}
-    assert callers("_snap_isotropy") == {
+    assert _package_callers("_snap_isotropy") == {
         "structfact": {"_isotropy_factor"}, "mup": {"update_model_result"}}
-    assert callers("default_rng") == {"iep": {"_construct"}, "mup": {"update_model_result"}}
+    assert _package_callers("default_rng") == {
+        "iep": {"_construct"}, "mup": {"update_model_result"}}
     planted = "import numpy as np\ndef f(s):\n    return np.random.default_rng(s)\n"
     assert _callers(planted, "default_rng") == {"f"}
+
+
+def test_one_sign_count_for_the_inertia_of_s1():
+    # Construction and the free update read the inertia of S1 from one sign
+    # count, structfact._inertia; the canonical factorization serves the
+    # deficit X1 S1 X1* alone.  The spelling this replaced, a whole
+    # factorization read for its two counts, is flagged.
+    assert _package_callers("star_factorize") == {"structfact": {"_isotropy_factor"}}
+    assert _package_callers("_inertia") == {
+        "iep": {"solve_iep_partial_result.completion"}, "mup": {"update_model_result"}}
+    planted = ("def update_model_result(problem, S1, cls):\n"
+               "    inertia = star_factorize(S1, cls, rank_tol=0.0).pattern\n"
+               "    return inertia.p, inertia.q\n")
+    assert _callers(planted, "star_factorize") == {"update_model_result"}
 
 
 def test_one_solve_of_the_parameter_space(monkeypatch):
