@@ -41,8 +41,10 @@ def solve_iep_full(X, T, cls, seed=0):
 
     Samples a nonsingular S subject to star(S) = -eps S, S = T S T* and
     X S X* = 0, with the entry's seeded draws and retries; raises NoSolution
-    when the constrained space contains no nonsingular element.
+    when the constrained space contains no nonsingular element; ValueError
+    for a seed errors.seed_index refuses, before any solve.
     """
+    seed = seed_index(seed)
     X, T = as_matrix(X, "X"), as_matrix(T, "T")
     if X.shape[1] != T.shape[0] or 2 * X.shape[0] != T.shape[0]:
         raise DimensionMismatch("solve_iep_full needs X n-by-2n and T 2n-by-2n")

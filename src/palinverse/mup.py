@@ -22,11 +22,10 @@ import numpy as np
 from .errors import (RETRY_ATTEMPTS, BadIndices, DefectiveSpectrum, DimensionMismatch,
                      Infeasible, ResidualTooLarge, XiSingular, retry, seed_index)
 from .forward import _admit, _apart, _coincide, _group_values, _nearest, _paired, eigenvalues
-from .numerics import (DIAGONAL_RTOL, NORM_FLOOR, OUTPUT_RESIDUAL_TOL,
-                       PAIR_RESIDUAL_GATE, SELECTED_MATCH_RTOL, SINGULAR_RTOL,
-                       TRANSFER_FLOOR_RTOL, as_matrix, fnorm, invert,
+from .numerics import (DIAGONAL_RTOL, OUTPUT_RESIDUAL_TOL, PAIR_RESIDUAL_GATE,
+                       SELECTED_MATCH_RTOL, SINGULAR_RTOL, as_matrix, fnorm, invert,
                        range_coordinates, rank_factorize, sv_ratio, unit_columns)
-from .paramspace import constrained_family, sample_nonsingular
+from .paramspace import _transfer_bound, constrained_family, sample_nonsingular
 from .spectral import _spectral_sums, compute_S1
 from .structfact import (_closed_form_block, _congruence_onto, _inertia, _isotropy_factor,
                          _snap_isotropy)
@@ -38,7 +37,7 @@ def _check_diagonal(T, name):
     if T.shape[0] != T.shape[1]:
         raise DimensionMismatch(f"{name} must be square")
     off = T - np.diag(np.diag(T))
-    if fnorm(off) > DIAGONAL_RTOL * max(fnorm(T), NORM_FLOOR):
+    if fnorm(off) > DIAGONAL_RTOL * fnorm(T):
         raise DimensionMismatch(
             f"{name} must be diagonal (semi-simple selected eigenvalues)")
     return np.diag(np.diag(T))
@@ -171,13 +170,8 @@ def _finish(problem, S1, X1t, T1t, S1t, attempt):
     resid_new = pair_residual(new_sys, (X1t, problem.T1_new))
     target = problem.X1 @ S1 @ cls.star_of(problem.X1)
     eq_resid = fnorm(X1t @ S1t @ cls.star_of(X1t) - target)
-    # Mixed bound: relative to the transfer target, with a roundoff floor
-    # in the natural scale of the products (the target is exactly zero when
-    # every eigenpair is replaced).
-    floor = TRANSFER_FLOOR_RTOL * (fnorm(problem.X1) ** 2 * fnorm(S1)
-                                   + fnorm(X1t) ** 2 * fnorm(S1t))
     if resid_new > OUTPUT_RESIDUAL_TOL \
-            or eq_resid > OUTPUT_RESIDUAL_TOL * fnorm(target) + floor:
+            or eq_resid > _transfer_bound(target, (problem.X1, S1), (X1t, S1t)):
         raise ResidualTooLarge(
             f"update verification failed (pair residual {resid_new:.3e}, "
             f"transfer residual {eq_resid:.3e})")

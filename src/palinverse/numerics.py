@@ -32,8 +32,8 @@ condition number:
 - mup: Xi, gated.
 
 Tolerance table.  Every numerical decision of the package reads one entry
-below.  Each RTOL is relative to the norm its site names; the one ATOL,
-JORDAN_JOIN_ATOL, is a distance to the exact 1 that a Jordan form fixes.
+below, relative to the norm its site names: no entry is absolute, and
+NORM_FLOOR enters no comparison, only keeping a division by zero finite.
 """
 
 import math
@@ -48,22 +48,20 @@ A1_WARN_RTOL = 1e-8  # sv_ratio of A1 at or below which a system warns; a certif
 NONSINGULAR_RTOL = 1e-8  # sv_ratio a drawn or solved parameter matrix S must exceed
 RANK_RTOL = 1e-10  # singular values or |eigenvalues| this small against the largest are zero
 # Structure: a relative defect under which a matrix has its claimed form.
-STRUCTURE_RTOL = 1e-10  # star(B) = -eps B, membership, reconstruction, congruence, Jordan form
+STRUCTURE_RTOL = 1e-10  # star(B) = -eps B, membership, reconstruction, congruence
 A0_SYMMETRY_RTOL = 1e-12  # star(A0) = eps A0 of a system
 DIAGONAL_RTOL = 1e-12  # an update's T1 or T1_new is diagonal
-JORDAN_JOIN_ATOL = 1e-12  # a superdiagonal entry this close to 1 joins two Jordan rows
 # A one-value step's vectors are accurate to about u / gap, so a gap under
 # u / STRUCTURE_RTOL ~ 1e-6 fails the reconstruction; 1e-4 leaves a margin.
 CLUSTER_RTOL = 1e-4  # neighbouring singular values this close, relative to the largest, cluster
-CONSISTENCY_RTOL = 1e-8  # X S X* = C has a solution: C's structure and the least-squares residual
 S1_MEMBERSHIP_RTOL = 1e-9  # the S1 computed from a system satisfies S1 = T1 S1 T1*
 # Roundoff floors.
 ROUNDOFF_RTOL = 1e-12  # a product W M W* within this of its scale ||W||^2 ||M|| is roundoff
-TRANSFER_FLOOR_RTOL = 1e-13  # an update's transfer residual within this of its scale is roundoff
-NORM_FLOOR = 1e-300  # least norm a relative bound or ratio scales by, in place of zero
+TRANSFER_FLOOR_RTOL = 1e-13  # a transfer residual within this of its scale ||X||^2 ||S|| is roundoff
+NORM_FLOOR = 1e-300  # least norm a ratio divides by, in place of zero
 # Residual gates.
 PAIR_RESIDUAL_GATE = 1e-8  # pair_residual under which a given pair is an invariant pair
-OUTPUT_RESIDUAL_TOL = 1e-9  # pair_residual of a built or updated system; an update's transfer
+OUTPUT_RESIDUAL_TOL = 1e-9  # pair_residual of a built or updated system; a transfer X S X* = C
 # Eigenvalue sets.
 PAIRING_TOL = 1e-6  # |lam mu* - 1| within which eig_full pairs two eigenvalues
 COINCIDE_RTOL = 1e-8  # two eigenvalues coincide: |a - b| <= COINCIDE_RTOL |a|, at any modulus

@@ -20,8 +20,8 @@ from math import comb
 import numpy as np
 
 from .errors import DefectiveSpectrum, DimensionMismatch, Inconsistent, SingularMatrix
-from .numerics import (CONSISTENCY_RTOL, JORDAN_JOIN_ATOL, NONSINGULAR_RTOL,
-                       NORM_FLOOR, RANK_RTOL, SINGULAR_RTOL, as_matrix, fnorm,
+from .numerics import (NONSINGULAR_RTOL, OUTPUT_RESIDUAL_TOL, RANK_RTOL, SINGULAR_RTOL,
+                       STRUCTURE_RTOL, TRANSFER_FLOOR_RTOL, as_matrix, fnorm,
                        range_coordinates, sv_ratio)
 
 
@@ -53,15 +53,15 @@ def _svd_null(A, floor):
 def _jordan_blocks(T):
     """(starts, sizes, values) of the Jordan blocks of T, or None.
 
-    A superdiagonal entry within JORDAN_JOIN_ATOL of one joins two rows into a
-    block, whose eigenvalue is its first diagonal entry.  T is in Jordan
+    A superdiagonal entry equal to one joins two rows into a block, whose
+    eigenvalue is its first diagonal entry.  T is in Jordan
     form when it equals the Jordan matrix read this way.  A diagonal T is
     all 1-by-1 blocks; it is the common case, so it is recognized first.
     """
     m = T.shape[0]
     if not np.any(T - np.diag(np.diag(T))):
         return np.arange(m), np.ones(m, dtype=int), np.diag(T)
-    joins = np.abs(np.diag(T, 1) - 1.0) <= JORDAN_JOIN_ATOL
+    joins = np.diag(T, 1) == 1.0
     starts = np.flatnonzero(np.concatenate([[True], ~joins]))
     sizes = np.diff(starts, append=m)
     values = np.diag(T)[starts]
@@ -141,6 +141,14 @@ def _stein_support(starts, sizes, values, cls):
             np.concatenate(b).astype(np.complex128))
 
 
+def _transfer_bound(C, *products):
+    """The most a transfer residual ||X S X* - C||_F may be: OUTPUT_RESIDUAL_TOL
+    ||C||, plus a roundoff floor TRANSFER_FLOOR_RTOL ||X||^2 ||S|| for each
+    product (X, S) compared, as C is exactly zero when all pairs are replaced."""
+    return OUTPUT_RESIDUAL_TOL * fnorm(C) + TRANSFER_FLOOR_RTOL * sum(
+        fnorm(X) ** 2 * fnorm(S) for X, S in products)
+
+
 def _xsx_solve(T, cls, X=None, C=None):
     """The one solve of X S X* = C over {S : star(S) = -eps S, S = T S T*}.
 
@@ -150,11 +158,12 @@ def _xsx_solve(T, cls, X=None, C=None):
     RANK_RTOL ||X||_F^2, the largest value X S X* takes on a unit S.
     Without C the rows are those of X; with C, those of P = Q^H X in the
     coordinates Q of range(X), which keep the singular values of the map,
-    and Inconsistent is raised when star(C) = -eps C fails or the
-    least-squares residual, the part of C outside range(Q) included,
-    exceeds CONSISTENCY_RTOL ||C||.  Returns (particular, elements): the
-    minimum-norm solution (None without C) and the null directions,
-    stacked in one (d, m, m) array.
+    and Inconsistent is raised when star(C) = -eps C fails at STRUCTURE_RTOL
+    or the least-squares residual (C outside range(Q) included) exceeds
+    _transfer_bound at the minimum-norm solution: the bound an update
+    verifies, and no step along a null direction lowers the residual.
+    Returns (particular, elements): the minimum-norm solution (None without
+    C) and the null directions, stacked in one (d, m, m) array.
     """
     T = as_matrix(T, "T")
     m = T.shape[0]
@@ -168,8 +177,7 @@ def _xsx_solve(T, cls, X=None, C=None):
         n = X.shape[0]
         if C.shape != (n, n):
             raise DimensionMismatch(f"C has shape {C.shape}, expected ({n}, {n})")
-        defect = fnorm(star(C) + cls.epsilon * C)
-        if defect > CONSISTENCY_RTOL * max(fnorm(C), NORM_FLOOR):
+        if fnorm(star(C) + cls.epsilon * C) > STRUCTURE_RTOL * fnorm(C):
             raise Inconsistent("right-hand side C must satisfy star(C) = -eps C")
     blocks = _jordan_blocks(T)
     if blocks is None:
@@ -200,14 +208,13 @@ def _xsx_solve(T, cls, X=None, C=None):
             # and the part of C that no X S X* can reach.
             resid = np.hypot(np.linalg.norm(A @ part - rhs),
                              fnorm(C - Q @ core @ star(Q)))
-            if resid > CONSISTENCY_RTOL * max(fnorm(C), NORM_FLOOR):
-                raise Inconsistent(
-                    f"no S solves X S X* = C (residual {resid:.3e} "
-                    f"vs ||C|| {fnorm(C):.3e})")
             coeffs = np.vstack([part, coeffs])
     S = np.zeros((coeffs.shape[0], m, m), dtype=np.complex128)
     np.add.at(S, (slice(None), I, J), coeffs[:, K] * a)
     np.add.at(S, (slice(None), J, I), coeffs[:, K] * b)
+    if C is not None and resid > _transfer_bound(C, (X, S[0])):
+        raise Inconsistent(f"no S solves X S X* = C (residual {resid:.3e} "
+                           f"vs ||C|| {fnorm(C):.3e})")
     return (None, S) if C is None else (S[0], S[1:])
 
 

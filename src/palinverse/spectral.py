@@ -15,9 +15,8 @@ import numpy as np
 
 from .errors import (DimensionMismatch, MembershipCheckFailed, SingularLeadingBlock,
                      SingularMatrix, SingularS1Precursor)
-from .numerics import (NORM_FLOOR, S1_MEMBERSHIP_RTOL, SINGULAR_RTOL, STRUCTURE_RTOL,
-                       as_matrix, fnorm, invert, linear_solve, solve_right,
-                       sv_min_ratio, sv_ratio)
+from .numerics import (S1_MEMBERSHIP_RTOL, SINGULAR_RTOL, STRUCTURE_RTOL, as_matrix,
+                       fnorm, invert, linear_solve, solve_right, sv_min_ratio, sv_ratio)
 from .system import assembled_system
 
 
@@ -28,7 +27,6 @@ def _check_membership(blocks, cls):
     nS, nT, nX, sym, com = np.hypot.reduce(
         [[fnorm(S), fnorm(T), fnorm(X), fnorm(star(S) + eps * S),
           fnorm(S - T @ S @ star(T))] for X, T, S in blocks], axis=0)
-    nS, nT, nX = max(nS, NORM_FLOOR), max(nT, NORM_FLOOR), max(nX, NORM_FLOOR)
     iso = fnorm(sum(X @ S @ star(X) for X, _, S in blocks))
     if sym > STRUCTURE_RTOL * nS:
         raise MembershipCheckFailed(f"star(S) != -eps S (defect {sym:.3e})")
@@ -59,7 +57,7 @@ def compute_S1(sys, X1, T1):
             "eps X1* A1 X1 T1^{-1} - T1^{-*} X1* A1* X1 is singular")
     S1 = invert(G)
     S1 = (S1 - sys.cls.epsilon * star(S1)) / 2.0
-    nS, nT = max(fnorm(S1), NORM_FLOOR), max(fnorm(T1), NORM_FLOOR)
+    nS, nT = fnorm(S1), fnorm(T1)
     com = fnorm(S1 - T1 @ S1 @ star(T1))
     if com > S1_MEMBERSHIP_RTOL * nS * nT * nT:
         raise MembershipCheckFailed(

@@ -33,8 +33,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BadIndices, FactorizationFailure, SymmetryViolation
-from .numerics import (CLUSTER_RTOL, NORM_FLOOR, RANK_RTOL, ROUNDOFF_RTOL,
-                       STRUCTURE_RTOL, as_matrix, fnorm, linear_solve)
+from .numerics import (CLUSTER_RTOL, RANK_RTOL, ROUNDOFF_RTOL, STRUCTURE_RTOL,
+                       as_matrix, fnorm, linear_solve)
 from .system import SymmetryClass
 
 
@@ -209,7 +209,7 @@ def star_factorize(B, cls, rank_tol=None):
         raise SymmetryViolation("B must be square")
     nrm = fnorm(B)
     defect = fnorm(cls.star_of(B) + cls.epsilon * B)
-    if defect > STRUCTURE_RTOL * max(nrm, NORM_FLOOR):
+    if defect > STRUCTURE_RTOL * nrm:
         raise SymmetryViolation(
             f"star(B) != -eps B: defect {defect:.3e} vs ||B|| {nrm:.3e}")
     Bp = (B - cls.epsilon * cls.star_of(B)) / 2.0
@@ -245,7 +245,7 @@ def star_factorize(B, cls, rank_tol=None):
 
     fact = StarFactorization(Y, pattern, cls)
     err = fnorm(fact.reconstruct() - Bp)
-    if err > STRUCTURE_RTOL * max(nrm, NORM_FLOOR):
+    if err > STRUCTURE_RTOL * nrm:
         raise FactorizationFailure(
             f"reconstruction residual {err:.3e} exceeds tolerance for ||B|| = {nrm:.3e}")
     return fact
@@ -394,7 +394,7 @@ def _congruence_onto(target, form, cls, rng=None):
         C[tt + z, tt + 2 * z + 1] = 1.0j
     psi = C if rng is None else C @ _isometry(form, cls, rng)
     err = fnorm(psi @ form @ cls.star_of(psi) - target)
-    floor = ROUNDOFF_RTOL * max(1.0, fnorm(psi) ** 2 * fnorm(form))
+    floor = ROUNDOFF_RTOL * fnorm(psi) ** 2 * fnorm(form)
     if err > STRUCTURE_RTOL * fnorm(target) + floor:
         raise FactorizationFailure(f"congruence construction residual {err:.3e}")
     return psi

@@ -101,7 +101,7 @@ class PalindromicSystem:
         defect = self.symmetry_defect()
         # Scale against the whole system so a zero A0 (defect pure roundoff)
         # is not rejected by a vacuous relative bound.
-        scale = max(fnorm(self.A0), fnorm(self.A1), NORM_FLOOR)
+        scale = max(fnorm(self.A0), fnorm(self.A1))
         if defect > A0_SYMMETRY_RTOL * scale:
             raise SymmetryViolation(
                 f"A0 symmetry violation: ||A0* - eps A0|| = {defect:.3e} "

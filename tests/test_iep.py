@@ -165,6 +165,21 @@ def test_problem_refuses_a_negative_seed():
         IepProblem(TP, *iep_fixture(TP), seed=-1)
 
 
+@pytest.mark.parametrize("seed", [1.5, "3", -1, None, np.float64(2.0)],
+                         ids=["1.5", "str", "-1", "None", "float64"])
+def test_full_solve_refuses_a_bad_seed_before_solving(seed, monkeypatch):
+    # solve_iep_full checks its seed as IepProblem does, with ValueError,
+    # before the parameter space is solved.
+    from palinverse import iep
+
+    calls = []
+    monkeypatch.setattr(iep, "solution_space", lambda *args: calls.append(args))
+    e = eig_full(random_system(TP, 3, seed=50))
+    with pytest.raises(ValueError, match="seed must be"):
+        solve_iep_full(e.vectors, np.diag(e.values), TP, seed=seed)
+    assert calls == []
+
+
 @pytest.mark.parametrize("cls", [TP, HA], ids=lambda c: c.code)
 def test_iep_full_pair_rejects_remaining_eigenvalues(cls):
     # A full pair leaves no eigenvalue to choose: a non-empty list is

@@ -214,6 +214,45 @@ def test_prescribed_family_member_solvable():
     assert outside <= 1e-8 * fnorm(res.X1_new)
 
 
+def _moved_prescription(cls, delta):
+    """A prescribed update of the off-circle pair of random_system(cls, 6, 3)
+    to 0.6+0.1i and its partner, whose X1_new (a free update's) is moved by
+    delta ||X1_new|| along a fixed unit direction."""
+    sys = random_system(cls, 6, 3)
+    X1, T1, _, _ = off_circle_pair(eig_full(sys))
+    mu = 0.6 + 0.1j
+    T1_new = np.diag([mu, 1 / cls.star_scalar(mu)])
+    X1_new = update_model_result(MupProblem(sys, X1, T1, T1_new, seed=0)).X1_new
+    E = random_complex(np.random.default_rng(1), *X1_new.shape)
+    X1_new = X1_new + delta * fnorm(X1_new) * (E / fnorm(E))
+    return MupProblem(sys, X1, T1, T1_new, X1_new=X1_new, seed=0)
+
+
+@pytest.mark.parametrize("delta", [2e-9, 5e-9])
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_transfer_no_draw_can_meet_is_inconsistent_before_any_draw(cls, delta, monkeypatch):
+    # The move leaves X1_new S X1_new* = X1 S1 X1* a least-squares residual
+    # of 1.2 to 1.8 delta ||C||, above the OUTPUT_RESIDUAL_TOL ||C|| that the
+    # update verifies, and a draw along the null directions does not lower
+    # it: the affine solve refuses it by that bound, and no draw is made.
+    problem = _moved_prescription(cls, delta)
+    real, calls = mup.low_rank_update, []
+    monkeypatch.setattr(mup, "low_rank_update",
+                        lambda *args: calls.append(args) or real(*args))
+    with pytest.raises(Inconsistent, match="no S solves X S X"):
+        update_model_result(problem)
+    assert calls == []
+
+
+@pytest.mark.parametrize("delta", [1e-10, 5e-10])
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_transfer_within_the_bound_solves_on_the_first_draw(cls, delta):
+    problem = _moved_prescription(cls, delta)
+    res = update_model_result(problem)
+    assert res.attempts == 1
+    assert pair_residual(res.system, (problem.X1_new, problem.T1_new)) <= OUTPUT_RESIDUAL_TOL
+
+
 def test_problem_validation_overlap():
     sys, replace, new = update_fixture("ta")
     e = eig_full(sys)

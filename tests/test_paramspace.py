@@ -250,7 +250,8 @@ def test_constrained_family_counts_c_outside_range_of_x(cls):
     assert fnorm(X @ S @ cls.star_of(X) - inside) <= 1e-10 * fnorm(inside)
     with pytest.raises(Inconsistent):
         constrained_family(T, cls, X, inside + 1e-6 * outside)
-    # Below the 1e-8 consistency bound the outside part is tolerated.
+    # Within the transfer bound, OUTPUT_RESIDUAL_TOL ||C|| (1e-9), the outside
+    # part is tolerated.
     constrained_family(T, cls, X, inside + 1e-10 * outside)
 
 
@@ -420,6 +421,18 @@ def test_jordan_singleton_matches_kronecker(cls, mults):
 def _similar(T, seed):
     W = random_complex(np.random.default_rng(seed), *T.shape)
     return np.linalg.solve(W, T @ W), W
+
+
+@pytest.mark.parametrize("off", [5e-13, -5e-13, 1e-12, -1e-12])
+def test_jordan_blocks_join_rows_on_an_exact_one_alone(off):
+    # Only a superdiagonal entry equal to 1 joins two rows: an entry near 1
+    # is no Jordan form, so the matrix is not read as one.
+    lam = 0.4 + 0.2j
+    T = jordan_matrix([lam], [2])
+    starts, sizes, values = _jordan_blocks(T)
+    assert [list(starts), list(sizes), list(values)] == [[0], [2], [lam]]
+    T[0, 1] = 1.0 + off
+    assert _jordan_blocks(T) is None
 
 
 def _assert_same_space_on_form(T, cls, X):

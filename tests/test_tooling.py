@@ -11,9 +11,10 @@ and finds given ones (mup builds no error of either), one function
 assembles the spectral sums, one function solves X S X* = C over the
 parameter space and computes no eigenvalues, one function reads the
 eigenvalues of a prescribed T1, and every float tolerance is defined in the one table of
-numerics, whose one absolute entry is JORDAN_JOIN_ATOL.  Every definition
-is reached from the CLI or a public name, but for a listed few that wait
-for the benchmark to stop naming them."""
+numerics, which has no absolute entry; NORM_FLOOR enters no comparison, only
+the two divisions it guards, and one rule judges a transfer X S X* = C.
+Every definition is reached from the CLI or a public name, but for a listed
+few that wait for the benchmark to stop naming them."""
 
 import ast
 import importlib
@@ -352,13 +353,51 @@ def test_tolerances_live_in_the_numerics_table():
     assert {name: values for name, values in found.items() if values} == {}
 
 
-def test_the_one_absolute_tolerance_is_the_jordan_join():
-    # Every other gate is relative to the size of what it checks, so an
-    # overall scaling of the data moves no decision.  JORDAN_JOIN_ATOL
-    # compares an entry with the exact 1 of a Jordan form.
+def test_no_absolute_tolerance_in_the_table():
+    # Every gate is relative to the size of what it checks, so an overall
+    # scaling of the data moves no decision; a Jordan form joins two rows
+    # on a superdiagonal entry exactly 1, with no tolerance.
     from palinverse import numerics
 
-    assert [name for name in vars(numerics) if name.endswith("_ATOL")] == ["JORDAN_JOIN_ATOL"]
+    assert [name for name in vars(numerics) if name.endswith("_ATOL")] == []
+    assert not hasattr(numerics, "CONSISTENCY_RTOL")
+
+
+def _floored_comparisons(source):
+    """The functions holding a comparison that reads NORM_FLOOR."""
+    return _enclosing(source, lambda node: isinstance(node, ast.Compare) and any(
+        isinstance(sub, ast.Name) and sub.id == "NORM_FLOOR" for sub in ast.walk(node)))
+
+
+def test_norm_floor_guards_divisions_alone():
+    # A relative gate x > tol * ||B|| needs no floor: a zero norm leaves a
+    # zero defect, which passes.  NORM_FLOOR only keeps a division by a
+    # zero norm finite, in unit_columns and the a0_defect of
+    # assembled_system (numerics defines it, a top-level statement).
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    readers = {module: _readers(source, "NORM_FLOOR") for module, source in sources.items()}
+    assert {module: names for module, names in readers.items() if names} == \
+        {"numerics": {None, "unit_columns"}, "system": {"assembled_system"}}
+    floored = {module: _floored_comparisons(source) for module, source in sources.items()}
+    assert {module: names for module, names in floored.items() if names} == {}
+    planted = ("def _gate(x, B):\n"
+               "    if x > TOL * max(fnorm(B), NORM_FLOOR):\n"
+               "        raise ValueError\n"
+               "    return x / max(fnorm(B), NORM_FLOOR)\n")
+    assert _floored_comparisons(planted) == {"_gate"}
+
+
+def test_one_transfer_rule():
+    # The affine solve of X S X* = C and an update's verification judge a
+    # transfer by one bound, paramspace._transfer_bound, the one reader of
+    # its roundoff floor (numerics defines it, a top-level statement).
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    readers = {module: _readers(source, "TRANSFER_FLOOR_RTOL")
+               for module, source in sources.items()}
+    assert {module: names for module, names in readers.items() if names} == \
+        {"numerics": {None}, "paramspace": {"_transfer_bound"}}
+    assert _package_callers("_transfer_bound") == {
+        "paramspace": {"_xsx_solve"}, "mup": {"_finish"}}
 
 
 def test_small_float_check_flags_planted_literals():
