@@ -66,7 +66,6 @@ class MupProblem:
         self.seed = seed_index(self.seed)
         self.X1 = as_matrix(self.X1, "X1")
         self.T1 = _check_diagonal(self.T1, "T1")
-        self.X1 = unit_columns(self.X1, self.T1)
         self.T1_new = _check_diagonal(self.T1_new, "T1_new")
         k = self.T1.shape[0]
         if k == 0:
@@ -79,6 +78,7 @@ class MupProblem:
             self.X1_new = as_matrix(self.X1_new, "X1_new")
             if self.X1_new.shape != (self.sys.n, k):
                 raise DimensionMismatch("X1_new must be n-by-k")
+        self.X1 = unit_columns(self.X1, self.T1)
         resid = pair_residual(self.sys, (self.X1, self.T1))
         if resid > PAIR_RESIDUAL_GATE:
             raise ResidualTooLarge(

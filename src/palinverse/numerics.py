@@ -32,15 +32,15 @@ condition number:
 - mup: Xi, gated.
 
 Tolerance table.  Every numerical decision of the package reads one entry
-below, relative to the norm its site names: no entry is absolute, and
-NORM_FLOOR enters no comparison, only keeping a division by zero finite.
+below, relative to the norm its site names: no entry is absolute, and a
+ratio divides only by a norm its code has shown nonzero, never by a floor.
 """
 
 import math
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DimensionMismatch, SingularMatrix
+from .errors import ConvergenceFailure, DimensionMismatch, SingularMatrix, SingularW
 
 # Singularity and rank.
 SINGULAR_RTOL = 1e-12  # sv_ratio at or below which a matrix to be inverted is singular
@@ -58,7 +58,6 @@ S1_MEMBERSHIP_RTOL = 1e-9  # the S1 computed from a system satisfies S1 = T1 S1 
 # Roundoff floors.
 ROUNDOFF_RTOL = 1e-12  # a product W M W* within this of its scale ||W||^2 ||M|| is roundoff
 TRANSFER_FLOOR_RTOL = 1e-13  # a transfer residual within this of its scale ||X||^2 ||S|| is roundoff
-NORM_FLOOR = 1e-300  # least norm a ratio divides by, in place of zero
 # Residual gates.
 PAIR_RESIDUAL_GATE = 1e-8  # pair_residual under which a given pair is an invariant pair
 OUTPUT_RESIDUAL_TOL = 1e-9  # pair_residual of a built or updated system; a transfer X S X* = C
@@ -90,10 +89,13 @@ def fnorm(a):
 
 
 def unit_columns(X, T):
-    """X with unit columns if T is diagonal, as (X D, T) then is the same
-    eigendata as (X, T) for every nonsingular diagonal D."""
+    """X with unit columns if T is diagonal, as (X D, T) then is the same eigendata
+    as (X, T) for every nonsingular diagonal D; a zero column is no eigenvector: SingularW."""
     if np.count_nonzero(T) == np.count_nonzero(np.diagonal(T)):
-        X = X / np.maximum(np.linalg.norm(X, axis=0), NORM_FLOOR)
+        norms = np.linalg.norm(X, axis=0)
+        if not norms.all():
+            raise SingularW(f"column {np.argmin(norms)} of X has zero norm, so no eigenvector")
+        X = X / norms
     return X
 
 
@@ -191,6 +193,4 @@ def dense_eig(A, vectors=True):
         w, v = np.linalg.eig(A)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"dense eigensolver failed: {exc}") from exc
-    norms = np.linalg.norm(v, axis=0)
-    norms[norms == 0.0] = 1.0
-    return w, v / norms
+    return w, v / np.linalg.norm(v, axis=0)

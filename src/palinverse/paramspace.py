@@ -106,7 +106,7 @@ def _stein_support(starts, sizes, values, cls):
     eps = cls.epsilon
     star = (lambda z: z) if cls.star == "T" else np.conj
     P = values[:, None] * star(values)[None, :]
-    free = np.abs(P - 1.0) <= RANK_RTOL * np.abs(P).max(initial=1.0)
+    free = np.abs(P - 1.0) <= RANK_RTOL * np.abs(P).max()
     bp, bq = np.nonzero(np.triu(free))
     single = sizes == 1
     unit = single[bp] & single[bq]

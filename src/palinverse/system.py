@@ -11,8 +11,8 @@ from dataclasses import KW_ONLY, InitVar, dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, SingularMatrix, SymmetryViolation
-from .numerics import (A0_SYMMETRY_RTOL, A1_WARN_RTOL, NORM_FLOOR, SINGULAR_RTOL,
-                       as_matrix, fnorm, sv_min_ratio)
+from .numerics import (A0_SYMMETRY_RTOL, A1_WARN_RTOL, SINGULAR_RTOL, as_matrix,
+                       fnorm, sv_min_ratio)
 
 _CODES = {("T", 1): "tp", ("T", -1): "ta", ("H", 1): "hp", ("H", -1): "ha"}
 
@@ -144,16 +144,15 @@ def assembled_system(cls, A1, A0, a1_floor=None):
     Assembly formulas give star(A0) = eps A0 only in exact arithmetic, with
     a roundoff defect that grows with their conditioning.  The structured
     part (A0 + eps A0*)/2 satisfies it exactly; the relative defect
-    ||A0* - eps A0|| / max(||A0||, ||A1||) it removes is kept as a0_defect.
+    ||A0* - eps A0|| / max(||A0||, ||A1||) it removes is kept as a0_defect,
+    a ratio taken once A1 has passed validation, so ||A1|| > 0.
     A floor a1_floor <= sigma_min(A1) with a1_floor / ||A1||_F > A1_WARN_RTOL
     passes both A1 gates (sigma_max <= ||A1||_F) without the validation SVD.
     """
     A0_star = cls.star_of(A0)
-    defect = fnorm(A0_star - cls.epsilon * A0) \
-        / max(fnorm(A0), fnorm(A1), NORM_FLOOR)
     sys = PalindromicSystem(cls, A1, (A0 + cls.epsilon * A0_star) / 2.0,
                             _a1_floor=a1_floor)
-    sys.a0_defect = defect
+    sys.a0_defect = fnorm(A0_star - cls.epsilon * A0) / max(fnorm(A0), fnorm(A1))
     return sys
 
 

@@ -16,13 +16,14 @@ import numpy as np
 
 from palinverse.errors import PalinverseError
 from palinverse.forward import _coincide
-from palinverse.numerics import (NORM_FLOOR, RANK_RTOL, SINGULAR_RTOL, as_matrix,
-                                 dense_eig, fnorm, invert, sv_ratio)
+from palinverse.numerics import (RANK_RTOL, SINGULAR_RTOL, as_matrix, dense_eig, fnorm,
+                                 invert, sv_ratio)
 from palinverse.paramspace import _jordan_blocks
 from palinverse.spectral import coefficients_from_pair
 
 ZETA_CLUSTER_RTOL = 1e-7  # ratio eigenvalues cluster in zeta_partition
 OFFBLOCK_RTOL = 1e-8  # off-block mass a joint block diagonalization may leave
+NORM_FLOOR = 1e-300  # least norm a ratio divides by, in place of zero
 
 
 class StructureViolation(PalinverseError):

@@ -7,11 +7,13 @@ from palinverse import forward, spectral
 from palinverse.errors import DimensionMismatch, ResidualTooLarge, SingularMatrix, SingularW
 from palinverse.fileio import FileFormatError
 from palinverse.forward import eig_full
-from palinverse.numerics import (NORM_FLOOR, PAIR_RESIDUAL_GATE, RANK_RTOL,
-                                 SINGULAR_RTOL, STRUCTURE_RTOL, as_matrix, fnorm,
-                                 invert, linear_solve, solve_right, sv_ratio)
+from palinverse.numerics import (PAIR_RESIDUAL_GATE, RANK_RTOL, SINGULAR_RTOL,
+                                 STRUCTURE_RTOL, as_matrix, fnorm, invert, linear_solve,
+                                 solve_right, sv_ratio)
 from palinverse.paramspace import _rvec
 from palinverse.system import PalindromicSystem, eval_Q, pair_residual
+
+NORM_FLOOR = 1e-300  # least norm the Hermitian check of inertia scales by, in place of zero
 
 
 def count_eigensolves(monkeypatch):

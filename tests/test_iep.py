@@ -423,6 +423,31 @@ def test_full_iep_missing_forced_unit_value_is_infeasible(n):
         solve_iep_partial_result(IepProblem(TA, X, np.diag(values), seed=0))
 
 
+# A ta draw assembles an A1 of sigma ratio 1.7e-9, which warns; the gate
+# refuses that draw.
+@pytest.mark.filterwarnings("ignore:A1 is nearly singular")
+@pytest.mark.parametrize("cls", [TA, HP, HA], ids=lambda c: c.code)
+def test_prescribed_pair_gate_refuses_draws_of_a_far_pair(cls):
+    # A prescribed pair of modulus 1e5 puts about rho^2 into the T^-2 sums
+    # of the assembly (ROADMAP item 1), and _construct's gate on the
+    # caller's pair refuses such draws: every outcome is a solution that
+    # passed the gate or an exhaustion by that gate alone, and the gate
+    # refuses at least once.
+    mu = 1e5 * np.exp(0.7j)
+    T1 = np.diag([mu, 1 / cls.star_scalar(mu)])
+    exhausted = 0
+    for seed in range(5):
+        X1 = random_complex(np.random.default_rng(seed), 6, 2)
+        try:
+            sol = solve_iep_partial_result(IepProblem(cls, X1, T1, seed=seed))
+        except RetryExhausted as exc:
+            assert set(exc.reasons) == {"ResidualTooLarge"}, exc
+            exhausted += 1
+        else:
+            assert pair_residual(sol.system, (X1, T1)) <= 1e-9
+    assert exhausted
+
+
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
 def test_full_iep_through_the_entry_refuses_non_standard_pairs(cls):
     # Complete eigendata gets IepProblem's typed refusals at the one entry.

@@ -1,4 +1,3 @@
-import re
 from collections import Counter
 
 import numpy as np
@@ -10,9 +9,9 @@ from helpers import (closed_selection, count_eigensolves, dense_update_change, i
                      separated_spectrum)
 from palinverse import mup
 from palinverse.errors import (DefectiveSpectrum, DimensionMismatch, Inconsistent,
-                               Infeasible, NoSolution, ResidualTooLarge, RetryExhausted,
-                               SpectraOverlap, SymmetryViolation, TargetNotFound,
-                               XiSingular)
+                               Infeasible, MembershipCheckFailed, NoSolution,
+                               ResidualTooLarge, RetryExhausted, SingularS1Precursor,
+                               SingularW, SpectraOverlap, SymmetryViolation, XiSingular)
 from palinverse.forward import eig_full, select_pairs
 from palinverse.mup import (MupProblem, MupResult, low_rank_update,
                             update_model_prescribed, update_model_result)
@@ -261,19 +260,53 @@ def test_problem_validation_overlap():
         MupProblem(sys, X1, T1, np.diag([np.diag(T2)[0], 1 / np.diag(T2)[0]]))
     with pytest.raises(SpectraOverlap, match="collides with a replaced one"):
         MupProblem(sys, X1, T1, T1.copy())
-    # A zero X1 passes the residual gate (zero denominator), so the
-    # off-spectrum T1 is caught by the spectrum lookup, forward._nearest.
-    mu = 0.37 + 0.11j
-    with pytest.raises(TargetNotFound, match=re.escape("target not found: 0.37+0.11j")):
-        MupProblem(sys, np.zeros((sys.n, 2)), np.diag([mu, 1 / mu]),
-                   np.diag(new))
-    # Two selected pairs 1e-7 apart stay apart by COINCIDE_RTOL, but both
-    # take the same eigenvalues within SELECTED_MATCH_RTOL.
-    mu = max(np.diag(T1), key=abs)
-    nu = mu * (1 + 1e-7)
-    with pytest.raises(TargetNotFound, match="targets are ambiguous"):
-        MupProblem(sys, np.zeros((sys.n, 4)), np.diag([mu, 1 / mu, nu, 1 / nu]),
-                   np.diag([0.5, 2.0, 0.25, 4.0]))
+
+
+def _zero_column_selection(cls):
+    """A closed selection (X1, T1) of two eigenvalues of an order-6 system,
+    the copy of X1 with a zero first column, and replacement values."""
+    sys = random_system(cls, 6, 3)
+    e = eig_full(sys)
+    idx = closed_selection(e, 2)
+    X1, T1 = e.vectors[:, idx], np.diag(e.values[idx])
+    zero = X1.copy()
+    zero[:, 0] = 0.0
+    new = replacement_values(cls, e.values[idx], np.random.default_rng(0))
+    return sys, X1, zero, T1, np.diag(new)
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_zero_eigenvector_column_is_refused_before_any_lookup(cls, monkeypatch):
+    # A zero column is no eigenvector, and [X1; -X1 T1^-1] is then rank
+    # deficient: an update refuses it as a construction does, before it
+    # looks up an eigenvalue.  The pair gate alone passes it, as it divides
+    # by ||X1||_F over all columns.
+    from palinverse.iep import IepProblem
+
+    sys, _, zero, T1, T1_new = _zero_column_selection(cls)
+    assert pair_residual(sys, (zero, T1)) <= PAIR_RESIDUAL_GATE
+
+    def no_lookup(*args):
+        raise AssertionError("MupProblem looked up an eigenvalue")
+
+    monkeypatch.setattr(mup, "eigenvalues", no_lookup)
+    monkeypatch.setattr(mup, "_nearest", no_lookup)
+    with pytest.raises(SingularW, match="column 0 of X has zero norm"):
+        MupProblem(sys, zero, T1, T1_new)
+    with pytest.raises(SingularW, match="column 0 of X has zero norm"):
+        IepProblem(cls, zero, T1)
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_compute_S1_refuses_a_zero_column_and_a_moved_T1(cls):
+    # compute_S1 judges its input itself: a zero column of X1 leaves the
+    # matrix it inverts singular, and T1 moved off the spectrum by 1e-6
+    # leaves an S1 that misses S1 = T1 S1 T1* (defects near 2e-6).
+    sys, X1, zero, T1, _ = _zero_column_selection(cls)
+    with pytest.raises(SingularS1Precursor, match="is singular"):
+        compute_S1(sys, zero, T1)
+    with pytest.raises(MembershipCheckFailed, match="S1 = T1 S1 T1"):
+        compute_S1(sys, X1, T1 * (1 + 1e-6))
 
 
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)

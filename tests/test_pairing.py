@@ -10,8 +10,8 @@ import pytest
 from helpers import greedy_pairing_loop, random_system, residual_scale
 from palinverse import forward, numerics
 from palinverse.errors import PairingNotClosed, SpectraOverlap, TargetNotFound
-from palinverse.forward import _greedy_pairing, eig_full, select_pairs
-from palinverse.numerics import dense_eig
+from palinverse.forward import _greedy_pairing, _nearest, eig_full, select_pairs
+from palinverse.numerics import SELECTED_MATCH_RTOL, dense_eig
 from palinverse.system import ALL_CLASSES, TA, TP, PalindromicSystem, eval_Q
 from reference_problems import update_fixture
 
@@ -140,6 +140,20 @@ def test_select_pairs_not_found_before_ambiguous():
     e, replace = fixture_eigs()
     with pytest.raises(TargetNotFound, match="target not found"):
         select_pairs(e, [replace[0], 123.0, replace[0]])
+
+
+def test_nearest_at_the_update_tolerance():
+    # An update finds its selected values with forward._nearest at
+    # SELECTED_MATCH_RTOL: a value off the spectrum is not found, and two
+    # selected pairs 1e-7 apart, apart by COINCIDE_RTOL, take one eigenvalue.
+    e, replace = fixture_eigs()
+    mu = 0.37 + 0.11j
+    with pytest.raises(TargetNotFound, match=re.escape("target not found: 0.37+0.11j")):
+        _nearest(e.values, np.array([mu, 1 / mu]), SELECTED_MATCH_RTOL)
+    mu = max(np.diag(select_pairs(e, replace)[1]), key=abs)
+    nu = mu * (1 + 1e-7)
+    with pytest.raises(TargetNotFound, match="targets are ambiguous"):
+        _nearest(e.values, np.array([mu, 1 / mu, nu, 1 / nu]), SELECTED_MATCH_RTOL)
 
 
 def test_select_pairs_partner_missing_and_unmatched():

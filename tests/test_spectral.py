@@ -248,6 +248,9 @@ def test_block_assembly_fails_as_the_dense_pair_does(cls):
             rng, *T2.shape), S2)]),
         (MembershipCheckFailed, [(X1, T1, S1 + 1e-6 * random_complex(
             rng, *S1.shape)), (X2, T2, S2)]),
+        # Only the isotropy check X S X* = 0 reads X.
+        (MembershipCheckFailed, [(X1, T1, S1), (X2 + 1e-6 * random_complex(
+            rng, *X2.shape), T2, S2)]),
         # A zero row of X makes X T^{-1} S X* singular.
         (SingularLeadingBlock, [(np.vstack([0 * X1[:1], X1[1:]]), T1, S1),
                                 (np.vstack([0 * X2[:1], X2[1:]]), T2, S2)]),

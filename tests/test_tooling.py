@@ -11,8 +11,9 @@ and finds given ones (mup builds no error of either), one function
 assembles the spectral sums, one function solves X S X* = C over the
 parameter space and computes no eigenvalues, one function reads the
 eigenvalues of a prescribed T1, and every float tolerance is defined in the one table of
-numerics, which has no absolute entry; NORM_FLOOR enters no comparison, only
-the two divisions it guards, and one rule judges a transfer X S X* = C.
+numerics, which has no absolute entry and no floor; no comparison floors its
+scale with a constant but the eigenvalue lookup's, and one rule judges a
+transfer X S X* = C.
 Every definition is reached from the CLI or a public name, but for a listed
 few that wait for the benchmark to stop naming them."""
 
@@ -363,28 +364,55 @@ def test_no_absolute_tolerance_in_the_table():
     assert not hasattr(numerics, "CONSISTENCY_RTOL")
 
 
+def _floors(node):
+    """Whether node is a constant floor: max(..., c) or np.maximum(c, ...)
+    with a nonzero literal or a table-style name (NORM_FLOOR) c among its
+    arguments, or .max(initial=c) with c != 0."""
+    def constant(arg):
+        arg = arg.operand if isinstance(arg, ast.UnaryOp) else arg
+        return (isinstance(arg, ast.Constant) and type(arg.value) in (int, float)
+                and arg.value != 0) or (isinstance(arg, ast.Name)
+                                        and re.fullmatch(r"[A-Z0-9]+(_[A-Z0-9]+)+", arg.id))
+
+    if not isinstance(node, ast.Call):
+        return False
+    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+    initial = [kw.value for kw in node.keywords if kw.arg == "initial"]
+    return (name in ("max", "maximum") and any(map(constant, node.args))) \
+        or (name == "max" and any(map(constant, initial)))
+
+
 def _floored_comparisons(source):
-    """The functions holding a comparison that reads NORM_FLOOR."""
-    return _enclosing(source, lambda node: isinstance(node, ast.Compare) and any(
-        isinstance(sub, ast.Name) and sub.id == "NORM_FLOOR" for sub in ast.walk(node)))
+    """The functions holding a comparison that carries a constant floor."""
+    return _enclosing(source, lambda node: isinstance(node, ast.Compare)
+                      and any(_floors(sub) for sub in ast.walk(node)))
 
 
-def test_norm_floor_guards_divisions_alone():
+def test_no_floor_in_the_table_or_a_comparison():
     # A relative gate x > tol * ||B|| needs no floor: a zero norm leaves a
-    # zero defect, which passes.  NORM_FLOOR only keeps a division by a
-    # zero norm finite, in unit_columns and the a0_defect of
-    # assembled_system (numerics defines it, a top-level statement).
+    # zero defect, which passes.  And a ratio divides only by a norm its
+    # code has shown nonzero, so the table holds tolerances alone.  The
+    # one floored comparison is forward._nearest's max(1, |target|), the
+    # lookup scale the README documents for --match-tol.
+    from palinverse import numerics
+
+    table = {name: value for name, value in vars(numerics).items() if name.isupper()}
+    assert "NORM_FLOOR" not in table
+    assert {name: value for name, value in table.items() if not 1e-16 < value < 1} == {}
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    readers = {module: _readers(source, "NORM_FLOOR") for module, source in sources.items()}
-    assert {module: names for module, names in readers.items() if names} == \
-        {"numerics": {None, "unit_columns"}, "system": {"assembled_system"}}
     floored = {module: _floored_comparisons(source) for module, source in sources.items()}
-    assert {module: names for module, names in floored.items() if names} == {}
+    assert {module: names for module, names in floored.items() if names} == \
+        {"forward": {"_nearest"}}
     planted = ("def _gate(x, B):\n"
                "    if x > TOL * max(fnorm(B), NORM_FLOOR):\n"
                "        raise ValueError\n"
-               "    return x / max(fnorm(B), NORM_FLOOR)\n")
-    assert _floored_comparisons(planted) == {"_gate"}
+               "def _free(P):\n"
+               "    return abs(P - 1) <= TOL * np.abs(P).max(initial=1.0)\n"
+               "def _lookup(d, t):\n"
+               "    return d > TOL * np.maximum(-1e-300, abs(t))\n"
+               "def _count(c, n, X, A1):\n"
+               "    return c.max(initial=0) > n or n < max(X, A1, fnorm(X))\n")
+    assert _floored_comparisons(planted) == {"_gate", "_free", "_lookup"}
 
 
 def test_one_transfer_rule():
