@@ -59,27 +59,15 @@ def _matrix_from_json(data, what):
     return out
 
 
-def _matrix_text(M):
-    """json.dumps(indent=2) of the [re, im] rows of M as a field of a
-    document: the repr of one tolist() with its separators respelled."""
-    parts = np.stack([M.real, M.imag], -1)
-    if not parts.size or not np.isfinite(parts).all():  # [], NaN, Infinity
-        return json.dumps(parts.tolist(), indent=2).replace("\n", "\n  ")
-    p1, p2, p3, p4 = ("\n" + " " * i for i in (2, 4, 6, 8))
-    text = repr(parts.tolist())[3:-3]
-    for sep, spelled in (("]], [[", f"{p3}]{p2}],{p2}[{p3}[{p4}"),
-                         ("], [", f"{p3}],{p3}[{p4}"), (", ", "," + p4)):
-        text = text.replace(sep, spelled)
-    return f"[{p2}[{p3}[{p4}{text}{p3}]{p2}]{p1}]"
+def _rows(M):
+    """The [re, im] rows of a complex matrix, as a file holds them."""
+    M = np.asarray(M, dtype=np.complex128)
+    return np.stack([M.real, M.imag], -1).tolist()
 
 
-def _dump(doc, matrices, path):
-    """Write json.dumps(doc | matrices, indent=2) and a newline, without
-    json's pure-Python indenting encoder for the matrices."""
-    fields = [f"  {json.dumps(key)}: {_matrix_text(np.asarray(M, dtype=np.complex128))}"
-              for key, M in matrices.items()]
+def _dump(doc, path):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=2)[:-2] + ",\n" + ",\n".join(fields) + "\n}\n")
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _load(path):
@@ -103,8 +91,10 @@ def save_system(sys, path):
         "format": FORMAT_TAG,
         "class": {"star": sys.cls.star, "epsilon": sys.cls.epsilon},
         "n": sys.n,
+        "A1": _rows(sys.A1),
+        "A0": _rows(sys.A0),
     }
-    _dump(doc, {"A1": sys.A1, "A0": sys.A0}, path)
+    _dump(doc, path)
 
 
 def load_system(path):
@@ -128,7 +118,7 @@ def load_system(path):
 
 
 def save_pair(X, T, path):
-    _dump({"format": FORMAT_TAG}, {"X": X, "T": T}, path)
+    _dump({"format": FORMAT_TAG, "X": _rows(X), "T": _rows(T)}, path)
 
 
 def load_pair(path):

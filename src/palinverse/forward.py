@@ -18,14 +18,15 @@ the very arrays it came from, neither writeable), and solves afresh
 otherwise.  eig_full always runs its own eigensolve.
 
 Construction (iep), updating (mup) and select_pairs decide every rule on a
-set of eigenvalues here: _coincide is the one coincidence test, and _apart
-keeps a value list clear of the rest of a spectrum by it; _group_values
-applies the reciprocal pairing to a prescribed value list, and _paired
-snaps it to the exact values a solve builds on; _unit_parity is the +-1
-multiplicity rule of the transpose classes, _admit puts new values beside
-the rest of a spectrum (a construction's remaining values, an update's
-replacement values) by all of these rules, and _nearest finds given
-values in a spectrum (select_pairs' targets, an update's selected values).
+set of eigenvalues here: _reciprocity_defect measures a partner (for the
+pairing and the Stein support), _coincide is the one coincidence test, and
+_apart keeps a value list clear of a spectrum by it; _group_values pairs a
+prescribed value list, and _paired snaps it to the exact values a solve
+builds on; _unit_parity is the +-1 multiplicity rule of the transpose
+classes, _admit puts new values beside the rest of a spectrum (a
+construction's remaining values, an update's replacement values) by all of
+these rules, and _nearest finds given values in a spectrum (select_pairs'
+targets, an update's selected values).
 """
 
 from dataclasses import dataclass, field
@@ -105,26 +106,27 @@ class EigenPairSet:
         return None if j < 0 else j
 
 
-def _greedy_pairing(values, cls, tol):
-    """Match eigenvalues into (lam, 1/lam*) pairs.
-
-    Smallest modulus first; each unmatched value takes the unmatched
-    candidate minimizing |lam lam'* - 1| (itself included, which accepts
-    unimodular self-pairs).  Ties break by index order.
-
-    Moduli and defects are taken with hypot on real and imaginary parts,
-    which rounds exactly like the scalar abs(complex) (numpy's complex abs
-    may not), so the order and the ties are those of a scalar loop.
-    """
+def _reciprocity_defect(values, cls):
+    """|lam_p lam_q* - 1| over a value list, zero where lam_q = 1/lam_p*: scale
+    free, as its target is 1.  hypot on real and imaginary parts rounds like
+    the scalar abs(complex) (numpy's complex abs may not)."""
     re, im = values.real, values.imag
     im_star = -im if cls.star == "H" else im
     outer = np.multiply.outer
-    defect = np.hypot(outer(re, re) - outer(im, im_star) - 1.0,
-                      outer(re, im_star) + outer(im, re))
+    return np.hypot(outer(re, re) - outer(im, im_star) - 1.0,
+                    outer(re, im_star) + outer(im, re))
+
+
+def _greedy_pairing(values, cls, tol):
+    """Match eigenvalues into (lam, 1/lam*) pairs: smallest modulus first (by
+    hypot, as the defect), each unmatched value takes the unmatched candidate
+    of least _reciprocity_defect (itself included, which accepts unimodular
+    self-pairs); ties break by index order, as in a scalar loop."""
+    defect = _reciprocity_defect(values, cls)
     free = np.ones(len(values), dtype=bool)
     pairs = []
     unmatched = []
-    for i in np.argsort(np.hypot(re, im), kind="stable").tolist():
+    for i in np.argsort(np.hypot(values.real, values.imag), kind="stable").tolist():
         if not free[i]:
             continue
         j = int(np.argmin(np.where(free, defect[i], np.inf)))

@@ -239,13 +239,12 @@ def _construct(cls, pair, form, seed, groups, completion=None):
     """The seeded draws of every construction, from one generator rng, on
     the Jordan form (X1, T1) of the caller's pair, its diagonal snapped by
     forward._paired and groups (its pairing, found when None; PairingNotClosed
-    when rows of one Jordan block take different partners); the gate judges
-    pair.  Each draw takes S1 from its parameter space (with
-    X1 S1 X1* = 0 when completion is None) and, for k < 2n, the block
-    (X2, T2, S2) of the remaining eigenvalues that completion(S1, rng)
-    builds, T2 diagonal; errors.retry draws again when S1 is singular or
-    the draw misses a gate, and raises NoSolution when every S1 drawn was
-    singular."""
+    when rows of one Jordan block take different partners).  Each draw takes
+    S1 from its parameter space (with X1 S1 X1* = 0 when completion is None)
+    and, for k < 2n, the block (X2, T2, S2) that completion(S1, rng) builds,
+    T2 diagonal; the gate judges pair and (X2, T2).  errors.retry draws again
+    when S1 is singular or the draw misses a gate, and raises NoSolution when
+    every S1 drawn was singular."""
     rng = np.random.default_rng(seed)
     X1, T1 = form[0], form[1].copy()
     d = np.diag(form[1])
@@ -268,6 +267,9 @@ def _construct(cls, pair, form, seed, groups, completion=None):
         resid = pair_residual(sys, pair)
         if resid > OUTPUT_RESIDUAL_TOL:
             raise ResidualTooLarge(f"prescribed-pair residual {resid:.3e}")
+        rest = pair_residual(sys, blocks[1][:2]) if completion is not None else 0.0
+        if rest > OUTPUT_RESIDUAL_TOL:
+            raise ResidualTooLarge(f"remaining-pair residual {rest:.3e}")
         return sys, blocks, attempt, resid
 
     sys, blocks, attempt, resid = retry(RETRY_ATTEMPTS, draw, "no regular completion")

@@ -90,9 +90,14 @@ def fnorm(a):
 
 def unit_columns(X, T):
     """X with unit columns if T is diagonal, as (X D, T) then is the same eigendata
-    as (X, T) for every nonsingular diagonal D; a zero column is no eigenvector: SingularW."""
+    as (X, T) for every nonsingular diagonal D; a zero column is no eigenvector: SingularW.
+    A column whose plain norm under- or overflows is divided by max|x| ||x / max|x|||."""
     if np.count_nonzero(T) == np.count_nonzero(np.diagonal(T)):
-        norms = np.linalg.norm(X, axis=0)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(X, axis=0)
+        for j in np.flatnonzero((norms == 0.0) | np.isinf(norms)):
+            big = np.abs(X[:, j]).max()
+            norms[j] = big * np.linalg.norm(X[:, j] / big) if big else 0.0
         if not norms.all():
             raise SingularW(f"column {np.argmin(norms)} of X has zero norm, so no eigenvector")
         X = X / norms

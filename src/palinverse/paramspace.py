@@ -20,6 +20,7 @@ from math import comb
 import numpy as np
 
 from .errors import DefectiveSpectrum, DimensionMismatch, Inconsistent, SingularMatrix
+from .forward import _reciprocity_defect
 from .numerics import (NONSINGULAR_RTOL, OUTPUT_RESIDUAL_TOL, RANK_RTOL, SINGULAR_RTOL,
                        STRUCTURE_RTOL, TRANSFER_FLOOR_RTOL, as_matrix, fnorm,
                        range_coordinates, sv_ratio)
@@ -93,8 +94,8 @@ def _stein_support(starts, sizes, values, cls):
 
     Entry e puts a[e] at (I[e], J[e]) and b[e] at (J[e], I[e]) of element
     K[e]; K is nondecreasing.  The block of S joining Jordan blocks p and
-    q is free only when |lam_p lam_q* - 1| <= RANK_RTOL (relative to
-    the largest |lam_p lam_q*|), and star(S) = -eps S mirrors block
+    q is free only when forward._reciprocity_defect |lam_p lam_q* - 1| is
+    at most RANK_RTOL, at any modulus, and star(S) = -eps S mirrors block
     (p, q) into (q, p).  Between 1-by-1 blocks (all of them for a
     diagonal T) a pair p < q carries one free complex value z, as two
     real elements, and a block p = q the part of z with z = -eps z*;
@@ -105,9 +106,7 @@ def _stein_support(starts, sizes, values, cls):
     """
     eps = cls.epsilon
     star = (lambda z: z) if cls.star == "T" else np.conj
-    P = values[:, None] * star(values)[None, :]
-    free = np.abs(P - 1.0) <= RANK_RTOL * np.abs(P).max()
-    bp, bq = np.nonzero(np.triu(free))
+    bp, bq = np.nonzero(np.triu(_reciprocity_defect(values, cls) <= RANK_RTOL))
     single = sizes == 1
     unit = single[bp] & single[bq]
     rows, cols = starts[bp[unit]], starts[bq[unit]]

@@ -297,6 +297,23 @@ def test_zero_eigenvector_column_is_refused_before_any_lookup(cls, monkeypatch):
         IepProblem(cls, zero, T1)
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e170, 1e300])
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_any_column_scaling_of_the_eigenvectors(cls, scale):
+    # A column scaled past where its plain norm underflows (below about
+    # 1e-162) or overflows (above about 1e154) is still an eigenvector:
+    # construction and update take it as the unscaled one.
+    from palinverse.iep import IepProblem, solve_iep_partial_result
+
+    sys, X1, _, T1, T1_new = _zero_column_selection(cls)
+    scaled = X1.copy()
+    scaled[:, 0] *= scale
+    sol = solve_iep_partial_result(IepProblem(cls, scaled, T1, seed=0))
+    assert pair_residual(sol.system, (X1, T1)) <= 1e-9
+    res = update_model_result(MupProblem(sys, scaled, T1, T1_new, seed=0))
+    assert pair_residual(res.system, (res.X1_new, T1_new)) <= 1e-9
+
+
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
 def test_compute_S1_refuses_a_zero_column_and_a_moved_T1(cls):
     # compute_S1 judges its input itself: a zero column of X1 leaves the

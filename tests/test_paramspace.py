@@ -65,6 +65,21 @@ def test_s_basis_membership_residuals(cls):
         assert fnorm(B - T @ B @ cls.star_of(T)) <= 1e-10 * fnorm(B) * nt * nt
 
 
+@pytest.mark.parametrize("rho", [1e3, 1e5, 1e8])
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_solution_space_of_a_far_pair(cls, rho):
+    # A partner is admitted by |lam mu* - 1| <= RANK_RTOL at any modulus,
+    # so the small member's product with itself, 1/rho^2, is none: the
+    # space is the one value joining the pair (two real elements), and
+    # every element meets S = T S T* to roundoff.
+    mu = rho * np.exp(0.7j)
+    T = np.diag([mu, 1 / cls.star_scalar(mu)])
+    basis = solution_space(T, cls)
+    assert len(basis) == 2
+    for S in basis:
+        assert fnorm(S - T @ S @ cls.star_of(T)) <= 1e-12 * fnorm(S)
+
+
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
 def test_s_basis_real_dim_convention(cls):
     # Star = T spaces are complex linear: i * element stays inside, so the

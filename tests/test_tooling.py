@@ -5,9 +5,9 @@ and must resolve, each to the object in its home module.  `import
 palinverse` loads neither numpy nor any submodule, every submodule loads on
 first access, and each subcommand loads only the modules it runs.  The CLI
 must run on numpy alone, without importing scipy.  No package module
-imports a name it never uses, only forward decides when two eigenvalues
-coincide, keeps a value list clear of a spectrum, admits new eigenvalues
-and finds given ones (mup builds no error of either), one function
+imports a name it never uses, only forward measures a reciprocal partner
+by |lam mu* - 1|, decides when two eigenvalues coincide, keeps a value
+list clear of a spectrum, admits new eigenvalues and finds given ones (mup builds no error of either), one function
 assembles the spectral sums, one function solves X S X* = C over the
 parameter space and computes no eigenvalues, one function reads the
 eigenvalues of a prescribed T1, and every float tolerance is defined in the one table of
@@ -105,6 +105,65 @@ def test_coincidence_tolerance_read_in_one_place():
         {"forward": {"_coincide", "_group_values"}, "numerics": {None}}
     planted = "def _check(v, w):\n    return abs(v - w) <= COINCIDE_RTOL\n"
     assert _readers(planted, "COINCIDE_RTOL") == {"_check"}
+
+
+STARS = ("conj", "conjugate", "star", "star_of", "star_scalar")
+
+
+def _called(node):
+    """The name a call node calls, bare or as an attribute, else None."""
+    func = getattr(node, "func", None)
+    return getattr(func, "id", None) or getattr(func, "attr", None)
+
+
+def _starred_product(node):
+    """An expression holding a product (*, outer) and a starred value (a
+    call of conj or a star, or a name spelled with star)."""
+    subs = list(ast.walk(node))
+    return any(isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Mult)
+               or _called(sub) == "outer" for sub in subs) \
+        and any(_called(sub) in STARS or isinstance(sub, ast.Name) and "star" in sub.id
+                for sub in subs)
+
+
+def _reciprocity_products(source):
+    """The functions that form the reciprocity defect lam mu* - 1: 1
+    subtracted from a starred product, written out or through a name
+    assigned one."""
+    named = {target.id for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Assign) and _starred_product(node.value)
+             for target in node.targets if isinstance(target, ast.Name)}
+
+    def less_one(node):
+        if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)):
+            return False
+        for one, rest in ((node.left, node.right), (node.right, node.left)):
+            if isinstance(one, ast.Constant) and one.value == 1:
+                return _starred_product(rest) or getattr(rest, "id", None) in named
+        return False
+
+    return _enclosing(source, less_one)
+
+
+def test_one_reciprocity_defect():
+    # |lam_p lam_q* - 1| decides a reciprocal partner for the pairing and
+    # for the Stein support of the parameter space: forward forms it once,
+    # at a scale-free target, and no other module spells it.
+    found = {path.stem: _reciprocity_products(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {module: names for module, names in found.items() if names} == \
+        {"forward": {"_reciprocity_defect"}}
+
+
+def test_reciprocity_check_flags_planted_spellings():
+    # The Stein support's own copy this replaced, whose bound grew with
+    # max |P|, and a product written out; 2 n - 1 and x - 1 are no defect.
+    planted = ("def _stein_support(values, cls):\n"
+               "    P = values[:, None] * star(values)[None, :]\n"
+               "    return np.abs(P - 1.0) <= RANK_RTOL * np.abs(P).max()\n"
+               "def _near(lam, mu):\n    return abs(1 - lam * np.conj(mu)) < 1e-8\n"
+               "def _sizes(n, x):\n    return 2 * n - 1, x - 1\n")
+    assert _reciprocity_products(planted) == {"_stein_support", "_near"}
 
 
 def test_parameter_matrices_decided_in_the_sampler_alone():
