@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import Infeasible, PairingNotClosed, SpectraOverlap, TargetNotFound
-from .numerics import COINCIDE_RTOL, MATCH_TOL, PAIRING_TOL, dense_eig, linear_solve
+from .numerics import COINCIDE_RTOL, MATCH_TOL, PAIRING_TOL, column_norms, dense_eig, linear_solve
 from .system import SymmetryClass, _recorded
 
 
@@ -256,12 +256,12 @@ def eig_full(sys):
     vectors = np.where(np.hypot(values.real, values.imag) >= 1.0, top, bottom)
     # A unit companion eigenvector is (lam x; x), so the kept block has
     # norm at least 1/sqrt(2).
-    vectors = vectors / np.linalg.norm(vectors, axis=0)
+    vectors = vectors / column_norms(vectors)
     # Q(lam_i) x_i for all i at once: Lambda acts as a column scaling.
     A1 = sys.A1
     R = (sys.cls.star_of(A1) @ vectors) * values**2 + (sys.A0 @ vectors) * values \
         + sys.cls.epsilon * (A1 @ vectors)
-    residuals = np.linalg.norm(R, axis=0)
+    residuals = column_norms(R)
     pairs, unmatched = _greedy_pairing(values, sys.cls, PAIRING_TOL)
     return EigenPairSet(sys.cls, values, vectors, pairs, residuals, unmatched)
 

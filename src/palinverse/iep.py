@@ -62,7 +62,7 @@ def _jordan_form(X1, T1):
         return X1, T1
     w, V = dense_eig(T1)
     ratio = sv_ratio(V)
-    if ratio <= np.finfo(float).eps / RANK_RTOL:
+    if not ratio > np.finfo(float).eps / RANK_RTOL:
         raise DefectiveSpectrum(f"T1 is defective or nearly so (eigenvector sigma "
                                 f"ratio {ratio:.3e}); give it in Jordan form")
     return unit_columns(X1 @ V, np.diag(w)), np.diag(w)
@@ -143,9 +143,9 @@ class IepProblem:
         if k == 0:
             raise DimensionMismatch("a construction prescribes at least one eigenpair")
         self.X1 = unit_columns(self.X1, self.T1)
-        if sv_ratio(self.T1) <= SINGULAR_RTOL:
+        if not sv_ratio(self.T1) > SINGULAR_RTOL:
             raise SingularW("T1 must be nonsingular")
-        if sv_ratio(np.vstack([self.X1, -solve_right(self.X1, self.T1)])) <= RANK_RTOL:
+        if not sv_ratio(np.vstack([self.X1, -solve_right(self.X1, self.T1)])) > RANK_RTOL:
             raise SingularW("[X1; -X1 T1^{-1}] must have full column rank")
         self.form = _jordan_form(self.X1, self.T1)
         self.t1_values = np.diag(self.form[1])
@@ -265,10 +265,10 @@ def _construct(cls, pair, form, seed, groups, completion=None):
         # blocks; raises SingularLeadingBlock when X T^-1 S X* is singular.
         sys = _coefficients_from_blocks(blocks, cls, svals)
         resid = pair_residual(sys, pair)
-        if resid > OUTPUT_RESIDUAL_TOL:
+        if not resid <= OUTPUT_RESIDUAL_TOL:
             raise ResidualTooLarge(f"prescribed-pair residual {resid:.3e}")
         rest = pair_residual(sys, blocks[1][:2]) if completion is not None else 0.0
-        if rest > OUTPUT_RESIDUAL_TOL:
+        if not rest <= OUTPUT_RESIDUAL_TOL:
             raise ResidualTooLarge(f"remaining-pair residual {rest:.3e}")
         return sys, blocks, attempt, resid
 

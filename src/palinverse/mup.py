@@ -37,7 +37,7 @@ def _check_diagonal(T, name):
     if T.shape[0] != T.shape[1]:
         raise DimensionMismatch(f"{name} must be square")
     off = T - np.diag(np.diag(T))
-    if fnorm(off) > DIAGONAL_RTOL * fnorm(T):
+    if not fnorm(off) <= DIAGONAL_RTOL * fnorm(T):
         raise DimensionMismatch(
             f"{name} must be diagonal (semi-simple selected eigenvalues)")
     return np.diag(np.diag(T))
@@ -78,9 +78,10 @@ class MupProblem:
             self.X1_new = as_matrix(self.X1_new, "X1_new")
             if self.X1_new.shape != (self.sys.n, k):
                 raise DimensionMismatch("X1_new must be n-by-k")
+            self.X1_new = unit_columns(self.X1_new, self.T1_new)
         self.X1 = unit_columns(self.X1, self.T1)
         resid = pair_residual(self.sys, (self.X1, self.T1))
-        if resid > PAIR_RESIDUAL_GATE:
+        if not resid <= PAIR_RESIDUAL_GATE:
             raise ResidualTooLarge(
                 f"(X1, T1) is not an invariant pair of the system "
                 f"(residual {resid:.3e})")
@@ -152,7 +153,7 @@ def low_rank_update(sys, X1, T1, S1, X1_new, T1_new, S1_new):
     A1Q = sys.A1 @ Q
     A1Z1, Z2sA1 = A1Q @ Z1c, star(Z2) @ sys.A1
     Xi = np.eye(ell, dtype=np.complex128) + eps * Z2sA1 @ Z1
-    if sv_ratio(Xi) <= SINGULAR_RTOL:
+    if not sv_ratio(Xi) > SINGULAR_RTOL:
         raise XiSingular("low-rank pivot Xi is singular")
     XiInv = invert(Xi)
     L, R = A1Z1 @ XiInv, XiInv @ Z2sA1
@@ -170,8 +171,8 @@ def _finish(problem, S1, X1t, T1t, S1t, attempt):
     resid_new = pair_residual(new_sys, (X1t, problem.T1_new))
     target = problem.X1 @ S1 @ cls.star_of(problem.X1)
     eq_resid = fnorm(X1t @ S1t @ cls.star_of(X1t) - target)
-    if resid_new > OUTPUT_RESIDUAL_TOL \
-            or eq_resid > _transfer_bound(target, (problem.X1, S1), (X1t, S1t)):
+    if not (resid_new <= OUTPUT_RESIDUAL_TOL
+            and eq_resid <= _transfer_bound(target, (problem.X1, S1), (X1t, S1t))):
         raise ResidualTooLarge(
             f"update verification failed (pair residual {resid_new:.3e}, "
             f"transfer residual {eq_resid:.3e})")

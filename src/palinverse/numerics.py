@@ -79,29 +79,39 @@ def as_matrix(a, name="matrix"):
 
 
 def fnorm(a):
-    """Frobenius norm, bit-identical to np.linalg.norm(a, "fro"): its real
-    dots over ravel(order="K"), without its argument dispatch."""
+    """Frobenius norm, bit-identical to np.linalg.norm(a, "fro") (real dots over
+    ravel(order="K"), by vdot, which warns of no overflow) unless that sum of squares
+    overflows, or underflows to 0 for a nonzero array: then it is max|x| ||x / max|x|||."""
     x = np.asarray(a)
     x = (x if x.dtype.kind in "fc" else x.astype(float)).ravel(order="K")
-    if x.dtype.kind == "c":
-        return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
-    return math.sqrt(x.dot(x))
+    s = np.vdot(x.real, x.real) + (np.vdot(x.imag, x.imag) if x.dtype.kind == "c" else 0.0)
+    if not 0.0 < s < math.inf and x.any():
+        x = np.abs(x)
+        big = x.max()
+        return big * fnorm(x / big) if big < math.inf else big
+    return math.sqrt(s)
+
+
+def column_norms(X):
+    """fnorm of each column of X: the bits of np.linalg.norm(X, axis=0), and
+    fnorm's rescue for a column whose plain norm under- or overflows."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(X, axis=0)
+    for j in np.flatnonzero((norms == 0.0) | np.isinf(norms)):
+        norms[j] = fnorm(X[:, j])
+    return norms
 
 
 def unit_columns(X, T):
-    """X with unit columns if T is diagonal, as (X D, T) then is the same eigendata
-    as (X, T) for every nonsingular diagonal D; a zero column is no eigenvector: SingularW.
-    A column whose plain norm under- or overflows is divided by max|x| ||x / max|x|||."""
-    if np.count_nonzero(T) == np.count_nonzero(np.diagonal(T)):
-        with np.errstate(over="ignore"):
-            norms = np.linalg.norm(X, axis=0)
-        for j in np.flatnonzero((norms == 0.0) | np.isinf(norms)):
-            big = np.abs(X[:, j]).max()
-            norms[j] = big * np.linalg.norm(X[:, j] / big) if big else 0.0
-        if not norms.all():
-            raise SingularW(f"column {np.argmin(norms)} of X has zero norm, so no eigenvector")
-        X = X / norms
-    return X
+    """X at unit scale: with unit columns if T is diagonal, as (X D, T) is then the
+    eigendata of (X, T) for every nonsingular diagonal D, and X / ||X||_F for any
+    other T, as a scalar multiple of X is the same invariant pair.  A zero column
+    (a zero X included) is no eigenvector: SingularW."""
+    diagonal = np.count_nonzero(T) == np.count_nonzero(np.diagonal(T))
+    norms = column_norms(X) if diagonal else fnorm(X)
+    if not np.all(norms):
+        raise SingularW(f"column {np.argmin(norms)} of X has zero norm, so no eigenvector")
+    return X / norms
 
 
 def two_norm(a):
@@ -198,4 +208,4 @@ def dense_eig(A, vectors=True):
         w, v = np.linalg.eig(A)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"dense eigensolver failed: {exc}") from exc
-    return w, v / np.linalg.norm(v, axis=0)
+    return w, v / column_norms(v)

@@ -176,7 +176,7 @@ def _xsx_solve(T, cls, X=None, C=None):
         n = X.shape[0]
         if C.shape != (n, n):
             raise DimensionMismatch(f"C has shape {C.shape}, expected ({n}, {n})")
-        if fnorm(star(C) + cls.epsilon * C) > STRUCTURE_RTOL * fnorm(C):
+        if not fnorm(star(C) + cls.epsilon * C) <= STRUCTURE_RTOL * fnorm(C):
             raise Inconsistent("right-hand side C must satisfy star(C) = -eps C")
     blocks = _jordan_blocks(T)
     if blocks is None:
@@ -205,13 +205,13 @@ def _xsx_solve(T, cls, X=None, C=None):
             part = vt[:rank].T @ ((u[:, :rank].T @ rhs) / s[:rank])
             # The two parts of the residual are orthogonal: inside range(Q)
             # and the part of C that no X S X* can reach.
-            resid = np.hypot(np.linalg.norm(A @ part - rhs),
+            resid = np.hypot(fnorm(A @ part - rhs),
                              fnorm(C - Q @ core @ star(Q)))
             coeffs = np.vstack([part, coeffs])
     S = np.zeros((coeffs.shape[0], m, m), dtype=np.complex128)
     np.add.at(S, (slice(None), I, J), coeffs[:, K] * a)
     np.add.at(S, (slice(None), J, I), coeffs[:, K] * b)
-    if C is not None and resid > _transfer_bound(C, (X, S[0])):
+    if C is not None and not resid <= _transfer_bound(C, (X, S[0])):
         raise Inconsistent(f"no S solves X S X* = C (residual {resid:.3e} "
                            f"vs ||C|| {fnorm(C):.3e})")
     return (None, S) if C is None else (S[0], S[1:])
@@ -228,7 +228,7 @@ def solution_space(T, cls, X=None):
 
 def _nonsingular(T):
     T = as_matrix(T, "T")
-    if T.size and sv_ratio(T) <= SINGULAR_RTOL:
+    if T.size and not sv_ratio(T) > SINGULAR_RTOL:
         raise SingularMatrix("T must be nonsingular")
     return T
 
@@ -313,7 +313,7 @@ def sample_nonsingular(basis, rng, particular=None):
     S = sum(terms, 0 if particular is None else particular)
     s = np.linalg.svd(S, compute_uv=False)
     ratio = s[-1] / s[0] if s[0] else 0.0
-    if ratio <= NONSINGULAR_RTOL:
+    if not ratio > NONSINGULAR_RTOL:
         raise SingularMatrix(f"drawn S is singular (sigma ratio {ratio:.3e})")
     return S, s
 

@@ -28,11 +28,11 @@ def _check_membership(blocks, cls):
         [[fnorm(S), fnorm(T), fnorm(X), fnorm(star(S) + eps * S),
           fnorm(S - T @ S @ star(T))] for X, T, S in blocks], axis=0)
     iso = fnorm(sum(X @ S @ star(X) for X, _, S in blocks))
-    if sym > STRUCTURE_RTOL * nS:
+    if not sym <= STRUCTURE_RTOL * nS:
         raise MembershipCheckFailed(f"star(S) != -eps S (defect {sym:.3e})")
-    if com > STRUCTURE_RTOL * nS * nT * nT:
+    if not com <= STRUCTURE_RTOL * nS * nT * nT:
         raise MembershipCheckFailed(f"S != T S T* (defect {com:.3e})")
-    if iso > STRUCTURE_RTOL * nX * nX * nS:
+    if not iso <= STRUCTURE_RTOL * nX * nX * nS:
         raise MembershipCheckFailed(f"X S X* != 0 (defect {iso:.3e})")
 
 
@@ -52,14 +52,14 @@ def compute_S1(sys, X1, T1):
     X1, T1 = as_matrix(X1, "X1"), as_matrix(T1, "T1")
     star = sys.cls.star_of
     G = _inverse_parameter(sys, X1, T1)
-    if sv_ratio(G) <= SINGULAR_RTOL:
+    if not sv_ratio(G) > SINGULAR_RTOL:
         raise SingularS1Precursor(
             "eps X1* A1 X1 T1^{-1} - T1^{-*} X1* A1* X1 is singular")
     S1 = invert(G)
     S1 = (S1 - sys.cls.epsilon * star(S1)) / 2.0
     nS, nT = fnorm(S1), fnorm(T1)
     com = fnorm(S1 - T1 @ S1 @ star(T1))
-    if com > S1_MEMBERSHIP_RTOL * nS * nT * nT:
+    if not com <= S1_MEMBERSHIP_RTOL * nS * nT * nT:
         raise MembershipCheckFailed(
             f"computed S1 violates S1 = T1 S1 T1* (defect {com:.3e}); "
             "the selected eigendata is inconsistent with the system")
@@ -102,12 +102,12 @@ def _coefficients_from_blocks(blocks, cls, svals):
     (X_b, T_b, S_b), X = [X_1, X_2, ...], without forming T or S; svals[b]
     are the singular values of S_b, which gate S."""
     s = np.concatenate(svals)  # sigma(S)
-    if not s.size or s.min() <= SINGULAR_RTOL * s.max():
+    if not (s.size and s.min() > SINGULAR_RTOL * s.max()):
         raise SingularMatrix("S must be nonsingular")
     _check_membership(blocks, cls)
     G, H = _spectral_sums(blocks, cls.star_of)
     smin, ratio = sv_min_ratio(G)
-    if ratio <= SINGULAR_RTOL:
+    if not ratio > SINGULAR_RTOL:
         raise SingularLeadingBlock(
             "X T^{-1} S X* is numerically singular; no regular solution")
     A1 = cls.epsilon * invert(G)

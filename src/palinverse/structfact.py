@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import BadIndices, FactorizationFailure, SymmetryViolation
 from .numerics import (CLUSTER_RTOL, RANK_RTOL, ROUNDOFF_RTOL, STRUCTURE_RTOL,
-                       as_matrix, fnorm, linear_solve)
+                       as_matrix, column_norms, fnorm, linear_solve)
 from .system import SymmetryClass
 
 
@@ -130,8 +130,8 @@ def _antilinear_step(B, V, eps, rank_tol):
     Returns the columns taken, [Z] or [W, V], and gamma.
     """
     W = B @ V.conj()
-    gamma = np.linalg.norm(W, axis=0)
-    if gamma.min(initial=np.inf) <= rank_tol:
+    gamma = column_norms(W)
+    if not gamma.min(initial=np.inf) > rank_tol:
         raise FactorizationFailure(
             "reduction collapsed inside the numerically nonzero subspace")
     W /= gamma
@@ -140,8 +140,8 @@ def _antilinear_step(B, V, eps, rank_tol):
         c = np.exp(0.5j * np.angle(vw))
         return [(c * V + c.conj() * W) / np.sqrt(2.0 + 2.0 * np.abs(vw))], gamma
     W -= V * vw
-    nu = np.linalg.norm(W, axis=0)
-    if nu.min(initial=1.0) < 0.5:
+    nu = column_norms(W)
+    if not nu.min(initial=1.0) >= 0.5:
         raise FactorizationFailure("lost orthogonality in Youla pairing")
     return [W / nu, V], gamma
 
@@ -209,7 +209,7 @@ def star_factorize(B, cls, rank_tol=None):
         raise SymmetryViolation("B must be square")
     nrm = fnorm(B)
     defect = fnorm(cls.star_of(B) + cls.epsilon * B)
-    if defect > STRUCTURE_RTOL * nrm:
+    if not defect <= STRUCTURE_RTOL * nrm:
         raise SymmetryViolation(
             f"star(B) != -eps B: defect {defect:.3e} vs ||B|| {nrm:.3e}")
     Bp = (B - cls.epsilon * cls.star_of(B)) / 2.0
@@ -245,7 +245,7 @@ def star_factorize(B, cls, rank_tol=None):
 
     fact = StarFactorization(Y, pattern, cls)
     err = fnorm(fact.reconstruct() - Bp)
-    if err > STRUCTURE_RTOL * nrm:
+    if not err <= STRUCTURE_RTOL * nrm:
         raise FactorizationFailure(
             f"reconstruction residual {err:.3e} exceeds tolerance for ||B|| = {nrm:.3e}")
     return fact
@@ -395,7 +395,7 @@ def _congruence_onto(target, form, cls, rng=None):
     psi = C if rng is None else C @ _isometry(form, cls, rng)
     err = fnorm(psi @ form @ cls.star_of(psi) - target)
     floor = ROUNDOFF_RTOL * fnorm(psi) ** 2 * fnorm(form)
-    if err > STRUCTURE_RTOL * fnorm(target) + floor:
+    if not err <= STRUCTURE_RTOL * fnorm(target) + floor:
         raise FactorizationFailure(f"congruence construction residual {err:.3e}")
     return psi
 

@@ -102,7 +102,7 @@ class PalindromicSystem:
         # Scale against the whole system so a zero A0 (defect pure roundoff)
         # is not rejected by a vacuous relative bound.
         scale = max(fnorm(self.A0), fnorm(self.A1))
-        if defect > A0_SYMMETRY_RTOL * scale:
+        if not defect <= A0_SYMMETRY_RTOL * scale:
             raise SymmetryViolation(
                 f"A0 symmetry violation: ||A0* - eps A0|| = {defect:.3e} "
                 f"exceeds {A0_SYMMETRY_RTOL:.0e} * max(||A0||, ||A1||)")
@@ -110,7 +110,7 @@ class PalindromicSystem:
             smin = _a1_floor  # sigma_max(A1) <= ||A1||_F
         else:
             smin, ratio = sv_min_ratio(self.A1)
-            if ratio <= SINGULAR_RTOL:
+            if not ratio > SINGULAR_RTOL:
                 raise SingularMatrix(
                     f"A1 is numerically singular (sigma_min/sigma_max = {ratio:.3e})")
             if ratio <= A1_WARN_RTOL:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import (closed_selection, count_eigensolves, dense_update_change, inertia,
-                     log_decompositions, off_circle_pair, parameter_from_pair,
+                     jordan_matrix, log_decompositions, off_circle_pair, parameter_from_pair,
                      random_complex, random_system, replacement_values, residual_scale,
                      separated_spectrum)
 from palinverse import mup
@@ -297,12 +297,15 @@ def test_zero_eigenvector_column_is_refused_before_any_lookup(cls, monkeypatch):
         IepProblem(cls, zero, T1)
 
 
-@pytest.mark.parametrize("scale", [1e-300, 1e-170, 1e170, 1e300])
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-170, 1e-150, 1e150, 1e170, 1e200, 1e300])
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
 def test_any_column_scaling_of_the_eigenvectors(cls, scale):
     # A column scaled past where its plain norm underflows (below about
     # 1e-162) or overflows (above about 1e154) is still an eigenvector:
-    # construction and update take it as the unscaled one.
+    # construction and update take it as the unscaled one, and a prescribed
+    # update takes its new eigenvectors so.  For a T1 that is not diagonal
+    # (a defective Jordan form, or T1 in another basis V) a scalar multiple
+    # of X1 is the same pair, and IepSolution.residual reads the unscaled one.
     from palinverse.iep import IepProblem, solve_iep_partial_result
 
     sys, X1, _, T1, T1_new = _zero_column_selection(cls)
@@ -312,6 +315,46 @@ def test_any_column_scaling_of_the_eigenvectors(cls, scale):
     assert pair_residual(sol.system, (X1, T1)) <= 1e-9
     res = update_model_result(MupProblem(sys, scaled, T1, T1_new, seed=0))
     assert pair_residual(res.system, (res.X1_new, T1_new)) <= 1e-9
+    given = update_model_result(
+        MupProblem(sys, X1, T1, T1_new, X1_new=scale * res.X1_new, seed=1))
+    assert pair_residual(given.system, (res.X1_new, T1_new)) <= 1e-9
+    lam = 0.6 * np.exp(0.9j)
+    V = np.array([[1.0, 0.3], [0.0, 1.0]])
+    for X, T in ((random_complex(np.random.default_rng(1), 6, 4),
+                  jordan_matrix([lam, 1 / cls.star_scalar(lam)], [2, 2])),
+                 (X1 @ V, np.linalg.solve(V, T1 @ V))):
+        sol = solve_iep_partial_result(IepProblem(cls, scale * X, T, seed=0))
+        resid = pair_residual(sol.system, (X, T))
+        assert resid <= 1e-9 and 0.0 < sol.residual and abs(sol.residual - resid) <= 1e-15
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_a_nan_residual_fails_every_residual_gate(cls, monkeypatch):
+    # A nan compares false both ways, so each gate is spelled to raise on it:
+    # a construction draws again on a nan prescribed-pair or remaining-pair
+    # residual, an update problem refuses a nan pair, and an update every
+    # draw whose new-pair residual is nan.
+    from palinverse import iep
+    from palinverse.iep import IepProblem, solve_iep_partial_result
+
+    sys, X1, _, T1, T1_new = _zero_column_selection(cls)
+    X1_new = update_model_result(MupProblem(sys, X1, T1, T1_new, seed=0)).X1_new
+    updates = [MupProblem(sys, X1, T1, T1_new, seed=0),
+               MupProblem(sys, X1, T1, T1_new, X1_new=X1_new, seed=1)]
+    problem = IepProblem(cls, X1, T1, seed=0)
+    for gated in ("prescribed", "remaining"):
+        monkeypatch.setattr(iep, "pair_residual", lambda sys, pair, gated=gated: 0.0
+                            if gated == "remaining" and pair[1] is problem.T1 else np.nan)
+        with pytest.raises(RetryExhausted, match=f"{gated}-pair residual nan") as info:
+            solve_iep_partial_result(problem)
+        assert info.value.reasons == Counter(ResidualTooLarge=20)
+    monkeypatch.setattr(mup, "pair_residual", lambda sys, pair: np.nan)
+    for update in updates:
+        with pytest.raises(ResidualTooLarge, match="not an invariant pair"):
+            MupProblem(sys, X1, T1, T1_new, X1_new=update.X1_new, seed=0)
+        with pytest.raises(RetryExhausted, match="pair residual nan") as info:
+            update_model_result(update)
+        assert set(info.value.reasons) == {"ResidualTooLarge"}
 
 
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
@@ -736,7 +779,7 @@ def test_free_update_to_large_modulus(cls, modulus, n):
     assert pair_residual(res.system, (X2, T2)) <= PAIR_RESIDUAL_GATE
 
 
-@pytest.mark.parametrize("scale", [1e-150, 1e-20, 1e20, 1e150])
+@pytest.mark.parametrize("scale", [1e-250, 1e-200, 1e-150, 1e-20, 1e20, 1e150, 1e200, 1e250])
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
 def test_updates_hold_under_overall_scaling(cls, scale):
     # Scaling (A1, A0) by s keeps every eigenpair, and every gate is
@@ -752,7 +795,7 @@ def test_updates_hold_under_overall_scaling(cls, scale):
         MupProblem(sys, X1, T1, T1_new, X1_new=free.X1_new, seed=1))
     for res in (free, prescribed):
         assert pair_residual(res.system, (res.X1_new, T1_new)) <= 1e-9
-        assert pair_residual(res.system, (X2, T2)) <= 1e-8
+        assert 0.0 < pair_residual(res.system, (X2, T2)) <= 1e-8
 
 
 def _fixture_update_case(code):

@@ -50,7 +50,7 @@ def _outcome(solve):
     """A solve's caller-pair residual, or None when every draw missed only
     the residual gate: COINCIDE_RTOL (1e-8) exceeds OUTPUT_RESIDUAL_TOL
     (1e-9), so an input inside the pairing tolerance can miss the gate on
-    every draw (ROADMAP item 15).  Any other error propagates."""
+    every draw (ROADMAP items 15 and 20).  Any other error propagates."""
     try:
         return solve()
     except RetryExhausted as exc:

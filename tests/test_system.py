@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import (pair_defect, parameter_from_pair, random_complex,
+from helpers import (closed_selection, pair_defect, parameter_from_pair, random_complex,
                      random_structured, random_system, reversal_defect)
 from palinverse.errors import (DimensionMismatch, SingularMatrix, SingularW,
                                SymmetryViolation)
@@ -117,6 +117,25 @@ def test_pair_residual_negative_control():
     X = random_complex(rng, 3, 6)
     T = np.diag(random_complex(rng, 6) + 2)
     assert pair_residual(sys, (X, T)) > 1e-3
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_pair_residual_sees_a_defect_at_any_scale(cls, scale):
+    # Two eigenvectors moved by 1e-5 relative, then they or the system scaled
+    # by s: the plain sums of squares over- or underflow there, and the
+    # residual must read the defect, not nan or 0.
+    sys = random_system(cls, 4, seed=3)
+    e = eig_full(sys)
+    idx = closed_selection(e, 2)
+    E = random_complex(np.random.default_rng(6), 4, 2)
+    X = e.vectors[:, idx] + 1e-5 * fnorm(e.vectors[:, idx]) / fnorm(E) * E
+    T = np.diag(e.values[idx])
+    base = pair_residual(sys, (X, T))
+    scaled = PalindromicSystem(cls, scale * sys.A1, scale * sys.A0)
+    for resid in (pair_residual(sys, (scale * X, T)), pair_residual(scaled, (X, T))):
+        assert 1e-6 <= resid <= 1e-4
+        assert abs(resid - base) <= 1e-9 * base
 
 
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)

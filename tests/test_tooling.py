@@ -13,7 +13,8 @@ parameter space and computes no eigenvalues, one function reads the
 eigenvalues of a prescribed T1, and every float tolerance is defined in the one table of
 numerics, which has no absolute entry and no floor; no comparison floors its
 scale with a constant but the eigenvalue lookup's, and one rule judges a
-transfer X S X* = C.
+transfer X S X* = C.  Every gate that compares with a tolerance raises on a
+nan, and only numerics calls np.linalg.norm.
 Every definition is reached from the CLI or a public name, but for a listed
 few that wait for the benchmark to stop naming them."""
 
@@ -485,6 +486,86 @@ def test_one_transfer_rule():
         {"numerics": {None}, "paramspace": {"_transfer_bound"}}
     assert _package_callers("_transfer_bound") == {
         "paramspace": {"_xsx_solve"}, "mup": {"_finish"}}
+
+
+# A tolerance a gate compares with: a table entry, a rank_tol or the transfer bound.
+_TOLERANCE = re.compile(r"[A-Z0-9_]*_(RTOL|TOL|GATE)|rank_tol|_transfer_bound")
+
+
+def _open_gates(source):
+    """The functions holding an if that raises on an ordering of a value with
+    a tolerance outside a not.  A nan orders false both ways, so such a gate
+    lets it through, where not (value <= tol) raises on it."""
+    def tolerance(node):
+        return any(isinstance(sub, ast.Name) and _TOLERANCE.fullmatch(sub.id)
+                   for sub in ast.walk(node))
+
+    def bare(test):
+        if isinstance(test, ast.BoolOp):
+            return [c for value in test.values for c in bare(value)]
+        return [test] if isinstance(test, ast.Compare) else []
+
+    def gate(node):
+        return isinstance(node, ast.If) and any(isinstance(s, ast.Raise) for s in node.body) \
+            and any(isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) and tolerance(c)
+                    for c in bare(node.test) for op in c.ops)
+
+    return _enclosing(source, gate)
+
+
+def test_every_gate_fails_closed():
+    # An overflow inside a solve leaves a nan, which as_matrix never lets in
+    # from outside; every gate that compares with a tolerance raises on it.
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    opened = {module: _open_gates(source) for module, source in sources.items()}
+    assert {module: names for module, names in opened.items() if names} == {}
+
+
+def test_open_gate_check_flags_planted_spellings():
+    planted = ("def _pair(resid):\n"
+               "    if resid > OUTPUT_RESIDUAL_TOL:\n"
+               "        raise ResidualTooLarge\n"
+               "def _ratio(A):\n"
+               "    if sv_ratio(A) <= SINGULAR_RTOL:\n"
+               "        raise SingularMatrix\n"
+               "def _finish(r, e, C):\n"
+               "    if r > OUTPUT_RESIDUAL_TOL or e > _transfer_bound(C):\n"
+               "        raise ResidualTooLarge\n"
+               "def _step(gamma, rank_tol):\n"
+               "    if gamma.min() <= rank_tol:\n"
+               "        raise FactorizationFailure\n"
+               "def _closed(r, e, C):\n"
+               "    if not (r <= OUTPUT_RESIDUAL_TOL and e <= _transfer_bound(C)):\n"
+               "        raise ResidualTooLarge\n"
+               "    if C is not None and not r > SINGULAR_RTOL:\n"
+               "        raise SingularMatrix\n"
+               "def _branch(s, P, rank_tol):\n"
+               "    if s[-1] <= RANK_RTOL * P:\n"
+               "        s = s[::-1]\n"
+               "    if np.count_nonzero(s > rank_tol) % 2 != 0:\n"
+               "        raise FactorizationFailure\n")
+    assert _open_gates(planted) == {"_pair", "_ratio", "_finish", "_step"}
+
+
+def test_one_norm_call_site():
+    # Every norm is numerics' fnorm, column_norms or two_norm, so a norm
+    # neither under- nor overflows at any scale a float carries: no other
+    # module calls np.linalg.norm.
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    callers = {module: _callers(source, "norm") for module, source in sources.items()}
+    assert {module: names for module, names in callers.items() if names} == \
+        {"numerics": {"column_norms", "two_norm"}}
+
+
+def test_norm_check_flags_planted_calls():
+    planted = ("from numpy.linalg import norm\n"
+               "def _step(B, V):\n"
+               "    return np.linalg.norm(B @ V.conj(), axis=0)\n"
+               "def _resid(A, x, b):\n"
+               "    return np.hypot(norm(A @ x - b), 1.0)\n"
+               "def _fine(W, R):\n"
+               "    return column_norms(W), fnorm(R), np.linalg.svd(R)\n")
+    assert _callers(planted, "norm") == {"_step", "_resid"}
 
 
 def test_small_float_check_flags_planted_literals():
