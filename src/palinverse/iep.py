@@ -195,6 +195,7 @@ def solve_iep_partial_result(problem):
     if given is not None and len(given) != r:
         raise DimensionMismatch(
             f"expected {r} remaining eigenvalues, got {len(given)}")
+    vals = None if given is None else as_matrix([given], "remaining eigenvalues")[0]
     # At k = 2n no remaining spectrum can supply a missing +-1 either.
     for point in _unit_parity(cls, n, problem.t1_values):
         if r == 0 or _coincide([point], problem.t1_values).any():
@@ -203,7 +204,6 @@ def solve_iep_partial_result(problem):
                 "multiplicity this class and order forbid, and the remaining "
                 "spectrum cannot mend it")
     if given is not None:
-        vals = np.array(given, dtype=np.complex128)
         groups = _admit(cls, n, vals, problem.t1_values, "the prescribed spectrum")
         given = _paired(vals, groups, cls), groups
 

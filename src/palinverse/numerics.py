@@ -111,6 +111,9 @@ def unit_columns(X, T):
     norms = column_norms(X) if diagonal else fnorm(X)
     if not np.all(norms):
         raise SingularW(f"column {np.argmin(norms)} of X has zero norm, so no eigenvector")
+    subnormal = norms < np.finfo(float).tiny  # complex X / norm forms 1 / norm: inf
+    if np.any(subnormal):
+        return unit_columns(X * np.where(subnormal, 2.0**600, 1.0), T)
     return X / norms
 
 

@@ -167,24 +167,6 @@ def test_cmd_solve_parity_infeasible(tmp_path, capsys):
     assert "parity" in err["message"] or "Infeasible" in err["error"]
 
 
-def test_cmd_solve_full_pair_parity_infeasible(tmp_path, capsys):
-    # k = 2n with a simple +1 and -1: tp parity, as for k < 2n.
-    pairfile = tmp_path / "pair.json"
-    X = np.random.default_rng(4).standard_normal((2, 4))
-    save_pair(X, np.diag([1.0, -1.0, 0.5, 2.0]), pairfile)
-    code = main(["solve", "--class", "tp", "--pairs", str(pairfile)])
-    err = json.loads(capsys.readouterr().err.strip())
-    assert (code, err["error"]) == (2, "Infeasible")
-
-
-def test_cmd_update_of_nothing_is_dimension_mismatch(tmp_path, capsys):
-    sysfile = tmp_path / "sys.json"
-    save_system(update_fixture("tp")[0], sysfile)
-    code = main(["update", "--system", str(sysfile), "--replace=", "--with="])
-    err = json.loads(capsys.readouterr().err.strip())
-    assert (code, err["error"]) == (2, "DimensionMismatch")
-
-
 def test_cmd_solve_full_pair_rejects_remaining(tmp_path, capsys):
     e = eig_full(random_system(TP, 3, seed=5))
     pairfile, valfile = tmp_path / "pair.json", tmp_path / "vals.json"

@@ -251,6 +251,14 @@ def test_iep_remaining_conflicts():
     with pytest.raises(PairingNotClosed):
         solve_iep_partial_result(IepProblem(
             TP, X1, T1, remaining_eigenvalues=[2.0, 0.6, 3.0, 1 / 3.0]))
+    # nan and inf are no eigenvalues: a ValueError in every class, as for a
+    # matrix entry, before any admission rule reads them.
+    for cls in ALL_CLASSES:
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="remaining eigenvalues contains non-finite"):
+                solve_iep_partial_result(IepProblem(
+                    cls, X1, np.diag([mu, 1 / cls.star_scalar(mu)]),
+                    remaining_eigenvalues=[2.0, 0.5, bad, 1 / 3.0]))
 
 
 def test_iep_user_remaining_respected():

@@ -1,3 +1,4 @@
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -326,6 +327,32 @@ def test_any_column_scaling_of_the_eigenvectors(cls, scale):
         sol = solve_iep_partial_result(IepProblem(cls, scale * X, T, seed=0))
         resid = pair_residual(sol.system, (X, T))
         assert resid <= 1e-9 and 0.0 < sol.residual and abs(sol.residual - resid) <= 1e-15
+
+
+@pytest.mark.parametrize("scale", [1e-310, 1e-320])
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_a_subnormal_column_is_read_at_the_precision_it_carries(cls, scale):
+    # A column of subnormal norm keeps only 10 to 44 bits, so each pair is
+    # judged as given, not against the unscaled one.  unit_columns scales it
+    # by 2**600 before it divides, as numpy's complex division by a subnormal
+    # norm overflows; no case warns.  At 1e-320 the column has lost enough
+    # digits that an update may find the pair no longer invariant.
+    from palinverse.iep import IepProblem, solve_iep_partial_result
+
+    sys, X1, _, T1, T1_new = _zero_column_selection(cls)
+    scaled = X1.copy()
+    scaled[:, 0] *= scale
+    V = np.array([[1.0, 0.3], [0.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for X, T in ((scaled, T1), (scale * X1 @ V, np.linalg.solve(V, T1 @ V))):
+            assert solve_iep_partial_result(IepProblem(cls, X, T, seed=0)).residual <= 1e-9
+        try:
+            res = update_model_result(MupProblem(sys, scaled, T1, T1_new, seed=0))
+        except ResidualTooLarge:
+            assert scale < 1e-310
+        else:
+            assert pair_residual(res.system, (res.X1_new, T1_new)) <= 1e-9
 
 
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)

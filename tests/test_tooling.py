@@ -16,7 +16,8 @@ scale with a constant but the eigenvalue lookup's, and one rule judges a
 transfer X S X* = C.  Every gate that compares with a tolerance raises on a
 nan, and only numerics calls np.linalg.norm.
 Every definition is reached from the CLI or a public name, but for a listed
-few that wait for the benchmark to stop naming them."""
+few that wait for the benchmark to stop naming them.  The CI workflow runs no
+CLI subcommand itself: every end-to-end CLI check is a row of cli_checks.py."""
 
 import ast
 import importlib
@@ -39,6 +40,7 @@ from reference_problems import iep_fixture, update_fixture
 ROOT = Path(__file__).resolve().parent.parent
 TRACING = ROOT / "bench" / "tracing.py"
 PACKAGE = ROOT / "src" / "palinverse"
+WORKFLOW = ROOT / ".github" / "workflows" / "tier1.yml"
 
 
 def _tracing_module():
@@ -575,6 +577,31 @@ def test_small_float_check_flags_planted_literals():
     assert _small_floats(source) == []
     assert [value for _, value in _small_floats(planted)] == [1e-9, 2.5e-4]
     assert _small_floats((PACKAGE / "numerics.py").read_text())
+
+
+def _cli_lines(workflow):
+    """The lines of a workflow, read as text (CI installs no PyYAML), that run
+    a palinverse subcommand by the console script or by python -m."""
+    return [line.strip() for line in workflow.splitlines()
+            if re.search(r"\bpalinverse\s+(solve|update|eig|verify)\b|-m\s+palinverse\.cli\b",
+                         line)]
+
+
+def test_no_cli_check_outside_the_table():
+    # CI runs the rows of tests/cli_checks.py, which tier-1 runs too, and
+    # `palinverse --help` to exercise the console script; a CLI check written
+    # as a workflow step would run only in CI.
+    assert _cli_lines(WORKFLOW.read_text()) == []
+
+
+def test_cli_line_check_flags_planted_steps():
+    planted = WORKFLOW.read_text() + ("      - name: CLI eig on a planted system\n"
+                                      "        run: |\n"
+                                      "          palinverse --help > /dev/null\n"
+                                      "          palinverse eig --system x.json\n"
+                                      "          python -m palinverse.cli solve --class tp\n")
+    assert _cli_lines(planted) == ["palinverse eig --system x.json",
+                                   "python -m palinverse.cli solve --class tp"]
 
 
 def test_forward_binds_the_traced_eigensolver():
