@@ -22,7 +22,7 @@ import numpy as np
 from .errors import PalinverseError
 from .fileio import load_pair, load_system, load_values, save_system
 from .forward import _coincide, eig_full, select_pairs
-from .numerics import MATCH_TOL, two_norm
+from .numerics import MATCH_TOL, diagonal_of, two_norm
 from .system import SymmetryClass, pair_defect_matrix, pair_residual
 
 _LITERAL_RE = re.compile(r"^[0-9eEij+.\-]+$")
@@ -130,7 +130,7 @@ def cmd_update(args):
     X1_new = None
     if args.vectors:
         X1_new, T = load_pair(args.vectors)
-        if T.shape != T1_new.shape or np.any(T != np.diag(np.diag(T))) \
+        if T.shape != T1_new.shape or diagonal_of(T) is None \
                 or not _coincide(np.diag(T), new_values).diagonal().all():
             raise _UsageError("--vectors must pair X with T = diag(--with values)")
     res = update_model_result(MupProblem(sys, X1, T1, T1_new, X1_new=X1_new,

@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import Infeasible, PairingNotClosed, SpectraOverlap, TargetNotFound
 from .numerics import COINCIDE_RTOL, MATCH_TOL, PAIRING_TOL, column_norms, dense_eig, linear_solve
-from .system import SymmetryClass, _recorded
+from .system import SymmetryClass, _recorded, pair_defect_matrix
 
 
 def companion(sys):
@@ -225,7 +225,8 @@ def _nearest(values, targets, rtol):
     from it, or ambiguous, its nearest value taken by an earlier target."""
     dists = np.abs(values[None, :] - targets[:, None])
     nearest = np.argmin(dists, axis=1)
-    missing = dists.min(axis=1) > rtol * np.maximum(1.0, np.abs(targets))
+    with np.errstate(over="ignore"):  # a huge rtol bounds nothing: inf
+        missing = dists.min(axis=1) > rtol * np.maximum(1.0, np.abs(targets))
     repeated = np.ones(len(targets), dtype=bool)
     repeated[np.unique(nearest, return_index=True)[1]] = False
     bad = np.flatnonzero(missing | repeated)
@@ -257,11 +258,7 @@ def eig_full(sys):
     # A unit companion eigenvector is (lam x; x), so the kept block has
     # norm at least 1/sqrt(2).
     vectors = vectors / column_norms(vectors)
-    # Q(lam_i) x_i for all i at once: Lambda acts as a column scaling.
-    A1 = sys.A1
-    R = (sys.cls.star_of(A1) @ vectors) * values**2 + (sys.A0 @ vectors) * values \
-        + sys.cls.epsilon * (A1 @ vectors)
-    residuals = column_norms(R)
+    residuals = column_norms(pair_defect_matrix(sys, vectors, np.diag(values)))
     pairs, unmatched = _greedy_pairing(values, sys.cls, PAIRING_TOL)
     return EigenPairSet(sys.cls, values, vectors, pairs, residuals, unmatched)
 

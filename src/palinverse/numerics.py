@@ -3,7 +3,8 @@
 All data are plain numpy arrays with complex128 entries.  The routines here
 wrap numpy's LAPACK bindings behind the small contracts the rest of the
 package relies on: pivoted LU solves, SVD-based rank decisions, thin-QR
-range coordinates, and a dense nonsymmetric eigensolver.
+range coordinates, a dense nonsymmetric eigensolver, and diagonal_of, the
+package's one exact test that a T is diagonal.
 
 Singularity policy.  linear_solve raises SingularMatrix only when LAPACK
 meets an exactly zero pivot; it does not judge conditioning, so an exactly
@@ -78,6 +79,12 @@ def as_matrix(a, name="matrix"):
     return m
 
 
+def diagonal_of(T):
+    """The diagonal of the square T if every off-diagonal entry is exactly 0, else None."""
+    d = np.diagonal(T)
+    return d if np.count_nonzero(T) == np.count_nonzero(d) else None
+
+
 def fnorm(a):
     """Frobenius norm, bit-identical to np.linalg.norm(a, "fro") (real dots over
     ravel(order="K"), by vdot, which warns of no overflow) unless that sum of squares
@@ -105,10 +112,9 @@ def column_norms(X):
 def unit_columns(X, T):
     """X at unit scale: with unit columns if T is diagonal, as (X D, T) is then the
     eigendata of (X, T) for every nonsingular diagonal D, and X / ||X||_F for any
-    other T, as a scalar multiple of X is the same invariant pair.  A zero column
-    (a zero X included) is no eigenvector: SingularW."""
-    diagonal = np.count_nonzero(T) == np.count_nonzero(np.diagonal(T))
-    norms = column_norms(X) if diagonal else fnorm(X)
+    other T, as a scalar multiple of X is the same invariant pair; diagonal_of
+    decides.  A zero column (a zero X included) is no eigenvector: SingularW."""
+    norms = fnorm(X) if diagonal_of(T) is None else column_norms(X)
     if not np.all(norms):
         raise SingularW(f"column {np.argmin(norms)} of X has zero norm, so no eigenvector")
     subnormal = norms < np.finfo(float).tiny  # complex X / norm forms 1 / norm: inf

@@ -22,8 +22,8 @@ import numpy as np
 from .errors import DefectiveSpectrum, DimensionMismatch, Inconsistent, SingularMatrix
 from .forward import _reciprocity_defect
 from .numerics import (NONSINGULAR_RTOL, OUTPUT_RESIDUAL_TOL, RANK_RTOL, SINGULAR_RTOL,
-                       STRUCTURE_RTOL, TRANSFER_FLOOR_RTOL, as_matrix, fnorm,
-                       range_coordinates, sv_ratio)
+                       STRUCTURE_RTOL, TRANSFER_FLOOR_RTOL, as_matrix, diagonal_of,
+                       fnorm, range_coordinates, sv_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -55,13 +55,13 @@ def _jordan_blocks(T):
     """(starts, sizes, values) of the Jordan blocks of T, or None.
 
     A superdiagonal entry equal to one joins two rows into a block, whose
-    eigenvalue is its first diagonal entry.  T is in Jordan
-    form when it equals the Jordan matrix read this way.  A diagonal T is
-    all 1-by-1 blocks; it is the common case, so it is recognized first.
+    eigenvalue is its first diagonal entry.  T is in Jordan form when it
+    equals the Jordan matrix read this way.  A diagonal T (numerics.diagonal_of)
+    is all 1-by-1 blocks; it is the common case, so it is recognized first.
     """
-    m = T.shape[0]
-    if not np.any(T - np.diag(np.diag(T))):
-        return np.arange(m), np.ones(m, dtype=int), np.diag(T)
+    m, d = T.shape[0], diagonal_of(T)
+    if d is not None:
+        return np.arange(m), np.ones(m, dtype=int), d
     joins = np.diag(T, 1) == 1.0
     starts = np.flatnonzero(np.concatenate([[True], ~joins]))
     sizes = np.diff(starts, append=m)

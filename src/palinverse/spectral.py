@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, MembershipCheckFailed, SingularLeadingBlock,
                      SingularMatrix, SingularS1Precursor)
-from .numerics import (S1_MEMBERSHIP_RTOL, SINGULAR_RTOL, STRUCTURE_RTOL, as_matrix,
+from .numerics import (S1_MEMBERSHIP_RTOL, SINGULAR_RTOL, STRUCTURE_RTOL, as_matrix, diagonal_of,
                        fnorm, invert, linear_solve, solve_right, sv_min_ratio, sv_ratio)
 from .system import assembled_system
 
@@ -82,12 +82,12 @@ def coefficients_from_pair(X, T, S, cls):
 
 def _spectral_sums(blocks, star):
     """G = sum X_b T_b^{-1} S_b X_b* and H = sum X_b T_b^{-2} S_b X_b* over
-    blocks (X_b, T_b, S_b).  A diagonal T_b divides exactly; other T_b are
-    LU-solved."""
+    blocks (X_b, T_b, S_b).  A diagonal T_b (numerics.diagonal_of) with no
+    zero entry divides exactly; other T_b are LU-solved."""
     G = H = 0
     for X, T, S in blocks:
-        d = np.diagonal(T)
-        if d.all() and np.count_nonzero(T) == len(d):
+        d = diagonal_of(T)
+        if d is not None and d.all():
             TinvS = S / d[:, None]
             XTinvS, XT2invS = X @ TinvS, X @ (TinvS / d[:, None])
         else:

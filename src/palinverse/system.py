@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, SingularMatrix, SymmetryViolation
 from .numerics import (A0_SYMMETRY_RTOL, A1_WARN_RTOL, SINGULAR_RTOL, as_matrix,
-                       fnorm, sv_min_ratio)
+                       diagonal_of, fnorm, sv_min_ratio)
 
 _CODES = {("T", 1): "tp", ("T", -1): "ta", ("H", 1): "hp", ("H", -1): "ha"}
 
@@ -164,13 +164,18 @@ def eval_Q(sys, lam):
 
 
 def pair_defect_matrix(sys, X, T):
-    """Residual matrix A1* X T^2 + A0 X T + eps A1 X."""
+    """Residual matrix A1* X T^2 + A0 X T + eps A1 X, formed only here; a diagonal
+    T = diag(d) (numerics.diagonal_of) acts as a column scaling of each term."""
     X = as_matrix(X, "X")
     T = as_matrix(T, "T")
     if X.shape[0] != sys.n:
         raise DimensionMismatch(f"X has {X.shape[0]} rows, expected {sys.n}")
     if T.shape[0] != T.shape[1] or X.shape[1] != T.shape[0]:
         raise DimensionMismatch("X and T dimensions do not conform")
+    d = diagonal_of(T)
+    if d is not None:
+        return (sys.cls.star_of(sys.A1) @ X) * d**2 + (sys.A0 @ X) * d \
+            + sys.cls.epsilon * (sys.A1 @ X)
     XT = X @ T
     return sys.cls.star_of(sys.A1) @ XT @ T + sys.A0 @ XT \
         + sys.cls.epsilon * sys.A1 @ X

@@ -93,6 +93,9 @@ ROWS = [
     ("CLI update with a nan matching tolerance",  # nan would match any eigenvalue
      ["update --system system.json --replace=0.45+0.2i,2.1-1i "
       "--with=0.6,1.6666666666666667 --match-tol nan".split()], 2, "usage", None),
+    ("CLI update with a matching tolerance of 1e308",  # its bound overflows to inf, silently
+     ["update --system system.json --replace=0.45+0.2i,2.1-1i "
+      "--with=0.6,1.6666666666666667 --match-tol 1e308".split()], 0, None, None),
     ("CLI update that replaces nothing",
      ["update --system system.json --replace= --with=".split()], 2, "DimensionMismatch", None),
     ("CLI eig on a system file whose epsilon is 1.5",  # int() once read it as tp

@@ -156,6 +156,14 @@ def test_nearest_at_the_update_tolerance():
         _nearest(e.values, np.array([mu, 1 / mu, nu, 1 / nu]), SELECTED_MATCH_RTOL)
 
 
+def test_select_pairs_at_a_tolerance_whose_bound_overflows():
+    # rtol max(1, |target|) is inf at tol = 1e308: every target is found, and
+    # the overflow warns of nothing (tier-1 runs with error::RuntimeWarning).
+    e, replace = fixture_eigs()
+    for got, want in zip(select_pairs(e, replace, tol=1e308), select_pairs(e, replace)):
+        assert np.array_equal(got, want)
+
+
 def test_select_pairs_partner_missing_and_unmatched():
     e, replace = fixture_eigs()
     with pytest.raises(PairingNotClosed, match="selected without its partner"):

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from helpers import (closed_selection, pair_defect, parameter_from_pair, random_complex,
-                     random_structured, random_system, reversal_defect)
+from helpers import (closed_selection, jordan_matrix, pair_defect, parameter_from_pair,
+                     random_complex, random_structured, random_system, reversal_defect)
 from palinverse.errors import (DimensionMismatch, SingularMatrix, SingularW,
                                SymmetryViolation)
 from palinverse.forward import eig_full
-from palinverse.numerics import fnorm
+from palinverse.numerics import column_norms, fnorm
 from palinverse.system import (ALL_CLASSES, HA, HP, TA, TP, PalindromicSystem,
                                SymmetryClass, assembled_system, eval_Q,
-                               pair_residual)
+                               pair_defect_matrix, pair_residual)
 from reference_problems import update_fixture
 
 
@@ -136,6 +136,45 @@ def test_pair_residual_sees_a_defect_at_any_scale(cls, scale):
     for resid in (pair_residual(sys, (scale * X, T)), pair_residual(scaled, (X, T))):
         assert 1e-6 <= resid <= 1e-4
         assert abs(resid - base) <= 1e-9 * base
+
+
+def _dense_defect(sys, X, T):
+    """A1* X T^2 + A0 X T + eps A1 X through the k-by-k products X T and (X T) T."""
+    XT = X @ T
+    return sys.cls.star_of(sys.A1) @ XT @ T + sys.A0 @ XT + sys.cls.epsilon * sys.A1 @ X
+
+
+@pytest.mark.parametrize("k", [1, 2, 8])
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_pair_defect_of_a_diagonal_T_scales_columns(cls, k):
+    # A diagonal T acts as a column scaling of each term: the same defect
+    # as the dense route to roundoff, for k = 1, 2 and 2n, at n = 4.
+    sys = random_system(cls, 4, seed=21)
+    rng = np.random.default_rng(k)
+    X, d = random_complex(rng, 4, k), 2.0 * random_complex(rng, k)
+    R, dense = pair_defect_matrix(sys, X, np.diag(d)), _dense_defect(sys, X, np.diag(d))
+    scale = fnorm(sys.A1) * fnorm(X) * (fnorm(d) ** 2 + 1) + fnorm(sys.A0) * fnorm(X) * fnorm(d)
+    assert fnorm(R - dense) <= 1e-14 * scale
+    assert fnorm(R) > 1e-3 * scale  # a random pair is no invariant pair
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_pair_defect_of_a_jordan_or_dense_T_multiplies(cls):
+    # Only an exactly diagonal T is scaled: a Jordan T and a dense T take the
+    # two k-by-k products, bit for bit.
+    sys = random_system(cls, 4, seed=22)
+    rng = np.random.default_rng(5)
+    X = random_complex(rng, 4, 3)
+    for T in (jordan_matrix([0.5 + 0.2j, 2.0], [2, 1]), random_complex(rng, 3, 3)):
+        assert np.array_equal(pair_defect_matrix(sys, X, T), _dense_defect(sys, X, T))
+
+
+@pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
+def test_eig_full_residuals_are_the_pair_defect(cls):
+    sys = random_system(cls, 5, seed=23)
+    e = eig_full(sys)
+    assert np.array_equal(e.residuals,
+                          column_norms(pair_defect_matrix(sys, e.vectors, np.diag(e.values))))
 
 
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)

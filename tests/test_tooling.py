@@ -14,7 +14,8 @@ eigenvalues of a prescribed T1, and every float tolerance is defined in the one 
 numerics, which has no absolute entry and no floor; no comparison floors its
 scale with a constant but the eigenvalue lookup's, and one rule judges a
 transfer X S X* = C.  Every gate that compares with a tolerance raises on a
-nan, and only numerics calls np.linalg.norm.
+nan, and only numerics calls np.linalg.norm.  Only numerics tests exactly that
+a T is diagonal, and only system forms Q(T)X.
 Every definition is reached from the CLI or a public name, but for a listed
 few that wait for the benchmark to stop naming them.  The CI workflow runs no
 CLI subcommand itself: every end-to-end CLI check is a row of cli_checks.py."""
@@ -568,6 +569,82 @@ def test_norm_check_flags_planted_calls():
                "def _fine(W, R):\n"
                "    return column_norms(W), fnorm(R), np.linalg.svd(R)\n")
     assert _callers(planted, "norm") == {"_step", "_resid"}
+
+
+DIAGONALS = ("diag", "diagonal")
+
+
+def _diagonal_tests(source):
+    """The functions that test a T for exact diagonality: T against
+    diag(diag(T)), or a count of T's nonzeros against a count or length."""
+
+    def test(node):
+        if _called(node) in DIAGONALS and node.args and _called(node.args[0]) in DIAGONALS:
+            return True
+        if not (isinstance(node, ast.Compare) and len(node.comparators) == 1):
+            return False
+        sides = {_called(node.left), _called(node.comparators[0])}
+        return "count_nonzero" in sides and sides <= {"count_nonzero", "len"}
+
+    return _enclosing(source, test)
+
+
+def _mentions(node, name):
+    return sum(getattr(sub, "id", None) == name or getattr(sub, "attr", None) == name
+               for sub in ast.walk(node))
+
+
+def _summands(node):
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub)):
+        return _summands(node.left) + _summands(node.right)
+    return [node]
+
+
+def _quadratic_sums(source):
+    """The functions that form Q(T)X, or Q(lam): a sum that names A0 once or
+    more and A1 twice or more (the quadratic and the constant term)."""
+
+    def forms(node):
+        return len(_summands(node)) > 1 and _mentions(node, "A0") and _mentions(node, "A1") > 1
+
+    return _enclosing(source, forms)
+
+
+def test_one_diagonal_test_and_one_defining_relation():
+    # numerics.diagonal_of is the one exact test that T is diagonal; mup's
+    # DIAGONAL_RTOL snap of an update's T1 is a tolerance decision, not an
+    # exact test, and iep's Jordan-split check reads the superdiagonal, so
+    # this reading does not count it.  Q(T)X is formed in system alone:
+    # pair_defect_matrix, and eval_Q's Q(lam).
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    for check, want in ((_diagonal_tests, {"numerics": {"diagonal_of"},
+                                           "mup": {"_check_diagonal"}}),
+                        (_quadratic_sums, {"system": {"eval_Q", "pair_defect_matrix"}})):
+        found = {module: check(source) for module, source in sources.items()}
+        assert {module: names for module, names in found.items() if names} == want
+
+
+def test_diagonal_and_relation_checks_flag_planted_spellings():
+    # The spellings diagonal_of and pair_defect_matrix replaced, with reads
+    # of a diagonal, a count and a sum that are neither.
+    planted = ("def _jordan_blocks(T):\n    return not np.any(T - np.diag(np.diag(T)))\n"
+               "def unit_columns(X, T):\n"
+               "    return np.count_nonzero(T) == np.count_nonzero(np.diagonal(T))\n"
+               "def _spectral_sums(T, d):\n    return d.all() and np.count_nonzero(T) == len(d)\n"
+               "def cmd_update(T):\n    return np.any(T != np.diag(np.diag(T)))\n"
+               "def _fine(T, s, a, b):\n"
+               "    return np.diag(T, 1) == 1.0, np.diag(np.repeat(np.diag(T), 2)), \\\n"
+               "        np.count_nonzero(s > 1e-3) % 2 != 0, len(a) == len(b)\n")
+    assert _diagonal_tests(planted) == {"_jordan_blocks", "unit_columns", "_spectral_sums",
+                                        "cmd_update"}
+    planted = ("def eig_full(sys, V, w):\n"
+               "    return (star(sys.A1) @ V) * w**2 + (sys.A0 @ V) * w + eps * (sys.A1 @ V)\n"
+               "def _horner(A1, A0, X, T):\n"
+               "    return (star(A1) @ X @ T + A0 @ X) @ T - A1 @ X\n"
+               "def _fine(A1, A0, B, A0_star, A1Q):\n"
+               "    return (A0 + A0_star) / 2.0, A1 + B, max(fnorm(A0), fnorm(A1)), \\\n"
+               "        A0 - A1Q @ B @ A1\n")
+    assert _quadratic_sums(planted) == {"eig_full", "_horner"}
 
 
 def test_small_float_check_flags_planted_literals():
