@@ -5,6 +5,7 @@ can distinguish "the problem has no solution / bad input" from genuine bugs.
 """
 
 import operator
+import warnings
 from collections import Counter
 
 
@@ -124,20 +125,27 @@ def retry(attempts, draw, what):
     """Call draw(attempt) for attempt = 1, 2, ... until one draw returns.
 
     A draw that raises one of MISSES counts as failed, keyed by its type
-    name.  When all attempts fail, raises RetryExhausted with the message
-    '<what> in 20 attempts: SymmetryViolation 18, XiSingular 2 (last
-    failure: ...)', reasons most frequent first, and keeps the Counter of
-    reasons as its .reasons; if every failure was SingularMatrix (a
-    singular parameter matrix), raises NoSolution from it instead.
+    name, and its warnings are dropped: only the returned draw's reach the
+    caller, under the caller's filters.  When all attempts fail, raises
+    RetryExhausted with the message '<what> in 20 attempts:
+    SymmetryViolation 18, XiSingular 2 (last failure: ...)', reasons most
+    frequent first, and keeps the Counter of reasons as its .reasons; if
+    every failure was SingularMatrix (a singular parameter matrix), raises
+    NoSolution from it instead.
     """
     reasons = Counter()
     last = None
     for attempt in range(1, attempts + 1):
-        try:
-            return draw(attempt)
-        except MISSES as exc:
-            reasons[type(exc).__name__] += 1
-            last = exc
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                result = draw(attempt)
+            except MISSES as exc:
+                reasons[type(exc).__name__] += 1
+                last = exc
+                continue
+        for w in caught:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno, w.file, w.line)
+        return result
     counts = ", ".join(f"{name} {n}" for name, n in reasons.most_common())
     error = RetryExhausted(f"{what} in {attempts} attempts: {counts} "
                            f"(last failure: {last})")

@@ -143,8 +143,10 @@ class IepProblem:
         if k == 0:
             raise DimensionMismatch("a construction prescribes at least one eigenpair")
         self.X1 = unit_columns(self.X1, self.T1)
-        if not sv_ratio(self.T1) > SINGULAR_RTOL:
-            raise SingularW("T1 must be nonsingular")
+        ratio = sv_ratio(self.T1)
+        if not ratio > SINGULAR_RTOL:
+            raise SingularW(f"sigma_min/sigma_max of T1 is {ratio:.3e}, at or below "
+                            f"SINGULAR_RTOL = {SINGULAR_RTOL:.0e}")
         if not sv_ratio(np.vstack([self.X1, -solve_right(self.X1, self.T1)])) > RANK_RTOL:
             raise SingularW("[X1; -X1 T1^{-1}] must have full column rank")
         self.form = _jordan_form(self.X1, self.T1)

@@ -23,9 +23,9 @@ from .errors import (RETRY_ATTEMPTS, BadIndices, DefectiveSpectrum, DimensionMis
                      Infeasible, ResidualTooLarge, XiSingular, retry, seed_index)
 from .forward import _admit, _apart, _coincide, _group_values, _nearest, _paired, eigenvalues
 from .numerics import (DIAGONAL_RTOL, OUTPUT_RESIDUAL_TOL, PAIR_RESIDUAL_GATE,
-                       SELECTED_MATCH_RTOL, SINGULAR_RTOL, as_matrix, fnorm, invert,
-                       range_coordinates, rank_factorize, sv_ratio, unit_columns)
-from .paramspace import _transfer_bound, constrained_family, sample_nonsingular
+                       SELECTED_MATCH_RTOL, SINGULAR_RTOL, _transfer_bound, as_matrix, fnorm,
+                       invert, range_coordinates, rank_factorize, sv_ratio, unit_columns)
+from .paramspace import constrained_family, sample_nonsingular
 from .spectral import _spectral_sums, compute_S1
 from .structfact import (_closed_form_block, _congruence_onto, _inertia, _isotropy_factor,
                          _snap_isotropy)
@@ -36,11 +36,11 @@ def _check_diagonal(T, name):
     T = as_matrix(T, name)
     if T.shape[0] != T.shape[1]:
         raise DimensionMismatch(f"{name} must be square")
-    off = T - np.diag(np.diag(T))
-    if not fnorm(off) <= DIAGONAL_RTOL * fnorm(T):
+    D = np.diag(np.diag(T))
+    if not fnorm(T - D) <= DIAGONAL_RTOL * fnorm(T):
         raise DimensionMismatch(
             f"{name} must be diagonal (semi-simple selected eigenvalues)")
-    return np.diag(np.diag(T))
+    return D
 
 
 @dataclass

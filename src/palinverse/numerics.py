@@ -32,9 +32,10 @@ condition number:
   values, or eigenvalues of a nonsingular A1).
 - mup: Xi, gated.
 
-Tolerance table.  Every numerical decision of the package reads one entry
-below, relative to the norm its site names: no entry is absolute, and a
-ratio divides only by a norm its code has shown nonzero, never by a floor.
+Tolerance table.  Every numerical decision of the package reads one of the
+16 entries below, relative to the norm its site names: no entry is absolute,
+and a ratio divides only by a norm its code has shown nonzero, never by a
+floor.  The one roundoff floor has one reader, the rule _transfer_bound.
 """
 
 import math
@@ -56,9 +57,8 @@ DIAGONAL_RTOL = 1e-12  # an update's T1 or T1_new is diagonal
 # u / STRUCTURE_RTOL ~ 1e-6 fails the reconstruction; 1e-4 leaves a margin.
 CLUSTER_RTOL = 1e-4  # neighbouring singular values this close, relative to the largest, cluster
 S1_MEMBERSHIP_RTOL = 1e-9  # the S1 computed from a system satisfies S1 = T1 S1 T1*
-# Roundoff floors.
-ROUNDOFF_RTOL = 1e-12  # a product W M W* within this of its scale ||W||^2 ||M|| is roundoff
-TRANSFER_FLOOR_RTOL = 1e-13  # a transfer residual within this of its scale ||X||^2 ||S|| is roundoff
+# Roundoff floor, read by _transfer_bound alone.
+TRANSFER_FLOOR_RTOL = 1e-13  # a product W M W* within this of its scale ||W||^2 ||M|| is roundoff
 # Residual gates.
 PAIR_RESIDUAL_GATE = 1e-8  # pair_residual under which a given pair is an invariant pair
 OUTPUT_RESIDUAL_TOL = 1e-9  # pair_residual of a built or updated system; a transfer X S X* = C
@@ -97,6 +97,15 @@ def fnorm(a):
         big = x.max()
         return big * fnorm(x / big) if big < math.inf else big
     return math.sqrt(s)
+
+
+def _transfer_bound(C, *products):
+    """The most a transfer residual ||X S X* - C||_F may be: OUTPUT_RESIDUAL_TOL
+    ||C||, plus the roundoff floor TRANSFER_FLOOR_RTOL ||W||^2 ||M|| of each
+    product W M W* compared, as C is exactly zero when all pairs are replaced.
+    With C = 0 it is the floor alone: the most a roundoff product W M W* may be."""
+    return OUTPUT_RESIDUAL_TOL * fnorm(C) + TRANSFER_FLOOR_RTOL * sum(
+        fnorm(W) ** 2 * fnorm(M) for W, M in products)
 
 
 def column_norms(X):

@@ -21,9 +21,9 @@ import numpy as np
 
 from .errors import DefectiveSpectrum, DimensionMismatch, Inconsistent, SingularMatrix
 from .forward import _reciprocity_defect
-from .numerics import (NONSINGULAR_RTOL, OUTPUT_RESIDUAL_TOL, RANK_RTOL, SINGULAR_RTOL,
-                       STRUCTURE_RTOL, TRANSFER_FLOOR_RTOL, as_matrix, diagonal_of,
-                       fnorm, range_coordinates, sv_ratio)
+from .numerics import (NONSINGULAR_RTOL, RANK_RTOL, SINGULAR_RTOL, STRUCTURE_RTOL,
+                       _transfer_bound, as_matrix, diagonal_of, fnorm, range_coordinates,
+                       sv_ratio)
 
 
 # ---------------------------------------------------------------------------
@@ -140,14 +140,6 @@ def _stein_support(starts, sizes, values, cls):
             np.concatenate(b).astype(np.complex128))
 
 
-def _transfer_bound(C, *products):
-    """The most a transfer residual ||X S X* - C||_F may be: OUTPUT_RESIDUAL_TOL
-    ||C||, plus a roundoff floor TRANSFER_FLOOR_RTOL ||X||^2 ||S|| for each
-    product (X, S) compared, as C is exactly zero when all pairs are replaced."""
-    return OUTPUT_RESIDUAL_TOL * fnorm(C) + TRANSFER_FLOOR_RTOL * sum(
-        fnorm(X) ** 2 * fnorm(S) for X, S in products)
-
-
 def _xsx_solve(T, cls, X=None, C=None):
     """The one solve of X S X* = C over {S : star(S) = -eps S, S = T S T*}.
 
@@ -159,7 +151,7 @@ def _xsx_solve(T, cls, X=None, C=None):
     coordinates Q of range(X), which keep the singular values of the map,
     and Inconsistent is raised when star(C) = -eps C fails at STRUCTURE_RTOL
     or the least-squares residual (C outside range(Q) included) exceeds
-    _transfer_bound at the minimum-norm solution: the bound an update
+    numerics._transfer_bound at the minimum-norm solution: the bound an update
     verifies, and no step along a null direction lowers the residual.
     Returns (particular, elements): the minimum-norm solution (None without
     C) and the null directions, stacked in one (d, m, m) array.
@@ -228,8 +220,10 @@ def solution_space(T, cls, X=None):
 
 def _nonsingular(T):
     T = as_matrix(T, "T")
-    if T.size and not sv_ratio(T) > SINGULAR_RTOL:
-        raise SingularMatrix("T must be nonsingular")
+    ratio = sv_ratio(T)
+    if T.size and not ratio > SINGULAR_RTOL:
+        raise SingularMatrix(f"sigma_min/sigma_max of T is {ratio:.3e}, at or below "
+                             f"SINGULAR_RTOL = {SINGULAR_RTOL:.0e}")
     return T
 
 

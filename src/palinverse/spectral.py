@@ -36,22 +36,13 @@ def _check_membership(blocks, cls):
         raise MembershipCheckFailed(f"X S X* != 0 (defect {iso:.3e})")
 
 
-def _inverse_parameter(sys, X, T):
-    """eps X* A1 X T^{-1} - T^{-*} X* A1* X: W* L J_eps L* W multiplied out,
-    with W = [X; -X T^{-1}] and L J_eps L* = [[0, -eps A1], [A1*, 0]], the
-    inverse parameter matrix of an invariant pair, full or partial."""
-    star = sys.cls.star_of
-    lead = sys.cls.epsilon * solve_right(star(X) @ sys.A1 @ X, T)
-    trail = linear_solve(star(T), star(X) @ star(sys.A1) @ X)
-    return lead - trail
-
-
 def compute_S1(sys, X1, T1):
     """Parameter block of the selected invariant pair, straight from the
     coefficients: S1 = (eps X1* A1 X1 T1^{-1} - T1^{-*} X1* A1* X1)^{-1}."""
     X1, T1 = as_matrix(X1, "X1"), as_matrix(T1, "T1")
     star = sys.cls.star_of
-    G = _inverse_parameter(sys, X1, T1)
+    G = (sys.cls.epsilon * solve_right(star(X1) @ sys.A1 @ X1, T1)
+         - linear_solve(star(T1), star(X1) @ star(sys.A1) @ X1))
     if not sv_ratio(G) > SINGULAR_RTOL:
         raise SingularS1Precursor(
             "eps X1* A1 X1 T1^{-1} - T1^{-*} X1* A1* X1 is singular")

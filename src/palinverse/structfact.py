@@ -33,8 +33,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BadIndices, FactorizationFailure, SymmetryViolation
-from .numerics import (CLUSTER_RTOL, RANK_RTOL, ROUNDOFF_RTOL, STRUCTURE_RTOL,
-                       as_matrix, column_norms, fnorm, linear_solve)
+from .numerics import (CLUSTER_RTOL, RANK_RTOL, STRUCTURE_RTOL, _transfer_bound, as_matrix,
+                       column_norms, fnorm, linear_solve)
 from .system import SymmetryClass
 
 
@@ -293,17 +293,14 @@ def _isometry(form, cls, rng):
 
 
 def _snap_isotropy(X1, S1, cls):
-    """X1 S1 X1*, snapped to exact zero at roundoff level.
+    """X1 S1 X1*, snapped to exact zero when _transfer_bound counts it roundoff.
 
     When every eigenpair is selected this product is the isotropy identity
     of the full parameter matrix, so it vanishes identically and only
     roundoff survives; downstream canonical factorization needs the exact
     zero to classify it."""
     G = X1 @ S1 @ cls.star_of(X1)
-    scale = fnorm(X1) ** 2 * fnorm(S1)
-    if fnorm(G) <= ROUNDOFF_RTOL * scale:
-        return np.zeros_like(G)
-    return G
+    return np.zeros_like(G) if fnorm(G) <= _transfer_bound(0, (X1, S1)) else G
 
 
 def _isotropy_factor(X1, S1, cls):
@@ -346,7 +343,7 @@ def _congruence_onto(target, form, cls, rng=None):
     With rng given, Psi = C W for a random isometry W of the form;
     otherwise Psi = C.  Raises BadIndices when the form lacks the inertia
     or rank the target needs, and FactorizationFailure when Psi misses the
-    residual gate.
+    residual gate, STRUCTURE_RTOL ||target|| plus _transfer_bound's floor.
     """
     n = target.shape[0]
     r = form.shape[0]
@@ -394,8 +391,7 @@ def _congruence_onto(target, form, cls, rng=None):
         C[tt + z, tt + 2 * z + 1] = 1.0j
     psi = C if rng is None else C @ _isometry(form, cls, rng)
     err = fnorm(psi @ form @ cls.star_of(psi) - target)
-    floor = ROUNDOFF_RTOL * fnorm(psi) ** 2 * fnorm(form)
-    if not err <= STRUCTURE_RTOL * fnorm(target) + floor:
+    if not err <= STRUCTURE_RTOL * fnorm(target) + _transfer_bound(0, (psi, form)):
         raise FactorizationFailure(f"congruence construction residual {err:.3e}")
     return psi
 

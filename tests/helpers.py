@@ -412,7 +412,8 @@ def parameter_from_pair(sys, pair):
         raise SingularMatrix("T is numerically singular")
     if m != 2 * X.shape[0]:
         raise DimensionMismatch("parameter_from_pair needs a full pair (m = 2n)")
-    if sv_ratio(np.vstack([X, -solve_right(X, T)])) <= SINGULAR_RTOL:
+    W = np.vstack([X, -solve_right(X, T)])
+    if sv_ratio(W) <= SINGULAR_RTOL:
         raise SingularW(
             "[X; -X T^{-1}] is numerically singular; not a standard pair")
     if X.shape[0] != sys.n:
@@ -421,14 +422,18 @@ def parameter_from_pair(sys, pair):
     if resid > PAIR_RESIDUAL_GATE:
         raise ResidualTooLarge(
             f"pair residual {resid:.3e} exceeds gate {PAIR_RESIDUAL_GATE:.0e}")
-    Sinv = spectral._inverse_parameter(sys, X, T)
+    # W* L J_eps L* W from its definition, not multiplied out as compute_S1
+    # forms it.
+    star, zero = sys.cls.star_of, np.zeros_like(sys.A1)
+    LJL = np.block([[zero, -sys.cls.epsilon * sys.A1], [star(sys.A1), zero]])
+    Sinv = star(W) @ LJL @ W
     ratio = sv_ratio(Sinv)
     if ratio <= SINGULAR_RTOL:
         raise SingularMatrix(
             f"W* L J L* W is singular (sigma_min/sigma_max = {ratio:.3e})")
     S = invert(Sinv)
     # Exact by theory; strip the round-off asymmetry.
-    S = (S - sys.cls.epsilon * sys.cls.star_of(S)) / 2.0
+    S = (S - sys.cls.epsilon * star(S)) / 2.0
     spectral._check_membership([(X, T, S)], sys.cls)
     return S
 

@@ -1,4 +1,5 @@
 import inspect
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -431,9 +432,6 @@ def test_full_iep_missing_forced_unit_value_is_infeasible(n):
         solve_iep_partial_result(IepProblem(TA, X, np.diag(values), seed=0))
 
 
-# A ta draw assembles an A1 of sigma ratio 1.7e-9, which warns; the gate
-# refuses that draw.
-@pytest.mark.filterwarnings("ignore:A1 is nearly singular")
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
 def test_prescribed_pair_gate_refuses_draws_of_a_far_pair(cls):
     # A prescribed pair of modulus 1e5 puts about rho^2 into the T^-2 sums
@@ -606,6 +604,71 @@ def test_iep_partial_retry_exhaustion_counts_reasons(monkeypatch):
                        match=r"in 20 attempts: SymmetryViolation 20 \(") as info:
         solve_iep_partial_result(IepProblem(TP, X1, T1, seed=5))
     assert info.value.reasons == Counter(SymmetryViolation=20)
+
+
+def test_t_proxies_state_the_ratio_they_measured():
+    # A diagonal T1 of modulus 1e6 is nonsingular; the proxies refuse it on
+    # its sigma ratio, and say so.
+    from palinverse.errors import SingularMatrix
+    from palinverse.paramspace import s_basis
+
+    mu = 1e6 * np.exp(0.7j)
+    T1 = np.diag([mu, 1 / np.conj(mu)])
+    measured = r"sigma_min/sigma_max of {} is 1\.000e-12, at or below SINGULAR_RTOL = 1e-12"
+    with pytest.raises(SingularW, match=measured.format("T1")):
+        IepProblem(HP, random_complex(np.random.default_rng(0), 6, 2), T1)
+    with pytest.raises(SingularMatrix, match=measured.format("T")):
+        s_basis(T1, HP)
+
+
+@pytest.mark.parametrize("cls, n, seed", [(HP, 6, 3), (HP, 12, 1), (HA, 12, 1), (HA, 12, 4)],
+                         ids=["hp-6-3", "hp-12-1", "ha-12-1", "ha-12-4"])
+def test_a_discarded_draw_keeps_its_warnings(cls, n, seed):
+    # A pair of modulus 3e5 sends every draw to the residual gate, and one of
+    # them assembles an A1 of sigma ratio 3e-9 or so, which warns: the draw
+    # is discarded, so its warning about a system no caller sees goes too.
+    mu = 3e5 * np.exp(0.7j)
+    X1 = random_complex(np.random.default_rng(seed), n, 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        with pytest.raises(RetryExhausted) as info:
+            solve_iep_partial_result(
+                IepProblem(cls, X1, np.diag([mu, 1 / cls.star_scalar(mu)]), seed=seed))
+    assert info.value.reasons == Counter(ResidualTooLarge=20)
+    assert [str(w.message) for w in caught] == []
+
+
+def test_the_returned_draw_passes_its_warnings_once(monkeypatch):
+    # Every draw warns; the first misses, the second returns, and only the
+    # second's warning reaches the caller.  The filters stay the caller's,
+    # so an error filter, as tier-1's for RuntimeWarning, raises inside a draw.
+    from palinverse import iep
+    from palinverse.errors import retry
+
+    assemble, draws = iep._coefficients_from_blocks, []
+
+    def warning_draws(*args):
+        draws.append(len(draws) + 1)
+        warnings.warn(f"planted warning of draw {draws[-1]}")
+        if len(draws) == 1:
+            raise SymmetryViolation("planted miss")
+        return assemble(*args)
+
+    monkeypatch.setattr(iep, "_coefficients_from_blocks", warning_draws)
+    X1, T1 = iep_fixture(TP)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        res = solve_iep_partial_result(IepProblem(TP, X1, T1, seed=5))
+    assert res.attempts == 2
+    assert [str(w.message) for w in caught] == ["planted warning of draw 2"]
+
+    def overflowing_draw(attempt):
+        warnings.warn("planted overflow", RuntimeWarning)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="planted overflow"):
+            retry(2, overflowing_draw, "no draw")
 
 
 def _k2n_or_partial(full):

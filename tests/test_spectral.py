@@ -71,7 +71,7 @@ def test_parameter_transforms_under_pair_equivalence(cls):
 def test_structure_block_identity(cls):
     # M J_eps M* = L J_eps L* with M = [[eps A1, 0], [-A0, -I]], and the
     # parameter matrix is (W* L J_eps L* W)^{-1}, which parameter_from_pair
-    # forms multiplied out.
+    # forms from L J_eps L* = [[0, -eps A1], [A1*, 0]].
     sys = random_system(cls, 3, seed=300)
     n = sys.n
     eye = np.eye(n, dtype=complex)
@@ -92,13 +92,15 @@ def test_structure_block_identity(cls):
 
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)
 def test_parameter_from_pair_matches_compute_S1(cls):
-    # One formula: on a full pair both give the same matrix, bit for bit.
+    # The oracle inverts W* L J_eps L* W as defined, compute_S1 its
+    # multiplied-out form; on a full pair they agree to roundoff (at most
+    # 8.8e-16 relative on these systems).
     for seed in range(3):
         sys = random_system(cls, 4, seed=310 + seed)
         e = eig_full(sys)
         X, T = e.vectors, np.diag(e.values)
-        assert np.array_equal(parameter_from_pair(sys, (X, T)),
-                              compute_S1(sys, X, T))
+        S1 = compute_S1(sys, X, T)
+        assert fnorm(parameter_from_pair(sys, (X, T)) - S1) <= 1e-13 * fnorm(S1)
 
 
 @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.code)

@@ -353,6 +353,21 @@ def test_nearly_equal_values_factorize_to_relative_roundoff(cls):
 # other with the same eigenpairs and S -> i S.  Every hp canonical object
 # is -i times ha's, bit for bit, as multiplying by +-i is exact.
 
+@pytest.mark.parametrize("delta, snapped", [(1e-12, False), (1e-13, True)])
+def test_isotropy_snap_reads_the_transfer_floor(delta, snapped):
+    # X1 = [x, x + delta z] and skew S1 give the tp product
+    # X1 S1 X1^T = delta (x z^T - z x^T), delta / 2 of ||X1||^2 ||S1||: at
+    # 5e-13 above the one roundoff floor (TRANSFER_FLOOR_RTOL = 1e-13), so
+    # it is kept as formed; at 5e-14 below it, so it snaps to exact zero.
+    x, z = np.eye(3, 2, dtype=complex).T
+    X1 = np.column_stack([x, x + delta * z])
+    S1 = np.array([[0.0, 1.0], [-1.0, 0.0]], dtype=complex)
+    G = X1 @ S1 @ X1.T
+    assert fnorm(G) == pytest.approx(delta / 2 * fnorm(X1) ** 2 * fnorm(S1), rel=1e-6)
+    kept = structfact._snap_isotropy(X1, S1, TP)
+    assert np.array_equal(kept, np.zeros_like(G) if snapped else G)
+
+
 def test_hp_delta_is_minus_i_times_ha():
     for size in range(5):
         for p in range(size + 1):

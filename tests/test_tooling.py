@@ -12,13 +12,15 @@ assembles the spectral sums, one function solves X S X* = C over the
 parameter space and computes no eigenvalues, one function reads the
 eigenvalues of a prescribed T1, and every float tolerance is defined in the one table of
 numerics, which has no absolute entry and no floor; no comparison floors its
-scale with a constant but the eigenvalue lookup's, and one rule judges a
-transfer X S X* = C.  Every gate that compares with a tolerance raises on a
-nan, and only numerics calls np.linalg.norm.  Only numerics tests exactly that
-a T is diagonal, and only system forms Q(T)X.
+scale with a constant but the eigenvalue lookup's, and one rule judges when
+a product W M W* is roundoff, in a transfer X S X* = C and elsewhere.  Every
+gate that compares with a tolerance raises on a nan, and only numerics calls
+np.linalg.norm.  Only numerics tests exactly that a T is diagonal, and only
+system forms Q(T)X.
 Every definition is reached from the CLI or a public name, but for a listed
-few that wait for the benchmark to stop naming them.  The CI workflow runs no
-CLI subcommand itself: every end-to-end CLI check is a row of cli_checks.py."""
+few that wait for the benchmark to stop naming them, and the package ships
+no test oracle.  The CI workflow runs no check of its own: every end-to-end
+CLI check is a row of cli_checks.py, and every other check a tier-1 test."""
 
 import ast
 import importlib
@@ -478,17 +480,77 @@ def test_no_floor_in_the_table_or_a_comparison():
     assert _floored_comparisons(planted) == {"_gate", "_free", "_lookup"}
 
 
+def _factors(node):
+    """The factors of a product chain a * b * c, or [node]."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return _factors(node.left) + _factors(node.right)
+    return [node]
+
+
+def _product_scale(node):
+    """Whether node holds fnorm(W) ** 2 * fnorm(M), the scale of W M W*."""
+    def squared(sub):
+        return isinstance(sub, ast.BinOp) and isinstance(sub.op, ast.Pow) \
+            and _called(sub.left) == "fnorm" and getattr(sub.right, "value", None) == 2
+
+    return any(any(map(squared, factors)) and any(_called(f) == "fnorm" for f in factors)
+               for factors in map(_factors, ast.walk(node)))
+
+
+def _roundoff_floors(source):
+    """The functions that scale a table entry by ||W||^2 ||M||: a product of
+    a table name and that scale, written out or through a name assigned it."""
+    named = {target.id for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Assign) and _product_scale(node.value)
+             for target in node.targets if isinstance(target, ast.Name)}
+
+    def floors(node):
+        factors = _factors(node)
+        return any(isinstance(f, ast.Name) and _TOLERANCE.fullmatch(f.id) for f in factors) \
+            and (_product_scale(node) or any(getattr(f, "id", None) in named for f in factors))
+
+    return _enclosing(source, floors)
+
+
 def test_one_transfer_rule():
-    # The affine solve of X S X* = C and an update's verification judge a
-    # transfer by one bound, paramspace._transfer_bound, the one reader of
-    # its roundoff floor (numerics defines it, a top-level statement).
+    # Whether a product W M W* is roundoff of its scale ||W||^2 ||M|| is one
+    # rule, numerics._transfer_bound, the one reader of the one roundoff
+    # floor (numerics defines it, a top-level statement).  The affine solve
+    # of X S X* = C and an update's verification judge a transfer by it,
+    # and the isotropy snap and the congruence gate take their floor from
+    # it; no other function scales a table entry by ||W||^2 ||M||.
+    from palinverse import numerics
+
+    assert not hasattr(numerics, "ROUNDOFF_RTOL")
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     readers = {module: _readers(source, "TRANSFER_FLOOR_RTOL")
                for module, source in sources.items()}
     assert {module: names for module, names in readers.items() if names} == \
-        {"numerics": {None}, "paramspace": {"_transfer_bound"}}
+        {"numerics": {None, "_transfer_bound"}}
     assert _package_callers("_transfer_bound") == {
-        "paramspace": {"_xsx_solve"}, "mup": {"_finish"}}
+        "paramspace": {"_xsx_solve"}, "mup": {"_finish"},
+        "structfact": {"_snap_isotropy", "_congruence_onto"}}
+    floors = {module: _roundoff_floors(source) for module, source in sources.items()}
+    assert {module: names for module, names in floors.items() if names} == \
+        {"numerics": {"_transfer_bound"}}
+
+
+def test_roundoff_floor_check_flags_planted_spellings():
+    # The two spellings _transfer_bound replaced in structfact, with a rank
+    # threshold, a membership bound and a gate that are none.
+    planted = ("def _snap_isotropy(X1, S1, cls):\n"
+               "    G = X1 @ S1 @ cls.star_of(X1)\n"
+               "    scale = fnorm(X1) ** 2 * fnorm(S1)\n"
+               "    if fnorm(G) <= ROUNDOFF_RTOL * scale:\n"
+               "        return np.zeros_like(G)\n"
+               "    return G\n"
+               "def _congruence_onto(target, form, psi):\n"
+               "    floor = ROUNDOFF_RTOL * fnorm(psi) ** 2 * fnorm(form)\n"
+               "    return STRUCTURE_RTOL * fnorm(target) + floor\n"
+               "def _fine(X, nX, nS, target, psi, form):\n"
+               "    return (RANK_RTOL * fnorm(X) ** 2, STRUCTURE_RTOL * nX * nX * nS,\n"
+               "            STRUCTURE_RTOL * fnorm(target) + _transfer_bound(0, (psi, form)))\n")
+    assert _roundoff_floors(planted) == {"_snap_isotropy", "_congruence_onto"}
 
 
 # A tolerance a gate compares with: a table entry, a rank_tol or the transfer bound.
@@ -983,6 +1045,22 @@ def test_no_option_without_a_production_caller():
     for member in ("condition", "delta", "rank"):
         assert not hasattr(structfact.StarFactorization, member), member
     assert {"solve_iep_full", "solve_psi"}.isdisjoint(palinverse.__all__)
+
+
+def test_the_package_ships_no_test_oracle():
+    # Criterion 7's oracle is tests/analysis_oracle.py: the package keeps an
+    # empty analysis module and none of the oracle's errors or tolerances.
+    import inspect
+
+    from palinverse import analysis, errors, numerics
+
+    assert [name for name, value in vars(analysis).items()
+            if inspect.isfunction(value) or inspect.isclass(value)] == []
+    for name in ("StructureViolation", "SingularInput", "NotJBDiagonalizable",
+                 "GeomMultViolation"):
+        assert not hasattr(errors, name), name
+    for name in ("ZETA_CLUSTER_RTOL", "OFFBLOCK_RTOL"):
+        assert not hasattr(numerics, name), name
 
 
 # The system and its classes, the forward check, one entry per operation
